@@ -10,7 +10,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: all build test race vet fmt-check bench bench-snapshot benchdiff cluster-smoke slo-report staticcheck vuln profile alloc-check storage-check examples clean
+.PHONY: all build test race vet fmt-check bench bench-kernel bench-smoke bench-snapshot benchdiff cluster-smoke slo-report staticcheck vuln profile alloc-check storage-check examples clean
 
 all: build test
 
@@ -47,6 +47,14 @@ bench:
 # handoff. CI runs this as the kernel perf smoke.
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelEventLoop' -benchtime=0.5s -benchmem .
+
+# The repository benchmark (bench/, declared by BENCHMARK.json) is a
+# module of its own, so `go build ./...` and `go test ./...` never
+# compile it. This builds it and runs every workload but the daemon one
+# at smoke scale (plain and traced passes, exact-count pins); drop
+# -short to include chord-wire-3d.
+bench-smoke:
+	$(GO) test -C bench -short ./...
 
 # Full throughput measurement, recorded into the committed perf
 # trajectory (BENCH_$(PR).json). Override PR for later snapshots.

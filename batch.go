@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/engine"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
@@ -11,6 +12,10 @@ import (
 // Cost is a snapshot of the testbed's transport cost counters (RPC
 // round trips, messages, failures).
 type Cost = simnet.Cost
+
+// Effort is a sampler's cumulative rejection effort: trials, next-walk
+// steps and trials pruned at the distance horizon.
+type Effort = dht.Effort
 
 // ForkableSampler is a sampler that can produce independent clones for
 // parallel work: Fork returns a sampler whose random stream is a pure
@@ -35,6 +40,11 @@ type BatchResult struct {
 	// Cost is the testbed-wide transport cost charged during the run.
 	// It is exact when nothing else used the testbed concurrently.
 	Cost Cost
+	// Effort totals the trials, next steps and pruned trials of the
+	// run, so that Cost reads as trials x (h + walk). It is filled for
+	// forkable samplers that count their effort (the uniform sampler)
+	// and is, like Peers, a pure function of the batch seed and k.
+	Effort Effort
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 }
@@ -103,6 +113,7 @@ func (tb *Testbed) SampleN(ctx context.Context, s Sampler, k int, opts ...BatchO
 		Workers:       res.Workers,
 		Deterministic: res.Deterministic,
 		Cost:          meter.Snapshot().Sub(before),
+		Effort:        res.Effort,
 		Elapsed:       time.Since(start),
 	}, nil
 }

@@ -238,8 +238,16 @@ func run(args []string) int {
 	// checkUp gates metrics where higher is worse (latency, budget
 	// burn): the newer snapshot regresses when it exceeds the old value
 	// by more than the tolerance.
+	// Zero is a value here, not an absence (a run that burns no budget
+	// reports 0): falling to zero prints as the improvement it is, and
+	// rising from zero, where no ratio exists, is a regression.
 	checkUp := func(name string, oldV, newV float64) {
-		if oldV <= 0 || newV <= 0 {
+		if oldV < 0 || newV < 0 || (oldV == 0 && newV == 0) {
+			return
+		}
+		if oldV == 0 {
+			fmt.Printf("%-28s  %14.2f  %14.2f  %7s\n", name, oldV, newV, "from 0")
+			regressions = append(regressions, fmt.Sprintf("%s regressed from zero (0 -> %.2f)", name, newV))
 			return
 		}
 		fmt.Printf("%-28s  %14.2f  %14.2f  %6.2fx\n", name, oldV, newV, newV/oldV)

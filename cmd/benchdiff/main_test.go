@@ -122,6 +122,25 @@ func TestBenchdiffSLOGateInvertsForLatencyAndBudget(t *testing.T) {
 	}
 }
 
+// TestBenchdiffSLOGateTreatsZeroAsAValue pins the two ends of a
+// higher-is-worse metric that reaches zero: a run that stops burning
+// budget is an improvement, and a later run that burns some again is a
+// regression even though no ratio to zero exists.
+func TestBenchdiffSLOGateTreatsZeroAsAValue(t *testing.T) {
+	dir := t.TempDir()
+	burning := write(t, dir, "burning.json", sloSnap(800, 1.33, 900, true))
+	clean := write(t, dir, "clean.json", sloSnap(300, 0, 1000, true))
+	if code := run([]string{burning, clean}); code != 0 {
+		t.Fatalf("exit = %d, want 0 when budget burn falls to zero", code)
+	}
+	if code := run([]string{clean, clean}); code != 0 {
+		t.Fatalf("exit = %d, want 0 when budget burn stays at zero", code)
+	}
+	if code := run([]string{clean, burning}); code != 1 {
+		t.Fatalf("exit = %d, want 1 when budget burn rises from zero", code)
+	}
+}
+
 func TestBenchdiffSLOGateFailsOnMetFlip(t *testing.T) {
 	dir := t.TempDir()
 	oldP := write(t, dir, "old.json", sloSnap(800, 40, 900, true))

@@ -207,6 +207,11 @@ func cmdSample(args []string) error {
 	fmt.Printf("tvd:       %.4f\n", tvd)
 	fmt.Printf("cost:      %.1f RPCs and %.1f messages per sample\n",
 		float64(res.Cost.Calls)/float64(*k), float64(res.Cost.Messages)/float64(*k))
+	if e := res.Effort; e.Trials > 0 {
+		// The paper's cost model: one sample = trials x (h + next walk).
+		fmt.Printf("effort:    %.2f trials (%.2f pruned at the horizon) and %.1f next steps per sample\n",
+			float64(e.Trials)/float64(*k), float64(e.Pruned)/float64(*k), float64(e.Steps)/float64(*k))
+	}
 	if tb.SimTime() {
 		lat := tb.Latency()
 		fmt.Printf("latency:   model %s; per RPC mean %v p50 %v p99 %v\n",
@@ -264,6 +269,11 @@ func sampleTolerant(tb *randompeer.Testbed, s randompeer.Sampler, k int, backend
 func printTrace(tb *randompeer.Testbed, s randompeer.Sampler) error {
 	meter := tb.DHT().Meter()
 	before := meter.Snapshot()
+	reporter, _ := s.(interface{ Stats() randompeer.Effort })
+	var effort0 randompeer.Effort
+	if reporter != nil {
+		effort0 = reporter.Stats()
+	}
 	peer, tr, err := tb.TraceSample(s)
 	if err != nil {
 		return err
@@ -271,6 +281,11 @@ func printTrace(tb *randompeer.Testbed, s randompeer.Sampler) error {
 	charged := meter.Snapshot().Sub(before).Calls
 	fmt.Printf("trace:     id %#x drew owner %d (point %#x): %d hops, %d ok, meter charged %d calls\n",
 		tr.ID(), peer.Owner, uint64(peer.Point), tr.Len(), tr.OKHops(), charged)
+	if reporter != nil {
+		e := reporter.Stats()
+		fmt.Printf("           %d trials (%d pruned at the horizon), %d next steps\n",
+			e.Trials-effort0.Trials, e.Pruned-effort0.Pruned, e.Steps-effort0.Steps)
+	}
 	for _, h := range tr.Hops() {
 		lat, unit := time.Duration(h.WallNanos), "wall"
 		if tb.SimTime() {

@@ -436,7 +436,11 @@ func (d *daemon) handleSample(w http.ResponseWriter, r *http.Request) {
 		out = append(out, uint64(peer.Point))
 	}
 	cost := d.view.Meter().Snapshot().Sub(before)
-	writeJSON(w, cluster.SampleResponse{Points: out, Calls: cost.Calls})
+	effort := sampler.Stats()
+	writeJSON(w, cluster.SampleResponse{
+		Points: out, Calls: cost.Calls,
+		Trials: effort.Trials, Steps: effort.Steps, Pruned: effort.Pruned,
+	})
 }
 
 func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -80,10 +80,17 @@ type SampleRequest struct {
 	Seed  uint64 `json:"seed"`
 }
 
-// SampleResponse lists the drawn peers and the total metered cost.
+// SampleResponse lists the drawn peers and what the request cost: the
+// metered RPCs (estimate included) beside the sampler's own effort, so
+// the cost reads as trials x (h + walk).
 type SampleResponse struct {
 	Points []uint64 `json:"points"`
 	Calls  int64    `json:"calls"`
+	// Trials, Steps and Pruned are the request's core.Stats: h lookups,
+	// next steps, and failed trials abandoned at the horizon.
+	Trials int64 `json:"trials"`
+	Steps  int64 `json:"steps"`
+	Pruned int64 `json:"pruned"`
 }
 
 // MetricsResponse is the daemon's meter-snapshot endpoint payload.

@@ -239,6 +239,13 @@ func TestClusterControlPlane(t *testing.T) {
 			t.Fatalf("sampled %v is not a member", p)
 		}
 	}
+	// The response decomposes its cost: at least one trial per sample,
+	// only failed trials pruned, and one call per next step beside the
+	// h lookups and the estimate.
+	if samp.Trials < 8 || samp.Pruned < 0 || samp.Pruned > samp.Trials-8 || samp.Calls <= samp.Steps {
+		t.Fatalf("sample cost does not decompose: calls=%d trials=%d steps=%d pruned=%d",
+			samp.Calls, samp.Trials, samp.Steps, samp.Pruned)
+	}
 
 	m, err := MetricsAt(c.Addr(0))
 	if err != nil {

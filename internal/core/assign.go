@@ -49,6 +49,11 @@ type Assignment struct {
 // i.e. D <= C_k where C_k = (k+1)*lambda - sum_{j=1..k} A_{i+j}. Each
 // integer D occurs for exactly one s, so counting D values per k yields
 // the exact measure. C_k is evaluated in 128-bit arithmetic.
+//
+// The scan of an arc stops at the sampler's horizon: no later threshold
+// can exceed C_k + (maxSteps-k)*lambda = horizon - sum_{j=1..k} A_{i+j},
+// so once that is at most the largest D already accepted the remaining
+// steps assign nothing.
 func Analyze(r *ring.Ring, lambda uint64, maxSteps int) (*Assignment, error) {
 	n := r.Len()
 	if n < 2 {
@@ -76,6 +81,8 @@ func Analyze(r *ring.Ring, lambda uint64, maxSteps int) (*Assignment, error) {
 		a.Measure[target] += c0
 		assigned := c0
 		if arcLen > lambda {
+			// room is the horizon less the arcs walked past h(s).
+			room := horizon(lambda, maxSteps)
 			dMax := ring.S128Of(arcLen - 1)
 			// maxPrev tracks the largest D already accepted by an earlier
 			// step; theta_0 = lambda-1.
@@ -83,7 +90,9 @@ func Analyze(r *ring.Ring, lambda uint64, maxSteps int) (*Assignment, error) {
 			c := ring.S128Of(lambda) // C_0
 			cur := target
 			for k := 1; k <= maxSteps; k++ {
-				c = c.AddUint(lambda).SubUint(r.Arc(cur))
+				arc := r.Arc(cur)
+				c = c.AddUint(lambda).SubUint(arc)
+				room = room.SubUint(arc)
 				cur = r.NextIndex(cur)
 				upper := c
 				if upper.Cmp(dMax) > 0 {
@@ -105,6 +114,9 @@ func Analyze(r *ring.Ring, lambda uint64, maxSteps int) (*Assignment, error) {
 				}
 				if maxPrev.Cmp(dMax) >= 0 {
 					break // every D in this arc is assigned
+				}
+				if room.Cmp(maxPrev) <= 0 {
+					break // past the horizon of every unassigned D
 				}
 			}
 		}

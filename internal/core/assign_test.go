@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/ring"
 )
 
@@ -312,5 +316,219 @@ func TestNaiveDistributionBiasGrowth(t *testing.T) {
 	r2 := ratio(4096)
 	if r2 < 4*r1 {
 		t.Errorf("bias ratio grew too slowly: n=256 -> %.0f, n=4096 -> %.0f", r1, r2)
+	}
+}
+
+// referenceAnalyze is the analyzer's per-arc scan without the horizon
+// break: every arc is scanned to maxSteps (or until all of it is
+// assigned). It fills only Measure, Unassigned and DeepestStep.
+func referenceAnalyze(r *ring.Ring, lambda uint64, maxSteps int) *Assignment {
+	n := r.Len()
+	a := &Assignment{Lambda: lambda, MaxSteps: maxSteps, Measure: make([]uint64, n)}
+	for i := 0; i < n; i++ {
+		arcLen := r.Arc(i)
+		cur := r.NextIndex(i)
+		assigned := min(arcLen, lambda)
+		a.Measure[cur] += assigned
+		if arcLen > lambda {
+			dMax := ring.S128Of(arcLen - 1)
+			maxPrev := ring.S128Of(lambda - 1)
+			c := ring.S128Of(lambda)
+			for k := 1; k <= maxSteps && maxPrev.Cmp(dMax) < 0; k++ {
+				c = c.AddUint(lambda).SubUint(r.Arc(cur))
+				cur = r.NextIndex(cur)
+				upper := c
+				if upper.Cmp(dMax) > 0 {
+					upper = dMax
+				}
+				if upper.Cmp(maxPrev) > 0 {
+					cnt, _ := upper.Sub(maxPrev).Uint64()
+					a.Measure[cur] += cnt
+					assigned += cnt
+					a.DeepestStep = max(a.DeepestStep, k)
+					maxPrev = upper
+				}
+			}
+		}
+		a.Unassigned += arcLen - assigned
+	}
+	return a
+}
+
+// e1Ring is a ring of experiment E1's sweep at its default seed.
+func e1Ring(t testing.TB, n int) *ring.Ring {
+	t.Helper()
+	r, err := ring.Generate(rand.New(rand.NewPCG(1, uint64(n))), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// sliverRing is a ring on which, at lambda = 100 and maxSteps = 2, the
+// last step assigns a piece that ends exactly at the horizon: behind a
+// 1000-unit arc come arcs of 190 and 5 units, so C_1 = 10 assigns
+// nothing and C_2 = horizon - 195 = 105 assigns D in [100, 105]. A
+// horizon taken a few units short loses the piece.
+func sliverRing(t testing.TB) (r *ring.Ring, lambda uint64, maxSteps int) {
+	t.Helper()
+	r, err := ring.New([]ring.Point{0, 1000, 1190, 1195})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, 100, 2
+}
+
+// TestAnalyzeHorizonBreakChangesNothing requires the analyzer with its
+// early break to return bit-identical Measure, Unassigned and
+// DeepestStep to the full scan: on the E1 ring set at the paper's
+// parameters, and where the walk bound or lambda is far off them.
+func TestAnalyzeHorizonBreakChangesNothing(t *testing.T) {
+	t.Parallel()
+	type tc struct {
+		r        *ring.Ring
+		lambda   uint64
+		maxSteps int
+	}
+	var cases []tc
+	for _, n := range []int{256, 1024, 4096, 16384} {
+		p := paramsForN(t, n)
+		cases = append(cases, tc{e1Ring(t, n), p.Lambda, p.MaxSteps})
+	}
+	sliver, sliverLambda, sliverSteps := sliverRing(t)
+	cases = append(cases, tc{sliver, sliverLambda, sliverSteps})
+	for _, n := range []int{2, 3, 5, 33, 300} {
+		r := genRing(t, uint64(n)+5, n)
+		ideal := paramsForN(t, n).Lambda
+		for _, lambda := range []uint64{1, ideal / 16, ideal / 2, ideal, 3 * ideal, 7 * ideal, 1 << 63, math.MaxUint64} {
+			for _, maxSteps := range []int{0, 1, 2, 7, 3 * n} {
+				cases = append(cases, tc{r, lambda, maxSteps})
+			}
+		}
+	}
+	for _, c := range cases {
+		got, err := Analyze(c.r, c.lambda, c.maxSteps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceAnalyze(c.r, c.lambda, c.maxSteps)
+		where := fmt.Sprintf("n=%d lambda=%d maxSteps=%d", c.r.Len(), c.lambda, c.maxSteps)
+		if !slices.Equal(got.Measure, want.Measure) {
+			t.Errorf("%s: Measure differs from the full scan", where)
+		}
+		if got.Unassigned != want.Unassigned || got.DeepestStep != want.DeepestStep {
+			t.Errorf("%s: unassigned %d deepest %d, full scan %d and %d",
+				where, got.Unassigned, got.DeepestStep, want.Unassigned, want.DeepestStep)
+		}
+	}
+}
+
+// scriptedSource is a rand.Source that replays the given values.
+type scriptedSource struct{ vals []uint64 }
+
+func (s *scriptedSource) Uint64() uint64 {
+	v := s.vals[0]
+	s.vals = s.vals[1:]
+	return v
+}
+
+// TestSamplerAtPieceBoundariesReproducesAnalyze ties the running
+// sampler to the analyzer exactly. Within the arc in front of a peer the
+// outcome of a trial is a step function of D = d(s, h(s)) that can
+// change only past a threshold lambda-1 or C_k, so running the sampler —
+// scripted RNG, one trial — at D = C_k and D = C_k + 1 for every arc and
+// every k finds every piece and its owner. The pieces must add up to the
+// measure Analyze assigns each peer, unit for unit, failed trials to
+// Unassigned; and a trial may fail only where no step assigns.
+func TestSamplerAtPieceBoundariesReproducesAnalyze(t *testing.T) {
+	t.Parallel()
+	sliver, sliverLambda, sliverSteps := sliverRing(t)
+	requirePiecesMatchAnalyze(t, sliver, Params{Lambda: sliverLambda, MaxSteps: sliverSteps})
+	if got := thresholdChoice(sliver, sliverLambda, sliverSteps, ring.Sub(1000, 105)); got != 3 {
+		t.Fatalf("sliver ring: D=105 is assigned to %d, want the piece at the horizon (peer 3)", got)
+	}
+	for _, n := range []int{2, 3, 4, 9, 24, 60} {
+		for seed := uint64(0); seed < 3; seed++ {
+			r := genRing(t, seed*977+uint64(n), n)
+			ideal := paramsForN(t, n)
+			for _, p := range []Params{
+				ideal,
+				{Lambda: ideal.Lambda, MaxSteps: 1},
+				{Lambda: ideal.Lambda, MaxSteps: 3},
+				{Lambda: ideal.Lambda / 5, MaxSteps: ideal.MaxSteps},
+				{Lambda: 3 * ideal.Lambda, MaxSteps: 2},
+				{Lambda: 1 << 63, MaxSteps: 4},
+			} {
+				requirePiecesMatchAnalyze(t, r, p)
+			}
+		}
+	}
+}
+
+func requirePiecesMatchAnalyze(t *testing.T, r *ring.Ring, p Params) {
+	t.Helper()
+	n := r.Len()
+	o := dht.NewOracle(r)
+	a, err := Analyze(r, p.Lambda, p.MaxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// trial runs one scripted trial from s: the chosen owner, or -1.
+	trial := func(s ring.Point) int {
+		smp, err := NewWithParams(o, rand.New(&scriptedSource{[]uint64{uint64(s)}}), p, Config{MaxTrials: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := smp.Sample()
+		if errors.Is(err, ErrTrialsExhausted) {
+			return -1
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return peer.Owner
+	}
+	measure := make([]uint64, n)
+	var unassigned uint64
+	for i := 0; i < n; i++ {
+		arcLen, first := r.Arc(i), r.NextIndex(i)
+		at := func(d uint64) ring.Point { return ring.Sub(r.At(first), d) }
+		// Thresholds inside [0, arcLen-1), ascending; the last piece
+		// ends at arcLen-1.
+		ends := []uint64{arcLen - 1}
+		if p.Lambda-1 < arcLen-1 {
+			ends = append(ends, p.Lambda-1)
+		}
+		c, cur := ring.S128Of(p.Lambda), first
+		for k := 1; k <= p.MaxSteps; k++ {
+			c = c.AddUint(p.Lambda).SubUint(r.Arc(cur))
+			cur = r.NextIndex(cur)
+			if v, ok := c.Uint64(); ok && v < arcLen-1 {
+				ends = append(ends, v)
+			}
+		}
+		slices.Sort(ends)
+		ends = slices.Compact(ends)
+		start := uint64(0) // first D of the current piece
+		for _, end := range ends {
+			owner := trial(at(end))
+			if got := trial(at(start)); got != owner {
+				t.Fatalf("n=%d %+v arc %d: D=%d chose %d but D=%d of the same piece chose %d",
+					n, p, i, start, got, end, owner)
+			}
+			if want := thresholdChoice(r, p.Lambda, p.MaxSteps, at(end)); owner != want {
+				t.Fatalf("n=%d %+v arc %d D=%d: sampler chose %d, the analyzer's rule %d", n, p, i, end, owner, want)
+			}
+			if owner >= 0 {
+				measure[owner] += end - start + 1
+			} else {
+				unassigned += end - start + 1
+			}
+			start = end + 1
+		}
+	}
+	if !slices.Equal(measure, a.Measure) || unassigned != a.Unassigned {
+		t.Fatalf("n=%d %+v: pieces found by the sampler do not add up to Analyze's assignment\n got %v + %d\nwant %v + %d",
+			n, p, measure, unassigned, a.Measure, a.Unassigned)
 	}
 }

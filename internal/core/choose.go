@@ -46,29 +46,27 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats is a snapshot of a Sampler's cumulative effort counters.
-type Stats struct {
-	// Samples is the number of successful Sample calls.
-	Samples int64
-	// Trials is the total number of rejection-loop iterations (each
-	// costing one h lookup).
-	Trials int64
-	// Steps is the total number of next-walk steps taken.
-	Steps int64
-}
+type Stats = dht.Effort
 
-// Trace reports the effort of a single Sample call.
+// Trace reports the effort of a single Sample call, successful or not.
 type Trace struct {
 	// Trials is the number of starting points drawn (>= 1).
 	Trials int
 	// Steps is the number of next steps walked across all trials.
 	Steps int
+	// Pruned is the number of failed trials cut short of MaxSteps steps
+	// because the walk passed the horizon (MaxSteps+1)*lambda from its
+	// starting point; the other failed trials walked the full bound.
+	Pruned int
 }
 
 // Sampler implements Choose Random Peer (Figure 1 of the paper): it
 // chooses a peer uniformly at random — each peer with probability
 // exactly 1/n w.h.p. over the hash function — from the set of all peers
 // of the DHT, using one h lookup per trial and at most MaxSteps next
-// steps per trial.
+// steps per trial — in practice far fewer, because a trial is abandoned
+// as soon as its walk is provably past every accepting distance (see
+// horizon).
 //
 // Concurrency contract: a Sampler is safe for unsynchronized concurrent
 // use. The derived parameters are immutable after construction, effort
@@ -88,6 +86,8 @@ type Sampler struct {
 
 	params Params
 	est    EstimateResult
+	// horizon is (MaxSteps+1)*lambda, fixed with params.
+	horizon ring.S128
 
 	mu  sync.Mutex // guards rng only; never held across DHT calls
 	rng *rand.Rand
@@ -98,9 +98,13 @@ type Sampler struct {
 	samples atomic.Int64
 	trials  atomic.Int64
 	steps   atomic.Int64
+	pruned  atomic.Int64
 }
 
-var _ dht.Sampler = (*Sampler)(nil)
+var (
+	_ dht.Sampler        = (*Sampler)(nil)
+	_ dht.EffortReporter = (*Sampler)(nil)
+)
 
 // New builds a Sampler for the given caller peer: it runs Estimate n
 // from the caller (as the paper prescribes — each peer derives its own
@@ -120,7 +124,14 @@ func New(d dht.DHT, caller dht.Peer, rng *rand.Rand, cfg Config) (*Sampler, erro
 	if err != nil {
 		return nil, err
 	}
-	return &Sampler{d: d, cfg: cfg, rng: rng, params: params, est: est}, nil
+	return newSampler(d, cfg, rng, params, est), nil
+}
+
+func newSampler(d dht.DHT, cfg Config, rng *rand.Rand, params Params, est EstimateResult) *Sampler {
+	return &Sampler{
+		d: d, cfg: cfg, rng: rng, params: params, est: est,
+		horizon: horizon(params.Lambda, params.MaxSteps),
+	}
 }
 
 // NewWithParams builds a Sampler with explicit parameters, bypassing
@@ -134,7 +145,7 @@ func NewWithParams(d dht.DHT, rng *rand.Rand, params Params, cfg Config) (*Sampl
 	if params.MaxSteps < 1 {
 		return nil, fmt.Errorf("core: max steps must be >= 1, got %d", params.MaxSteps)
 	}
-	return &Sampler{d: d, cfg: cfg, rng: rng, params: params}, nil
+	return newSampler(d, cfg, rng, params, EstimateResult{}), nil
 }
 
 // Name implements dht.Sampler.
@@ -148,7 +159,7 @@ func (s *Sampler) Name() string { return "king-saia" }
 // work) a private sampler and keep parallel results deterministic.
 func (s *Sampler) Fork(seed uint64) (dht.Sampler, error) {
 	rng := rand.New(rand.NewPCG(seed, seed^0x6a09e667f3bcc909))
-	return &Sampler{d: s.d, cfg: s.cfg, rng: rng, params: s.params, est: s.est}, nil
+	return newSampler(s.d, s.cfg, rng, s.params, s.est), nil
 }
 
 // ForkExclusive is Fork for a fork that will be confined to a single
@@ -175,20 +186,14 @@ func (s *Sampler) Estimate() EstimateResult { return s.est }
 
 // Stats returns a snapshot of the cumulative effort counters. Each
 // counter is read atomically; a snapshot taken while Sample calls are in
-// flight is not an atomic cut across the three counters.
+// flight is not an atomic cut across the counters.
 func (s *Sampler) Stats() Stats {
 	return Stats{
 		Samples: s.samples.Load(),
 		Trials:  s.trials.Load(),
 		Steps:   s.steps.Load(),
+		Pruned:  s.pruned.Load(),
 	}
-}
-
-// record accumulates the effort of one successful sample.
-func (s *Sampler) record(trace Trace) {
-	s.samples.Add(1)
-	s.trials.Add(int64(trace.Trials))
-	s.steps.Add(int64(trace.Steps))
 }
 
 // Sample implements dht.Sampler.
@@ -213,16 +218,31 @@ func (s *Sampler) Sample() (dht.Peer, error) {
 // walk accepts at the first step where T becomes non-positive. T is
 // tracked in exact 128-bit arithmetic; float rounding never decides an
 // acceptance.
+//
+// One deviation from the figure, which changes no outcome: the walk does
+// not always "repeat 6 ln n' times". T falls by at most lambda a step,
+// so once the walk is more than (MaxSteps+1)*lambda from s no remaining
+// step can bring T to zero and the trial is abandoned there — about
+// (MaxSteps+1)*n/(7*nhat) steps into a doomed trial in place of
+// MaxSteps. The accepted peer, the trial count and the random stream are
+// those of the full walk.
 func (s *Sampler) SampleTraced() (dht.Peer, Trace, error) {
 	var trace Trace
 	p, err := s.sampleInto(&trace)
+	if err == nil {
+		s.samples.Add(1)
+	}
+	s.trials.Add(int64(trace.Trials))
+	s.steps.Add(int64(trace.Steps))
+	s.pruned.Add(int64(trace.Pruned))
 	return p, trace, err
 }
 
-// sampleInto is the sampling hot loop behind Sample and SampleTraced:
-// it accumulates effort into the caller's scratch Trace and keeps the
+// sampleInto is the sampling hot loop behind SampleTraced: it
+// accumulates effort into the caller's scratch Trace and keeps the
 // per-trial state in locals, so a successful sample allocates nothing.
 func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
+	lambda := s.params.Lambda
 	for trial := 1; trial <= s.cfg.MaxTrials; trial++ {
 		trace.Trials = trial
 		var start ring.Point
@@ -238,29 +258,35 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 			return dht.Peer{}, fmt.Errorf("core: h(%v): %w", start, err)
 		}
 		d0 := ring.Distance(start, first.Point)
-		if d0 < s.params.Lambda {
+		if d0 < lambda {
 			// |I(s, l(h(s)))| is small: h(s) is the chosen peer.
-			s.record(*trace)
 			return first, nil
 		}
-		t := ring.S128Of(d0).SubUint(s.params.Lambda)
+		// walked is d(s, l(cur)) without wrap-around; T is walked minus
+		// lambda per peer visited.
+		walked := ring.S128Of(d0)
+		t := walked.SubUint(lambda)
 		cur := first
 		for step := 0; step < s.params.MaxSteps; step++ {
+			if walked.Cmp(s.horizon) > 0 {
+				trace.Pruned++
+				break
+			}
 			next, err := s.d.Next(cur)
 			if err != nil {
 				return dht.Peer{}, fmt.Errorf("core: next(%v): %w", cur.Point, err)
 			}
 			trace.Steps++
 			arc := ring.Distance(cur.Point, next.Point)
-			t = t.AddUint(arc).SubUint(s.params.Lambda)
+			t = t.AddUint(arc).SubUint(lambda)
 			if !t.IsPos() {
-				s.record(*trace)
 				return next, nil
 			}
+			walked = walked.AddUint(arc)
 			cur = next
 		}
 		// Trial failed: the starting point fell in unassigned measure.
 	}
 	return dht.Peer{}, fmt.Errorf("%w: after %d trials (lambda=%d, maxSteps=%d)",
-		ErrTrialsExhausted, s.cfg.MaxTrials, s.params.Lambda, s.params.MaxSteps)
+		ErrTrialsExhausted, s.cfg.MaxTrials, lambda, s.params.MaxSteps)
 }

@@ -112,6 +112,18 @@ type Params struct {
 	MaxSteps int
 }
 
+// horizon returns H = (maxSteps+1)*lambda: the farthest a trial's walk
+// can be from its starting point s and still accept. A walk accepts at
+// step j <= maxSteps only while d(s, p_j) <= (j+1)*lambda <= H, and the
+// distance walked never shrinks, so once it exceeds H the trial has
+// failed whatever the remaining arcs are. The sampler abandons the trial
+// there and the analyzer stops scanning the arc there; both take H from
+// here so they cannot disagree. H is a 128-bit value: lambda near 2^63
+// (tiny rings) times a two-digit step count overflows 64 bits.
+func horizon(lambda uint64, maxSteps int) ring.S128 {
+	return ring.S128Mul(uint64(maxSteps)+1, lambda)
+}
+
 // DeriveParams computes lambda and the walk bound from a size estimate.
 // gamma1 is the lower approximation constant of the estimate (Lemma 3
 // gives 2/7 for EstimateN); stepFactor is the paper's 6.

@@ -63,3 +63,37 @@ type Sampler interface {
 	// Name identifies the sampler in experiment output.
 	Name() string
 }
+
+// Effort is the cumulative work of a rejection sampler, in the units of
+// the paper's cost model: one sample = trials x (one h lookup + a next
+// walk). Effort is counted on every exit of Sample — a call that ends
+// in an error still spent its trials and steps — while Samples counts
+// successes only.
+type Effort struct {
+	// Samples is the number of successful Sample calls.
+	Samples int64
+	// Trials is the total number of rejection-loop iterations (each
+	// costing one h lookup).
+	Trials int64
+	// Steps is the total number of next-walk steps taken.
+	Steps int64
+	// Pruned is the total number of failed trials abandoned at the
+	// distance horizon, short of the full walk bound.
+	Pruned int64
+}
+
+// Plus returns the field-wise sum e + f.
+func (e Effort) Plus(f Effort) Effort {
+	return Effort{
+		Samples: e.Samples + f.Samples,
+		Trials:  e.Trials + f.Trials,
+		Steps:   e.Steps + f.Steps,
+		Pruned:  e.Pruned + f.Pruned,
+	}
+}
+
+// EffortReporter is the optional capability of a Sampler that counts
+// its effort; the batch engine totals it over the forks of a run.
+type EffortReporter interface {
+	Stats() Effort
+}

@@ -96,6 +96,11 @@ type Result struct {
 	// Deterministic reports whether per-block forking was used, making
 	// the result a pure function of (Seed, k).
 	Deterministic bool
+	// Effort totals the rejection effort of the per-block forks, for
+	// samplers that report it (dht.EffortReporter); like the peers it
+	// is a pure function of (Seed, k). It is zero for other samplers
+	// and in shared-sampler mode.
+	Effort dht.Effort
 }
 
 // splitmix64 is the standard SplitMix64 finalizer, used to spread
@@ -178,11 +183,13 @@ func SampleN(ctx context.Context, s dht.Sampler, k int, cfg Config) (*Result, er
 		go func() {
 			defer wg.Done()
 			tally := make([]int64, cfg.Owners)
+			var effort dht.Effort
 			defer func() {
 				tallyMu.Lock()
 				for i, c := range tally {
 					res.Tally[i] += c
 				}
+				res.Effort = res.Effort.Plus(effort)
 				tallyMu.Unlock()
 			}()
 			for {
@@ -221,6 +228,13 @@ func SampleN(ctx context.Context, s dht.Sampler, k int, cfg Config) (*Result, er
 					tally[p.Owner]++
 					if res.Peers != nil {
 						res.Peers[i] = p
+					}
+				}
+				if deterministic {
+					// bs is this block's private fork: its counters
+					// hold exactly the block's effort.
+					if r, ok := bs.(dht.EffortReporter); ok {
+						effort = effort.Plus(r.Stats())
 					}
 				}
 			}

@@ -51,6 +51,11 @@ func TestSampleNDeterministicAcrossWorkers(t *testing.T) {
 	if len(base.Peers) != k {
 		t.Fatalf("got %d peers, want %d", len(base.Peers), k)
 	}
+	// The forks' effort is totalled: one success per sample, at least
+	// one trial each, and only failed trials pruned.
+	if e := base.Effort; e.Samples != k || e.Trials < k || e.Pruned > e.Trials-k || e.Steps <= 0 {
+		t.Fatalf("effort of %d samples = %+v", k, e)
+	}
 	for _, workers := range []int{2, 3, 8, 32} {
 		got, err := SampleN(context.Background(), s, k, Config{Workers: workers, Seed: 11, Owners: o.Owners(), BlockSize: 128})
 		if err != nil {
@@ -60,6 +65,9 @@ func TestSampleNDeterministicAcrossWorkers(t *testing.T) {
 			if got.Peers[i] != base.Peers[i] {
 				t.Fatalf("workers=%d: peer at index %d = %+v, want %+v", workers, i, got.Peers[i], base.Peers[i])
 			}
+		}
+		if got.Effort != base.Effort {
+			t.Fatalf("workers=%d: effort %+v, want %+v", workers, got.Effort, base.Effort)
 		}
 	}
 	// A different seed must give a different sequence.

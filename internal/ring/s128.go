@@ -24,6 +24,14 @@ func S128Of(v uint64) S128 {
 	return S128{hi: 0, lo: v}
 }
 
+// S128Mul returns the exact product a*b. a*b must be below 2^127 (one
+// factor at most 2^63 suffices), which holds for every "count of
+// lambdas" the sampler and the analyzer form.
+func S128Mul(a, b uint64) S128 {
+	hi, lo := bits.Mul64(a, b)
+	return S128{hi: int64(hi), lo: lo}
+}
+
 // AddUint returns s + v.
 func (s S128) AddUint(v uint64) S128 {
 	lo, carry := bits.Add64(s.lo, v, 0)

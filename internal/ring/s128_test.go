@@ -85,6 +85,26 @@ func fromInt64(v int64) S128 {
 	return S128Of(0).SubUint(uint64(-v))
 }
 
+func TestS128MulMatchesRepeatedAddition(t *testing.T) {
+	t.Parallel()
+	mul := func(a uint64, kRaw uint8) bool {
+		k := uint64(kRaw)
+		sum := S128Of(0)
+		for i := uint64(0); i < k; i++ {
+			sum = sum.AddUint(a)
+		}
+		return S128Mul(k, a).Cmp(sum) == 0 && S128Mul(a, k).Cmp(sum) == 0
+	}
+	if err := quick.Check(mul, nil); err != nil {
+		t.Error(err)
+	}
+	// The largest product the contract admits: 2^63 * (2^64-1) < 2^127.
+	top := S128Mul(1<<63, math.MaxUint64)
+	if !top.IsPos() || top.Cmp(S128Mul(1<<63, math.MaxUint64-1)) <= 0 {
+		t.Errorf("S128Mul(2^63, 2^64-1) = %v is not the positive maximum", top)
+	}
+}
+
 func TestS128Sub(t *testing.T) {
 	t.Parallel()
 	sub := func(a, b int32) bool {
