@@ -37,10 +37,12 @@ fmt-check:
 # across worker counts, the cross-backend lookup-cost comparison
 # (oracle/chord/kademlia), the virtual-clock transport overhead on the
 # sampling hot path, the kernel event-loop dispatch paths, bulk overlay
-# construction, and the async churn driver.
+# construction, the async churn driver, and one handler-side FIND_NODE
+# selection.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkUniformSample|BenchmarkBatchThroughput|BenchmarkLookupCostBackends|BenchmarkSimTransportOverhead|BenchmarkKernelEventLoop|BenchmarkBuildStatic' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkAsyncChurn' -benchtime=100x -benchmem ./internal/churn/
+	$(GO) test -run '^$$' -bench 'BenchmarkClosestIntoSlot' -benchtime=1000x -benchmem ./internal/kademlia/
 
 # Kernel event-loop microbenchmarks alone, at measurement benchtime:
 # the proc fast path, the Post callback path and the forced coroutine

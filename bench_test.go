@@ -197,9 +197,11 @@ func BenchmarkSampleCostKademlia(b *testing.B) {
 
 // BenchmarkKademliaLookup: the h primitive on the Kademlia overlay —
 // an alpha-parallel iterative FIND_NODE plus the O(1) clockwise-owner
-// verification.
+// verification — up to the repository benchmark's n = 16384, with the
+// RPC count from the meter so that a faster lookup can be told from a
+// shorter one.
 func BenchmarkKademliaLookup(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
+	for _, n := range []int{1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r := benchRing(b, n)
 			net, err := kademlia.BuildStatic(kademlia.Config{}, simnet.NewDirect(), r.Points())
@@ -207,12 +209,16 @@ func BenchmarkKademliaLookup(b *testing.B) {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewPCG(10, uint64(n)))
+			before := net.Meter().Snapshot()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := net.ResolveOwner(r.At(0), ring.Point(rng.Uint64())); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			cost := net.Meter().Snapshot().Sub(before)
+			b.ReportMetric(float64(cost.Calls)/float64(b.N), "rpcs/lookup")
 		})
 	}
 }

@@ -68,7 +68,7 @@ func (d *DHT) H(x ring.Point) (dht.Peer, error) {
 		return dht.Peer{}, fmt.Errorf("kademlia dht: h(%v): %w", x, err)
 	}
 	d.lookups.Add(1)
-	d.rounds.Add(int64(stats.Lookup.Rounds))
+	d.rounds.Add(int64(stats.Rounds))
 	d.chaseRPCs.Add(int64(stats.ChaseRPCs))
 	return d.peerOf(owner), nil
 }

@@ -11,13 +11,13 @@ import (
 )
 
 // resolveAllocBudget documents the per-lookup allocation cost of the h
-// primitive on a fully populated overlay: 4 measured — the FIND_NODE
-// request envelope (boxed once per lookup), the Seen and Closest
-// result slices (both escape in the public LookupResult), and one
-// residual — with +2 headroom for scratch- and reply-pool refills
-// after a GC. Everything else (candidate state map, k-best selection,
-// query waves, reply buffers) is reused through free-lists.
-const resolveAllocBudget = 6
+// primitive on a fully populated overlay: 1 measured — the FIND_NODE
+// request envelope, boxed once per lookup — with +2 headroom for
+// scratch- and reply-pool refills after a GC. The shortlist, query
+// waves and reply buffers are reused through free-lists, and the
+// resolution reduces the shortlist in place; only the exported
+// FindClosest materialises result slices.
+const resolveAllocBudget = 3
 
 func TestAllocBudgetResolveOwner(t *testing.T) {
 	skipIfRace(t)

@@ -1,6 +1,8 @@
 package kademlia
 
 import (
+	"math/bits"
+
 	"github.com/dht-sampling/randompeer/internal/ring"
 )
 
@@ -188,11 +190,24 @@ func (n *Network) promoteBucket(s uint32, b int) {
 // closestIntoSlot returns up to count contacts known to slot s sorted
 // by XOR distance to target, optionally including the owner itself,
 // appending into the caller's buffer (reused across calls by the
-// pooled FIND_NODE replies and lookup scratch). It keeps a bounded
-// best-list instead of sorting the whole table: FIND_NODE handlers
-// call it on every hop of every lookup, so it is the subsystem's
-// hottest function. Entry slots translate to identifiers with atomic
-// loads under one stripe read-lock; nothing allocates.
+// pooled FIND_NODE replies and lookup scratch). FIND_NODE handlers call
+// it on every hop of every lookup, so it is the subsystem's hottest
+// function; nothing allocates.
+//
+// Buckets are visited in increasing distance from the target and the
+// walk stops at the first bucket boundary where best is full. With
+// d = self ^ target, an entry e of bucket b differs from self first at
+// bit b, so e ^ target agrees with d above bit b and has bit b flipped:
+//   - d's bit b set: e is closer than self, and every entry of a higher
+//     such bucket is closer still (it clears a higher bit of d) — the
+//     set bits are walked from the highest down;
+//   - self sits at distance d exactly, after all of those;
+//   - d's bit b clear: e is farther than self, and the lower the bit it
+//     sets the less it adds — the clear bits are walked from the
+//     lowest up.
+//
+// The buckets' distance ranges are disjoint and ordered this way, so
+// once best holds count ids no later bucket can displace any of them.
 func (n *Network) closestIntoSlot(s uint32, best []ring.Point, target ring.Point, count int, includeSelf bool) []ring.Point {
 	best = best[:0]
 	if count <= 0 {
@@ -201,27 +216,46 @@ func (n *Network) closestIntoSlot(s uint32, best []ring.Point, target ring.Point
 	a := &n.st
 	st := a.stripe(s)
 	st.RLock()
+	defer st.RUnlock()
 	self := a.id(s)
 	row := a.bucketRefs[int(s)*idBits : int(s)*idBits+idBits]
-	for _, ref := range row {
-		if ref == noRegion {
-			continue
-		}
-		for _, c := range regEntries(n.region(ref)) {
-			best = insertClosest(best, target, count, a.id(c))
+	d := xorDist(self, target)
+	for rem := d; rem != 0; {
+		b := bucketIndex(rem)
+		rem &^= 1 << uint(b)
+		if best = n.mergeBucket(best, row[b], target, count); len(best) == count {
+			return best
 		}
 	}
-	st.RUnlock()
 	if includeSelf {
-		best = insertClosest(best, target, count, self)
+		if best = insertClosest(best, target, count, self); len(best) == count {
+			return best
+		}
+	}
+	for rem := ^d; rem != 0; rem &= rem - 1 {
+		b := bits.TrailingZeros64(rem)
+		if best = n.mergeBucket(best, row[b], target, count); len(best) == count {
+			return best
+		}
+	}
+	return best
+}
+
+// mergeBucket folds one bucket's entries into the bounded best-list.
+// Entry slots translate to identifiers with atomic loads; the caller
+// holds the owning slot's stripe.
+func (n *Network) mergeBucket(best []ring.Point, ref uint32, target ring.Point, count int) []ring.Point {
+	if ref == noRegion {
+		return best
+	}
+	for _, c := range regEntries(n.region(ref)) {
+		best = insertClosest(best, target, count, n.st.id(c))
 	}
 	return best
 }
 
 // insertClosest places id into the sorted bounded best-list (by XOR
-// distance to target, ties by id) if it beats the current worst. This
-// is the bounded-insertion selection the lookup rounds also use in
-// place of sorting every known contact per round.
+// distance to target, ties by id) if it beats the current worst.
 func insertClosest(best []ring.Point, target ring.Point, count int, id ring.Point) []ring.Point {
 	d := xorDist(target, id)
 	if len(best) == count {

@@ -276,7 +276,7 @@ func (n *Network) JoinVia(id, via ring.Point) (*Node, error) {
 		return nil, fmt.Errorf("kademlia: join of %v: %s: %w", id, step, err)
 	}
 	n.touchContact(nd.slot, via)
-	if _, err := n.FindClosest(id, id); err != nil {
+	if err := n.lookupDiscard(id, id); err != nil {
 		return fail("self-lookup", err)
 	}
 	// Resolve the clockwise successor among the EXISTING nodes (the
@@ -357,29 +357,71 @@ type LookupResult struct {
 	RPCs int
 }
 
-// lookup candidate states.
-const (
-	stateCandidate = iota
-	stateQueried
-	stateFailed
-)
-
-// lookupScratch is the per-lookup working set FindClosest reuses
-// across calls via a free-list: the candidate state map, the bounded
-// k-best selection buffer, the table-seed buffer and the per-round
-// query wave. One lookup used to allocate all four (the state map and
-// a fresh sorted slice per round); now concurrent lookups each check a
-// scratch out of the pool and return it cleared.
-type lookupScratch struct {
-	state map[ring.Point]int
-	best  []ring.Point
-	seed  []ring.Point
-	wave  []ring.Point
+// shortEntry is one known, non-failed identifier of a running lookup.
+type shortEntry struct {
+	id ring.Point
+	// queried: the contact answered a FIND_NODE, is in this round's wave,
+	// or is the initiator itself; otherwise it is still a candidate.
+	queried bool
 }
 
-var lookupScratchPool = sync.Pool{New: func() any {
-	return &lookupScratch{state: make(map[ring.Point]int)}
-}}
+// lookupScratch is the per-lookup working set, reused across calls via
+// a free-list. short is the shortlist: every known identifier that has
+// not failed, sorted by XOR distance to the target (the metric is
+// injective, so the order is total and an identifier's position is
+// found by binary search). failed holds the contacts whose RPC errored,
+// so that one a later reply re-advertises is never queried again.
+type lookupScratch struct {
+	short  []shortEntry
+	failed []ring.Point
+	seed   []ring.Point
+	wave   []ring.Point
+}
+
+var lookupScratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
+
+// search returns id's position in the shortlist and whether it is
+// there.
+func (ls *lookupScratch) search(target, id ring.Point) (int, bool) {
+	d := xorDist(target, id)
+	lo, hi := 0, len(ls.short)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if xorDist(target, ls.short[mid].id) < d {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(ls.short) && ls.short[lo].id == id
+}
+
+// learn adds id to the shortlist as a candidate unless it is already
+// known. Replies are untrusted — a Byzantine or remote node may send
+// them unsorted, with duplicates, longer than k or naming the initiator
+// or a failed contact — so every id is placed on its own.
+func (ls *lookupScratch) learn(target, id ring.Point) {
+	i, known := ls.search(target, id)
+	if known || slices.Contains(ls.failed, id) {
+		return
+	}
+	ls.short = slices.Insert(ls.short, i, shortEntry{id: id})
+}
+
+// closest appends the up-to-k XOR-closest queried contacts to dst,
+// best first: LookupResult's Closest.
+func (ls *lookupScratch) closest(dst []ring.Point, k int) []ring.Point {
+	for _, e := range ls.short {
+		if k == 0 {
+			break
+		}
+		if e.queried {
+			dst = append(dst, e.id)
+			k--
+		}
+	}
+	return dst
+}
 
 // FindClosest performs an iterative Kademlia lookup from node "from"
 // toward target: each round queries the alpha XOR-closest unqueried
@@ -387,99 +429,89 @@ var lookupScratchPool = sync.Pool{New: func() any {
 // closest known contacts have all been queried. Every successfully
 // queried contact is recorded in the initiator's routing table; dead
 // candidates are evicted from it.
-//
-// Each round selects the k closest known contacts with the same
-// bounded-insertion selection the k-bucket tables use, instead of
-// sorting every known contact per round; the map iteration feeding the
-// selection is unordered, but a bounded k-best under the total
-// (distance, id) order is order-independent, so results are
-// bit-identical to the sorted implementation it replaces.
 func (n *Network) FindClosest(from, target ring.Point) (LookupResult, error) {
+	ls := lookupScratchPool.Get().(*lookupScratch)
+	defer lookupScratchPool.Put(ls)
+	rounds, rpcs, err := n.lookup(ls, from, target)
+	res := LookupResult{Rounds: rounds, RPCs: rpcs}
+	if err != nil {
+		return res, err
+	}
+	res.Seen = make([]ring.Point, len(ls.short))
+	for i, e := range ls.short {
+		res.Seen[i] = e.id
+	}
+	slices.Sort(res.Seen)
+	res.Closest = ls.closest(make([]ring.Point, 0, n.cfg.BucketSize), n.cfg.BucketSize)
+	return res, nil
+}
+
+// lookupDiscard runs a lookup for its side effects alone: the contacts
+// it records in the initiator's table and announces to the nodes it
+// queries.
+func (n *Network) lookupDiscard(from, target ring.Point) error {
+	ls := lookupScratchPool.Get().(*lookupScratch)
+	defer lookupScratchPool.Put(ls)
+	_, _, err := n.lookup(ls, from, target)
+	return err
+}
+
+// lookup is FindClosest without the result slices: it leaves the
+// shortlist in ls for the caller to reduce and reports only the cost
+// (LookupResult's Rounds and RPCs). The resolutions, refreshes and
+// joins that run it need at most a few ids of the outcome.
+func (n *Network) lookup(ls *lookupScratch, from, target ring.Point) (rounds, rpcs int, err error) {
 	initiator, err := n.Node(from)
 	if err != nil {
-		return LookupResult{}, err
+		return 0, 0, err
 	}
 	self := initiator.slot
 	k, alpha := n.cfg.BucketSize, n.cfg.Alpha
-	ls := lookupScratchPool.Get().(*lookupScratch)
-	defer func() {
-		clear(ls.state)
-		lookupScratchPool.Put(ls)
-	}()
-	state := ls.state
-	state[from] = stateQueried
+	ls.short = append(ls.short[:0], shortEntry{id: from, queried: true})
+	ls.failed = ls.failed[:0]
 	ls.seed = n.closestIntoSlot(self, ls.seed, target, k, false)
 	for _, c := range ls.seed {
-		state[c] = stateCandidate
-	}
-	var res LookupResult
-
-	// kClosest fills ls.best with the up-to-k XOR-closest non-failed
-	// known ids, sorted best first.
-	kClosest := func() []ring.Point {
-		ls.best = ls.best[:0]
-		for id, st := range state {
-			if st != stateFailed {
-				ls.best = insertClosest(ls.best, target, k, id)
-			}
-		}
-		return ls.best
+		ls.learn(target, c)
 	}
 
 	req := simnet.Message(findNodeReq{Target: target, K: k})
 	for round := 0; ; round++ {
 		if round >= n.cfg.MaxLookupRounds {
-			return res, fmt.Errorf("%w: exceeded %d rounds toward %v", ErrLookupAborted, n.cfg.MaxLookupRounds, target)
+			return rounds, rpcs, fmt.Errorf("%w: exceeded %d rounds toward %v", ErrLookupAborted, n.cfg.MaxLookupRounds, target)
 		}
+		// The wave is the first alpha candidates among the k closest
+		// known contacts.
 		ls.wave = ls.wave[:0]
-		for _, id := range kClosest() {
-			if state[id] == stateCandidate {
-				ls.wave = append(ls.wave, id)
-				if len(ls.wave) >= alpha {
-					break
-				}
+		for i := 0; i < len(ls.short) && i < k && len(ls.wave) < alpha; i++ {
+			if e := &ls.short[i]; !e.queried {
+				e.queried = true
+				ls.wave = append(ls.wave, e.id)
 			}
 		}
 		if len(ls.wave) == 0 {
 			// Every one of the k closest known contacts has been
 			// queried: the lookup has converged.
-			break
+			return rounds, rpcs, nil
 		}
-		res.Rounds++
+		rounds++
 		for _, id := range ls.wave {
 			raw, err := n.call(from, id, req)
-			res.RPCs++
+			rpcs++
 			if err != nil {
-				state[id] = stateFailed
+				i, _ := ls.search(target, id)
+				ls.short = slices.Delete(ls.short, i, i+1)
+				ls.failed = append(ls.failed, id)
 				n.removeContact(self, id)
 				continue
 			}
-			state[id] = stateQueried
 			n.touchContact(self, id)
 			resp := raw.(*findNodeResp)
 			for _, c := range resp.Closest {
-				if _, known := state[c]; !known {
-					state[c] = stateCandidate
-				}
+				ls.learn(target, c)
 			}
 			putFindNodeResp(resp)
 		}
 	}
-
-	res.Seen = make([]ring.Point, 0, len(state))
-	for id, st := range state {
-		if st != stateFailed {
-			res.Seen = append(res.Seen, id)
-		}
-	}
-	slices.Sort(res.Seen)
-	res.Closest = make([]ring.Point, 0, k)
-	for id, st := range state {
-		if st == stateQueried {
-			res.Closest = insertClosest(res.Closest, target, k, id)
-		}
-	}
-	return res, nil
 }
 
 // Successor asks node "of" for its ring successor pointer (one RPC):
@@ -509,8 +541,10 @@ func (n *Network) Predecessor(from, of ring.Point) (ring.Point, error) {
 
 // OwnerStats reports the cost split of one ResolveOwner call.
 type OwnerStats struct {
-	// Lookup is the iterative XOR lookup's result.
-	Lookup LookupResult
+	// Rounds and LookupRPCs are the iterative XOR lookup's cost, as in
+	// LookupResult.
+	Rounds     int
+	LookupRPCs int
 	// ChaseRPCs counts the ring-pointer RPCs spent turning the XOR
 	// result into the clockwise owner (successor/predecessor chases).
 	ChaseRPCs int
@@ -540,18 +574,21 @@ func (n *Network) ResolveOwner(from, x ring.Point) (ring.Point, OwnerStats, erro
 
 func (n *Network) resolveOwner(from, x ring.Point, exclude ring.Point, hasExclude bool) (ring.Point, OwnerStats, error) {
 	var stats OwnerStats
-	res, err := n.FindClosest(from, x)
+	ls := lookupScratchPool.Get().(*lookupScratch)
+	defer lookupScratchPool.Put(ls)
+	rounds, rpcs, err := n.lookup(ls, from, x)
 	if err != nil {
 		return 0, stats, err
 	}
-	stats.Lookup = res
+	stats.Rounds, stats.LookupRPCs = rounds, rpcs
 	// m: closest at-or-below x (counterclockwise); c: closest at-or-
-	// above x (clockwise). A node exactly at x is both and owns x.
-	// Scanned in place — the filtered copy this used to build per
-	// resolution only fed these two reductions.
+	// above x (clockwise), over every id the lookup learned. A node
+	// exactly at x is both and owns x. Reduced straight from the
+	// shortlist: ids are distinct, so both minima are order-independent.
 	var m, c ring.Point
 	found := false
-	for _, id := range res.Seen {
+	for _, e := range ls.short {
+		id := e.id
 		if hasExclude && id == exclude {
 			continue
 		}
@@ -657,7 +694,7 @@ func (n *Network) RefreshNode(id ring.Point, refreshBucket int) error {
 		// tables) is ignored: ring repair below matters more after
 		// churn, and later rounds keep repairing the buckets.
 		target := ring.Point(uint64(id) ^ (uint64(1) << uint(refreshBucket)))
-		_, _ = n.FindClosest(id, target)
+		_ = n.lookupDiscard(id, target)
 	}
 	return n.repairRing(nd)
 }
@@ -730,8 +767,10 @@ func (n *Network) repairRing(nd *Node) error {
 func (n *Network) bestLiveSuccessorCandidate(nd *Node) (ring.Point, bool) {
 	id := nd.ID()
 	cands := n.contactsOf(nd.slot)
-	if res, err := n.FindClosest(id, ring.Point(uint64(id)+1)); err == nil {
-		cands = append(cands, res.Closest...)
+	ls := lookupScratchPool.Get().(*lookupScratch)
+	defer lookupScratchPool.Put(ls)
+	if _, _, err := n.lookup(ls, id, ring.Point(uint64(id)+1)); err == nil {
+		cands = ls.closest(cands, n.cfg.BucketSize)
 	}
 	var best ring.Point
 	found := false
