@@ -37,12 +37,13 @@ fmt-check:
 # across worker counts, the cross-backend lookup-cost comparison
 # (oracle/chord/kademlia), the virtual-clock transport overhead on the
 # sampling hot path, the kernel event-loop dispatch paths, bulk overlay
-# construction, the async churn driver, and one handler-side FIND_NODE
-# selection.
+# construction, the async churn driver, one handler-side FIND_NODE
+# selection, and one wire RPC between two transports over loopback.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkUniformSample|BenchmarkBatchThroughput|BenchmarkLookupCostBackends|BenchmarkSimTransportOverhead|BenchmarkKernelEventLoop|BenchmarkBuildStatic' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkAsyncChurn' -benchtime=100x -benchmem ./internal/churn/
 	$(GO) test -run '^$$' -bench 'BenchmarkClosestIntoSlot' -benchtime=1000x -benchmem ./internal/kademlia/
+	$(GO) test -run '^$$' -bench 'BenchmarkWireRemoteCall' -benchtime=2000x -benchmem ./internal/wire/
 
 # Kernel event-loop microbenchmarks alone, at measurement benchtime:
 # the proc fast path, the Post callback path and the forced coroutine
@@ -101,9 +102,9 @@ profile:
 
 # The allocation-budget regression gates alone (they also run as part
 # of `make test`): per-op heap budgets for the oracle, chord and
-# kademlia hot paths and the uniform sampler.
+# kademlia hot paths, the uniform sampler and one remote wire call.
 alloc-check:
-	$(GO) test -run 'TestAllocBudget' -v ./internal/dht/ ./internal/core/ ./internal/chord/ ./internal/kademlia/
+	$(GO) test -run 'TestAllocBudget' -v ./internal/dht/ ./internal/core/ ./internal/chord/ ./internal/kademlia/ ./internal/wire/
 
 # The flat-storage invariants alone (they also run as part of `make
 # test` and, counted, under the CI race matrix): GC-settled per-node

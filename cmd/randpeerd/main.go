@@ -10,7 +10,9 @@
 //
 // The daemon serves:
 //
-//	POST /wire          node-to-node RPCs (wire transport protocol)
+//	GET  /wire          node-to-node RPCs: "Upgrade: randpeer-wire/1" turns
+//	                    the connection into the wire transport's framed
+//	                    protocol; anything else gets 426
 //	GET  /healthz       readiness probe with build identity
 //	GET  /metrics       Prometheus text exposition (obs registry)
 //	GET  /debug/pprof/  runtime profiling (pprof index, profiles)

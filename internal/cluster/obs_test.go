@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/obs"
 	"github.com/dht-sampling/randompeer/internal/obs/obstest"
 	"github.com/dht-sampling/randompeer/internal/ring"
@@ -107,6 +108,66 @@ func TestClusterMetricsScrape(t *testing.T) {
 	}
 	if h.Status != "ok" || h.Version != "test" {
 		t.Errorf("healthz = %+v, want status ok and version test", h)
+	}
+
+	// Connection reuse, read off the scrapes. One lap of next() reaches
+	// every daemon, so the client has dialed whatever it will ever need;
+	// a thousand further calls must not dial again, and a reconnect storm
+	// would show as wire_conn_dials_total climbing with the call count.
+	cur := r.At(0)
+	walk := func(steps int) {
+		t.Helper()
+		for i := 0; i < steps; i++ {
+			p, err := d.Next(dht.Peer{Point: cur})
+			if err != nil {
+				t.Fatalf("next from %v: %v", cur, err)
+			}
+			cur = p.Point
+		}
+	}
+	walk(r.Len())
+	dials, _ := renderRegistry(t, reg).Value("wire_conn_dials_total", nil)
+	if dials < 1 || dials > float64(c.Size()) {
+		t.Fatalf("client dialed %v times for sequential calls to %d daemons", dials, c.Size())
+	}
+	calls := c.Client().Meter().Snapshot().Calls
+	walk(1000)
+	// Daemon-originated RPCs too: each request walks the overlay from
+	// the daemon that serves it, hundreds of calls to its peers.
+	for i := 0; i < 4*c.Size(); i++ {
+		if _, err := SampleAt(c.Addr(i%c.Size()), 2, uint64(100+i)); err != nil {
+			t.Fatalf("sample at daemon %d: %v", i%c.Size(), err)
+		}
+	}
+	client = renderRegistry(t, reg)
+	if got := c.Client().Meter().Snapshot().Calls - calls; got != 1000 {
+		t.Fatalf("walk charged %d calls, want 1000", got)
+	}
+	if after, _ := client.Value("wire_conn_dials_total", nil); after != dials {
+		t.Errorf("client dials went %v -> %v across 1000 further calls; want flat", dials, after)
+	}
+	exps, err = c.ScrapeAll()
+	if err != nil {
+		t.Fatalf("scraping cluster: %v", err)
+	}
+	in := map[string]string{"dir": "in"}
+	out := map[string]string{"dir": "out"}
+	for i, e := range exps {
+		// A daemon serves one sample request at a time, so one connection
+		// per peer process (the other daemons and the client) is all its
+		// remote calls can ever need.
+		remote := e.Sum("wire_rpc_calls_total", map[string]string{"dest": "remote"})
+		dialed, _ := e.Value("wire_conn_dials_total", nil)
+		if remote < 50 || dialed > float64(c.Size()) || e.Sum("wire_conns_open", out) != dialed {
+			t.Errorf("daemon %d: %v remote calls over %v dials with %v connections open; want <= %d dials, all still open",
+				i, remote, dialed, e.Sum("wire_conns_open", out), c.Size())
+		}
+	}
+	// Every open outbound connection is some process's inbound one.
+	opened := SumAcross(exps, "wire_conns_open", out) + client.Sum("wire_conns_open", out)
+	accepted := SumAcross(exps, "wire_conns_open", in) + client.Sum("wire_conns_open", in)
+	if opened != accepted || opened < dials {
+		t.Errorf("fleet holds %v outbound connections open against %v inbound", opened, accepted)
 	}
 }
 

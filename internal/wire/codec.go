@@ -1,24 +1,28 @@
 // Package wire is the real-network transport of the repo: a
-// simnet.Transport carried over HTTP on TCP loopback or LAN sockets.
-// It is the step from simulator to system — the same Chord and
+// simnet.Transport carried as length-prefixed frames over persistent
+// TCP connections on loopback or LAN sockets, each opened by one HTTP
+// upgrade. It is the step from simulator to system — the same Chord and
 // Kademlia overlays that run over simnet.Direct and the virtual-clock
 // transport run unmodified across process boundaries, with per-call
-// deadlines, bounded retries with jittered backoff, connection reuse,
+// deadlines, bounded retries with jittered backoff, pooled connections,
 // and network failures mapped into the simnet error taxonomy
 // (timeouts surface as ErrDropped, unreachable nodes as ErrNodeDead).
 //
 // Messages cross the wire through a small self-describing codec:
 // each RPC payload type is registered once under a stable name
 // (RegisterValue / RegisterPointer in the package that owns the type)
-// and travels as a JSON envelope. Registration preserves the exact
+// and travels as JSON inside a frame. Registration preserves the exact
 // in-process shape — handlers that type-switch on value types and
 // callers that assert pooled pointer replies both see the same
 // concrete types they see over the in-process transports.
 package wire
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 
@@ -112,41 +116,98 @@ func decodeMessage(name string, body []byte) (simnet.Message, error) {
 	return msg, nil
 }
 
-// Wire envelope shapes. A request carries the caller and destination
-// node ids plus one encoded payload; a response carries either an
-// encoded payload or a taxonomy-mapped error.
-
-// rpcRequest is the POST body of one RPC. Trace, when nonzero, is the
-// obs trace id of the lookup this RPC belongs to: the serving process
-// records the hop it observes into its trace log under that id, so
-// /v1/trace?id=N can assemble a cluster-wide hop record.
-type rpcRequest struct {
-	From  uint64          `json:"from"`
-	To    uint64          `json:"to"`
-	Type  string          `json:"type"`
-	Body  json.RawMessage `json:"body"`
-	Trace uint64          `json:"trace,omitempty"`
+// After the upgrade handshake a connection carries only frames, one
+// request answered by one reply, in order: a big-endian u32 length, then
+// that many bytes laid out as
+//
+//	u8 flags | u64 from | u64 to | u64 trace | u16 len(name) | name | body
+//
+// A request names its payload type and carries the payload's JSON as
+// body; trace, when nonzero, is the obs trace id of the lookup this RPC
+// belongs to: the serving process records the hop it observes under it,
+// so /v1/trace?id=N can assemble a cluster-wide hop record. A reply is a
+// payload the same way or, with flagErr set, an error kind as name and
+// its message as body.
+type frame struct {
+	isErr           bool
+	from, to, trace uint64
+	name            string
+	body            []byte
 }
 
-// rpcResponse is the reply body of one RPC.
-type rpcResponse struct {
-	Type string          `json:"type,omitempty"`
-	Body json.RawMessage `json:"body,omitempty"`
-	Err  *rpcError       `json:"err,omitempty"`
+const (
+	flagErr     = 1
+	frameHeader = 1 + 8 + 8 + 8 + 2
+	maxFrame    = 1 << 20 // a reader rejects a longer length prefix before allocating for it
+)
+
+// errFrame builds the error reply for a taxonomy kind and message.
+func errFrame(kind, msg string) frame {
+	return frame{isErr: true, name: kind, body: []byte(msg)}
 }
 
-// rpcError carries a handler or transport error across the wire. Kind
-// identifies the simnet taxonomy sentinel so the caller can rewrap the
-// matching error value; "app" covers handler-level errors outside the
-// taxonomy, which surface verbatim in Msg.
-type rpcError struct {
-	Kind string `json:"kind"`
-	Msg  string `json:"msg"`
+// tooLarge reports a frame no reader would accept. Senders check before
+// encoding, where the offending payload is known.
+func (f *frame) tooLarge() error {
+	if n := frameHeader + len(f.name) + len(f.body); n > maxFrame {
+		return fmt.Errorf("wire: %q frame of %d bytes exceeds the %d-byte limit", f.name, n, maxFrame)
+	}
+	return nil
+}
+
+// appendFrame appends f's encoding, length prefix included.
+func appendFrame(b []byte, f *frame) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(frameHeader+len(f.name)+len(f.body)))
+	var flags byte
+	if f.isErr {
+		flags = flagErr
+	}
+	b = append(b, flags)
+	b = binary.BigEndian.AppendUint64(b, f.from)
+	b = binary.BigEndian.AppendUint64(b, f.to)
+	b = binary.BigEndian.AppendUint64(b, f.trace)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(f.name)))
+	b = append(b, f.name...)
+	return append(b, f.body...)
+}
+
+// readFrame reads one frame into *buf (grown as needed and reused by
+// the next read); the returned body aliases it.
+func readFrame(r *bufio.Reader, buf *[]byte) (frame, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		return frame{}, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n < frameHeader || n > maxFrame {
+		return frame{}, fmt.Errorf("wire: frame length %d outside [%d, %d]", n, frameHeader, maxFrame)
+	}
+	_, _ = r.Discard(4) // cannot fail: Peek has just buffered these bytes
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
+		return frame{}, err
+	}
+	nameEnd := frameHeader + int(binary.BigEndian.Uint16(b[25:]))
+	if nameEnd > n {
+		return frame{}, fmt.Errorf("wire: frame name overruns its %d-byte frame", n)
+	}
+	return frame{
+		isErr: b[0]&flagErr != 0,
+		from:  binary.BigEndian.Uint64(b[1:]),
+		to:    binary.BigEndian.Uint64(b[9:]),
+		trace: binary.BigEndian.Uint64(b[17:]),
+		name:  string(b[frameHeader:nameEnd]),
+		body:  b[nameEnd:],
+	}, nil
 }
 
 // Error kinds on the wire, mapped 1:1 onto the simnet taxonomy — the
 // same strings simnet.ErrorClass produces and the obs layer uses as
-// label values.
+// label values. "app" covers handler-level errors outside the taxonomy,
+// which surface verbatim in the message.
 const (
 	kindUnknownNode = "unknown"
 	kindNodeDead    = "dead"
@@ -156,13 +217,10 @@ const (
 	kindApp         = "app"
 )
 
-// errorKind maps an error to its wire kind.
-func errorKind(err error) string { return simnet.ErrorClass(err) }
-
 // sentinel returns the simnet taxonomy error a wire kind maps back to,
 // or nil for application-level errors.
-func (e *rpcError) sentinel() error {
-	switch e.Kind {
+func sentinel(kind string) error {
+	switch kind {
 	case kindUnknownNode:
 		return simnet.ErrUnknownNode
 	case kindNodeDead:

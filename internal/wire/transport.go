@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -24,6 +22,11 @@ import (
 // a route entry works against any process running this package.
 const RPCPath = "/wire"
 
+const (
+	upgradeProto   = "randpeer-wire/1" // Upgrade token: a GET on RPCPath becomes a framed connection
+	maxIdlePerPeer = 64                // idle connections kept per address; one more is closed at checkin
+)
+
 // Defaults for per-call behaviour; override with the options below.
 const (
 	// DefaultCallTimeout bounds one RPC attempt end to end (dial, write,
@@ -40,13 +43,13 @@ const (
 	DefaultBackoffCap = 400 * time.Millisecond
 )
 
-// Transport is a simnet.Transport whose RPCs travel over HTTP on real
-// TCP sockets. Each process runs one Transport: locally registered
-// handlers are served at RPCPath, and Call routes by destination node
-// id — in-process destinations dispatch directly (same semantics as
-// simnet.Direct), remote destinations POST the encoded payload to the
-// owning process with a per-attempt deadline, bounded retries with
-// jittered exponential backoff, and HTTP keep-alive connection reuse.
+// Transport is a simnet.Transport whose RPCs travel as frames over
+// persistent TCP connections. Each process runs one Transport: locally
+// registered handlers are served at RPCPath, and Call routes by
+// destination node id — in-process destinations dispatch directly (same
+// semantics as simnet.Direct), remote destinations get a request frame
+// on a connection held for the length of the call, with a per-attempt
+// deadline and bounded retries with jittered exponential backoff.
 //
 // Failure mapping into the simnet taxonomy: a destination with no
 // route or not registered at its owner fails with ErrUnknownNode; an
@@ -82,9 +85,22 @@ type Transport struct {
 	jitter *rand.Rand
 	sleep  func(time.Duration) // test hook; time.Sleep by default
 
-	client *http.Client
-	srv    *http.Server
-	lis    net.Listener
+	srv *http.Server
+	lis net.Listener
+
+	// cmu guards the connections the transport owns. Close sets inbound
+	// to nil, which is how a late checkin or upgrade learns of it.
+	cmu     sync.Mutex
+	idle    map[string][]*conn    // per address, most recently used last
+	inbound map[net.Conn]struct{} // hijacked by RPCHandler, being served
+}
+
+// conn is one upgraded outbound connection. Exactly one call holds it
+// between checkout and checkin, so its fields need no lock.
+type conn struct {
+	nc  net.Conn
+	br  *bufio.Reader
+	buf []byte // frame scratch: the request going out, then the reply
 }
 
 var (
@@ -100,6 +116,9 @@ type wireStats struct {
 	attempts     atomic.Int64 // network attempts (first tries + retries)
 	retries      atomic.Int64 // attempts beyond a call's first
 	backoffNanos atomic.Int64 // total time spent in retry backoff
+	dials        atomic.Int64 // outbound connection attempts
+	connsOut     atomic.Int64 // open outbound connections, idle or in a call
+	connsIn      atomic.Int64 // open inbound (hijacked) connections
 	fails        [6]atomic.Int64
 }
 
@@ -173,16 +192,11 @@ func NewTransport(opts ...Option) *Transport {
 		backoffCap:  DefaultBackoffCap,
 		jitter:      rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
 		sleep:       time.Sleep,
+		idle:        make(map[string][]*conn),
+		inbound:     make(map[net.Conn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(t)
-	}
-	t.client = &http.Client{
-		Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		},
 	}
 	return t
 }
@@ -230,8 +244,9 @@ func (t *Transport) SetRoutes(routes map[simnet.NodeID]string) {
 		next[id] = addr
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.routes = next
+	t.mu.Unlock()
+	t.flushIdle("") // or connections to a peer the new table dropped sit dead in the pool for good
 }
 
 // Register implements simnet.Transport.
@@ -275,7 +290,10 @@ func (t *Transport) Meter() *simnet.Meter { return &t.meter }
 func (t *Transport) ServedCalls() int64 { return t.served.Load() }
 
 // Close implements simnet.Transport: it stops the HTTP server, drops
-// every handler and route, and fails subsequent calls with ErrClosed.
+// every handler and route, closes the idle outbound and the inbound
+// connections (http.Server leaves hijacked ones alone), and fails
+// subsequent calls with ErrClosed. A peer's call in flight here sees
+// its connection die: ErrNodeDead, not a timeout.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -288,11 +306,16 @@ func (t *Transport) Close() error {
 	srv := t.srv
 	t.mu.Unlock()
 	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
+		_ = srv.Close() // a closed listener and dropped connections are the goal
 	}
-	t.client.CloseIdleConnections()
+	t.cmu.Lock()
+	inbound := t.inbound
+	t.inbound = nil
+	t.cmu.Unlock()
+	for nc := range inbound {
+		_ = nc.Close() // unblocks its serving goroutine, which does the accounting
+	}
+	t.flushIdle("")
 	return nil
 }
 
@@ -388,11 +411,10 @@ func (t *Transport) callRemote(from, to simnet.NodeID, addr string, msg simnet.M
 	if err != nil {
 		return nil, 0, err
 	}
-	reqBody, err := json.Marshal(rpcRequest{From: uint64(from), To: uint64(to), Type: name, Body: body, Trace: traceID})
-	if err != nil {
-		return nil, 0, fmt.Errorf("wire: encoding request envelope: %w", err)
+	req := frame{from: uint64(from), to: uint64(to), trace: traceID, name: name, body: body}
+	if err := req.tooLarge(); err != nil {
+		return nil, 0, fmt.Errorf("call %d->%d: %w", from, to, err)
 	}
-	url := "http://" + addr + RPCPath
 	var lastErr error
 	attempts := t.maxRetries + 1
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -403,20 +425,32 @@ func (t *Transport) callRemote(from, to simnet.NodeID, addr string, msg simnet.M
 			t.sleep(d)
 		}
 		t.stats.attempts.Add(1)
-		reply, err := t.attempt(url, reqBody)
+		deadline := time.Now().Add(t.callTimeout)
+		c, err := t.checkout(addr, deadline)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if reply.Err != nil {
-			// The remote process answered: handler-level and taxonomy
-			// errors are authoritative, not transient — no retry.
-			if sentinel := reply.Err.sentinel(); sentinel != nil {
-				return nil, attempt + 1, fmt.Errorf("call %d->%d: %w (remote: %s)", from, to, sentinel, reply.Err.Msg)
+		reply, err := c.roundTrip(&req, deadline)
+		if err != nil {
+			// A timed-out connection may still deliver its reply: never
+			// reused. Any other failure: the process behind addr is gone.
+			t.discard(c)
+			if mapNetError(err) != simnet.ErrDropped {
+				t.flushIdle(addr)
 			}
-			return nil, attempt + 1, fmt.Errorf("call %d->%d: remote: %s", from, to, reply.Err.Msg)
+			lastErr = err
+			continue
 		}
-		resp, err := decodeMessage(reply.Type, reply.Body)
+		// The remote process answered: handler-level and taxonomy errors
+		// are authoritative, not transient — no retry. The reply aliases
+		// c.buf, so c stays checked out while it decodes.
+		resp, err := decodeReply(&reply)
+		if err != nil && !reply.isErr {
+			t.discard(c) // a peer that sends undecodable payloads
+		} else {
+			t.checkin(addr, c)
+		}
 		if err != nil {
 			return nil, attempt + 1, fmt.Errorf("call %d->%d: %w", from, to, err)
 		}
@@ -426,34 +460,98 @@ func (t *Transport) callRemote(from, to simnet.NodeID, addr string, msg simnet.M
 		from, to, mapNetError(lastErr), attempts, addr, lastErr)
 }
 
-// attempt performs one HTTP POST under the per-attempt deadline.
-// Network-level failures return an error; a parsed response envelope
-// (success or remote error) returns nil.
-func (t *Transport) attempt(url string, body []byte) (*rpcResponse, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), t.callTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// decodeReply turns a reply frame into the payload or the error the
+// remote process answered with.
+func decodeReply(reply *frame) (simnet.Message, error) {
+	if !reply.isErr {
+		return decodeMessage(reply.name, reply.body)
+	}
+	if s := sentinel(reply.name); s != nil {
+		return nil, fmt.Errorf("%w (remote: %s)", s, reply.body)
+	}
+	return nil, fmt.Errorf("remote: %s", reply.body)
+}
+
+// roundTrip writes one request frame and reads its reply, both under
+// the attempt's deadline.
+func (c *conn) roundTrip(req *frame, deadline time.Time) (frame, error) {
+	_ = c.nc.SetDeadline(deadline) // fails only on a closed connection, which the write reports
+	c.buf = appendFrame(c.buf[:0], req)
+	if _, err := c.nc.Write(c.buf); err != nil {
+		return frame{}, err
+	}
+	return readFrame(c.br, &c.buf)
+}
+
+// checkout hands one call a connection to addr: the most recently used
+// idle one, or a fresh one dialed and upgraded under the call's deadline.
+func (t *Transport) checkout(addr string, deadline time.Time) (*conn, error) {
+	t.cmu.Lock()
+	if l := t.idle[addr]; len(l) > 0 {
+		c := l[len(l)-1]
+		t.idle[addr] = l[:len(l)-1]
+		t.cmu.Unlock()
+		return c, nil
+	}
+	t.cmu.Unlock()
+	t.stats.dials.Add(1)
+	nc, err := net.DialTimeout("tcp", addr, time.Until(deadline))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := t.client.Do(req)
+	_ = nc.SetDeadline(deadline)
+	br := bufio.NewReader(nc)
+	_, err = fmt.Fprintf(nc, "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", RPCPath, addr, upgradeProto)
+	if err == nil {
+		var resp *http.Response
+		if resp, err = http.ReadResponse(br, nil); err == nil && resp.StatusCode != http.StatusSwitchingProtocols {
+			err = fmt.Errorf("wire: %s answered the upgrade with %q", addr, resp.Status)
+		}
+	}
 	if err != nil {
+		_ = nc.Close()
 		return nil, err
 	}
-	defer httpResp.Body.Close()
-	data, err := io.ReadAll(httpResp.Body)
-	if err != nil {
-		return nil, err
+	t.stats.connsOut.Add(1)
+	return &conn{nc: nc, br: br}, nil
+}
+
+// checkin returns a connection whose call completed in sync to the
+// idle pool, or closes it when the pool is full or the transport closed.
+func (t *Transport) checkin(addr string, c *conn) {
+	t.cmu.Lock()
+	keep := t.inbound != nil && len(t.idle[addr]) < maxIdlePerPeer
+	if keep {
+		t.idle[addr] = append(t.idle[addr], c)
 	}
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("http status %d: %s", httpResp.StatusCode, data)
+	t.cmu.Unlock()
+	if !keep {
+		t.discard(c)
 	}
-	var reply rpcResponse
-	if err := json.Unmarshal(data, &reply); err != nil {
-		return nil, fmt.Errorf("malformed response envelope: %w", err)
+}
+
+// discard closes a checked-out connection.
+func (t *Transport) discard(c *conn) {
+	_ = c.nc.Close()
+	t.stats.connsOut.Add(-1)
+}
+
+// flushIdle closes the idle connections to addr ("" for every address):
+// when one fails, its siblings belong to the same dead generation of
+// that process, and each would cost a later call an attempt to find out.
+func (t *Transport) flushIdle(addr string) {
+	var stale []*conn
+	t.cmu.Lock()
+	for a, conns := range t.idle {
+		if addr == "" || a == addr {
+			stale = append(stale, conns...)
+			delete(t.idle, a)
+		}
 	}
-	return &reply, nil
+	t.cmu.Unlock()
+	for _, c := range stale {
+		t.discard(c)
+	}
 }
 
 // backoff returns the jittered delay before the given retry attempt
@@ -486,9 +584,6 @@ func mapNetError(err error) error {
 	if err == nil {
 		return simnet.ErrNodeDead
 	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return simnet.ErrDropped
-	}
 	var netErr net.Error
 	if errors.As(err, &netErr) && netErr.Timeout() {
 		return simnet.ErrDropped
@@ -501,74 +596,116 @@ func mapNetError(err error) error {
 }
 
 // RPCHandler returns the HTTP handler serving inbound node RPCs. Mount
-// it at RPCPath.
+// it at RPCPath. A GET carrying "Upgrade: randpeer-wire/1" is answered
+// 101 and its connection hijacked to carry frames until the peer hangs
+// up or the transport closes; anything else gets 426.
 func (t *Transport) RPCHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t.served.Add(1)
-		if r.Method != http.MethodPost {
-			http.Error(w, "wire: POST only", http.StatusMethodNotAllowed)
+		hj, ok := w.(http.Hijacker)
+		if !ok || r.Method != http.MethodGet || r.Header.Get("Upgrade") != upgradeProto {
+			w.Header().Set("Upgrade", upgradeProto)
+			http.Error(w, "wire: GET with Upgrade: "+upgradeProto+" only", http.StatusUpgradeRequired)
 			return
 		}
-		var req rpcRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("wire: malformed request: %v", err), http.StatusBadRequest)
+		nc, rw, err := hj.Hijack()
+		if err != nil {
+			return // the server has already given the connection up
+		}
+		defer nc.Close()
+		t.cmu.Lock()
+		if t.inbound == nil {
+			t.cmu.Unlock()
 			return
 		}
-		writeReply(w, t.serveRPC(&req))
+		t.inbound[nc] = struct{}{}
+		t.cmu.Unlock()
+		t.stats.connsIn.Add(1)
+		defer func() {
+			t.stats.connsIn.Add(-1)
+			t.cmu.Lock()
+			delete(t.inbound, nc)
+			t.cmu.Unlock()
+		}()
+		_ = nc.SetDeadline(time.Time{})
+		if _, err := io.WriteString(nc, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+upgradeProto+"\r\n\r\n"); err != nil {
+			return
+		}
+		t.serveConn(nc, rw.Reader)
 	})
 }
 
-// serveRPC dispatches one decoded inbound RPC to its local handler.
-// When the request carries a trace id and a trace log is installed,
-// the hop this process observed is recorded under that id.
-func (t *Transport) serveRPC(req *rpcRequest) *rpcResponse {
+// serveConn answers request frames from r on w until either fails.
+// Handlers run inline: the peer has one call on a connection at a time.
+func (t *Transport) serveConn(w io.Writer, r *bufio.Reader) {
+	var in, out []byte
+	for {
+		req, err := readFrame(r, &in)
+		if err != nil {
+			return
+		}
+		t.served.Add(1)
+		reply := t.serveRPC(&req)
+		out = appendFrame(out[:0], &reply)
+		if _, err := w.Write(out); err != nil {
+			return
+		}
+	}
+}
+
+// serveRPC dispatches one inbound RPC to its local handler. When the
+// request carries a trace id and a trace log is installed, the hop this
+// process observed is recorded under that id.
+func (t *Transport) serveRPC(req *frame) frame {
 	start := time.Now()
-	resp := t.dispatchRPC(req)
-	if req.Trace != 0 {
+	reply := t.dispatchRPC(req)
+	if req.trace != 0 {
 		if l := t.tlog.Load(); l != nil {
 			outcome := "ok"
-			if resp.Err != nil {
-				outcome = resp.Err.Kind
+			if reply.isErr {
+				outcome = reply.name
 			}
-			l.Record(req.Trace, obs.Hop{
-				From:      req.From,
-				To:        req.To,
-				RPC:       req.Type,
+			l.Record(req.trace, obs.Hop{
+				From:      req.from,
+				To:        req.to,
+				RPC:       req.name,
 				WallNanos: time.Since(start).Nanoseconds(),
 				Outcome:   outcome,
 				Remote:    true,
 			})
 		}
 	}
-	return resp
+	return reply
 }
 
 // dispatchRPC is the untraced body of serveRPC.
-func (t *Transport) dispatchRPC(req *rpcRequest) *rpcResponse {
-	to := simnet.NodeID(req.To)
+func (t *Transport) dispatchRPC(req *frame) frame {
 	t.mu.RLock()
 	closed := t.closed
-	h := t.handlers[to]
+	h := t.handlers[simnet.NodeID(req.to)]
 	t.mu.RUnlock()
 	if closed {
-		return &rpcResponse{Err: &rpcError{Kind: kindClosed, Msg: simnet.ErrClosed.Error()}}
+		return errFrame(kindClosed, simnet.ErrClosed.Error())
 	}
 	if h == nil {
-		return &rpcResponse{Err: &rpcError{Kind: kindUnknownNode, Msg: fmt.Sprintf("no node %d here", req.To)}}
+		return errFrame(kindUnknownNode, fmt.Sprintf("no node %d here", req.to))
 	}
-	msg, err := decodeMessage(req.Type, req.Body)
+	msg, err := decodeMessage(req.name, req.body)
 	if err != nil {
-		return &rpcResponse{Err: &rpcError{Kind: kindApp, Msg: err.Error()}}
+		return errFrame(kindApp, err.Error())
 	}
-	resp, err := h(simnet.NodeID(req.From), msg)
+	resp, err := h(simnet.NodeID(req.from), msg)
 	if err != nil {
-		return &rpcResponse{Err: &rpcError{Kind: errorKind(err), Msg: err.Error()}}
+		return errFrame(simnet.ErrorClass(err), err.Error())
 	}
 	name, body, err := encodeMessage(resp)
 	if err != nil {
-		return &rpcResponse{Err: &rpcError{Kind: kindApp, Msg: err.Error()}}
+		return errFrame(kindApp, err.Error())
 	}
-	return &rpcResponse{Type: name, Body: body}
+	reply := frame{name: name, body: body}
+	if err := reply.tooLarge(); err != nil {
+		return errFrame(kindApp, err.Error())
+	}
+	return reply
 }
 
 // RegisterMetrics exposes the transport's counters and its per-call
@@ -604,20 +741,17 @@ func (t *Transport) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("wire_rpc_served_total",
 		"Inbound RPCs served by this process (successfully or not).",
 		func() float64 { return float64(t.served.Load()) })
+	r.CounterFunc("wire_conn_dials_total",
+		"Outbound connection attempts; flat while calls reuse pooled connections.",
+		func() float64 { return float64(t.stats.dials.Load()) })
+	r.GaugeFunc("wire_conns_open", "Open framed RPC connections by direction.",
+		func() float64 { return float64(t.stats.connsIn.Load()) }, obs.Label{Name: "dir", Value: "in"})
+	r.GaugeFunc("wire_conns_open", "Open framed RPC connections by direction.",
+		func() float64 { return float64(t.stats.connsOut.Load()) }, obs.Label{Name: "dir", Value: "out"})
 	r.HistogramFunc("wire_rpc_duration_seconds",
 		"Wall round-trip time of successful outbound RPCs.",
 		func() obs.HistSnapshot {
 			l := t.meter.Latency()
 			return obs.HistSnapshot{Count: l.Count, SumNanos: l.SumNanos, Buckets: l.Buckets}
 		})
-}
-
-// writeReply serializes one response envelope.
-func writeReply(w http.ResponseWriter, resp *rpcResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		// The connection broke mid-reply; the caller's retry/backoff
-		// path owns recovery.
-		return
-	}
 }

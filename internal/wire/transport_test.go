@@ -35,7 +35,7 @@ func init() {
 
 // startTransport returns a served transport and its address, closed at
 // test end.
-func startTransport(t *testing.T, opts ...Option) *Transport {
+func startTransport(t testing.TB, opts ...Option) *Transport {
 	t.Helper()
 	tr := NewTransport(opts...)
 	if err := tr.Start("127.0.0.1:0"); err != nil {
