@@ -106,12 +106,13 @@ profile:
 alloc-check:
 	$(GO) test -run 'TestAllocBudget' -v ./internal/dht/ ./internal/core/ ./internal/chord/ ./internal/kademlia/ ./internal/wire/
 
-# The flat-storage invariants alone (they also run as part of `make
-# test` and, counted, under the CI race matrix): GC-settled per-node
-# memory budgets, slot recycling across crash/join cycles, and the
-# copy-on-write membership snapshot contract.
+# The shared overlay core's tests alone (they also run as part of `make
+# test` and, counted, under the CI race matrix): seeded slot-arena
+# histories on a fake overlay, and on both real overlays the GC-settled
+# per-node memory budgets, slot recycling across crash/join cycles, and
+# the copy-on-write membership snapshot contract.
 storage-check:
-	$(GO) test -v ./internal/scale/
+	$(GO) test -v ./internal/overlay/
 
 # Build and run every example program.
 examples:

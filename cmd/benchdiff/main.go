@@ -11,7 +11,8 @@
 // inverts), the per-backend adversarial records (mitigation bias,
 // audit price and eclipse capture, all gated higher-is-worse, plus the
 // standalone invariant that the swap mitigation's TV stays below the
-// attacked naive sampler's) and the sim-transport overhead. With no
+// attacked naive sampler's), the sim-transport overhead and the
+// module's code-line total (reported, not gated). With no
 // arguments it picks
 // the two highest-numbered BENCH_*.json in the current directory, so
 // `make benchdiff` always reports the latest PR-over-PR change in the
@@ -61,6 +62,13 @@ type Snapshot struct {
 	Mem        []MemRec `json:"mem"`
 	SLO        []SLORec `json:"slo"`
 	Adversary  []AdvRec `json:"adversary"`
+	Code       *CodeRec `json:"code"`
+}
+
+// CodeRec mirrors the total of benchsnap's code section: the module's
+// non-test, non-blank, non-comment Go lines. Reported, never gated.
+type CodeRec struct {
+	TotalLines int `json:"total_lines"`
 }
 
 // envMismatches compares the environment benchsnap stamped into two
@@ -320,6 +328,14 @@ func run(args []string) int {
 		checkUp("adversary "+na.Backend+" swap tv", prev.SwapTV, na.SwapTV)
 		checkUp("adversary "+na.Backend+" swap fail rate", prev.SwapFailRate, na.SwapFailRate)
 		checkUp("adversary "+na.Backend+" eclipse capture", prev.EclipseCapture, na.EclipseCapture)
+	}
+	if newSnap.Code != nil {
+		was, delta := "-", ""
+		if oldSnap.Code != nil {
+			was = strconv.Itoa(oldSnap.Code.TotalLines)
+			delta = fmt.Sprintf(" (%+d)", newSnap.Code.TotalLines-oldSnap.Code.TotalLines)
+		}
+		fmt.Printf("code lines (non-test, non-blank, non-comment): %s -> %d%s\n", was, newSnap.Code.TotalLines, delta)
 	}
 	if len(regressions) > 0 {
 		for _, r := range regressions {

@@ -184,3 +184,20 @@ func TestBenchdiffWarnsAcrossEnvironmentsButStillPasses(t *testing.T) {
 		t.Fatalf("exit = %d, want 0 (warning only) for cross-environment comparison", code)
 	}
 }
+
+// TestBenchdiffReportsCodeLinesWithoutGating: the code-line total is
+// printed PR over PR, and neither growth nor a snapshot that predates
+// the section fails the diff.
+func TestBenchdiffReportsCodeLinesWithoutGating(t *testing.T) {
+	dir := t.TempDir()
+	withCode := func(name string, lines int) string {
+		return write(t, dir, name, baseSnap[:len(baseSnap)-2]+`, "code": {"total_lines": `+strconv.Itoa(lines)+`}}`)
+	}
+	oldP, newP := withCode("old.json", 20000), withCode("new.json", 30000)
+	if code := run([]string{oldP, newP}); code != 0 {
+		t.Fatalf("exit = %d, want 0: code growth is reported, not gated", code)
+	}
+	if code := run([]string{write(t, dir, "bare.json", baseSnap), newP}); code != 0 {
+		t.Fatalf("exit = %d, want 0 when the old snapshot predates the code section", code)
+	}
+}

@@ -61,7 +61,8 @@ type TransportOverhead struct {
 // Snapshot is the committed benchmark record. The kernel, build, churn
 // and E27 sections were added with the scenario-scale pass (BENCH_5),
 // the adversary section with the fault-suite pass (BENCH_9), and the
-// mem section with the flat-storage pass (BENCH_10); earlier snapshots
+// mem section with the flat-storage pass (BENCH_10), and the code
+// section with the overlay-core pass (BENCH_16); earlier snapshots
 // simply lack them.
 type Snapshot struct {
 	Benchmark  string             `json:"benchmark"`
@@ -81,6 +82,7 @@ type Snapshot struct {
 	Mem        []MemBench         `json:"mem,omitempty"`
 	SLO        []SLOBench         `json:"slo,omitempty"`
 	Adversary  []AdversaryBench   `json:"adversary,omitempty"`
+	Code       *CodeBench         `json:"code,omitempty"`
 	Note       string             `json:"note,omitempty"`
 }
 
@@ -167,6 +169,12 @@ func run(args []string) int {
 			fmt.Fprintln(os.Stderr, "benchsnap:", err)
 			return 1
 		}
+	}
+	if root, err := moduleRoot(); err != nil {
+		fmt.Fprintln(os.Stderr, "benchsnap: code section left out:", err)
+	} else if snap.Code, err = measureCode(root); err != nil {
+		fmt.Fprintln(os.Stderr, "benchsnap:", err)
+		return 1
 	}
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {

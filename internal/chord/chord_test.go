@@ -504,16 +504,14 @@ func TestLookupSurvivesMessageDrops(t *testing.T) {
 	}
 }
 
-func TestChanTransportLookups(t *testing.T) {
+func TestConcurrentLookups(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewPCG(51, 52))
 	r, err := ring.Generate(rng, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := simnet.NewChan()
-	defer tr.Close()
-	net, err := BuildStatic(Config{}, tr, r.Points())
+	net, err := BuildStatic(Config{}, simnet.NewDirect(), r.Points())
 	if err != nil {
 		t.Fatal(err)
 	}

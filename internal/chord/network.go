@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/dht-sampling/randompeer/internal/parallel"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
@@ -40,35 +40,17 @@ func (c Config) withDefaults() Config {
 }
 
 // Network is a collection of Chord nodes sharing one simulated
-// transport. All per-node state lives in a flat slot arena (see
-// arena.go); nodes are addressed internally by dense uint32 slot and
-// externally by ring.Point identifier.
+// transport. Membership, slot allocation and the transport binding are
+// the embedded overlay.Core; the routing state lives in flat per-slot
+// arrays (arena.go). Nodes are addressed internally by dense uint32
+// slot and externally by ring.Point identifier.
 type Network struct {
+	overlay.Core
 	cfg Config
-	tr  simnet.Transport
 	// succStride is the row width of the packed successor-list array
 	// (cfg.SuccListLen after defaulting).
 	succStride int
-	// multi records that the transport accepted a bulk registration:
-	// one handler serves every node this network hosts and joins and
-	// crashes cost no per-node transport bookkeeping. Without it the
-	// network falls back to one registered closure per node.
-	multi bool
-
-	mu sync.RWMutex
-	st arena
-	// members is the sorted live membership, maintained incrementally:
-	// join/crash installs a fresh copy with the id spliced in or out
-	// (copy-on-write) and bumps epoch. The slice itself is immutable, so
-	// Members hands it out with no per-call copy and holders keep a
-	// consistent snapshot across later churn.
-	members []ring.Point
-	// memberSlots is the aligned slot snapshot: memberSlots[i] is the
-	// arena slot of members[i]. Maintained copy-on-write in lockstep
-	// with members, it is the ID-to-index half of the bridge that
-	// replaces the old map[ring.Point]*Node.
-	memberSlots []uint32
-	epoch       uint64
+	st         arena
 
 	// stores holds per-slot key/value items (primaries + replicas),
 	// keyed by slot. Most nodes store nothing, so a side map beats a
@@ -80,8 +62,8 @@ type Network struct {
 
 // Chord error conditions.
 var (
-	ErrNodeExists    = errors.New("chord: node already exists")
-	ErrNodeNotFound  = errors.New("chord: node not found")
+	ErrNodeExists    = overlay.ErrNodeExists
+	ErrNodeNotFound  = overlay.ErrNodeNotFound
 	ErrLookupAborted = errors.New("chord: lookup aborted")
 	ErrEmptyNetwork  = errors.New("chord: network has no live nodes")
 )
@@ -91,119 +73,38 @@ func NewNetwork(cfg Config, tr simnet.Transport) *Network {
 	cfg = cfg.withDefaults()
 	n := &Network{
 		cfg:        cfg,
-		tr:         tr,
 		succStride: cfg.SuccListLen,
 		stores:     make(map[uint32]map[ring.Point][]byte),
 	}
-	n.st.overflow = make(map[ring.Point]uint32)
-	if mr, ok := tr.(simnet.MultiRegistrar); ok {
-		if err := mr.RegisterMulti(n.ownsID, n.dispatchAny); err == nil {
-			n.multi = true
-		}
-	}
+	n.Init(tr, overlay.Hooks{Grow: n.grow, Reset: n.resetSlot, Mark: n.markSlot, Drop: n.dropStore, Handle: n.handleRPC})
 	return n
 }
-
-// ownsID reports whether this network currently hosts a live node with
-// the given transport id; the transport's bulk-registration path
-// consults it in place of a per-node handler table.
-func (n *Network) ownsID(id simnet.NodeID) bool {
-	_, ok := n.liveSlot(ring.Point(id))
-	return ok
-}
-
-// dispatchAny routes a bulk-registered RPC to its destination slot.
-// Crashed nodes remain resolvable through the overflow map until
-// scavenged, so an in-flight RPC that won the transport's liveness
-// check still reaches the node's frozen state, exactly as a registered
-// handler used to keep answering until deregistration took effect.
-func (n *Network) dispatchAny(to, from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-	s, ok := n.slotOf(ring.Point(to))
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, to)
-	}
-	return n.handleRPC(s, from, msg)
-}
-
-// idHandler returns the per-node registration closure for transports
-// without bulk registration. It captures the identifier, never the
-// slot: the slot is resolved per call, so slot recycling cannot
-// misroute a stale registration.
-func (n *Network) idHandler(id ring.Point) simnet.Handler {
-	return func(from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-		s, ok := n.slotOf(id)
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, simnet.NodeID(id))
-		}
-		return n.handleRPC(s, from, msg)
-	}
-}
-
-// Transport returns the underlying transport (for meters and faults).
-func (n *Network) Transport() simnet.Transport { return n.tr }
-
-// Meter returns the transport's cost meter.
-func (n *Network) Meter() *simnet.Meter { return n.tr.Meter() }
 
 // Node returns the node with the given id. The returned handle points
 // into the arena's preconstructed handle table, so the call allocates
 // nothing.
 func (n *Network) Node(id ring.Point) (*Node, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if rank, ok := ring.Rank(n.members, id); ok {
-		if s := n.memberSlots[rank]; n.st.alive[s] {
-			return &n.st.handles[s], nil
-		}
+	s, ok := n.LiveSlot(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
 	}
-	return nil, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
-}
-
-// Members returns the ids of all live nodes in sorted order. The
-// returned slice is a shared immutable snapshot — callers must not
-// modify it. Join/crash never re-sorts and never invalidates: each
-// installs a fresh spliced copy (copy-on-write), so a held snapshot
-// stays internally consistent across later churn and a call here is a
-// read-locked pointer fetch even at n = 10^6 under sustained churn.
-func (n *Network) Members() []ring.Point {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.members
-}
-
-// Epoch returns the membership epoch: it increments on every join and
-// crash, so two equal readings around a Members call certify the
-// snapshot is current (the epoch-snapshot pairing the race tests
-// exercise).
-func (n *Network) Epoch() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.epoch
-}
-
-// NumAlive returns the number of live nodes. The membership snapshot
-// holds exactly the live nodes (Crash removes before marking dead), so
-// this is the snapshot length.
-func (n *Network) NumAlive() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.members)
+	return n.handle(s), nil
 }
 
 // Create starts the first node of a fresh ring.
 func (n *Network) Create(id ring.Point) (*Node, error) {
-	nd, err := n.addNode(id)
+	s, err := n.AddNode(id)
 	if err != nil {
 		return nil, err
 	}
-	return nd, nil
+	return n.handle(s), nil
 }
 
 // Join adds a node to the ring through the existing node via, per the
 // Chord join protocol: resolve the new node's successor with a lookup,
 // adopt its successor list, and let stabilization integrate the rest.
 func (n *Network) Join(id, via ring.Point) (*Node, error) {
-	if _, ok := n.liveSlot(id); ok {
+	if _, ok := n.LiveSlot(id); ok {
 		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
 	succ, err := n.Lookup(via, id)
@@ -219,7 +120,7 @@ func (n *Network) Join(id, via ring.Point) (*Node, error) {
 // initiating at a local node. It is the join path wire-transport
 // daemons use.
 func (n *Network) JoinVia(id, bootstrap ring.Point) (*Node, error) {
-	if _, ok := n.liveSlot(id); ok {
+	if _, ok := n.LiveSlot(id); ok {
 		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
 	succ, err := n.LookupVia(id, bootstrap, id)
@@ -232,103 +133,23 @@ func (n *Network) JoinVia(id, bootstrap ring.Point) (*Node, error) {
 // finishJoin integrates a freshly resolved joiner below its successor:
 // register the node, adopt the successor's list, and announce.
 func (n *Network) finishJoin(id, succ ring.Point) (*Node, error) {
-	nd, err := n.addNode(id)
+	nd, err := n.Create(id)
 	if err != nil {
 		return nil, err
 	}
 	var tail []ring.Point
-	if resp, err := n.call(id, succ, succListReq{}); err == nil {
+	if resp, err := n.Call(id, succ, succListReq{}); err == nil {
 		tail = resp.(succListResp).List
 	}
 	nd.setSuccessors(succ, tail)
 	// Announce ourselves; the successor adopts us as predecessor if we
 	// are closer than its current one.
-	if _, err := n.call(id, succ, notifyReq{Candidate: id}); err != nil {
+	if _, err := n.Call(id, succ, notifyReq{Candidate: id}); err != nil {
 		// The successor crashed between lookup and notify; stabilization
 		// will repair via the successor list.
 		nd.advanceSuccessor(succ)
 	}
 	return nd, nil
-}
-
-// Crash removes a node abruptly: it leaves the live membership and
-// every new RPC to it fails until other nodes route around it via
-// successor lists and stabilization. Its slot parks in the overflow map
-// (state frozen, still answering RPCs already in flight) until the
-// scavenger recycles it.
-func (n *Network) Crash(id ring.Point) error {
-	n.mu.Lock()
-	rank, ok := ring.Rank(n.members, id)
-	var s uint32
-	if ok {
-		s = n.memberSlots[rank]
-		if !n.st.alive[s] {
-			ok = false // partitioned build: the member is hosted elsewhere
-		}
-	}
-	if ok {
-		n.members = ring.RemoveSorted(n.members, id)
-		n.memberSlots = spliceOut(n.memberSlots, rank)
-		n.st.alive[s] = false
-		n.st.overflow[id] = s
-		n.st.reclaimable++
-		n.epoch++
-	}
-	n.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNodeNotFound, id)
-	}
-	if !n.multi {
-		n.tr.Deregister(simnet.NodeID(id))
-	}
-	return nil
-}
-
-// addNode allocates (or recycles) a slot for id, registers it on the
-// transport when per-node registration is in use, and splices it into
-// the live membership.
-func (n *Network) addNode(id ring.Point) (*Node, error) {
-	if !n.multi {
-		// Register before taking the network lock, as always: the
-		// transport may consult its own locks, and registration order
-		// is observable to concurrent callers.
-		if err := n.tr.Register(simnet.NodeID(id), n.idHandler(id)); err != nil {
-			return nil, fmt.Errorf("chord: registering node %v: %w", id, err)
-		}
-	}
-	n.mu.Lock()
-	rank, found := ring.Rank(n.members, id)
-	if found {
-		n.mu.Unlock()
-		if !n.multi {
-			n.tr.Deregister(simnet.NodeID(id))
-		}
-		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
-	}
-	s, ok := n.st.overflow[id]
-	if ok {
-		// The id had a zombie or external slot: reclaim it for the
-		// rejoining node with fresh baseline state.
-		delete(n.st.overflow, id)
-		if n.st.reclaimable > 0 {
-			n.st.reclaimable--
-		}
-		n.resetSlotLocked(s, id)
-	} else {
-		s = n.newSlotLocked(id)
-	}
-	n.st.alive[s] = true
-	n.members = spliceIn(n.members, rank, id)
-	n.memberSlots = spliceIn(n.memberSlots, rank, s)
-	n.epoch++
-	nd := &n.st.handles[s]
-	n.mu.Unlock()
-	return nd, nil
-}
-
-// call performs one RPC through the transport.
-func (n *Network) call(from, to ring.Point, msg simnet.Message) (simnet.Message, error) {
-	return n.tr.Call(simnet.NodeID(from), simnet.NodeID(to), msg)
 }
 
 // Lookup resolves the successor of key, initiated at node from, using
@@ -348,13 +169,23 @@ func (n *Network) Lookup(from, key ring.Point) (ring.Point, error) {
 	return n.route(initiator, from, key, initiator.handleNextHop(nextHopReq{Key: key}))
 }
 
+// AsDHT returns the network viewed from the given caller node as the
+// paper's abstract DHT: H is a routed Chord lookup (O(log n) RPCs
+// counted on the transport meter) and Next is one get-successor RPC.
+func (n *Network) AsDHT(caller ring.Point) (*overlay.DHT, error) {
+	return overlay.NewDHT(&n.Core, n, caller)
+}
+
+// Owner implements overlay.Router via Lookup.
+func (n *Network) Owner(from, x ring.Point) (ring.Point, error) { return n.Lookup(from, x) }
+
 // LookupVia resolves the successor of key by routing through start,
 // which may be hosted on another process: the first routing step is an
 // RPC to start instead of a local table read, so no local node is
 // required. from identifies the caller on the transport; it need not
 // be registered anywhere (a joiner uses its own id).
 func (n *Network) LookupVia(from, start, key ring.Point) (ring.Point, error) {
-	raw, err := n.call(from, start, nextHopReq{Key: key})
+	raw, err := n.Call(from, start, nextHopReq{Key: key})
 	if err != nil {
 		return 0, fmt.Errorf("%w: bootstrap %v unreachable: %v", ErrLookupAborted, start, err)
 	}
@@ -382,7 +213,7 @@ func (n *Network) route(initiator *Node, from, key ring.Point, resp *nextHopResp
 		putNextHopResp(resp)
 		next := 0
 		for {
-			raw, err := n.call(from, cur, req)
+			raw, err := n.Call(from, cur, req)
 			if err == nil {
 				resp = raw.(*nextHopResp)
 				break
@@ -407,7 +238,7 @@ func (n *Network) route(initiator *Node, from, key ring.Point, resp *nextHopResp
 // Successor returns the immediate successor of node id by asking it (one
 // RPC), which is the paper's next(p) primitive.
 func (n *Network) Successor(from, of ring.Point) (ring.Point, error) {
-	raw, err := n.call(from, of, getSuccessorReq{})
+	raw, err := n.Call(from, of, getSuccessorReq{})
 	if err != nil {
 		return 0, fmt.Errorf("chord: successor of %v: %w", of, err)
 	}
@@ -434,7 +265,7 @@ func (n *Network) StabilizeNode(id ring.Point) error {
 			}
 		}
 	}
-	raw, err := n.call(id, succ, getPredecessorReq{})
+	raw, err := n.Call(id, succ, getPredecessorReq{})
 	if err != nil {
 		nd.advanceSuccessor(succ)
 		nd.invalidateFingersTo(succ)
@@ -444,19 +275,19 @@ func (n *Network) StabilizeNode(id ring.Point) error {
 	putPointResp(raw.(*pointResp))
 	if pr.Has && betweenExcl(id, succ, pr.P) {
 		// The successor knows a node between us: adopt it if reachable.
-		if _, err := n.call(id, pr.P, pingReq{}); err == nil {
+		if _, err := n.Call(id, pr.P, pingReq{}); err == nil {
 			succ = pr.P
 		}
 	}
 	var tail []ring.Point
-	if raw, err := n.call(id, succ, succListReq{}); err == nil {
+	if raw, err := n.Call(id, succ, succListReq{}); err == nil {
 		tail = raw.(succListResp).List
 	} else {
 		nd.advanceSuccessor(succ)
 		return nil
 	}
 	nd.setSuccessors(succ, tail)
-	if _, err := n.call(id, succ, notifyReq{Candidate: id}); err != nil {
+	if _, err := n.Call(id, succ, notifyReq{Candidate: id}); err != nil {
 		nd.advanceSuccessor(succ)
 	}
 	return nil
@@ -473,7 +304,7 @@ func (n *Network) FixFinger(id ring.Point) error {
 		return err
 	}
 	a := &n.st
-	st := a.stripe(nd.slot)
+	st := n.Stripe(nd.slot)
 	st.Lock()
 	k := int(a.nextFix[nd.slot])
 	a.nextFix[nd.slot] = uint8((k + 1) % idBits)
@@ -496,7 +327,7 @@ func (n *Network) CheckPredecessor(id ring.Point) error {
 	if !has {
 		return nil
 	}
-	if _, err := n.call(id, pred, pingReq{}); err != nil {
+	if _, err := n.Call(id, pred, pingReq{}); err != nil {
 		nd.clearPredecessor()
 	}
 	return nil
@@ -527,99 +358,47 @@ func (n *Network) RunMaintenance(rounds, fingersPerRound int) {
 // function of network state; with the sorted snapshot that is the first
 // entry not equal to id, an O(1) read.
 func (n *Network) anyOtherNode(id ring.Point) (ring.Point, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if len(n.members) == 0 {
-		return 0, false
+	members := n.Members()
+	if len(members) > 0 && members[0] != id {
+		return members[0], true
 	}
-	if n.members[0] != id {
-		return n.members[0], true
-	}
-	if len(n.members) > 1 {
-		return n.members[1], true
+	if len(members) > 1 {
+		return members[1], true
 	}
 	return 0, false
 }
 
 // BuildStatic constructs a fully stabilized ring over the given points in
 // one step: successors, predecessors, successor lists and all fingers are
-// computed directly. It is the starting state for experiments that study
-// the sampler rather than ring convergence.
-//
-// Construction is bulk and parallel: the arena is sized once, slots are
-// assigned in ring order (slot i hosts the i-th point), and per-slot
-// routing state — pure index arithmetic on (sorted ring, i) — is
-// populated over contiguous worker shards with no interning, no locks
-// and no per-node allocation. The result is bit-identical to the
-// sequential build at any GOMAXPROCS, which the determinism tests
-// assert; a 10^7-peer ring constructs in well under a minute on one
-// core and occupies a few GB.
+// computed directly (overlay.Core.BuildStatic). It is the starting state
+// for experiments that study the sampler rather than ring convergence; a
+// 10^7-peer ring constructs in well under a minute on one core and
+// occupies a few GB.
 func BuildStatic(cfg Config, tr simnet.Transport, points []ring.Point) (*Network, error) {
 	return BuildStaticPartition(cfg, tr, points, nil)
 }
 
 // BuildStaticPartition constructs the local shard of a stabilized ring
 // that spans multiple processes: the full membership defines every
-// node's routing state, but only the nodes selected by owned are marked
-// live (and registered, on per-node transports) on this process. The
-// other points must be hosted by peer processes reachable through the
-// transport (the wire transport routes by node id). A nil owned
-// predicate owns everything, which is exactly BuildStatic.
-//
-// Per-node routing state is a pure function of (sorted membership,
-// index), so every process computes identical state for its shard and
-// the union across processes is bit-identical to the single-process
-// build.
+// node's routing state, but only the nodes selected by owned are hosted
+// on this process. A nil owned predicate owns everything, which is
+// exactly BuildStatic.
 func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, owned func(ring.Point) bool) (*Network, error) {
-	r, err := ring.New(points)
-	if err != nil {
-		return nil, fmt.Errorf("chord: building static ring: %w", err)
-	}
 	n := NewNetwork(cfg, tr)
-	sorted := r.Points()
-	size := len(sorted)
-	// Single-threaded sizing and slot assignment: no locks needed until
-	// the network is published.
-	n.growLocked(size)
-	a := &n.st
-	a.used = size
-	n.memberSlots = make([]uint32, size)
-	ownedIdx := make([]int, 0, size)
-	for i, id := range sorted {
-		s := uint32(i)
-		n.memberSlots[i] = s
-		a.ids[s] = uint64(id)
-		a.preds[s] = noSlot
-		a.succLen[s] = 1
-		a.succs[i*n.succStride] = s
-		a.handles[s] = Node{net: n, slot: s}
-		if owned != nil && !owned(id) {
-			continue
-		}
-		a.alive[s] = true
-		if !n.multi {
-			if err := tr.Register(simnet.NodeID(id), n.idHandler(id)); err != nil {
-				return nil, fmt.Errorf("chord: registering node %v: %w", id, err)
-			}
-		}
-		ownedIdx = append(ownedIdx, i)
-	}
-	n.members = sorted
-	n.epoch++
-	parallel.Shards(len(ownedIdx), parallel.Workers(len(ownedIdx)), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			n.fillStaticSlot(r, ownedIdx[j])
+	err := n.BuildStatic(points, owned, func(r *ring.Ring, idx []int) {
+		for _, i := range idx {
+			n.fillStaticSlot(r, i)
 		}
 	})
+	if err != nil {
+		return nil, fmt.Errorf("chord: %w", err)
+	}
 	return n, nil
 }
 
 // fillStaticSlot computes the stabilized routing state of the node at
-// ring index i (slot i, by construction). It runs during BuildStatic's
-// sharded phase: the slot is owned exclusively by one worker and
-// published by the shard barrier, so no locks are taken — and because
-// slot and ring index coincide, every successor, predecessor and finger
-// reference is plain index arithmetic with no ID translation at all.
+// ring index i (slot i, by construction): every successor, predecessor
+// and finger reference is plain index arithmetic with no ID translation.
 func (n *Network) fillStaticSlot(r *ring.Ring, i int) {
 	a := &n.st
 	s := uint32(i)

@@ -13,18 +13,16 @@ import (
 const idBits = 64
 
 // Node is one Chord peer's public handle: a (network, slot) pair into
-// the network's flat slot arena. A handle holds no state of its own —
-// all routing state lives in the arena's packed arrays — so handles are
-// 16 bytes, preconstructed once per slot, and handed out by pointer
-// with no allocation. All exported accessors and the RPC handlers are
-// safe for concurrent use; no lock is ever held across an RPC.
+// the network's flat slot arena (see internal/overlay). All exported
+// accessors and the RPC handlers are safe for concurrent use; no lock
+// is ever held across an RPC.
 type Node struct {
 	net  *Network
 	slot uint32
 }
 
 // ID returns the node's identifier (its peer point).
-func (nd *Node) ID() ring.Point { return nd.net.idOf(nd.slot) }
+func (nd *Node) ID() ring.Point { return nd.net.IDOf(nd.slot) }
 
 // Successor returns the node's immediate successor.
 func (nd *Node) Successor() ring.Point { return nd.net.succOf(nd.slot) }
@@ -42,48 +40,42 @@ func (nd *Node) Finger(k int) (ring.Point, bool) {
 		return 0, false
 	}
 	a := &n.st
-	st := a.stripe(nd.slot)
+	st := n.Stripe(nd.slot)
 	st.RLock()
 	defer st.RUnlock()
 	if a.fingOK[nd.slot]>>uint(k)&1 == 0 {
 		return 0, false
 	}
-	return a.id(a.fingers[int(nd.slot)*idBits+k]), true
-}
-
-// Alive reports whether the node is participating in the network.
-func (nd *Node) Alive() bool {
-	n := nd.net
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.st.alive[nd.slot]
+	return n.ID(a.fingers[int(nd.slot)*idBits+k]), true
 }
 
 // Neighbors returns the node's distinct outgoing overlay edges: its
 // successor list and set fingers. This is the graph random-walk samplers
-// traverse. Both sources are small and bounded (SuccListLen + idBits
-// entries), so duplicates are weeded by scanning the result instead of
-// allocating a set per call.
-func (nd *Node) Neighbors() []ring.Point {
-	n := nd.net
+// traverse.
+func (nd *Node) Neighbors() []ring.Point { return nd.net.Neighbors(nd.slot) }
+
+// Neighbors implements overlay.Router for the node in slot s. Both
+// sources are small and bounded (SuccListLen + idBits entries), so
+// duplicates are weeded by scanning the result instead of allocating a
+// set per call.
+func (n *Network) Neighbors(s uint32) []ring.Point {
 	a := &n.st
-	s := nd.slot
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
-	self := a.id(s)
+	self := n.ID(s)
 	base := int(s) * n.succStride
 	ln := int(a.succLen[s])
 	out := make([]ring.Point, 0, ln+idBits)
 	for i := 0; i < ln; i++ {
-		if p := a.id(a.succs[base+i]); p != self && !slices.Contains(out, p) {
+		if p := n.ID(a.succs[base+i]); p != self && !slices.Contains(out, p) {
 			out = append(out, p)
 		}
 	}
 	if !n.cfg.DisableFingers {
 		fb := int(s) * idBits
 		for w := a.fingOK[s]; w != 0; w &= w - 1 {
-			p := a.id(a.fingers[fb+bits.TrailingZeros64(w)])
+			p := n.ID(a.fingers[fb+bits.TrailingZeros64(w)])
 			if p != self && !slices.Contains(out, p) {
 				out = append(out, p)
 			}
@@ -126,22 +118,12 @@ func (nd *Node) invalidateFingersTo(failed ring.Point) {
 	nd.net.invalidateFingersTo(nd.slot, failed)
 }
 
-// idOf returns slot s's identifier.
-func (n *Network) idOf(s uint32) ring.Point {
-	a := &n.st
-	st := a.stripe(s)
-	st.RLock()
-	id := a.id(s)
-	st.RUnlock()
-	return id
-}
-
 // succOf returns slot s's immediate successor identifier.
 func (n *Network) succOf(s uint32) ring.Point {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
-	succ := a.id(a.succs[int(s)*n.succStride])
+	succ := n.ID(a.succs[int(s)*n.succStride])
 	st.RUnlock()
 	return succ
 }
@@ -149,26 +131,26 @@ func (n *Network) succOf(s uint32) ring.Point {
 // predOf returns slot s's predecessor identifier, if known.
 func (n *Network) predOf(s uint32) (ring.Point, bool) {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
 	p := a.preds[s]
 	if p == noSlot {
 		return 0, false
 	}
-	return a.id(p), true
+	return n.ID(p), true
 }
 
 // succListOf returns a copy of slot s's successor list as identifiers.
 func (n *Network) succListOf(s uint32) []ring.Point {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
 	base := int(s) * n.succStride
 	out := make([]ring.Point, a.succLen[s])
 	for i := range out {
-		out[i] = a.id(a.succs[base+i])
+		out[i] = n.ID(a.succs[base+i])
 	}
 	return out
 }
@@ -194,7 +176,7 @@ func (n *Network) handleRPC(s uint32, from simnet.NodeID, msg simnet.Message) (s
 		if resp, ok := n.handleStorage(s, msg); ok {
 			return resp, nil
 		}
-		return nil, fmt.Errorf("chord: node %v: unknown message %T from %d", n.idOf(s), msg, from)
+		return nil, fmt.Errorf("chord: node %v: unknown message %T from %d", n.IDOf(s), msg, from)
 	}
 }
 
@@ -208,12 +190,12 @@ func (n *Network) handleRPC(s uint32, from simnet.NodeID, msg simnet.Message) (s
 func (n *Network) nextHop(s uint32, m nextHopReq) *nextHopResp {
 	resp := newNextHopResp()
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
-	self := a.id(s)
+	self := n.ID(s)
 	base := int(s) * n.succStride
-	succ := a.id(a.succs[base])
+	succ := n.ID(a.succs[base])
 	if betweenIncl(self, succ, m.Key) {
 		resp.Done = true
 		resp.Succ = succ
@@ -223,7 +205,7 @@ func (n *Network) nextHop(s uint32, m nextHopReq) *nextHopResp {
 		fb := int(s) * idBits
 		for w := a.fingOK[s]; w != 0; {
 			k := idBits - 1 - bits.LeadingZeros64(w)
-			if resp.add(self, m.Key, a.id(a.fingers[fb+k])) {
+			if resp.add(self, m.Key, n.ID(a.fingers[fb+k])) {
 				break
 			}
 			w &^= 1 << uint(k)
@@ -234,7 +216,7 @@ func (n *Network) nextHop(s uint32, m nextHopReq) *nextHopResp {
 	// entry first: greedy routing then advances up to SuccListLen peers
 	// per hop even with no usable fingers.
 	for i := int(a.succLen[s]) - 1; i >= 0 && resp.N < maxCandidates; i-- {
-		resp.add(self, m.Key, a.id(a.succs[base+i]))
+		resp.add(self, m.Key, n.ID(a.succs[base+i]))
 	}
 	if resp.N == 0 {
 		resp.Cands[0] = succ
@@ -245,26 +227,26 @@ func (n *Network) nextHop(s uint32, m nextHopReq) *nextHopResp {
 
 // notify processes a predecessor candidate (Chord's notify) for slot s.
 func (n *Network) notify(s uint32, candidate ring.Point) {
-	cs := n.intern(candidate) // before the stripe: intern takes network.mu
+	cs := n.Intern(candidate) // before the stripe: Intern takes the core mutex
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
-	self := a.id(s)
+	self := n.ID(s)
 	if candidate == self {
 		return
 	}
-	if p := a.preds[s]; p == noSlot || betweenExcl(a.id(p), self, candidate) {
+	if p := a.preds[s]; p == noSlot || betweenExcl(n.ID(p), self, candidate) {
 		a.preds[s] = cs
 	}
 }
 
 // setSuccessors installs the successor list for slot s; see
 // Node.setSuccessors. The id-level dedup runs first, then the survivors
-// are interned outside the stripe (lock order: network.mu before
+// are interned outside the stripe (lock order: core mutex before
 // stripe) and written as one packed row.
 func (n *Network) setSuccessors(s uint32, succ ring.Point, tail []ring.Point) {
-	self := n.idOf(s)
+	self := n.IDOf(s)
 	ids := make([]ring.Point, 0, n.cfg.SuccListLen)
 	ids = append(ids, succ)
 	for _, p := range tail {
@@ -280,10 +262,10 @@ func (n *Network) setSuccessors(s uint32, succ ring.Point, tail []ring.Point) {
 	}
 	slots := make([]uint32, len(ids))
 	for i, p := range ids {
-		slots[i] = n.intern(p)
+		slots[i] = n.Intern(p)
 	}
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	copy(a.succs[int(s)*n.succStride:], slots)
 	a.succLen[s] = uint16(len(slots))
@@ -294,11 +276,11 @@ func (n *Network) setSuccessors(s uint32, succ ring.Point, tail []ring.Point) {
 // Node.advanceSuccessor.
 func (n *Network) advanceSuccessor(s uint32, failed ring.Point) {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
 	base := int(s) * n.succStride
-	if a.id(a.succs[base]) != failed {
+	if n.ID(a.succs[base]) != failed {
 		return // already repaired by a concurrent stabilize
 	}
 	if ln := int(a.succLen[s]); ln > 1 {
@@ -313,7 +295,7 @@ func (n *Network) advanceSuccessor(s uint32, failed ring.Point) {
 // clearPredecessor forgets slot s's predecessor.
 func (n *Network) clearPredecessor(s uint32) {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	a.preds[s] = noSlot
 	st.Unlock()
@@ -324,9 +306,9 @@ func (n *Network) setFinger(s uint32, k int, p ring.Point) {
 	if n.cfg.DisableFingers {
 		return
 	}
-	ps := n.intern(p) // before the stripe: intern takes network.mu
+	ps := n.Intern(p) // before the stripe: Intern takes the core mutex
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	a.fingers[int(s)*idBits+k] = ps
 	a.fingOK[s] |= 1 << uint(k)
@@ -339,13 +321,13 @@ func (n *Network) invalidateFingersTo(s uint32, failed ring.Point) {
 		return
 	}
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
 	fb := int(s) * idBits
 	for w := a.fingOK[s]; w != 0; w &= w - 1 {
 		k := bits.TrailingZeros64(w)
-		if a.id(a.fingers[fb+k]) == failed {
+		if n.ID(a.fingers[fb+k]) == failed {
 			a.fingOK[s] &^= 1 << uint(k)
 		}
 	}

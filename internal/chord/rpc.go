@@ -7,7 +7,7 @@
 // It is the "standard DHT" substrate assumed by King & Saia's paper: it
 // provides h (a routed lookup costing O(log n) sequential RPCs) and next
 // (one successor pointer chase) with real message counts, via the
-// dht.DHT adapter in this package.
+// shared dht.DHT adapter (overlay.DHT) that AsDHT returns.
 package chord
 
 import (
@@ -18,8 +18,7 @@ import (
 
 // RPC request and response payloads. Handlers are strictly local: they
 // read or mutate the destination node's state and never issue nested
-// RPCs, which keeps every transport (including the goroutine-per-node
-// one) deadlock-free.
+// RPCs, which keeps every transport deadlock-free.
 
 // nextHopReq asks a node for the next step in resolving Key.
 type nextHopReq struct {

@@ -112,13 +112,13 @@ func (n *Network) Put(from, key ring.Point, value []byte, replicas int) error {
 	if err != nil {
 		return fmt.Errorf("chord: put %v: %w", key, err)
 	}
-	if _, err := n.call(from, owner, putReq{Key: key, Value: value}); err != nil {
+	if _, err := n.Call(from, owner, putReq{Key: key, Value: value}); err != nil {
 		return fmt.Errorf("chord: put %v at owner %v: %w", key, owner, err)
 	}
 	if replicas == 1 {
 		return nil
 	}
-	raw, err := n.call(from, owner, succListReq{})
+	raw, err := n.Call(from, owner, succListReq{})
 	if err != nil {
 		return fmt.Errorf("chord: put %v: fetching replica set: %w", key, err)
 	}
@@ -130,7 +130,7 @@ func (n *Network) Put(from, key ring.Point, value []byte, replicas int) error {
 		if succ == owner {
 			continue
 		}
-		if _, err := n.call(from, succ, putReq{Key: key, Value: value}); err != nil {
+		if _, err := n.Call(from, succ, putReq{Key: key, Value: value}); err != nil {
 			continue // dead replica target; the rest still count
 		}
 		stored++
@@ -150,14 +150,14 @@ func (n *Network) Get(from, key ring.Point) ([]byte, error) {
 		return nil, fmt.Errorf("chord: get %v: %w", key, err)
 	}
 	candidates := []ring.Point{owner}
-	if raw, err := n.call(from, owner, succListReq{}); err == nil {
+	if raw, err := n.Call(from, owner, succListReq{}); err == nil {
 		candidates = append(candidates, raw.(succListResp).List...)
 	} else if nd, err := n.Node(from); err == nil {
 		// Owner unreachable: consult our own successor list overlap.
 		candidates = append(candidates, nd.SuccessorList()...)
 	}
 	for _, c := range candidates {
-		raw, err := n.call(from, c, getReq{Key: key})
+		raw, err := n.Call(from, c, getReq{Key: key})
 		if err != nil {
 			continue
 		}
@@ -188,7 +188,7 @@ func (n *Network) PullKeys(id ring.Point) (int, error) {
 	if !hasPred {
 		pred = succ // without a predecessor, claim (succ, id]: our full range
 	}
-	raw, err := n.call(id, succ, rangeReq{From: pred, To: id})
+	raw, err := n.Call(id, succ, rangeReq{From: pred, To: id})
 	if err != nil {
 		return 0, fmt.Errorf("chord: pulling keys for %v: %w", id, err)
 	}
@@ -242,7 +242,7 @@ func (n *Network) Leave(id ring.Point) error {
 		}
 		n.storeMu.RUnlock()
 		for _, item := range items {
-			if _, err := n.call(id, succ, putReq{Key: item.Key, Value: item.Value}); err != nil {
+			if _, err := n.Call(id, succ, putReq{Key: item.Key, Value: item.Value}); err != nil {
 				return fmt.Errorf("chord: leave %v: handing key %v to %v: %w", id, item.Key, succ, err)
 			}
 		}
@@ -256,7 +256,7 @@ func (n *Network) Leave(id ring.Point) error {
 			}
 			if predNode, err := n.Node(pred); err == nil {
 				tail := []ring.Point(nil)
-				if raw, err := n.call(pred, succ, succListReq{}); err == nil {
+				if raw, err := n.Call(pred, succ, succListReq{}); err == nil {
 					tail = raw.(succListResp).List
 				}
 				predNode.setSuccessors(succ, tail)
@@ -269,12 +269,12 @@ func (n *Network) Leave(id ring.Point) error {
 // adoptPredAfterLeave makes the leaver's successor (slot s) adopt the
 // leaver's predecessor, unless it already learned a closer one.
 func (n *Network) adoptPredAfterLeave(s uint32, leaver, pred ring.Point) {
-	ps := n.intern(pred) // before the stripe: intern takes network.mu
+	ps := n.Intern(pred) // before the stripe: Intern takes the core mutex
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
-	if p := a.preds[s]; p == noSlot || a.id(p) == leaver {
+	if p := a.preds[s]; p == noSlot || n.ID(p) == leaver {
 		a.preds[s] = ps
 	}
 }

@@ -7,6 +7,7 @@
 package dhttest
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 
@@ -30,6 +31,7 @@ func Run(t *testing.T, name string, mk Factory) {
 	t.Run(name+"/NextCostO1", func(t *testing.T) { checkNextCostO1(t, mk) })
 	t.Run(name+"/HChargesLookupCost", func(t *testing.T) { checkHCost(t, mk) })
 	t.Run(name+"/OwnerStability", func(t *testing.T) { checkOwnerStability(t, mk) })
+	t.Run(name+"/NextUnknownPeer", func(t *testing.T) { checkNextUnknownPeer(t, mk) })
 }
 
 // build creates a DHT over n random points and returns it with the
@@ -109,6 +111,20 @@ func checkNextCycle(t *testing.T, mk Factory) {
 	}
 	if len(visited) != r.Len() {
 		t.Fatalf("visited %d of %d peers", len(visited), r.Len())
+	}
+}
+
+// checkNextUnknownPeer pins the error contract of Next: a point that
+// is no member's fails with dht.ErrUnknownPeer, whatever the backend's
+// transport calls the missing node.
+func checkNextUnknownPeer(t *testing.T, mk Factory) {
+	d, r := build(t, mk, 1019, 24)
+	x := ring.Point(12345)
+	for r.IndexOf(x) >= 0 {
+		x++
+	}
+	if _, err := d.Next(dht.Peer{Point: x, Owner: -1}); !errors.Is(err, dht.ErrUnknownPeer) {
+		t.Fatalf("Next(non-member %d) error = %v, want dht.ErrUnknownPeer", uint64(x), err)
 	}
 }
 

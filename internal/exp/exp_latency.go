@@ -11,8 +11,8 @@ import (
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/core"
-	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/stats"
@@ -166,15 +166,6 @@ func expE25() Experiment {
 	}
 }
 
-// churnDHT is the slice of a backend adapter E26 needs: the abstract
-// DHT model plus the caller identity and owner-index refresh for
-// post-churn tallying. Both chord.DHT and kademlia.DHT satisfy it.
-type churnDHT interface {
-	dht.DHT
-	Self() dht.Peer
-	RefreshOwners()
-}
-
 // expE26 measures sampling under asynchronous churn: joins, crashes and
 // maintenance run as timed events on the discrete-event kernel,
 // concurrent in virtual time with a sampler process, at a sweep of
@@ -207,10 +198,10 @@ func expE26() Experiment {
 			}
 			type substrate struct {
 				name  string
-				build func(tr *sim.Transport, points []ring.Point) (churn.Overlay, churnDHT, error)
+				build func(tr *sim.Transport, points []ring.Point) (churn.Overlay, *overlay.DHT, error)
 			}
 			substrates := []substrate{
-				{"chord", func(tr *sim.Transport, points []ring.Point) (churn.Overlay, churnDHT, error) {
+				{"chord", func(tr *sim.Transport, points []ring.Point) (churn.Overlay, *overlay.DHT, error) {
 					net, err := chord.BuildStatic(chord.Config{}, tr, points)
 					if err != nil {
 						return nil, nil, err
@@ -221,7 +212,7 @@ func expE26() Experiment {
 					}
 					return churn.Chord(net), d, nil
 				}},
-				{"kademlia", func(tr *sim.Transport, points []ring.Point) (churn.Overlay, churnDHT, error) {
+				{"kademlia", func(tr *sim.Transport, points []ring.Point) (churn.Overlay, *overlay.DHT, error) {
 					net, err := kademlia.BuildStatic(kademlia.Config{}, tr, points)
 					if err != nil {
 						return nil, nil, err

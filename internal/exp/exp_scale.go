@@ -11,6 +11,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -66,7 +67,7 @@ func RunScaleScenario(backend string, n, events, probes int, gap time.Duration, 
 	)
 	buildStart := time.Now()
 	var ov churn.Overlay
-	var d churnDHT
+	var d *overlay.DHT
 	switch backend {
 	case "chord":
 		net, err := chord.BuildStatic(chord.Config{}, tr, r.Points())

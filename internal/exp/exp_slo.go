@@ -13,6 +13,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/load"
 	"github.com/dht-sampling/randompeer/internal/loadbalance"
 	"github.com/dht-sampling/randompeer/internal/obs"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/slo"
@@ -93,7 +94,7 @@ func RunSLOScenario(sc SLOScenario) (*SLOResult, error) {
 		sim.WithStreamSeed(sc.Seed+2),
 	)
 	var ov churn.Overlay
-	var d churnDHT
+	var d *overlay.DHT
 	switch sc.Backend {
 	case "chord":
 		net, err := chord.BuildStatic(chord.Config{}, tr, r.Points())

@@ -130,14 +130,13 @@ func (n *Network) bucketRefFor(s uint32, b int) []uint32 {
 
 // touchContact records a live contact in slot s's table (Kademlia's
 // passive maintenance). The contact is interned first — lock order:
-// network.mu before stripe.
+// core mutex before stripe.
 func (n *Network) touchContact(s uint32, id ring.Point) {
-	cs := n.intern(id)
-	a := &n.st
-	st := a.stripe(s)
+	cs := n.Intern(id)
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
-	d := xorDist(a.id(s), id)
+	d := xorDist(n.ID(s), id)
 	if d == 0 {
 		return
 	}
@@ -148,15 +147,15 @@ func (n *Network) touchContact(s uint32, id ring.Point) {
 // network has no slot for cannot be in any bucket (buckets hold slot
 // references), so the miss is a no-op.
 func (n *Network) removeContact(s uint32, id ring.Point) {
-	cs, ok := n.slotOf(id)
+	cs, ok := n.SlotOf(id)
 	if !ok {
 		return
 	}
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
-	d := xorDist(a.id(s), id)
+	d := xorDist(n.ID(s), id)
 	if d == 0 {
 		return
 	}
@@ -168,9 +167,8 @@ func (n *Network) removeContact(s uint32, id ring.Point) {
 // markAliveContact confirms bucket b's entry id answered a ping: it
 // moves to the tail, deferring its eviction.
 func (n *Network) markAliveContact(s uint32, b int, id ring.Point) {
-	cs := n.intern(id) // before the stripe: intern takes network.mu
-	a := &n.st
-	st := a.stripe(s)
+	cs := n.Intern(id) // before the stripe: Intern takes the core mutex
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
 	regTouch(n.bucketRefFor(s, b), n.cfg.BucketSize, cs)
@@ -179,7 +177,7 @@ func (n *Network) markAliveContact(s uint32, b int, id ring.Point) {
 // promoteBucket fills bucket b of slot s from its replacement cache.
 func (n *Network) promoteBucket(s uint32, b int) {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
 	if ref := a.bucketRefs[int(s)*idBits+b]; ref != noRegion {
@@ -214,10 +212,10 @@ func (n *Network) closestIntoSlot(s uint32, best []ring.Point, target ring.Point
 		return best
 	}
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
-	self := a.id(s)
+	self := n.ID(s)
 	row := a.bucketRefs[int(s)*idBits : int(s)*idBits+idBits]
 	d := xorDist(self, target)
 	for rem := d; rem != 0; {
@@ -249,7 +247,7 @@ func (n *Network) mergeBucket(best []ring.Point, ref uint32, target ring.Point, 
 		return best
 	}
 	for _, c := range regEntries(n.region(ref)) {
-		best = insertClosest(best, target, count, n.st.id(c))
+		best = insertClosest(best, target, count, n.ID(c))
 	}
 	return best
 }
@@ -285,7 +283,7 @@ func insertClosest(best []ring.Point, target ring.Point, count int, id ring.Poin
 // translated to identifiers (LRU first).
 func (n *Network) entriesOfSlot(s uint32, b int) []ring.Point {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
 	ref := a.bucketRefs[int(s)*idBits+b]
@@ -295,7 +293,7 @@ func (n *Network) entriesOfSlot(s uint32, b int) []ring.Point {
 	ents := regEntries(n.region(ref))
 	out := make([]ring.Point, len(ents))
 	for i, c := range ents {
-		out[i] = a.id(c)
+		out[i] = n.ID(c)
 	}
 	return out
 }
@@ -303,7 +301,7 @@ func (n *Network) entriesOfSlot(s uint32, b int) []ring.Point {
 // tableSizeOf returns slot s's total live entry count.
 func (n *Network) tableSizeOf(s uint32) int {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
 	total := 0
@@ -317,10 +315,11 @@ func (n *Network) tableSizeOf(s uint32) int {
 	return total
 }
 
-// contactsOf returns every live entry across slot s's buckets.
-func (n *Network) contactsOf(s uint32) []ring.Point {
+// Neighbors implements overlay.Router: every live entry across slot s's
+// buckets.
+func (n *Network) Neighbors(s uint32) []ring.Point {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
 	out := make([]ring.Point, 0, idBits)
@@ -330,7 +329,7 @@ func (n *Network) contactsOf(s uint32) []ring.Point {
 			continue
 		}
 		for _, c := range regEntries(n.region(ref)) {
-			out = append(out, a.id(c))
+			out = append(out, n.ID(c))
 		}
 	}
 	return out

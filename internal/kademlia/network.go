@@ -6,7 +6,7 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/dht-sampling/randompeer/internal/parallel"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
@@ -42,41 +42,24 @@ func (c Config) withDefaults() Config {
 }
 
 // Network is a collection of Kademlia nodes sharing one simulated
-// transport. All per-node state lives in a flat slot arena (see
-// arena.go); nodes are addressed internally by dense uint32 slot and
-// externally by ring.Point identifier.
+// transport. Membership, slot allocation and the transport binding are
+// the embedded overlay.Core; the routing state lives in flat per-slot
+// arrays and the bucket region pool (arena.go). Nodes are addressed
+// internally by dense uint32 slot and externally by ring.Point
+// identifier.
 type Network struct {
+	overlay.Core
 	cfg Config
-	tr  simnet.Transport
 	// regStride is the word width of one bucket region: a header word,
 	// BucketSize entry slots and the replacement cache.
 	regStride int
-	// multi records that the transport accepted a bulk registration:
-	// one handler serves every node this network hosts and joins and
-	// crashes cost no per-node transport bookkeeping. Without it the
-	// network falls back to one registered closure per node.
-	multi bool
-
-	mu sync.RWMutex
-	st arena
-	// members is the sorted live membership, maintained incrementally:
-	// join/crash installs a fresh copy with the id spliced in or out
-	// (copy-on-write) and bumps epoch. The slice itself is immutable, so
-	// Members hands it out with no per-call copy and holders keep a
-	// consistent snapshot across later churn.
-	members []ring.Point
-	// memberSlots is the aligned slot snapshot: memberSlots[i] is the
-	// arena slot of members[i]. Maintained copy-on-write in lockstep
-	// with members, it is the ID-to-index half of the bridge that
-	// replaces the old map[ring.Point]*Node.
-	memberSlots []uint32
-	epoch       uint64
+	st        arena
 }
 
 // Kademlia error conditions.
 var (
-	ErrNodeExists    = errors.New("kademlia: node already exists")
-	ErrNodeNotFound  = errors.New("kademlia: node not found")
+	ErrNodeExists    = overlay.ErrNodeExists
+	ErrNodeNotFound  = overlay.ErrNodeNotFound
 	ErrLookupAborted = errors.New("kademlia: lookup aborted")
 	ErrEmptyNetwork  = errors.New("kademlia: network has no live nodes")
 )
@@ -86,159 +69,35 @@ func NewNetwork(cfg Config, tr simnet.Transport) *Network {
 	cfg = cfg.withDefaults()
 	n := &Network{
 		cfg:       cfg,
-		tr:        tr,
 		regStride: 1 + cfg.BucketSize + replacementCacheLen,
 	}
-	n.st.overflow = make(map[ring.Point]uint32)
 	empty := make([][]uint32, 0)
 	n.st.chunks.Store(&empty)
-	if mr, ok := tr.(simnet.MultiRegistrar); ok {
-		if err := mr.RegisterMulti(n.ownsID, n.dispatchAny); err == nil {
-			n.multi = true
-		}
-	}
+	n.Init(tr, overlay.Hooks{Grow: n.grow, Reset: n.resetSlot, Mark: n.markSlot, Drop: n.freeRegionRow, Handle: n.handleRPC})
 	return n
-}
-
-// ownsID reports whether this network currently hosts a live node with
-// the given transport id; the transport's bulk-registration path
-// consults it in place of a per-node handler table.
-func (n *Network) ownsID(id simnet.NodeID) bool {
-	_, ok := n.liveSlot(ring.Point(id))
-	return ok
-}
-
-// dispatchAny routes a bulk-registered RPC to its destination slot.
-// Crashed nodes remain resolvable through the overflow map until
-// scavenged, so an in-flight RPC that won the transport's liveness
-// check still reaches the node's frozen state, exactly as a registered
-// handler used to keep answering until deregistration took effect.
-func (n *Network) dispatchAny(to, from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-	s, ok := n.slotOf(ring.Point(to))
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, to)
-	}
-	return n.handleRPC(s, from, msg)
-}
-
-// idHandler returns the per-node registration closure for transports
-// without bulk registration. It captures the identifier, never the
-// slot: the slot is resolved per call, so slot recycling cannot
-// misroute a stale registration.
-func (n *Network) idHandler(id ring.Point) simnet.Handler {
-	return func(from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-		s, ok := n.slotOf(id)
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, simnet.NodeID(id))
-		}
-		return n.handleRPC(s, from, msg)
-	}
 }
 
 // Config returns the network's effective (defaulted) configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Transport returns the underlying transport (for meters and faults).
-func (n *Network) Transport() simnet.Transport { return n.tr }
-
-// Meter returns the transport's cost meter.
-func (n *Network) Meter() *simnet.Meter { return n.tr.Meter() }
-
 // Node returns the node with the given id. The returned handle points
 // into the arena's preconstructed handle table, so the call allocates
 // nothing.
 func (n *Network) Node(id ring.Point) (*Node, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if rank, ok := ring.Rank(n.members, id); ok {
-		if s := n.memberSlots[rank]; n.st.alive[s] {
-			return &n.st.handles[s], nil
-		}
+	s, ok := n.LiveSlot(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
 	}
-	return nil, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
-}
-
-// Members returns the ids of all live nodes in sorted order. The
-// returned slice is a shared immutable snapshot — callers must not
-// modify it. Join/crash never re-sorts and never invalidates: each
-// installs a fresh spliced copy (copy-on-write), so a held snapshot
-// stays internally consistent across later churn and a call here is a
-// read-locked pointer fetch even at n = 10^6 under sustained churn.
-func (n *Network) Members() []ring.Point {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.members
-}
-
-// Epoch returns the membership epoch: it increments on every join and
-// crash, so two equal readings around a Members call certify the
-// snapshot is current (the epoch-snapshot pairing the race tests
-// exercise).
-func (n *Network) Epoch() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.epoch
-}
-
-// NumAlive returns the number of live nodes. The membership snapshot
-// holds exactly the live nodes (Crash removes before marking dead), so
-// this is the snapshot length.
-func (n *Network) NumAlive() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.members)
-}
-
-// addNode allocates (or recycles) a slot for id, registers it on the
-// transport when per-node registration is in use, and splices it into
-// the live membership.
-func (n *Network) addNode(id ring.Point) (*Node, error) {
-	if !n.multi {
-		// Register before taking the network lock, as always: the
-		// transport may consult its own locks, and registration order
-		// is observable to concurrent callers.
-		if err := n.tr.Register(simnet.NodeID(id), n.idHandler(id)); err != nil {
-			return nil, fmt.Errorf("kademlia: registering node %v: %w", id, err)
-		}
-	}
-	n.mu.Lock()
-	rank, found := ring.Rank(n.members, id)
-	if found {
-		n.mu.Unlock()
-		if !n.multi {
-			n.tr.Deregister(simnet.NodeID(id))
-		}
-		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
-	}
-	s, ok := n.st.overflow[id]
-	if ok {
-		// The id had a zombie or external slot: reclaim it for the
-		// rejoining node with fresh baseline state.
-		delete(n.st.overflow, id)
-		if n.st.reclaimable > 0 {
-			n.st.reclaimable--
-		}
-		n.resetSlotLocked(s, id)
-	} else {
-		s = n.newSlotLocked(id)
-	}
-	n.st.alive[s] = true
-	n.members = spliceIn(n.members, rank, id)
-	n.memberSlots = spliceIn(n.memberSlots, rank, s)
-	n.epoch++
-	nd := &n.st.handles[s]
-	n.mu.Unlock()
-	return nd, nil
-}
-
-// call performs one RPC through the transport.
-func (n *Network) call(from, to ring.Point, msg simnet.Message) (simnet.Message, error) {
-	return n.tr.Call(simnet.NodeID(from), simnet.NodeID(to), msg)
+	return n.handle(s), nil
 }
 
 // Create starts the first node of a fresh network.
 func (n *Network) Create(id ring.Point) (*Node, error) {
-	return n.addNode(id)
+	s, err := n.AddNode(id)
+	if err != nil {
+		return nil, err
+	}
+	return n.handle(s), nil
 }
 
 // Join adds a node through the existing node via, per the Kademlia join
@@ -260,10 +119,10 @@ func (n *Network) Join(id, via ring.Point) (*Node, error) {
 // RPC, which the wire transport routes across processes. It is the
 // join path wire-transport daemons use.
 func (n *Network) JoinVia(id, via ring.Point) (*Node, error) {
-	if _, ok := n.liveSlot(id); ok {
+	if _, ok := n.LiveSlot(id); ok {
 		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
-	nd, err := n.addNode(id)
+	nd, err := n.Create(id)
 	if err != nil {
 		return nil, err
 	}
@@ -285,60 +144,28 @@ func (n *Network) JoinVia(id, via ring.Point) (*Node, error) {
 	if err != nil {
 		return fail("resolving successor", err)
 	}
-	raw, err := n.call(id, succ, getPredecessorReq{})
+	raw, err := n.Call(id, succ, getPredecessorReq{})
 	if err != nil {
 		return fail(fmt.Sprintf("predecessor of %v", succ), err)
 	}
 	pred := raw.(*pointResp).P
 	putPointResp(raw.(*pointResp))
-	if _, err := n.call(id, succ, spliceReq{Pred: id, HasPred: true}); err != nil {
+	if _, err := n.Call(id, succ, spliceReq{Pred: id, HasPred: true}); err != nil {
 		return fail(fmt.Sprintf("splicing %v", succ), err)
 	}
 	if pred != succ {
-		if _, err := n.call(id, pred, spliceReq{Succ: id, HasSucc: true}); err != nil {
+		if _, err := n.Call(id, pred, spliceReq{Succ: id, HasSucc: true}); err != nil {
 			return fail(fmt.Sprintf("splicing %v", pred), err)
 		}
 	} else {
 		// Two-node ring: the single existing node is both successor and
 		// predecessor; its succ pointer must also come to the joiner.
-		if _, err := n.call(id, succ, spliceReq{Succ: id, HasSucc: true}); err != nil {
+		if _, err := n.Call(id, succ, spliceReq{Succ: id, HasSucc: true}); err != nil {
 			return fail(fmt.Sprintf("splicing %v", succ), err)
 		}
 	}
 	nd.setRing(succ, pred)
 	return nd, nil
-}
-
-// Crash removes a node abruptly: it leaves the live membership and
-// every new RPC to it fails until maintenance routes around it. Its
-// slot parks in the overflow map (state frozen, still answering RPCs
-// already in flight) until the scavenger recycles it.
-func (n *Network) Crash(id ring.Point) error {
-	n.mu.Lock()
-	rank, ok := ring.Rank(n.members, id)
-	var s uint32
-	if ok {
-		s = n.memberSlots[rank]
-		if !n.st.alive[s] {
-			ok = false // partitioned build: the member is hosted elsewhere
-		}
-	}
-	if ok {
-		n.members = ring.RemoveSorted(n.members, id)
-		n.memberSlots = spliceOut(n.memberSlots, rank)
-		n.st.alive[s] = false
-		n.st.overflow[id] = s
-		n.st.reclaimable++
-		n.epoch++
-	}
-	n.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNodeNotFound, id)
-	}
-	if !n.multi {
-		n.tr.Deregister(simnet.NodeID(id))
-	}
-	return nil
 }
 
 // LookupResult reports one iterative FIND_NODE lookup.
@@ -495,7 +322,7 @@ func (n *Network) lookup(ls *lookupScratch, from, target ring.Point) (rounds, rp
 		}
 		rounds++
 		for _, id := range ls.wave {
-			raw, err := n.call(from, id, req)
+			raw, err := n.Call(from, id, req)
 			rpcs++
 			if err != nil {
 				i, _ := ls.search(target, id)
@@ -517,7 +344,7 @@ func (n *Network) lookup(ls *lookupScratch, from, target ring.Point) (rounds, rp
 // Successor asks node "of" for its ring successor pointer (one RPC):
 // the paper's next(p) primitive.
 func (n *Network) Successor(from, of ring.Point) (ring.Point, error) {
-	raw, err := n.call(from, of, getSuccessorReq{})
+	raw, err := n.Call(from, of, getSuccessorReq{})
 	if err != nil {
 		return 0, fmt.Errorf("kademlia: successor of %v: %w", of, err)
 	}
@@ -529,7 +356,7 @@ func (n *Network) Successor(from, of ring.Point) (ring.Point, error) {
 
 // Predecessor asks node "of" for its ring predecessor pointer.
 func (n *Network) Predecessor(from, of ring.Point) (ring.Point, error) {
-	raw, err := n.call(from, of, getPredecessorReq{})
+	raw, err := n.Call(from, of, getPredecessorReq{})
 	if err != nil {
 		return 0, fmt.Errorf("kademlia: predecessor of %v: %w", of, err)
 	}
@@ -570,6 +397,19 @@ type OwnerStats struct {
 //     still converging because ring pointers are ground truth.
 func (n *Network) ResolveOwner(from, x ring.Point) (ring.Point, OwnerStats, error) {
 	return n.resolveOwner(from, x, 0, false)
+}
+
+// AsDHT returns the network viewed from the given caller node as the
+// paper's abstract DHT: H is ResolveOwner, Next is one get-successor
+// RPC, and every RPC is charged on the transport meter.
+func (n *Network) AsDHT(caller ring.Point) (*overlay.DHT, error) {
+	return overlay.NewDHT(&n.Core, n, caller)
+}
+
+// Owner implements overlay.Router via ResolveOwner.
+func (n *Network) Owner(from, x ring.Point) (ring.Point, error) {
+	owner, _, err := n.ResolveOwner(from, x)
+	return owner, err
 }
 
 func (n *Network) resolveOwner(from, x ring.Point, exclude ring.Point, hasExclude bool) (ring.Point, OwnerStats, error) {
@@ -680,7 +520,7 @@ func (n *Network) RefreshNode(id ring.Point, refreshBucket int) error {
 		// dead entries are dropped, live ones move to the fresh end, and
 		// replacement-cache contacts are promoted into freed slots.
 		for _, e := range entries {
-			if _, err := n.call(id, e, pingReq{}); err != nil {
+			if _, err := n.Call(id, e, pingReq{}); err != nil {
 				n.removeContact(nd.slot, e)
 			} else {
 				n.markAliveContact(nd.slot, i, e)
@@ -705,12 +545,12 @@ func (n *Network) repairRing(nd *Node) error {
 	id := nd.ID()
 	succ := nd.Successor()
 	if succ != id {
-		if _, err := n.call(id, succ, pingReq{}); err == nil {
+		if _, err := n.Call(id, succ, pingReq{}); err == nil {
 			// Successor alive; reconcile with its predecessor pointer.
 			p, err := n.Predecessor(id, succ)
 			if err == nil && p != id {
 				alive := false
-				if _, err := n.call(id, p, pingReq{}); err == nil {
+				if _, err := n.Call(id, p, pingReq{}); err == nil {
 					alive = true
 				}
 				if alive && p != succ && betweenIncl(id, succ, p) {
@@ -721,13 +561,13 @@ func (n *Network) repairRing(nd *Node) error {
 					// tightening step the ring wedges permanently with
 					// the middle node invisible to its predecessor.
 					n.setSucc(nd.slot, p)
-					_, _ = n.call(id, p, spliceReq{Pred: id, HasPred: true})
+					_, _ = n.Call(id, p, spliceReq{Pred: id, HasPred: true})
 					return nil
 				}
 				if !alive || !betweenIncl(id, succ, p) {
 					// Its predecessor is dead or behind us: we are the
 					// rightful predecessor — re-assert.
-					_, _ = n.call(id, succ, spliceReq{Pred: id, HasPred: true})
+					_, _ = n.Call(id, succ, spliceReq{Pred: id, HasPred: true})
 				}
 			}
 			return nil
@@ -749,7 +589,7 @@ func (n *Network) repairRing(nd *Node) error {
 		if err != nil || p == best {
 			break
 		}
-		if _, err := n.call(id, p, pingReq{}); err != nil {
+		if _, err := n.Call(id, p, pingReq{}); err != nil {
 			break // dead predecessor: best is the boundary
 		}
 		if !betweenIncl(id, best, p) || p == id {
@@ -758,7 +598,7 @@ func (n *Network) repairRing(nd *Node) error {
 		best = p
 	}
 	n.setSucc(nd.slot, best)
-	_, _ = n.call(id, best, spliceReq{Pred: id, HasPred: true})
+	_, _ = n.Call(id, best, spliceReq{Pred: id, HasPred: true})
 	return nil
 }
 
@@ -766,7 +606,7 @@ func (n *Network) repairRing(nd *Node) error {
 // closest after id, gathered from the node's table plus a lookup.
 func (n *Network) bestLiveSuccessorCandidate(nd *Node) (ring.Point, bool) {
 	id := nd.ID()
-	cands := n.contactsOf(nd.slot)
+	cands := n.Neighbors(nd.slot)
 	ls := lookupScratchPool.Get().(*lookupScratch)
 	defer lookupScratchPool.Put(ls)
 	if _, _, err := n.lookup(ls, id, ring.Point(uint64(id)+1)); err == nil {
@@ -781,7 +621,7 @@ func (n *Network) bestLiveSuccessorCandidate(nd *Node) (ring.Point, bool) {
 		if found && cwDist(id, c) >= cwDist(id, best) {
 			continue
 		}
-		if _, err := n.call(id, c, pingReq{}); err != nil {
+		if _, err := n.Call(id, c, pingReq{}); err != nil {
 			n.removeContact(nd.slot, c)
 			continue
 		}
@@ -869,20 +709,13 @@ func (n *Network) VerifyTables() error {
 }
 
 // BuildStatic constructs a fully populated Kademlia network over the
-// given points in one step: every node's k-buckets hold the k XOR-
-// closest members of each distance octave and the ring pointers are
-// exact. It is the starting state for experiments that study the
-// sampler rather than overlay convergence.
-//
-// Construction is bulk and parallel: slots are assigned sequentially
-// (slot i is ring rank i) with the membership snapshot installed once,
-// then per-node buckets — pure functions of the sorted membership —
-// are populated over contiguous worker shards, bit-identically to the
-// sequential build at any GOMAXPROCS. The per-node fill itself is
-// O(log^2 n + k log n) via sorted-range trie descent instead of the
-// O(n log n) full scan-and-sort the incremental path would pay per
-// node, and because slot and ring index coincide the bucket entries
-// are written as plain indices with no ID translation at all.
+// given points in one step (overlay.Core.BuildStatic): every node's
+// k-buckets hold the k XOR-closest members of each distance octave and
+// the ring pointers are exact. It is the starting state for experiments
+// that study the sampler rather than overlay convergence. The per-node
+// fill is O(log^2 n + k log n) via sorted-range trie descent instead of
+// the O(n log n) full scan-and-sort the incremental path would pay per
+// node.
 func BuildStatic(cfg Config, tr simnet.Transport, points []ring.Point) (*Network, error) {
 	return BuildStaticPartition(cfg, tr, points, nil)
 }
@@ -890,63 +723,22 @@ func BuildStatic(cfg Config, tr simnet.Transport, points []ring.Point) (*Network
 // BuildStaticPartition constructs the local shard of a fully populated
 // network that spans multiple processes: the full membership defines
 // every node's buckets and ring pointers, but only the nodes selected
-// by owned are instantiated (and registered, on per-node transports)
-// on this process's transport. The other points must be hosted by peer
-// processes reachable through the transport (the wire transport routes
-// by node id). A nil owned predicate owns everything, which is exactly
-// BuildStatic.
-//
-// Per-node state is a pure function of the sorted membership, so every
-// process computes identical state for its shard and the union across
-// processes is bit-identical to the single-process build.
+// by owned are hosted on this process. A nil owned predicate owns
+// everything, which is exactly BuildStatic.
 func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, owned func(ring.Point) bool) (*Network, error) {
-	r, err := ring.New(points)
-	if err != nil {
-		return nil, fmt.Errorf("kademlia: building static network: %w", err)
-	}
 	n := NewNetwork(cfg, tr)
-	sorted := r.Points()
-	size := len(sorted)
-	// Single-threaded sizing and slot assignment: no locks needed until
-	// the network is published.
-	n.growLocked(size)
-	a := &n.st
-	a.used = size
-	n.memberSlots = make([]uint32, size)
-	ownedIdx := make([]int, 0, size)
-	single := size == 1
-	for i, id := range sorted {
-		s := uint32(i)
-		n.memberSlots[i] = s
-		a.ids[s] = uint64(id)
-		if single {
-			a.succs[s], a.preds[s] = s, s
-		} else {
-			a.succs[s] = uint32(r.NextIndex(i))
-			a.preds[s] = uint32(r.PrevIndex(i))
-		}
-		a.handles[s] = Node{net: n, slot: s}
-		if owned != nil && !owned(id) {
-			continue
-		}
-		a.alive[s] = true
-		if !n.multi {
-			if err := tr.Register(simnet.NodeID(id), n.idHandler(id)); err != nil {
-				return nil, fmt.Errorf("kademlia: registering node %v: %w", id, err)
-			}
-		}
-		ownedIdx = append(ownedIdx, i)
-	}
-	n.members = sorted
-	n.epoch++
-	parallel.Shards(len(ownedIdx), parallel.Workers(len(ownedIdx)), func(lo, hi int) {
+	err := n.BuildStatic(points, owned, func(_ *ring.Ring, idx []int) {
+		sorted := n.Members()
 		scratch := make([]uint32, 0, n.cfg.BucketSize)
 		rb := regionBatcher{n: n}
-		for j := lo; j < hi; j++ {
-			scratch = n.fillStaticSlot(sorted, ownedIdx[j], scratch, &rb)
+		for _, i := range idx {
+			scratch = n.fillStaticSlot(sorted, i, scratch, &rb)
 		}
 		rb.release()
 	})
+	if err != nil {
+		return nil, fmt.Errorf("kademlia: %w", err)
+	}
 	return n, nil
 }
 
@@ -959,12 +751,12 @@ func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, 
 // reached by flipping bit b of the node's id and clearing the bits
 // below), and the k XOR-closest within the range are selected by
 // descending the implicit binary trie, visiting only subranges that
-// can still contribute. It runs during BuildStatic's sharded phase:
-// the slot is owned exclusively by one worker and published by the
-// shard barrier, so no locks are taken.
+// can still contribute.
 func (n *Network) fillStaticSlot(sorted []ring.Point, i int, scratch []uint32, rb *regionBatcher) []uint32 {
 	id := uint64(sorted[i])
 	k := n.cfg.BucketSize
+	n.st.succs[i] = uint32((i + 1) % len(sorted))
+	n.st.preds[i] = uint32((i - 1 + len(sorted)) % len(sorted))
 	row := n.st.bucketRefs[i*idBits : i*idBits+idBits]
 	for b := 0; b < idBits; b++ {
 		base := (id ^ (uint64(1) << uint(b))) &^ (uint64(1)<<uint(b) - 1)

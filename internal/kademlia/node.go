@@ -8,10 +8,7 @@ import (
 )
 
 // Node is one Kademlia peer's public handle: a (network, slot) pair
-// into the network's flat slot arena. A handle holds no state of its
-// own — the ring pointers and k-buckets live in the arena's packed
-// arrays and bucket regions — so handles are 16 bytes, preconstructed
-// once per slot, and handed out by pointer with no allocation. All
+// into the network's flat slot arena (see internal/overlay). All
 // exported accessors and the RPC handlers are safe for concurrent use;
 // no lock is ever held across an RPC.
 type Node struct {
@@ -20,7 +17,7 @@ type Node struct {
 }
 
 // ID returns the node's identifier.
-func (nd *Node) ID() ring.Point { return nd.net.idOf(nd.slot) }
+func (nd *Node) ID() ring.Point { return nd.net.IDOf(nd.slot) }
 
 // Successor returns the node's ring successor pointer.
 func (nd *Node) Successor() ring.Point { return nd.net.succOf(nd.slot) }
@@ -28,17 +25,9 @@ func (nd *Node) Successor() ring.Point { return nd.net.succOf(nd.slot) }
 // Predecessor returns the node's ring predecessor pointer.
 func (nd *Node) Predecessor() ring.Point { return nd.net.predOf(nd.slot) }
 
-// Alive reports whether the node is participating in the network.
-func (nd *Node) Alive() bool {
-	n := nd.net
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.st.alive[nd.slot]
-}
-
 // Contacts returns every routing-table entry (all buckets), the edges
 // a random-walk sampler would traverse.
-func (nd *Node) Contacts() []ring.Point { return nd.net.contactsOf(nd.slot) }
+func (nd *Node) Contacts() []ring.Point { return nd.net.Neighbors(nd.slot) }
 
 // TableSize returns the number of routing-table entries.
 func (nd *Node) TableSize() int { return nd.net.tableSizeOf(nd.slot) }
@@ -49,22 +38,12 @@ func (nd *Node) BucketEntries(i int) []ring.Point { return nd.net.entriesOfSlot(
 // setRing installs the node's ring pointers.
 func (nd *Node) setRing(succ, pred ring.Point) { nd.net.setRing(nd.slot, succ, pred) }
 
-// idOf returns slot s's identifier.
-func (n *Network) idOf(s uint32) ring.Point {
-	a := &n.st
-	st := a.stripe(s)
-	st.RLock()
-	id := a.id(s)
-	st.RUnlock()
-	return id
-}
-
 // succOf returns slot s's ring successor identifier.
 func (n *Network) succOf(s uint32) ring.Point {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
-	succ := a.id(a.succs[s])
+	succ := n.ID(a.succs[s])
 	st.RUnlock()
 	return succ
 }
@@ -72,20 +51,20 @@ func (n *Network) succOf(s uint32) ring.Point {
 // predOf returns slot s's ring predecessor identifier.
 func (n *Network) predOf(s uint32) ring.Point {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
-	pred := a.id(a.preds[s])
+	pred := n.ID(a.preds[s])
 	st.RUnlock()
 	return pred
 }
 
 // setRing installs slot s's ring pointers. The targets are interned
-// outside the stripe (lock order: network.mu before stripe).
+// outside the stripe (lock order: core mutex before stripe).
 func (n *Network) setRing(s uint32, succ, pred ring.Point) {
-	ss := n.intern(succ)
-	ps := n.intern(pred)
+	ss := n.Intern(succ)
+	ps := n.Intern(pred)
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	a.succs[s] = ss
 	a.preds[s] = ps
@@ -94,9 +73,9 @@ func (n *Network) setRing(s uint32, succ, pred ring.Point) {
 
 // setSucc installs slot s's ring successor pointer.
 func (n *Network) setSucc(s uint32, succ ring.Point) {
-	ss := n.intern(succ) // before the stripe: intern takes network.mu
+	ss := n.Intern(succ) // before the stripe: Intern takes the core mutex
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	a.succs[s] = ss
 	st.Unlock()
@@ -107,7 +86,7 @@ func (n *Network) setSucc(s uint32, succ ring.Point) {
 // recorded in the routing table first (Kademlia's passive table
 // maintenance).
 func (n *Network) handleRPC(s uint32, from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-	if p := ring.Point(from); p != n.idOf(s) {
+	if p := ring.Point(from); p != n.IDOf(s) {
 		n.touchContact(s, p)
 	}
 	switch m := msg.(type) {
@@ -121,16 +100,16 @@ func (n *Network) handleRPC(s uint32, from simnet.NodeID, msg simnet.Message) (s
 		return newPointResp(n.predOf(s)), nil
 	case spliceReq:
 		// Intern both targets before taking the stripe (lock order:
-		// network.mu before stripe).
+		// core mutex before stripe).
 		var ss, ps uint32
 		if m.HasSucc {
-			ss = n.intern(m.Succ)
+			ss = n.Intern(m.Succ)
 		}
 		if m.HasPred {
-			ps = n.intern(m.Pred)
+			ps = n.Intern(m.Pred)
 		}
 		a := &n.st
-		st := a.stripe(s)
+		st := n.Stripe(s)
 		st.Lock()
 		if m.HasSucc {
 			a.succs[s] = ss
@@ -143,6 +122,6 @@ func (n *Network) handleRPC(s uint32, from simnet.NodeID, msg simnet.Message) (s
 	case pingReq:
 		return ackResp{}, nil
 	default:
-		return nil, fmt.Errorf("kademlia: node %v: unknown message %T from %d", n.idOf(s), msg, from)
+		return nil, fmt.Errorf("kademlia: node %v: unknown message %T from %d", n.IDOf(s), msg, from)
 	}
 }

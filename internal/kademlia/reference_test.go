@@ -24,16 +24,16 @@ func (n *Network) closestFullScan(s uint32, target ring.Point, count int, includ
 		return best
 	}
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
-	self := a.id(s)
+	self := n.ID(s)
 	row := a.bucketRefs[int(s)*idBits : int(s)*idBits+idBits]
 	for _, ref := range row {
 		if ref == noRegion {
 			continue
 		}
 		for _, c := range regEntries(n.region(ref)) {
-			best = insertClosest(best, target, count, a.id(c))
+			best = insertClosest(best, target, count, n.ID(c))
 		}
 	}
 	st.RUnlock()
@@ -89,7 +89,7 @@ func (n *Network) findClosestMapRef(from, target ring.Point) (LookupResult, erro
 		}
 		res.Rounds++
 		for _, id := range wave {
-			raw, err := n.call(from, id, req)
+			raw, err := n.Call(from, id, req)
 			res.RPCs++
 			if err != nil {
 				state[id] = stateFailed
@@ -133,7 +133,7 @@ func checkClosestAgainstFullScan(t *testing.T, net *Network, rng *rand.Rand, sta
 	k := net.cfg.BucketSize
 	var buf []ring.Point
 	for _, id := range members {
-		s, ok := net.liveSlot(id)
+		s, ok := net.LiveSlot(id)
 		if !ok {
 			t.Fatalf("%s: member %v has no live slot", stage, id)
 		}
@@ -315,8 +315,8 @@ func FuzzLookupShortlistMatchesReference(f *testing.F) {
 		}
 		// Same touches and evictions, in the same order: the tables end
 		// up entry for entry alike.
-		gotSlot, _ := got.liveSlot(from)
-		wantSlot, _ := want.liveSlot(from)
+		gotSlot, _ := got.LiveSlot(from)
+		wantSlot, _ := want.LiveSlot(from)
 		for b := 0; b < idBits; b++ {
 			if g, w := got.entriesOfSlot(gotSlot, b), want.entriesOfSlot(wantSlot, b); !slices.Equal(g, w) {
 				t.Fatalf("bucket %d differs after the lookup:\n got %v\nwant %v", b, g, w)

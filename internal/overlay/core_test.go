@@ -1,0 +1,246 @@
+package overlay
+
+import (
+	"errors"
+	"math/rand/v2"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/dht-sampling/randompeer/internal/ring"
+	"github.com/dht-sampling/randompeer/internal/simnet"
+)
+
+// fake is the smallest overlay the core can carry: one successor word
+// per slot, guarded by the slot's stripe. Handle answers every RPC with
+// the successor's identifier.
+type fake struct {
+	Core
+	succ []uint32
+}
+
+func newFake(tr simnet.Transport) *fake {
+	f := &fake{}
+	f.Init(tr, Hooks{
+		Grow:  func(capacity int) { f.succ = GrowCopy(f.succ, capacity) },
+		Reset: func(s uint32) { f.succ[s] = s },
+		Mark:  func(s uint32, m Marks) { m.Set(f.succ[s]) },
+		Drop:  func(uint32) {},
+		Handle: func(s uint32, _ simnet.NodeID, _ simnet.Message) (simnet.Message, error) {
+			return f.succOf(s), nil
+		},
+	})
+	return f
+}
+
+func (f *fake) succOf(s uint32) ring.Point {
+	st := f.Stripe(s)
+	st.RLock()
+	defer st.RUnlock()
+	return f.ID(f.succ[s])
+}
+
+// point makes slot s reference the node with the given id, interning it
+// first (lock order: core mutex before stripe).
+func (f *fake) point(s uint32, id ring.Point) {
+	t := f.Intern(id)
+	st := f.Stripe(s)
+	st.Lock()
+	f.succ[s] = t
+	st.Unlock()
+}
+
+// check asserts the arena invariants that must hold between any two
+// operations.
+func (f *fake) check(t *testing.T, step int) {
+	t.Helper()
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	st := StorageStats{Slots: f.used, Live: len(f.members), Free: len(f.free), Reclaimable: f.reclaimable}
+	if st.Slots != st.Live+st.Free+st.Reclaimable {
+		t.Fatalf("step %d: %+v: Slots != Live + Free + Reclaimable", step, st)
+	}
+	if len(f.memberSlots) != len(f.members) {
+		t.Fatalf("step %d: %d members, %d member slots", step, len(f.members), len(f.memberSlots))
+	}
+	seen, reach := make(Marks, (f.used+63)/64), make(Marks, (f.used+63)/64)
+	for i, id := range f.members {
+		s := f.memberSlots[i]
+		if i > 0 && f.members[i-1] >= id {
+			t.Fatalf("step %d: members not sorted and duplicate-free at %d", step, i)
+		}
+		if f.ID(s) != id || !f.alive[s] || seen.Has(s) || f.freeBits.Has(s) {
+			t.Fatalf("step %d: member %d: slot %d holds id %d, alive=%v, shared=%v, free=%v",
+				step, id, s, f.ID(s), f.alive[s], seen.Has(s), f.freeBits.Has(s))
+		}
+		seen.Set(s)
+		f.hooks.Mark(s, reach)
+	}
+	for _, s := range f.free {
+		if reach.Has(s) || !f.freeBits.Has(s) {
+			t.Fatalf("step %d: freed slot %d: referenced by a live slot=%v, in free bitset=%v",
+				step, s, reach.Has(s), f.freeBits.Has(s))
+		}
+	}
+	for id, s := range f.overflow {
+		if f.ID(s) != id || f.alive[s] || f.freeBits.Has(s) {
+			t.Fatalf("step %d: overflow %d -> slot %d holds id %d, alive=%v, free=%v",
+				step, id, s, f.ID(s), f.alive[s], f.freeBits.Has(s))
+		}
+	}
+}
+
+// anchor is the first node of every history and the one it never
+// crashes, so concurrent readers can rely on it.
+const anchor = ring.Point(1)
+
+// history drives 2500 steps of a seeded random create/join/crash/
+// rejoin-same-id/intern-external/Scavenge sequence through a fake
+// overlay, checking the invariants after every step, and returns the
+// slot every allocation landed in: the reuse order.
+func history(t *testing.T, f *fake, seed uint64) []uint32 {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, seed^0x9e37))
+	var order []uint32
+	var known, crashed []ring.Point // every id ever seen; ids currently crashed
+	add := func(id ring.Point) {
+		s, err := f.AddNode(id)
+		if err != nil {
+			t.Fatalf("AddNode(%d): %v", id, err)
+		}
+		order = append(order, s)
+		if len(known) > 0 {
+			f.point(s, known[rng.IntN(len(known))])
+		}
+		known = append(known, id)
+	}
+	add(anchor)
+	for step := 0; step < 2500; step++ {
+		switch op := rng.IntN(10); {
+		case op < 4: // join a fresh id, pointing at anything ever seen
+			add(ring.Point(rng.Uint64()))
+		case op < 6: // crash a member (never the anchor the readers use)
+			ms := f.Members()
+			if id := ms[rng.IntN(len(ms))]; id != anchor {
+				if err := f.Crash(id); err != nil {
+					t.Fatalf("step %d: Crash(%d): %v", step, id, err)
+				}
+				crashed = append(crashed, id)
+				if err := f.Crash(id); !errors.Is(err, ErrNodeNotFound) {
+					t.Fatalf("step %d: second Crash(%d) = %v, want ErrNodeNotFound", step, id, err)
+				}
+			}
+		case op < 7: // rejoin a crashed id: its zombie slot, if not yet swept
+			if len(crashed) > 0 {
+				i := rng.IntN(len(crashed))
+				id := crashed[i]
+				crashed = slices.Delete(crashed, i, i+1)
+				zombie, parked := f.SlotOf(id)
+				add(id)
+				if got := order[len(order)-1]; parked && got != zombie {
+					t.Fatalf("step %d: rejoin of %d took slot %d, its zombie is slot %d", step, id, got, zombie)
+				}
+				// ErrNodeExists, or the transport's duplicate-id error
+				// when nodes register one by one.
+				if _, err := f.AddNode(id); err == nil {
+					t.Fatalf("step %d: second AddNode(%d) succeeded", step, id)
+				}
+			}
+		case op < 9: // a live node learns an external contact
+			ms := f.Members()
+			s, _ := f.LiveSlot(ms[rng.IntN(len(ms))])
+			id := ring.Point(rng.Uint64())
+			f.point(s, id)
+			ext, _ := f.SlotOf(id)
+			order = append(order, ext)
+			known = append(known, id)
+		default:
+			f.Scavenge()
+		}
+		f.check(t, step)
+	}
+	// Dispatch reaches exactly the live nodes, whichever way they are
+	// registered, and lands on the slot that holds them now.
+	for _, id := range f.Members() {
+		s, _ := f.LiveSlot(id)
+		resp, err := f.Call(anchor, id, nil)
+		if err != nil || resp != f.succOf(s) {
+			t.Fatalf("call to member %d = %v, %v; want %d", id, resp, err, f.succOf(s))
+		}
+	}
+	for _, id := range crashed {
+		if _, err := f.Call(anchor, id, nil); !errors.Is(err, simnet.ErrUnknownNode) {
+			t.Fatalf("call to crashed %d = %v, want ErrUnknownNode", id, err)
+		}
+	}
+	if st := f.StorageStats(); st.Slots >= len(known) {
+		t.Fatalf("history never recycled a slot: %+v for %d ids", st, len(known))
+	}
+	return order
+}
+
+// perNode hides Direct's bulk registration, forcing the core onto one
+// registered handler per node (the path wire.Transport takes).
+type perNode struct{ simnet.Transport }
+
+// TestCoreHistories runs the same seeded histories over bulk and
+// per-node registration, twice each: the invariants hold after every
+// step and slot reuse order is a function of the history alone.
+func TestCoreHistories(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		bulk := history(t, newFake(simnet.NewDirect()), seed)
+		if again := history(t, newFake(simnet.NewDirect()), seed); !slices.Equal(bulk, again) {
+			t.Fatalf("seed %d: slot reuse order differs between two runs", seed)
+		}
+		if single := history(t, newFake(perNode{simnet.NewDirect()}), seed); !slices.Equal(bulk, single) {
+			t.Fatalf("seed %d: slot reuse order differs between bulk and per-node registration", seed)
+		}
+	}
+}
+
+// TestCoreConcurrentReaders runs a history while readers resolve the
+// anchor through Intern, SlotOf, Members and an RPC. Under -race it
+// proves growth, sweeps and splices never hand a reader a half-moved
+// arena; the reuse order must not notice the readers (the anchor never
+// crashes, so interning it never allocates).
+func TestCoreConcurrentReaders(t *testing.T) {
+	want := history(t, newFake(simnet.NewDirect()), 42)
+	f := newFake(simnet.NewDirect())
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s, ok := f.LiveSlot(anchor)
+				if !ok {
+					continue // the history has not created it yet
+				}
+				if got, _ := f.SlotOf(anchor); got != s || f.Intern(anchor) != s {
+					t.Errorf("anchor resolves to slots %d, %d and %d", s, got, f.Intern(anchor))
+					return
+				}
+				if ms := f.Members(); !slices.IsSorted(ms) || !slices.Contains(ms, anchor) {
+					t.Error("membership snapshot unsorted or missing the anchor")
+					return
+				}
+				if _, err := f.Call(2, anchor, nil); err != nil {
+					t.Errorf("call to anchor: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	got := history(t, f, 42)
+	close(stop)
+	wg.Wait()
+	if !slices.Equal(got, want) {
+		t.Fatal("slot reuse order changed under concurrent readers")
+	}
+}

@@ -1,0 +1,131 @@
+package overlay
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+
+	"github.com/dht-sampling/randompeer/internal/dht"
+	"github.com/dht-sampling/randompeer/internal/ring"
+	"github.com/dht-sampling/randompeer/internal/simnet"
+)
+
+// Router is the protocol half of an overlay, as the paper's model sees
+// it: every call is made on behalf of the node "from" and charged on
+// the transport meter.
+type Router interface {
+	// Owner resolves h(x): the peer whose point is clockwise-closest
+	// to x, by a routed lookup.
+	Owner(from, x ring.Point) (ring.Point, error)
+	// Successor asks node "of" for its ring successor (one RPC): the
+	// paper's next(p).
+	Successor(from, of ring.Point) (ring.Point, error)
+	// Neighbors returns the outgoing overlay edges of the node in slot
+	// s, the graph random-walk samplers traverse.
+	Neighbors(s uint32) []ring.Point
+}
+
+// DHT adapts an overlay network, viewed from one caller node, to the
+// paper's abstract DHT model: H is the router's lookup and Next one
+// get-successor RPC.
+type DHT struct {
+	core   *Core
+	r      Router
+	caller ring.Point
+
+	mu sync.RWMutex
+	// sorted is the membership snapshot owner indices are derived from:
+	// a peer's owner index is its rank here (binary search), so the
+	// adapter carries no per-peer map.
+	sorted []ring.Point
+}
+
+var _ dht.DHT = (*DHT)(nil)
+
+// NewDHT returns the network of c and r viewed from caller, a live
+// local node. The owner index of each peer is its rank in the current
+// sorted membership; call RefreshOwners after churn to re-derive it.
+func NewDHT(c *Core, r Router, caller ring.Point) (*DHT, error) {
+	if _, ok := c.LiveSlot(caller); !ok {
+		return nil, fmt.Errorf("%w: %v", ErrNodeNotFound, caller)
+	}
+	d := &DHT{core: c, r: r, caller: caller}
+	d.RefreshOwners()
+	return d, nil
+}
+
+// RefreshOwners re-snapshots the membership the owner indices are
+// ranked against (global knowledge used only for experiment tallying,
+// never by the protocol or the samplers). The snapshot is the core's
+// immutable copy-on-write membership slice, so this is a pointer fetch,
+// not a rebuild.
+func (d *DHT) RefreshOwners() {
+	members := d.core.Members()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.sorted = members
+}
+
+// Self returns the caller as a peer.
+func (d *DHT) Self() dht.Peer { return d.peerOf(d.caller) }
+
+// H implements dht.DHT via the overlay's routed lookup.
+func (d *DHT) H(x ring.Point) (dht.Peer, error) {
+	owner, err := d.r.Owner(d.caller, x)
+	if err != nil {
+		return dht.Peer{}, fmt.Errorf("overlay dht: h(%v): %w", x, err)
+	}
+	return d.peerOf(owner), nil
+}
+
+// Next implements dht.DHT via one get-successor RPC to p.
+func (d *DHT) Next(p dht.Peer) (dht.Peer, error) {
+	succ, err := d.r.Successor(d.caller, p.Point)
+	if err != nil {
+		if errors.Is(err, simnet.ErrUnknownNode) {
+			return dht.Peer{}, fmt.Errorf("%w: no peer at %v", dht.ErrUnknownPeer, p.Point)
+		}
+		return dht.Peer{}, fmt.Errorf("overlay dht: next(%v): %w", p.Point, err)
+	}
+	return d.peerOf(succ), nil
+}
+
+// Size implements dht.DHT.
+func (d *DHT) Size() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.sorted)
+}
+
+// Owners implements dht.DHT. Both overlays have one point per peer.
+func (d *DHT) Owners() int { return d.Size() }
+
+// Meter implements dht.DHT.
+func (d *DHT) Meter() *simnet.Meter { return d.core.Meter() }
+
+func (d *DHT) peerOf(id ring.Point) dht.Peer {
+	d.mu.RLock()
+	sorted := d.sorted
+	d.mu.RUnlock()
+	owner := -1
+	if rank, ok := ring.Rank(sorted, id); ok {
+		owner = rank
+	}
+	return dht.Peer{Point: id, Owner: owner}
+}
+
+// NeighborsOf returns the overlay neighbors of the node at p, as peers.
+// Random-walk samplers traverse these edges; the per-step RPC cost is
+// charged by the walker.
+func (d *DHT) NeighborsOf(p dht.Peer) ([]dht.Peer, error) {
+	s, ok := d.core.LiveSlot(p.Point)
+	if !ok {
+		return nil, fmt.Errorf("overlay dht: neighbors of %v: %w", p.Point, ErrNodeNotFound)
+	}
+	points := d.r.Neighbors(s)
+	out := make([]dht.Peer, len(points))
+	for i, pt := range points {
+		out[i] = d.peerOf(pt)
+	}
+	return out, nil
+}

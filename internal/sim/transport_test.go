@@ -15,7 +15,7 @@ func echoHandler(_ simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
 
 // TestTransportContract mirrors the simnet transport tests: the
 // virtual-clock transport must honor the same register/call/close
-// contract as Direct and Chan.
+// contract as Direct.
 func TestTransportContract(t *testing.T) {
 	t.Run("roundTrip", func(t *testing.T) {
 		tr := NewTransport()

@@ -8,13 +8,13 @@ import (
 
 // This file covers the adversarial fault families — named partitions,
 // asymmetric per-link drops, message-class loss — and the Byzantine
-// interceptor hook on both in-process transports. The sim.Transport
+// interceptor hook on the Direct transport. The sim.Transport
 // equivalents (virtual time, heal events on the kernel) live in
 // internal/sim.
 
 func TestFaultsPartition(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"direct", "chan"} {
+	for _, name := range []string{"direct"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -91,7 +91,7 @@ func TestFaultsPartitionsCompose(t *testing.T) {
 // one edge and nothing else.
 func TestFaultsLinkDropAsymmetric(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"direct", "chan"} {
+	for _, name := range []string{"direct"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -157,7 +157,6 @@ func TestInterceptorBothTransports(t *testing.T) {
 	}
 	for name, mk := range map[string]func() iTransport{
 		"direct": func() iTransport { return NewDirect() },
-		"chan":   func() iTransport { return NewChan() },
 	} {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {

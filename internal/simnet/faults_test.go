@@ -7,20 +7,19 @@ import (
 )
 
 // This file covers every fault-injection error path — ErrNodeDead,
-// ErrDropped, ErrClosed — across both transports directly, rather than
+// ErrDropped, ErrClosed — on the transport directly, rather than
 // incidentally through the churn experiments.
 
 // faultTransports builds each transport kind wired to the given plan.
 func faultTransports(f *Faults) map[string]Transport {
 	return map[string]Transport{
 		"direct": NewDirect(WithFaults(f)),
-		"chan":   NewChan(WithChanFaults(f)),
 	}
 }
 
 func TestFaultsDeadNodeBothTransports(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"direct", "chan"} {
+	for _, name := range []string{"direct"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -53,7 +52,7 @@ func TestFaultsDeadNodeBothTransports(t *testing.T) {
 
 func TestFaultsDropRateBothTransports(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"direct", "chan"} {
+	for _, name := range []string{"direct"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -79,8 +79,8 @@ var (
 type Interceptor func(from, to NodeID, msg Message, resp Message, err error) (Message, error)
 
 // Interceptable is implemented by transports whose RPCs a Byzantine
-// adversary can intercept (all three in-process transports: Direct,
-// Chan and sim.Transport). SetInterceptor arms (nil disarms) the hook;
+// adversary can intercept (both in-process transports: Direct and
+// sim.Transport). SetInterceptor arms (nil disarms) the hook;
 // disarmed it costs one atomic pointer load per call, keeping the
 // honest hot path allocation-free.
 type Interceptable interface {

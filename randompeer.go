@@ -42,6 +42,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
 	"github.com/dht-sampling/randompeer/internal/obs"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -161,9 +162,8 @@ type Testbed struct {
 
 	oracle *dht.Oracle
 	net    *chord.Network
-	view   *chord.DHT
 	knet   *kademlia.Network
-	kview  *kademlia.DHT
+	view   *overlay.DHT // the chord or kademlia network seen from peer 0
 	r      *ring.Ring
 
 	// faults is the always-attached fault plan of transport-backed
@@ -293,7 +293,7 @@ func New(opts ...Option) (*Testbed, error) {
 			return nil, err
 		}
 		tb.knet = net
-		tb.kview = view
+		tb.view = view
 	default:
 		return nil, fmt.Errorf("randompeer: unknown backend %d", cfg.backend)
 	}
@@ -332,14 +332,10 @@ func (tb *Testbed) Latency() LatencySnapshot { return tb.DHT().Meter().Latency()
 // DHT returns the testbed's DHT view (from peer 0 for the Chord and
 // Kademlia backends, which initiates all lookups).
 func (tb *Testbed) DHT() DHT {
-	switch tb.backend {
-	case ChordBackend:
+	if tb.view != nil {
 		return tb.view
-	case KademliaBackend:
-		return tb.kview
-	default:
-		return tb.oracle
 	}
+	return tb.oracle
 }
 
 // Peer returns the peer with the given owner index.
