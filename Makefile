@@ -102,9 +102,11 @@ profile:
 
 # The allocation-budget regression gates alone (they also run as part
 # of `make test`): per-op heap budgets for the oracle, chord and
-# kademlia hot paths, the uniform sampler and one remote wire call.
+# kademlia hot paths, the uniform sampler, one remote wire call and one
+# bare transport Call (simnet.Direct, sim.Transport) with every fabric
+# hook disarmed.
 alloc-check:
-	$(GO) test -run 'TestAllocBudget' -v ./internal/dht/ ./internal/core/ ./internal/chord/ ./internal/kademlia/ ./internal/wire/
+	$(GO) test -run 'TestAllocBudget' -v ./internal/dht/ ./internal/core/ ./internal/chord/ ./internal/kademlia/ ./internal/wire/ ./internal/simnet/ ./internal/sim/
 
 # The shared overlay core's tests alone (they also run as part of `make
 # test` and, counted, under the CI race matrix): seeded slot-arena

@@ -129,6 +129,39 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 }
 
+// TestClusterReprovisionOtherBackend re-provisions live daemons, on the
+// same points and without a restart, from chord to kademlia. Every
+// overlay binds to its transport with one bulk registration, so the
+// daemon's DeregisterAll has to drop the chord one: left in place it is
+// consulted first and answers kademlia RPCs with an app error.
+func TestClusterReprovisionOtherBackend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process cluster test")
+	}
+	c := startCluster(t, 3, wire.WithJitterSeed(11))
+	rng := rand.New(rand.NewPCG(43, 47))
+	r, err := ring.Generate(rng, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range backends {
+		d, err := c.Provision(backend, r.Points())
+		if err != nil {
+			t.Fatalf("provisioning %s: %v", backend, err)
+		}
+		for i := 0; i < 64; i++ {
+			key := ring.Point(rng.Uint64())
+			peer, err := d.H(key)
+			if err != nil {
+				t.Fatalf("%s: h(%v): %v", backend, key, err)
+			}
+			if want := r.At(r.Successor(key)); peer.Point != want {
+				t.Fatalf("%s: h(%v) = %v, ring owner is %v", backend, key, peer.Point, want)
+			}
+		}
+	}
+}
+
 // TestClusterKillRestart pins the daemon lifecycle semantics: an RPC
 // to a node on a killed daemon fails with ErrNodeDead within the retry
 // budget, and after the daemon restarts on the same port (replaying

@@ -8,11 +8,8 @@ import (
 	"time"
 
 	"github.com/dht-sampling/randompeer"
-	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/core"
-	"github.com/dht-sampling/randompeer/internal/kademlia"
-	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/stats"
@@ -196,34 +193,7 @@ func expE26() Experiment {
 				n, events, postSamples = 48, 20, 20
 				gaps = gaps[:2]
 			}
-			type substrate struct {
-				name  string
-				build func(tr *sim.Transport, points []ring.Point) (churn.Overlay, *overlay.DHT, error)
-			}
-			substrates := []substrate{
-				{"chord", func(tr *sim.Transport, points []ring.Point) (churn.Overlay, *overlay.DHT, error) {
-					net, err := chord.BuildStatic(chord.Config{}, tr, points)
-					if err != nil {
-						return nil, nil, err
-					}
-					d, err := net.AsDHT(points[0])
-					if err != nil {
-						return nil, nil, err
-					}
-					return churn.Chord(net), d, nil
-				}},
-				{"kademlia", func(tr *sim.Transport, points []ring.Point) (churn.Overlay, *overlay.DHT, error) {
-					net, err := kademlia.BuildStatic(kademlia.Config{}, tr, points)
-					if err != nil {
-						return nil, nil, err
-					}
-					d, err := net.AsDHT(points[0])
-					if err != nil {
-						return nil, nil, err
-					}
-					return churn.Kademlia(net), d, nil
-				}},
-			}
+			substrates := []string{"chord", "kademlia"}
 			type result struct{ cells []string }
 			results := make([]result, len(substrates)*len(gaps))
 			err = forEach(cfg.workerCount(), len(results), func(idx int) error {
@@ -241,7 +211,7 @@ func expE26() Experiment {
 					sim.WithModel(model),
 					sim.WithStreamSeed(seed+2),
 				)
-				ov, d, err := sub.build(tr, r.Points())
+				ov, d, err := buildOverlay(sub, tr, r.Points())
 				if err != nil {
 					return err
 				}
@@ -316,7 +286,7 @@ func expE26() Experiment {
 					return err
 				}
 				results[idx] = result{cells: []string{
-					sub.name,
+					sub,
 					fmtF(float64(gap) / float64(time.Millisecond)),
 					fmtI(len(run.Events)),
 					fmtI(run.StepErrors),

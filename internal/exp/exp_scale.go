@@ -66,31 +66,9 @@ func RunScaleScenario(backend string, n, events, probes int, gap time.Duration, 
 		sim.WithStreamSeed(seed+2),
 	)
 	buildStart := time.Now()
-	var ov churn.Overlay
-	var d *overlay.DHT
-	switch backend {
-	case "chord":
-		net, err := chord.BuildStatic(chord.Config{}, tr, r.Points())
-		if err != nil {
-			return nil, err
-		}
-		dd, err := net.AsDHT(r.At(0))
-		if err != nil {
-			return nil, err
-		}
-		ov, d = churn.Chord(net), dd
-	case "kademlia":
-		net, err := kademlia.BuildStatic(kademlia.Config{}, tr, r.Points())
-		if err != nil {
-			return nil, err
-		}
-		dd, err := net.AsDHT(r.At(0))
-		if err != nil {
-			return nil, err
-		}
-		ov, d = churn.Kademlia(net), dd
-	default:
-		return nil, fmt.Errorf("exp: unknown scale backend %q", backend)
+	ov, d, err := buildOverlay(backend, tr, r.Points())
+	if err != nil {
+		return nil, err
 	}
 	buildWall := time.Since(buildStart)
 	caller := r.At(0)
@@ -171,6 +149,29 @@ func (r *ScaleResult) OwnerMatchPct() float64 {
 		return 0
 	}
 	return 100 * float64(r.OwnerMatches) / float64(r.OwnerProbes)
+}
+
+// buildOverlay builds a static overlay of the named backend over tr and
+// returns the churn driver's handle on it plus its dht.DHT view from the
+// first point.
+func buildOverlay(backend string, tr simnet.Transport, points []ring.Point) (churn.Overlay, *overlay.DHT, error) {
+	switch backend {
+	case "chord":
+		net, err := chord.BuildStatic(chord.Config{}, tr, points)
+		if err != nil {
+			return nil, nil, err
+		}
+		d, err := net.AsDHT(points[0])
+		return churn.Chord(net), d, err
+	case "kademlia":
+		net, err := kademlia.BuildStatic(kademlia.Config{}, tr, points)
+		if err != nil {
+			return nil, nil, err
+		}
+		d, err := net.AsDHT(points[0])
+		return churn.Kademlia(net), d, err
+	}
+	return nil, nil, fmt.Errorf("exp: unknown backend %q", backend)
 }
 
 // StorageScaleResult is one E30 measurement: the overlay built at n on

@@ -6,14 +6,11 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/core"
-	"github.com/dht-sampling/randompeer/internal/kademlia"
 	"github.com/dht-sampling/randompeer/internal/load"
 	"github.com/dht-sampling/randompeer/internal/loadbalance"
 	"github.com/dht-sampling/randompeer/internal/obs"
-	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/slo"
@@ -93,31 +90,9 @@ func RunSLOScenario(sc SLOScenario) (*SLOResult, error) {
 		sim.WithModel(sc.Model),
 		sim.WithStreamSeed(sc.Seed+2),
 	)
-	var ov churn.Overlay
-	var d *overlay.DHT
-	switch sc.Backend {
-	case "chord":
-		net, err := chord.BuildStatic(chord.Config{}, tr, r.Points())
-		if err != nil {
-			return nil, err
-		}
-		dd, err := net.AsDHT(r.At(0))
-		if err != nil {
-			return nil, err
-		}
-		ov, d = churn.Chord(net), dd
-	case "kademlia":
-		net, err := kademlia.BuildStatic(kademlia.Config{}, tr, r.Points())
-		if err != nil {
-			return nil, err
-		}
-		dd, err := net.AsDHT(r.At(0))
-		if err != nil {
-			return nil, err
-		}
-		ov, d = churn.Kademlia(net), dd
-	default:
-		return nil, fmt.Errorf("exp: unknown SLO backend %q", sc.Backend)
+	ov, d, err := buildOverlay(sc.Backend, tr, r.Points())
+	if err != nil {
+		return nil, err
 	}
 	caller := r.At(0)
 	var churnRun *churn.AsyncRun

@@ -246,9 +246,12 @@ func (tr *scriptedTransport) Call(from, to simnet.NodeID, msg simnet.Message) (s
 }
 
 func (tr *scriptedTransport) Register(simnet.NodeID, simnet.Handler) error { return nil }
-func (tr *scriptedTransport) Deregister(simnet.NodeID)                     {}
-func (tr *scriptedTransport) Meter() *simnet.Meter                         { return &tr.meter }
-func (tr *scriptedTransport) Close() error                                 { return nil }
+func (tr *scriptedTransport) RegisterMulti(func(simnet.NodeID) bool, simnet.MultiHandler) error {
+	return nil
+}
+func (tr *scriptedTransport) Deregister(simnet.NodeID) {}
+func (tr *scriptedTransport) Meter() *simnet.Meter     { return &tr.meter }
+func (tr *scriptedTransport) Close() error             { return nil }
 
 // scriptedNetwork builds a one-node network over a scripted transport:
 // the initiator fuzzID(0) with the given contacts in its table.

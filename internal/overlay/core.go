@@ -101,11 +101,10 @@ func (m Marks) Has(s uint32) bool { return m[s/64]&(1<<(s%64)) != 0 }
 type Core struct {
 	tr    simnet.Transport
 	hooks Hooks
-	// multi records that the transport accepted a bulk registration:
-	// one handler serves every node this network hosts and joins and
-	// crashes cost no per-node transport bookkeeping. Without it the
-	// core falls back to one registered closure per node.
-	multi bool
+	// regErr is set when the transport refused the network's one bulk
+	// registration (a closed transport does); AddNode and BuildStatic
+	// report it.
+	regErr error
 
 	mu      sync.RWMutex
 	stripes [numStripes]sync.RWMutex
@@ -136,13 +135,14 @@ type Core struct {
 	epoch       uint64
 }
 
-// Init binds the core to its transport and overlay, bulk-registering
-// with the transport when it can.
+// Init binds the core to its transport and overlay with one bulk
+// registration: one handler serves every node this network hosts, so
+// joins and crashes cost no transport bookkeeping.
 func (c *Core) Init(tr simnet.Transport, h Hooks) {
 	c.tr, c.hooks = tr, h
 	c.overflow = make(map[ring.Point]uint32)
-	if mr, ok := tr.(simnet.MultiRegistrar); ok {
-		c.multi = mr.RegisterMulti(c.ownsID, c.dispatchAny) == nil
+	if err := tr.RegisterMulti(c.ownsID, c.dispatchAny); err != nil {
+		c.regErr = fmt.Errorf("overlay: registering on the transport: %w", err)
 	}
 }
 
@@ -404,16 +404,6 @@ func (c *Core) dispatchAny(to, from simnet.NodeID, msg simnet.Message) (simnet.M
 	return c.hooks.Handle(s, from, msg)
 }
 
-// idHandler returns the per-node registration closure for transports
-// without bulk registration. It captures the identifier, never the
-// slot: the slot is resolved per call, so slot recycling cannot
-// misroute a stale registration.
-func (c *Core) idHandler(id ring.Point) simnet.Handler {
-	return func(from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-		return c.dispatchAny(simnet.NodeID(id), from, msg)
-	}
-}
-
 // Transport returns the underlying transport (for meters and faults).
 func (c *Core) Transport() simnet.Transport { return c.tr }
 
@@ -452,25 +442,17 @@ func (c *Core) Epoch() uint64 {
 // this is the snapshot length.
 func (c *Core) NumAlive() int { return len(c.Members()) }
 
-// AddNode allocates (or recycles) a slot for id, registers it on the
-// transport when per-node registration is in use, splices it into the
-// live membership and returns the slot.
+// AddNode allocates (or recycles) a slot for id, splices it into the
+// live membership — which is what makes the transport route to it —
+// and returns the slot.
 func (c *Core) AddNode(id ring.Point) (uint32, error) {
-	if !c.multi {
-		// Register before taking the core lock: the transport may
-		// consult its own locks, and registration order is observable
-		// to concurrent callers.
-		if err := c.tr.Register(simnet.NodeID(id), c.idHandler(id)); err != nil {
-			return 0, fmt.Errorf("overlay: registering node %v: %w", id, err)
-		}
+	if c.regErr != nil {
+		return 0, c.regErr
 	}
 	c.mu.Lock()
 	rank, found := ring.Rank(c.members, id)
 	if found {
 		c.mu.Unlock()
-		if !c.multi {
-			c.tr.Deregister(simnet.NodeID(id))
-		}
 		return 0, fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
 	s, ok := c.overflow[id]
@@ -512,26 +494,26 @@ func (c *Core) Crash(id ring.Point) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNodeNotFound, id)
 	}
-	if !c.multi {
-		c.tr.Deregister(simnet.NodeID(id))
-	}
 	return nil
 }
 
 // BuildStatic installs the membership of a static build in one step:
 // the arena is sized once, slot i hosts the i-th point in ring order
 // and starts from the Reset baseline, the points selected by owned (nil
-// owns everything) are marked live and registered on per-node
-// transports, and fill populates the owned ring indices it is handed,
-// one contiguous shard per worker. Slot and ring index coincide, so a
-// fill is pure index arithmetic on (ring, i) with no interning, no
-// locks and no per-node allocation; the shard barrier publishes it and
-// the result is bit-identical at any GOMAXPROCS. The points not owned
+// owns everything) are marked live, and fill populates the owned ring
+// indices it is handed, one contiguous shard per worker. Slot and ring
+// index coincide, so a fill is pure index arithmetic on (ring, i) with
+// no interning, no locks and no per-node allocation; the shard barrier
+// publishes it and the result is bit-identical at any GOMAXPROCS. The
+// points not owned
 // must be hosted by peer processes reachable through the transport (the
 // wire transport routes by node id): per-node state is a pure function
 // of the sorted membership, so the union across processes is
 // bit-identical to the single-process build. The network must be fresh.
 func (c *Core) BuildStatic(points []ring.Point, owned func(ring.Point) bool, fill func(r *ring.Ring, owned []int)) error {
+	if c.regErr != nil {
+		return c.regErr
+	}
 	r, err := ring.New(points)
 	if err != nil {
 		return fmt.Errorf("overlay: building static ring: %w", err)
@@ -550,11 +532,6 @@ func (c *Core) BuildStatic(points []ring.Point, owned func(ring.Point) bool, fil
 			continue
 		}
 		c.alive[s] = true
-		if !c.multi {
-			if err := c.tr.Register(simnet.NodeID(id), c.idHandler(id)); err != nil {
-				return fmt.Errorf("overlay: registering node %v: %w", id, err)
-			}
-		}
 		ownedIdx = append(ownedIdx, i)
 	}
 	c.members = sorted

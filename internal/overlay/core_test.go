@@ -140,10 +140,8 @@ func history(t *testing.T, f *fake, seed uint64) []uint32 {
 				if got := order[len(order)-1]; parked && got != zombie {
 					t.Fatalf("step %d: rejoin of %d took slot %d, its zombie is slot %d", step, id, got, zombie)
 				}
-				// ErrNodeExists, or the transport's duplicate-id error
-				// when nodes register one by one.
-				if _, err := f.AddNode(id); err == nil {
-					t.Fatalf("step %d: second AddNode(%d) succeeded", step, id)
+				if _, err := f.AddNode(id); !errors.Is(err, ErrNodeExists) {
+					t.Fatalf("step %d: second AddNode(%d) = %v, want ErrNodeExists", step, id, err)
 				}
 			}
 		case op < 9: // a live node learns an external contact
@@ -159,8 +157,8 @@ func history(t *testing.T, f *fake, seed uint64) []uint32 {
 		}
 		f.check(t, step)
 	}
-	// Dispatch reaches exactly the live nodes, whichever way they are
-	// registered, and lands on the slot that holds them now.
+	// Dispatch reaches exactly the live nodes and lands on the slot
+	// that holds them now.
 	for _, id := range f.Members() {
 		s, _ := f.LiveSlot(id)
 		resp, err := f.Call(anchor, id, nil)
@@ -179,22 +177,30 @@ func history(t *testing.T, f *fake, seed uint64) []uint32 {
 	return order
 }
 
-// perNode hides Direct's bulk registration, forcing the core onto one
-// registered handler per node (the path wire.Transport takes).
-type perNode struct{ simnet.Transport }
-
-// TestCoreHistories runs the same seeded histories over bulk and
-// per-node registration, twice each: the invariants hold after every
-// step and slot reuse order is a function of the history alone.
+// TestCoreHistories runs each seeded history twice: the invariants hold
+// after every step and slot reuse order is a function of the history
+// alone.
 func TestCoreHistories(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		bulk := history(t, newFake(simnet.NewDirect()), seed)
-		if again := history(t, newFake(simnet.NewDirect()), seed); !slices.Equal(bulk, again) {
+		first := history(t, newFake(simnet.NewDirect()), seed)
+		if again := history(t, newFake(simnet.NewDirect()), seed); !slices.Equal(first, again) {
 			t.Fatalf("seed %d: slot reuse order differs between two runs", seed)
 		}
-		if single := history(t, newFake(perNode{simnet.NewDirect()}), seed); !slices.Equal(bulk, single) {
-			t.Fatalf("seed %d: slot reuse order differs between bulk and per-node registration", seed)
-		}
+	}
+}
+
+// TestCoreRefusedRegistration: a closed transport refuses the network's
+// one bulk registration, and that surfaces where a node would have gone
+// unserved.
+func TestCoreRefusedRegistration(t *testing.T) {
+	tr := simnet.NewDirect()
+	tr.Close()
+	f := newFake(tr)
+	if _, err := f.AddNode(anchor); !errors.Is(err, simnet.ErrClosed) {
+		t.Fatalf("AddNode on a closed transport = %v, want ErrClosed", err)
+	}
+	if err := f.BuildStatic([]ring.Point{1, 2}, nil, func(*ring.Ring, []int) {}); !errors.Is(err, simnet.ErrClosed) {
+		t.Fatalf("BuildStatic on a closed transport = %v, want ErrClosed", err)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
-// Transport is a virtual-clock RPC fabric implementing
-// simnet.Transport: every Call pays a latency drawn from its Model
-// before the destination handler runs, and the round trip is recorded in
-// the meter's latency histogram next to the usual call/message counters.
+// Transport is the simnet.Fabric plus virtual-clock delivery: every
+// Call pays a latency drawn from its Model before the destination
+// handler runs, and the round trip is recorded in the meter's latency
+// histogram next to the usual call/message counters.
 //
 // Bound to a Kernel, a Call made inside a kernel process sleeps on the
 // event queue, so other processes (churn events, maintenance sweeps,
@@ -27,15 +27,10 @@ import (
 // Handlers execute in the calling goroutine with no transport locks
 // held, exactly like simnet.Direct.
 type Transport struct {
-	mu       sync.RWMutex
-	handlers map[simnet.NodeID]simnet.Handler
-	multis   []multiReg
-	closed   bool
-	meter    simnet.Meter
-	faults   *simnet.Faults
-	model    Model
-	stream   *Stream
-	kernel   *Kernel
+	simnet.Fabric
+	model  Model
+	stream *Stream
+	kernel *Kernel
 
 	// constRTT short-circuits constant models on the hot path: no
 	// uniform draw, no interface call. Zero means "not constant".
@@ -44,31 +39,18 @@ type Transport struct {
 	// false keeps the constant-model fast path inlinable in Call.
 	shaped atomic.Bool
 
-	// slow and delay are copy-on-write so the hot path pays one atomic
-	// load when no slowdowns or link delays are installed.
-	slow  atomic.Pointer[map[simnet.NodeID]float64]
-	delay atomic.Pointer[map[[2]simnet.NodeID]time.Duration]
-
-	// trace, when armed, records one obs.Hop per Call. Disarmed it is
-	// one atomic pointer load on the hot path.
-	trace atomic.Pointer[obs.Trace]
-	// byz, when armed, rewrites handler outcomes (Byzantine nodes).
-	// Disarmed it is one atomic pointer load on the hot path.
-	byz atomic.Pointer[simnet.Interceptor]
-}
-
-// multiReg is one bulk registration: an ownership predicate plus the
-// handler serving every owned node (see simnet.MultiRegistrar).
-type multiReg struct {
-	owns func(simnet.NodeID) bool
-	h    simnet.MultiHandler
+	// slow and delay are copy-on-write (writers serialise on shapeMu)
+	// so the hot path pays one atomic load when no slowdowns or link
+	// delays are installed.
+	shapeMu sync.Mutex
+	slow    atomic.Pointer[map[simnet.NodeID]float64]
+	delay   atomic.Pointer[map[[2]simnet.NodeID]time.Duration]
 }
 
 var (
-	_ simnet.Transport      = (*Transport)(nil)
-	_ obs.Traceable         = (*Transport)(nil)
-	_ simnet.Interceptable  = (*Transport)(nil)
-	_ simnet.MultiRegistrar = (*Transport)(nil)
+	_ simnet.Transport     = (*Transport)(nil)
+	_ obs.Traceable        = (*Transport)(nil)
+	_ simnet.Interceptable = (*Transport)(nil)
 )
 
 // TransportOption configures a Transport.
@@ -100,15 +82,14 @@ func WithKernel(k *Kernel) TransportOption {
 // schedule a process that flips SetDead, SetDropRate, SetNodeSlowdown,
 // SetLinkDelay or Partition/Heal at chosen virtual times.
 func WithFaults(f *simnet.Faults) TransportOption {
-	return func(t *Transport) { t.faults = f }
+	return func(t *Transport) { t.Faults = f }
 }
 
 // NewTransport returns a ready-to-use virtual-clock transport.
 func NewTransport(opts ...TransportOption) *Transport {
 	t := &Transport{
-		handlers: make(map[simnet.NodeID]simnet.Handler),
-		model:    Constant{RTT: time.Millisecond},
-		stream:   NewStream(1),
+		model:  Constant{RTT: time.Millisecond},
+		stream: NewStream(1),
 	}
 	for _, opt := range opts {
 		opt(t)
@@ -118,7 +99,7 @@ func NewTransport(opts ...TransportOption) *Transport {
 		// Arm the meter's constant-latency fast lane: successful calls
 		// under an unshaped constant model charge call count and latency
 		// record in one atomic add (see Meter.ChargeConstSuccess).
-		t.meter.ArmConstLatency(c.RTT)
+		t.Meter().ArmConstLatency(c.RTT)
 	}
 	return t
 }
@@ -131,7 +112,7 @@ func (t *Transport) Now() time.Duration {
 	if t.kernel != nil {
 		return t.kernel.Now()
 	}
-	return time.Duration(t.meter.LatencySumNanos())
+	return time.Duration(t.Meter().LatencySumNanos())
 }
 
 // Model returns the transport's latency model.
@@ -141,8 +122,8 @@ func (t *Transport) Model() Model { return t.model }
 // factor (factor 1 removes the slowdown). It models a struggling host —
 // schedule it from a timed kernel process to start or stop mid-run.
 func (t *Transport) SetNodeSlowdown(id simnet.NodeID, factor float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.shapeMu.Lock()
+	defer t.shapeMu.Unlock()
 	old := t.slow.Load()
 	next := make(map[simnet.NodeID]float64)
 	if old != nil {
@@ -167,8 +148,8 @@ func (t *Transport) SetNodeSlowdown(id simnet.NodeID, factor float64) {
 // link from -> to (zero removes it). It models a congested or long
 // route between two specific peers.
 func (t *Transport) SetLinkDelay(from, to simnet.NodeID, extra time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.shapeMu.Lock()
+	defer t.shapeMu.Unlock()
 	old := t.delay.Load()
 	next := make(map[[2]simnet.NodeID]time.Duration)
 	if old != nil {
@@ -191,7 +172,7 @@ func (t *Transport) SetLinkDelay(from, to simnet.NodeID, extra time.Duration) {
 }
 
 // reshape refreshes the fast-path flag after a slowdown or delay
-// change (caller holds t.mu).
+// change (caller holds t.shapeMu).
 func (t *Transport) reshape() {
 	t.shaped.Store(t.slow.Load() != nil || t.delay.Load() != nil)
 }
@@ -225,79 +206,21 @@ func (t *Transport) latencySlow(from, to simnet.NodeID) time.Duration {
 	return d
 }
 
-// Register implements simnet.Transport.
-func (t *Transport) Register(id simnet.NodeID, h simnet.Handler) error {
-	if h == nil {
-		return fmt.Errorf("sim: nil handler for node %d", id)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return simnet.ErrClosed
-	}
-	if _, ok := t.handlers[id]; ok {
-		return fmt.Errorf("%w: %d", simnet.ErrDuplicateID, id)
-	}
-	t.handlers[id] = h
-	return nil
-}
-
-// RegisterMulti implements simnet.MultiRegistrar: h serves every node
-// owns reports as hosted here, with no per-node table entry. Because
-// ownership is consulted only when the message is delivered — after
-// the latency has elapsed — a node crashed while the message is in
-// flight fails the call exactly like a deregistered one.
-func (t *Transport) RegisterMulti(owns func(simnet.NodeID) bool, h simnet.MultiHandler) error {
-	if owns == nil || h == nil {
-		return fmt.Errorf("sim: nil multi registration")
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return simnet.ErrClosed
-	}
-	t.multis = append(t.multis, multiReg{owns: owns, h: h})
-	return nil
-}
-
-// Deregister implements simnet.Transport.
-func (t *Transport) Deregister(id simnet.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.handlers, id)
-}
-
-// SetTrace arms (nil disarms) hop tracing. Traced hops carry both the
-// virtual round trip (from the transport clock) and the wall-clock
-// time the call took to execute. Virtual deltas are per-call accurate
-// for sequential lookups; under a kernel with concurrent processes the
-// clock advances for everyone, so arm traces on quiesced lookups.
-func (t *Transport) SetTrace(tr *obs.Trace) { t.trace.Store(tr) }
-
-// SetInterceptor arms (nil disarms) the Byzantine hook: while armed,
-// every RPC's handler outcome passes through ic before metering and
-// delivery — after the latency has elapsed and the fault plan has let
-// the call through. Disarmed, the hook costs one atomic pointer load.
-func (t *Transport) SetInterceptor(ic simnet.Interceptor) {
-	if ic == nil {
-		t.byz.Store(nil)
-		return
-	}
-	t.byz.Store(&ic)
-}
-
 // Call implements simnet.Transport. The destination is resolved only
 // after the latency has elapsed, so a node deregistered (crashed) while
 // the message is in flight fails the call — asynchronous churn is
 // visible to in-flight RPCs.
 func (t *Transport) Call(from, to simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-	if tr := t.trace.Load(); tr != nil {
+	if tr := t.Trace(); tr != nil {
 		return t.callTraced(tr, from, to, msg)
 	}
 	return t.call(from, to, msg)
 }
 
 // callTraced wraps call with virtual and wall timing plus a hop record.
+// Virtual deltas are per-call accurate for sequential lookups; under a
+// kernel with concurrent processes the clock advances for everyone, so
+// arm traces (SetTrace) on quiesced lookups.
 func (t *Transport) callTraced(tr *obs.Trace, from, to simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
 	startWall := time.Now()
 	startVirt := t.Now()
@@ -313,6 +236,9 @@ func (t *Transport) callTraced(tr *obs.Trace, from, to simnet.NodeID, msg simnet
 	return resp, err
 }
 
+// call is delay → faults → resolve → invoke → charge. The message has
+// travelled by the time anything can fail, so every failure — a closed
+// transport included — charges the meter and records the latency.
 func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
 	lat := t.constRTT
 	konst := lat != 0 && !t.shaped.Load()
@@ -326,50 +252,29 @@ func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message) (simnet.Mes
 			return t.fail(from, to, lat, simnet.ErrClosed)
 		}
 	}
-	if err := t.faults.Check(from, to, msg); err != nil {
+	if err := t.Faults.Check(from, to, msg); err != nil {
 		return t.fail(from, to, lat, err)
 	}
-	t.mu.RLock()
-	closed := t.closed
-	h, ok := t.handlers[to]
-	var mh simnet.MultiHandler
-	if !ok && !closed {
-		for i := range t.multis {
-			if t.multis[i].owns(to) {
-				mh, ok = t.multis[i].h, true
-				break
-			}
-		}
+	dst, err := t.Resolve(to)
+	if err == simnet.ErrClosed {
+		return t.fail(from, to, lat, err)
 	}
-	t.mu.RUnlock()
-	if closed {
-		return t.fail(from, to, lat, simnet.ErrClosed)
+	if err != nil {
+		t.Meter().ChargeFailure()
+		t.Meter().RecordLatency(lat)
+		return nil, fmt.Errorf("%w: %d", err, to)
 	}
-	if !ok {
-		t.meter.ChargeFailure()
-		t.meter.RecordLatency(lat)
-		return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, to)
-	}
-	var resp simnet.Message
-	var err error
-	if mh != nil {
-		resp, err = mh(to, from, msg)
-	} else {
-		resp, err = h(from, msg)
-	}
-	if bz := t.byz.Load(); bz != nil {
-		resp, err = (*bz)(from, to, msg, resp, err)
-	}
+	resp, err := t.Invoke(dst, from, to, msg)
 	if err != nil {
 		return t.fail(from, to, lat, err)
 	}
 	if konst {
 		// Unshaped constant model: one atomic add covers the call count
 		// and the latency record — the same meter traffic Direct pays.
-		t.meter.ChargeConstSuccess()
+		t.Meter().ChargeConstSuccess()
 	} else {
-		t.meter.ChargeSuccess()
-		t.meter.RecordLatency(lat)
+		t.Meter().ChargeSuccess()
+		t.Meter().RecordLatency(lat)
 	}
 	return resp, nil
 }
@@ -377,19 +282,13 @@ func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message) (simnet.Mes
 // fail charges and wraps one failed RPC (a method, not a closure, to
 // keep the hot path allocation-free).
 func (t *Transport) fail(from, to simnet.NodeID, lat time.Duration, err error) (simnet.Message, error) {
-	t.meter.ChargeFailure()
-	t.meter.RecordLatency(lat)
+	t.Meter().ChargeFailure()
+	t.Meter().RecordLatency(lat)
 	return nil, fmt.Errorf("call %d->%d: %w", from, to, err)
 }
 
-// Meter implements simnet.Transport.
-func (t *Transport) Meter() *simnet.Meter { return &t.meter }
-
 // Close implements simnet.Transport.
 func (t *Transport) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.closed = true
-	t.handlers = make(map[simnet.NodeID]simnet.Handler)
+	t.Shut()
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dht-sampling/randompeer/internal/raceflag"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
@@ -43,33 +44,6 @@ func TestTransportContract(t *testing.T) {
 		}
 		if got := tr.Meter().Snapshot().Failures; got != 1 {
 			t.Errorf("failures = %d, want 1", got)
-		}
-	})
-	t.Run("duplicateRegister", func(t *testing.T) {
-		tr := NewTransport()
-		defer tr.Close()
-		if err := tr.Register(1, echoHandler); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Register(1, echoHandler); !errors.Is(err, simnet.ErrDuplicateID) {
-			t.Errorf("err = %v, want ErrDuplicateID", err)
-		}
-		if err := tr.Register(2, nil); err == nil {
-			t.Error("nil handler should fail")
-		}
-	})
-	t.Run("deregister", func(t *testing.T) {
-		tr := NewTransport()
-		defer tr.Close()
-		if err := tr.Register(1, echoHandler); err != nil {
-			t.Fatal(err)
-		}
-		tr.Deregister(1)
-		if _, err := tr.Call(2, 1, "x"); !errors.Is(err, simnet.ErrUnknownNode) {
-			t.Errorf("err = %v, want ErrUnknownNode", err)
-		}
-		if err := tr.Register(1, echoHandler); err != nil {
-			t.Errorf("re-register: %v", err)
 		}
 	})
 	t.Run("close", func(t *testing.T) {
@@ -298,5 +272,29 @@ func TestLatencyHistogramQuantiles(t *testing.T) {
 	delta := m2.Latency().Sub(snap)
 	if delta.Count != 1 || delta.Mean() != 3*time.Millisecond {
 		t.Errorf("delta = count %d mean %v, want 1 and 3ms", delta.Count, delta.Mean())
+	}
+}
+
+// TestAllocBudgetCall pins the disabled-hooks claim on the virtual-clock
+// path: constant model, free-running, fault plan attached but empty,
+// trace and interceptor disarmed — a Call allocates nothing.
+func TestAllocBudgetCall(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	tr := NewTransport(WithFaults(simnet.NewFaults(nil)))
+	defer tr.Close()
+	err := tr.RegisterMulti(func(simnet.NodeID) bool { return true },
+		func(_, _ simnet.NodeID, msg simnet.Message) (simnet.Message, error) { return msg, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg simnet.Message = "x"
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := tr.Call(1, 2, msg); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("sim Transport.Call allocates %v times per call, want 0", got)
 	}
 }

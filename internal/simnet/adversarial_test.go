@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 )
 
@@ -144,60 +143,6 @@ func TestFaultsMessageClassDrop(t *testing.T) {
 	faults.SetMessageDropRate(MessageName(pingMsg{}), 0)
 	if _, err := tr.Call(2, 1, pingMsg{}); err != nil {
 		t.Errorf("after removing rule: %v", err)
-	}
-}
-
-// TestInterceptorBothTransports: an armed interceptor can rewrite a
-// reply or inject a failure; disarming restores honest delivery.
-func TestInterceptorBothTransports(t *testing.T) {
-	t.Parallel()
-	type iTransport interface {
-		Transport
-		Interceptable
-	}
-	for name, mk := range map[string]func() iTransport{
-		"direct": func() iTransport { return NewDirect() },
-	} {
-		name, mk := name, mk
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			tr := mk()
-			defer tr.Close()
-			if err := tr.Register(1, echoHandler); err != nil {
-				t.Fatal(err)
-			}
-			// Rewrite: node 1's replies to node 2 are forged.
-			tr.SetInterceptor(func(from, to NodeID, msg, resp Message, err error) (Message, error) {
-				if from == 2 && to == 1 {
-					return "forged", nil
-				}
-				return resp, err
-			})
-			resp, err := tr.Call(2, 1, "honest")
-			if err != nil || resp != "forged" {
-				t.Errorf("intercepted call = (%v, %v), want (forged, nil)", resp, err)
-			}
-			resp, err = tr.Call(3, 1, "honest")
-			if err != nil || resp != "honest" {
-				t.Errorf("unintercepted call = (%v, %v), want (honest, nil)", resp, err)
-			}
-			// Inject a failure: the meter must charge it as a failure.
-			before := tr.Meter().Snapshot().Failures
-			tr.SetInterceptor(func(from, to NodeID, msg, resp Message, err error) (Message, error) {
-				return nil, fmt.Errorf("censored")
-			})
-			if _, err := tr.Call(2, 1, "x"); err == nil {
-				t.Error("injected failure did not surface")
-			}
-			if got := tr.Meter().Snapshot().Failures; got != before+1 {
-				t.Errorf("failures = %d, want %d", got, before+1)
-			}
-			// Disarm: honest again.
-			tr.SetInterceptor(nil)
-			if resp, err := tr.Call(2, 1, "x"); err != nil || resp != "x" {
-				t.Errorf("disarmed call = (%v, %v), want (x, nil)", resp, err)
-			}
-		})
 	}
 }
 

@@ -2,40 +2,23 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/obs"
 )
 
-// Direct is a synchronous in-process transport: Call invokes the
-// destination handler in the caller's goroutine. It is deterministic,
-// allocation-light and safe for concurrent use, which makes it the
-// default backend for experiments.
+// Direct is a synchronous in-process transport: the Fabric plus inline
+// delivery — Call invokes the destination handler in the caller's
+// goroutine. It is deterministic, allocation-light and safe for
+// concurrent use, which makes it the default backend for experiments.
 type Direct struct {
-	mu       sync.RWMutex
-	handlers map[NodeID]Handler
-	multis   []multiReg
-	closed   bool
-	meter    Meter
-	faults   *Faults
-	trace    atomic.Pointer[obs.Trace]
-	byz      atomic.Pointer[Interceptor]
-}
-
-// multiReg is one bulk registration: an ownership predicate plus the
-// handler serving every owned node.
-type multiReg struct {
-	owns func(NodeID) bool
-	h    MultiHandler
+	Fabric
 }
 
 var (
-	_ Transport      = (*Direct)(nil)
-	_ obs.Traceable  = (*Direct)(nil)
-	_ Interceptable  = (*Direct)(nil)
-	_ MultiRegistrar = (*Direct)(nil)
+	_ Transport     = (*Direct)(nil)
+	_ obs.Traceable = (*Direct)(nil)
+	_ Interceptable = (*Direct)(nil)
 )
 
 // DirectOption configures a Direct transport.
@@ -43,78 +26,22 @@ type DirectOption func(*Direct)
 
 // WithFaults attaches a fault-injection plan.
 func WithFaults(f *Faults) DirectOption {
-	return func(d *Direct) { d.faults = f }
+	return func(d *Direct) { d.Faults = f }
 }
 
 // NewDirect returns a ready-to-use synchronous transport.
 func NewDirect(opts ...DirectOption) *Direct {
-	d := &Direct{handlers: make(map[NodeID]Handler)}
+	d := &Direct{}
 	for _, opt := range opts {
 		opt(d)
 	}
 	return d
 }
 
-// Register implements Transport.
-func (d *Direct) Register(id NodeID, h Handler) error {
-	if h == nil {
-		return fmt.Errorf("simnet: nil handler for node %d", id)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if _, ok := d.handlers[id]; ok {
-		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
-	}
-	d.handlers[id] = h
-	return nil
-}
-
-// RegisterMulti implements MultiRegistrar: h serves every node owns
-// reports as hosted here, with no per-node table entry. Per-node
-// registrations take precedence for ids present in both.
-func (d *Direct) RegisterMulti(owns func(NodeID) bool, h MultiHandler) error {
-	if owns == nil || h == nil {
-		return fmt.Errorf("simnet: nil multi registration")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	d.multis = append(d.multis, multiReg{owns: owns, h: h})
-	return nil
-}
-
-// Deregister implements Transport.
-func (d *Direct) Deregister(id NodeID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.handlers, id)
-}
-
-// SetTrace arms (nil disarms) hop tracing: while armed, every Call
-// records one obs.Hop. Disarmed, the hook costs one atomic pointer
-// load, keeping the sampling hot path allocation-free.
-func (d *Direct) SetTrace(t *obs.Trace) { d.trace.Store(t) }
-
-// SetInterceptor arms (nil disarms) the Byzantine hook: while armed,
-// every RPC's handler outcome passes through ic before metering and
-// delivery. Disarmed, the hook costs one atomic pointer load.
-func (d *Direct) SetInterceptor(ic Interceptor) {
-	if ic == nil {
-		d.byz.Store(nil)
-		return
-	}
-	d.byz.Store(&ic)
-}
-
 // Call implements Transport. The handler runs synchronously with no
 // transport locks held, so handlers may call back into the transport.
 func (d *Direct) Call(from, to NodeID, msg Message) (Message, error) {
-	if tr := d.trace.Load(); tr != nil {
+	if tr := d.Trace(); tr != nil {
 		return d.callTraced(tr, from, to, msg)
 	}
 	return d.call(from, to, msg)
@@ -134,41 +61,22 @@ func (d *Direct) callTraced(tr *obs.Trace, from, to NodeID, msg Message) (Messag
 	return resp, err
 }
 
+// call is resolve → faults → invoke → charge; a closed transport
+// answers ErrClosed uncharged.
 func (d *Direct) call(from, to NodeID, msg Message) (Message, error) {
-	d.mu.RLock()
-	if d.closed {
-		d.mu.RUnlock()
-		return nil, ErrClosed
+	dst, err := d.Resolve(to)
+	if err == ErrClosed {
+		return nil, err
 	}
-	h, ok := d.handlers[to]
-	var mh MultiHandler
-	if !ok {
-		for i := range d.multis {
-			if d.multis[i].owns(to) {
-				mh, ok = d.multis[i].h, true
-				break
-			}
-		}
-	}
-	d.mu.RUnlock()
-	if !ok {
+	if err != nil {
 		d.meter.ChargeFailure()
-		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, to)
+		return nil, fmt.Errorf("%w: %d", err, to)
 	}
-	if err := d.faults.Check(from, to, msg); err != nil {
+	if err := d.Faults.Check(from, to, msg); err != nil {
 		d.meter.ChargeFailure()
 		return nil, fmt.Errorf("call %d->%d: %w", from, to, err)
 	}
-	var resp Message
-	var err error
-	if mh != nil {
-		resp, err = mh(to, from, msg)
-	} else {
-		resp, err = h(from, msg)
-	}
-	if bz := d.byz.Load(); bz != nil {
-		resp, err = (*bz)(from, to, msg, resp, err)
-	}
+	resp, err := d.Invoke(dst, from, to, msg)
 	if err != nil {
 		d.meter.ChargeFailure()
 		return nil, fmt.Errorf("call %d->%d: %w", from, to, err)
@@ -177,14 +85,8 @@ func (d *Direct) call(from, to NodeID, msg Message) (Message, error) {
 	return resp, nil
 }
 
-// Meter implements Transport.
-func (d *Direct) Meter() *Meter { return &d.meter }
-
 // Close implements Transport.
 func (d *Direct) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	d.handlers = make(map[NodeID]Handler)
+	d.Shut()
 	return nil
 }

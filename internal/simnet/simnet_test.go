@@ -62,48 +62,6 @@ func TestTransportUnknownNode(t *testing.T) {
 	}
 }
 
-func TestTransportDuplicateRegister(t *testing.T) {
-	t.Parallel()
-	for name, mk := range newTransports() {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			tr := mk()
-			defer tr.Close()
-			if err := tr.Register(1, echoHandler); err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.Register(1, echoHandler); !errors.Is(err, ErrDuplicateID) {
-				t.Errorf("err = %v, want ErrDuplicateID", err)
-			}
-			if err := tr.Register(2, nil); err == nil {
-				t.Error("nil handler should fail")
-			}
-		})
-	}
-}
-
-func TestTransportDeregister(t *testing.T) {
-	t.Parallel()
-	for name, mk := range newTransports() {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			tr := mk()
-			defer tr.Close()
-			if err := tr.Register(1, echoHandler); err != nil {
-				t.Fatal(err)
-			}
-			tr.Deregister(1)
-			if _, err := tr.Call(2, 1, "x"); !errors.Is(err, ErrUnknownNode) {
-				t.Errorf("err = %v, want ErrUnknownNode", err)
-			}
-			// Re-registering after deregister succeeds.
-			if err := tr.Register(1, echoHandler); err != nil {
-				t.Errorf("re-register: %v", err)
-			}
-		})
-	}
-}
-
 func TestTransportClose(t *testing.T) {
 	t.Parallel()
 	for name, mk := range newTransports() {

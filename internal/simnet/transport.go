@@ -24,6 +24,8 @@ type Transport interface {
 	Call(from, to NodeID, msg Message) (Message, error)
 	// Register attaches a node's handler to the network.
 	Register(id NodeID, h Handler) error
+	// RegisterMulti binds one handler to every node its registrant owns.
+	MultiRegistrar
 	// Deregister detaches a node. Subsequent calls to it fail with
 	// ErrUnknownNode.
 	Deregister(id NodeID)
@@ -41,14 +43,14 @@ type Transport interface {
 // a per-node handler table for multi-registered nodes.
 type MultiHandler func(to, from NodeID, msg Message) (Message, error)
 
-// MultiRegistrar is implemented by transports that can bind a single
-// handler to a dynamic set of nodes at once. owns reports whether the
+// MultiRegistrar is the bulk-registration part of Transport: it binds
+// a single handler to a dynamic set of nodes at once, and it is how
+// overlays register on every transport. owns reports whether the
 // registrant currently hosts a live node with the given id; the
 // transport consults it where it would consult its per-node handler
 // table, so calls to ids the registrant does not own fail with
 // ErrUnknownNode exactly as calls to unregistered nodes do. Per-node
-// Register/Deregister keeps working alongside (and is checked first);
-// overlays fall back to it on transports without this interface.
+// Register/Deregister keeps working alongside (and is checked first).
 //
 // Bulk registration exists for scale: a 10^7-node overlay would
 // otherwise pay a 10^7-entry handler map plus one method-value closure
@@ -79,10 +81,11 @@ var (
 type Interceptor func(from, to NodeID, msg Message, resp Message, err error) (Message, error)
 
 // Interceptable is implemented by transports whose RPCs a Byzantine
-// adversary can intercept (both in-process transports: Direct and
-// sim.Transport). SetInterceptor arms (nil disarms) the hook;
-// disarmed it costs one atomic pointer load per call, keeping the
-// honest hot path allocation-free.
+// adversary can intercept: every transport that embeds Fabric — Direct,
+// sim.Transport and wire.Transport, which rewrites the outcomes of the
+// handlers its own process hosts. SetInterceptor arms (nil disarms) the
+// hook; disarmed it costs one atomic pointer load per call, keeping
+// the honest hot path allocation-free.
 type Interceptable interface {
 	SetInterceptor(Interceptor)
 }

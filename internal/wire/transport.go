@@ -43,13 +43,15 @@ const (
 	DefaultBackoffCap = 400 * time.Millisecond
 )
 
-// Transport is a simnet.Transport whose RPCs travel as frames over
-// persistent TCP connections. Each process runs one Transport: locally
-// registered handlers are served at RPCPath, and Call routes by
-// destination node id — in-process destinations dispatch directly (same
-// semantics as simnet.Direct), remote destinations get a request frame
-// on a connection held for the length of the call, with a per-attempt
-// deadline and bounded retries with jittered exponential backoff.
+// Transport is the simnet.Fabric plus socket delivery: RPCs travel as
+// frames over persistent TCP connections. Each process runs one
+// Transport: locally registered handlers are served at RPCPath, and
+// Call routes by destination node id — in-process destinations dispatch
+// directly (same semantics as simnet.Direct), remote destinations get a
+// request frame on a connection held for the length of the call, with a
+// per-attempt deadline and bounded retries with jittered exponential
+// backoff. An armed interceptor rewrites the outcomes of the handlers
+// this process hosts, for local callers and served RPCs alike.
 //
 // Failure mapping into the simnet taxonomy: a destination with no
 // route or not registered at its owner fails with ErrUnknownNode; an
@@ -60,21 +62,21 @@ const (
 //
 // All methods are safe for concurrent use.
 type Transport struct {
-	mu       sync.RWMutex
-	handlers map[simnet.NodeID]simnet.Handler
-	routes   map[simnet.NodeID]string
-	closed   bool
+	simnet.Fabric
 
-	meter  simnet.Meter
-	faults *simnet.Faults
+	// mu guards the routing table and the server Start installed.
+	mu     sync.RWMutex
+	routes map[simnet.NodeID]string
+	srv    *http.Server
+	lis    net.Listener
+
 	served atomic.Int64
 	stats  wireStats
 
-	// trace, when armed, records one obs.Hop per Call (client side);
 	// tlog, when set, records spans for inbound RPCs carrying a trace
-	// id (server side). Both are one atomic pointer load when unused.
-	trace atomic.Pointer[obs.Trace]
-	tlog  atomic.Pointer[obs.TraceLog]
+	// id (the server side of the fabric's client-side trace hook). One
+	// atomic pointer load when unused.
+	tlog atomic.Pointer[obs.TraceLog]
 
 	callTimeout time.Duration
 	maxRetries  int
@@ -84,9 +86,6 @@ type Transport struct {
 	jmu    sync.Mutex
 	jitter *rand.Rand
 	sleep  func(time.Duration) // test hook; time.Sleep by default
-
-	srv *http.Server
-	lis net.Listener
 
 	// cmu guards the connections the transport owns. Close sets inbound
 	// to nil, which is how a late checkin or upgrade learns of it.
@@ -104,8 +103,9 @@ type conn struct {
 }
 
 var (
-	_ simnet.Transport = (*Transport)(nil)
-	_ obs.Traceable    = (*Transport)(nil)
+	_ simnet.Transport     = (*Transport)(nil)
+	_ obs.Traceable        = (*Transport)(nil)
+	_ simnet.Interceptable = (*Transport)(nil)
 )
 
 // wireStats carries the transport's always-on counters: cheap atomic
@@ -138,7 +138,7 @@ func failIndex(class string) int {
 // chargeFailure records a failed call on both the meter and the
 // per-kind counter.
 func (t *Transport) chargeFailure(err error) {
-	t.meter.ChargeFailure()
+	t.Meter().ChargeFailure()
 	t.stats.fails[failIndex(simnet.ErrorClass(err))].Add(1)
 }
 
@@ -170,7 +170,7 @@ func WithJitterSeed(seed uint64) Option {
 // WithFaults attaches a local fault-injection plan, checked on every
 // outgoing call exactly as simnet.Direct checks it.
 func WithFaults(f *simnet.Faults) Option {
-	return func(t *Transport) { t.faults = f }
+	return func(t *Transport) { t.Faults = f }
 }
 
 // withSleep replaces the backoff sleeper (tests record the schedule
@@ -184,7 +184,6 @@ func withSleep(fn func(time.Duration)) Option {
 // an existing server) before expecting inbound RPCs.
 func NewTransport(opts ...Option) *Transport {
 	t := &Transport{
-		handlers:    make(map[simnet.NodeID]simnet.Handler),
 		routes:      make(map[simnet.NodeID]string),
 		callTimeout: DefaultCallTimeout,
 		maxRetries:  DefaultMaxRetries,
@@ -249,41 +248,6 @@ func (t *Transport) SetRoutes(routes map[simnet.NodeID]string) {
 	t.flushIdle("") // or connections to a peer the new table dropped sit dead in the pool for good
 }
 
-// Register implements simnet.Transport.
-func (t *Transport) Register(id simnet.NodeID, h simnet.Handler) error {
-	if h == nil {
-		return fmt.Errorf("wire: nil handler for node %d", id)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return simnet.ErrClosed
-	}
-	if _, ok := t.handlers[id]; ok {
-		return fmt.Errorf("%w: %d", simnet.ErrDuplicateID, id)
-	}
-	t.handlers[id] = h
-	return nil
-}
-
-// Deregister implements simnet.Transport.
-func (t *Transport) Deregister(id simnet.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.handlers, id)
-}
-
-// DeregisterAll detaches every local handler (used when a daemon is
-// re-provisioned with a fresh overlay partition).
-func (t *Transport) DeregisterAll() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handlers = make(map[simnet.NodeID]simnet.Handler)
-}
-
-// Meter implements simnet.Transport.
-func (t *Transport) Meter() *simnet.Meter { return &t.meter }
-
 // ServedCalls returns the number of inbound RPCs this transport's
 // handler side has served (successfully or not). Outbound accounting
 // lives on the meter, mirroring the in-process transports.
@@ -295,13 +259,10 @@ func (t *Transport) ServedCalls() int64 { return t.served.Load() }
 // subsequent calls with ErrClosed. A peer's call in flight here sees
 // its connection die: ErrNodeDead, not a timeout.
 func (t *Transport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.Shut() {
 		return nil
 	}
-	t.closed = true
-	t.handlers = make(map[simnet.NodeID]simnet.Handler)
+	t.mu.Lock()
 	t.routes = make(map[simnet.NodeID]string)
 	srv := t.srv
 	t.mu.Unlock()
@@ -319,21 +280,18 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// SetTrace arms (nil disarms) client-side hop tracing: while armed,
-// every Call records one obs.Hop, and remote calls carry the trace id
-// in their wire envelope so serving processes log the matching span.
-// Disarmed, the hook is one atomic pointer load.
-func (t *Transport) SetTrace(tr *obs.Trace) { t.trace.Store(tr) }
-
 // SetTraceLog installs the server-side span log: every inbound RPC
 // whose envelope carries a trace id records the hop this process
 // observed (handler wall time, outcome class). The daemon queries the
 // log through /v1/trace?id=N.
 func (t *Transport) SetTraceLog(l *obs.TraceLog) { t.tlog.Store(l) }
 
-// Call implements simnet.Transport.
+// Call implements simnet.Transport. While a trace is armed (SetTrace)
+// every Call records one client-side obs.Hop, and remote calls carry
+// the trace id in their wire envelope so serving processes log the
+// matching span.
 func (t *Transport) Call(from, to simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-	tr := t.trace.Load()
+	tr := t.Trace()
 	if tr == nil {
 		resp, _, _, err := t.call(from, to, msg, 0)
 		return resp, err
@@ -352,40 +310,41 @@ func (t *Transport) Call(from, to simnet.NodeID, msg simnet.Message) (simnet.Mes
 	return resp, err
 }
 
-// call is the body of Call: one logical RPC, dispatched in-process or
-// over the network. It reports whether the destination was remote and
-// how many network attempts the call consumed (0 for local dispatch),
-// and records the wall round trip of every success into the meter's
-// latency histogram — which is what the wire_rpc_duration_seconds
-// metric exposes, so histogram count reconciles with meter calls by
-// construction.
+// call is the body of Call — resolve → faults → local invoke | remote:
+// one logical RPC, dispatched in-process or over the network; a closed
+// transport answers ErrClosed uncharged. It reports whether the
+// destination was remote and how many network attempts the call
+// consumed (0 for local dispatch), and records the wall round trip of
+// every success into the meter's latency histogram — which is what the
+// wire_rpc_duration_seconds metric exposes, so histogram count
+// reconciles with meter calls by construction.
 func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message, traceID uint64) (simnet.Message, bool, int, error) {
-	t.mu.RLock()
-	closed := t.closed
-	h := t.handlers[to]
-	addr := t.routes[to]
-	t.mu.RUnlock()
-	if closed {
-		return nil, false, 0, simnet.ErrClosed
+	dst, err := t.Resolve(to)
+	if err == simnet.ErrClosed {
+		return nil, false, 0, err
 	}
-	if err := t.faults.Check(from, to, msg); err != nil {
+	local := err == nil // else nobody here hosts it: the routing table decides
+	if err := t.Faults.Check(from, to, msg); err != nil {
 		t.chargeFailure(err)
 		return nil, false, 0, fmt.Errorf("call %d->%d: %w", from, to, err)
 	}
-	if h != nil {
+	if local {
 		// In-process destination: dispatch directly, exactly like
 		// simnet.Direct (no transport locks held during the handler).
 		t.stats.localCalls.Add(1)
 		start := time.Now()
-		resp, err := h(from, msg)
+		resp, err := t.Invoke(dst, from, to, msg)
 		if err != nil {
 			t.chargeFailure(err)
 			return nil, false, 0, fmt.Errorf("call %d->%d: %w", from, to, err)
 		}
-		t.meter.ChargeSuccess()
-		t.meter.RecordLatency(time.Since(start))
+		t.Meter().ChargeSuccess()
+		t.Meter().RecordLatency(time.Since(start))
 		return resp, false, 0, nil
 	}
+	t.mu.RLock()
+	addr := t.routes[to]
+	t.mu.RUnlock()
 	if addr == "" {
 		t.chargeFailure(simnet.ErrUnknownNode)
 		return nil, true, 0, fmt.Errorf("call %d->%d: %w", from, to, simnet.ErrUnknownNode)
@@ -397,8 +356,8 @@ func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message, traceID uin
 		t.chargeFailure(err)
 		return nil, true, attempts, err
 	}
-	t.meter.ChargeSuccess()
-	t.meter.RecordLatency(time.Since(start))
+	t.Meter().ChargeSuccess()
+	t.Meter().RecordLatency(time.Since(start))
 	return resp, true, attempts, nil
 }
 
@@ -679,21 +638,18 @@ func (t *Transport) serveRPC(req *frame) frame {
 
 // dispatchRPC is the untraced body of serveRPC.
 func (t *Transport) dispatchRPC(req *frame) frame {
-	t.mu.RLock()
-	closed := t.closed
-	h := t.handlers[simnet.NodeID(req.to)]
-	t.mu.RUnlock()
-	if closed {
-		return errFrame(kindClosed, simnet.ErrClosed.Error())
+	dst, err := t.Resolve(simnet.NodeID(req.to))
+	if err == simnet.ErrClosed {
+		return errFrame(kindClosed, err.Error())
 	}
-	if h == nil {
+	if err != nil {
 		return errFrame(kindUnknownNode, fmt.Sprintf("no node %d here", req.to))
 	}
 	msg, err := decodeMessage(req.name, req.body)
 	if err != nil {
 		return errFrame(kindApp, err.Error())
 	}
-	resp, err := h(simnet.NodeID(req.from), msg)
+	resp, err := t.Invoke(dst, simnet.NodeID(req.from), simnet.NodeID(req.to), msg)
 	if err != nil {
 		return errFrame(simnet.ErrorClass(err), err.Error())
 	}
@@ -751,7 +707,7 @@ func (t *Transport) RegisterMetrics(r *obs.Registry) {
 	r.HistogramFunc("wire_rpc_duration_seconds",
 		"Wall round-trip time of successful outbound RPCs.",
 		func() obs.HistSnapshot {
-			l := t.meter.Latency()
+			l := t.Meter().Latency()
 			return obs.HistSnapshot{Count: l.Count, SumNanos: l.SumNanos, Buckets: l.Buckets}
 		})
 }

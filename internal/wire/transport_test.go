@@ -295,18 +295,6 @@ func TestCloseSemantics(t *testing.T) {
 	}
 }
 
-func TestDuplicateRegister(t *testing.T) {
-	t.Parallel()
-	tr := NewTransport()
-	defer tr.Close()
-	if err := tr.Register(1, echoHandler); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Register(1, echoHandler); !errors.Is(err, simnet.ErrDuplicateID) {
-		t.Fatalf("duplicate register = %v, want ErrDuplicateID", err)
-	}
-}
-
 // recordBackoffs drives a full retry schedule against a dead port and
 // returns the recorded backoff delays.
 func recordBackoffs(t *testing.T, seed uint64, retries int) []time.Duration {
