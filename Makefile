@@ -33,14 +33,14 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Key benchmarks as a smoke test (one iteration each, with allocation
-# counts): the headline single-sample cost, the batch engine at n=1e6
-# across worker counts, the cross-backend lookup-cost comparison
+# counts): the headline single-sample cost, the batch engine at one
+# and two workers on every backend, the cross-backend lookup-cost comparison
 # (oracle/chord/kademlia), the virtual-clock transport overhead on the
 # sampling hot path, the kernel event-loop dispatch paths, bulk overlay
 # construction, the async churn driver, one handler-side FIND_NODE
 # selection, and one wire RPC between two transports over loopback.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkUniformSample|BenchmarkBatchThroughput|BenchmarkLookupCostBackends|BenchmarkSimTransportOverhead|BenchmarkKernelEventLoop|BenchmarkBuildStatic' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkUniformSample|BenchmarkBatchScaling|BenchmarkLookupCostBackends|BenchmarkSimTransportOverhead|BenchmarkKernelEventLoop|BenchmarkBuildStatic' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkAsyncChurn' -benchtime=100x -benchmem ./internal/churn/
 	$(GO) test -run '^$$' -bench 'BenchmarkClosestIntoSlot' -benchtime=1000x -benchmem ./internal/kademlia/
 	$(GO) test -run '^$$' -bench 'BenchmarkWireRemoteCall' -benchtime=2000x -benchmem ./internal/wire/
@@ -96,7 +96,7 @@ vuln:
 # CPU and allocation profiles of the batch-sampling hot path. Inspect
 # with: go tool pprof -top cpu.pprof  (or mem.pprof; -http=: for flames)
 profile:
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchThroughput/workers=1' -benchtime 5x \
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchScaling/oracle/workers=1' -benchtime 5x \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -benchmem .
 	@echo "wrote cpu.pprof and mem.pprof; view with: go tool pprof -top cpu.pprof"
 

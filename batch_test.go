@@ -2,8 +2,13 @@ package randompeer
 
 import (
 	"context"
+	"math/bits"
+	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"github.com/dht-sampling/randompeer/internal/core"
+	"github.com/dht-sampling/randompeer/internal/dht"
 )
 
 // TestSampleNFacadeDeterminism: the facade batch API must reproduce the
@@ -71,6 +76,71 @@ func TestSampleNFacadeTallyAndCost(t *testing.T) {
 	}
 	if res.Cost.Calls < k {
 		t.Fatalf("batch charged only %d calls for %d samples", res.Cost.Calls, k)
+	}
+}
+
+// lanelessDHT forwards dht.DHT and nothing else, so a sampler over it
+// sees no dht.Laner and charges every H and Next to the shared meter —
+// the accounting SampleN had before lanes, kept as the reference.
+type lanelessDHT struct{ dht.DHT }
+
+// TestSampleNLaneCostIdentity: on the oracle the cost model is an
+// identity between two layers' counters — the meter (internal/dht) must
+// read ceil(log2 n) calls for every trial and one for every next step
+// the samplers (internal/core) counted, two messages a call — and it
+// must hold exactly at any worker count although every block's fork
+// sums its cost in a private lane: a lane left unflushed shows up as
+// missing calls. Peers, tally, effort and cost must also equal those of
+// a run that cannot take lanes at all.
+func TestSampleNLaneCostIdentity(t *testing.T) {
+	t.Parallel()
+	const n, k, batchSeed = 5000, 6000, 41
+	tb, err := New(WithPeers(n), WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := tb.UniformSampler(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tb.DHT().(dht.Laner); !ok {
+		t.Fatal("the oracle testbed's DHT offers no lanes")
+	}
+	self, err := tb.Peer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	laneless, err := core.New(lanelessDHT{tb.DHT()}, self, rand.New(rand.NewPCG(12, 12)), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := tb.SampleN(context.Background(), laneless, k, WithWorkers(1), WithBatchSeed(batchSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hops := int64(bits.Len(uint(n - 1))) // ceil(log2 n)
+	for _, workers := range []int{1, 2, 8} {
+		got, err := tb.SampleN(context.Background(), s, k, WithWorkers(workers), WithBatchSeed(batchSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := hops*got.Effort.Trials + got.Effort.Steps; got.Cost.Calls != want || got.Cost.Messages != 2*want {
+			t.Errorf("workers=%d: cost %+v, want %d calls (%d·%d trials + %d steps) and twice as many messages",
+				workers, got.Cost, want, hops, got.Effort.Trials, got.Effort.Steps)
+		}
+		if got.Effort != ref.Effort || got.Cost != ref.Cost {
+			t.Errorf("workers=%d: effort %+v cost %+v, laneless reference %+v %+v", workers, got.Effort, got.Cost, ref.Effort, ref.Cost)
+		}
+		for i := range ref.Peers {
+			if got.Peers[i] != ref.Peers[i] {
+				t.Fatalf("workers=%d: peer %d is %+v, laneless reference %+v", workers, i, got.Peers[i], ref.Peers[i])
+			}
+		}
+		for owner := range ref.Tally {
+			if got.Tally[owner] != ref.Tally[owner] {
+				t.Fatalf("workers=%d: tally[%d] = %d, laneless reference %d", workers, owner, got.Tally[owner], ref.Tally[owner])
+			}
+		}
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"github.com/dht-sampling/randompeer/internal/collect"
 	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/dht"
-	"github.com/dht-sampling/randompeer/internal/engine"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
 	"github.com/dht-sampling/randompeer/internal/loadbalance"
 	"github.com/dht-sampling/randompeer/internal/randgraph"
@@ -77,41 +76,53 @@ func BenchmarkUniformSample(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchThroughput measures the concurrent sampling engine on
-// the million-peer oracle backend at 1/2/4/8 workers, reporting
-// samples/sec. On a multi-core machine throughput scales with workers
-// (the per-block forks share no mutable state and the cost meter is
-// sharded); cmd/benchsnap records the same measurement into the
-// committed BENCH_<pr>.json trajectory.
+// BenchmarkBatchScaling measures Testbed.SampleN at one and two workers
+// on every backend, reporting samples/sec: n = 10^6 on the oracle, the
+// repository benchmark's n = 16384 on the overlays. On the oracle each
+// block's exclusive fork sums its cost in a private lane, so the workers
+// share no written cache line and the two-worker rate is close to twice
+// the one-worker rate on a two-core machine. The overlays have no lane:
+// every RPC takes the call fabric's and the overlay core's read locks
+// and charges the shared meter, and two workers are no faster than one
+// (ROADMAP's "resolve a destination once per call" lead). cmd/benchsnap
+// records the oracle measurement into the committed BENCH_<pr>.json
+// trajectory.
 //
-// batch must stay well above workers*engine.DefaultBlockSize — the
-// engine clamps workers to the block count, so a small batch would
-// silently measure fewer workers than the sub-benchmark name claims —
-// and large enough that drawing samples, not zeroing the per-worker
+// k must stay well above workers*engine.DefaultBlockSize — the engine
+// clamps workers to the block count, so a small batch would silently
+// measure fewer workers than the sub-benchmark name claims — and, on the
+// oracle, large enough that drawing samples, not zeroing the per-worker
 // million-owner tallies, dominates each op.
-func BenchmarkBatchThroughput(b *testing.B) {
-	const n = 1_000_000
-	const batch = 16384
-	o := benchOracle(b, n)
-	rng := rand.New(rand.NewPCG(21, 21))
-	s, err := core.New(o, o.PeerByIndex(0), rng, core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				_, err := engine.SampleN(context.Background(), s, batch, engine.Config{
-					Workers: w, Seed: uint64(i), Owners: o.Owners(), TallyOnly: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+func BenchmarkBatchScaling(b *testing.B) {
+	for _, tc := range []struct {
+		backend Backend
+		n, k    int
+	}{
+		{OracleBackend, 1_000_000, 1 << 16},
+		{ChordBackend, 16384, 1 << 14},
+		{KademliaBackend, 16384, 1 << 14},
+	} {
+		b.Run(tc.backend.String(), func(b *testing.B) {
+			tb, err := New(WithPeers(tc.n), WithSeed(21), WithBackend(tc.backend))
+			if err != nil {
+				b.Fatal(err)
 			}
-			elapsed := time.Since(start)
-			b.ReportMetric(float64(batch)*float64(b.N)/elapsed.Seconds(), "samples/sec")
+			s, err := tb.UniformSampler(21)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, w := range []int{1, 2} {
+				b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						_, err := tb.SampleN(context.Background(), s, tc.k,
+							WithWorkers(w), WithBatchSeed(uint64(i)), WithTallyOnly())
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(tc.k)*float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
+				})
+			}
 		})
 	}
 }

@@ -1,6 +1,8 @@
 // Command benchdiff compares two committed benchmark snapshots
 // (BENCH_<pr>.json, written by cmd/benchsnap) and prints the
 // per-worker-count deltas — samples/sec, ns/sample and allocs/sample —
+// an absolute floor on the newer snapshot's two-worker batch speedup
+// (skipped, with the reason printed, for a snapshot taken on one CPU),
 // plus the scenario-scale sections: kernel events/sec (proc and
 // callback paths), per-backend construction peers/sec, async-churn
 // events/sec, the per-backend flat-storage capacity records (heap
@@ -164,6 +166,7 @@ type Run struct {
 	SamplesPerSec   float64  `json:"samples_per_sec"`
 	NsPerSample     *float64 `json:"ns_per_sample"`
 	AllocsPerSample *float64 `json:"allocs_per_sample"`
+	SpeedupVs1      float64  `json:"speedup_vs_1"`
 }
 
 // Transp is the sim-transport overhead record of a snapshot.
@@ -264,6 +267,23 @@ func run(args []string) int {
 				fmt.Sprintf("%s regressed %.1f%% (%.2f -> %.2f)", name, 100*(newV/oldV-1), oldV, newV))
 		}
 	}
+	// Batch scaling is gated on the newer snapshot alone: BENCH_12 to 17
+	// all recorded two workers slower than one, and a PR-over-PR ratio
+	// of two equally inverted snapshots reads 1.00x.
+	for _, nr := range newSnap.Runs {
+		if nr.Workers != 2 || nr.SpeedupVs1 <= 0 {
+			continue
+		}
+		if newSnap.NumCPU < 2 {
+			fmt.Printf("batch scaling gate skipped: %s was measured on %d CPU, where two workers cannot run side by side\n", newPath, newSnap.NumCPU)
+			continue
+		}
+		fmt.Printf("%-28s  %14s  %14.2f  (floor %.1f)\n", "batch speedup, 2 workers", "", nr.SpeedupVs1, scalingFloor)
+		if nr.SpeedupVs1 < scalingFloor {
+			regressions = append(regressions,
+				fmt.Sprintf("batch sampling does not scale: 2 workers run %.2fx one worker on %d CPUs, floor %.1fx", nr.SpeedupVs1, newSnap.NumCPU, scalingFloor))
+		}
+	}
 	if oldSnap.Kernel != nil && newSnap.Kernel != nil {
 		check("kernel proc events/sec", oldSnap.Kernel.ProcEventsPerSec, newSnap.Kernel.ProcEventsPerSec)
 		check("kernel callback events/sec", oldSnap.Kernel.CallbackEventsPerSec, newSnap.Kernel.CallbackEventsPerSec)
@@ -353,6 +373,13 @@ func run(args []string) int {
 // gate tolerates before failing (wall-clock measurements are noisy;
 // anything beyond 10% is treated as a real regression).
 const regressionTolerance = 0.10
+
+// scalingFloor is the least speedup_vs_1 the newer snapshot's two-worker
+// run may record on a machine with two or more CPUs. The oracle batch is
+// CPU-bound and its forks share no written memory, so the measured value
+// is 1.9 or more; 1.5 leaves room for a noisy neighbour and none for the
+// 0.8 that contended cost counters produced.
+const scalingFloor = 1.5
 
 // optional renders a metric the snapshot may predate.
 func optional(v *float64, format string) string {

@@ -151,6 +151,37 @@ func TestBenchdiffSLOGateFailsOnMetFlip(t *testing.T) {
 	}
 }
 
+// scalingSnap is a snapshot whose two-worker run recorded the given
+// speedup over one worker on a machine with the given CPU count.
+func scalingSnap(numCPU int, speedup float64) string {
+	return `{
+  "benchmark": "batch-throughput", "num_cpu": ` + strconv.Itoa(numCPU) + `, "peers": 1000, "samples_per_run": 100,
+  "runs": [{"workers": 1, "samples_per_sec": 50000, "speedup_vs_1": 1},
+    {"workers": 2, "samples_per_sec": ` + strconv.FormatFloat(50000*speedup, 'f', -1, 64) + `,
+     "speedup_vs_1": ` + strconv.FormatFloat(speedup, 'f', -1, 64) + `}]
+}`
+}
+
+// TestBenchdiffBatchScalingFloor: the two-worker speedup is gated on the
+// newer snapshot alone, so inverse scaling fails even against an older
+// snapshot that was just as inverted, and a one-CPU snapshot, where the
+// workers cannot run side by side, skips the gate.
+func TestBenchdiffBatchScalingFloor(t *testing.T) {
+	dir := t.TempDir()
+	inverted := write(t, dir, "inverted.json", scalingSnap(2, 0.8))
+	scaling := write(t, dir, "scaling.json", scalingSnap(2, 1.9))
+	oneCPU := write(t, dir, "onecpu.json", scalingSnap(1, 0.97))
+	if code := run([]string{inverted, scaling}); code != 0 {
+		t.Fatalf("exit = %d, want 0 for a 1.9x two-worker speedup on 2 CPUs", code)
+	}
+	if code := run([]string{inverted, inverted}); code != 1 {
+		t.Fatalf("exit = %d, want 1 for a 0.8x two-worker speedup on 2 CPUs, unchanged PR over PR", code)
+	}
+	if code := run([]string{scaling, oneCPU}); code != 0 {
+		t.Fatalf("exit = %d, want 0: a one-CPU snapshot skips the scaling gate", code)
+	}
+}
+
 func TestBenchdiffEnvMismatchDetection(t *testing.T) {
 	same := &Snapshot{GoVersion: "go1.24.0", NumCPU: 8, GOMAXPROCS: 8}
 	if ms := envMismatches(same, same); len(ms) != 0 {

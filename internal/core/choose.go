@@ -78,8 +78,10 @@ type Trace struct {
 // own Fork (or use the batch engine, which forks per block).
 //
 // A sampler obtained from ForkExclusive trades the contract away: it is
-// confined to one goroutine and draws from its RNG with no locking at
-// all, which is what the batch engine hands each block of work.
+// confined to one goroutine, draws from its RNG with no locking at all
+// and, over a DHT that offers lanes (dht.Laner), keeps the cost of a
+// Sample call off the shared meter until the call returns — which is
+// what the batch engine hands each block of work.
 type Sampler struct {
 	d   dht.DHT
 	cfg Config
@@ -94,6 +96,10 @@ type Sampler struct {
 	// unshared marks a ForkExclusive sampler: confined to a single
 	// goroutine, so rng is used without taking mu.
 	unshared bool
+	// lane, when non-nil, stands in for d on an unshared sampler: the
+	// same answers, with the cost of one Sample call charged to d's
+	// meter in one piece when the call returns.
+	lane dht.Lane
 
 	samples atomic.Int64
 	trials  atomic.Int64
@@ -165,15 +171,24 @@ func (s *Sampler) Fork(seed uint64) (dht.Sampler, error) {
 // ForkExclusive is Fork for a fork that will be confined to a single
 // goroutine: the returned sampler draws the same random stream as
 // Fork(seed) — results are bit-identical — but skips the RNG mutex on
-// every trial. Sharing an exclusive fork between goroutines is a data
-// race. The batch engine prefers this over Fork because each block of
-// work runs on exactly one worker.
+// every trial and, when the DHT offers lanes, sums the cost of each
+// Sample call privately and charges the shared meter once as the call
+// returns, so a meter reading is exact whenever no Sample is in flight.
+// Sharing an exclusive fork between goroutines is a data race. The
+// batch engine prefers this over Fork because each block of work runs
+// on exactly one worker.
 func (s *Sampler) ForkExclusive(seed uint64) (dht.Sampler, error) {
 	f, err := s.Fork(seed)
 	if err != nil {
 		return nil, err
 	}
-	f.(*Sampler).unshared = true
+	fs := f.(*Sampler)
+	fs.unshared = true
+	if l, ok := s.d.(dht.Laner); ok {
+		if lane, ok := l.Lane(); ok {
+			fs.lane = lane
+		}
+	}
 	return f, nil
 }
 
@@ -229,6 +244,9 @@ func (s *Sampler) Sample() (dht.Peer, error) {
 func (s *Sampler) SampleTraced() (dht.Peer, Trace, error) {
 	var trace Trace
 	p, err := s.sampleInto(&trace)
+	if s.lane != nil {
+		s.lane.Flush()
+	}
 	if err == nil {
 		s.samples.Add(1)
 	}
@@ -243,6 +261,10 @@ func (s *Sampler) SampleTraced() (dht.Peer, Trace, error) {
 // per-trial state in locals, so a successful sample allocates nothing.
 func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 	lambda := s.params.Lambda
+	d := s.d
+	if s.lane != nil {
+		d = s.lane
+	}
 	for trial := 1; trial <= s.cfg.MaxTrials; trial++ {
 		trace.Trials = trial
 		var start ring.Point
@@ -253,7 +275,7 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 			start = ring.Point(s.rng.Uint64())
 			s.mu.Unlock()
 		}
-		first, err := s.d.H(start)
+		first, err := d.H(start)
 		if err != nil {
 			return dht.Peer{}, fmt.Errorf("core: h(%v): %w", start, err)
 		}
@@ -272,7 +294,7 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 				trace.Pruned++
 				break
 			}
-			next, err := s.d.Next(cur)
+			next, err := d.Next(cur)
 			if err != nil {
 				return dht.Peer{}, fmt.Errorf("core: next(%v): %w", cur.Point, err)
 			}

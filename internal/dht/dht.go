@@ -50,6 +50,31 @@ type DHT interface {
 	Meter() *simnet.Meter
 }
 
+// Lane is a single-goroutine view of a DHT: H and Next answer exactly as
+// the DHT's own do, but their cost accumulates in the lane, off the
+// shared Meter, until Flush charges it there in one piece. The holder
+// must call Flush before anyone reads the Meter for the work done so
+// far; core's exclusive fork does so on every exit of Sample, so the
+// Meter is exact whenever no Sample is in flight. Sharing a lane
+// between goroutines is a data race.
+type Lane interface {
+	DHT
+	// Flush charges the cost accumulated since the last Flush to the
+	// DHT's Meter.
+	Flush()
+}
+
+// Laner is the optional capability of a DHT that can account H and Next
+// privately per caller. The shared Meter's counters are contended cache
+// lines once several goroutines charge them (see simnet.Meter), and a
+// sample charges about a hundred times, so a sampler confined to one
+// goroutine takes a lane when its DHT offers one.
+type Laner interface {
+	// Lane returns a fresh lane, or false when this DHT cannot offer one
+	// in its current configuration.
+	Lane() (Lane, bool)
+}
+
 // ErrUnknownPeer is returned by Next when the given peer is not a member
 // of the DHT.
 var ErrUnknownPeer = errors.New("dht: unknown peer")

@@ -30,7 +30,10 @@ type Oracle struct {
 	stream *sim.Stream
 }
 
-var _ DHT = (*Oracle)(nil)
+var (
+	_ DHT   = (*Oracle)(nil)
+	_ Laner = (*Oracle)(nil)
+)
 
 // NewOracle builds an oracle DHT over the given ring; peer i owns point i.
 func NewOracle(r *ring.Ring) *Oracle {
@@ -106,18 +109,35 @@ func (o *Oracle) chargeLatency(hops int64) {
 func (o *Oracle) H(x ring.Point) (Peer, error) {
 	o.meter.Charge(o.hops, 2*o.hops)
 	o.chargeLatency(o.hops)
-	i := o.ring.Successor(x)
-	return o.peerAt(i), nil
+	return o.lookup(x), nil
 }
 
 // Next implements DHT. It charges one RPC (2 messages).
+func (o *Oracle) Next(p Peer) (Peer, error) {
+	q, err := o.successor(p)
+	if err != nil {
+		return Peer{}, err
+	}
+	o.meter.Charge(1, 2)
+	o.chargeLatency(1)
+	return q, nil
+}
+
+// lookup resolves h(x) and charges nothing; H and a lane's H both
+// answer with it.
+func (o *Oracle) lookup(x ring.Point) Peer {
+	return o.peerAt(o.ring.Successor(x))
+}
+
+// successor resolves next(p) and charges nothing; Next and a lane's Next
+// both answer with it.
 //
 // The index of p is recovered without a search whenever possible: with
 // one point per owner (the common case) a peer's Owner IS its ring
 // index, verified with one array load. Every walk step of every sample
 // lands here, and the binary search this skips was the single hottest
 // block of the batch-sampling profile.
-func (o *Oracle) Next(p Peer) (Peer, error) {
+func (o *Oracle) successor(p Peer) (Peer, error) {
 	i := -1
 	if o.owners == nil && p.Owner >= 0 && p.Owner < o.ring.Len() && o.ring.At(p.Owner) == p.Point {
 		i = p.Owner
@@ -127,9 +147,44 @@ func (o *Oracle) Next(p Peer) (Peer, error) {
 	if i < 0 {
 		return Peer{}, fmt.Errorf("%w: no peer at %v", ErrUnknownPeer, p.Point)
 	}
-	o.meter.Charge(1, 2)
-	o.chargeLatency(1)
 	return o.peerAt(o.ring.NextIndex(i)), nil
+}
+
+// Lane implements Laner. An oracle with SimulateLatency armed offers
+// none: every synthetic hop there advances the one clock and draws from
+// the one latency stream, in call order, and a private counter would
+// only move the cheap half of that shared state.
+func (o *Oracle) Lane() (Lane, bool) {
+	if o.model != nil {
+		return nil, false
+	}
+	return &oracleLane{Oracle: o}, true
+}
+
+// oracleLane is the oracle's Lane: the same ring and owners, the
+// synthetic cost summed in a plain field until Flush.
+type oracleLane struct {
+	*Oracle
+	calls int64 // unflushed RPC round trips, 2 messages each
+}
+
+func (l *oracleLane) H(x ring.Point) (Peer, error) {
+	l.calls += l.hops
+	return l.lookup(x), nil
+}
+
+func (l *oracleLane) Next(p Peer) (Peer, error) {
+	q, err := l.successor(p)
+	if err != nil {
+		return Peer{}, err
+	}
+	l.calls++
+	return q, nil
+}
+
+func (l *oracleLane) Flush() {
+	l.meter.Charge(l.calls, 2*l.calls)
+	l.calls = 0
 }
 
 // Size implements DHT.

@@ -13,8 +13,9 @@
 // never *what* the block draws — the multiset (and, position by
 // position, the sequence) of sampled peers is a pure function of the
 // seed and k. Per-worker tallies are merged once at the end, so the
-// hot loop writes only worker-private memory plus the DHT's sharded
-// cost meter.
+// hot loop writes only worker-private memory plus whatever the fork
+// charges the DHT's shared cost meter: once a sample for an exclusive
+// fork over a DHT that offers lanes (the oracle), once an RPC otherwise.
 //
 // Samplers that cannot fork (for example core.AutoSampler, whose
 // refresh schedule is inherently shared state) are still supported:

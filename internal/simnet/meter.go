@@ -19,13 +19,14 @@ import (
 
 // meterShards is the number of independently updated counter shards in a
 // Meter. It must be a power of two (shard selection masks a random
-// word). 16 shards keep charge contention negligible up to dozens of
-// concurrently sampling goroutines.
+// word). Every charge picks one at random, so 16 shards cut the chance
+// that two charges in flight meet on one cache line to 1/16; they do not
+// keep any writer off any line (see Meter).
 const meterShards = 16
 
 // meterShard is one stripe of counters, padded out to two cache lines so
-// that concurrent writers on different shards never share a line (false
-// sharing is exactly the contention the striping exists to remove).
+// that writers on different shards never share a line (adjacent shards
+// on one line would put back the collisions the striping spreads out).
 //
 // Messages are not stored directly: every completed RPC is exactly one
 // request plus one reply (2 messages per call) and every failed RPC
@@ -50,13 +51,25 @@ type meterShard struct {
 // a transport with no latency accounting at all — and Snapshot, Latency
 // and LatencySumNanos fold the lane back into the derived totals.
 //
-// It is the hot-path cost sink of the
-// whole testbed: every h lookup, successor chase and simulated RPC
-// charges it, so under a concurrent sampling engine it is written from
-// many goroutines at once. Counters are striped across meterShards
-// cache-line-padded shards updated with atomics; a charge picks a shard
-// with a cheap per-thread random draw, so concurrent writers almost
-// never contend on a cache line.
+// It is the cost sink of the whole testbed: every h lookup, successor
+// chase and simulated RPC charges it, so under a concurrent sampling
+// engine it is written from many goroutines at once. Counters are
+// striped across meterShards cache-line-padded shards updated with
+// atomics, and a charge picks its shard with a cheap per-thread random
+// draw. That spreads contention; it does not remove it. Every goroutine
+// writes every shard in turn, so with two or more writers each line's
+// last writer is usually another core and the atomic add has to fetch
+// it: measured on two cores, two batch workers charging about 92 times
+// a sample ran at 0.8 to 0.98 times the rate of one (BENCH_12 to 17),
+// where two goroutines that share nothing run at 1.9 times. Nothing
+// portable pins a goroutine to a shard — a stack-address hash put both
+// workers on one line in some layouts, a sync.Pool-pinned shard cost
+// every single-goroutine charge 10-15 ns — so the meter stays as it is
+// and hot callers stay off it: a caller confined to one goroutine that
+// charges many times per operation (the batch engine's per-block forks)
+// must sum its cost privately and charge once per operation, which is
+// what a dht.Lane is for. Callers that charge once or a few times per
+// lock-taking RPC (the transports) charge directly.
 //
 // Concurrency contract: all methods are safe for unsynchronized
 // concurrent use. Snapshot and Reset sum (respectively zero) the shards
@@ -83,9 +96,12 @@ type Cost struct {
 	Failures int64
 }
 
-// shard picks a stripe for the calling goroutine. math/rand/v2's global
-// functions draw from a lock-free per-thread generator, so this costs a
-// few nanoseconds and never serializes callers.
+// shard picks a stripe at random. math/rand/v2's global functions draw
+// from a lock-free per-thread generator, so the pick costs a few
+// nanoseconds and never serializes callers — but it is a fresh pick per
+// charge, not a home per goroutine: concurrent writers collide on a line
+// with probability 1/meterShards per charge and, worse, keep taking each
+// other's lines over. See Meter for who must not charge per call.
 func (m *Meter) shard() *meterShard {
 	return &m.shards[rand.Uint32()&(meterShards-1)]
 }
