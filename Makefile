@@ -10,7 +10,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: all build test race vet fmt-check bench bench-kernel bench-smoke bench-snapshot benchdiff cluster-smoke slo-report staticcheck vuln profile alloc-check storage-check examples clean
+.PHONY: all build test race vet fmt-check backend-switch-check bench bench-kernel bench-smoke bench-snapshot benchdiff cluster-smoke slo-report staticcheck vuln profile alloc-check storage-check examples clean
 
 all: build test
 
@@ -31,6 +31,18 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# A backend name becomes a network in exactly one place
+# (internal/overlays.Build); everything above holds the overlay.Network
+# handle. This fails when a switch arm on backend identity reappears in
+# a non-test Go file outside the builder and Backend.String (bench/ is
+# the frozen benchmark module and keeps its own).
+backend-switch-check:
+	@out=$$(grep -rnE 'case "(chord|kademlia)"|case (randompeer\.)?(Chord|Kademlia)Backend' --include='*.go' . \
+		| grep -v -e '_test\.go:' -e '^\./bench/' -e '^\./internal/overlays/' \
+		| grep -v -E '^\./randompeer\.go:[0-9]+:[[:space:]]case (Chord|Kademlia)Backend:$$'); \
+	if [ -n "$$out" ]; then \
+		echo "per-backend switch outside internal/overlays and Backend.String:"; echo "$$out"; exit 1; fi
 
 # Key benchmarks as a smoke test (one iteration each, with allocation
 # counts): the headline single-sample cost, the batch engine at one

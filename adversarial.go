@@ -98,7 +98,7 @@ func (tb *Testbed) InstallAdversary(spec string, seed uint64, exclude ...int) (*
 	if err != nil {
 		return nil, err
 	}
-	if tb.backend != ChordBackend && tb.backend != KademliaBackend {
+	if tb.net == nil {
 		return nil, fmt.Errorf("randompeer: adversary requires a transport-backed backend (chord or kademlia), not %s", tb.backend)
 	}
 	excludePoints := []Point{tb.r.At(0)}
@@ -118,32 +118,20 @@ func (tb *Testbed) InstallAdversary(spec string, seed uint64, exclude ...int) (*
 	if kind == adversary.Eclipse {
 		cfg.Victim = tb.r.At(tb.n / 2)
 	}
-	var members []Point
-	var install func(plan *adversary.Plan, t simnet.Interceptable)
-	var t simnet.Transport
-	switch tb.backend {
-	case ChordBackend:
-		members = tb.net.Members()
-		t = tb.net.Transport()
-		install = func(plan *adversary.Plan, it simnet.Interceptable) {
-			it.SetInterceptor(plan.ChordInterceptor())
-		}
-	case KademliaBackend:
-		members = tb.knet.Members()
-		t = tb.knet.Transport()
-		install = func(plan *adversary.Plan, it simnet.Interceptable) {
-			it.SetInterceptor(plan.KademliaInterceptor())
-		}
-	}
+	t := tb.net.Transport()
 	it, ok := t.(simnet.Interceptable)
 	if !ok {
 		return nil, fmt.Errorf("randompeer: transport %T does not support Byzantine interception", t)
 	}
-	plan, err := adversary.New(members, cfg)
+	plan, err := adversary.New(tb.net.Members(), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("randompeer: compiling adversary: %w", err)
 	}
-	install(plan, it)
+	lies, err := plan.Interceptor(tb.net)
+	if err != nil {
+		return nil, fmt.Errorf("randompeer: %w", err)
+	}
+	it.SetInterceptor(lies)
 	return &Adversary{tb: tb, plan: plan}, nil
 }
 
@@ -182,12 +170,7 @@ func (a *Adversary) Victim() (Peer, error) {
 		return Peer{}, fmt.Errorf("randompeer: %s attack has no victim", a.Kind())
 	}
 	v := a.plan.Victim()
-	for i := 0; i < a.tb.n; i++ {
-		if a.tb.r.At(i) == v {
-			return Peer{Point: v, Owner: i}, nil
-		}
-	}
-	return Peer{Point: v, Owner: -1}, nil
+	return Peer{Point: v, Owner: a.tb.r.IndexOf(v)}, nil
 }
 
 // EclipseFraction measures the attack's capture of the victim's
@@ -196,27 +179,12 @@ func (a *Adversary) Victim() (Peer, error) {
 // subverted nodes. Run maintenance sweeps first to give the attack its
 // window; near-zero without them.
 func (a *Adversary) EclipseFraction() (float64, error) {
-	switch a.tb.backend {
-	case ChordBackend:
-		return a.plan.EclipseChord(a.tb.net)
-	case KademliaBackend:
-		return a.plan.EclipseKademlia(a.tb.knet)
-	}
-	return 0, fmt.Errorf("randompeer: no eclipse measurement for backend %s", a.tb.backend)
+	return a.plan.Eclipse(a.tb.net)
 }
 
 // Remove disarms the attack, restoring honest RPC delivery.
 func (a *Adversary) Remove() {
-	var t simnet.Transport
-	switch a.tb.backend {
-	case ChordBackend:
-		t = a.tb.net.Transport()
-	case KademliaBackend:
-		t = a.tb.knet.Transport()
-	default:
-		return
-	}
-	if it, ok := t.(simnet.Interceptable); ok {
+	if it, ok := a.tb.net.Transport().(simnet.Interceptable); ok {
 		it.SetInterceptor(nil)
 	}
 }
@@ -244,25 +212,18 @@ func (tb *Testbed) SwapSampler(seed uint64, vantages int) (Sampler, error) {
 	}
 	views := make([]dht.DHT, 0, vantages)
 	for _, i := range tb.SwapVantages(vantages) {
-		switch tb.backend {
-		case ChordBackend:
-			v, err := tb.net.AsDHT(tb.r.At(i))
-			if err != nil {
-				return nil, fmt.Errorf("randompeer: swap vantage %d: %w", i, err)
-			}
-			views = append(views, v)
-		case KademliaBackend:
-			v, err := tb.knet.AsDHT(tb.r.At(i))
-			if err != nil {
-				return nil, fmt.Errorf("randompeer: swap vantage %d: %w", i, err)
-			}
-			views = append(views, v)
-		default:
+		if tb.net == nil {
 			// The oracle has one global view; the audit degenerates to
 			// agreement-with-itself, which keeps the sampler available
 			// for apples-to-apples comparisons.
 			views = append(views, tb.oracle)
+			continue
 		}
+		v, err := tb.net.AsDHT(tb.r.At(i))
+		if err != nil {
+			return nil, fmt.Errorf("randompeer: swap vantage %d: %w", i, err)
+		}
+		views = append(views, v)
 	}
 	rng := rand.New(rand.NewPCG(seed, seed^0x9b05688c2b3e6c1f))
 	// Key-split skew of 1/64 mean arc keeps the honest false-rejection

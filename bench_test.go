@@ -2,8 +2,7 @@ package randompeer
 
 // Benchmark harness: one testing.B benchmark per experiment table or
 // figure series of the reproduction (see DESIGN.md section 4 for the
-// experiment index and EXPERIMENTS.md for recorded results). Run all of
-// them with:
+// experiment index). Run all of them with:
 //
 //	go test -bench=. -benchmem
 //

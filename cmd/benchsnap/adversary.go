@@ -97,12 +97,7 @@ func measureAdversary(seed uint64) ([]AdversaryBench, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch backend {
-		case randompeer.ChordBackend:
-			etb.ChordNetwork().RunMaintenance(6, 8)
-		case randompeer.KademliaBackend:
-			etb.KademliaNetwork().RunMaintenance(6)
-		}
+		etb.Network().Maintain(6, 8)
 		capture, err := adv.EclipseFraction()
 		if err != nil {
 			return nil, err

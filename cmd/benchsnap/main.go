@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/dht-sampling/randompeer"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 )
 
 // Run is one timed configuration. NsPerSample and AllocsPerSample
@@ -157,7 +158,7 @@ func run(args []string) int {
 		}
 	}
 	if *sloOn {
-		snap.SLO, err = measureSLO([]string{"chord", "kademlia"}, *seed)
+		snap.SLO, err = measureSLO(overlays.Names, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchsnap:", err)
 			return 1

@@ -10,7 +10,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/exp"
-	"github.com/dht-sampling/randompeer/internal/kademlia"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -195,40 +195,30 @@ func measureKernel(pr3Ref float64) *KernelBench {
 // measureBuilds times bulk construction per backend.
 func measureBuilds(chordN, kadN int, seed uint64) ([]BuildBench, error) {
 	var out []BuildBench
-	one := func(backend string, n int, build func(points []ring.Point) error) error {
-		fmt.Fprintf(os.Stderr, "benchsnap: building %s at n=%d...\n", backend, n)
-		rng := rand.New(rand.NewPCG(seed, seed+uint64(n)))
-		r, err := ring.Generate(rng, n)
+	for _, sc := range []struct {
+		name string
+		n    int
+	}{{"chord", chordN}, {"kademlia", kadN}} {
+		fmt.Fprintf(os.Stderr, "benchsnap: building %s at n=%d...\n", sc.name, sc.n)
+		rng := rand.New(rand.NewPCG(seed, seed+uint64(sc.n)))
+		r, err := ring.Generate(rng, sc.n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		points := r.Points()
 		runtime.GC()
 		start := time.Now()
-		if err := build(points); err != nil {
-			return err
+		if _, err := overlays.Build(sc.name, overlays.Config{}, simnet.NewDirect(), points, nil); err != nil {
+			return nil, err
 		}
 		wall := time.Since(start)
 		out = append(out, BuildBench{
-			Backend: backend, Peers: n,
+			Backend: sc.name, Peers: sc.n,
 			WallMS:      float64(wall.Microseconds()) / 1000,
-			PeersPerSec: float64(n) / wall.Seconds(),
+			PeersPerSec: float64(sc.n) / wall.Seconds(),
 		})
 		fmt.Fprintf(os.Stderr, "benchsnap: %s n=%d built in %.2fs (%.0f peers/sec, %d workers)\n",
-			backend, n, wall.Seconds(), float64(n)/wall.Seconds(), runtime.GOMAXPROCS(0))
-		return nil
-	}
-	if err := one("chord", chordN, func(points []ring.Point) error {
-		_, err := chord.BuildStatic(chord.Config{}, simnet.NewDirect(), points)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := one("kademlia", kadN, func(points []ring.Point) error {
-		_, err := kademlia.BuildStatic(kademlia.Config{}, simnet.NewDirect(), points)
-		return err
-	}); err != nil {
-		return nil, err
+			sc.name, sc.n, wall.Seconds(), float64(sc.n)/wall.Seconds(), runtime.GOMAXPROCS(0))
 	}
 	return out, nil
 }

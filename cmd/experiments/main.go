@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure-series of the
-// King–Saia reproduction (experiments E1-E28, indexed in DESIGN.md).
+// King–Saia reproduction (experiments E1-E30, indexed in DESIGN.md).
 // The substrate experiments enumerate randompeer.Backends(), so a new
 // DHT backend shows up in their tables without any change here.
 //

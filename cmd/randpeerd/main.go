@@ -36,6 +36,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand/v2"
@@ -50,12 +51,12 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/cluster"
 	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
 	"github.com/dht-sampling/randompeer/internal/obs"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 	"github.com/dht-sampling/randompeer/internal/wire"
@@ -296,48 +297,24 @@ func (d *daemon) handleProvision(w http.ResponseWriter, r *http.Request) {
 	d.tr.SetRoutes(routes)
 	d.view, d.joinVia, d.owned, d.backend = nil, nil, nil, ""
 
-	owned := func(p ring.Point) bool { return ownedSet[p] }
-	switch req.Backend {
-	case "chord":
-		net, err := chord.BuildStaticPartition(chord.Config{}, d.tr, points, owned)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "provision: %v", err)
-			return
+	cfg := overlays.Config{Kademlia: kademlia.Config{BucketSize: req.Bucket, Alpha: req.Alpha}}
+	net, err := overlays.Build(req.Backend, cfg, d.tr, points, func(p ring.Point) bool { return ownedSet[p] })
+	if err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, overlays.ErrUnknownBackend) {
+			code = http.StatusBadRequest
 		}
-		d.joinVia = func(id, bootstrap ring.Point) error {
-			_, err := net.JoinVia(id, bootstrap)
-			return err
-		}
-		if len(req.Owned) > 0 {
-			view, err := net.AsDHT(ring.Point(req.Owned[0]))
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, "provision: %v", err)
-				return
-			}
-			d.view = view
-		}
-	case "kademlia":
-		cfg := kademlia.Config{BucketSize: req.Bucket, Alpha: req.Alpha}
-		net, err := kademlia.BuildStaticPartition(cfg, d.tr, points, owned)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "provision: %v", err)
-			return
-		}
-		d.joinVia = func(id, bootstrap ring.Point) error {
-			_, err := net.JoinVia(id, bootstrap)
-			return err
-		}
-		if len(req.Owned) > 0 {
-			view, err := net.AsDHT(ring.Point(req.Owned[0]))
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, "provision: %v", err)
-				return
-			}
-			d.view = view
-		}
-	default:
-		httpError(w, http.StatusBadRequest, "provision: unknown backend %q", req.Backend)
+		httpError(w, code, "provision: %v", err)
 		return
+	}
+	d.joinVia = net.JoinVia
+	if len(req.Owned) > 0 {
+		view, err := net.AsDHT(ring.Point(req.Owned[0]))
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "provision: %v", err)
+			return
+		}
+		d.view = view
 	}
 	d.backend = req.Backend
 	d.owned = toPoints(req.Owned)

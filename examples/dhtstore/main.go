@@ -62,7 +62,7 @@ func main() {
 		}
 		crashed++
 	}
-	net.RunMaintenance(10, 16)
+	net.Maintain(10, 16)
 	fmt.Printf("crashed %d nodes abruptly, ring repaired: %v\n",
 		crashed, net.VerifyRing() == nil)
 
@@ -83,7 +83,7 @@ func main() {
 		if err := net.Leave(id); err != nil {
 			log.Fatal(err)
 		}
-		net.RunMaintenance(1, 16)
+		net.Maintain(1, 16)
 		left++
 	}
 	lost = 0

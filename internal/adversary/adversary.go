@@ -21,8 +21,8 @@
 //   - Eclipse: the same lies, but served only to one victim, including
 //     poisoned successor-list and FIND_NODE replies during the victim's
 //     maintenance — the coalition gradually captures the victim's
-//     fingers or k-buckets. EclipseChord/EclipseKademlia measure the
-//     captured fraction of the victim's routing state.
+//     fingers or k-buckets. Plan.Eclipse measures the captured fraction
+//     of the victim's routing state.
 //   - Censor: subverted nodes fail every sampling-relevant RPC
 //     (routing, lookup and pointer queries) with in-flight drops,
 //     raising the sampler's failure rate without biasing what survives.
@@ -35,10 +35,12 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
@@ -119,17 +121,8 @@ func New(members []ring.Point, cfg Config) (*Plan, error) {
 	if cfg.Fraction < 0 || cfg.Fraction > 1 {
 		return nil, fmt.Errorf("adversary: fraction %v outside [0,1]", cfg.Fraction)
 	}
-	if cfg.Kind == Eclipse {
-		found := false
-		for _, m := range members {
-			if m == cfg.Victim {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("adversary: eclipse victim %d not in membership", cfg.Victim)
-		}
+	if cfg.Kind == Eclipse && !slices.Contains(members, cfg.Victim) {
+		return nil, fmt.Errorf("adversary: eclipse victim %d not in membership", cfg.Victim)
 	}
 	excluded := make(map[ring.Point]bool, len(cfg.Exclude)+1)
 	for _, p := range cfg.Exclude {
@@ -231,8 +224,20 @@ func (p *Plan) pick(to simnet.NodeID) func(ring.Point, int) ring.Point {
 	}
 }
 
-// ChordInterceptor compiles the plan for a chord overlay. Install it
-// with the transport's SetInterceptor.
+// Interceptor compiles the plan for net's protocol — the lies are
+// protocol messages, so this is the one place above the overlays that
+// tells them apart. Install it with the transport's SetInterceptor.
+func (p *Plan) Interceptor(net overlay.Network) (simnet.Interceptor, error) {
+	switch net.(type) {
+	case *chord.Network:
+		return p.ChordInterceptor(), nil
+	case *kademlia.Network:
+		return p.KademliaInterceptor(), nil
+	}
+	return nil, fmt.Errorf("adversary: no interceptor for overlay %T", net)
+}
+
+// ChordInterceptor compiles the plan for a chord overlay.
 func (p *Plan) ChordInterceptor() simnet.Interceptor {
 	return func(from, to simnet.NodeID, msg, resp simnet.Message, err error) (simnet.Message, error) {
 		if len(p.coll) == 0 || !p.lies(from, to) {
@@ -288,24 +293,15 @@ func (p *Plan) PoisonedFraction(entries []ring.Point) float64 {
 	return float64(bad) / float64(len(entries))
 }
 
-// EclipseChord measures the captured fraction of the victim's chord
-// routing state (successor list plus fingers).
-func (p *Plan) EclipseChord(net *chord.Network) (float64, error) {
-	nd, err := net.Node(p.victim)
-	if err != nil {
-		return 0, err
+// Eclipse measures the captured fraction of the victim's routing state
+// on any overlay: its outgoing edges (chord's successor list plus
+// fingers, kademlia's k-bucket contacts) that point at subverted nodes.
+func (p *Plan) Eclipse(net overlay.Network) (float64, error) {
+	s, ok := net.LiveSlot(p.victim)
+	if !ok {
+		return 0, fmt.Errorf("adversary: eclipse victim %v: %w", p.victim, overlay.ErrNodeNotFound)
 	}
-	return p.PoisonedFraction(nd.Neighbors()), nil
-}
-
-// EclipseKademlia measures the captured fraction of the victim's
-// k-bucket contacts.
-func (p *Plan) EclipseKademlia(net *kademlia.Network) (float64, error) {
-	nd, err := net.Node(p.victim)
-	if err != nil {
-		return 0, err
-	}
-	return p.PoisonedFraction(nd.Contacts()), nil
+	return p.PoisonedFraction(net.Neighbors(s)), nil
 }
 
 // splitmix64 is the finalizer-style mixer behind every deterministic

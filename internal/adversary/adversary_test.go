@@ -8,6 +8,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/adversary"
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
@@ -54,6 +55,27 @@ func mustPlan(t *testing.T, members []ring.Point, cfg adversary.Config) *adversa
 		t.Fatal(err)
 	}
 	return p
+}
+
+// mustInterceptor compiles the plan through the by-handle entry point,
+// so the eclipse tests also check that it picks net's own protocol.
+func mustInterceptor(t *testing.T, p *adversary.Plan, net overlay.Network) simnet.Interceptor {
+	t.Helper()
+	lies, err := p.Interceptor(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lies
+}
+
+func TestInterceptorUnknownOverlay(t *testing.T) {
+	t.Parallel()
+	net, _, _ := buildChord(t, 1)
+	plan := mustPlan(t, net.Members(), adversary.Config{Kind: adversary.Censor, Fraction: 0.25, Seed: 1})
+	// Not one of the protocols the plan can lie in.
+	if lies, err := plan.Interceptor(struct{ overlay.Network }{net}); err == nil || lies != nil {
+		t.Fatalf("Interceptor over an unknown overlay type = (%v, %v), want an error", lies != nil, err)
+	}
 }
 
 func TestPlanSelectionDeterministic(t *testing.T) {
@@ -237,7 +259,7 @@ func TestRouteBiasKademlia(t *testing.T) {
 	}
 }
 
-func TestEclipseChord(t *testing.T) {
+func TestEclipseCaptureChord(t *testing.T) {
 	t.Parallel()
 	net, r, tr := buildChord(t, 300)
 	victim := r.At(testN / 2)
@@ -248,13 +270,13 @@ func TestEclipseChord(t *testing.T) {
 	if plan.Contains(victim) {
 		t.Fatal("victim must never be subverted")
 	}
-	before, err := plan.EclipseChord(net)
+	before, err := plan.Eclipse(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.(simnet.Interceptable).SetInterceptor(plan.ChordInterceptor())
-	net.RunMaintenance(8, 8)
-	after, err := plan.EclipseChord(net)
+	tr.(simnet.Interceptable).SetInterceptor(mustInterceptor(t, plan, net))
+	net.Maintain(8, 8)
+	after, err := plan.Eclipse(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,18 +298,18 @@ func TestEclipseChord(t *testing.T) {
 	}
 }
 
-func TestEclipseKademlia(t *testing.T) {
+func TestEclipseCaptureKademlia(t *testing.T) {
 	t.Parallel()
 	net, r, tr := buildKademlia(t, 400)
 	victim := r.At(testN / 2)
 	plan := mustPlan(t, net.Members(), adversary.Config{
 		Kind: adversary.Eclipse, Fraction: 0.25, Seed: 8, Victim: victim,
 	})
-	before, err := plan.EclipseKademlia(net)
+	before, err := plan.Eclipse(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.(simnet.Interceptable).SetInterceptor(plan.KademliaInterceptor())
+	tr.(simnet.Interceptable).SetInterceptor(mustInterceptor(t, plan, net))
 	// Full k-buckets resist insertion (Kademlia keeps old live
 	// contacts), so the attack needs eviction pressure: crash a slice
 	// of honest bystanders, then let maintenance refill the freed
@@ -303,8 +325,8 @@ func TestEclipseKademlia(t *testing.T) {
 		}
 		crashed++
 	}
-	net.RunMaintenance(8)
-	after, err := plan.EclipseKademlia(net)
+	net.Maintain(8, 0)
+	after, err := plan.Eclipse(net)
 	if err != nil {
 		t.Fatal(err)
 	}

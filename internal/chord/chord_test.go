@@ -126,15 +126,15 @@ func TestJoinGrowsRing(t *testing.T) {
 	for i := 1; i < 48; i++ {
 		id := ring.Point(rng.Uint64())
 		via := ids[rng.IntN(len(ids))]
-		if _, err := net.Join(id, via); err != nil {
+		if err := net.Join(id, via); err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
 		ids = append(ids, id)
 		// A few rounds after each join keep the ring near-perfect, which
 		// mirrors Chord's steady-state assumption.
-		net.RunMaintenance(2, 4)
+		net.Maintain(2, 4)
 	}
-	net.RunMaintenance(8, 16)
+	net.Maintain(8, 16)
 	if err := net.VerifyRing(); err != nil {
 		t.Fatalf("ring not converged after joins: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestJoinGrowsRing(t *testing.T) {
 func TestJoinDuplicateFails(t *testing.T) {
 	t.Parallel()
 	net, r := newStatic(t, 13, 8)
-	if _, err := net.Join(r.At(3), r.At(0)); !errors.Is(err, ErrNodeExists) {
+	if err := net.Join(r.At(3), r.At(0)); !errors.Is(err, ErrNodeExists) {
 		t.Errorf("err = %v, want ErrNodeExists", err)
 	}
 }
@@ -165,7 +165,7 @@ func TestCrashAndRepair(t *testing.T) {
 		}
 		crashed[id] = true
 	}
-	net.RunMaintenance(12, 16)
+	net.Maintain(12, 16)
 	if err := net.VerifyRing(); err != nil {
 		t.Fatalf("ring not repaired after crashes: %v", err)
 	}
@@ -207,7 +207,7 @@ func TestConsecutiveCrashWithinSuccessorListRepairs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net.RunMaintenance(12, 16)
+	net.Maintain(12, 16)
 	if err := net.VerifyRing(); err != nil {
 		t.Fatalf("ring not repaired after %d consecutive crashes: %v", 7, err)
 	}
@@ -300,7 +300,7 @@ func TestVerifyFingers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net.RunMaintenance(8, 16)
+	net.Maintain(8, 16)
 	if err := net.VerifyRing(); err != nil {
 		t.Fatalf("ring not repaired: %v", err)
 	}
@@ -412,7 +412,7 @@ func TestAdapterRefreshOwnersAfterChurn(t *testing.T) {
 	if err := net.Crash(r.At(8)); err != nil {
 		t.Fatal(err)
 	}
-	net.RunMaintenance(6, 8)
+	net.Maintain(6, 8)
 	d.RefreshOwners()
 	if d.Size() != 15 {
 		t.Errorf("Size after crash = %d, want 15", d.Size())
@@ -460,7 +460,7 @@ func TestSuccessorOnlyRouting(t *testing.T) {
 		t.Errorf("fingerless mean hops = %v, outside Theta(n/r) band", meanHops)
 	}
 	// Maintenance with fingers disabled must not re-enable them.
-	net.RunMaintenance(2, 4)
+	net.Maintain(2, 4)
 	nd, err := net.Node(r.At(0))
 	if err != nil {
 		t.Fatal(err)
@@ -567,13 +567,13 @@ func TestMembersEpochSnapshotRace(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			members := net.Members()
 			if wrng.IntN(2) == 0 {
-				_, _ = net.Join(ring.Point(wrng.Uint64()), members[wrng.IntN(len(members))])
+				_ = net.Join(ring.Point(wrng.Uint64()), members[wrng.IntN(len(members))])
 			} else if len(members) > 8 {
 				if victim := members[wrng.IntN(len(members))]; victim != r.At(0) {
 					_ = net.Crash(victim)
 				}
 			}
-			net.RunMaintenance(1, 4)
+			net.Maintain(1, 4)
 		}
 		close(stop)
 	}()

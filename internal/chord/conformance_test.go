@@ -114,7 +114,7 @@ func TestChordWireJoinVia(t *testing.T) {
 	}
 	joinNet := chord.NewNetwork(chord.Config{}, client)
 	joiner := ring.Point(points[3] + 5) // between two existing points
-	if _, err := joinNet.JoinVia(joiner, points[0]); err != nil {
+	if err := joinNet.JoinVia(joiner, points[0]); err != nil {
 		t.Fatalf("JoinVia over wire: %v", err)
 	}
 	// The joiner resolves owners among the original members through its

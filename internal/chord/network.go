@@ -60,6 +60,8 @@ type Network struct {
 	stores  map[uint32]map[ring.Point][]byte
 }
 
+var _ overlay.Network = (*Network)(nil)
+
 // Chord error conditions.
 var (
 	ErrNodeExists    = overlay.ErrNodeExists
@@ -103,13 +105,13 @@ func (n *Network) Create(id ring.Point) (*Node, error) {
 // Join adds a node to the ring through the existing node via, per the
 // Chord join protocol: resolve the new node's successor with a lookup,
 // adopt its successor list, and let stabilization integrate the rest.
-func (n *Network) Join(id, via ring.Point) (*Node, error) {
+func (n *Network) Join(id, via ring.Point) error {
 	if _, ok := n.LiveSlot(id); ok {
-		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
+		return fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
 	succ, err := n.Lookup(via, id)
 	if err != nil {
-		return nil, fmt.Errorf("chord: join of %v via %v: %w", id, via, err)
+		return fmt.Errorf("chord: join of %v via %v: %w", id, via, err)
 	}
 	return n.finishJoin(id, succ)
 }
@@ -119,23 +121,23 @@ func (n *Network) Join(id, via ring.Point) (*Node, error) {
 // through bootstrap over the transport (LookupVia) instead of
 // initiating at a local node. It is the join path wire-transport
 // daemons use.
-func (n *Network) JoinVia(id, bootstrap ring.Point) (*Node, error) {
+func (n *Network) JoinVia(id, bootstrap ring.Point) error {
 	if _, ok := n.LiveSlot(id); ok {
-		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
+		return fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
 	succ, err := n.LookupVia(id, bootstrap, id)
 	if err != nil {
-		return nil, fmt.Errorf("chord: join of %v via remote %v: %w", id, bootstrap, err)
+		return fmt.Errorf("chord: join of %v via remote %v: %w", id, bootstrap, err)
 	}
 	return n.finishJoin(id, succ)
 }
 
 // finishJoin integrates a freshly resolved joiner below its successor:
 // register the node, adopt the successor's list, and announce.
-func (n *Network) finishJoin(id, succ ring.Point) (*Node, error) {
+func (n *Network) finishJoin(id, succ ring.Point) error {
 	nd, err := n.Create(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var tail []ring.Point
 	if resp, err := n.Call(id, succ, succListReq{}); err == nil {
@@ -149,7 +151,7 @@ func (n *Network) finishJoin(id, succ ring.Point) (*Node, error) {
 		// will repair via the successor list.
 		nd.advanceSuccessor(succ)
 	}
-	return nd, nil
+	return nil
 }
 
 // Lookup resolves the successor of key, initiated at node from, using
@@ -333,23 +335,23 @@ func (n *Network) CheckPredecessor(id ring.Point) error {
 	return nil
 }
 
-// RunMaintenance executes the given number of synchronous maintenance
-// rounds. In each round every live node (in sorted order, for
-// determinism) stabilizes, checks its predecessor, and fixes
-// fingersPerRound fingers. Enough rounds after churn restore a perfect
-// ring; tests assert this invariant via VerifyRing.
-func (n *Network) RunMaintenance(rounds, fingersPerRound int) {
-	for r := 0; r < rounds; r++ {
-		for _, id := range n.Members() {
-			// Ignore per-node errors: nodes may crash mid-round; the
-			// surviving nodes keep repairing.
-			_ = n.StabilizeNode(id)
-			_ = n.CheckPredecessor(id)
-			for f := 0; f < fingersPerRound; f++ {
-				_ = n.FixFinger(id)
-			}
-		}
+// MaintainNode runs one maintenance round for node id: stabilize, check
+// the predecessor, fix fingersPerRound fingers. Per-node errors are
+// ignored: the node may crash mid-round; the surviving nodes keep
+// repairing.
+func (n *Network) MaintainNode(id ring.Point, _, fingersPerRound int) {
+	_ = n.StabilizeNode(id)
+	_ = n.CheckPredecessor(id)
+	for f := 0; f < fingersPerRound; f++ {
+		_ = n.FixFinger(id)
 	}
+}
+
+// Maintain executes the given number of synchronous maintenance rounds
+// (overlay.Maintain over MaintainNode). Enough rounds after churn
+// restore a perfect ring; tests assert this invariant via VerifyRing.
+func (n *Network) Maintain(rounds, fingersPerRound int) {
+	overlay.Maintain(n, rounds, fingersPerRound)
 }
 
 // anyOtherNode returns a live node other than id, if one exists. It
@@ -482,7 +484,7 @@ func succOffset(r *ring.Ring, i int, d uint64, prev int) int {
 // current membership: finger k must point at the live successor of
 // id + 2^k. Unset fingers are ignored (they only cost lookup hops, not
 // correctness). It returns nil when every set finger is correct, which
-// is the state RunMaintenance converges to once every node has cycled
+// is the state Maintain converges to once every node has cycled
 // through all 64 fingers.
 func (n *Network) VerifyFingers() error {
 	members := n.Members()

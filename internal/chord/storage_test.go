@@ -94,7 +94,7 @@ func TestReplicationSurvivesOwnerCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net.RunMaintenance(10, 16)
+	net.Maintain(10, 16)
 	lost := 0
 	for i, key := range keys {
 		got, err := net.Get(from, key)
@@ -125,10 +125,10 @@ func TestPullKeysOnJoin(t *testing.T) {
 	}
 	// A new node joins and pulls its range from its successor.
 	newID := ring.Point(rng.Uint64())
-	if _, err := net.Join(newID, from); err != nil {
+	if err := net.Join(newID, from); err != nil {
 		t.Fatal(err)
 	}
-	net.RunMaintenance(4, 8)
+	net.Maintain(4, 8)
 	moved, err := net.PullKeys(newID)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestPullKeysOnJoin(t *testing.T) {
 	}
 	// Every key must still be readable (whether served by the new owner
 	// or the old one, which keeps its copy as a replica).
-	net.RunMaintenance(4, 8)
+	net.Maintain(4, 8)
 	if _, err := net.Get(newID, newID); errors.Is(err, ErrLookupAborted) {
 		t.Fatalf("lookup broken after join: %v", err)
 	}
@@ -291,7 +291,7 @@ func TestSequentialLeavesKeepData(t *testing.T) {
 		if err := net.Leave(r.At(i)); err != nil {
 			t.Fatalf("leave %d: %v", i, err)
 		}
-		net.RunMaintenance(1, 16)
+		net.Maintain(1, 16)
 	}
 	for i, key := range keys {
 		if _, err := net.Get(from, key); err != nil {

@@ -4,14 +4,14 @@
 // being repaired (the paper assumes a stable ring; churn quantifies the
 // degradation when that assumption is relaxed).
 //
-// The driver is generic over the Overlay interface, so the same
-// schedules run against Chord and Kademlia (wrap a network with Chord or
-// Kademlia). Two execution modes are provided: Run executes events in
-// synchronous lockstep (each event followed by maintenance rounds), and
-// Schedule registers the events on a discrete-event kernel
-// (internal/sim), where arrivals, departures and periodic maintenance
-// execute as timed events concurrent — in virtual time — with whatever
-// sampler processes the caller spawns.
+// The driver is generic over the Overlay interface (overlay.Network),
+// so the same schedules run against Chord and Kademlia. Two execution
+// modes are provided: Run executes events in synchronous lockstep (each
+// event followed by maintenance rounds), and Schedule registers the
+// events on a discrete-event kernel (internal/sim), where arrivals,
+// departures and periodic maintenance execute as timed events
+// concurrent — in virtual time — with whatever sampler processes the
+// caller spawns.
 package churn
 
 import (
@@ -22,86 +22,24 @@ import (
 
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 )
 
-// Overlay is the slice of a DHT network the churn driver needs: live
-// membership, join/crash, and synchronous maintenance. Both real
-// overlays (Chord, Kademlia) satisfy it via the wrappers below.
-type Overlay interface {
-	// Members returns the ids of all live nodes in sorted order.
-	Members() []ring.Point
-	// NumAlive returns the number of live nodes.
-	NumAlive() int
-	// Join adds a node to the overlay through the existing member via.
-	Join(id, via ring.Point) error
-	// Crash removes a node abruptly.
-	Crash(id ring.Point) error
-	// Maintain runs the given number of synchronous maintenance rounds.
-	// fingersPerRound applies to finger-table substrates (Chord) and is
-	// ignored by the others.
-	Maintain(rounds, fingersPerRound int)
-	// MaintainNode runs one maintenance round for a single node,
-	// ignoring transient errors (the node may crash mid-round). round is
-	// a monotone sweep counter substrates may use to rotate refresh
-	// targets. The asynchronous scheduler calls it from one kernel
-	// process per member, so nodes repair concurrently in virtual time —
-	// the deployment behaviour — instead of paying a sequential
-	// whole-network sweep.
-	MaintainNode(id ring.Point, round, fingersPerRound int)
-	// VerifyRing reports whether the overlay's successor/predecessor
-	// structure is globally consistent (nil when perfect) — the
-	// post-churn recovery check.
-	VerifyRing() error
-}
+// Overlay is what the churn driver drives: the one handle both real
+// overlays implement directly (live membership, join/crash, synchronous
+// and per-node maintenance, the post-churn ring check).
+type Overlay = overlay.Network
 
 // ErrEmptyOverlay is returned when a driver is built over an overlay
 // with no live nodes.
 var ErrEmptyOverlay = errors.New("churn: overlay has no live nodes")
 
-// chordOverlay adapts *chord.Network to Overlay.
-type chordOverlay struct{ net *chord.Network }
+// Chord returns a Chord network as the driver's Overlay.
+func Chord(net *chord.Network) Overlay { return net }
 
-// Chord wraps a Chord network for churn driving.
-func Chord(net *chord.Network) Overlay { return chordOverlay{net} }
-
-func (o chordOverlay) Members() []ring.Point { return o.net.Members() }
-func (o chordOverlay) NumAlive() int         { return o.net.NumAlive() }
-func (o chordOverlay) Join(id, via ring.Point) error {
-	_, err := o.net.Join(id, via)
-	return err
-}
-func (o chordOverlay) Crash(id ring.Point) error { return o.net.Crash(id) }
-func (o chordOverlay) Maintain(rounds, fingersPerRound int) {
-	o.net.RunMaintenance(rounds, fingersPerRound)
-}
-func (o chordOverlay) MaintainNode(id ring.Point, _, fingersPerRound int) {
-	_ = o.net.StabilizeNode(id)
-	_ = o.net.CheckPredecessor(id)
-	for f := 0; f < fingersPerRound; f++ {
-		_ = o.net.FixFinger(id)
-	}
-}
-func (o chordOverlay) VerifyRing() error { return o.net.VerifyRing() }
-
-// kademliaOverlay adapts *kademlia.Network to Overlay.
-type kademliaOverlay struct{ net *kademlia.Network }
-
-// Kademlia wraps a Kademlia network for churn driving.
-func Kademlia(net *kademlia.Network) Overlay { return kademliaOverlay{net} }
-
-func (o kademliaOverlay) Members() []ring.Point { return o.net.Members() }
-func (o kademliaOverlay) NumAlive() int         { return o.net.NumAlive() }
-func (o kademliaOverlay) Join(id, via ring.Point) error {
-	_, err := o.net.Join(id, via)
-	return err
-}
-func (o kademliaOverlay) Crash(id ring.Point) error { return o.net.Crash(id) }
-func (o kademliaOverlay) Maintain(rounds, _ int)    { o.net.RunMaintenance(rounds) }
-func (o kademliaOverlay) MaintainNode(id ring.Point, round, _ int) {
-	_ = o.net.RefreshNode(id, round%64)
-}
-func (o kademliaOverlay) VerifyRing() error { return o.net.VerifyRing() }
+// Kademlia returns a Kademlia network as the driver's Overlay.
+func Kademlia(net *kademlia.Network) Overlay { return net }
 
 // Config parameterizes a churn schedule.
 type Config struct {

@@ -48,7 +48,7 @@ func TestChurnPreservesRingConsistency(t *testing.T) {
 		t.Errorf("hook ran %d times, want 60", events)
 	}
 	// Extra settling rounds, then the ring must be perfect again.
-	net.RunMaintenance(10, 16)
+	net.Maintain(10, 16)
 	if err := net.VerifyRing(); err != nil {
 		t.Fatalf("ring inconsistent after churn: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestChurnOnKademlia(t *testing.T) {
 	if events != 30 {
 		t.Errorf("hook ran %d times, want 30", events)
 	}
-	net.RunMaintenance(6)
+	net.Maintain(6, 0)
 	if err := net.VerifyRing(); err != nil {
 		t.Fatalf("kademlia ring inconsistent after churn: %v", err)
 	}
@@ -263,7 +263,7 @@ func TestAsyncChurnConcurrentWithSampling(t *testing.T) {
 		t.Error("virtual clock never advanced")
 	}
 	// The overlay settles once events stop.
-	net.RunMaintenance(10, 16)
+	net.Maintain(10, 16)
 	if err := net.VerifyRing(); err != nil {
 		t.Fatalf("ring inconsistent after async churn: %v", err)
 	}

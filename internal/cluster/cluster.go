@@ -12,9 +12,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/dht"
-	"github.com/dht-sampling/randompeer/internal/kademlia"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 	"github.com/dht-sampling/randompeer/internal/wire"
@@ -408,29 +407,15 @@ func (c *Cluster) Provision(backend string, points []ring.Point) (dht.DHT, error
 		client.SetRoute(simnet.NodeID(p), ownerAddr[p])
 	}
 	isLocal := func(p ring.Point) bool { return p == local }
-	var view dht.DHT
-	switch backend {
-	case "chord":
-		net, err := chord.BuildStaticPartition(chord.Config{}, client, points, isLocal)
-		if err == nil {
-			view, err = net.AsDHT(local)
-		}
-		if err != nil {
-			_ = client.Close()
-			return nil, err
-		}
-	case "kademlia":
-		net, err := kademlia.BuildStaticPartition(kademlia.Config{}, client, points, isLocal)
-		if err == nil {
-			view, err = net.AsDHT(local)
-		}
-		if err != nil {
-			_ = client.Close()
-			return nil, err
-		}
-	default:
+	net, err := overlays.Build(backend, overlays.Config{}, client, points, isLocal)
+	if err != nil {
 		_ = client.Close()
-		return nil, fmt.Errorf("cluster: unknown backend %q", backend)
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	view, err := net.AsDHT(local)
+	if err != nil {
+		_ = client.Close()
+		return nil, err
 	}
 	c.client = client
 	c.backend = backend

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
@@ -295,5 +296,50 @@ func TestClusterControlPlane(t *testing.T) {
 	}
 	if m.Calls < 1 {
 		t.Fatalf("metrics calls = %d, want >= 1 (daemon 0 made outgoing lookup hops)", m.Calls)
+	}
+}
+
+// TestClusterProvisionRejections pins the status codes of a refused
+// /v1/provision: a backend name the builder does not know is the
+// caller's mistake (400), a membership no overlay can be built over is
+// a failed build (500), and neither leaves the daemon unusable.
+func TestClusterProvisionRejections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process cluster test")
+	}
+	c := startCluster(t, 1)
+	r, err := ring.Generate(rand.New(rand.NewPCG(43, 47)), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]uint64, r.Len())
+	for i := range all {
+		all[i] = uint64(r.At(i))
+	}
+	dup := append(append([]uint64(nil), all...), all[0])
+	for _, tc := range []struct {
+		name   string
+		req    ProvisionRequest
+		status string
+	}{
+		{"unknown backend", ProvisionRequest{Backend: "pastry", Points: all, Owned: all}, "status 400"},
+		{"empty membership", ProvisionRequest{Backend: "chord"}, "status 400"},
+		{"duplicate points, chord", ProvisionRequest{Backend: "chord", Points: dup, Owned: all}, "status 500"},
+		{"duplicate points, kademlia", ProvisionRequest{Backend: "kademlia", Points: dup, Owned: all}, "status 500"},
+	} {
+		err := ProvisionDaemon(c.Addr(0), tc.req)
+		if err == nil || !strings.Contains(err.Error(), tc.status) {
+			t.Errorf("%s: err = %v, want %s", tc.name, err, tc.status)
+		}
+	}
+	if _, err := LookupAt(c.Addr(0), r.At(0)); err == nil {
+		t.Error("lookup served by a daemon whose last provision was refused")
+	}
+	if err := ProvisionDaemon(c.Addr(0), ProvisionRequest{Backend: "kademlia", Points: all, Owned: all}); err != nil {
+		t.Fatalf("provisioning after refusals: %v", err)
+	}
+	look, err := LookupAt(c.Addr(0), r.At(3))
+	if err != nil || ring.Point(look.Owner) != r.At(3) {
+		t.Errorf("lookup after re-provision = %v, %v; want owner %v", look.Owner, err, r.At(3))
 	}
 }

@@ -82,7 +82,5 @@ func TestAllocBudgetOracleNextVirtual(t *testing.T) {
 // whose instrumentation allocates on its own.
 func skipIfRace(t *testing.T) {
 	t.Helper()
-	if raceflag.Enabled {
-		t.Skip("allocation budgets are not meaningful under the race detector")
-	}
+	raceflag.SkipBudgets(t)
 }

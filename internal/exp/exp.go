@@ -1,9 +1,9 @@
 // Package exp is the experiment harness that regenerates every
 // quantitative claim of King & Saia's paper as a table or figure-series.
-// DESIGN.md carries the experiment index (E1-E28); EXPERIMENTS.md records
-// paper-claim versus measured output for each. Each experiment supports
-// a Quick mode (small sweeps, used by tests and smoke runs) and a Full
-// mode (the sweeps recorded in EXPERIMENTS.md).
+// DESIGN.md carries the experiment index (E1-E30); each table states the
+// paper's claim and carries its own verdict notes. Each experiment
+// supports a Quick mode (small sweeps, used by tests and smoke runs) and
+// a Full mode.
 package exp
 
 import (

@@ -110,12 +110,7 @@ func expE29() Experiment {
 				if err != nil {
 					return err
 				}
-				switch backend {
-				case randompeer.ChordBackend:
-					etb.ChordNetwork().RunMaintenance(6, 8)
-				case randompeer.KademliaBackend:
-					etb.KademliaNetwork().RunMaintenance(6)
-				}
+				etb.Network().Maintain(6, 8)
 				capture, err := adv.EclipseFraction()
 				if err != nil {
 					return err

@@ -75,7 +75,7 @@ func expE15() Experiment {
 					return nil, err
 				}
 				// Settle, then verify uniformity is restored among survivors.
-				net.RunMaintenance(12, 16)
+				net.Maintain(12, 16)
 				repaired := net.VerifyRing() == nil
 				d.RefreshOwners()
 				s, err := core.New(d, d.Self(), rng, core.Config{})

@@ -10,6 +10,7 @@ import (
 	"github.com/dht-sampling/randompeer"
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/core"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/stats"
@@ -193,7 +194,7 @@ func expE26() Experiment {
 				n, events, postSamples = 48, 20, 20
 				gaps = gaps[:2]
 			}
-			substrates := []string{"chord", "kademlia"}
+			substrates := overlays.Names
 			type result struct{ cells []string }
 			results := make([]result, len(substrates)*len(gaps))
 			err = forEach(cfg.workerCount(), len(results), func(idx int) error {

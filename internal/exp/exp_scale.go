@@ -1,17 +1,15 @@
 package exp
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"slices"
 	"time"
 
-	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/core"
-	"github.com/dht-sampling/randompeer/internal/kademlia"
 	"github.com/dht-sampling/randompeer/internal/overlay"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -154,24 +152,13 @@ func (r *ScaleResult) OwnerMatchPct() float64 {
 // buildOverlay builds a static overlay of the named backend over tr and
 // returns the churn driver's handle on it plus its dht.DHT view from the
 // first point.
-func buildOverlay(backend string, tr simnet.Transport, points []ring.Point) (churn.Overlay, *overlay.DHT, error) {
-	switch backend {
-	case "chord":
-		net, err := chord.BuildStatic(chord.Config{}, tr, points)
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err := net.AsDHT(points[0])
-		return churn.Chord(net), d, err
-	case "kademlia":
-		net, err := kademlia.BuildStatic(kademlia.Config{}, tr, points)
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err := net.AsDHT(points[0])
-		return churn.Kademlia(net), d, err
+func buildOverlay(backend string, tr simnet.Transport, points []ring.Point) (overlay.Network, *overlay.DHT, error) {
+	net, err := overlays.Build(backend, overlays.Config{}, tr, points, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("exp: unknown backend %q", backend)
+	d, err := net.AsDHT(points[0])
+	return net, d, err
 }
 
 // StorageScaleResult is one E30 measurement: the overlay built at n on
@@ -215,46 +202,11 @@ func RunStorageScale(backend string, n, probes int, seed uint64) (*StorageScaleR
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	var succAt func(p ring.Point) (ring.Point, error)
-	var stats func() (slots, free int)
-	switch backend {
-	case "chord":
-		net, err := chord.BuildStatic(chord.Config{}, simnet.NewDirect(), points)
-		if err != nil {
-			return nil, err
-		}
-		res.BuildWall = time.Since(start)
-		succAt = func(p ring.Point) (ring.Point, error) {
-			nd, err := net.Node(p)
-			if err != nil {
-				return 0, err
-			}
-			return nd.Successor(), nil
-		}
-		stats = func() (int, int) {
-			s := net.StorageStats()
-			return s.Slots, s.Free
-		}
-	case "kademlia":
-		net, err := kademlia.BuildStatic(kademlia.Config{}, simnet.NewDirect(), points)
-		if err != nil {
-			return nil, err
-		}
-		res.BuildWall = time.Since(start)
-		succAt = func(p ring.Point) (ring.Point, error) {
-			nd, err := net.Node(p)
-			if err != nil {
-				return 0, err
-			}
-			return nd.Successor(), nil
-		}
-		stats = func() (int, int) {
-			s := net.StorageStats()
-			return s.Slots, s.Free
-		}
-	default:
-		return nil, fmt.Errorf("exp: unknown storage backend %q", backend)
+	net, err := overlays.Build(backend, overlays.Config{}, simnet.NewDirect(), points, nil)
+	if err != nil {
+		return nil, err
 	}
+	res.BuildWall = time.Since(start)
 	runtime.GC()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
@@ -264,11 +216,12 @@ func RunStorageScale(backend string, n, probes int, seed uint64) (*StorageScaleR
 	res.HeapAfter = after.HeapAlloc
 	res.SysAfter = after.Sys
 	res.BytesPerNode = float64(res.HeapDelta) / float64(n)
-	res.Slots, res.FreeSlots = stats()
+	st := net.StorageStats()
+	res.Slots, res.FreeSlots = st.Slots, st.Free
 	prng := rand.New(rand.NewPCG(seed+7, seed+8))
 	for i := 0; i < probes; i++ {
 		j := prng.IntN(n)
-		succ, err := succAt(points[j])
+		succ, err := net.Successor(points[j], points[j])
 		if err != nil {
 			continue
 		}

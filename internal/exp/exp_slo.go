@@ -11,6 +11,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/load"
 	"github.com/dht-sampling/randompeer/internal/loadbalance"
 	"github.com/dht-sampling/randompeer/internal/obs"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/slo"
@@ -301,7 +302,7 @@ func expE28() Experiment {
 				Claim:   "the sampler serves a fixed offered rate within latency and availability objectives while the overlay churns",
 				Columns: []string{"backend", "n", "requests", "failed", "p50_ms", "p95_ms", "p99_ms", "avail", "budget%", "maxBurn", "fastWin", "vnodeOffImb", "vnodeOnImb", "met"},
 			}
-			for _, backend := range []string{"chord", "kademlia"} {
+			for _, backend := range overlays.Names {
 				sc := DefaultSLOScenario(backend, cfg.Quick, model, cfg.Seed^0x28^uint64(len(backend)))
 				res, err := RunSLOScenario(sc)
 				if err != nil {

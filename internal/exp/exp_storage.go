@@ -126,7 +126,7 @@ func expE22() Experiment {
 						return 0, err
 					}
 					before := net.Meter().Snapshot()
-					net.RunMaintenance(rounds, fingersPerRound)
+					net.Maintain(rounds, fingersPerRound)
 					cost := net.Meter().Snapshot().Sub(before)
 					return float64(cost.Messages) / float64(n) / rounds, nil
 				}

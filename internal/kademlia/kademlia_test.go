@@ -224,7 +224,7 @@ func TestJoinIntegratesNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pts[40:] {
-		if _, err := net.Join(p, pts[0]); err != nil {
+		if err := net.Join(p, pts[0]); err != nil {
 			t.Fatalf("join of %v: %v", p, err)
 		}
 	}
@@ -264,10 +264,10 @@ func TestJoinDuplicateAndBadBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Join(r.At(0), r.At(1)); err == nil {
+	if err := net.Join(r.At(0), r.At(1)); err == nil {
 		t.Error("joining an existing id should fail")
 	}
-	if _, err := net.Join(ring.Point(12345), ring.Point(54321)); err == nil {
+	if err := net.Join(ring.Point(12345), ring.Point(54321)); err == nil {
 		t.Error("joining via an unknown bootstrap should fail")
 	}
 }
@@ -285,7 +285,7 @@ func TestCrashAndMaintenanceRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net.RunMaintenance(2)
+	net.Maintain(2, 0)
 	if err := net.VerifyRing(); err != nil {
 		t.Fatalf("ring not repaired: %v", err)
 	}
@@ -320,14 +320,14 @@ func TestGrowFromSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < r.Len(); i++ {
-		if _, err := net.Join(r.At(i), r.At((i-1)/2)); err != nil {
+		if err := net.Join(r.At(i), r.At((i-1)/2)); err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
 	}
 	if err := net.VerifyRing(); err != nil {
 		t.Fatal(err)
 	}
-	net.RunMaintenance(1)
+	net.Maintain(1, 0)
 	if err := net.VerifyTables(); err != nil {
 		t.Fatal(err)
 	}
@@ -427,13 +427,13 @@ func TestMembersEpochSnapshotRace(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			members := net.Members()
 			if wrng.IntN(2) == 0 {
-				_, _ = net.Join(ring.Point(wrng.Uint64()), members[wrng.IntN(len(members))])
+				_ = net.Join(ring.Point(wrng.Uint64()), members[wrng.IntN(len(members))])
 			} else if len(members) > 8 {
 				if victim := members[wrng.IntN(len(members))]; victim != r.At(0) {
 					_ = net.Crash(victim)
 				}
 			}
-			net.RunMaintenance(1)
+			net.Maintain(1, 0)
 		}
 		close(stop)
 	}()

@@ -56,6 +56,8 @@ type Network struct {
 	st        arena
 }
 
+var _ overlay.Network = (*Network)(nil)
+
 // Kademlia error conditions.
 var (
 	ErrNodeExists    = overlay.ErrNodeExists
@@ -106,9 +108,9 @@ func (n *Network) Create(id ring.Point) (*Node, error) {
 // its buckets with the contacts it learns and announces it to every
 // node it queries), then splice the node into the ownership ring
 // between its successor and predecessor.
-func (n *Network) Join(id, via ring.Point) (*Node, error) {
+func (n *Network) Join(id, via ring.Point) error {
 	if _, err := n.Node(via); err != nil {
-		return nil, fmt.Errorf("kademlia: join of %v: bootstrap %v: %w", id, via, err)
+		return fmt.Errorf("kademlia: join of %v: bootstrap %v: %w", id, via, err)
 	}
 	return n.JoinVia(id, via)
 }
@@ -118,21 +120,21 @@ func (n *Network) Join(id, via ring.Point) (*Node, error) {
 // is not required to be a local node — every interaction with it is an
 // RPC, which the wire transport routes across processes. It is the
 // join path wire-transport daemons use.
-func (n *Network) JoinVia(id, via ring.Point) (*Node, error) {
+func (n *Network) JoinVia(id, via ring.Point) error {
 	if _, ok := n.LiveSlot(id); ok {
-		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
+		return fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
 	nd, err := n.Create(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Any failure past this point must withdraw the half-joined node:
 	// the self-lookup announces id into other tables, and a registered
 	// node with self-looping ring pointers would otherwise be reported
 	// as the owner of arbitrary keys by later resolutions.
-	fail := func(step string, err error) (*Node, error) {
+	fail := func(step string, err error) error {
 		_ = n.Crash(id)
-		return nil, fmt.Errorf("kademlia: join of %v: %s: %w", id, step, err)
+		return fmt.Errorf("kademlia: join of %v: %s: %w", id, step, err)
 	}
 	n.touchContact(nd.slot, via)
 	if err := n.lookupDiscard(id, id); err != nil {
@@ -165,7 +167,7 @@ func (n *Network) JoinVia(id, via ring.Point) (*Node, error) {
 		}
 	}
 	nd.setRing(succ, pred)
-	return nd, nil
+	return nil
 }
 
 // LookupResult reports one iterative FIND_NODE lookup.
@@ -630,19 +632,20 @@ func (n *Network) bestLiveSuccessorCandidate(nd *Node) (ring.Point, bool) {
 	return best, found
 }
 
-// RunMaintenance executes the given number of synchronous maintenance
-// rounds: in each round every live node (in sorted order, for
-// determinism) runs RefreshNode with a rotating bucket-refresh index.
-// Enough rounds after churn restore correct buckets and a perfect
-// ring; tests assert this via VerifyRing and VerifyTables.
-func (n *Network) RunMaintenance(rounds int) {
-	for r := 0; r < rounds; r++ {
-		for _, id := range n.Members() {
-			// Ignore per-node errors: nodes may crash mid-round; the
-			// survivors keep repairing.
-			_ = n.RefreshNode(id, r%idBits)
-		}
-	}
+// MaintainNode runs one maintenance round for node id: RefreshNode with
+// the bucket-refresh index rotating with round. Kademlia has no fingers
+// to fix. Per-node errors are ignored: the node may crash mid-round; the
+// survivors keep repairing.
+func (n *Network) MaintainNode(id ring.Point, round, _ int) {
+	_ = n.RefreshNode(id, round%idBits)
+}
+
+// Maintain executes the given number of synchronous maintenance rounds
+// (overlay.Maintain over MaintainNode). Enough rounds after churn
+// restore correct buckets and a perfect ring; tests assert this via
+// VerifyRing and VerifyTables.
+func (n *Network) Maintain(rounds, fingersPerRound int) {
+	overlay.Maintain(n, rounds, fingersPerRound)
 }
 
 // VerifyRing checks global ring consistency: every live node's succ

@@ -173,7 +173,7 @@ func TestClosestBucketOrderMatchesFullScan(t *testing.T) {
 		// land in, crashes leave dead entries, and the refresh rounds
 		// evict those and promote cached contacts into the freed slots.
 		for i, p := range pts[128:] {
-			if _, err := net.Join(p, pts[i%128]); err != nil {
+			if err := net.Join(p, pts[i%128]); err != nil {
 				t.Fatalf("join of %v: %v", p, err)
 			}
 		}
@@ -186,7 +186,7 @@ func TestClosestBucketOrderMatchesFullScan(t *testing.T) {
 		}
 		checkClosestAgainstFullScan(t, net, rng, "crashed")
 		for round := 0; round < 3; round++ {
-			net.RunMaintenance(1)
+			net.Maintain(1, 0)
 			checkClosestAgainstFullScan(t, net, rng, fmt.Sprintf("refreshed %d", round))
 		}
 	}

@@ -2,7 +2,8 @@
 // internal/kademlia) embed by value: one slot arena, one membership
 // index, one scavenger, one transport registration and one dht.DHT
 // adapter. An overlay keeps only what differs — its routing arrays and
-// protocol — and hands the core five Hooks.
+// protocol — and hands the core five Hooks. Above the protocol both are
+// one method set, Network (network.go).
 //
 // Flat index-based node storage. Every node a network knows about —
 // live members, crashed members whose state in-flight RPCs may still

@@ -1,6 +1,7 @@
 package overlay_test
 
 import (
+	"errors"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -8,8 +9,8 @@ import (
 	"testing"
 
 	"github.com/dht-sampling/randompeer/internal/chord"
-	"github.com/dht-sampling/randompeer/internal/kademlia"
 	"github.com/dht-sampling/randompeer/internal/overlay"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/raceflag"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -22,42 +23,24 @@ import (
 // copy-on-write membership snapshot contract — handed-out Members()
 // slices are immutable and epoch-consistent under concurrent churn.
 
-// network is what the invariants need of an overlay; *chord.Network and
-// *kademlia.Network differ only in Join's result and RunMaintenance's
-// arguments, which the table rows bind.
-type network struct {
-	*overlay.Core
-	join     func(id, via ring.Point) error
-	maintain func(rounds int)
+// storage is the shared handle plus the core's recycling and epoch
+// observers, which only these storage invariants read.
+type storage interface {
+	overlay.Network
+	Scavenge() int
+	Epoch() uint64
 }
 
-func chordNet(t *testing.T, cfg chord.Config, fingersPerRound int, points []ring.Point) network {
+func build(t *testing.T, backend string, cfg overlays.Config, points []ring.Point) storage {
 	t.Helper()
-	net, err := chord.BuildStatic(cfg, simnet.NewDirect(), points)
+	net, err := overlays.Build(backend, cfg, simnet.NewDirect(), points, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return network{
-		Core:     &net.Core,
-		join:     func(id, via ring.Point) error { _, err := net.Join(id, via); return err },
-		maintain: func(rounds int) { net.RunMaintenance(rounds, fingersPerRound) },
-	}
+	return net.(storage)
 }
 
-func kademliaNet(t *testing.T, points []ring.Point) network {
-	t.Helper()
-	net, err := kademlia.BuildStatic(kademlia.Config{}, simnet.NewDirect(), points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return network{
-		Core:     &net.Core,
-		join:     func(id, via ring.Point) error { _, err := net.Join(id, via); return err },
-		maintain: net.RunMaintenance,
-	}
-}
-
-var overlays = []struct {
+var table = []struct {
 	name string
 	// Heap budget: bytes per node of a static build of budgetN peers.
 	// A chord peer is a handful of packed array rows (id, ring
@@ -69,12 +52,14 @@ var overlays = []struct {
 	// must grow with log n, and the chosen n keeps the test a
 	// one-second build.
 	budgetN, budget int
-	build           func(*testing.T, []ring.Point) network
-	// Recycling: the overlay and the maintenance rounds that drop a
-	// crash wave's dead references. Chord runs on the minimal ring —
-	// finger tables repair one finger per round, so with them enabled
-	// dead references can linger for tens of sweeps.
-	recycle       func(*testing.T, []ring.Point) network
+	// fingers is Maintain's fingersPerRound on the default build.
+	fingers int
+	// Recycling: the configuration and the maintenance rounds (fixing
+	// no fingers) that drop a crash wave's dead references. Chord runs
+	// on the minimal ring — finger tables repair one finger per round,
+	// so with them enabled dead references can linger for tens of
+	// sweeps.
+	recycle       overlays.Config
 	recycleRounds int
 	// joinRollsBack: a failed join allocates the joiner's slot and rolls
 	// back with Crash, so it legitimately consumes one slot until the
@@ -86,18 +71,26 @@ var overlays = []struct {
 	churnRounds int
 }{
 	{
-		name: "chord", budgetN: 1 << 17, budget: 512,
-		build: func(t *testing.T, pts []ring.Point) network { return chordNet(t, chord.Config{}, 16, pts) },
-		recycle: func(t *testing.T, pts []ring.Point) network {
-			return chordNet(t, chord.Config{DisableFingers: true, MaxLookupHops: 1024}, 0, pts)
-		},
+		name: "chord", budgetN: 1 << 17, budget: 512, fingers: 16,
+		recycle:       overlays.Config{Chord: chord.Config{DisableFingers: true, MaxLookupHops: 1024}},
 		recycleRounds: 12, churnRounds: 2,
 	},
 	{
 		name: "kademlia", budgetN: 1 << 14, budget: 2048,
-		build: kademliaNet, recycle: kademliaNet,
 		recycleRounds: 4, joinRollsBack: true, churnRounds: 1,
 	},
+}
+
+// TestTableCoversEveryBackend keeps the parameter table in step with
+// the builder: a new backend must state its budgets here.
+func TestTableCoversEveryBackend(t *testing.T) {
+	var names []string
+	for _, ov := range table {
+		names = append(names, ov.name)
+	}
+	if !slices.Equal(names, overlays.Names) {
+		t.Fatalf("storage table covers %v, builder knows %v", names, overlays.Names)
+	}
 }
 
 func points(t *testing.T, seed uint64, n int) ([]ring.Point, *rand.Rand) {
@@ -113,16 +106,14 @@ func points(t *testing.T, seed uint64, n int) ([]ring.Point, *rand.Rand) {
 // TestMemoryBudget pins the flat layout's per-node heap cost as the
 // GC-settled heap growth across a static build.
 func TestMemoryBudget(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("heap budgets are not meaningful under the race detector")
-	}
-	for i, ov := range overlays {
+	raceflag.SkipBudgets(t)
+	for i, ov := range table {
 		t.Run(ov.name, func(t *testing.T) {
 			pts, _ := points(t, uint64(1+2*i), ov.budgetN)
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			net := ov.build(t, pts)
+			net := build(t, ov.name, overlays.Config{}, pts)
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			runtime.KeepAlive(net)
@@ -141,17 +132,17 @@ func TestMemoryBudget(t *testing.T) {
 // the freed slots instead of growing the arena. A long-lived churning
 // network must reach a steady-state arena size.
 func TestSlotRecycling(t *testing.T) {
-	for i, ov := range overlays {
+	for i, ov := range table {
 		t.Run(ov.name, func(t *testing.T) {
 			const n = 256
 			pts, rng := points(t, uint64(5+2*i), n)
-			net := ov.recycle(t, pts)
+			net := build(t, ov.name, ov.recycle, pts)
 			for i := 0; i < n; i += 2 {
 				if err := net.Crash(pts[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			net.maintain(ov.recycleRounds)
+			net.Maintain(ov.recycleRounds, 0)
 			freed := net.Scavenge()
 			if freed == 0 {
 				t.Fatalf("scavenge freed no slots after %d crashes and maintenance", n/2)
@@ -164,7 +155,7 @@ func TestSlotRecycling(t *testing.T) {
 			via := pts[1] // survived the wave (odd ranks live)
 			joined, failed := 0, 0
 			for joined < freed {
-				if err := net.join(ring.Point(rng.Uint64()), via); err != nil {
+				if err := net.Join(ring.Point(rng.Uint64()), via); err != nil {
 					// Account for rolled-back joins instead of requiring
 					// a perfectly clean protocol run over the damaged
 					// ring.
@@ -194,11 +185,11 @@ func TestSlotRecycling(t *testing.T) {
 // never write through old ones — and the epoch advances so holders can
 // detect staleness.
 func TestMembersSnapshotImmutable(t *testing.T) {
-	for _, ov := range overlays {
+	for _, ov := range table {
 		t.Run(ov.name, func(t *testing.T) {
 			const n = 128
 			pts, rng := points(t, 9, n)
-			net := ov.build(t, pts)
+			net := build(t, ov.name, overlays.Config{}, pts)
 			snap := net.Members()
 			frozen := slices.Clone(snap)
 			epoch0 := net.Epoch()
@@ -210,9 +201,9 @@ func TestMembersSnapshotImmutable(t *testing.T) {
 			}
 			// Repair the routing state before joining: a quarter of the
 			// ring just vanished and joins route through what is left.
-			net.maintain(ov.churnRounds)
+			net.Maintain(ov.churnRounds, ov.fingers)
 			for i := 0; i < 16; i++ {
-				if err := net.join(ring.Point(rng.Uint64()), via); err != nil {
+				if err := net.Join(ring.Point(rng.Uint64()), via); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -240,11 +231,11 @@ func TestMembersSnapshotImmutable(t *testing.T) {
 // in-place splice or torn epoch publication shows up as a detector
 // report or a failed invariant.
 func TestSnapshotConsistencyConcurrent(t *testing.T) {
-	for _, ov := range overlays {
+	for _, ov := range table {
 		t.Run(ov.name, func(t *testing.T) {
 			const n = 128
 			pts, rng := points(t, 11, n)
-			net := ov.build(t, pts)
+			net := build(t, ov.name, overlays.Config{}, pts)
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			for w := 0; w < 4; w++ {
@@ -285,7 +276,7 @@ func TestSnapshotConsistencyConcurrent(t *testing.T) {
 			via := pts[1]
 			for i := 0; i < 48; i++ {
 				if i%2 == 0 {
-					if err := net.join(ring.Point(rng.Uint64()), via); err != nil {
+					if err := net.Join(ring.Point(rng.Uint64()), via); err != nil {
 						t.Error(err)
 						break
 					}
@@ -304,10 +295,73 @@ func TestSnapshotConsistencyConcurrent(t *testing.T) {
 				}
 				// Keep the overlay routable for the next join while
 				// the readers hammer the snapshots.
-				net.maintain(ov.churnRounds)
+				net.Maintain(ov.churnRounds, ov.fingers)
 			}
 			close(stop)
 			wg.Wait()
+		})
+	}
+}
+
+// TestNetworkContract holds every backend the builder knows to the
+// membership and maintenance contract of the shared handle, with no
+// per-backend parameter: what a consumer above the protocol packages
+// may rely on without knowing which overlay it holds.
+func TestNetworkContract(t *testing.T) {
+	for i, name := range overlays.Names {
+		t.Run(name, func(t *testing.T) {
+			const n = 64
+			pts, rng := points(t, uint64(21+2*i), n)
+			net := build(t, name, overlays.Config{}, pts)
+			if err := net.VerifyRing(); err != nil {
+				t.Fatalf("static build: %v", err)
+			}
+			if err := net.Join(pts[3], pts[0]); !errors.Is(err, overlay.ErrNodeExists) {
+				t.Errorf("Join of a live id = %v, want ErrNodeExists", err)
+			}
+			if err := net.JoinVia(pts[3], pts[0]); !errors.Is(err, overlay.ErrNodeExists) {
+				t.Errorf("JoinVia of a live id = %v, want ErrNodeExists", err)
+			}
+			absent := ring.Point(rng.Uint64())
+			if err := net.Crash(absent); !errors.Is(err, overlay.ErrNodeNotFound) {
+				t.Errorf("Crash of an absent id = %v, want ErrNodeNotFound", err)
+			}
+
+			victim := pts[5]
+			if err := net.Crash(victim); err != nil {
+				t.Fatal(err)
+			}
+			net.MaintainNode(victim, 0, 4)
+			if _, ok := net.LiveSlot(victim); ok || net.NumAlive() != n-1 {
+				t.Errorf("MaintainNode resurrected a crashed node: live=%v, %d alive, want %d", ok, net.NumAlive(), n-1)
+			}
+			if _, err := net.AsDHT(victim); !errors.Is(err, overlay.ErrNodeNotFound) {
+				t.Errorf("AsDHT from a crashed caller = %v, want ErrNodeNotFound", err)
+			}
+
+			// A crash wave damages the ring; maintenance alone restores it.
+			for j := 8; j < n; j += 4 {
+				if err := net.Crash(pts[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			net.Maintain(12, 16)
+			if err := net.VerifyRing(); err != nil {
+				t.Errorf("ring not repaired after a crash wave and 12 rounds: %v", err)
+			}
+			// The repaired ring takes a join through the shared entry
+			// point and routes to the joiner.
+			joiner := ring.Point(rng.Uint64())
+			if err := net.Join(joiner, pts[0]); err != nil {
+				t.Fatal(err)
+			}
+			net.Maintain(4, 16)
+			if owner, err := net.Owner(pts[0], joiner); err != nil || owner != joiner {
+				t.Errorf("Owner(joiner) = %v, %v; want the joiner %v", owner, err, joiner)
+			}
+			if st := net.StorageStats(); st.Live != net.NumAlive() {
+				t.Errorf("StorageStats.Live = %d, NumAlive = %d", st.Live, net.NumAlive())
+			}
 		})
 	}
 }

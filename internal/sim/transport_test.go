@@ -279,9 +279,7 @@ func TestLatencyHistogramQuantiles(t *testing.T) {
 // path: constant model, free-running, fault plan attached but empty,
 // trace and interceptor disarmed — a Call allocates nothing.
 func TestAllocBudgetCall(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("allocation budgets are meaningless under the race detector")
-	}
+	raceflag.SkipBudgets(t)
 	tr := NewTransport(WithFaults(simnet.NewFaults(nil)))
 	defer tr.Close()
 	err := tr.RegisterMulti(func(simnet.NodeID) bool { return true },

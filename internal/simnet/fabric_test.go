@@ -279,9 +279,7 @@ func TestFabricHooksEveryDelivery(t *testing.T) {
 // call path there is: with the fault plan attached but empty and trace
 // and interceptor disarmed, a Call allocates nothing.
 func TestAllocBudgetCall(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("allocation budgets are meaningless under the race detector")
-	}
+	raceflag.SkipBudgets(t)
 	tr := simnet.NewDirect(simnet.WithFaults(simnet.NewFaults(nil)))
 	defer tr.Close()
 	err := tr.RegisterMulti(func(simnet.NodeID) bool { return true },

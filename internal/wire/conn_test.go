@@ -725,9 +725,7 @@ func remotePair(tb testing.TB) *Transport {
 const remoteCallAllocBudget = 24
 
 func TestAllocBudgetRemoteCall(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("allocation budgets are meaningless under the race detector")
-	}
+	raceflag.SkipBudgets(t)
 	client := remotePair(t)
 	msg := simnet.Message(echoReq{S: "budget", N: 1})
 	got := testing.AllocsPerRun(500, func() {

@@ -18,7 +18,7 @@
 //     samplers the algorithm is evaluated against.
 //   - internal/{collect,randgraph,loadbalance,agreement}: the paper's
 //     motivating applications.
-//   - internal/exp: the experiment harness (E1-E26, see DESIGN.md).
+//   - internal/exp: the experiment harness (E1-E30, see DESIGN.md).
 //
 // # Quick start
 //
@@ -43,6 +43,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/kademlia"
 	"github.com/dht-sampling/randompeer/internal/obs"
 	"github.com/dht-sampling/randompeer/internal/overlay"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -161,9 +162,8 @@ type Testbed struct {
 	seed    uint64
 
 	oracle *dht.Oracle
-	net    *chord.Network
-	knet   *kademlia.Network
-	view   *overlay.DHT // the chord or kademlia network seen from peer 0
+	net    overlay.Network // nil on the oracle backend
+	view   *overlay.DHT    // net seen from peer 0
 	r      *ring.Ring
 
 	// faults is the always-attached fault plan of transport-backed
@@ -260,8 +260,7 @@ func New(opts ...Option) (*Testbed, error) {
 		tb.model = cfg.latency
 		return st
 	}
-	switch cfg.backend {
-	case OracleBackend:
+	if cfg.backend == OracleBackend {
 		tb.oracle = dht.NewOracle(r)
 		if cfg.simTime {
 			clk := new(sim.Clock)
@@ -269,33 +268,18 @@ func New(opts ...Option) (*Testbed, error) {
 			tb.model = cfg.latency
 			tb.oracle.SimulateLatency(clk, cfg.latency, cfg.seed^0x71e0)
 		}
-	case ChordBackend:
-		net, err := chord.BuildStatic(chord.Config{}, transport(), r.Points())
-		if err != nil {
-			return nil, fmt.Errorf("randompeer: building chord ring: %w", err)
-		}
-		view, err := net.AsDHT(r.At(0))
-		if err != nil {
-			return nil, err
-		}
-		tb.net = net
-		tb.view = view
-	case KademliaBackend:
-		net, err := kademlia.BuildStatic(kademlia.Config{
-			BucketSize: cfg.bucketSize,
-			Alpha:      cfg.alpha,
-		}, transport(), r.Points())
-		if err != nil {
-			return nil, fmt.Errorf("randompeer: building kademlia overlay: %w", err)
-		}
-		view, err := net.AsDHT(r.At(0))
-		if err != nil {
-			return nil, err
-		}
-		tb.knet = net
-		tb.view = view
-	default:
-		return nil, fmt.Errorf("randompeer: unknown backend %d", cfg.backend)
+		return tb, nil
+	}
+	// Every other backend is an overlay the one builder knows by name.
+	net, err := overlays.Build(cfg.backend.String(), overlays.Config{
+		Kademlia: kademlia.Config{BucketSize: cfg.bucketSize, Alpha: cfg.alpha},
+	}, transport(), r.Points(), nil)
+	if err != nil {
+		return nil, fmt.Errorf("randompeer: building %s overlay: %w", cfg.backend, err)
+	}
+	tb.net = net
+	if tb.view, err = net.AsDHT(r.At(0)); err != nil {
+		return nil, err
 	}
 	return tb, nil
 }
@@ -421,15 +405,10 @@ func (tb *Testbed) VerifyUniformity(nHat float64) (*Assignment, error) {
 // traceableTransport returns the testbed's transport as an
 // obs.Traceable, or an error for backends with no real transport.
 func (tb *Testbed) traceableTransport() (obs.Traceable, error) {
-	var t simnet.Transport
-	switch tb.backend {
-	case ChordBackend:
-		t = tb.net.Transport()
-	case KademliaBackend:
-		t = tb.knet.Transport()
-	default:
+	if tb.net == nil {
 		return nil, fmt.Errorf("randompeer: tracing requires a transport-backed backend (chord or kademlia), not %s", tb.backend)
 	}
+	t := tb.net.Transport()
 	tr, ok := t.(obs.Traceable)
 	if !ok {
 		return nil, fmt.Errorf("randompeer: transport %T does not support hop tracing", t)
@@ -462,13 +441,17 @@ func (tb *Testbed) TraceSample(s Sampler) (Peer, *Trace, error) {
 	return peer, trace, nil
 }
 
-// ChordNetwork exposes the underlying Chord network for protocol-level
-// experiments (nil for other backends).
-func (tb *Testbed) ChordNetwork() *chord.Network { return tb.net }
+// Network exposes the underlying overlay — membership, join/crash,
+// maintenance, ring verification — through the one handle every
+// protocol backend implements (nil for the oracle).
+func (tb *Testbed) Network() overlay.Network { return tb.net }
 
-// KademliaNetwork exposes the underlying Kademlia network for
-// protocol-level experiments (nil for other backends).
-func (tb *Testbed) KademliaNetwork() *kademlia.Network { return tb.knet }
+// ChordNetwork exposes the underlying Chord network for the chord-only
+// key/value operations (nil for other backends).
+func (tb *Testbed) ChordNetwork() *chord.Network {
+	net, _ := tb.net.(*chord.Network)
+	return net
+}
 
 // BiasedSampler builds a sampler choosing peers with probability
 // proportional to weight(p), by rejection over the uniform sampler —
