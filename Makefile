@@ -71,13 +71,16 @@ bench-kernel:
 bench-smoke:
 	$(GO) test -C bench -short ./...
 
-# Full throughput measurement, recorded into the committed perf
-# trajectory (BENCH_$(PR).json). Override PR for later snapshots.
+# The behavioural snapshot, recorded into the committed trajectory
+# (BENCH_$(PR).json): the seeded scenario sections, the repository
+# benchmark's traced-pass counters at a fixed -ops per workload, and the
+# module's code lines. About a minute; wall clock is bench/'s job.
 bench-snapshot:
 	$(GO) run ./cmd/benchsnap -o BENCH_$(PR).json
 
-# Compare the two most recent committed snapshots: PR-over-PR
-# samples/sec, ns/sample and allocs/sample.
+# Compare the two most recent committed snapshots leaf by leaf (one
+# markdown table): fails only on the leaves that repeat bit for bit,
+# reports the rest, and names what it could not compare as SKIPPED.
 benchdiff:
 	$(GO) run ./cmd/benchdiff
 

@@ -83,9 +83,10 @@ func BenchmarkUniformSample(b *testing.B) {
 // the one-worker rate on a two-core machine. The overlays have no lane:
 // every RPC takes the call fabric's and the overlay core's read locks
 // and charges the shared meter, and two workers are no faster than one
-// (ROADMAP's "resolve a destination once per call" lead). cmd/benchsnap
-// records the oracle measurement into the committed BENCH_<pr>.json
-// trajectory.
+// (ROADMAP's "resolve a destination once per call" lead). The committed
+// number is the repository benchmark's engine.speedup_wN on
+// oracle-batch-1m, which cmd/benchsnap copies into BENCH_<pr>.json's
+// ledger and cmd/benchdiff holds at 1.5 or more.
 //
 // k must stay well above workers*engine.DefaultBlockSize — the engine
 // clamps workers to the block count, so a small batch would silently
@@ -633,9 +634,11 @@ func BenchmarkChordLookup(b *testing.B) {
 // free-running mode (latency draw + clock advance + histogram record
 // per RPC). The acceptance bound is absolute — on the order of 20 ns
 // of extra work per RPC — rather than a percentage: the PR 4 hot-path
-// pass sped up both transports but direct more, so the ratio benchsnap
-// records (BENCH_<pr>.json) grew from 8.4% to ~16% even though the
-// simulation machinery itself got cheaper per RPC.
+// pass sped up both transports but direct more, so the ratio (the
+// transport_overhead section of BENCH_3 to BENCH_19) grew from 8.4% to
+// ~16% even though the simulation machinery itself got cheaper per
+// RPC. Since BENCH_21 the per-call figures are the repository
+// benchmark's simnet.self_ns_per_call and sim.self_ns_per_call.
 func BenchmarkSimTransportOverhead(b *testing.B) {
 	const n = 1024
 	transports := map[string]func() simnet.Transport{

@@ -1,34 +1,28 @@
-// Command benchdiff compares two committed benchmark snapshots
-// (BENCH_<pr>.json, written by cmd/benchsnap) and prints the
-// per-worker-count deltas — samples/sec, ns/sample and allocs/sample —
-// an absolute floor on the newer snapshot's two-worker batch speedup
-// (skipped, with the reason printed, for a snapshot taken on one CPU),
-// plus the scenario-scale sections: kernel events/sec (proc and
-// callback paths), per-backend construction peers/sec, async-churn
-// events/sec, the per-backend flat-storage capacity records (heap
-// bytes/node and bulk build time, both gated higher-is-worse — the
-// capacity headline regresses when either grows), the per-backend E28
-// SLO records (p99 latency, error
-// budget and objective verdict — where higher is worse, the gate
-// inverts), the per-backend adversarial records (mitigation bias,
-// audit price and eclipse capture, all gated higher-is-worse, plus the
-// standalone invariant that the swap mitigation's TV stays below the
-// attacked naive sampler's), the sim-transport overhead and the
-// module's code-line total (reported, not gated). With no
-// arguments it picks
-// the two highest-numbered BENCH_*.json in the current directory, so
-// `make benchdiff` always reports the latest PR-over-PR change in the
-// perf trajectory.
+// Command benchdiff compares two benchmark snapshots (BENCH_<pr>.json,
+// written by cmd/benchsnap) leaf by leaf and prints one markdown table.
+// It fails only on what repeats:
 //
-// The scenario-scale fields act as a regression gate: when both
-// snapshots carry a field and the newer one is more than 10% worse,
-// benchdiff prints the regression and exits nonzero, failing `make
-// benchdiff` (and any CI step that runs it).
+//   - exact leaves — the SLO, adversary and E27 scenario results, churn
+//     kernel events, storage slots and probes, and the ledger counters
+//     the repository benchmark pins at a fixed operation count — fail on
+//     any inequality, and the message names the leaf;
+//   - mem bytes_per_node, which is GC-settled, fails beyond 0.1%;
+//   - every other leaf (wall clock, rates, code lines) is printed with
+//     its ratio and never fails: bench/ measures wall clock, in pairs
+//     and against bounds;
+//   - two invariants of the newer snapshot alone: the swap mitigation's
+//     TV stays below the attacked naive sampler's, and the oracle batch
+//     runs at least 1.5x one worker on a machine with two or more CPUs.
 //
-// Snapshots record the environment they were measured in (Go version,
-// CPU count, GOMAXPROCS). When the two snapshots disagree, benchdiff
-// warns that the comparison crosses environments — the deltas then
-// measure the machine as much as the code.
+// A section or record that only one snapshot carries, or carries at
+// another size, prints a SKIPPED line. Snapshots taken with different
+// toolchains or CPU counts draw a warning. A PR that moves an exact leaf
+// on purpose commits the new snapshot: CI compares a fresh snapshot with
+// the newest committed one.
+//
+// With no arguments it picks the two highest-numbered BENCH_*.json in
+// the current directory, so `make benchdiff` shows what the latest PR
+// moved. Exit status: 0 nothing failed, 1 a gate failed, 2 usage.
 //
 // Usage:
 //
@@ -38,6 +32,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -45,360 +41,309 @@ import (
 	"strconv"
 )
 
-// Snapshot mirrors the fields of cmd/benchsnap's output that the diff
-// reports. Older snapshots predate some sections (ns/allocs per sample,
-// kernel/build/churn); those render as "-" and are exempt from the
-// regression gate.
-type Snapshot struct {
-	Benchmark  string   `json:"benchmark"`
-	GoVersion  string   `json:"go_version"`
-	NumCPU     int      `json:"num_cpu"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Peers      int      `json:"peers"`
-	Samples    int      `json:"samples_per_run"`
-	Runs       []Run    `json:"runs"`
-	Transport  *Transp  `json:"transport_overhead"`
-	Kernel     *Kernel  `json:"kernel"`
-	Builds     []Build  `json:"builds"`
-	Churn      *ChurnRt `json:"churn"`
-	Mem        []MemRec `json:"mem"`
-	SLO        []SLORec `json:"slo"`
-	Adversary  []AdvRec `json:"adversary"`
-	Code       *CodeRec `json:"code"`
+// A record is one object of a snapshot that is compared as a unit: a
+// section that is an object (churn, code, ledger) or one element of a
+// section that is a list (mem, slo, adversary). Its backend goes into
+// the name and its peers and fraction into at, so a record meets only
+// its counterpart of the same backend and size.
+type record struct {
+	section, name, at string
+	leaves            map[string]any // path below the record -> string, number or bool
 }
 
-// CodeRec mirrors the total of benchsnap's code section: the module's
-// non-test, non-blank, non-comment Go lines. Reported, never gated.
-type CodeRec struct {
-	TotalLines int `json:"total_lines"`
+// snapshot is one BENCH file: its top-level scalars, and its sections
+// flattened into records keyed by name+at.
+type snapshot struct {
+	path     string
+	env      map[string]any
+	sections map[string]bool
+	records  map[string]*record
 }
 
-// envMismatches compares the environment benchsnap stamped into two
-// snapshots. Deltas across different toolchains or machines measure the
-// environment, not the code, so benchdiff flags every comparison whose
-// environments differ. Fields a snapshot predates (empty/zero) are not
-// compared.
-func envMismatches(oldSnap, newSnap *Snapshot) []string {
-	var out []string
-	if oldSnap.GoVersion != "" && newSnap.GoVersion != "" && oldSnap.GoVersion != newSnap.GoVersion {
-		out = append(out, fmt.Sprintf("go_version %s -> %s", oldSnap.GoVersion, newSnap.GoVersion))
+func load(path string) (*snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	if oldSnap.NumCPU > 0 && newSnap.NumCPU > 0 && oldSnap.NumCPU != newSnap.NumCPU {
-		out = append(out, fmt.Sprintf("num_cpu %d -> %d", oldSnap.NumCPU, newSnap.NumCPU))
+	var tree map[string]any
+	if err := json.Unmarshal(data, &tree); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if oldSnap.GOMAXPROCS > 0 && newSnap.GOMAXPROCS > 0 && oldSnap.GOMAXPROCS != newSnap.GOMAXPROCS {
-		out = append(out, fmt.Sprintf("gomaxprocs %d -> %d", oldSnap.GOMAXPROCS, newSnap.GOMAXPROCS))
+	s := &snapshot{path: path, env: map[string]any{}, sections: map[string]bool{}, records: map[string]*record{}}
+	for section, v := range tree {
+		switch v := v.(type) {
+		case map[string]any:
+			s.add(section, section, v)
+		case []any:
+			for i, el := range v {
+				if obj, ok := el.(map[string]any); ok {
+					s.add(section, section+"["+strconv.Itoa(i)+"]", obj)
+				}
+			}
+		default:
+			s.env[section] = v
+		}
 	}
-	return out
+	return s, nil
 }
 
-// Kernel mirrors benchsnap's kernel event-loop section.
-type Kernel struct {
-	ProcEventsPerSec     float64 `json:"proc_events_per_sec"`
-	CallbackEventsPerSec float64 `json:"callback_events_per_sec"`
-	SpeedupVsPR3         float64 `json:"speedup_vs_pr3"`
+// add files obj as a record of section. fallback names a record that
+// has no backend.
+func (s *snapshot) add(section, fallback string, obj map[string]any) {
+	r := &record{section: section, name: fallback, leaves: map[string]any{}}
+	if b, ok := obj["backend"].(string); ok {
+		r.name = section + "[" + b + "]"
+	}
+	if n, ok := obj["peers"]; ok {
+		r.at = " (n=" + show(n)
+		if f, ok := obj["fraction"]; ok {
+			r.at += " f=" + show(f)
+		}
+		r.at += ")"
+	}
+	var flatten func(prefix string, obj map[string]any)
+	flatten = func(prefix string, obj map[string]any) {
+		for k, v := range obj {
+			switch v := v.(type) {
+			case map[string]any:
+				flatten(prefix+k+".", v)
+			case []any: // hand-added run lists (BENCH_14 repo_benchmark)
+			default:
+				r.leaves[prefix+k] = v
+			}
+		}
+	}
+	flatten("", obj)
+	for _, key := range []string{"backend", "peers", "fraction"} {
+		delete(r.leaves, key)
+	}
+	s.sections[section] = true
+	s.records[r.name+r.at] = r
 }
 
-// Build mirrors benchsnap's per-backend construction section.
-type Build struct {
-	Backend     string  `json:"backend"`
-	Peers       int     `json:"peers"`
-	PeersPerSec float64 `json:"peers_per_sec"`
+// gate is how a leaf is held; its value is what the table prints.
+type gate string
+
+const (
+	reported gate = ""      // printed with its ratio, never fails
+	exact    gate = "exact" // fails on any inequality
+	within   gate = "0.1%"  // fails beyond memTolerance
+)
+
+// memTolerance is the most mem bytes_per_node may move: the figure is
+// heap growth after a forced collection, and two runs of one binary
+// have read 1827.2085 and 1827.2078.
+const memTolerance = 0.001
+
+// scalingFloor is the least engine.speedup_wN the newer snapshot's
+// oracle-batch-1m ledger may record on a machine with two or more CPUs.
+// The oracle batch is CPU-bound and its forks share no written memory,
+// so the measured value is 1.7 or more; 1.5 leaves room for a noisy
+// neighbour and none for the 0.8 that contended cost counters produced.
+const scalingFloor = 1.5
+
+// wallLeaves are the wall-clock leaves of the scenario sections; every
+// other leaf of slo, adversary and e27 is a pure function of the seed.
+var wallLeaves = map[string]bool{
+	"slo.run_wall_ms": true, "slo.requests_per_sec_wall": true,
+	"adversary.wall_ms": true,
+	"e27.build_wall_ms": true, "e27.run_wall_ms": true,
 }
 
-// MemRec mirrors benchsnap's per-backend flat-storage capacity
-// section. Bytes/node and build wall time both gate higher-is-worse: a
-// fatter per-node layout or a slower bulk build regresses the
-// capacity headline (10M-peer rings in a few GB, sub-minute builds)
-// even when the sampling hot paths are unaffected.
-type MemRec struct {
-	Backend      string  `json:"backend"`
-	Peers        int     `json:"peers"`
-	BuildWallMS  float64 `json:"build_wall_ms"`
-	PeersPerSec  float64 `json:"peers_per_sec"`
-	BytesPerNode float64 `json:"bytes_per_node"`
+// exactLeaves are the leaves of the remaining sections that repeat bit
+// for bit. The ledger names are the ones bench/bench_test.go pins in
+// seededCounts and fixedCounts, plus the operation count itself.
+var exactLeaves = map[string]bool{
+	"churn.events": true, "churn.kernel_events": true,
+	"mem.slots": true, "mem.probes_ok": true, "mem.probes": true,
 }
 
-// ChurnRt mirrors benchsnap's async-churn rate section.
-type ChurnRt struct {
-	Peers        int     `json:"peers"`
-	EventsPerSec float64 `json:"events_per_sec"`
+func init() {
+	for workload, names := range map[string][]string{
+		"oracle-batch-1m":        {"ops", "msgs_per_sample", "core.trials_per_sample", "core.next_steps_per_sample", "core.accept_ratio"},
+		"chord-direct-16k":       {"ops", "msgs_per_sample", "core.trials_per_sample", "core.next_steps_per_sample", "simnet.calls_per_sample", "dht.hops_per_lookup"},
+		"kademlia-direct-16k":    {"ops", "msgs_per_sample", "core.trials_per_sample", "core.next_steps_per_sample", "simnet.calls_per_sample", "dht.hops_per_lookup"},
+		"chord-churn-simtime":    {"ops", "core.trials_per_sample", "core.next_steps_per_sample", "fail_share", "virt_p50_ms", "virt_p99_ms", "sim.kernel_events", "load.completed"},
+		"kademlia-churn-simtime": {"ops", "core.trials_per_sample", "core.next_steps_per_sample", "fail_share", "virt_p50_ms", "virt_p99_ms", "sim.kernel_events", "load.completed"},
+		"chord-wire-3d":          {"ops", "fail_share", "msgs_per_sample", "wire.calls_per_request"},
+	} {
+		for _, name := range names {
+			exactLeaves["ledger."+workload+"."+name] = true
+		}
+	}
 }
 
-// SLORec mirrors benchsnap's per-backend E28 SLO section. The latency,
-// availability and budget fields are deterministic functions of the
-// scenario (not wall-clock measurements), so their gate catches
-// behavioral regressions — a slower walk, a less effective maintenance
-// sweep — that throughput noise would hide. RequestsPerSecWall is the
-// section's one wall-clock rate and gates like the other rates.
-type SLORec struct {
-	Backend            string  `json:"backend"`
-	Peers              int     `json:"peers"`
-	P99Ms              float64 `json:"p99_ms"`
-	Availability       float64 `json:"availability"`
-	BudgetConsumedPct  float64 `json:"budget_consumed_pct"`
-	RequestsPerSecWall float64 `json:"requests_per_sec_wall"`
-	Met                bool    `json:"met"`
+// classify returns the gate of a leaf from its section and its path
+// with the record's key left out (slo.p99_ms, ledger.<workload>.<metric>).
+func classify(section, path string) gate {
+	rule := section + "." + path
+	switch {
+	case rule == "mem.bytes_per_node":
+		return within
+	case exactLeaves[rule]:
+		return exact
+	case section == "slo" || section == "adversary" || section == "e27":
+		if !wallLeaves[rule] {
+			return exact
+		}
+	}
+	return reported
 }
 
-// AdvRec mirrors benchsnap's per-backend adversarial section. All of
-// its gated fields are deterministic functions of the seed and gate
-// with higher-is-worse: more accepted bias through the mitigation, a
-// pricier audit, or a larger eclipse capture each mean the adversarial
-// posture regressed. The naive TV is context (the attack's strength),
-// not a gate. Independently of the old snapshot, the mitigation
-// invariant swap_tv < naive_tv must hold within each new record.
-type AdvRec struct {
-	Backend        string  `json:"backend"`
-	Peers          int     `json:"peers"`
-	Fraction       float64 `json:"fraction"`
-	NaiveTV        float64 `json:"naive_tv"`
-	SwapTV         float64 `json:"swap_tv"`
-	SwapFailRate   float64 `json:"swap_fail_rate"`
-	EclipseCapture float64 `json:"eclipse_capture"`
-}
-
-// Run is one timed configuration of a snapshot. The per-sample fields
-// are pointers so a snapshot that predates them (BENCH_1..3) is
-// distinguishable from a measured value of exactly zero.
-type Run struct {
-	Workers         int      `json:"workers"`
-	SamplesPerSec   float64  `json:"samples_per_sec"`
-	NsPerSample     *float64 `json:"ns_per_sample"`
-	AllocsPerSample *float64 `json:"allocs_per_sample"`
-	SpeedupVs1      float64  `json:"speedup_vs_1"`
-}
-
-// Transp is the sim-transport overhead record of a snapshot.
-type Transp struct {
-	OverheadPct float64 `json:"overhead_pct"`
+// show renders a leaf value: numbers in full, without exponent, and a
+// leaf the snapshot lacks as "-".
+func show(v any) string {
+	switch v := v.(type) {
+	case nil:
+		return "-"
+	case float64:
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	}
+	return fmt.Sprint(v)
 }
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	var oldPath, newPath string
 	switch len(args) {
 	case 0:
 		var err error
 		oldPath, newPath, err = latestPair(".")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
+			fmt.Fprintln(stderr, "benchdiff:", err)
 			return 1
 		}
 	case 2:
 		oldPath, newPath = args[0], args[1]
 	default:
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [old.json new.json]")
+		fmt.Fprintln(stderr, "usage: benchdiff [old.json new.json]")
 		return 2
 	}
 	oldSnap, err := load(oldPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 1
 	}
 	newSnap, err := load(newPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 1
 	}
-	fmt.Printf("benchdiff: %s (n=%d, k=%d) -> %s (n=%d, k=%d)\n",
-		oldPath, oldSnap.Peers, oldSnap.Samples, newPath, newSnap.Peers, newSnap.Samples)
-	mismatches := envMismatches(oldSnap, newSnap)
-	for _, m := range mismatches {
-		fmt.Fprintln(os.Stderr, "benchdiff: WARNING: cross-environment comparison:", m)
-	}
-	fmt.Printf("%-8s  %14s  %14s  %8s  %12s  %14s\n",
-		"workers", "old samples/s", "new samples/s", "speedup", "new ns/samp", "new allocs/samp")
-	byWorkers := make(map[int]Run, len(oldSnap.Runs))
-	for _, r := range oldSnap.Runs {
-		byWorkers[r.Workers] = r
-	}
-	for _, nr := range newSnap.Runs {
-		or, ok := byWorkers[nr.Workers]
-		speedup := "-"
-		oldRate := "-"
-		if ok && or.SamplesPerSec > 0 {
-			speedup = fmt.Sprintf("%.2fx", nr.SamplesPerSec/or.SamplesPerSec)
-			oldRate = fmt.Sprintf("%.0f", or.SamplesPerSec)
-		}
-		fmt.Printf("%-8d  %14s  %14.0f  %8s  %12s  %14s\n",
-			nr.Workers, oldRate, nr.SamplesPerSec, speedup,
-			optional(nr.NsPerSample, "%.0f"), optional(nr.AllocsPerSample, "%.4f"))
-	}
-	if oldSnap.Transport != nil && newSnap.Transport != nil {
-		fmt.Printf("sim-transport overhead: %.2f%% -> %.2f%%\n",
-			oldSnap.Transport.OverheadPct, newSnap.Transport.OverheadPct)
-	}
-	// The scenario-scale sections gate on >10% regression: a comparison
-	// runs only when both snapshots carry the field, so the first
-	// snapshot to introduce a section sets its baseline.
-	var regressions []string
-	check := func(name string, oldV, newV float64) {
-		if oldV <= 0 || newV <= 0 {
-			return
-		}
-		fmt.Printf("%-28s  %14.0f  %14.0f  %6.2fx\n", name, oldV, newV, newV/oldV)
-		if newV < oldV*(1-regressionTolerance) {
-			regressions = append(regressions,
-				fmt.Sprintf("%s regressed %.1f%% (%.0f -> %.0f)", name, 100*(1-newV/oldV), oldV, newV))
+	for _, key := range []string{"go_version", "num_cpu", "gomaxprocs"} {
+		was, is := oldSnap.env[key], newSnap.env[key]
+		if was != nil && is != nil && was != is {
+			fmt.Fprintf(stderr, "benchdiff: WARNING: cross-environment comparison: %s %s -> %s\n", key, show(was), show(is))
 		}
 	}
-	// checkUp gates metrics where higher is worse (latency, budget
-	// burn): the newer snapshot regresses when it exceeds the old value
-	// by more than the tolerance.
-	// Zero is a value here, not an absence (a run that burns no budget
-	// reports 0): falling to zero prints as the improvement it is, and
-	// rising from zero, where no ratio exists, is a regression.
-	checkUp := func(name string, oldV, newV float64) {
-		if oldV < 0 || newV < 0 || (oldV == 0 && newV == 0) {
-			return
-		}
-		if oldV == 0 {
-			fmt.Printf("%-28s  %14.2f  %14.2f  %7s\n", name, oldV, newV, "from 0")
-			regressions = append(regressions, fmt.Sprintf("%s regressed from zero (0 -> %.2f)", name, newV))
-			return
-		}
-		fmt.Printf("%-28s  %14.2f  %14.2f  %6.2fx\n", name, oldV, newV, newV/oldV)
-		if newV > oldV*(1+regressionTolerance) {
-			regressions = append(regressions,
-				fmt.Sprintf("%s regressed %.1f%% (%.2f -> %.2f)", name, 100*(newV/oldV-1), oldV, newV))
-		}
+	failures := diff(stdout, oldSnap, newSnap)
+	for _, f := range failures {
+		fmt.Fprintln(stderr, "benchdiff: FAIL", f)
 	}
-	// Batch scaling is gated on the newer snapshot alone: BENCH_12 to 17
-	// all recorded two workers slower than one, and a PR-over-PR ratio
-	// of two equally inverted snapshots reads 1.00x.
-	for _, nr := range newSnap.Runs {
-		if nr.Workers != 2 || nr.SpeedupVs1 <= 0 {
-			continue
-		}
-		if newSnap.NumCPU < 2 {
-			fmt.Printf("batch scaling gate skipped: %s was measured on %d CPU, where two workers cannot run side by side\n", newPath, newSnap.NumCPU)
-			continue
-		}
-		fmt.Printf("%-28s  %14s  %14.2f  (floor %.1f)\n", "batch speedup, 2 workers", "", nr.SpeedupVs1, scalingFloor)
-		if nr.SpeedupVs1 < scalingFloor {
-			regressions = append(regressions,
-				fmt.Sprintf("batch sampling does not scale: 2 workers run %.2fx one worker on %d CPUs, floor %.1fx", nr.SpeedupVs1, newSnap.NumCPU, scalingFloor))
-		}
-	}
-	if oldSnap.Kernel != nil && newSnap.Kernel != nil {
-		check("kernel proc events/sec", oldSnap.Kernel.ProcEventsPerSec, newSnap.Kernel.ProcEventsPerSec)
-		check("kernel callback events/sec", oldSnap.Kernel.CallbackEventsPerSec, newSnap.Kernel.CallbackEventsPerSec)
-	}
-	oldBuilds := make(map[string]Build, len(oldSnap.Builds))
-	for _, b := range oldSnap.Builds {
-		oldBuilds[b.Backend] = b
-	}
-	for _, nb := range newSnap.Builds {
-		if ob, ok := oldBuilds[nb.Backend]; ok && ob.Peers == nb.Peers {
-			check("build "+nb.Backend+" peers/sec", ob.PeersPerSec, nb.PeersPerSec)
-		}
-	}
-	if oldSnap.Churn != nil && newSnap.Churn != nil && oldSnap.Churn.Peers == newSnap.Churn.Peers {
-		check("churn events/sec", oldSnap.Churn.EventsPerSec, newSnap.Churn.EventsPerSec)
-	}
-	oldMem := make(map[string]MemRec, len(oldSnap.Mem))
-	for _, m := range oldSnap.Mem {
-		oldMem[m.Backend] = m
-	}
-	for _, nm := range newSnap.Mem {
-		prev, ok := oldMem[nm.Backend]
-		if !ok || prev.Peers != nm.Peers {
-			continue
-		}
-		checkUp("mem "+nm.Backend+" bytes/node", prev.BytesPerNode, nm.BytesPerNode)
-		checkUp("mem "+nm.Backend+" build ms", prev.BuildWallMS, nm.BuildWallMS)
-		check("mem "+nm.Backend+" peers/sec", prev.PeersPerSec, nm.PeersPerSec)
-	}
-	oldSLO := make(map[string]SLORec, len(oldSnap.SLO))
-	for _, s := range oldSnap.SLO {
-		oldSLO[s.Backend] = s
-	}
-	for _, ns := range newSnap.SLO {
-		prev, ok := oldSLO[ns.Backend]
-		if !ok || prev.Peers != ns.Peers {
-			continue
-		}
-		check("slo "+ns.Backend+" req/sec wall", prev.RequestsPerSecWall, ns.RequestsPerSecWall)
-		checkUp("slo "+ns.Backend+" p99 ms", prev.P99Ms, ns.P99Ms)
-		checkUp("slo "+ns.Backend+" budget %", prev.BudgetConsumedPct, ns.BudgetConsumedPct)
-		if prev.Met && !ns.Met {
-			regressions = append(regressions,
-				fmt.Sprintf("slo %s: objectives previously met, now missed (availability %.4f -> %.4f)",
-					ns.Backend, prev.Availability, ns.Availability))
-		}
-	}
-	oldAdv := make(map[string]AdvRec, len(oldSnap.Adversary))
-	for _, a := range oldSnap.Adversary {
-		oldAdv[a.Backend] = a
-	}
-	for _, na := range newSnap.Adversary {
-		if na.SwapTV >= na.NaiveTV && na.NaiveTV > 0 {
-			regressions = append(regressions,
-				fmt.Sprintf("adversary %s: mitigation no longer holds (swap TV %.4f >= naive TV %.4f)",
-					na.Backend, na.SwapTV, na.NaiveTV))
-		}
-		prev, ok := oldAdv[na.Backend]
-		if !ok || prev.Peers != na.Peers || prev.Fraction != na.Fraction {
-			continue
-		}
-		checkUp("adversary "+na.Backend+" swap tv", prev.SwapTV, na.SwapTV)
-		checkUp("adversary "+na.Backend+" swap fail rate", prev.SwapFailRate, na.SwapFailRate)
-		checkUp("adversary "+na.Backend+" eclipse capture", prev.EclipseCapture, na.EclipseCapture)
-	}
-	if newSnap.Code != nil {
-		was, delta := "-", ""
-		if oldSnap.Code != nil {
-			was = strconv.Itoa(oldSnap.Code.TotalLines)
-			delta = fmt.Sprintf(" (%+d)", newSnap.Code.TotalLines-oldSnap.Code.TotalLines)
-		}
-		fmt.Printf("code lines (non-test, non-blank, non-comment): %s -> %d%s\n", was, newSnap.Code.TotalLines, delta)
-	}
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "benchdiff: REGRESSION:", r)
-		}
-		if len(mismatches) > 0 {
-			fmt.Fprintln(os.Stderr, "benchdiff: note: the snapshots were taken in different environments (see warnings above); re-measure on one machine before trusting these deltas")
-		}
+	if len(failures) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// regressionTolerance is the fractional slowdown the scenario-scale
-// gate tolerates before failing (wall-clock measurements are noisy;
-// anything beyond 10% is treated as a real regression).
-const regressionTolerance = 0.10
-
-// scalingFloor is the least speedup_vs_1 the newer snapshot's two-worker
-// run may record on a machine with two or more CPUs. The oracle batch is
-// CPU-bound and its forks share no written memory, so the measured value
-// is 1.9 or more; 1.5 leaves room for a noisy neighbour and none for the
-// 0.8 that contended cost counters produced.
-const scalingFloor = 1.5
-
-// optional renders a metric the snapshot may predate.
-func optional(v *float64, format string) string {
-	if v == nil {
-		return "-"
+// diff prints the table and the SKIPPED lines and returns one message
+// per failed gate.
+func diff(w io.Writer, oldSnap, newSnap *snapshot) (failures []string) {
+	skipped := map[string]string{} // what -> why
+	onlyIn := func(inOld bool) string {
+		if inOld {
+			return "only in " + oldSnap.path
+		}
+		return "only in " + newSnap.path
 	}
-	return fmt.Sprintf(format, *v)
+	fmt.Fprintf(w, "# benchdiff %s -> %s\n\n| leaf | old | new | change | gate |\n|---|---|---|---|---|\n", oldSnap.path, newSnap.path)
+	for _, key := range union(oldSnap.records, newSnap.records) {
+		was, is := oldSnap.records[key], newSnap.records[key]
+		// The two invariants hold within the newer snapshot alone: a ratio
+		// of two equally broken snapshots reads 1.00x.
+		if is != nil && is.section == "adversary" {
+			naive, _ := is.leaves["naive_tv"].(float64)
+			if swap, ok := is.leaves["swap_tv"].(float64); ok && naive > 0 && swap >= naive {
+				failures = append(failures, fmt.Sprintf("invariant: %s: mitigation no longer holds (swap_tv %s >= naive_tv %s)", key, show(swap), show(naive)))
+			}
+		}
+		if was == nil || is == nil {
+			one, what := was, key
+			if one == nil {
+				one = is
+			}
+			if oldSnap.sections[one.section] != newSnap.sections[one.section] {
+				what = one.section // one line for a whole section
+			}
+			skipped[what] = onlyIn(was != nil)
+			continue
+		}
+		for _, path := range union(was.leaves, is.leaves) {
+			a, b := was.leaves[path], is.leaves[path]
+			g := classify(is.section, path)
+			if g == reported && (a == nil || a == 0.0) && (b == nil || b == 0.0) {
+				continue // a layer this workload does not have
+			}
+			name := is.name + "." + path + is.at
+			change, fail := onlyIn(a != nil), false
+			if a != nil && b != nil {
+				change, fail = compare(g, a, b)
+			}
+			verdict := string(g)
+			if fail {
+				verdict += " FAIL"
+				failures = append(failures, fmt.Sprintf("%s: %s: %s -> %s", g, name, show(a), show(b)))
+			}
+			fmt.Fprintf(w, "| %s | %s | %s | %s | %s |\n", name, show(a), show(b), change, verdict)
+		}
+	}
+	if ledger := newSnap.records["ledger"]; ledger != nil {
+		const leaf = "oracle-batch-1m.engine.speedup_wN"
+		speedup, ok := ledger.leaves[leaf].(float64)
+		cpus, _ := newSnap.env["num_cpu"].(float64)
+		switch {
+		case !ok:
+		case cpus < 2:
+			skipped[fmt.Sprintf("ledger.%s >= %.1f", leaf, scalingFloor)] = fmt.Sprintf("%s was taken on %s CPU, where two workers cannot run side by side", newSnap.path, show(cpus))
+		case speedup < scalingFloor:
+			failures = append(failures, fmt.Sprintf("invariant: ledger.%s: batch sampling does not scale: %.2fx one worker on %s CPUs, floor %.1fx", leaf, speedup, show(cpus), scalingFloor))
+		}
+	}
+	fmt.Fprintln(w)
+	for _, what := range union(skipped, nil) {
+		fmt.Fprintf(w, "- SKIPPED %s: %s\n", what, skipped[what])
+	}
+	return failures
 }
 
-func load(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// compare returns a row's change column and whether gate g fails on it.
+func compare(g gate, a, b any) (change string, fail bool) {
+	if a == b {
+		return "equal", false
 	}
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	x, xnum := a.(float64)
+	y, ynum := b.(float64)
+	if !xnum || !ynum || x == 0 {
+		return "changed", g != reported
 	}
-	return &s, nil
+	return fmt.Sprintf("%.2fx", y/x), g == exact || g == within && math.Abs(y/x-1) > memTolerance
+}
+
+// union returns the keys of both maps, sorted.
+func union[V any](a, b map[string]V) []string {
+	var keys []string
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, dup := a[k]; !dup {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // latestPair returns the two highest-numbered BENCH_<pr>.json in dir.

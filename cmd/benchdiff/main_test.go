@@ -1,234 +1,161 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
-	"strconv"
+	"strings"
 	"testing"
 )
 
-// write drops a minimal snapshot file and returns its path.
-func write(t *testing.T, dir, name, body string) string {
+// base is a snapshot in the shape benchsnap writes, cut down to one
+// record a section.
+const base = `{
+  "go_version": "go1.24.0", "num_cpu": 2, "gomaxprocs": 2,
+  "churn": {"peers": 256, "events": 2000, "wall_ms": 700, "kernel_events": 460169},
+  "mem": [{"backend": "kademlia", "peers": 131072, "bytes_per_node": 2000, "build_wall_ms": 600, "slots": 131072}],
+  "slo": [{"backend": "kademlia", "peers": 512, "p99_ms": 805.306368, "budget_consumed_pct": 0, "met": true, "run_wall_ms": 4000}],
+  "adversary": [{"backend": "chord", "peers": 128, "fraction": 0.2, "naive_tv": 0.61, "swap_tv": 0.46, "wall_ms": 58}],
+  "ledger": {"oracle-batch-1m": {"ops": 65536, "msgs_per_sample": 529.7396744659206, "engine.speedup_wN": 1.9, "proc.heap_mb": 38.8}},
+  "code": {"total_lines": 15600}
+}`
+
+// diffEdited writes base with the old and new edits applied (pairs of
+// from, to; every from must occur) and runs benchdiff over the two
+// files.
+func diffEdited(t *testing.T, oldEdits, newEdits []string) (exit int, stdout, stderr string) {
 	t.Helper()
-	p := filepath.Join(dir, name)
-	if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-const baseSnap = `{
-  "benchmark": "batch-throughput", "peers": 1000, "samples_per_run": 100,
-  "runs": [{"workers": 1, "samples_per_sec": 50000}],
-  "kernel": {"proc_events_per_sec": 90000000, "callback_events_per_sec": 29000000},
-  "builds": [{"backend": "chord", "peers": 1000000, "peers_per_sec": 160000}],
-  "churn": {"peers": 256, "events_per_sec": 6000}
-}`
-
-func TestBenchdiffPassesOnImprovement(t *testing.T) {
 	dir := t.TempDir()
-	oldP := write(t, dir, "old.json", baseSnap)
-	newP := write(t, dir, "new.json", `{
-  "benchmark": "batch-throughput", "peers": 1000, "samples_per_run": 100,
-  "runs": [{"workers": 1, "samples_per_sec": 52000}],
-  "kernel": {"proc_events_per_sec": 95000000, "callback_events_per_sec": 30000000},
-  "builds": [{"backend": "chord", "peers": 1000000, "peers_per_sec": 170000}],
-  "churn": {"peers": 256, "events_per_sec": 6100}
-}`)
-	if code := run([]string{oldP, newP}); code != 0 {
-		t.Fatalf("exit = %d, want 0 for an improvement", code)
+	write := func(name string, edits []string) string {
+		body := base
+		for i := 0; i < len(edits); i += 2 {
+			if !strings.Contains(body, edits[i]) {
+				t.Fatalf("edit %q matches nothing in base", edits[i])
+			}
+			body = strings.Replace(body, edits[i], edits[i+1], 1)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	var out, errs bytes.Buffer
+	exit = run([]string{write("old.json", oldEdits), write("new.json", newEdits)}, &out, &errs)
+	return exit, out.String(), errs.String()
+}
+
+func TestBenchdiffGates(t *testing.T) {
+	oneCPU := []string{`"num_cpu": 2`, `"num_cpu": 1`}
+	slowBatch := []string{`"engine.speedup_wN": 1.9`, `"engine.speedup_wN": 1.2`}
+	noMitigation := []string{`"swap_tv": 0.46`, `"swap_tv": 0.61`}
+	for _, tc := range []struct {
+		name     string
+		old, new []string
+		exit     int
+		want     []string // substrings of stdout + stderr
+	}{
+		{name: "unchanged", exit: 0,
+			want: []string{"| churn.kernel_events (n=256) | 460169 | 460169 | equal | exact |"}},
+		{name: "exact leaf moved in the last digit", new: []string{"805.306368", "805.306369"}, exit: 1,
+			want: []string{"FAIL exact: slo[kademlia].p99_ms (n=512): 805.306368 -> 805.306369", "| equal | exact |\n", "| 1.00x | exact FAIL |"}},
+		{name: "exact leaf rises from zero", new: []string{`"budget_consumed_pct": 0`, `"budget_consumed_pct": 1.33`}, exit: 1,
+			want: []string{"FAIL exact: slo[kademlia].budget_consumed_pct"}},
+		{name: "objectives flip from met to missed", new: []string{`"met": true`, `"met": false`}, exit: 1,
+			want: []string{"FAIL exact: slo[kademlia].met (n=512): true -> false"}},
+		{name: "counted events moved", new: []string{"460169", "460170"}, exit: 1,
+			want: []string{"FAIL exact: churn.kernel_events (n=256): 460169 -> 460170"}},
+		{name: "ledger counter moved", new: []string{"529.7396744659206", "529.7396744659208"}, exit: 1,
+			want: []string{"FAIL exact: ledger.oracle-batch-1m.msgs_per_sample"}},
+		{name: "wall leaf 30% slower", new: []string{`"run_wall_ms": 4000`, `"run_wall_ms": 5200`}, exit: 0,
+			want: []string{"| slo[kademlia].run_wall_ms (n=512) | 4000 | 5200 | 1.30x |  |"}},
+		{name: "ledger timing and code lines are reported", new: []string{"38.8", "77.6", "15600", "30000"}, exit: 0,
+			want: []string{"| ledger.oracle-batch-1m.proc.heap_mb | 38.8 | 77.6 | 2.00x |  |", "| code.total_lines | 15600 | 30000 | 1.92x |  |"}},
+		{name: "bytes_per_node +0.05%", new: []string{`"bytes_per_node": 2000`, `"bytes_per_node": 2001`}, exit: 0,
+			want: []string{"| mem[kademlia].bytes_per_node (n=131072) | 2000 | 2001 | 1.00x | 0.1% |"}},
+		{name: "bytes_per_node +0.5%", new: []string{`"bytes_per_node": 2000`, `"bytes_per_node": 2010`}, exit: 1,
+			want: []string{"FAIL 0.1%: mem[kademlia].bytes_per_node (n=131072): 2000 -> 2010"}},
+		// The invariants are read off the newer snapshot alone: two
+		// equally broken snapshots still fail.
+		{name: "batch speedup 1.2 on 2 CPUs", old: slowBatch, new: slowBatch, exit: 1,
+			want: []string{"FAIL invariant: ledger.oracle-batch-1m.engine.speedup_wN", "1.20x one worker on 2 CPUs"}},
+		{name: "batch speedup 1.2 on 1 CPU", new: append(oneCPU, slowBatch...), exit: 0,
+			want: []string{"SKIPPED ledger.oracle-batch-1m.engine.speedup_wN >= 1.5: ", "was taken on 1 CPU", "WARNING: cross-environment comparison: num_cpu 2 -> 1"}},
+		{name: "swap_tv >= naive_tv", old: noMitigation, new: noMitigation, exit: 1,
+			want: []string{"FAIL invariant: adversary[chord] (n=128 f=0.2): mitigation no longer holds"}},
+		{name: "environment mismatch warns", new: []string{"go1.24.0", "go1.23.1"}, exit: 0,
+			want: []string{"WARNING: cross-environment comparison: go_version go1.24.0 -> go1.23.1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exit, stdout, stderr := diffEdited(t, tc.old, tc.new)
+			if exit != tc.exit {
+				t.Errorf("exit = %d, want %d\n%s%s", exit, tc.exit, stdout, stderr)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(stdout+stderr, want) {
+					t.Errorf("output lacks %q\n%s%s", want, stdout, stderr)
+				}
+			}
+		})
 	}
 }
 
-func TestBenchdiffFailsOnKernelRegression(t *testing.T) {
-	dir := t.TempDir()
-	oldP := write(t, dir, "old.json", baseSnap)
-	// Kernel proc path 20% slower: beyond the 10% tolerance.
-	newP := write(t, dir, "new.json", `{
-  "benchmark": "batch-throughput", "peers": 1000, "samples_per_run": 100,
-  "runs": [{"workers": 1, "samples_per_sec": 50000}],
-  "kernel": {"proc_events_per_sec": 72000000, "callback_events_per_sec": 29000000},
-  "builds": [{"backend": "chord", "peers": 1000000, "peers_per_sec": 160000}],
-  "churn": {"peers": 256, "events_per_sec": 6000}
-}`)
-	if code := run([]string{oldP, newP}); code != 1 {
-		t.Fatalf("exit = %d, want 1 for a >10%% kernel regression", code)
+// TestBenchdiffPrintsSkipped: a comparison that cannot be made says so
+// and does not fail. Before this test the first case printed nothing.
+func TestBenchdiffPrintsSkipped(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		new  []string
+		want []string
+	}{
+		{"mem records at different sizes", []string{`"peers": 131072`, `"peers": 2097152`},
+			[]string{"SKIPPED mem[kademlia] (n=131072): only in ", "old.json\n", "SKIPPED mem[kademlia] (n=2097152): only in "}},
+		{"newer snapshot taken on 1 CPU", []string{`"num_cpu": 2`, `"num_cpu": 1`},
+			[]string{"SKIPPED ledger.oracle-batch-1m.engine.speedup_wN >= 1.5: ", "new.json was taken on 1 CPU"}},
+		{"newer snapshot lacks the ledger", []string{`"ledger"`, `"note"`},
+			[]string{"SKIPPED ledger: only in ", "SKIPPED note: only in "}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exit, stdout, stderr := diffEdited(t, nil, tc.new)
+			if exit != 0 {
+				t.Errorf("exit = %d, want 0\n%s%s", exit, stdout, stderr)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(stdout, want) {
+					t.Errorf("stdout lacks %q\n%s", want, stdout)
+				}
+			}
+		})
 	}
 }
 
-func TestBenchdiffFailsOnBuildAndChurnRegression(t *testing.T) {
-	dir := t.TempDir()
-	oldP := write(t, dir, "old.json", baseSnap)
-	newP := write(t, dir, "new.json", `{
-  "benchmark": "batch-throughput", "peers": 1000, "samples_per_run": 100,
-  "runs": [{"workers": 1, "samples_per_sec": 50000}],
-  "kernel": {"proc_events_per_sec": 90000000, "callback_events_per_sec": 29000000},
-  "builds": [{"backend": "chord", "peers": 1000000, "peers_per_sec": 100000}],
-  "churn": {"peers": 256, "events_per_sec": 4000}
-}`)
-	if code := run([]string{oldP, newP}); code != 1 {
-		t.Fatalf("exit = %d, want 1 for build+churn regressions", code)
+// TestCommittedTrajectory runs benchdiff over the BENCH files at the
+// repo root: every one loads and equals itself, retired sections
+// included; PR 19 changed no call path and its snapshot passes against
+// PR 18's; and the mem records PR 18 took at smaller sizes are named
+// as skipped.
+func TestCommittedTrajectory(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) < 15 {
+		t.Fatalf("found %d BENCH files (%v), want the committed trajectory", len(paths), err)
 	}
-}
-
-func TestBenchdiffToleratesMissingSections(t *testing.T) {
-	dir := t.TempDir()
-	// An old snapshot (pre-BENCH_5) has no scenario-scale sections: the
-	// newer snapshot introduces them and sets the baseline, no gate.
-	oldP := write(t, dir, "old.json", `{
-  "benchmark": "batch-throughput", "peers": 1000, "samples_per_run": 100,
-  "runs": [{"workers": 1, "samples_per_sec": 50000}]
-}`)
-	newP := write(t, dir, "new.json", baseSnap)
-	if code := run([]string{oldP, newP}); code != 0 {
-		t.Fatalf("exit = %d, want 0 when the old snapshot predates the sections", code)
+	for _, p := range paths {
+		var out, errs bytes.Buffer
+		if exit := run([]string{p, p}, &out, &errs); exit != 0 {
+			t.Errorf("%s against itself: exit = %d\n%s", p, exit, errs.String())
+		}
 	}
-}
-
-// sloSnap builds a one-section snapshot around an E28 SLO record.
-func sloSnap(p99, budget, reqPerSec float64, met bool) string {
-	return `{
-  "benchmark": "batch-throughput", "peers": 1000, "samples_per_run": 100,
-  "runs": [{"workers": 1, "samples_per_sec": 50000}],
-  "slo": [{"backend": "chord", "peers": 512,
-    "p99_ms": ` + strconv.FormatFloat(p99, 'f', -1, 64) + `,
-    "availability": 0.99,
-    "budget_consumed_pct": ` + strconv.FormatFloat(budget, 'f', -1, 64) + `,
-    "requests_per_sec_wall": ` + strconv.FormatFloat(reqPerSec, 'f', -1, 64) + `,
-    "met": ` + strconv.FormatBool(met) + `}]
-}`
-}
-
-func TestBenchdiffSLOGateInvertsForLatencyAndBudget(t *testing.T) {
-	dir := t.TempDir()
-	oldP := write(t, dir, "old.json", sloSnap(800, 40, 900, true))
-
-	// Faster p99, less budget burned, higher wall rate: an improvement.
-	better := write(t, dir, "better.json", sloSnap(700, 30, 1000, true))
-	if code := run([]string{oldP, better}); code != 0 {
-		t.Fatalf("exit = %d, want 0 for an SLO improvement", code)
+	var out, errs bytes.Buffer
+	if exit := run([]string{"../../BENCH_18.json", "../../BENCH_19.json"}, &out, &errs); exit != 0 {
+		t.Errorf("BENCH_18 -> BENCH_19: exit = %d, want 0\n%s", exit, errs.String())
 	}
-
-	// p99 up 20%: higher is worse, the inverted gate must fire.
-	slower := write(t, dir, "slower.json", sloSnap(960, 40, 900, true))
-	if code := run([]string{oldP, slower}); code != 1 {
-		t.Fatalf("exit = %d, want 1 for a >10%% p99 regression", code)
+	out.Reset()
+	if exit := run([]string{"../../BENCH_17.json", "../../BENCH_18.json"}, &out, &errs); exit != 0 {
+		t.Errorf("BENCH_17 -> BENCH_18: exit = %d, want 0\n%s", exit, errs.String())
 	}
-
-	// Budget consumed up 20% at unchanged latency: also a regression.
-	burned := write(t, dir, "burned.json", sloSnap(800, 48, 900, true))
-	if code := run([]string{oldP, burned}); code != 1 {
-		t.Fatalf("exit = %d, want 1 for a >10%% budget-burn regression", code)
-	}
-}
-
-// TestBenchdiffSLOGateTreatsZeroAsAValue pins the two ends of a
-// higher-is-worse metric that reaches zero: a run that stops burning
-// budget is an improvement, and a later run that burns some again is a
-// regression even though no ratio to zero exists.
-func TestBenchdiffSLOGateTreatsZeroAsAValue(t *testing.T) {
-	dir := t.TempDir()
-	burning := write(t, dir, "burning.json", sloSnap(800, 1.33, 900, true))
-	clean := write(t, dir, "clean.json", sloSnap(300, 0, 1000, true))
-	if code := run([]string{burning, clean}); code != 0 {
-		t.Fatalf("exit = %d, want 0 when budget burn falls to zero", code)
-	}
-	if code := run([]string{clean, clean}); code != 0 {
-		t.Fatalf("exit = %d, want 0 when budget burn stays at zero", code)
-	}
-	if code := run([]string{clean, burning}); code != 1 {
-		t.Fatalf("exit = %d, want 1 when budget burn rises from zero", code)
-	}
-}
-
-func TestBenchdiffSLOGateFailsOnMetFlip(t *testing.T) {
-	dir := t.TempDir()
-	oldP := write(t, dir, "old.json", sloSnap(800, 40, 900, true))
-	// Same rates, but the objectives flipped from met to missed.
-	missed := write(t, dir, "missed.json", sloSnap(800, 40, 900, false))
-	if code := run([]string{oldP, missed}); code != 1 {
-		t.Fatalf("exit = %d, want 1 when objectives flip from met to missed", code)
-	}
-}
-
-// scalingSnap is a snapshot whose two-worker run recorded the given
-// speedup over one worker on a machine with the given CPU count.
-func scalingSnap(numCPU int, speedup float64) string {
-	return `{
-  "benchmark": "batch-throughput", "num_cpu": ` + strconv.Itoa(numCPU) + `, "peers": 1000, "samples_per_run": 100,
-  "runs": [{"workers": 1, "samples_per_sec": 50000, "speedup_vs_1": 1},
-    {"workers": 2, "samples_per_sec": ` + strconv.FormatFloat(50000*speedup, 'f', -1, 64) + `,
-     "speedup_vs_1": ` + strconv.FormatFloat(speedup, 'f', -1, 64) + `}]
-}`
-}
-
-// TestBenchdiffBatchScalingFloor: the two-worker speedup is gated on the
-// newer snapshot alone, so inverse scaling fails even against an older
-// snapshot that was just as inverted, and a one-CPU snapshot, where the
-// workers cannot run side by side, skips the gate.
-func TestBenchdiffBatchScalingFloor(t *testing.T) {
-	dir := t.TempDir()
-	inverted := write(t, dir, "inverted.json", scalingSnap(2, 0.8))
-	scaling := write(t, dir, "scaling.json", scalingSnap(2, 1.9))
-	oneCPU := write(t, dir, "onecpu.json", scalingSnap(1, 0.97))
-	if code := run([]string{inverted, scaling}); code != 0 {
-		t.Fatalf("exit = %d, want 0 for a 1.9x two-worker speedup on 2 CPUs", code)
-	}
-	if code := run([]string{inverted, inverted}); code != 1 {
-		t.Fatalf("exit = %d, want 1 for a 0.8x two-worker speedup on 2 CPUs, unchanged PR over PR", code)
-	}
-	if code := run([]string{scaling, oneCPU}); code != 0 {
-		t.Fatalf("exit = %d, want 0: a one-CPU snapshot skips the scaling gate", code)
-	}
-}
-
-func TestBenchdiffEnvMismatchDetection(t *testing.T) {
-	same := &Snapshot{GoVersion: "go1.24.0", NumCPU: 8, GOMAXPROCS: 8}
-	if ms := envMismatches(same, same); len(ms) != 0 {
-		t.Fatalf("identical environments flagged: %v", ms)
-	}
-	other := &Snapshot{GoVersion: "go1.23.1", NumCPU: 4, GOMAXPROCS: 2}
-	if ms := envMismatches(same, other); len(ms) != 3 {
-		t.Fatalf("got %d mismatches, want 3: %v", len(ms), ms)
-	}
-	// Snapshots that predate the environment fields never flag.
-	empty := &Snapshot{}
-	if ms := envMismatches(empty, same); len(ms) != 0 {
-		t.Fatalf("pre-env snapshot flagged: %v", ms)
-	}
-}
-
-func TestBenchdiffWarnsAcrossEnvironmentsButStillPasses(t *testing.T) {
-	dir := t.TempDir()
-	oldP := write(t, dir, "old.json", `{
-  "benchmark": "batch-throughput", "go_version": "go1.23.1", "num_cpu": 4, "gomaxprocs": 4,
-  "peers": 1000, "samples_per_run": 100,
-  "runs": [{"workers": 1, "samples_per_sec": 50000}]
-}`)
-	newP := write(t, dir, "new.json", `{
-  "benchmark": "batch-throughput", "go_version": "go1.24.0", "num_cpu": 8, "gomaxprocs": 8,
-  "peers": 1000, "samples_per_run": 100,
-  "runs": [{"workers": 1, "samples_per_sec": 52000}]
-}`)
-	// A cross-environment comparison warns but does not fail on its own.
-	if code := run([]string{oldP, newP}); code != 0 {
-		t.Fatalf("exit = %d, want 0 (warning only) for cross-environment comparison", code)
-	}
-}
-
-// TestBenchdiffReportsCodeLinesWithoutGating: the code-line total is
-// printed PR over PR, and neither growth nor a snapshot that predates
-// the section fails the diff.
-func TestBenchdiffReportsCodeLinesWithoutGating(t *testing.T) {
-	dir := t.TempDir()
-	withCode := func(name string, lines int) string {
-		return write(t, dir, name, baseSnap[:len(baseSnap)-2]+`, "code": {"total_lines": `+strconv.Itoa(lines)+`}}`)
-	}
-	oldP, newP := withCode("old.json", 20000), withCode("new.json", 30000)
-	if code := run([]string{oldP, newP}); code != 0 {
-		t.Fatalf("exit = %d, want 0: code growth is reported, not gated", code)
-	}
-	if code := run([]string{write(t, dir, "bare.json", baseSnap), newP}); code != 0 {
-		t.Fatalf("exit = %d, want 0 when the old snapshot predates the code section", code)
+	for _, rec := range []string{"mem[chord] (n=10000000)", "mem[chord] (n=1000000)", "mem[kademlia] (n=2097152)", "mem[kademlia] (n=131072)"} {
+		if !strings.Contains(out.String(), "SKIPPED "+rec+": only in ") {
+			t.Errorf("BENCH_17 -> BENCH_18 does not report %s as skipped", rec)
+		}
 	}
 }

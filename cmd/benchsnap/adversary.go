@@ -15,8 +15,8 @@ import (
 // failure-rate price, and the eclipse capture the overlay concedes
 // after maintenance. Every field is a pure function of the seed (the
 // coalition, every lie and the sample stream are all seeded), so the
-// committed snapshot is a behavioral record — benchdiff gates the
-// mitigation fields where higher is worse.
+// committed snapshot is a behavioral record — benchdiff compares every
+// field but wall_ms for equality.
 type AdversaryBench struct {
 	Backend        string  `json:"backend"`
 	Peers          int     `json:"peers"`
@@ -29,26 +29,27 @@ type AdversaryBench struct {
 	WallMS         float64 `json:"wall_ms"`
 }
 
-// measureAdversary runs the fixed adversarial scenario on both overlay
-// backends: a route-bias coalition subverting 20% of a 128-peer
+// measureAdversary runs the fixed adversarial scenario on each overlay
+// backend: a route-bias coalition subverting 20% of a 128-peer
 // network, measured with 4000 samples per sampler, plus the eclipse
 // capture after 6 maintenance sweeps.
-func measureAdversary(seed uint64) ([]AdversaryBench, error) {
+func measureAdversary(backends []string, seed uint64) ([]AdversaryBench, error) {
 	const (
 		n       = 128
 		frac    = 0.2
 		samples = 4000
 	)
 	var out []AdversaryBench
-	for _, backend := range []randompeer.Backend{randompeer.ChordBackend, randompeer.KademliaBackend} {
+	for _, name := range backends {
+		backend, err := randompeer.ParseBackend(name)
+		if err != nil {
+			return nil, err
+		}
 		fmt.Fprintf(os.Stderr, "benchsnap: adversary scenario — %s, route-bias %g over %d peers...\n",
 			backend, frac, n)
 		start := time.Now()
-		tb, err := randompeer.New(
-			randompeer.WithPeers(n),
-			randompeer.WithSeed(seed^0xad),
-			randompeer.WithBackend(backend),
-		)
+		bed := []randompeer.Option{randompeer.WithPeers(n), randompeer.WithSeed(seed ^ 0xad), randompeer.WithBackend(backend)}
+		tb, err := randompeer.New(bed...)
 		if err != nil {
 			return nil, err
 		}
@@ -85,11 +86,7 @@ func measureAdversary(seed uint64) ([]AdversaryBench, error) {
 		}
 		// Eclipse runs on a fresh testbed: route-bias is still armed on
 		// the sampling one.
-		etb, err := randompeer.New(
-			randompeer.WithPeers(n),
-			randompeer.WithSeed(seed^0xad),
-			randompeer.WithBackend(backend),
-		)
+		etb, err := randompeer.New(bed...)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,127 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"sync"
+	"time"
+)
+
+// ledgerOps is the fixed operation count each workload's traced pass
+// runs at. At a fixed count every counter the pass prints (messages,
+// trials, hops, kernel events, calls per request) repeats bit for bit,
+// on any machine; these are the counts PR 19 published.
+var ledgerOps = map[string]int{
+	"oracle-batch-1m":        65536,
+	"chord-direct-16k":       3000,
+	"kademlia-direct-16k":    600,
+	"chord-churn-simtime":    1500,
+	"kademlia-churn-simtime": 1500,
+	"chord-wire-3d":          600,
+}
+
+// ledgerSeed is the workload seed of every ledger pass.
+const ledgerSeed = 7
+
+// benchRunner runs one workload's traced pass of the repository
+// benchmark under root and returns the report it printed.
+type benchRunner func(root, workload string, ops int) ([]byte, error)
+
+// warmOnce warms the machine up before the first child process. On the
+// virtual reference box the second vCPU runs beside the first only
+// after several CPUs' worth of load has lasted three to four seconds
+// (idle for a minute and it is gone again); until then
+// engine.speedup_wN reads 1.0 whatever the code does.
+var warmOnce sync.Once
+
+// goRunBench runs the benchmark the way BENCHMARK.json's command does,
+// from source, in a child process.
+func goRunBench(root, workload string, ops int) ([]byte, error) {
+	warmOnce.Do(func() { warm(5 * time.Second) })
+	cmd := exec.Command("go", "run", "-C", filepath.Join(root, "bench"), ".",
+		"-workload", workload, "-seed", strconv.Itoa(ledgerSeed), "-ops", strconv.Itoa(ops), "-trace", "1")
+	cmd.Stderr = os.Stderr
+	return cmd.Output()
+}
+
+// measureLedger records, for each workload BENCHMARK.json names, the
+// metric map of its traced pass, with the operation count beside it as
+// "ops".
+func measureLedger(root string, bench benchRunner) (map[string]map[string]float64, error) {
+	data, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		return nil, err
+	}
+	var spec struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
+	}
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	ledger := make(map[string]map[string]float64, len(spec.Workloads))
+	for _, w := range spec.Workloads {
+		ops, ok := ledgerOps[w.Name]
+		if !ok {
+			return nil, fmt.Errorf("ledger: no operation count for workload %q", w.Name)
+		}
+		fmt.Fprintf(os.Stderr, "benchsnap: ledger — %s, traced pass at -seed %d -ops %d...\n", w.Name, ledgerSeed, ops)
+		report, err := bench(root, w.Name, ops)
+		if err != nil {
+			return nil, fmt.Errorf("ledger: %s: %w", w.Name, err)
+		}
+		if ledger[w.Name], err = readLedger(report); err != nil {
+			return nil, fmt.Errorf("ledger: %s: %w", w.Name, err)
+		}
+		ledger[w.Name]["ops"] = float64(ops)
+	}
+	return ledger, nil
+}
+
+// readLedger returns the metric values of one bench report: metric and
+// "# ..." note lines, then the JSON result as the last line.
+func readLedger(report []byte) (map[string]float64, error) {
+	lines := bytes.Split(bytes.TrimSpace(report), []byte("\n"))
+	var res struct {
+		Correct bool `json:"correct"`
+		Metrics map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
+		return nil, fmt.Errorf("bench printed no result: %w", err)
+	}
+	if !res.Correct {
+		return nil, errors.New("bench outputs failed verification")
+	}
+	if len(res.Metrics) == 0 {
+		return nil, errors.New("bench result carries no metrics")
+	}
+	metrics := make(map[string]float64, len(res.Metrics))
+	for name, m := range res.Metrics {
+		metrics[name] = m.Value
+	}
+	return metrics, nil
+}
+
+// warm keeps every CPU busy for d.
+func warm(d time.Duration) {
+	var wg sync.WaitGroup
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for start := time.Now(); time.Since(start) < d; {
+			}
+		}()
+	}
+	wg.Wait()
+}

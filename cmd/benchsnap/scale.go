@@ -13,32 +13,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
-	"github.com/dht-sampling/randompeer/internal/simnet"
 )
-
-// KernelBench records the discrete-event kernel's raw scheduling cost
-// across its three dispatch paths (see BenchmarkKernelEventLoop).
-// PR3RefNsPerEvent is the pre-rewrite kernel's measured per-event cost
-// on the reference box (container/heap plus two channel handoffs for
-// every event); SpeedupVsPR3 relates the proc fast path to it.
-type KernelBench struct {
-	ProcNsPerEvent        float64 `json:"proc_ns_per_event"`
-	ProcEventsPerSec      float64 `json:"proc_events_per_sec"`
-	CallbackNsPerEvent    float64 `json:"callback_ns_per_event"`
-	CallbackEventsPerSec  float64 `json:"callback_events_per_sec"`
-	InterleavedNsPerEvent float64 `json:"interleaved_ns_per_event"`
-	PR3RefNsPerEvent      float64 `json:"pr3_ref_ns_per_event"`
-	SpeedupVsPR3          float64 `json:"speedup_vs_pr3"`
-}
-
-// BuildBench records bulk overlay construction at scale for one
-// backend.
-type BuildBench struct {
-	Backend     string  `json:"backend"`
-	Peers       int     `json:"peers"`
-	WallMS      float64 `json:"wall_ms"`
-	PeersPerSec float64 `json:"peers_per_sec"`
-}
 
 // ChurnBench records the asynchronous churn driver's sustained event
 // rate: exponential-gap joins/crashes plus periodic parallel
@@ -75,8 +50,8 @@ type E27Scale struct {
 // backend: the overlay built at n with the GC-settled heap cost per
 // node, the build wall time, and the bytes the process obtained from
 // the OS (the "peak RSS" the capacity plan budgets for). These are the
-// committed numbers behind the "10M-peer rings in a few GB" claim, and
-// cmd/benchdiff gates bytes/node and build time higher-is-worse.
+// committed numbers behind the "10M-peer rings in a few GB" claim;
+// cmd/benchdiff holds bytes/node to 0.1% and slots and probes exact.
 type MemBench struct {
 	Backend      string  `json:"backend"`
 	Peers        int     `json:"peers"`
@@ -92,19 +67,18 @@ type MemBench struct {
 
 // measureMem runs the E30 storage-scale measurement (bulk build +
 // GC-settled heap accounting + successor probes) through the same
-// internal/exp runner the E30 experiment table uses, one backend at a
-// time so the first overlay is collected before the second builds.
-func measureMem(chordN, kadN int, seed uint64) ([]MemBench, error) {
+// internal/exp runner the E30 experiment table uses, at sizes[backend]
+// peers (0 leaves a backend out), one backend at a time so the first
+// overlay is collected before the second builds.
+func measureMem(sizes map[string]int, seed uint64) ([]MemBench, error) {
 	var out []MemBench
-	for _, sc := range []struct {
-		name string
-		n    int
-	}{{"chord", chordN}, {"kademlia", kadN}} {
-		if sc.n <= 0 {
+	for _, name := range overlays.Names {
+		n := sizes[name]
+		if n <= 0 {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "benchsnap: mem — building %s at n=%d (flat storage)...\n", sc.name, sc.n)
-		res, err := exp.RunStorageScale(sc.name, sc.n, 200, seed)
+		fmt.Fprintf(os.Stderr, "benchsnap: mem — building %s at n=%d (flat storage)...\n", name, n)
+		res, err := exp.RunStorageScale(name, n, 200, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -121,104 +95,11 @@ func measureMem(chordN, kadN int, seed uint64) ([]MemBench, error) {
 		}
 		out = append(out, mb)
 		fmt.Fprintf(os.Stderr, "benchsnap: mem %s n=%d: built in %.2fs (%.0f peers/sec), %.0f bytes/node, heap %.0f MB, sys %.0f MB, probes %d/%d\n",
-			sc.name, sc.n, res.BuildWall.Seconds(), mb.PeersPerSec, mb.BytesPerNode, mb.HeapMB, mb.SysMB, mb.ProbesOK, mb.Probes)
+			name, n, res.BuildWall.Seconds(), mb.PeersPerSec, mb.BytesPerNode, mb.HeapMB, mb.SysMB, mb.ProbesOK, mb.Probes)
 		// The overlay became unreachable when RunStorageScale returned;
 		// collect it before the next backend builds, so measurements do
 		// not stack heaps.
 		runtime.GC()
-	}
-	return out, nil
-}
-
-// measureKernel times the three kernel dispatch paths.
-func measureKernel(pr3Ref float64) *KernelBench {
-	fmt.Fprintln(os.Stderr, "benchsnap: measuring kernel event-loop paths...")
-	timeRun := func(events int, setup func(k *sim.Kernel, events int)) float64 {
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			k := sim.NewKernel(1)
-			setup(k, events)
-			start := time.Now()
-			k.Run()
-			ns := float64(time.Since(start).Nanoseconds()) / float64(events)
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best
-	}
-	proc := timeRun(5_000_000, func(k *sim.Kernel, events int) {
-		k.Go("sleeper", func() {
-			for i := 0; i < events; i++ {
-				if k.Sleep(time.Microsecond) != nil {
-					return
-				}
-			}
-		})
-	})
-	callback := timeRun(2_000_000, func(k *sim.Kernel, events int) {
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < events {
-				k.Post(time.Microsecond, "tick", tick)
-			}
-		}
-		k.Post(time.Microsecond, "tick", tick)
-	})
-	interleaved := timeRun(400_000, func(k *sim.Kernel, events int) {
-		for p := 0; p < 2; p++ {
-			k.Go("sleeper", func() {
-				for i := 0; i < (events+1)/2; i++ {
-					if k.Sleep(time.Microsecond) != nil {
-						return
-					}
-				}
-			})
-		}
-	})
-	kb := &KernelBench{
-		ProcNsPerEvent:        proc,
-		ProcEventsPerSec:      1e9 / proc,
-		CallbackNsPerEvent:    callback,
-		CallbackEventsPerSec:  1e9 / callback,
-		InterleavedNsPerEvent: interleaved,
-		PR3RefNsPerEvent:      pr3Ref,
-		SpeedupVsPR3:          pr3Ref / proc,
-	}
-	fmt.Fprintf(os.Stderr, "benchsnap: kernel proc %.1f ns/event (%.1fM/s), callback %.1f ns/event, interleaved %.0f ns/event (%.1fx vs PR-3 ref %.0f ns)\n",
-		proc, kb.ProcEventsPerSec/1e6, callback, interleaved, kb.SpeedupVsPR3, pr3Ref)
-	return kb
-}
-
-// measureBuilds times bulk construction per backend.
-func measureBuilds(chordN, kadN int, seed uint64) ([]BuildBench, error) {
-	var out []BuildBench
-	for _, sc := range []struct {
-		name string
-		n    int
-	}{{"chord", chordN}, {"kademlia", kadN}} {
-		fmt.Fprintf(os.Stderr, "benchsnap: building %s at n=%d...\n", sc.name, sc.n)
-		rng := rand.New(rand.NewPCG(seed, seed+uint64(sc.n)))
-		r, err := ring.Generate(rng, sc.n)
-		if err != nil {
-			return nil, err
-		}
-		points := r.Points()
-		runtime.GC()
-		start := time.Now()
-		if _, err := overlays.Build(sc.name, overlays.Config{}, simnet.NewDirect(), points, nil); err != nil {
-			return nil, err
-		}
-		wall := time.Since(start)
-		out = append(out, BuildBench{
-			Backend: sc.name, Peers: sc.n,
-			WallMS:      float64(wall.Microseconds()) / 1000,
-			PeersPerSec: float64(sc.n) / wall.Seconds(),
-		})
-		fmt.Fprintf(os.Stderr, "benchsnap: %s n=%d built in %.2fs (%.0f peers/sec, %d workers)\n",
-			sc.name, sc.n, wall.Seconds(), float64(sc.n)/wall.Seconds(), runtime.GOMAXPROCS(0))
 	}
 	return out, nil
 }

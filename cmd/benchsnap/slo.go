@@ -15,8 +15,9 @@ import (
 // pair is a deterministic function of the scenario (same seed, same
 // numbers on any machine), so the committed snapshot doubles as a
 // behavioral record: a PR that changes p99_ms or availability changed
-// the system, not the benchmark box. RequestsPerSecWall is the only
-// throughput-style field and carries the wall-clock noise.
+// the system, not the benchmark box, and benchdiff fails on it.
+// RunWallMS and RequestsPerSecWall carry this box's wall clock and are
+// only reported.
 type SLOBench struct {
 	Backend            string  `json:"backend"`
 	Peers              int     `json:"peers"`

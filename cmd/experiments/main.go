@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/exp"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 )
 
 func main() {
@@ -121,7 +122,7 @@ func writeSLOReport(path string, seed uint64, quick bool, latency string) error 
 		return fmt.Errorf("creating %s: %w", path, err)
 	}
 	defer f.Close()
-	for _, backend := range []string{"chord", "kademlia"} {
+	for _, backend := range overlays.Names {
 		sc := exp.DefaultSLOScenario(backend, quick, model, seed^0x28^uint64(len(backend)))
 		res, err := exp.RunSLOScenario(sc)
 		if err != nil {

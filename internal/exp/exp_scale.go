@@ -250,16 +250,14 @@ func expE30() Experiment {
 				Claim:   "per-node storage is flat and small: capacity scales linearly in n with no per-node heap objects",
 				Columns: []string{"backend", "n", "build_s", "peers/s", "bytes/node", "heap_MB", "slots", "probesOK"},
 			}
-			chordN, kadN, probes := 1<<22, 1<<19, 200
+			sizes, probes := map[string]int{"chord": 1 << 22, "kademlia": 1 << 19}, 200
 			if cfg.Quick {
-				chordN, kadN, probes = 1<<15, 1<<13, 60
+				sizes, probes = map[string]int{"chord": 1 << 15, "kademlia": 1 << 13}, 60
 			}
-			for _, sc := range []struct {
-				name string
-				n    int
-			}{{"chord", chordN}, {"kademlia", kadN}} {
-				seed := cfg.Seed ^ 0x30 ^ uint64(sc.n)
-				res, err := RunStorageScale(sc.name, sc.n, probes, seed)
+			for _, name := range overlays.Names {
+				n := sizes[name]
+				seed := cfg.Seed ^ 0x30 ^ uint64(n)
+				res, err := RunStorageScale(name, n, probes, seed)
 				if err != nil {
 					return nil, err
 				}
@@ -308,21 +306,19 @@ func expE27() Experiment {
 				Claim:   "the scenario machinery, not the overlay, bounds feasible n; sampling degrades gracefully with repair disabled",
 				Columns: []string{"backend", "n", "events", "stepErrs", "samplesOK", "estErrs", "sampleErrs", "ownerMatch%", "vtime_ms"},
 			}
-			chordN, kadN, events, probes := 1<<20, 1<<17, 48, 200
+			sizes, events, probes := map[string]int{"chord": 1 << 20, "kademlia": 1 << 17}, 48, 200
 			gap := 25 * time.Millisecond
 			if cfg.Quick {
-				chordN, kadN, events, probes = 1<<13, 1<<12, 12, 60
+				sizes, events, probes = map[string]int{"chord": 1 << 13, "kademlia": 1 << 12}, 12, 60
 				gap = 10 * time.Millisecond
 			}
 			// The sweep points are too heavy to run concurrently (each
 			// holds a full overlay); run them sequentially regardless of
 			// the worker budget.
-			for _, sc := range []struct {
-				name string
-				n    int
-			}{{"chord", chordN}, {"kademlia", kadN}} {
-				seed := cfg.Seed ^ 0x27 ^ uint64(sc.n)
-				res, err := RunScaleScenario(sc.name, sc.n, events, probes, gap, model, seed)
+			for _, name := range overlays.Names {
+				n := sizes[name]
+				seed := cfg.Seed ^ 0x27 ^ uint64(n)
+				res, err := RunScaleScenario(name, n, events, probes, gap, model, seed)
 				if err != nil {
 					return nil, err
 				}
