@@ -10,7 +10,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: all build test race vet fmt-check backend-switch-check bench bench-kernel bench-smoke bench-snapshot benchdiff cluster-smoke slo-report staticcheck vuln profile alloc-check storage-check examples clean
+.PHONY: all build test race vet fmt-check backend-switch-check bench bench-kernel handoff-check bench-smoke bench-snapshot benchdiff cluster-smoke slo-report staticcheck vuln profile alloc-check storage-check examples clean
 
 all: build test
 
@@ -62,6 +62,16 @@ bench:
 # handoff. CI runs this as the kernel perf smoke.
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernelEventLoop' -benchtime=0.5s -benchmem .
+
+# The kernel's coroutine handoff is picked by the toolchain (iter.Pull
+# from Go 1.23, a channel pair before), so one toolchain only ever runs
+# one of the two files: CI runs this on every leg of its Go matrix. The
+# pinned trace, the per-event and per-spawn allocation budgets, the pool
+# counts and release-on-drain, then the whole package counted under the
+# race detector.
+handoff-check:
+	$(GO) test -run 'Alloc|Pooled|Determinism|Releases' ./internal/sim/
+	$(GO) test -race -count=10 ./internal/sim/
 
 # The repository benchmark (bench/, declared by BENCHMARK.json) is a
 # module of its own, so `go build ./...` and `go test ./...` never

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -148,6 +149,28 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		if one.churned != many.churned {
 			t.Errorf("GOMAXPROCS=%d: churn event counts differ: %d vs %d", p, one.churned, many.churned)
 		}
+	}
+}
+
+// TestDeterminismPinnedTrace holds runScenario(1234) to constants
+// recorded at the commit before the kernel's coroutine handoff was made
+// a per-toolchain primitive. The two handoff files (iter.Pull from Go
+// 1.23, the channel pair before) can never share a binary, so a
+// committed fingerprint is the only thing that holds CI's two toolchain
+// legs — and every later kernel change — to one event trace.
+func TestDeterminismPinnedTrace(t *testing.T) {
+	got := runScenario(t, 1234)
+	want := simOutcome{
+		traceHash: 0x989e5efe59ad652c,
+		events:    1930,
+		clock:     408857 * time.Microsecond,
+		latency: simnet.Latency{Count: 1589, SumNanos: 4348860274,
+			Buckets: [64]int64{20: 39, 21: 737, 22: 627, 23: 105, 24: 79, 26: 2}},
+		owners:  []int{-2, -2, -2, 24542, 37309}, // every sample the scenario takes
+		churned: 12,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("runScenario(1234) = %+v\npinned %+v", got, want)
 	}
 }
 

@@ -10,21 +10,36 @@
 //   - Process events (Go/At/GoArg) back a coroutine: the process runs
 //     until it sleeps (directly via Kernel.Sleep, or implicitly inside a
 //     Transport.Call paying its link latency), yielding to the kernel,
-//     which pops the next event and resumes whoever it wakes. Process
-//     goroutines are pooled: a finished process parks its goroutine for
-//     the next spawn, so steady-state spawning allocates nothing.
+//     which pops the next event and resumes whoever it wakes. Coroutines
+//     are pooled: a finished process parks its coroutine for the next
+//     spawn, so steady-state spawning allocates nothing.
 //   - Callback events (Post/PostAt) are plain function calls dispatched
-//     inline on the kernel goroutine: no coroutine, no channel handoff,
-//     no per-event allocation. They are the run-to-completion fast path
+//     inline on the kernel goroutine: no coroutine, no handoff, no
+//     per-event allocation. They are the run-to-completion fast path
 //     for timers and coordinators that never block — a callback must
 //     not call Sleep or issue latency-paying transport calls.
 //
 // Sleep itself takes a run-to-completion shortcut: when no queued event
 // precedes the wake-up time, the sleeping process continues inline —
-// same clock jump, same (time, seq, name) observer record, zero channel
-// operations. A lone sampler ticking through virtual time therefore
-// costs nanoseconds per event, not two goroutine context switches; the
-// channels are paid only when another event genuinely interleaves.
+// same clock jump, same (time, seq, name) observer record, no handoff.
+// A lone sampler ticking through virtual time therefore costs
+// nanoseconds per event; a handoff (KernelStats.Handoffs counts them)
+// is paid only when another event genuinely interleaves.
+//
+// The handoff is one primitive with four operations — start a pooled
+// coroutine, wake it from Run, park it from Sleep, release it when Run
+// drains — and the toolchain, not a knob, picks its implementation.
+// From Go 1.23 it is iter.Pull (handoff_coro.go): wake and park are
+// runtime coroutine switches, a direct jump between two goroutines on
+// one thread that never enters the scheduler's run queue, so an event
+// that switches costs ≈ 1 µs with the overlay work it carries. Before
+// 1.23 it is a resume/yield channel pair (handoff_chan.go): the same
+// wake/park is two channel handoffs through the scheduler, each of
+// which may wake an idle P or migrate threads, ≈ 2 µs per event. The
+// fallback exists only because go.mod says go 1.22; it runs the same
+// events in the same order (TestDeterminismPinnedTrace holds both to
+// one committed trace) and goes when the go line may move.
+//
 // Because user code never runs concurrently either way, a simulation is
 // a pure function of its seeds and schedule: event order, latency
 // histograms and sampled peers are bit-identical at any GOMAXPROCS,
@@ -94,37 +109,34 @@ type event struct {
 	name string
 }
 
-// proc is one cooperatively scheduled process. The resume/yield channel
-// pair is the coroutine handoff: exactly one of {kernel, this process}
-// runs between any matched send/receive, which both serializes all user
-// code and establishes happens-before for the kernel's plain fields.
-// The backing goroutine parks on resume between uses, so the kernel's
-// free list hands spawns a warm coroutine instead of allocating a new
-// proc, two channels and a goroutine per spawn.
+// proc is one cooperatively scheduled process on a pooled coroutine.
+// The embedded handoff and its start/wake/park/release methods come
+// from handoff_coro.go or handoff_chan.go (see the package comment).
+// Exactly one of {kernel, this process} runs between any matched
+// wake/park, which both serializes all user code and establishes
+// happens-before for the kernel's plain fields. The coroutine stays
+// parked between uses, so the kernel's free list hands spawns a warm
+// one instead of creating a proc and a goroutine per spawn.
 type proc struct {
-	name   string
-	fn     func()       // body (Go/At)
-	fnArg  func(uint64) // body with one word of state (GoArg); fn nil
-	arg    uint64
-	done   bool // set by the goroutine when the body returned
-	resume chan struct{}
-	yield  chan struct{}
+	name  string
+	fn    func()       // body (Go/At)
+	fnArg func(uint64) // body with one word of state (GoArg); fn nil
+	arg   uint64
+	done  bool // set by the coroutine when the body returned
+	handoff
 }
 
-// loop is the pooled coroutine body: run one scheduled function per
-// resume, then hand control back marked done so the kernel can recycle
-// the proc.
-func (p *proc) loop() {
-	for range p.resume {
-		if p.fnArg != nil {
-			p.fnArg(p.arg)
-		} else {
-			p.fn()
-		}
-		p.fn, p.fnArg = nil, nil
-		p.done = true
-		p.yield <- struct{}{}
+// run is what the pooled coroutine does per spawn: run the scheduled
+// function, then mark the proc done so the kernel recycles it when the
+// handoff switches back.
+func (p *proc) run() {
+	if p.fnArg != nil {
+		p.fnArg(p.arg)
+	} else {
+		p.fn()
 	}
+	p.fn, p.fnArg = nil, nil
+	p.done = true
 }
 
 // Kernel is the discrete-event scheduler. Create with NewKernel; zero
@@ -146,6 +158,7 @@ type Kernel struct {
 	// Stats between runs.
 	heapHW       int    // high-water event-queue depth
 	procsStarted uint64 // coroutine goroutines created
+	handoffs     uint64 // process events that switched coroutine (wake calls)
 	procsReused  uint64 // spawns served from the pool
 }
 
@@ -280,8 +293,8 @@ func (k *Kernel) getProc(name string) *proc {
 		k.free = k.free[:n-1]
 		k.procsReused++
 	} else {
-		p = &proc{resume: make(chan struct{}), yield: make(chan struct{})}
-		go p.loop()
+		p = &proc{}
+		p.start()
 		k.procsStarted++
 	}
 	p.name = name
@@ -307,8 +320,8 @@ func (k *Kernel) Post(delay time.Duration, name string, fn func()) {
 
 // PostAt schedules fn as a callback event at absolute virtual time t
 // (clamped to now). When its time comes the event loop invokes fn
-// inline on the kernel goroutine: no coroutine, no channel handoff, and
-// no allocation beyond the queue slot — the zero-cost path for timers,
+// inline on the kernel goroutine: no coroutine, no handoff, and no
+// allocation beyond the queue slot — the zero-cost path for timers,
 // periodic coordinators and fault scripts. fn runs with the clock set
 // to t and may Post further callbacks or spawn processes, but it must
 // not block: calling Sleep (or a kernel-bound Transport.Call, which
@@ -326,9 +339,9 @@ func (k *Kernel) PostAt(t time.Duration, name string, fn func()) {
 // counts as zero); other processes and timed events run in between.
 // When nothing is scheduled before the wake-up the process continues
 // inline — the run-to-completion fast path: the event is executed
-// (clock jump, sequence number, observer record) without the
-// yield/resume channel round trip, producing a bit-identical trace at a
-// fraction of the cost. It returns ErrStopped when the kernel is
+// (clock jump, sequence number, observer record) without the coroutine
+// handoff, producing a bit-identical trace at a fraction of the cost.
+// It returns ErrStopped when the kernel is
 // draining after Stop. Called from outside any process — the
 // free-running mode — it simply advances the clock and returns nil.
 // Called from a Post callback it panics: callbacks cannot block.
@@ -352,7 +365,7 @@ func (k *Kernel) Sleep(d time.Duration) error {
 		// Run-to-completion fast path: the wake-up would be the very
 		// next event (ties lose to already-queued events, and the queue
 		// has none at or before "at"), so dispatch it inline. Identical
-		// (time, seq, name) record, no channel handoff.
+		// (time, seq, name) record, no handoff.
 		k.seq++
 		k.clock.set(at)
 		k.processed++
@@ -363,8 +376,7 @@ func (k *Kernel) Sleep(d time.Duration) error {
 	}
 	k.seq++
 	k.heapPush(event{at: at, seq: k.seq, p: p, name: p.name})
-	p.yield <- struct{}{}
-	<-p.resume
+	p.park()
 	if k.stopped {
 		return ErrStopped
 	}
@@ -381,7 +393,13 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Run executes events until the queue is empty: every spawned process
 // has returned, every callback has fired and no sleeper remains. It
 // must be called from the goroutine that owns the kernel, and nothing
-// else may use the kernel or its transports while it runs.
+// else may use the kernel or its transports while it runs. When it
+// returns, the pooled coroutines it started have been released. Where
+// a panicking process body surfaces depends on the handoff: from Go
+// 1.23 the panic propagates out of wake into Run and on to Run's
+// caller; before 1.23 it is raised on the process's own goroutine,
+// where nothing above the kernel can recover it. Either way the kernel
+// is not usable afterwards.
 func (k *Kernel) Run() {
 	for len(k.queue) > 0 {
 		ev := k.heapPop()
@@ -409,8 +427,8 @@ func (k *Kernel) Run() {
 			continue
 		}
 		k.cur = ev.p
-		ev.p.resume <- struct{}{}
-		<-ev.p.yield
+		k.handoffs++
+		ev.p.wake()
 		k.cur = nil
 		if ev.p.done {
 			ev.p.done = false
@@ -419,10 +437,10 @@ func (k *Kernel) Run() {
 	}
 	// Drained: release the parked coroutines. Every process has returned
 	// (sleepers always hold a queued wake event, so an empty queue means
-	// none remain), and closing resume ends each pooled goroutine rather
-	// than leaking it parked forever.
+	// none remain), and releasing each pooled coroutine ends its goroutine
+	// rather than leaking it parked forever.
 	for i, p := range k.free {
-		close(p.resume)
+		p.release()
 		k.free[i] = nil
 	}
 	k.free = k.free[:0]

@@ -4,8 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/dht-sampling/randompeer/internal/obs"
 )
 
 func TestKernelRunsEventsInTimeOrder(t *testing.T) {
@@ -222,6 +226,47 @@ func TestGoArgPassesArgument(t *testing.T) {
 	}
 }
 
+// TestHandoffsCountOnlySwitches: Stats().Handoffs splits the event
+// count by cost. Two interleaving sleepers switch coroutine on every
+// event; a lone sleeper switches once (its spawn) and sleeps inline; a
+// callback chain never switches.
+func TestHandoffsCountOnlySwitches(t *testing.T) {
+	sleeper := func(k *Kernel) func() {
+		return func() {
+			for i := 0; i < 3; i++ {
+				if k.Sleep(time.Millisecond) != nil {
+					return
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name             string
+		schedule         func(k *Kernel)
+		events, handoffs uint64
+	}{
+		{"two sleepers", func(k *Kernel) { k.Go("a", sleeper(k)); k.Go("b", sleeper(k)) }, 8, 8},
+		{"lone sleeper", func(k *Kernel) { k.Go("a", sleeper(k)) }, 4, 1},
+		{"callbacks", func(k *Kernel) { k.Post(0, "t", func() { k.Post(time.Millisecond, "t", func() {}) }) }, 2, 0},
+	} {
+		k := NewKernel(1)
+		reg := obs.NewRegistry()
+		k.RegisterMetrics(reg)
+		c.schedule(k)
+		k.Run()
+		if st := k.Stats(); st.EventsDispatched != c.events || st.Handoffs != c.handoffs {
+			t.Errorf("%s: %d events, %d handoffs, want %d and %d", c.name, st.EventsDispatched, st.Handoffs, c.events, c.handoffs)
+		}
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("sim_kernel_handoffs_total %d\n", c.handoffs); !strings.Contains(b.String(), want) {
+			t.Errorf("%s: scrape lacks %q:\n%s", c.name, want, b.String())
+		}
+	}
+}
+
 // TestCrossPathDeterminism is the callback fast path's compatibility
 // guarantee: the same logical schedule — n timed work items at the same
 // virtual times — produces a bit-identical event trace and identical
@@ -333,12 +378,16 @@ func TestKernelAllocBudget(t *testing.T) {
 	})
 }
 
-// TestPooledProcsAreReused checks the spawn pool: after a process
-// finishes, the next spawn reuses its coroutine instead of allocating a
-// proc, two channels and a goroutine.
+// TestPooledProcsAreReused checks the spawn pool: a chain in which each
+// process spawns its successor keeps two coroutines alive (the spawner
+// is still running when the successor is taken), so the kernel starts
+// exactly two and serves every later spawn from the pool, allocation
+// free. Creating the two coroutines does allocate — 6 each as a channel
+// pair, 13 each under iter.Pull — which is why the budget is taken over
+// enough spawns to price the spawn, not the creation.
 func TestPooledProcsAreReused(t *testing.T) {
 	k := NewKernel(1)
-	const spawns = 500
+	const spawns = 2000
 	i := 0
 	var next func(uint64)
 	next = func(u uint64) {
@@ -347,11 +396,19 @@ func TestPooledProcsAreReused(t *testing.T) {
 			k.GoArg("chain", next, u+1)
 		}
 	}
+	var started, reused uint64 // per Run: it releases the pool when it drains
 	avg := testing.AllocsPerRun(1, func() {
+		before := k.Stats()
 		i = 0
 		k.GoArg("chain", next, 0)
 		k.Run()
+		after := k.Stats()
+		started, reused = after.ProcsStarted-before.ProcsStarted, after.ProcsReused-before.ProcsReused
 	})
+	if started != 2 || reused != spawns-2 {
+		t.Errorf("chain of %d spawns started %d coroutines and reused %d, want 2 and %d",
+			spawns, started, reused, spawns-2)
+	}
 	if perSpawn := avg / spawns; perSpawn > 0.05 {
 		t.Errorf("sequential spawns allocate %.4f allocs/spawn, want ~0 (pooled procs)", perSpawn)
 	}
@@ -389,5 +446,37 @@ func TestStopDrainsCallbackChains(t *testing.T) {
 	}
 	if ticks == 0 {
 		t.Error("callback chain never ran before Stop")
+	}
+}
+
+// TestRunReleasesPooledCoroutines: a coroutine parked in the pool is a
+// goroutine, and Run must end every one it started when it drains — by
+// running dry or through Stop — or a long-lived caller leaks one per
+// concurrent process per Run. Not parallel: it counts goroutines.
+func TestRunReleasesPooledCoroutines(t *testing.T) {
+	const procs = 64
+	for _, stopAt := range []time.Duration{0, 2 * time.Millisecond} {
+		before := runtime.NumGoroutine()
+		k := NewKernel(1)
+		for i := 0; i < procs; i++ {
+			k.GoArg("sleeper", func(ms uint64) {
+				_ = k.Sleep(time.Duration(ms) * time.Millisecond)
+			}, uint64(1+i%4))
+		}
+		if stopAt > 0 {
+			k.At(stopAt, "watchdog", k.Stop)
+		}
+		k.Run()
+		if st := k.Stats(); st.ProcsStarted < procs {
+			t.Fatalf("stop=%v: %d coroutines started, want ≥ %d: nothing to release", stopAt, st.ProcsStarted, procs)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("stop=%v: %d goroutines before Run, %d after:\n%s", stopAt, before, after, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -9,6 +9,11 @@ type KernelStats struct {
 	// Processed): process resumes, inline callbacks and the Sleep
 	// run-to-completion fast path all count one each.
 	EventsDispatched uint64
+	// Handoffs counts the process events among them that switched
+	// coroutine: Run waking a process. Callbacks and inline Sleeps do
+	// not, so EventsDispatched − Handoffs events cost a function call
+	// and Handoffs events cost a switch into the process and one back.
+	Handoffs uint64
 	// HeapHighWater is the deepest the event queue has been — the
 	// working-set bound a scenario's schedule puts on the kernel.
 	HeapHighWater int
@@ -25,6 +30,7 @@ type KernelStats struct {
 func (k *Kernel) Stats() KernelStats {
 	return KernelStats{
 		EventsDispatched: k.processed,
+		Handoffs:         k.handoffs,
 		HeapHighWater:    k.heapHW,
 		ProcsStarted:     k.procsStarted,
 		ProcsReused:      k.procsReused,
@@ -39,6 +45,9 @@ func (k *Kernel) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("sim_kernel_events_dispatched_total",
 		"Events executed by the kernel loop (processes, callbacks, inline sleeps).",
 		func() float64 { return float64(k.processed) })
+	r.CounterFunc("sim_kernel_handoffs_total",
+		"Process events that switched coroutine (not callbacks, not inline sleeps).",
+		func() float64 { return float64(k.handoffs) })
 	r.GaugeFunc("sim_kernel_heap_high_water",
 		"Deepest event-queue depth observed.",
 		func() float64 { return float64(k.heapHW) })
