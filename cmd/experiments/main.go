@@ -8,7 +8,7 @@
 //	experiments [-run E1,E2|all] [-seed N] [-quick] [-csv DIR] [-list] [-workers N] [-latency MODEL]
 //
 // -latency selects the link-latency model for the simulated-time
-// experiments (E25, E26) — e.g. constant:1ms, uniform:500us-5ms,
+// experiments (E25-E28) — e.g. constant:1ms, uniform:500us-5ms,
 // lognormal:2ms,0.6, straggler:0.1,8,constant:1ms — defaulting to a
 // constant 1ms round trip.
 //
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/exp"
-	"github.com/dht-sampling/randompeer/internal/overlays"
 )
 
 func main() {
@@ -46,7 +45,7 @@ func run(args []string) int {
 		csvDir  = fs.String("csv", "", "also write <id>.csv files into this directory")
 		list    = fs.Bool("list", false, "list experiments and exit")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines for experiments and their sweep points")
-		latency = fs.String("latency", "", "latency model for the simulated-time experiments (default constant:1ms)")
+		latency = fs.String("latency", "", "latency model for the simulated-time experiments E25-E28 (default constant:1ms)")
 		sloOut  = fs.String("slo-report", "", "also write the per-backend E28 SLO report (markdown) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -95,7 +94,7 @@ func run(args []string) int {
 		}
 	}
 	if *sloOut != "" {
-		if err := writeSLOReport(*sloOut, *seed, *quick, *latency); err != nil {
+		if err := writeSLOReport(*sloOut, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			failures++
 		} else {
@@ -108,12 +107,11 @@ func run(args []string) int {
 	return 0
 }
 
-// writeSLOReport runs the E28 scenario per backend with the same seed
-// derivation the E28 table uses and writes the full markdown report —
-// the artifact the CI smoke job uploads. Same seed, same mode: the
-// report's numbers match the table's.
-func writeSLOReport(path string, seed uint64, quick bool, latency string) error {
-	model, err := exp.RunConfig{Latency: latency}.LatencyModel()
+// writeSLOReport runs the scenarios the E28 table runs under cfg and
+// writes the full markdown report — the artifact the CI smoke job
+// uploads. Same scenarios: the report's numbers match the table's.
+func writeSLOReport(path string, cfg exp.RunConfig) error {
+	scenarios, err := exp.E28Scenarios(cfg)
 	if err != nil {
 		return err
 	}
@@ -122,11 +120,10 @@ func writeSLOReport(path string, seed uint64, quick bool, latency string) error 
 		return fmt.Errorf("creating %s: %w", path, err)
 	}
 	defer f.Close()
-	for _, backend := range overlays.Names {
-		sc := exp.DefaultSLOScenario(backend, quick, model, seed^0x28^uint64(len(backend)))
+	for _, sc := range scenarios {
 		res, err := exp.RunSLOScenario(sc)
 		if err != nil {
-			return fmt.Errorf("E28 %s: %w", backend, err)
+			return fmt.Errorf("E28 %s: %w", sc.Backend, err)
 		}
 		if err := res.WriteMarkdownReport(f); err != nil {
 			return fmt.Errorf("writing %s: %w", path, err)

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/ring"
@@ -67,16 +68,13 @@ var _ Graph = (*UndirectedOracleGraph)(nil)
 func NewUndirectedOracleGraph(o *dht.Oracle) *UndirectedOracleGraph {
 	r := o.Ring()
 	n := r.Len()
-	sets := make([]map[int]struct{}, n)
-	for i := 0; i < n; i++ {
-		sets[i] = make(map[int]struct{}, 2*65)
-	}
+	g := &UndirectedOracleGraph{o: o, adj: make([][]int, n)}
 	addEdge := func(u, v int) {
 		if u == v {
 			return
 		}
-		sets[u][v] = struct{}{}
-		sets[v][u] = struct{}{}
+		g.adj[u] = append(g.adj[u], v)
+		g.adj[v] = append(g.adj[v], u)
 	}
 	for i := 0; i < n; i++ {
 		addEdge(i, r.NextIndex(i))
@@ -85,12 +83,11 @@ func NewUndirectedOracleGraph(o *dht.Oracle) *UndirectedOracleGraph {
 			addEdge(i, r.Successor(target))
 		}
 	}
-	g := &UndirectedOracleGraph{o: o, adj: make([][]int, n)}
-	for i := 0; i < n; i++ {
-		g.adj[i] = make([]int, 0, len(sets[i]))
-		for j := range sets[i] {
-			g.adj[i] = append(g.adj[i], j)
-		}
+	// Sorted and deduplicated: neighbour order decides which way a
+	// seeded walk steps, so it must not depend on map iteration.
+	for i := range g.adj {
+		slices.Sort(g.adj[i])
+		g.adj[i] = slices.Compact(g.adj[i])
 	}
 	return g
 }

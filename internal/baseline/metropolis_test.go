@@ -3,8 +3,10 @@ package baseline
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/stats"
 )
 
@@ -115,5 +117,32 @@ func TestMetropolisWalkCostCharged(t *testing.T) {
 	cost := o.Meter().Snapshot().Sub(before)
 	if cost.Calls != 20 {
 		t.Errorf("10 MH steps charged %d calls, want 20 (2 per step)", cost.Calls)
+	}
+}
+
+// TestUndirectedGraphNeighborOrderRepeats pins the adjacency as a pure
+// function of the oracle: neighbour order decides which way a seeded
+// walk steps, so two graphs over one oracle must list every peer's
+// neighbours identically (and in ascending owner order).
+func TestUndirectedGraphNeighborOrderRepeats(t *testing.T) {
+	t.Parallel()
+	o := newOracle(t, 97, 128)
+	a, b := NewUndirectedOracleGraph(o), NewUndirectedOracleGraph(o)
+	for i := 0; i < o.Size(); i++ {
+		p := o.PeerByIndex(i)
+		na, err := a.Neighbors(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nb, err := b.Neighbors(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(na, nb) {
+			t.Fatalf("peer %d: neighbour lists differ between two graphs over one oracle:\n a=%v\n b=%v", i, na, nb)
+		}
+		if !slices.IsSortedFunc(na, func(x, y dht.Peer) int { return x.Owner - y.Owner }) {
+			t.Fatalf("peer %d: neighbours not in owner order: %v", i, na)
+		}
 	}
 }

@@ -4,6 +4,12 @@
 // paper's claim and carries its own verdict notes. Each experiment
 // supports a Quick mode (small sweeps, used by tests and smoke runs) and
 // a Full mode.
+//
+// An experiment is a declaration in the experiments slice (index.go):
+// its index entry, the header of the table it fills, and a Run function
+// that fills it. Execute makes the table; sweepRows spreads independent
+// sweep points over the worker budget; measure.go and scenario.go hold
+// the seeded constructors and measuring helpers the Run functions share.
 package exp
 
 import (
@@ -11,7 +17,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,6 +34,8 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string // free-form findings (fit slopes, verdicts)
+
+	err error // first row-arity mistake of a Run function (see row)
 }
 
 // AddRow appends a formatted row; the value count must match Columns.
@@ -37,6 +45,15 @@ func (t *Table) AddRow(values ...string) error {
 	}
 	t.Rows = append(t.Rows, values)
 	return nil
+}
+
+// row is AddRow for Run functions: the first arity mistake is kept and
+// Execute returns it as the experiment's error, so the loops that fill
+// a table do not each check for a programming error.
+func (t *Table) row(values ...string) {
+	if err := t.AddRow(values...); err != nil && t.err == nil {
+		t.err = err
+	}
 }
 
 // AddNote appends a formatted note line.
@@ -127,7 +144,7 @@ type RunConfig struct {
 	// table's contents.
 	Workers int
 	// Latency is the -latency flag spec (sim.ParseModel syntax) used by
-	// the simulated-time experiments (E25-E27); empty selects their
+	// the simulated-time experiments (E25-E28); empty selects their
 	// default constant 1ms round trip.
 	Latency string
 }
@@ -185,6 +202,27 @@ func forEach(workers, n int, fn func(i int) error) error {
 	return nil
 }
 
+// sweepRows runs point(i, row) for every i in [0, n) across the run's
+// worker budget and appends the rows each point emitted to t in index
+// order, whichever point finishes first. Points must be independent:
+// each seeds its own generators and writes only through row (or into
+// its own slot of a caller-owned slice).
+func sweepRows(cfg RunConfig, t *Table, n int, point func(i int, row func(cells ...string)) error) error {
+	rows := make([][][]string, n)
+	err := forEach(cfg.workerCount(), n, func(i int) error {
+		return point(i, func(cells ...string) { rows[i] = append(rows[i], cells) })
+	})
+	if err != nil {
+		return err
+	}
+	for _, group := range rows {
+		for _, cells := range group {
+			t.row(cells...)
+		}
+	}
+	return nil
+}
+
 // RunResult is one experiment's outcome from RunAll.
 type RunResult struct {
 	Experiment Experiment
@@ -210,75 +248,58 @@ func RunAll(cfg RunConfig, exps []Experiment, workers int) []RunResult {
 	results := make([]RunResult, len(exps))
 	_ = forEach(concurrent, len(exps), func(i int) error {
 		start := time.Now()
-		table, err := exps[i].Run(cfg)
+		table, err := exps[i].Execute(cfg)
 		results[i] = RunResult{Experiment: exps[i], Table: table, Err: err, Elapsed: time.Since(start)}
 		return nil // a failed experiment must not cancel its siblings
 	})
 	return results
 }
 
-// Experiment is one reproducible claim check.
+// Experiment is one reproducible claim check, declared: its index entry
+// (ID, Title, Claim — what -list and DESIGN.md §4 print), the header of
+// the table it fills (the table's own, narrower title and claim, and
+// its columns), and the function that fills it.
 type Experiment struct {
 	ID    string
 	Title string
 	Claim string
-	Run   func(cfg RunConfig) (*Table, error)
+
+	TableTitle string
+	TableClaim string
+	Columns    []string
+
+	// Run fills t, which arrives with the declared header and no rows.
+	// It adds rows with t.row (or sweepRows) and notes with t.AddNote,
+	// and may extend t.Title with what only the run knows (the latency
+	// model's name).
+	Run func(cfg RunConfig, t *Table) error
+}
+
+// Execute runs the experiment: it makes the declared table, has Run
+// fill it, and returns it. A row whose cell count does not match the
+// declared columns fails the experiment.
+func (e Experiment) Execute(cfg RunConfig) (*Table, error) {
+	t := &Table{ID: e.ID, Title: e.TableTitle, Claim: e.TableClaim, Columns: e.Columns}
+	if err := e.Run(cfg, t); err != nil {
+		return nil, err
+	}
+	if t.err != nil {
+		return nil, fmt.Errorf("%s: %w", e.ID, t.err)
+	}
+	return t, nil
 }
 
 // All returns every registered experiment, ordered by ID.
-func All() []Experiment {
-	exps := []Experiment{
-		expE1(),
-		expE2(),
-		expE3(),
-		expE4(),
-		expE5(),
-		expE6(),
-		expE7(),
-		expE8(),
-		expE9(),
-		expE10(),
-		expE11(),
-		expE12(),
-		expE13(),
-		expE14(),
-		expE15(),
-		expE16(),
-		expE17(),
-		expE18(),
-		expE19(),
-		expE20(),
-		expE21(),
-		expE22(),
-		expE23(),
-		expE24(),
-		expE25(),
-		expE26(),
-		expE27(),
-		expE28(),
-		expE29(),
-		expE30(),
-	}
-	sort.Slice(exps, func(i, j int) bool { return idOrder(exps[i].ID) < idOrder(exps[j].ID) })
-	return exps
-}
+func All() []Experiment { return slices.Clone(experiments) }
 
 // ByID returns the experiment with the given ID.
 func ByID(id string) (Experiment, error) {
-	for _, e := range All() {
+	for _, e := range experiments {
 		if e.ID == id {
 			return e, nil
 		}
 	}
 	return Experiment{}, fmt.Errorf("exp: unknown experiment %q", id)
-}
-
-func idOrder(id string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "E"))
-	if err != nil {
-		return 1 << 30
-	}
-	return n
 }
 
 // sweep returns the experiment's n values.

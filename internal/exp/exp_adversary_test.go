@@ -19,7 +19,7 @@ func TestE29MitigationHoldsUnderAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := e.Run(RunConfig{Seed: 1, Quick: true})
+	table, err := e.Execute(RunConfig{Seed: 1, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestE29Deterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() [][]string {
-		table, err := e.Run(RunConfig{Seed: 77, Quick: true, Workers: 4})
+		table, err := e.Execute(RunConfig{Seed: 77, Quick: true, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

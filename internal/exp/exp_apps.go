@@ -2,7 +2,6 @@ package exp
 
 import (
 	"math"
-	"math/rand/v2"
 
 	"github.com/dht-sampling/randompeer/internal/agreement"
 	"github.com/dht-sampling/randompeer/internal/baseline"
@@ -11,260 +10,190 @@ import (
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/loadbalance"
 	"github.com/dht-sampling/randompeer/internal/randgraph"
-	"github.com/dht-sampling/randompeer/internal/ring"
 )
 
-// appSetup builds the shared oracle + ring for application experiments.
-func appSetup(seed uint64, n int) (*dht.Oracle, *ring.Ring, *rand.Rand, error) {
-	rng := rand.New(rand.NewPCG(seed, uint64(n)))
-	r, err := ring.Generate(rng, n)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return dht.NewOracle(r), r, rng, nil
-}
-
-// expE11 runs the data-collection application: estimator bias and
+// runE11 runs the data-collection application: estimator bias and
 // confidence-interval coverage, uniform versus naive.
-func expE11() Experiment {
-	return Experiment{
-		ID:    "E11",
-		Title: "Application: data collection by sampling (Section 1)",
-		Claim: "uniform sampling gives unbiased estimates with calibrated CIs; naive sampling is inconsistent",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E11",
-				Title:   "Polling an arc-correlated population (true mean = 1)",
-				Claim:   "uniform estimate -> 1 with ~95% CI coverage; naive converges to ~2 with collapsing coverage",
-				Columns: []string{"sampler", "estimate", "ciLo", "ciHi", "coverage", "exactExpectation"},
-			}
-			n := 1024
-			polls, k := 40, 2000
-			if cfg.Quick {
-				n, polls, k = 256, 15, 500
-			}
-			o, r, rng, err := appSetup(cfg.Seed^0xcc, n)
-			if err != nil {
-				return nil, err
-			}
-			pop, err := collect.ArcCorrelated(r)
-			if err != nil {
-				return nil, err
-			}
-			naiveExpect, err := collect.NaiveExpectedMean(r, pop)
-			if err != nil {
-				return nil, err
-			}
-			type entry struct {
-				name   string
-				mk     func() (dht.Sampler, error)
-				expect float64
-			}
-			entries := []entry{
-				{
-					name: "king-saia",
-					mk: func() (dht.Sampler, error) {
-						return core.New(o, o.PeerByIndex(0), rng, core.Config{})
-					},
-					expect: 1,
-				},
-				{
-					name: "naive",
-					mk: func() (dht.Sampler, error) {
-						return baseline.NewNaive(o, rng), nil
-					},
-					expect: naiveExpect,
-				},
-			}
-			for _, e := range entries {
-				s, err := e.mk()
-				if err != nil {
-					return nil, err
-				}
-				res, err := collect.PollMean(s, pop, k, 1.96)
-				if err != nil {
-					return nil, err
-				}
-				coverage, err := collect.CoverageRate(e.mk, pop, polls, k, 1.96)
-				if err != nil {
-					return nil, err
-				}
-				if err := t.AddRow(
-					e.name, fmtF(res.Estimate), fmtF(res.Lo), fmtF(res.Hi),
-					fmtF(coverage), fmtF(e.expect),
-				); err != nil {
-					return nil, err
-				}
-			}
-			t.AddNote("population: peer value = n * (its arc share); true mean exactly 1; n = %d", n)
-			return t, nil
+func runE11(cfg RunConfig, t *Table) error {
+	n := 1024
+	polls, k := 40, 2000
+	if cfg.Quick {
+		n, polls, k = 256, 15, 500
+	}
+	o, rng, err := seededOracle(cfg.Seed^0xcc, uint64(n), n)
+	if err != nil {
+		return err
+	}
+	r := o.Ring()
+	pop, err := collect.ArcCorrelated(r)
+	if err != nil {
+		return err
+	}
+	naiveExpect, err := collect.NaiveExpectedMean(r, pop)
+	if err != nil {
+		return err
+	}
+	type entry struct {
+		name   string
+		mk     func() (dht.Sampler, error)
+		expect float64
+	}
+	entries := []entry{
+		{
+			name: "king-saia",
+			mk: func() (dht.Sampler, error) {
+				return core.New(o, o.PeerByIndex(0), rng, core.Config{})
+			},
+			expect: 1,
+		},
+		{
+			name: "naive",
+			mk: func() (dht.Sampler, error) {
+				return baseline.NewNaive(o, rng), nil
+			},
+			expect: naiveExpect,
 		},
 	}
+	for _, e := range entries {
+		s, err := e.mk()
+		if err != nil {
+			return err
+		}
+		res, err := collect.PollMean(s, pop, k, 1.96)
+		if err != nil {
+			return err
+		}
+		coverage, err := collect.CoverageRate(e.mk, pop, polls, k, 1.96)
+		if err != nil {
+			return err
+		}
+		t.row(
+			e.name, fmtF(res.Estimate), fmtF(res.Lo), fmtF(res.Hi),
+			fmtF(coverage), fmtF(e.expect),
+		)
+	}
+	t.AddNote("population: peer value = n * (its arc share); true mean exactly 1; n = %d", n)
+	return nil
 }
 
-// expE12 runs the random-links application: giant component survival
+// runE12 runs the random-links application: giant component survival
 // under adversarial deletion.
-func expE12() Experiment {
-	return Experiment{
-		ID:    "E12",
-		Title: "Application: random links robustness (Section 1)",
-		Claim: "uniform random links keep a giant component under massive adversarial deletion",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E12",
-				Title:   "Giant component after adversarial hub deletion (k links/node)",
-				Claim:   "uniform-links graph stays connected; biased-links graph fragments",
-				Columns: []string{"deleteFrac", "uniform_giant", "naive_giant", "uniform_maxDeg", "naive_maxDeg"},
-			}
-			n, k := 1000, 5
-			if cfg.Quick {
-				n, k = 300, 4
-			}
-			fracs := []float64{0.1, 0.3, 0.5}
-			for _, frac := range fracs {
-				o, _, rng, err := appSetup(cfg.Seed^0xdd, n)
-				if err != nil {
-					return nil, err
-				}
-				uni, err := core.New(o, o.PeerByIndex(0), rng, core.Config{})
-				if err != nil {
-					return nil, err
-				}
-				gUni, err := randgraph.Build(uni, n, k)
-				if err != nil {
-					return nil, err
-				}
-				gBias, err := randgraph.Build(baseline.NewNaive(o, rng), n, k)
-				if err != nil {
-					return nil, err
-				}
-				uniMax, biasMax := gUni.MaxDegree(), gBias.MaxDegree()
-				if _, err := gUni.DeleteAdversarial(frac); err != nil {
-					return nil, err
-				}
-				if _, err := gBias.DeleteAdversarial(frac); err != nil {
-					return nil, err
-				}
-				if err := t.AddRow(
-					fmtF(frac),
-					fmtF(gUni.LargestComponentFraction()),
-					fmtF(gBias.LargestComponentFraction()),
-					fmtI(uniMax), fmtI(biasMax),
-				); err != nil {
-					return nil, err
-				}
-			}
-			t.AddNote("n = %d, k = %d; adversary deletes highest-degree nodes (hubs)", n, k)
-			return t, nil
-		},
+func runE12(cfg RunConfig, t *Table) error {
+	n, k := 1000, 5
+	if cfg.Quick {
+		n, k = 300, 4
 	}
+	fracs := []float64{0.1, 0.3, 0.5}
+	for _, frac := range fracs {
+		o, rng, err := seededOracle(cfg.Seed^0xdd, uint64(n), n)
+		if err != nil {
+			return err
+		}
+		uni, err := core.New(o, o.PeerByIndex(0), rng, core.Config{})
+		if err != nil {
+			return err
+		}
+		gUni, err := randgraph.Build(uni, n, k)
+		if err != nil {
+			return err
+		}
+		gBias, err := randgraph.Build(baseline.NewNaive(o, rng), n, k)
+		if err != nil {
+			return err
+		}
+		uniMax, biasMax := gUni.MaxDegree(), gBias.MaxDegree()
+		if _, err := gUni.DeleteAdversarial(frac); err != nil {
+			return err
+		}
+		if _, err := gBias.DeleteAdversarial(frac); err != nil {
+			return err
+		}
+		t.row(
+			fmtF(frac),
+			fmtF(gUni.LargestComponentFraction()),
+			fmtF(gBias.LargestComponentFraction()),
+			fmtI(uniMax), fmtI(biasMax),
+		)
+	}
+	t.AddNote("n = %d, k = %d; adversary deletes highest-degree nodes (hubs)", n, k)
+	return nil
 }
 
-// expE13 runs the load-balancing application: max load of sampled task
+// runE13 runs the load-balancing application: max load of sampled task
 // assignment.
-func expE13() Experiment {
-	return Experiment{
-		ID:    "E13",
-		Title: "Application: load balancing by random assignment (Section 1)",
-		Claim: "uniform sampling achieves balls-into-bins balance; naive overloads long-arc peers",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E13",
-				Title:   "Task assignment load (m = n ln n tasks)",
-				Claim:   "uniform imbalance stays near balls-into-bins; naive imbalance grows with log n",
-				Columns: []string{"n", "tasks", "sampler", "maxLoad", "imbalance", "idlePeers"},
+func runE13(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 256, 1024, 4096)
+	for _, n := range ns {
+		tasks := int(float64(n) * math.Log(float64(n)))
+		o, rng, err := seededOracle(cfg.Seed^0xee, uint64(n), n)
+		if err != nil {
+			return err
+		}
+		virt, err := dht.NewVirtualOracle(rng, n, int(math.Log2(float64(n))))
+		if err != nil {
+			return err
+		}
+		uni, err := core.New(o, o.PeerByIndex(0), rng, core.Config{})
+		if err != nil {
+			return err
+		}
+		samplers := []dht.Sampler{
+			uni,
+			baseline.NewNaive(o, rng),
+			baseline.NewVirtualNaive(virt, rng),
+		}
+		for _, s := range samplers {
+			res, err := loadbalance.Assign(s, n, tasks)
+			if err != nil {
+				return err
 			}
-			ns := sweep(cfg.Quick, 256, 1024, 4096)
-			for _, n := range ns {
-				tasks := int(float64(n) * math.Log(float64(n)))
-				o, _, rng, err := appSetup(cfg.Seed^0xee, n)
-				if err != nil {
-					return nil, err
-				}
-				virt, err := dht.NewVirtualOracle(rng, n, int(math.Log2(float64(n))))
-				if err != nil {
-					return nil, err
-				}
-				uni, err := core.New(o, o.PeerByIndex(0), rng, core.Config{})
-				if err != nil {
-					return nil, err
-				}
-				samplers := []dht.Sampler{
-					uni,
-					baseline.NewNaive(o, rng),
-					baseline.NewVirtualNaive(virt, rng),
-				}
-				for _, s := range samplers {
-					res, err := loadbalance.Assign(s, n, tasks)
-					if err != nil {
-						return nil, err
-					}
-					if err := t.AddRow(
-						fmtI(n), fmtI(tasks), s.Name(),
-						fmtI(res.MaxLoad), fmtF(res.Imbalance), fmtI(res.Idle),
-					); err != nil {
-						return nil, err
-					}
-				}
-			}
-			return t, nil
-		},
+			t.row(
+				fmtI(n), fmtI(tasks), s.Name(),
+				fmtI(res.MaxLoad), fmtF(res.Imbalance), fmtI(res.Idle),
+			)
+		}
 	}
+	return nil
 }
 
-// expE14 runs the committee-election application: bad-committee rates
+// runE14 runs the committee-election application: bad-committee rates
 // under the longest-arc adversary.
-func expE14() Experiment {
-	return Experiment{
-		ID:    "E14",
-		Title: "Application: Byzantine committee election (Section 1)",
-		Claim: "uniform sampling keeps adversarial capture exponentially rare; naive sampling hands majorities to a 20% adversary",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E14",
-				Title:   "Bad-committee rate under a longest-arc adversary (size 64, majority threshold)",
-				Claim:   "uniform: ~0 capture below threshold; naive: capture tracks inflated selection mass",
-				Columns: []string{"byzFrac", "naiveMass", "uniform_badRate", "naive_badRate", "uniform_meanByz", "naive_meanByz"},
-			}
-			n := 1024
-			committees := 400
-			if cfg.Quick {
-				n, committees = 256, 120
-			}
-			const size = 64
-			for _, byz := range []float64{0.1, 0.2, 0.3} {
-				o, r, rng, err := appSetup(cfg.Seed^0xff, n)
-				if err != nil {
-					return nil, err
-				}
-				bad, mass, err := agreement.LongestArcAttack(r, byz)
-				if err != nil {
-					return nil, err
-				}
-				isBad := func(owner int) bool { return bad[owner] }
-				uni, err := core.New(o, o.PeerByIndex(0), rng, core.Config{})
-				if err != nil {
-					return nil, err
-				}
-				uniRes, err := agreement.ElectCommittees(uni, isBad, size, committees, 0.5)
-				if err != nil {
-					return nil, err
-				}
-				naiveRes, err := agreement.ElectCommittees(
-					baseline.NewNaive(o, rng), isBad, size, committees, 0.5)
-				if err != nil {
-					return nil, err
-				}
-				if err := t.AddRow(
-					fmtF(byz), fmtF(mass),
-					fmtF(uniRes.BadRate), fmtF(naiveRes.BadRate),
-					fmtF(uniRes.MeanByzFrac), fmtF(naiveRes.MeanByzFrac),
-				); err != nil {
-					return nil, err
-				}
-			}
-			t.AddNote("n = %d, committee size %d, %d committees; adversary occupies longest arcs", n, size, committees)
-			return t, nil
-		},
+func runE14(cfg RunConfig, t *Table) error {
+	n := 1024
+	committees := 400
+	if cfg.Quick {
+		n, committees = 256, 120
 	}
+	const size = 64
+	for _, byz := range []float64{0.1, 0.2, 0.3} {
+		o, rng, err := seededOracle(cfg.Seed^0xff, uint64(n), n)
+		if err != nil {
+			return err
+		}
+		bad, mass, err := agreement.LongestArcAttack(o.Ring(), byz)
+		if err != nil {
+			return err
+		}
+		isBad := func(owner int) bool { return bad[owner] }
+		uni, err := core.New(o, o.PeerByIndex(0), rng, core.Config{})
+		if err != nil {
+			return err
+		}
+		uniRes, err := agreement.ElectCommittees(uni, isBad, size, committees, 0.5)
+		if err != nil {
+			return err
+		}
+		naiveRes, err := agreement.ElectCommittees(
+			baseline.NewNaive(o, rng), isBad, size, committees, 0.5)
+		if err != nil {
+			return err
+		}
+		t.row(
+			fmtF(byz), fmtF(mass),
+			fmtF(uniRes.BadRate), fmtF(naiveRes.BadRate),
+			fmtF(uniRes.MeanByzFrac), fmtF(naiveRes.MeanByzFrac),
+		)
+	}
+	t.AddNote("n = %d, committee size %d, %d committees; adversary occupies longest arcs", n, size, committees)
+	return nil
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"math"
-	"math/rand/v2"
 
 	"github.com/dht-sampling/randompeer/internal/baseline"
 	"github.com/dht-sampling/randompeer/internal/core"
@@ -11,153 +10,96 @@ import (
 	"github.com/dht-sampling/randompeer/internal/stats"
 )
 
-// expE8 measures the naive heuristic's bias exactly (no sampling noise):
+// runE8 measures the naive heuristic's bias exactly (no sampling noise):
 // the most likely peer is Theta(n log n) more likely than the least.
-func expE8() Experiment {
-	return Experiment{
-		ID:    "E8",
-		Title: "Bias of the naive heuristic h(random x) (Section 1)",
-		Claim: "max/min selection probability ratio is Theta(n log n)",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E8",
-				Title:   "Exact naive-selection bias ratio versus n",
-				Claim:   "bias ratio grows as Theta(n log n)",
-				Columns: []string{"n", "seeds", "maxProb*n", "minProb*n", "biasRatio", "ratio/(n ln n)"},
-			}
-			ns := sweep(cfg.Quick, 256, 1024, 4096, 16384, 65536)
-			seedCount := 10
-			if cfg.Quick {
-				seedCount = 3
-			}
-			var nsInt []int
-			var ratios []float64
-			for _, n := range ns {
-				rings, err := ringSeeds(cfg.Seed^0xaa, n, seedCount)
-				if err != nil {
-					return nil, err
-				}
-				var maxPn, minPn, ratio, ratioNorm float64
-				for _, r := range rings {
-					probs, err := core.NaiveDistribution(r)
-					if err != nil {
-						return nil, err
-					}
-					minP, maxP := math.Inf(1), 0.0
-					for _, p := range probs {
-						minP = math.Min(minP, p)
-						maxP = math.Max(maxP, p)
-					}
-					nf := float64(n)
-					maxPn += maxP * nf
-					minPn += minP * nf
-					ratio += maxP / minP
-					ratioNorm += (maxP / minP) / (nf * math.Log(nf))
-				}
-				s := float64(seedCount)
-				nsInt = append(nsInt, n)
-				ratios = append(ratios, ratio/s)
-				if err := t.AddRow(
-					fmtI(n), fmtI(seedCount), fmtF(maxPn/s), fmtF(minPn/s),
-					fmtF(ratio/s), fmtF(ratioNorm/s),
-				); err != nil {
-					return nil, err
-				}
-			}
-			logRatioNote(t, "bias ratio", nsInt, ratios)
-			t.AddNote("paper: longest arc Theta(log n/n), shortest Theta(1/n^2) -> ratio Theta(n log n)")
-			return t, nil
-		},
+func runE8(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 256, 1024, 4096, 16384, 65536)
+	seedCount := 10
+	if cfg.Quick {
+		seedCount = 3
 	}
+	var ratios []float64
+	for _, n := range ns {
+		rings, err := ringSeeds(cfg.Seed^0xaa, n, seedCount)
+		if err != nil {
+			return err
+		}
+		var maxPn, minPn, ratio, ratioNorm float64
+		for _, r := range rings {
+			probs, err := core.NaiveDistribution(r)
+			if err != nil {
+				return err
+			}
+			minP, maxP := math.Inf(1), 0.0
+			for _, p := range probs {
+				minP = math.Min(minP, p)
+				maxP = math.Max(maxP, p)
+			}
+			nf := float64(n)
+			maxPn += maxP * nf
+			minPn += minP * nf
+			ratio += maxP / minP
+			ratioNorm += (maxP / minP) / (nf * math.Log(nf))
+		}
+		s := float64(seedCount)
+		ratios = append(ratios, ratio/s)
+		t.row(
+			fmtI(n), fmtI(seedCount), fmtF(maxPn/s), fmtF(minPn/s),
+			fmtF(ratio/s), fmtF(ratioNorm/s),
+		)
+	}
+	logRatioNote(t, "bias ratio", ns, ratios)
+	t.AddNote("paper: longest arc Theta(log n/n), shortest Theta(1/n^2) -> ratio Theta(n log n)")
+	return nil
 }
 
-// expE9 is the accuracy figure: total-variation distance from uniform
+// runE9 is the accuracy figure: total-variation distance from uniform
 // versus number of samples, for every sampler.
-func expE9() Experiment {
-	return Experiment{
-		ID:    "E9",
-		Title: "Sampling accuracy versus sample count (figure series)",
-		Claim: "King-Saia's TVD falls as sampling noise 1/sqrt(k); biased samplers plateau at their bias floor",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E9",
-				Title:   "TVD from uniform versus number of samples",
-				Claim:   "uniform sampler converges to 0; naive/walk/virtual plateau",
-				Columns: []string{"samples", "king-saia", "naive", "walk-log2n", "walk-3log2n", "virtual-naive", "noiseFloor"},
-			}
-			n := 1024
-			sampleCounts := []int{2048, 8192, 32768, 131072}
-			if cfg.Quick {
-				n = 256
-				sampleCounts = []int{1024, 4096, 16384}
-			}
-			rng := rand.New(rand.NewPCG(cfg.Seed^0xbb, uint64(n)))
-			r, err := ring.Generate(rng, n)
-			if err != nil {
-				return nil, err
-			}
-			o := dht.NewOracle(r)
-			biasFloor, err := naiveDistributionTVD(r)
-			if err != nil {
-				return nil, err
-			}
-			logN := int(math.Log2(float64(n)))
-			virt, err := dht.NewVirtualOracle(rng, n, logN)
-			if err != nil {
-				return nil, err
-			}
-			ks, err := core.New(o, o.PeerByIndex(0), rng, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			graph := baseline.NewOracleGraph(o)
-			w1, err := baseline.NewWalk(o, graph, o.PeerByIndex(0), logN, rng)
-			if err != nil {
-				return nil, err
-			}
-			w3, err := baseline.NewWalk(o, graph, o.PeerByIndex(0), 3*logN, rng)
-			if err != nil {
-				return nil, err
-			}
-			samplers := []dht.Sampler{
-				ks,
-				baseline.NewNaive(o, rng),
-				w1,
-				w3,
-				baseline.NewVirtualNaive(virt, rng),
-			}
-			for _, k := range sampleCounts {
-				row := make([]string, 0, len(samplers)+2)
-				row = append(row, fmtI(k))
-				for _, s := range samplers {
-					counts, err := sampleCounts2(s, n, k)
-					if err != nil {
-						return nil, err
-					}
-					tvd, err := stats.TotalVariationUniform(counts)
-					if err != nil {
-						return nil, err
-					}
-					row = append(row, fmtF(tvd))
-				}
-				// The expected TVD of k perfect uniform draws over n bins
-				// (finite-sample noise floor): ~sqrt(n/(2*pi*k)).
-				row = append(row, fmtF(math.Sqrt(float64(n)/(2*math.Pi*float64(k)))))
-				if err := t.AddRow(row...); err != nil {
-					return nil, err
-				}
-			}
-			t.AddNote("n = %d; king-saia should track the noise floor, biased samplers flatten above it", n)
-			t.AddNote("exact naive bias floor (TVD of the arc distribution, no sampling noise): %.4f", biasFloor)
-			return t, nil
-		},
+func runE9(cfg RunConfig, t *Table) error {
+	n := 1024
+	sampleSizes := []int{2048, 8192, 32768, 131072}
+	if cfg.Quick {
+		n = 256
+		sampleSizes = []int{1024, 4096, 16384}
 	}
-}
-
-// sampleCounts2 draws k samples and tallies owners (the exp_uniformity
-// helper is reused where the owner count differs from the point count).
-func sampleCounts2(s dht.Sampler, owners, k int) ([]int64, error) {
-	return sampleCounts(s, owners, k)
+	o, rng, err := seededOracle(cfg.Seed^0xbb, uint64(n), n)
+	if err != nil {
+		return err
+	}
+	biasFloor, err := naiveDistributionTVD(o.Ring())
+	if err != nil {
+		return err
+	}
+	virt, err := dht.NewVirtualOracle(rng, n, int(math.Log2(float64(n))))
+	if err != nil {
+		return err
+	}
+	samplers, err := referenceSamplers(o, rng)
+	if err != nil {
+		return err
+	}
+	samplers = append(samplers, baseline.NewVirtualNaive(virt, rng))
+	for _, k := range sampleSizes {
+		row := []string{fmtI(k)}
+		for _, s := range samplers {
+			counts, err := sampleCounts(s, n, k)
+			if err != nil {
+				return err
+			}
+			tvd, err := stats.TotalVariationUniform(counts)
+			if err != nil {
+				return err
+			}
+			row = append(row, fmtF(tvd))
+		}
+		// The expected TVD of k perfect uniform draws over n bins
+		// (finite-sample noise floor): ~sqrt(n/(2*pi*k)).
+		row = append(row, fmtF(math.Sqrt(float64(n)/(2*math.Pi*float64(k)))))
+		t.row(row...)
+	}
+	t.AddNote("n = %d; king-saia should track the noise floor, biased samplers flatten above it", n)
+	t.AddNote("exact naive bias floor (TVD of the arc distribution, no sampling noise): %.4f", biasFloor)
+	return nil
 }
 
 // naiveDistributionTVD computes the exact TVD of the naive heuristic on

@@ -2,172 +2,110 @@ package exp
 
 import (
 	"math"
-	"math/rand/v2"
 
-	"github.com/dht-sampling/randompeer/internal/baseline"
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/core"
-	"github.com/dht-sampling/randompeer/internal/dht"
-	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 	"github.com/dht-sampling/randompeer/internal/stats"
 )
 
-// newOracleRing generates an n-peer oracle DHT.
-func newOracleRing(rng *rand.Rand, n int) (*dht.Oracle, error) {
-	r, err := ring.Generate(rng, n)
-	if err != nil {
-		return nil, err
-	}
-	return dht.NewOracle(r), nil
-}
-
-// expE2 measures Theorem 7 on the real Chord substrate: latency
+// runE2 measures Theorem 7 on the real Chord substrate: latency
 // (sequential RPCs) and messages per sample, with the O(log n) fit.
-func expE2() Experiment {
-	return Experiment{
-		ID:    "E2",
-		Title: "Latency and message cost over Chord (Theorem 7)",
-		Claim: "expected latency O(t_h + log n) and O(m_h + log n) messages per sample",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E2",
-				Title:   "Cost per sample over a real Chord ring",
-				Claim:   "hops and messages per sample grow as O(log n)",
-				Columns: []string{"n", "meanHops", "meanMsgs", "meanTrials", "meanSteps", "hops/log2n"},
-			}
-			ns := sweep(cfg.Quick, 64, 256, 1024, 4096)
-			samplesPerCaller := 60
-			callers := 12
-			if cfg.Quick {
-				samplesPerCaller, callers = 30, 4
-			}
-			var logNs, hops []float64
-			for _, n := range ns {
-				rng := rand.New(rand.NewPCG(cfg.Seed^0x22, uint64(n)))
-				r, err := ring.Generate(rng, n)
-				if err != nil {
-					return nil, err
-				}
-				net, err := chord.BuildStatic(chord.Config{}, simnet.NewDirect(), r.Points())
-				if err != nil {
-					return nil, err
-				}
-				// Average over several callers: each peer derives its own
-				// size estimate and lambda, so per-caller costs vary by the
-				// (7*nhat/n) trial multiplier; the mean over callers is the
-				// quantity Theorem 7 bounds.
-				var totalCalls, totalMsgs int64
-				var totalTrials, totalSteps, totalSamples int64
-				for c := 0; c < callers; c++ {
-					d, err := net.AsDHT(r.At(c * (n / callers)))
-					if err != nil {
-						return nil, err
-					}
-					s, err := core.New(d, d.Self(), rng, core.Config{})
-					if err != nil {
-						return nil, err
-					}
-					before := d.Meter().Snapshot()
-					for i := 0; i < samplesPerCaller; i++ {
-						if _, err := s.Sample(); err != nil {
-							return nil, err
-						}
-					}
-					cost := d.Meter().Snapshot().Sub(before)
-					totalCalls += cost.Calls
-					totalMsgs += cost.Messages
-					st := s.Stats()
-					totalTrials += st.Trials
-					totalSteps += st.Steps
-					totalSamples += st.Samples
-				}
-				samples := float64(totalSamples)
-				meanHops := float64(totalCalls) / samples
-				meanMsgs := float64(totalMsgs) / samples
-				logN := math.Log2(float64(n))
-				logNs = append(logNs, logN)
-				hops = append(hops, meanHops)
-				if err := t.AddRow(
-					fmtI(n), fmtF(meanHops), fmtF(meanMsgs),
-					fmtF(float64(totalTrials)/samples),
-					fmtF(float64(totalSteps)/samples),
-					fmtF(meanHops/logN),
-				); err != nil {
-					return nil, err
-				}
-			}
-			if len(ns) >= 2 {
-				slope, intercept, r2, err := stats.LinearFit(logNs, hops)
-				if err != nil {
-					return nil, err
-				}
-				t.AddNote("fit meanHops = %.2f*log2(n) + %.2f (r^2 = %.3f); linearity in log n confirms O(log n)",
-					slope, intercept, r2)
-			}
-			return t, nil
-		},
+func runE2(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 64, 256, 1024, 4096)
+	samplesPerCaller := 60
+	callers := 12
+	if cfg.Quick {
+		samplesPerCaller, callers = 30, 4
 	}
+	var logNs, hops []float64
+	for _, n := range ns {
+		o, rng, err := seededOracle(cfg.Seed^0x22, uint64(n), n)
+		if err != nil {
+			return err
+		}
+		r := o.Ring()
+		net, err := chord.BuildStatic(chord.Config{}, simnet.NewDirect(), r.Points())
+		if err != nil {
+			return err
+		}
+		// Average over several callers: each peer derives its own
+		// size estimate and lambda, so per-caller costs vary by the
+		// (7*nhat/n) trial multiplier; the mean over callers is the
+		// quantity Theorem 7 bounds.
+		var total simnet.Cost
+		var totalTrials, totalSteps, totalSamples int64
+		for c := 0; c < callers; c++ {
+			d, err := net.AsDHT(r.At(c * (n / callers)))
+			if err != nil {
+				return err
+			}
+			s, err := core.New(d, d.Self(), rng, core.Config{})
+			if err != nil {
+				return err
+			}
+			cost, err := sampleCost(d.Meter(), s, samplesPerCaller)
+			if err != nil {
+				return err
+			}
+			total.Calls += cost.Calls
+			total.Messages += cost.Messages
+			st := s.Stats()
+			totalTrials += st.Trials
+			totalSteps += st.Steps
+			totalSamples += st.Samples
+		}
+		samples := float64(totalSamples)
+		meanHops := float64(total.Calls) / samples
+		meanMsgs := float64(total.Messages) / samples
+		logN := math.Log2(float64(n))
+		logNs = append(logNs, logN)
+		hops = append(hops, meanHops)
+		t.row(
+			fmtI(n), fmtF(meanHops), fmtF(meanMsgs),
+			fmtF(float64(totalTrials)/samples),
+			fmtF(float64(totalSteps)/samples),
+			fmtF(meanHops/logN),
+		)
+	}
+	if len(ns) >= 2 {
+		slope, intercept, r2, err := stats.LinearFit(logNs, hops)
+		if err != nil {
+			return err
+		}
+		t.AddNote("fit meanHops = %.2f*log2(n) + %.2f (r^2 = %.3f); linearity in log n confirms O(log n)",
+			slope, intercept, r2)
+	}
+	return nil
 }
 
-// expE10 compares per-sample message cost across all samplers as n
+// runE10 compares per-sample message cost across all samplers as n
 // grows — the cost side of the accuracy/cost trade-off figure.
-func expE10() Experiment {
-	return Experiment{
-		ID:    "E10",
-		Title: "Cost per sample versus n, all samplers (figure series)",
-		Claim: "King-Saia pays O(log n) per sample; naive pays one lookup; walks pay their length",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E10",
-				Title:   "Messages per sample versus n",
-				Claim:   "all samplers are O(log n) messages; constants differ",
-				Columns: []string{"n", "king-saia", "naive", "walk-log2n", "walk-3log2n"},
-			}
-			ns := sweep(cfg.Quick, 256, 1024, 4096, 16384)
-			samples := 300
-			if cfg.Quick {
-				samples = 100
-			}
-			for _, n := range ns {
-				rng := rand.New(rand.NewPCG(cfg.Seed^0x33, uint64(n)))
-				o, err := newOracleRing(rng, n)
-				if err != nil {
-					return nil, err
-				}
-				logN := int(math.Log2(float64(n)))
-				ks, err := core.New(o, o.PeerByIndex(0), rng, core.Config{})
-				if err != nil {
-					return nil, err
-				}
-				graph := baseline.NewOracleGraph(o)
-				w1, err := baseline.NewWalk(o, graph, o.PeerByIndex(0), logN, rng)
-				if err != nil {
-					return nil, err
-				}
-				w3, err := baseline.NewWalk(o, graph, o.PeerByIndex(0), 3*logN, rng)
-				if err != nil {
-					return nil, err
-				}
-				samplers := []dht.Sampler{ks, baseline.NewNaive(o, rng), w1, w3}
-				row := make([]string, 0, len(samplers)+1)
-				row = append(row, fmtI(n))
-				for _, s := range samplers {
-					before := o.Meter().Snapshot()
-					for i := 0; i < samples; i++ {
-						if _, err := s.Sample(); err != nil {
-							return nil, err
-						}
-					}
-					cost := o.Meter().Snapshot().Sub(before)
-					row = append(row, fmtF(float64(cost.Messages)/float64(samples)))
-				}
-				if err := t.AddRow(row...); err != nil {
-					return nil, err
-				}
-			}
-			t.AddNote("oracle backend: h charged ceil(log2 n) RPCs, next 1 RPC, walk steps 1 RPC each")
-			return t, nil
-		},
+func runE10(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 256, 1024, 4096, 16384)
+	samples := 300
+	if cfg.Quick {
+		samples = 100
 	}
+	for _, n := range ns {
+		o, rng, err := seededOracle(cfg.Seed^0x33, uint64(n), n)
+		if err != nil {
+			return err
+		}
+		samplers, err := referenceSamplers(o, rng)
+		if err != nil {
+			return err
+		}
+		row := []string{fmtI(n)}
+		for _, s := range samplers {
+			cost, err := sampleCost(o.Meter(), s, samples)
+			if err != nil {
+				return err
+			}
+			row = append(row, fmtF(float64(cost.Messages)/float64(samples)))
+		}
+		t.row(row...)
+	}
+	t.AddNote("oracle backend: h charged ceil(log2 n) RPCs, next 1 RPC, walk steps 1 RPC each")
+	return nil
 }

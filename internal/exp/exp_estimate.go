@@ -1,132 +1,83 @@
 package exp
 
 import (
-	"math"
-	"math/rand/v2"
-
 	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/stats"
 )
 
-// expE3 measures Lemma 3: the Estimate n output is a (2/7-eps, 6+eps)
+// runE3 measures Lemma 3: the Estimate n output is a (2/7-eps, 6+eps)
 // approximation of n for every peer, w.h.p.
-func expE3() Experiment {
-	return Experiment{
-		ID:    "E3",
-		Title: "Accuracy of Estimate n (Lemma 3)",
-		Claim: "nhat/n lies in (2/7 - eps, 6 + eps) for all peers w.h.p.",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E3",
-				Title:   "Estimate n accuracy across all peers",
-				Claim:   "ratio nhat/n within (2/7, 6) band",
-				Columns: []string{"n", "c1", "minRatio", "meanRatio", "maxRatio", "p95Ratio", "inBandFrac"},
+func runE3(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 256, 1024, 4096, 16384)
+	const (
+		bandLo = 2.0/7.0 - 0.05
+		bandHi = 6.0 + 0.05
+	)
+	for _, n := range ns {
+		o, _, err := seededOracle(cfg.Seed^0x44, uint64(n), n)
+		if err != nil {
+			return err
+		}
+		callers := n
+		if callers > 1024 {
+			callers = 1024
+		}
+		for _, c1 := range []float64{1, 2, 4} {
+			ratios := make([]float64, 0, callers)
+			inBand := 0
+			for i := 0; i < callers; i++ {
+				res, err := core.EstimateN(o, o.PeerByIndex(i*(n/callers)), c1)
+				if err != nil {
+					return err
+				}
+				ratio := res.NHat / float64(n)
+				ratios = append(ratios, ratio)
+				if ratio > bandLo && ratio < bandHi {
+					inBand++
+				}
 			}
-			ns := sweep(cfg.Quick, 256, 1024, 4096, 16384)
-			const (
-				bandLo = 2.0/7.0 - 0.05
-				bandHi = 6.0 + 0.05
+			sum := stats.Summarize(ratios)
+			t.row(
+				fmtI(n), fmtF(c1), fmtF(sum.Min), fmtF(sum.Mean), fmtF(sum.Max),
+				fmtF(sum.P95), fmtF(float64(inBand)/float64(callers)),
 			)
-			for _, n := range ns {
-				rng := rand.New(rand.NewPCG(cfg.Seed^0x44, uint64(n)))
-				o, err := newOracleRing(rng, n)
-				if err != nil {
-					return nil, err
-				}
-				callers := n
-				if callers > 1024 {
-					callers = 1024
-				}
-				for _, c1 := range []float64{1, 2, 4} {
-					ratios := make([]float64, 0, callers)
-					inBand := 0
-					for i := 0; i < callers; i++ {
-						res, err := core.EstimateN(o, o.PeerByIndex(i*(n/callers)), c1)
-						if err != nil {
-							return nil, err
-						}
-						ratio := res.NHat / float64(n)
-						ratios = append(ratios, ratio)
-						if ratio > bandLo && ratio < bandHi {
-							inBand++
-						}
-					}
-					sum := stats.Summarize(ratios)
-					if err := t.AddRow(
-						fmtI(n), fmtF(c1), fmtF(sum.Min), fmtF(sum.Mean), fmtF(sum.Max),
-						fmtF(sum.P95), fmtF(float64(inBand)/float64(callers)),
-					); err != nil {
-						return nil, err
-					}
-				}
-			}
-			t.AddNote("paper: Lemma 3 proves the (2/7-eps, 6+eps) band; measured ratios concentrate near 1")
-			return t, nil
-		},
+		}
 	}
+	t.AddNote("paper: Lemma 3 proves the (2/7-eps, 6+eps) band; measured ratios concentrate near 1")
+	return nil
 }
 
-// expE16 ablates the two constants the paper leaves open: the estimate
+// runE16 ablates the two constants the paper leaves open: the estimate
 // walk factor c1 and the per-trial step bound factor ("6 ln n'").
-func expE16() Experiment {
-	return Experiment{
-		ID:    "E16",
-		Title: "Ablation: c1 and the 6 ln n' walk bound",
-		Claim: "paper's constants trade cost against failure probability",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E16",
-				Title:   "Constant ablation: walk bound versus truncated mass",
-				Claim:   "small walk bounds truncate the partition (breaking exactness); the paper's 6 ln n' bound is conservative",
-				Columns: []string{"n", "maxSteps", "truncatedMass", "maxDevRel", "deepestStep"},
+func runE16(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 1024, 4096)
+	for _, n := range ns {
+		o, _, err := seededOracle(cfg.Seed^0x55, uint64(n), n)
+		if err != nil {
+			return err
+		}
+		params, err := core.DeriveParams(float64(n), 1, 6)
+		if err != nil {
+			return err
+		}
+		// Ideal unassigned mass is 1 - n*lambda (no truncation).
+		ideal := 1 - float64(n)*ring.UnitsToFrac(params.Lambda)
+		for _, steps := range []int{0, 1, 2, 3, 4, 6, 10, params.MaxSteps} {
+			a, err := core.Analyze(o.Ring(), params.Lambda, steps)
+			if err != nil {
+				return err
 			}
-			ns := sweep(cfg.Quick, 1024, 4096)
-			for _, n := range ns {
-				rng := rand.New(rand.NewPCG(cfg.Seed^0x55, uint64(n)))
-				r, err := ring.Generate(rng, n)
-				if err != nil {
-					return nil, err
-				}
-				params, err := core.DeriveParams(float64(n), 1, 6)
-				if err != nil {
-					return nil, err
-				}
-				// Ideal unassigned mass is 1 - n*lambda (no truncation).
-				ideal := 1 - float64(n)*ring.UnitsToFrac(params.Lambda)
-				for _, steps := range []int{0, 1, 2, 3, 4, 6, 10, params.MaxSteps} {
-					a, err := core.Analyze(r, params.Lambda, steps)
-					if err != nil {
-						return nil, err
-					}
-					unassigned := 1 - a.SuccessProbability
-					if err := t.AddRow(
-						fmtI(n), fmtI(steps),
-						fmtF(unassigned-ideal),
-						fmtF(float64(a.MaxDeviation)/float64(params.Lambda)),
-						fmtI(a.DeepestStep),
-					); err != nil {
-						return nil, err
-					}
-				}
-			}
-			t.AddNote("truncatedMass > 0 means starting points fail by walk truncation rather than by rejection design; exact uniformity breaks (maxDevRel jumps)")
-			t.AddNote("the deepest step that assigns measure is far below the paper's 6 ln n' bound: the bound is safe but very conservative (its open problem 1)")
-			return t, nil
-		},
+			unassigned := 1 - a.SuccessProbability
+			t.row(
+				fmtI(n), fmtI(steps),
+				fmtF(unassigned-ideal),
+				fmtF(float64(a.MaxDeviation)/float64(params.Lambda)),
+				fmtI(a.DeepestStep),
+			)
+		}
 	}
-}
-
-// logRatioNote annotates a table with the growth rate of a column pair.
-func logRatioNote(t *Table, label string, ns []int, vals []float64) {
-	if len(ns) < 2 || len(vals) != len(ns) {
-		return
-	}
-	first, last := vals[0], vals[len(vals)-1]
-	nRatio := float64(ns[len(ns)-1]) / float64(ns[0])
-	if first <= 0 || last <= 0 || nRatio <= 1 {
-		return
-	}
-	growth := math.Log(last/first) / math.Log(nRatio)
-	t.AddNote("%s grows like n^%.2f over the sweep", label, growth)
+	t.AddNote("truncatedMass > 0 means starting points fail by walk truncation rather than by rejection design; exact uniformity breaks (maxDevRel jumps)")
+	t.AddNote("the deepest step that assigns measure is far below the paper's 6 ln n' bound: the bound is safe but very conservative (its open problem 1)")
+	return nil
 }

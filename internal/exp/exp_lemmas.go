@@ -1,242 +1,160 @@
 package exp
 
 import (
-	"math/rand/v2"
-
 	"github.com/dht-sampling/randompeer/internal/arcs"
-	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/stats"
 )
 
-// ringSeeds generates seeded rings for repeated structural measurements.
-func ringSeeds(seed uint64, n, count int) ([]*ring.Ring, error) {
-	rings := make([]*ring.Ring, 0, count)
-	for s := 0; s < count; s++ {
-		rng := rand.New(rand.NewPCG(seed+uint64(s)*0x9e37, uint64(n)))
-		r, err := ring.Generate(rng, n)
+// runE4 measures Lemma 1's successor-arc bounds.
+func runE4(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 256, 1024, 4096, 16384)
+	seedCount := 10
+	if cfg.Quick {
+		seedCount = 3
+	}
+	for _, n := range ns {
+		rings, err := ringSeeds(cfg.Seed^0x66, n, seedCount)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rings = append(rings, r)
+		var agg arcs.Lemma1Result
+		first := true
+		for _, r := range rings {
+			res, err := arcs.CheckLemma1(r)
+			if err != nil {
+				return err
+			}
+			if first {
+				agg = res
+				first = false
+				continue
+			}
+			if res.MinLogInv < agg.MinLogInv {
+				agg.MinLogInv = res.MinLogInv
+			}
+			if res.MaxLogInv > agg.MaxLogInv {
+				agg.MaxLogInv = res.MaxLogInv
+			}
+			agg.Violations += res.Violations
+		}
+		t.row(
+			fmtI(n), fmtI(seedCount), fmtF(agg.LowerBound), fmtF(agg.UpperBound),
+			fmtF(agg.MinLogInv), fmtF(agg.MaxLogInv), fmtI(agg.Violations),
+		)
 	}
-	return rings, nil
+	return nil
 }
 
-// expE4 measures Lemma 1's successor-arc bounds.
-func expE4() Experiment {
-	return Experiment{
-		ID:    "E4",
-		Title: "Successor-arc bounds (Lemma 1)",
-		Claim: "ln n - ln ln n - 2 <= ln(1/arc) <= 3 ln n for every peer, w.h.p.",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E4",
-				Title:   "Lemma 1: bounds on ln(1/d(p, next(p)))",
-				Claim:   "all peers inside the band with probability >= 1 - 1/n",
-				Columns: []string{"n", "seeds", "lower", "upper", "minObserved", "maxObserved", "violations"},
+// runE5 measures Lemma 2's anchored-interval concentration.
+func runE5(cfg RunConfig, t *Table) error {
+	params := arcs.Lemma2Params{C: 8, Alpha1: 1, Alpha2: 3, Eps: 0.5}
+	ns := sweep(cfg.Quick, 512, 2048, 8192)
+	for _, n := range ns {
+		rings, err := ringSeeds(cfg.Seed^0x77, n, 3)
+		if err != nil {
+			return err
+		}
+		violations := 0
+		var last arcs.Lemma2Result
+		minLen, maxLen := 1.0, 0.0
+		for _, r := range rings {
+			res, err := arcs.CheckLemma2(r, params)
+			if err != nil {
+				return err
 			}
-			ns := sweep(cfg.Quick, 256, 1024, 4096, 16384)
-			seedCount := 10
-			if cfg.Quick {
-				seedCount = 3
+			violations += res.Violations
+			if res.MinLenFrac < minLen {
+				minLen = res.MinLenFrac
 			}
-			for _, n := range ns {
-				rings, err := ringSeeds(cfg.Seed^0x66, n, seedCount)
-				if err != nil {
-					return nil, err
-				}
-				var agg arcs.Lemma1Result
-				first := true
-				for _, r := range rings {
-					res, err := arcs.CheckLemma1(r)
-					if err != nil {
-						return nil, err
-					}
-					if first {
-						agg = res
-						first = false
-						continue
-					}
-					if res.MinLogInv < agg.MinLogInv {
-						agg.MinLogInv = res.MinLogInv
-					}
-					if res.MaxLogInv > agg.MaxLogInv {
-						agg.MaxLogInv = res.MaxLogInv
-					}
-					agg.Violations += res.Violations
-				}
-				if err := t.AddRow(
-					fmtI(n), fmtI(seedCount), fmtF(agg.LowerBound), fmtF(agg.UpperBound),
-					fmtF(agg.MinLogInv), fmtF(agg.MaxLogInv), fmtI(agg.Violations),
-				); err != nil {
-					return nil, err
-				}
+			if res.MaxLenFrac > maxLen {
+				maxLen = res.MaxLenFrac
 			}
-			return t, nil
-		},
+			last = res
+		}
+		t.row(
+			fmtI(n),
+			fmtI(last.KLow)+"-"+fmtI(last.KHigh),
+			fmtF(last.LowerFrac), fmtF(last.UpperFrac),
+			fmtF(minLen), fmtF(maxLen), fmtI(violations),
+		)
 	}
+	t.AddNote("params C=%v alpha1=%v alpha2=%v eps=%v (log base 2, per the Lemma 2 proof)",
+		params.C, params.Alpha1, params.Alpha2, params.Eps)
+	return nil
 }
 
-// expE5 measures Lemma 2's anchored-interval concentration.
-func expE5() Experiment {
-	return Experiment{
-		ID:    "E5",
-		Title: "Anchored-interval concentration (Lemma 2)",
-		Claim: "intervals with Theta(log n) peers have length Theta(log n / n) within (1±eps) constants",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E5",
-				Title:   "Lemma 2: anchored interval lengths vs peer counts",
-				Claim:   "qualifying interval lengths inside [C(1-eps)a1, C(1+eps)a2]*(log n / n)",
-				Columns: []string{"n", "kRange", "lowerLen", "upperLen", "minLen", "maxLen", "violations"},
-			}
-			params := arcs.Lemma2Params{C: 8, Alpha1: 1, Alpha2: 3, Eps: 0.5}
-			ns := sweep(cfg.Quick, 512, 2048, 8192)
-			for _, n := range ns {
-				rings, err := ringSeeds(cfg.Seed^0x77, n, 3)
-				if err != nil {
-					return nil, err
-				}
-				violations := 0
-				var last arcs.Lemma2Result
-				minLen, maxLen := 1.0, 0.0
-				for _, r := range rings {
-					res, err := arcs.CheckLemma2(r, params)
-					if err != nil {
-						return nil, err
-					}
-					violations += res.Violations
-					if res.MinLenFrac < minLen {
-						minLen = res.MinLenFrac
-					}
-					if res.MaxLenFrac > maxLen {
-						maxLen = res.MaxLenFrac
-					}
-					last = res
-				}
-				if err := t.AddRow(
-					fmtI(n),
-					fmtI(last.KLow)+"-"+fmtI(last.KHigh),
-					fmtF(last.LowerFrac), fmtF(last.UpperFrac),
-					fmtF(minLen), fmtF(maxLen), fmtI(violations),
-				); err != nil {
-					return nil, err
-				}
-			}
-			t.AddNote("params C=%v alpha1=%v alpha2=%v eps=%v (log base 2, per the Lemma 2 proof)",
-				params.C, params.Alpha1, params.Alpha2, params.Eps)
-			return t, nil
-		},
-	}
-}
-
-// expE6 measures Lemma 4's window-sum lower bound, the property that
+// runE6 measures Lemma 4's window-sum lower bound, the property that
 // guarantees every needy interval finds supplementary measure within
 // 6 ln n steps.
-func expE6() Experiment {
-	return Experiment{
-		ID:    "E6",
-		Title: "Peerless-interval window sums (Lemma 4)",
-		Claim: "any 6 ln n consecutive maximally peerless intervals sum to >= (ln n)/n",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E6",
-				Title:   "Lemma 4: minimum window sums over consecutive arcs",
-				Claim:   "min window sum >= (ln n)/n across all windows and seeds",
-				Columns: []string{"n", "window", "threshold", "minSum", "minSum/threshold", "violations"},
-			}
-			ns := sweep(cfg.Quick, 256, 1024, 4096, 16384)
-			seedCount := 10
-			if cfg.Quick {
-				seedCount = 3
-			}
-			for _, n := range ns {
-				rings, err := ringSeeds(cfg.Seed^0x88, n, seedCount)
-				if err != nil {
-					return nil, err
-				}
-				violations := 0
-				minSum := 1.0
-				var window int
-				var threshold float64
-				for _, r := range rings {
-					res, err := arcs.CheckLemma4(r)
-					if err != nil {
-						return nil, err
-					}
-					violations += res.Violations
-					if res.MinSumFrac < minSum {
-						minSum = res.MinSumFrac
-					}
-					window = res.Window
-					threshold = res.Threshold
-				}
-				if err := t.AddRow(
-					fmtI(n), fmtI(window), fmtF(threshold), fmtF(minSum),
-					fmtF(minSum/threshold), fmtI(violations),
-				); err != nil {
-					return nil, err
-				}
-			}
-			return t, nil
-		},
+func runE6(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 256, 1024, 4096, 16384)
+	seedCount := 10
+	if cfg.Quick {
+		seedCount = 3
 	}
+	for _, n := range ns {
+		rings, err := ringSeeds(cfg.Seed^0x88, n, seedCount)
+		if err != nil {
+			return err
+		}
+		violations := 0
+		minSum := 1.0
+		var window int
+		var threshold float64
+		for _, r := range rings {
+			res, err := arcs.CheckLemma4(r)
+			if err != nil {
+				return err
+			}
+			violations += res.Violations
+			if res.MinSumFrac < minSum {
+				minSum = res.MinSumFrac
+			}
+			window = res.Window
+			threshold = res.Threshold
+		}
+		t.row(
+			fmtI(n), fmtI(window), fmtF(threshold), fmtF(minSum),
+			fmtF(minSum/threshold), fmtI(violations),
+		)
+	}
+	return nil
 }
 
-// expE7 measures Theorem 8: the minimum arc is Theta(1/n^2), plus the
+// runE7 measures Theorem 8: the minimum arc is Theta(1/n^2), plus the
 // cited Theta(log n / n) maximum arc.
-func expE7() Experiment {
-	return Experiment{
-		ID:    "E7",
-		Title: "Arc-length extremes (Theorem 8)",
-		Claim: "min arc is Theta(1/n^2); max arc is Theta(log n / n)",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E7",
-				Title:   "Theorem 8: scaled arc extremes across seeds",
-				Claim:   "n^2 * minArc and (n/ln n) * maxArc are Theta(1)",
-				Columns: []string{"n", "seeds", "n2minArc_mean", "n2minArc_p95", "maxArcScaled_mean", "maxArcScaled_p95"},
-			}
-			ns := sweep(cfg.Quick, 1024, 4096, 16384, 65536)
-			seedCount := 20
-			if cfg.Quick {
-				seedCount = 5
-			}
-			var nsF, minMeans []float64
-			for _, n := range ns {
-				rings, err := ringSeeds(cfg.Seed^0x99, n, seedCount)
-				if err != nil {
-					return nil, err
-				}
-				minScaled := make([]float64, 0, seedCount)
-				maxScaled := make([]float64, 0, seedCount)
-				for _, r := range rings {
-					res, err := arcs.Extremes(r)
-					if err != nil {
-						return nil, err
-					}
-					minScaled = append(minScaled, res.MinScaled)
-					maxScaled = append(maxScaled, res.MaxScaled)
-				}
-				minSum := stats.Summarize(minScaled)
-				maxSum := stats.Summarize(maxScaled)
-				nsF = append(nsF, float64(n))
-				minMeans = append(minMeans, minSum.Mean)
-				if err := t.AddRow(
-					fmtI(n), fmtI(seedCount),
-					fmtF(minSum.Mean), fmtF(minSum.P95),
-					fmtF(maxSum.Mean), fmtF(maxSum.P95),
-				); err != nil {
-					return nil, err
-				}
-			}
-			if len(ns) >= 2 {
-				intNs := make([]int, len(ns))
-				copy(intNs, ns)
-				logRatioNote(t, "n^2*minArc", intNs, minMeans)
-			}
-			t.AddNote("Theta(1) scaled statistics across a %dx range of n confirm both exponents", ns[len(ns)-1]/ns[0])
-			return t, nil
-		},
+func runE7(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 1024, 4096, 16384, 65536)
+	seedCount := 20
+	if cfg.Quick {
+		seedCount = 5
 	}
+	var minMeans []float64
+	for _, n := range ns {
+		rings, err := ringSeeds(cfg.Seed^0x99, n, seedCount)
+		if err != nil {
+			return err
+		}
+		minScaled := make([]float64, 0, seedCount)
+		maxScaled := make([]float64, 0, seedCount)
+		for _, r := range rings {
+			res, err := arcs.Extremes(r)
+			if err != nil {
+				return err
+			}
+			minScaled = append(minScaled, res.MinScaled)
+			maxScaled = append(maxScaled, res.MaxScaled)
+		}
+		minSum := stats.Summarize(minScaled)
+		maxSum := stats.Summarize(maxScaled)
+		minMeans = append(minMeans, minSum.Mean)
+		t.row(
+			fmtI(n), fmtI(seedCount),
+			fmtF(minSum.Mean), fmtF(minSum.P95),
+			fmtF(maxSum.Mean), fmtF(maxSum.P95),
+		)
+	}
+	logRatioNote(t, "n^2*minArc", ns, minMeans)
+	t.AddNote("Theta(1) scaled statistics across a %dx range of n confirm both exponents", ns[len(ns)-1]/ns[0])
+	return nil
 }

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/churn"
-	"github.com/dht-sampling/randompeer/internal/core"
-	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
@@ -35,10 +33,6 @@ type ScaleResult struct {
 	Virtual      time.Duration
 }
 
-// scaleSamplers is the number of concurrent sampler processes a scale
-// scenario runs beside the churn stream.
-const scaleSamplers = 4
-
 // RunScaleScenario executes the E27 scenario once: build the backend
 // ("chord" or "kademlia") at n over a kernel-bound transport with the
 // given latency model, run `events` asynchronous churn events
@@ -52,74 +46,39 @@ const scaleSamplers = 4
 // residual damage. Both the E27 experiment table and cmd/benchsnap's
 // committed `e27` section are produced by this one function.
 func RunScaleScenario(backend string, n, events, probes int, gap time.Duration, model sim.Model, seed uint64) (*ScaleResult, error) {
-	rng := rand.New(rand.NewPCG(seed, seed+1))
-	r, err := ring.Generate(rng, n)
+	sc, err := newScenario(backend, n, model, seed)
 	if err != nil {
 		return nil, err
 	}
-	k := sim.NewKernel(seed)
-	tr := sim.NewTransport(
-		sim.WithKernel(k),
-		sim.WithModel(model),
-		sim.WithStreamSeed(seed+2),
-	)
-	buildStart := time.Now()
-	ov, d, err := buildOverlay(backend, tr, r.Points())
-	if err != nil {
+	// MaintenanceInterval 0: global sweeps disabled (see above).
+	if err := sc.scheduleChurn(events, churn.AsyncConfig{MeanInterval: gap}); err != nil {
 		return nil, err
 	}
-	buildWall := time.Since(buildStart)
-	caller := r.At(0)
-	driver, err := churn.NewDriver(ov, rand.New(rand.NewPCG(seed+3, seed+4)), churn.Config{
-		Events:    events,
-		Protected: map[ring.Point]bool{caller: true},
-	})
-	if err != nil {
-		return nil, err
-	}
-	run, err := driver.Schedule(k, churn.AsyncConfig{
-		MeanInterval: gap,
-		// MaintenanceInterval 0: global sweeps disabled (see above).
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &ScaleResult{Backend: backend, Peers: n, BuildWall: buildWall, OwnerProbes: probes}
-	for w := 0; w < scaleSamplers; w++ {
-		srng := rand.New(rand.NewPCG(seed+5+uint64(w), seed+6))
-		k.Go("sampler", func() {
-			for !run.Done() {
-				s, err := core.New(d, d.Self(), srng, core.Config{})
-				if err != nil {
-					res.EstErrs++
-					if k.Sleep(time.Millisecond) != nil {
-						return
-					}
-					continue
-				}
-				if _, err := s.Sample(); err != nil {
-					res.SampleErrs++
-				} else {
-					res.SamplesOK++
-				}
-			}
-		})
-	}
+	tally := sc.goSamplers()
 	runStart := time.Now()
-	k.Run()
-	res.RunWall = time.Since(runStart)
-	res.KernelEvents = k.Processed()
-	res.Virtual = k.Now()
-	res.ChurnEvents = len(run.Events)
-	res.StepErrors = run.StepErrors
+	sc.k.Run()
+	res := &ScaleResult{
+		Backend:      backend,
+		Peers:        n,
+		BuildWall:    sc.buildWall,
+		RunWall:      time.Since(runStart),
+		KernelEvents: sc.k.Processed(),
+		ChurnEvents:  len(sc.churn.Events),
+		StepErrors:   sc.churn.StepErrors,
+		SamplesOK:    tally.ok,
+		EstErrs:      tally.estErrs,
+		SampleErrs:   tally.sampleErrs,
+		OwnerProbes:  probes,
+		Virtual:      sc.k.Now(),
+	}
 	// Post-churn correctness probe, no repair: resolve random keys
 	// through the overlay and compare against the clockwise successor
 	// over the true live membership.
-	members := ov.Members()
+	members := sc.ov.Members()
 	prng := rand.New(rand.NewPCG(seed+99, seed+100))
 	for i := 0; i < probes; i++ {
 		x := ring.Point(prng.Uint64())
-		p, err := d.H(x)
+		p, err := sc.d.H(x)
 		if err != nil {
 			continue
 		}
@@ -147,18 +106,6 @@ func (r *ScaleResult) OwnerMatchPct() float64 {
 		return 0
 	}
 	return 100 * float64(r.OwnerMatches) / float64(r.OwnerProbes)
-}
-
-// buildOverlay builds a static overlay of the named backend over tr and
-// returns the churn driver's handle on it plus its dht.DHT view from the
-// first point.
-func buildOverlay(backend string, tr simnet.Transport, points []ring.Point) (overlay.Network, *overlay.DHT, error) {
-	net, err := overlays.Build(backend, overlays.Config{}, tr, points, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := net.AsDHT(points[0])
-	return net, d, err
 }
 
 // StorageScaleResult is one E30 measurement: the overlay built at n on
@@ -189,12 +136,11 @@ type StorageScaleResult struct {
 // behind a fast build. Both the E30 experiment table and cmd/benchsnap's
 // committed `mem` section are produced by this one function.
 func RunStorageScale(backend string, n, probes int, seed uint64) (*StorageScaleResult, error) {
-	rng := rand.New(rand.NewPCG(seed, seed+1))
-	r, err := ring.Generate(rng, n)
+	o, _, err := seededOracle(seed, seed+1, n)
 	if err != nil {
 		return nil, err
 	}
-	points := r.Points()
+	points := o.Ring().Points()
 	res := &StorageScaleResult{Backend: backend, Peers: n, Probes: probes}
 	// Settle the heap so the delta measures the overlay, not garbage
 	// left over from ring generation.
@@ -232,112 +178,82 @@ func RunStorageScale(backend string, n, probes int, seed uint64) (*StorageScaleR
 	return res, nil
 }
 
-// expE30 is the flat-storage scale experiment, E27's capacity
+// runE30 is the flat-storage scale experiment, E27's capacity
 // counterpart: where E27 asks how much scenario (churn + sampling) the
 // machinery sustains at large n, E30 asks how large n itself can get —
 // it builds each backend above E27's sizes on the index-based slot
 // arenas and records the measured bytes per node and build wall time
 // that the 10M-peer projection in DESIGN.md extrapolates from.
-func expE30() Experiment {
-	return Experiment{
-		ID:    "E30",
-		Title: "Flat storage scale: bytes/node and build wall time above E27's sizes",
-		Claim: "index-based arenas hold a chord peer in a few hundred bytes, putting 10M-peer rings in a few GB with sub-minute builds",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E30",
-				Title:   "Flat storage scale: heap bytes/node and bulk build time (GC-settled)",
-				Claim:   "per-node storage is flat and small: capacity scales linearly in n with no per-node heap objects",
-				Columns: []string{"backend", "n", "build_s", "peers/s", "bytes/node", "heap_MB", "slots", "probesOK"},
-			}
-			sizes, probes := map[string]int{"chord": 1 << 22, "kademlia": 1 << 19}, 200
-			if cfg.Quick {
-				sizes, probes = map[string]int{"chord": 1 << 15, "kademlia": 1 << 13}, 60
-			}
-			for _, name := range overlays.Names {
-				n := sizes[name]
-				seed := cfg.Seed ^ 0x30 ^ uint64(n)
-				res, err := RunStorageScale(name, n, probes, seed)
-				if err != nil {
-					return nil, err
-				}
-				if err := t.AddRow(
-					res.Backend, fmtI(res.Peers),
-					fmtF(res.BuildWall.Seconds()),
-					fmtF(float64(res.Peers)/res.BuildWall.Seconds()),
-					fmtF(res.BytesPerNode),
-					fmtF(float64(res.HeapDelta)/(1<<20)),
-					fmtI(res.Slots), fmtI(res.ProbesOK),
-				); err != nil {
-					return nil, err
-				}
-				if res.ProbesOK != res.Probes {
-					t.AddNote("%s n=%d: only %d/%d successor probes matched the sorted ring", res.Backend, res.Peers, res.ProbesOK, res.Probes)
-				}
-			}
-			t.AddNote("bytes/node is the GC-settled heap growth across the build (membership snapshot included, the pre-generated ring excluded)")
-			t.AddNote("kademlia carries its k-buckets in a shared region pool: ~log2(n) regions of 1+k+4 words per node, so its per-node cost grows with log n while chord's stays constant")
-			t.AddNote("wall times are measured on this machine (%d cores); the committed BENCH trajectory records the same numbers via cmd/benchsnap's mem section", runtime.GOMAXPROCS(0))
-			return t, nil
-		},
+func runE30(cfg RunConfig, t *Table) error {
+	sizes, probes := map[string]int{"chord": 1 << 22, "kademlia": 1 << 19}, 200
+	if cfg.Quick {
+		sizes, probes = map[string]int{"chord": 1 << 15, "kademlia": 1 << 13}, 60
 	}
+	for _, name := range overlays.Names {
+		n := sizes[name]
+		seed := cfg.Seed ^ 0x30 ^ uint64(n)
+		res, err := RunStorageScale(name, n, probes, seed)
+		if err != nil {
+			return err
+		}
+		t.row(
+			res.Backend, fmtI(res.Peers),
+			fmtF(res.BuildWall.Seconds()),
+			fmtF(float64(res.Peers)/res.BuildWall.Seconds()),
+			fmtF(res.BytesPerNode),
+			fmtF(float64(res.HeapDelta)/(1<<20)),
+			fmtI(res.Slots), fmtI(res.ProbesOK),
+		)
+		if res.ProbesOK != res.Probes {
+			t.AddNote("%s n=%d: only %d/%d successor probes matched the sorted ring", res.Backend, res.Peers, res.ProbesOK, res.Probes)
+		}
+	}
+	t.AddNote("bytes/node is the GC-settled heap growth across the build (membership snapshot included, the pre-generated ring excluded)")
+	t.AddNote("kademlia carries its k-buckets in a shared region pool: ~log2(n) regions of 1+k+4 words per node, so its per-node cost grows with log n while chord's stays constant")
+	t.AddNote("wall times are measured on this machine (%d cores); the committed BENCH trajectory records the same numbers via cmd/benchsnap's mem section", runtime.GOMAXPROCS(0))
+	return nil
 }
 
-// expE27 is the scenario-scale experiment: each backend is built at the
+// runE27 is the scenario-scale experiment: each backend is built at the
 // largest n the machinery comfortably sustains, then runs asynchronous
 // churn concurrent — in virtual time — with sampler processes, under a
 // latency model, on the discrete-event kernel (see RunScaleScenario).
 // It exercises the whole scenario stack at once: bulk parallel
 // construction, incremental membership snapshots under churn, and the
 // kernel's run-to-completion event loop.
-func expE27() Experiment {
-	return Experiment{
-		ID:    "E27",
-		Title: "Scenario scale: churn + latency at the largest feasible n per backend (kernel-driven)",
-		Claim: "million-peer scenarios build in seconds and sustain concurrent churn + sampling on the event kernel",
-		Run: func(cfg RunConfig) (*Table, error) {
-			model, err := cfg.LatencyModel()
-			if err != nil {
-				return nil, err
-			}
-			t := &Table{
-				ID:      "E27",
-				Title:   "Scenario scale: async churn + concurrent sampling at large n (model " + model.Name() + ")",
-				Claim:   "the scenario machinery, not the overlay, bounds feasible n; sampling degrades gracefully with repair disabled",
-				Columns: []string{"backend", "n", "events", "stepErrs", "samplesOK", "estErrs", "sampleErrs", "ownerMatch%", "vtime_ms"},
-			}
-			sizes, events, probes := map[string]int{"chord": 1 << 20, "kademlia": 1 << 17}, 48, 200
-			gap := 25 * time.Millisecond
-			if cfg.Quick {
-				sizes, events, probes = map[string]int{"chord": 1 << 13, "kademlia": 1 << 12}, 12, 60
-				gap = 10 * time.Millisecond
-			}
-			// The sweep points are too heavy to run concurrently (each
-			// holds a full overlay); run them sequentially regardless of
-			// the worker budget.
-			for _, name := range overlays.Names {
-				n := sizes[name]
-				seed := cfg.Seed ^ 0x27 ^ uint64(n)
-				res, err := RunScaleScenario(name, n, events, probes, gap, model, seed)
-				if err != nil {
-					return nil, err
-				}
-				if err := t.AddRow(
-					res.Backend, fmtI(res.Peers),
-					fmtI(res.ChurnEvents), fmtI(res.StepErrors),
-					fmtI(res.SamplesOK), fmtI(res.EstErrs), fmtI(res.SampleErrs),
-					fmtF(res.OwnerMatchPct()),
-					fmtF(float64(res.Virtual)/float64(time.Millisecond)),
-				); err != nil {
-					return nil, err
-				}
-				t.AddNote("%s n=%d: built in %.2fs (parallel shards), kernel ran %d events in %.2fs wall (%.0f events/sec)",
-					res.Backend, res.Peers, res.BuildWall.Seconds(), res.KernelEvents, res.RunWall.Seconds(),
-					float64(res.KernelEvents)/res.RunWall.Seconds())
-			}
-			t.AddNote("maintenance sweeps disabled: repair is only the local splicing of joins/crashes; ownerMatch%% measures the residual damage a global sweep would have healed")
-			t.AddNote("%d sampler processes draw concurrently with the churn stream in virtual time; wall times are measured, not simulated, and vary by machine", scaleSamplers)
-			return t, nil
-		},
+func runE27(cfg RunConfig, t *Table) error {
+	model, err := latencyModel(cfg, t)
+	if err != nil {
+		return err
 	}
+	sizes, events, probes := map[string]int{"chord": 1 << 20, "kademlia": 1 << 17}, 48, 200
+	gap := 25 * time.Millisecond
+	if cfg.Quick {
+		sizes, events, probes = map[string]int{"chord": 1 << 13, "kademlia": 1 << 12}, 12, 60
+		gap = 10 * time.Millisecond
+	}
+	// The sweep points are too heavy to run concurrently (each
+	// holds a full overlay); run them sequentially regardless of
+	// the worker budget.
+	for _, name := range overlays.Names {
+		n := sizes[name]
+		seed := cfg.Seed ^ 0x27 ^ uint64(n)
+		res, err := RunScaleScenario(name, n, events, probes, gap, model, seed)
+		if err != nil {
+			return err
+		}
+		t.row(
+			res.Backend, fmtI(res.Peers),
+			fmtI(res.ChurnEvents), fmtI(res.StepErrors),
+			fmtI(res.SamplesOK), fmtI(res.EstErrs), fmtI(res.SampleErrs),
+			fmtF(res.OwnerMatchPct()),
+			fmtF(ms(res.Virtual)),
+		)
+		t.AddNote("%s n=%d: built in %.2fs (parallel shards), kernel ran %d events in %.2fs wall (%.0f events/sec)",
+			res.Backend, res.Peers, res.BuildWall.Seconds(), res.KernelEvents, res.RunWall.Seconds(),
+			float64(res.KernelEvents)/res.RunWall.Seconds())
+	}
+	t.AddNote("maintenance sweeps disabled: repair is only the local splicing of joins/crashes; ownerMatch%% measures the residual damage a global sweep would have healed")
+	t.AddNote("%d sampler processes draw concurrently with the churn stream in virtual time; wall times are measured, not simulated, and vary by machine", scenarioSamplers)
+	return nil
 }

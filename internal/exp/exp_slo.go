@@ -12,7 +12,6 @@ import (
 	"github.com/dht-sampling/randompeer/internal/loadbalance"
 	"github.com/dht-sampling/randompeer/internal/obs"
 	"github.com/dht-sampling/randompeer/internal/overlays"
-	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/slo"
 )
@@ -80,31 +79,12 @@ func RunSLOScenario(sc SLOScenario) (*SLOResult, error) {
 	if sc.Peers%sc.VnodesPerHost != 0 {
 		return nil, fmt.Errorf("exp: peers %d not divisible by vnodes per host %d", sc.Peers, sc.VnodesPerHost)
 	}
-	rng := rand.New(rand.NewPCG(sc.Seed, sc.Seed+1))
-	r, err := ring.Generate(rng, sc.Peers)
+	world, err := newScenario(sc.Backend, sc.Peers, sc.Model, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	k := sim.NewKernel(sc.Seed)
-	tr := sim.NewTransport(
-		sim.WithKernel(k),
-		sim.WithModel(sc.Model),
-		sim.WithStreamSeed(sc.Seed+2),
-	)
-	ov, d, err := buildOverlay(sc.Backend, tr, r.Points())
-	if err != nil {
-		return nil, err
-	}
-	caller := r.At(0)
-	var churnRun *churn.AsyncRun
+	k, d := world.k, world.d
 	if sc.ChurnEvents > 0 {
-		driver, err := churn.NewDriver(ov, rand.New(rand.NewPCG(sc.Seed+3, sc.Seed+4)), churn.Config{
-			Events:    sc.ChurnEvents,
-			Protected: map[ring.Point]bool{caller: true},
-		})
-		if err != nil {
-			return nil, err
-		}
 		churnGap := sc.ChurnGap
 		if churnGap <= 0 {
 			// Spread the events across the load horizon so maintenance
@@ -113,11 +93,10 @@ func RunSLOScenario(sc SLOScenario) (*SLOResult, error) {
 			// throughout rather than as one early cliff.
 			churnGap = time.Duration(int64(sc.MeanGap) * int64(sc.Requests) / int64(sc.ChurnEvents+1))
 		}
-		churnRun, err = driver.Schedule(k, churn.AsyncConfig{
+		if err := world.scheduleChurn(sc.ChurnEvents, churn.AsyncConfig{
 			MeanInterval:        churnGap,
 			MaintenanceInterval: 5 * time.Millisecond,
-		}, nil)
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -206,9 +185,9 @@ func RunSLOScenario(sc SLOScenario) (*SLOResult, error) {
 	res.KernelEvents = k.Processed()
 	res.Completed = run.Completed()
 	res.Failed = run.Failed()
-	if churnRun != nil {
-		res.ChurnEvents = len(churnRun.Events)
-		res.StepErrors = churnRun.StepErrors
+	if world.churn != nil {
+		res.ChurnEvents = len(world.churn.Events)
+		res.StepErrors = world.churn.StepErrors
 	}
 	for _, w := range rec.Windows() {
 		in := slo.WindowInput{Start: w.Start, End: w.End}
@@ -264,6 +243,22 @@ func DefaultSLOScenario(backend string, quick bool, model sim.Model, seed uint64
 	return sc
 }
 
+// E28Scenarios returns the scenarios E28 runs under cfg, one per overlay
+// backend in overlays.Names order. The per-backend seed is derived here
+// and nowhere else, so cmd/experiments' -slo-report writes the report of
+// exactly the runs the table shows.
+func E28Scenarios(cfg RunConfig) ([]SLOScenario, error) {
+	model, err := cfg.LatencyModel()
+	if err != nil {
+		return nil, err
+	}
+	scenarios := make([]SLOScenario, 0, len(overlays.Names))
+	for _, backend := range overlays.Names {
+		scenarios = append(scenarios, DefaultSLOScenario(backend, cfg.Quick, model, cfg.Seed^0x28^uint64(len(backend))))
+	}
+	return scenarios, nil
+}
+
 // WriteMarkdownReport writes the scenario's full SLO report (summary,
 // objectives, per-window series, vnode comparison) — the artifact the
 // CI smoke job uploads and the README sample reproduces.
@@ -282,65 +277,47 @@ func (res *SLOResult) WriteMarkdownReport(w io.Writer) error {
 	return err
 }
 
-// expE28 is the SLO experiment: per-backend open-loop load under churn
+// runE28 is the SLO experiment: per-backend open-loop load under churn
 // with windowed recording, reported as error budgets and burn rates —
 // the production-shaped reading of the paper's "serve lookup traffic
 // while nodes come and go" claim.
-func expE28() Experiment {
-	return Experiment{
-		ID:    "E28",
-		Title: "SLO report: open-loop load under churn, windowed in virtual time",
-		Claim: "per-backend p50/p95/p99, availability and error-budget burn under a fixed offered rate concurrent with churn",
-		Run: func(cfg RunConfig) (*Table, error) {
-			model, err := cfg.LatencyModel()
-			if err != nil {
-				return nil, err
-			}
-			t := &Table{
-				ID:      "E28",
-				Title:   "Open-loop workload SLOs under churn (model " + model.Name() + ")",
-				Claim:   "the sampler serves a fixed offered rate within latency and availability objectives while the overlay churns",
-				Columns: []string{"backend", "n", "requests", "failed", "p50_ms", "p95_ms", "p99_ms", "avail", "budget%", "maxBurn", "fastWin", "vnodeOffImb", "vnodeOnImb", "met"},
-			}
-			for _, backend := range overlays.Names {
-				sc := DefaultSLOScenario(backend, cfg.Quick, model, cfg.Seed^0x28^uint64(len(backend)))
-				res, err := RunSLOScenario(sc)
-				if err != nil {
-					return nil, err
-				}
-				rep := res.Report
-				met := "yes"
-				if !rep.Met {
-					met = "no"
-				}
-				if err := t.AddRow(
-					backend, fmtI(sc.Peers),
-					fmtI64(rep.TotalRequests), fmtI64(rep.TotalFailed),
-					fmtF(ms(res.OverallQuantile(0.50))),
-					fmtF(ms(res.OverallQuantile(0.95))),
-					fmtF(ms(res.OverallQuantile(0.99))),
-					fmt.Sprintf("%.4f", rep.Availability),
-					fmtF(rep.BudgetConsumed*100),
-					fmtF(rep.MaxBurnRate),
-					fmtI(rep.FastBurnWindows),
-					fmtF(res.VnodeOff.Imbalance),
-					fmtF(res.VnodeOn.Imbalance),
-					met,
-				); err != nil {
-					return nil, err
-				}
-				t.AddNote("%s: %s", backend, rep.String())
-				t.AddNote("%s: %d windows of %v virtual; vnode grouping (V=%d) cut load CV %.3f -> %.3f; churn %d events (%d step errors); kernel ran %d events (%.0fms virtual) in %.2fs wall",
-					backend, len(rep.Windows), sc.Window, sc.VnodesPerHost,
-					res.VnodeOff.CV, res.VnodeOn.CV,
-					res.ChurnEvents, res.StepErrors,
-					res.KernelEvents, ms(res.Virtual), res.RunWall.Seconds())
-			}
-			t.AddNote("open-loop: arrivals keep their lognormal/Zipf schedule regardless of completions, so queueing under churn shows up as latency, not as a reduced offered rate")
-			t.AddNote("a request is bad if it failed or breached the latency target; budget%% is bad events over (1-availability objective) x requests")
-			return t, nil
-		},
+func runE28(cfg RunConfig, t *Table) error {
+	scenarios, err := E28Scenarios(cfg)
+	if err != nil {
+		return err
 	}
+	t.Title += " (model " + scenarios[0].Model.Name() + ")" // one model for the whole run
+	for _, sc := range scenarios {
+		backend := sc.Backend
+		res, err := RunSLOScenario(sc)
+		if err != nil {
+			return err
+		}
+		rep := res.Report
+		t.row(
+			backend, fmtI(sc.Peers),
+			fmtI64(rep.TotalRequests), fmtI64(rep.TotalFailed),
+			fmtF(ms(res.OverallQuantile(0.50))),
+			fmtF(ms(res.OverallQuantile(0.95))),
+			fmtF(ms(res.OverallQuantile(0.99))),
+			fmt.Sprintf("%.4f", rep.Availability),
+			fmtF(rep.BudgetConsumed*100),
+			fmtF(rep.MaxBurnRate),
+			fmtI(rep.FastBurnWindows),
+			fmtF(res.VnodeOff.Imbalance),
+			fmtF(res.VnodeOn.Imbalance),
+			yesNo(rep.Met),
+		)
+		t.AddNote("%s: %s", backend, rep.String())
+		t.AddNote("%s: %d windows of %v virtual; vnode grouping (V=%d) cut load CV %.3f -> %.3f; churn %d events (%d step errors); kernel ran %d events (%.0fms virtual) in %.2fs wall",
+			backend, len(rep.Windows), sc.Window, sc.VnodesPerHost,
+			res.VnodeOff.CV, res.VnodeOn.CV,
+			res.ChurnEvents, res.StepErrors,
+			res.KernelEvents, ms(res.Virtual), res.RunWall.Seconds())
+	}
+	t.AddNote("open-loop: arrivals keep their lognormal/Zipf schedule regardless of completions, so queueing under churn shows up as latency, not as a reduced offered rate")
+	t.AddNote("a request is bad if it failed or breached the latency target; budget%% is bad events over (1-availability objective) x requests")
+	return nil
 }
 
 // OverallQuantile merges the run's window histograms and reads one
@@ -356,6 +333,3 @@ func (res *SLOResult) OverallQuantile(q float64) time.Duration {
 	}
 	return total.Quantile(q)
 }
-
-// ms converts a duration to float milliseconds.
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -2,6 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,10 +30,39 @@ func TestAllRegistered(t *testing.T) {
 		seen[e.ID] = true
 	}
 	// Ordered by numeric ID.
+	num := func(id string) int {
+		n, err := strconv.Atoi(strings.TrimPrefix(id, "E"))
+		if err != nil {
+			t.Fatalf("experiment id %q is not E<n>", id)
+		}
+		return n
+	}
 	for i := 1; i < len(exps); i++ {
-		if idOrder(exps[i-1].ID) >= idOrder(exps[i].ID) {
+		if num(exps[i-1].ID) >= num(exps[i].ID) {
 			t.Errorf("experiments out of order: %s before %s", exps[i-1].ID, exps[i].ID)
 		}
+	}
+}
+
+// TestDesignIndexMatchesAll keeps DESIGN.md §4's hand-kept table and the
+// experiments slice on one ID set: a row added to one and not the other
+// fails here.
+func TestDesignIndexMatchesAll(t *testing.T) {
+	t.Parallel()
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	for _, m := range regexp.MustCompile(`(?m)^\| (E\d+) +\|`).FindAllSubmatch(design, -1) {
+		documented = append(documented, string(m[1]))
+	}
+	var declared []string
+	for _, e := range All() {
+		declared = append(declared, e.ID)
+	}
+	if !slices.Equal(documented, declared) {
+		t.Errorf("DESIGN.md §4 rows and All() disagree:\n DESIGN %v\n All()  %v", documented, declared)
 	}
 }
 
@@ -45,44 +80,81 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// TestExperimentsRunQuick executes every experiment in Quick mode and
-// validates the table structure. This is the end-to-end integration test
-// of the whole reproduction pipeline.
+// TestExperimentsRunQuick executes every experiment in Quick mode,
+// validates the table structure, and compares columns and rows with the
+// table pinned in testdata/quick/<ID>.csv (`make exp-golden` re-records
+// them: `experiments -quick -seed 12345 -csv`). Each experiment runs at
+// Workers 1 and at Workers 4 against the same file, which is the check
+// on RunConfig.Workers' promise that the worker count never changes a
+// table's contents. E30 has no pin: its cells are measured heap bytes
+// and wall time. This is the end-to-end integration test of the whole
+// reproduction pipeline.
 func TestExperimentsRunQuick(t *testing.T) {
 	t.Parallel()
 	for _, e := range All() {
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			table, err := e.Run(RunConfig{Seed: 12345, Quick: true})
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if table.ID != e.ID {
-				t.Errorf("table ID %q != experiment ID %q", table.ID, e.ID)
-			}
-			if len(table.Columns) < 2 {
-				t.Errorf("%s: only %d columns", e.ID, len(table.Columns))
-			}
-			if len(table.Rows) == 0 {
-				t.Errorf("%s: no rows", e.ID)
-			}
-			for i, row := range table.Rows {
-				if len(row) != len(table.Columns) {
-					t.Errorf("%s row %d: %d cells for %d columns", e.ID, i, len(row), len(table.Columns))
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", e.ID, workers), func(t *testing.T) {
+				t.Parallel()
+				table, err := e.Execute(RunConfig{Seed: 12345, Quick: true, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", e.ID, err)
 				}
-			}
-			var buf bytes.Buffer
-			if err := table.Render(&buf); err != nil {
-				t.Fatalf("%s render: %v", e.ID, err)
-			}
-			if !strings.Contains(buf.String(), e.ID) {
-				t.Errorf("%s: render missing id", e.ID)
-			}
-			var csvBuf bytes.Buffer
-			if err := table.WriteCSV(&csvBuf); err != nil {
-				t.Fatalf("%s csv: %v", e.ID, err)
-			}
-		})
+				if table.ID != e.ID {
+					t.Errorf("table ID %q != experiment ID %q", table.ID, e.ID)
+				}
+				if len(table.Columns) < 2 {
+					t.Errorf("%s: only %d columns", e.ID, len(table.Columns))
+				}
+				if len(table.Rows) == 0 {
+					t.Errorf("%s: no rows", e.ID)
+				}
+				for i, row := range table.Rows {
+					if len(row) != len(table.Columns) {
+						t.Errorf("%s row %d: %d cells for %d columns", e.ID, i, len(row), len(table.Columns))
+					}
+				}
+				var buf bytes.Buffer
+				if err := table.Render(&buf); err != nil {
+					t.Fatalf("%s render: %v", e.ID, err)
+				}
+				if !strings.Contains(buf.String(), e.ID) {
+					t.Errorf("%s: render missing id", e.ID)
+				}
+				var csvBuf bytes.Buffer
+				if err := table.WriteCSV(&csvBuf); err != nil {
+					t.Fatalf("%s csv: %v", e.ID, err)
+				}
+				if e.ID != "E30" {
+					compareWithPin(t, table)
+				}
+			})
+		}
+	}
+}
+
+// compareWithPin fails when the table's columns or rows differ from
+// testdata/quick/<ID>.csv, naming the first row that does.
+func compareWithPin(t *testing.T, table *Table) {
+	t.Helper()
+	path := filepath.Join("testdata", "quick", table.ID+".csv")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("%s has no pinned table (run `make exp-golden`): %v", table.ID, err)
+	}
+	defer f.Close()
+	pinned, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatalf("reading %s: %v", path, err)
+	}
+	got := append([][]string{table.Columns}, table.Rows...)
+	for i := 0; i < len(got) && i < len(pinned); i++ {
+		if !slices.Equal(got[i], pinned[i]) {
+			// Line 1 of the file is the column header.
+			t.Fatalf("%s differs from %s at line %d:\n  got    %q\n  pinned %q", table.ID, path, i+1, got[i], pinned[i])
+		}
+	}
+	if len(got) != len(pinned) {
+		t.Fatalf("%s has %d rows, %s pins %d", table.ID, len(got)-1, path, len(pinned)-1)
 	}
 }
 
@@ -108,7 +180,7 @@ func TestE1ClaimHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := e.Run(RunConfig{Seed: 777, Quick: true})
+	table, err := e.Execute(RunConfig{Seed: 777, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +201,7 @@ func TestE4E6ClaimsHold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		table, err := e.Run(RunConfig{Seed: 99, Quick: true})
+		table, err := e.Execute(RunConfig{Seed: 99, Quick: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +219,7 @@ func TestE8BiasGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := e.Run(RunConfig{Seed: 5, Quick: true})
+	table, err := e.Execute(RunConfig{Seed: 5, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +239,7 @@ func TestE14UniformResists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := e.Run(RunConfig{Seed: 31, Quick: true})
+	table, err := e.Execute(RunConfig{Seed: 31, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +263,7 @@ func TestE16TruncationMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := e.Run(RunConfig{Seed: 41, Quick: true})
+	table, err := e.Execute(RunConfig{Seed: 41, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +296,7 @@ func TestE18MatchesPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := e.Run(RunConfig{Seed: 43, Quick: true})
+	table, err := e.Execute(RunConfig{Seed: 43, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +320,7 @@ func TestE20VirtualFlattens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := e.Run(RunConfig{Seed: 47, Quick: true})
+	table, err := e.Execute(RunConfig{Seed: 47, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,6 +358,14 @@ func TestTableHelpers(t *testing.T) {
 	if got := strings.TrimSpace(csvBuf.String()); got != "a,b\n1,2" {
 		t.Errorf("csv = %q", got)
 	}
+	// Inside a Run the same mistake is the experiment's error.
+	short := Experiment{ID: "X", Columns: []string{"a", "b"}, Run: func(_ RunConfig, t *Table) error {
+		t.row("1")
+		return nil
+	}}
+	if _, err := short.Execute(RunConfig{}); err == nil {
+		t.Error("Execute should fail on a short row")
+	}
 }
 
 // TestE25LatencyGrowsWithN spot-checks the acceptance criterion behind
@@ -294,7 +374,11 @@ func TestTableHelpers(t *testing.T) {
 // units), and the quantile columns are ordered.
 func TestE25LatencyGrowsWithN(t *testing.T) {
 	t.Parallel()
-	table, err := expE25().Run(RunConfig{Seed: 7, Quick: true})
+	e, err := ByID("E25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := e.Execute(RunConfig{Seed: 7, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +406,11 @@ func TestE25LatencyGrowsWithN(t *testing.T) {
 // overlay ring is repaired after settling.
 func TestE26RunsBothSubstrates(t *testing.T) {
 	t.Parallel()
-	table, err := expE26().Run(RunConfig{Seed: 7, Quick: true})
+	e, err := ByID("E26")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := e.Execute(RunConfig{Seed: 7, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,249 +2,165 @@ package exp
 
 import (
 	"context"
-	"fmt"
-	"math/rand/v2"
 
 	"github.com/dht-sampling/randompeer/internal/core"
-	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/engine"
-	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/stats"
 )
 
-// expE1 verifies Theorem 6 two ways: exactly, via the assignment
+// runE1 verifies Theorem 6 two ways: exactly, via the assignment
 // analyzer (per-peer measure == lambda up to integer rounding), and
 // empirically, via a chi-square test over sampler draws.
-func expE1() Experiment {
-	return Experiment{
-		ID:    "E1",
-		Title: "Uniformity of Choose Random Peer (Theorem 6)",
-		Claim: "every peer is chosen with probability exactly 1/n",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E1",
-				Title:   "Uniformity of Choose Random Peer",
-				Claim:   "per-peer assigned measure is exactly lambda; empirical draws pass chi-square",
-				Columns: []string{"n", "lambda(units)", "maxSteps", "maxDev(units)", "relDev", "successProb", "chi2_p"},
-			}
-			ns := sweep(cfg.Quick, 256, 1024, 4096, 16384)
-			samplesPerPeer := 40
-			if cfg.Quick {
-				samplesPerPeer = 20
-			}
-			// Sweep points are independent (each seeds its own PCG from
-			// (Seed, n)) and the empirical draws run through the batch
-			// engine, whose per-block forks make the tally a pure
-			// function of the seed — so the table is identical at any
-			// worker count. The worker budget is split between the two
-			// levels (outer sweep points times inner engine workers
-			// stays within cfg.Workers), not multiplied.
-			rows := make([][]string, len(ns))
-			outer := min(cfg.workerCount(), len(ns))
-			inner := max(1, cfg.workerCount()/outer)
-			if err := forEach(outer, len(ns), func(i int) error {
-				n := ns[i]
-				rng := rand.New(rand.NewPCG(cfg.Seed, uint64(n)))
-				r, err := ring.Generate(rng, n)
-				if err != nil {
-					return err
-				}
-				params, err := core.DeriveParams(float64(n), 1, 6)
-				if err != nil {
-					return err
-				}
-				a, err := core.Analyze(r, params.Lambda, params.MaxSteps)
-				if err != nil {
-					return err
-				}
-				o := dht.NewOracle(r)
-				s, err := core.NewWithParams(o, rng, params, core.Config{})
-				if err != nil {
-					return err
-				}
-				res, err := engine.SampleN(context.Background(), s, samplesPerPeer*n, engine.Config{
-					Workers:   inner,
-					Seed:      cfg.Seed ^ uint64(n),
-					Owners:    o.Owners(),
-					TallyOnly: true,
-				})
-				if err != nil {
-					return err
-				}
-				_, pvalue, err := stats.ChiSquareUniform(res.Tally)
-				if err != nil {
-					return err
-				}
-				relDev := float64(a.MaxDeviation) / float64(params.Lambda)
-				rows[i] = []string{
-					fmtI(n), fmtU(params.Lambda), fmtI(params.MaxSteps),
-					fmtU(a.MaxDeviation), fmtF(relDev), fmtF(a.SuccessProbability), fmtF(pvalue),
-				}
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-			for _, row := range rows {
-				if err := t.AddRow(row...); err != nil {
-					return nil, err
-				}
-			}
-			t.AddNote("paper: measure per peer exactly lambda (Thm 6); measured relDev is integer-rounding only")
-			return t, nil
-		},
+func runE1(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 256, 1024, 4096, 16384)
+	samplesPerPeer := 40
+	if cfg.Quick {
+		samplesPerPeer = 20
 	}
+	// Sweep points are independent (each seeds its own PCG from
+	// (Seed, n)) and the empirical draws run through the batch
+	// engine, whose per-block forks make the tally a pure
+	// function of the seed — so the table is identical at any
+	// worker count. The worker budget is split between the two
+	// levels (outer sweep points times inner engine workers
+	// stays within cfg.Workers), not multiplied.
+	inner := max(1, cfg.workerCount()/min(cfg.workerCount(), len(ns)))
+	err := sweepRows(cfg, t, len(ns), func(i int, row func(...string)) error {
+		n := ns[i]
+		o, rng, err := seededOracle(cfg.Seed, uint64(n), n)
+		if err != nil {
+			return err
+		}
+		params, err := core.DeriveParams(float64(n), 1, 6)
+		if err != nil {
+			return err
+		}
+		a, err := core.Analyze(o.Ring(), params.Lambda, params.MaxSteps)
+		if err != nil {
+			return err
+		}
+		s, err := core.NewWithParams(o, rng, params, core.Config{})
+		if err != nil {
+			return err
+		}
+		res, err := engine.SampleN(context.Background(), s, samplesPerPeer*n, engine.Config{
+			Workers:   inner,
+			Seed:      cfg.Seed ^ uint64(n),
+			Owners:    o.Owners(),
+			TallyOnly: true,
+		})
+		if err != nil {
+			return err
+		}
+		_, pvalue, err := stats.ChiSquareUniform(res.Tally)
+		if err != nil {
+			return err
+		}
+		relDev := float64(a.MaxDeviation) / float64(params.Lambda)
+		row(
+			fmtI(n), fmtU(params.Lambda), fmtI(params.MaxSteps),
+			fmtU(a.MaxDeviation), fmtF(relDev), fmtF(a.SuccessProbability), fmtF(pvalue),
+		)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	t.AddNote("paper: measure per peer exactly lambda (Thm 6); measured relDev is integer-rounding only")
+	return nil
 }
 
-// expE17 isolates the integer-keyspace rounding error of the exact-
+// runE17 isolates the integer-keyspace rounding error of the exact-
 // lambda identity across n and walk bounds.
-func expE17() Experiment {
-	return Experiment{
-		ID:    "E17",
-		Title: "Integer keyspace rounding of the exact-lambda identity",
-		Claim: "deviation from exact lambda is a few units out of ~2^64/(7n)",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E17",
-				Title:   "Rounding error of integer lambda",
-				Claim:   "max |measure - lambda| stays bounded by the walk step count",
-				Columns: []string{"n", "maxSteps", "lambda(units)", "maxDev(units)", "relDev", "unassignedFrac"},
+func runE17(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 256, 1024, 4096, 16384, 65536)
+	err := sweepRows(cfg, t, len(ns), func(i int, row func(...string)) error {
+		n := ns[i]
+		o, _, err := seededOracle(cfg.Seed^0x11, uint64(n), n)
+		if err != nil {
+			return err
+		}
+		params, err := core.DeriveParams(float64(n), 1, 6)
+		if err != nil {
+			return err
+		}
+		for _, steps := range []int{params.MaxSteps, 2 * params.MaxSteps} {
+			a, err := core.Analyze(o.Ring(), params.Lambda, steps)
+			if err != nil {
+				return err
 			}
-			ns := sweep(cfg.Quick, 256, 1024, 4096, 16384, 65536)
-			// Each sweep point seeds its own generator, so the analyzer
-			// runs are spread over cfg workers with deterministic rows.
-			rows := make([][][]string, len(ns))
-			if err := forEach(cfg.workerCount(), len(ns), func(i int) error {
-				n := ns[i]
-				rng := rand.New(rand.NewPCG(cfg.Seed^0x11, uint64(n)))
-				r, err := ring.Generate(rng, n)
-				if err != nil {
-					return err
-				}
-				params, err := core.DeriveParams(float64(n), 1, 6)
-				if err != nil {
-					return err
-				}
-				for _, steps := range []int{params.MaxSteps, 2 * params.MaxSteps} {
-					a, err := core.Analyze(r, params.Lambda, steps)
-					if err != nil {
-						return err
-					}
-					rows[i] = append(rows[i], []string{
-						fmtI(n), fmtI(steps), fmtU(params.Lambda), fmtU(a.MaxDeviation),
-						fmtF(float64(a.MaxDeviation) / float64(params.Lambda)),
-						fmtF(1 - a.SuccessProbability),
-					})
-				}
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-			for _, group := range rows {
-				for _, row := range group {
-					if err := t.AddRow(row...); err != nil {
-						return nil, err
-					}
-				}
-			}
-			t.AddNote("substitution: real-valued circle -> 2^64-unit integer circle (DESIGN.md section 2)")
-			return t, nil
-		},
+			row(
+				fmtI(n), fmtI(steps), fmtU(params.Lambda), fmtU(a.MaxDeviation),
+				fmtF(float64(a.MaxDeviation)/float64(params.Lambda)),
+				fmtF(1-a.SuccessProbability),
+			)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	t.AddNote("substitution: real-valued circle -> 2^64-unit integer circle (DESIGN.md section 2)")
+	return nil
 }
 
-// expE21 closes the loop on Theorem 6: E1 verifies exactness for a
+// runE21 closes the loop on Theorem 6: E1 verifies exactness for a
 // perfect size estimate; here every caller derives its own lambda from
 // its own Estimate n run (the deployed configuration), and the analyzer
 // verifies the per-caller partition is still exactly lambda-per-peer.
 // The theorem guarantees exactly this: uniformity holds for any lambda
 // <= 1/(7n), with only the trial success probability varying.
-func expE21() Experiment {
-	return Experiment{
-		ID:    "E21",
-		Title: "End-to-end uniformity with per-caller estimated parameters",
-		Claim: "exactness is independent of the estimate: every caller's partition assigns exactly its lambda",
-		Run: func(cfg RunConfig) (*Table, error) {
-			t := &Table{
-				ID:      "E21",
-				Title:   "Per-caller exactness under real Estimate n runs",
-				Claim:   "max relative deviation stays at integer rounding for every caller's lambda",
-				Columns: []string{"n", "callers", "minNHatRatio", "maxNHatRatio", "worstRelDev", "minSuccess", "maxSuccess"},
-			}
-			ns := sweep(cfg.Quick, 256, 1024, 4096)
-			callers := 8
-			rows := make([][]string, len(ns))
-			if err := forEach(cfg.workerCount(), len(ns), func(i int) error {
-				n := ns[i]
-				rng := rand.New(rand.NewPCG(cfg.Seed^0x2121, uint64(n)))
-				r, err := ring.Generate(rng, n)
-				if err != nil {
-					return err
-				}
-				o := dht.NewOracle(r)
-				minRatio, maxRatio := 1e18, 0.0
-				minSucc, maxSucc := 1.0, 0.0
-				worstRel := 0.0
-				for c := 0; c < callers; c++ {
-					est, err := core.EstimateN(o, o.PeerByIndex(c*(n/callers)), 2)
-					if err != nil {
-						return err
-					}
-					params, err := core.DeriveParams(est.NHat, 2.0/7.0, 6)
-					if err != nil {
-						return err
-					}
-					a, err := core.Analyze(r, params.Lambda, params.MaxSteps)
-					if err != nil {
-						return err
-					}
-					ratio := est.NHat / float64(n)
-					if ratio < minRatio {
-						minRatio = ratio
-					}
-					if ratio > maxRatio {
-						maxRatio = ratio
-					}
-					if rel := float64(a.MaxDeviation) / float64(params.Lambda); rel > worstRel {
-						worstRel = rel
-					}
-					if a.SuccessProbability < minSucc {
-						minSucc = a.SuccessProbability
-					}
-					if a.SuccessProbability > maxSucc {
-						maxSucc = a.SuccessProbability
-					}
-				}
-				rows[i] = []string{
-					fmtI(n), fmtI(callers), fmtF(minRatio), fmtF(maxRatio),
-					fmtF(worstRel), fmtF(minSucc), fmtF(maxSucc),
-				}
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-			for _, row := range rows {
-				if err := t.AddRow(row...); err != nil {
-					return nil, err
-				}
-			}
-			t.AddNote("underestimates raise the per-trial success probability, overestimates lower it; neither perturbs exactness")
-			return t, nil
-		},
-	}
-}
-
-// sampleCounts draws k samples from a sampler and tallies by owner.
-func sampleCounts(s dht.Sampler, owners, k int) ([]int64, error) {
-	counts := make([]int64, owners)
-	for i := 0; i < k; i++ {
-		p, err := s.Sample()
+func runE21(cfg RunConfig, t *Table) error {
+	ns := sweep(cfg.Quick, 256, 1024, 4096)
+	callers := 8
+	err := sweepRows(cfg, t, len(ns), func(i int, row func(...string)) error {
+		n := ns[i]
+		o, _, err := seededOracle(cfg.Seed^0x2121, uint64(n), n)
 		if err != nil {
-			return nil, fmt.Errorf("exp: drawing sample %d from %s: %w", i, s.Name(), err)
+			return err
 		}
-		if p.Owner < 0 || p.Owner >= owners {
-			return nil, fmt.Errorf("exp: sampler %s returned owner %d outside [0, %d)", s.Name(), p.Owner, owners)
+		minRatio, maxRatio := 1e18, 0.0
+		minSucc, maxSucc := 1.0, 0.0
+		worstRel := 0.0
+		for c := 0; c < callers; c++ {
+			est, err := core.EstimateN(o, o.PeerByIndex(c*(n/callers)), 2)
+			if err != nil {
+				return err
+			}
+			params, err := core.DeriveParams(est.NHat, 2.0/7.0, 6)
+			if err != nil {
+				return err
+			}
+			a, err := core.Analyze(o.Ring(), params.Lambda, params.MaxSteps)
+			if err != nil {
+				return err
+			}
+			ratio := est.NHat / float64(n)
+			if ratio < minRatio {
+				minRatio = ratio
+			}
+			if ratio > maxRatio {
+				maxRatio = ratio
+			}
+			if rel := float64(a.MaxDeviation) / float64(params.Lambda); rel > worstRel {
+				worstRel = rel
+			}
+			if a.SuccessProbability < minSucc {
+				minSucc = a.SuccessProbability
+			}
+			if a.SuccessProbability > maxSucc {
+				maxSucc = a.SuccessProbability
+			}
 		}
-		counts[p.Owner]++
+		row(
+			fmtI(n), fmtI(callers), fmtF(minRatio), fmtF(maxRatio),
+			fmtF(worstRel), fmtF(minSucc), fmtF(maxSucc),
+		)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return counts, nil
+	t.AddNote("underestimates raise the per-trial success probability, overestimates lower it; neither perturbs exactness")
+	return nil
 }

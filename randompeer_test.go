@@ -281,6 +281,35 @@ func TestMetropolisSamplerFacade(t *testing.T) {
 	}
 }
 
+// TestMetropolisSamplerRepeatsUnderSeed: two testbeds with equal seeds
+// must walk the same overlay graph in the same order.
+func TestMetropolisSamplerRepeatsUnderSeed(t *testing.T) {
+	t.Parallel()
+	draw := func() []Peer {
+		tb, err := New(WithPeers(64), WithSeed(33))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := tb.MetropolisSampler(3, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers := make([]Peer, 200)
+		for i := range peers {
+			if peers[i], err = s.Sample(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return peers
+	}
+	a, b := draw(), draw()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("sample %d: %v vs %v under equal seeds", i, a[i], b[i])
+		}
+	}
+}
+
 func TestUniformSamplerFromOtherCaller(t *testing.T) {
 	t.Parallel()
 	tb, err := New(WithPeers(256), WithSeed(21))
