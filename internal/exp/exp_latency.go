@@ -163,7 +163,8 @@ func runE26(cfg RunConfig, t *Table) error {
 		gaps = gaps[:2]
 	}
 	substrates := overlays.Names
-	err = sweepRows(cfg, t, len(substrates)*len(gaps), func(idx int, row func(...string)) error {
+	tallies := make([]*samplerTally, len(substrates)*len(gaps))
+	err = sweepRows(cfg, t, len(tallies), func(idx int, row func(...string)) error {
 		sub := substrates[idx/len(gaps)]
 		gap := gaps[idx%len(gaps)]
 		seed := cfg.Seed ^ 0x26 ^ uint64(gap)
@@ -178,6 +179,7 @@ func runE26(cfg RunConfig, t *Table) error {
 			return err
 		}
 		tally := sc.goSamplers()
+		tallies[idx] = tally
 		sc.k.Run()
 		vtime := sc.k.Now()
 		// Settle synchronously, then measure uniformity over the
@@ -203,6 +205,15 @@ func runE26(cfg RunConfig, t *Table) error {
 	}
 	t.AddNote("start n = %d; events are joins/crashes at exponential gaps, maintenance sweeps every 5ms run all nodes in parallel kernel processes, samples run concurrently in virtual time", n)
 	t.AddNote("%d sampler processes draw concurrently; smaller gaps put more topology changes inside each in-flight sample — the paper's stable-ring assumption under stress", scenarioSamplers)
-	t.AddNote("estErrs are failed size estimates, sampleErrs failed draws; kademlia errors more than chord mid-churn because its h has no backup-route retry — a lookup touching a fresh crash aborts, where chord falls through its candidate list")
+	causes := ""
+	for si, sub := range substrates {
+		var errs, next int
+		for _, tally := range tallies[si*len(gaps) : (si+1)*len(gaps)] {
+			errs += tally.estErrs + tally.sampleErrs
+			next += tally.nextErrs
+		}
+		causes += fmt.Sprintf("; %s %d of %d", sub, next, errs)
+	}
+	t.AddNote("estErrs are failed size estimates, sampleErrs failed draws; by cause, those that were a next(p) step on a peer that crashed under the walk (dht.ErrUnknownPeer), the rest failing inside h%s", causes)
 	return nil
 }

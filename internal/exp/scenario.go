@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"errors"
 	"math/rand/v2"
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/core"
+	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
@@ -75,6 +77,18 @@ type samplerTally struct {
 	ok         int // samples drawn
 	estErrs    int // failed size estimates (sampler rebuilds)
 	sampleErrs int // failed draws
+	// nextErrs is how many of estErrs+sampleErrs were a next(p) step on
+	// a peer that crashed under the walk (dht.ErrUnknownPeer); the rest
+	// failed inside h.
+	nextErrs int
+}
+
+// fail counts one failed estimate or draw in class and by cause.
+func (tally *samplerTally) fail(class *int, err error) {
+	*class++
+	if errors.Is(err, dht.ErrUnknownPeer) {
+		tally.nextErrs++
+	}
 }
 
 // scenarioSamplers is the number of concurrent sampler processes E26
@@ -94,14 +108,14 @@ func (sc *scenario) goSamplers() *samplerTally {
 			for !sc.churn.Done() {
 				s, err := core.New(sc.d, sc.d.Self(), rng, core.Config{})
 				if err != nil {
-					tally.estErrs++
+					tally.fail(&tally.estErrs, err)
 					if sc.k.Sleep(time.Millisecond) != nil {
 						return
 					}
 					continue
 				}
 				if _, err := s.Sample(); err != nil {
-					tally.sampleErrs++
+					tally.fail(&tally.sampleErrs, err)
 				} else {
 					tally.ok++
 				}

@@ -141,8 +141,10 @@ func (n *Network) JoinVia(id, via ring.Point) error {
 		return fail("self-lookup", err)
 	}
 	// Resolve the clockwise successor among the EXISTING nodes (the
-	// joiner excludes itself) and splice the ring pointers.
-	succ, _, err := n.resolveOwner(id, id, id, true)
+	// joiner excludes itself) and splice the ring pointers. At full
+	// width: the joiner is its own XOR-closest contact, so the short
+	// rule would converge before the first wave.
+	succ, _, err := n.resolveOwner(id, id, n.cfg.BucketSize, id, true)
 	if err != nil {
 		return fail("resolving successor", err)
 	}
@@ -199,8 +201,10 @@ type shortEntry struct {
 // not failed, sorted by XOR distance to the target (the metric is
 // injective, so the order is total and an identifier's position is
 // found by binary search). failed holds the contacts whose RPC errored,
-// so that one a later reply re-advertises is never queried again.
+// so that one a later reply re-advertises is never queried again; self
+// is the initiator's slot.
 type lookupScratch struct {
+	self   uint32
 	short  []shortEntry
 	failed []ring.Point
 	seed   []ring.Point
@@ -252,6 +256,15 @@ func (ls *lookupScratch) closest(dst []ring.Point, k int) []ring.Point {
 	return dst
 }
 
+// drop delists a contact whose RPC failed: off the shortlist, onto the
+// failed list and out of the initiator's table.
+func (n *Network) drop(ls *lookupScratch, target, id ring.Point) {
+	i, _ := ls.search(target, id)
+	ls.short = slices.Delete(ls.short, i, i+1)
+	ls.failed = append(ls.failed, id)
+	n.removeContact(ls.self, id)
+}
+
 // FindClosest performs an iterative Kademlia lookup from node "from"
 // toward target: each round queries the alpha XOR-closest unqueried
 // candidates with FIND_NODE and merges their answers, until the k
@@ -261,7 +274,7 @@ func (ls *lookupScratch) closest(dst []ring.Point, k int) []ring.Point {
 func (n *Network) FindClosest(from, target ring.Point) (LookupResult, error) {
 	ls := lookupScratchPool.Get().(*lookupScratch)
 	defer lookupScratchPool.Put(ls)
-	rounds, rpcs, err := n.lookup(ls, from, target)
+	rounds, rpcs, err := n.lookup(ls, from, target, n.cfg.BucketSize)
 	res := LookupResult{Rounds: rounds, RPCs: rpcs}
 	if err != nil {
 		return res, err
@@ -281,24 +294,29 @@ func (n *Network) FindClosest(from, target ring.Point) (LookupResult, error) {
 func (n *Network) lookupDiscard(from, target ring.Point) error {
 	ls := lookupScratchPool.Get().(*lookupScratch)
 	defer lookupScratchPool.Put(ls)
-	_, _, err := n.lookup(ls, from, target)
+	_, _, err := n.lookup(ls, from, target, n.cfg.BucketSize)
 	return err
 }
 
 // lookup is FindClosest without the result slices: it leaves the
 // shortlist in ls for the caller to reduce and reports only the cost
 // (LookupResult's Rounds and RPCs). The resolutions, refreshes and
-// joins that run it need at most a few ids of the outcome.
-func (n *Network) lookup(ls *lookupScratch, from, target ring.Point) (rounds, rpcs int, err error) {
+// joins that run it need at most a few ids of the outcome. It has
+// converged when the width XOR-closest known contacts have all
+// answered: k where the k-closest set is the contract, 1 where only the
+// XOR-closest node's reply is read (ResolveOwner). Waves are chosen the
+// same way at every width, so a narrower lookup's RPC sequence is a
+// prefix of a wider one's.
+func (n *Network) lookup(ls *lookupScratch, from, target ring.Point, width int) (rounds, rpcs int, err error) {
 	initiator, err := n.Node(from)
 	if err != nil {
 		return 0, 0, err
 	}
-	self := initiator.slot
+	ls.self = initiator.slot
 	k, alpha := n.cfg.BucketSize, n.cfg.Alpha
 	ls.short = append(ls.short[:0], shortEntry{id: from, queried: true})
 	ls.failed = ls.failed[:0]
-	ls.seed = n.closestIntoSlot(self, ls.seed, target, k, false)
+	ls.seed = n.closestIntoSlot(ls.self, ls.seed, target, k, false)
 	for _, c := range ls.seed {
 		ls.learn(target, c)
 	}
@@ -312,14 +330,20 @@ func (n *Network) lookup(ls *lookupScratch, from, target ring.Point) (rounds, rp
 		// known contacts.
 		ls.wave = ls.wave[:0]
 		for i := 0; i < len(ls.short) && i < k && len(ls.wave) < alpha; i++ {
-			if e := &ls.short[i]; !e.queried {
-				e.queried = true
-				ls.wave = append(ls.wave, e.id)
+			e := &ls.short[i]
+			if e.queried {
+				continue
 			}
+			if i >= width && len(ls.wave) == 0 {
+				break
+			}
+			e.queried = true
+			ls.wave = append(ls.wave, e.id)
 		}
 		if len(ls.wave) == 0 {
-			// Every one of the k closest known contacts has been
-			// queried: the lookup has converged.
+			// Every one of the width closest known contacts has answered
+			// (a failed call delists its contact): the lookup has
+			// converged.
 			return rounds, rpcs, nil
 		}
 		rounds++
@@ -327,13 +351,10 @@ func (n *Network) lookup(ls *lookupScratch, from, target ring.Point) (rounds, rp
 			raw, err := n.Call(from, id, req)
 			rpcs++
 			if err != nil {
-				i, _ := ls.search(target, id)
-				ls.short = slices.Delete(ls.short, i, i+1)
-				ls.failed = append(ls.failed, id)
-				n.removeContact(self, id)
+				n.drop(ls, target, id)
 				continue
 			}
-			n.touchContact(self, id)
+			n.touchContact(ls.self, id)
 			resp := raw.(*findNodeResp)
 			for _, c := range resp.Closest {
 				ls.learn(target, c)
@@ -383,11 +404,14 @@ type OwnerStats struct {
 // clockwise-closest to x. Kademlia routes by XOR, not by clockwise
 // distance, so the resolution has two phases:
 //
-//  1. An iterative FIND_NODE toward x. The XOR-closest node to x
-//     shares x's longest common prefix b, so every node inside x's
-//     deepest non-empty aligned 2^(64-b) block is within the lookup's
-//     k-closest result (blocks nest in the XOR metric: in-block
-//     distances are below 2^(64-b), out-of-block distances above).
+//  1. An iterative FIND_NODE toward x that stops once the XOR-closest
+//     known contact z has answered (lookup width 1: phase 2 reads two
+//     ids off the shortlist, not a k-closest set). z shares x's longest
+//     common prefix b, and every node inside x's deepest non-empty
+//     aligned 2^(64-b) block is among the k contacts z's own reply
+//     names (blocks nest in the XOR metric: in-block distances are
+//     below 2^(64-b), out-of-block distances above, and z's buckets
+//     below 64-b hold the whole block while it has at most k nodes).
 //  2. A ring-pointer verification. Let m be the learned node closest
 //     counterclockwise-at-or-below x and c the closest clockwise-at-
 //     or-above. If the block holds a node below x, m is x's exact
@@ -396,9 +420,12 @@ type OwnerStats struct {
 //     holds nodes at or above x, c is the exact owner, confirmed by
 //     one predecessor RPC. Either way the expected overhead is O(1)
 //     RPCs; with damaged tables the chase walks pointer by pointer,
-//     still converging because ring pointers are ground truth.
+//     still converging because ring pointers are ground truth. The
+//     lookup only seeds m and c: whatever it learned, the owner
+//     returned is one a ring pointer vouched for. An m or c that turns
+//     out dead is dropped and the next candidate tried.
 func (n *Network) ResolveOwner(from, x ring.Point) (ring.Point, OwnerStats, error) {
-	return n.resolveOwner(from, x, 0, false)
+	return n.resolveOwner(from, x, 1, 0, false)
 }
 
 // AsDHT returns the network viewed from the given caller node as the
@@ -414,61 +441,74 @@ func (n *Network) Owner(from, x ring.Point) (ring.Point, error) {
 	return owner, err
 }
 
-func (n *Network) resolveOwner(from, x ring.Point, exclude ring.Point, hasExclude bool) (ring.Point, OwnerStats, error) {
+func (n *Network) resolveOwner(from, x ring.Point, width int, exclude ring.Point, hasExclude bool) (ring.Point, OwnerStats, error) {
 	var stats OwnerStats
 	ls := lookupScratchPool.Get().(*lookupScratch)
 	defer lookupScratchPool.Put(ls)
-	rounds, rpcs, err := n.lookup(ls, from, x)
+	rounds, rpcs, err := n.lookup(ls, from, x, width)
 	if err != nil {
 		return 0, stats, err
 	}
 	stats.Rounds, stats.LookupRPCs = rounds, rpcs
-	// m: closest at-or-below x (counterclockwise); c: closest at-or-
-	// above x (clockwise), over every id the lookup learned. A node
-	// exactly at x is both and owns x. Reduced straight from the
-	// shortlist: ids are distinct, so both minima are order-independent.
 	var m, c ring.Point
-	found := false
-	for _, e := range ls.short {
-		id := e.id
-		if hasExclude && id == exclude {
-			continue
+	for {
+		// m: closest at-or-below x (counterclockwise); c: closest at-or-
+		// above x (clockwise), over every id the lookup learned. A node
+		// exactly at x is both and owns x. Reduced straight from the
+		// shortlist: ids are distinct, so both minima are order-independent.
+		found := false
+		for _, e := range ls.short {
+			id := e.id
+			if hasExclude && id == exclude {
+				continue
+			}
+			if !found {
+				m, c, found = id, id, true
+				continue
+			}
+			if cwDist(id, x) < cwDist(m, x) { // distance from id clockwise to x
+				m = id
+			}
+			if cwDist(x, id) < cwDist(x, c) { // distance from x clockwise to id
+				c = id
+			}
 		}
 		if !found {
-			m, c, found = id, id, true
+			return 0, stats, fmt.Errorf("%w: no live contacts toward %v", ErrLookupAborted, x)
+		}
+		if c == x {
+			return c, stats, nil
+		}
+		// Below side: if m is x's exact predecessor, its successor pointer
+		// is the answer. A learned contact the lookup never queried may be
+		// dead: it is dropped like a failed FIND_NODE and the next
+		// candidate takes its place.
+		s, err := n.Successor(from, m)
+		stats.ChaseRPCs++
+		if err != nil {
+			if m == from {
+				return 0, stats, err
+			}
+			n.drop(ls, x, m)
 			continue
 		}
-		if cwDist(id, x) < cwDist(m, x) { // distance from id clockwise to x
-			m = id
+		if (!hasExclude || s != exclude) && betweenIncl(m, s, x) {
+			return s, stats, nil
 		}
-		if cwDist(x, id) < cwDist(x, c) { // distance from x clockwise to id
-			c = id
+		// Above side: if c is the exact owner, its predecessor confirms it.
+		p, err := n.Predecessor(from, c)
+		stats.ChaseRPCs++
+		if err != nil {
+			if c == from {
+				return 0, stats, err
+			}
+			n.drop(ls, x, c)
+			continue
 		}
-	}
-	if !found {
-		return 0, stats, fmt.Errorf("%w: no live contacts toward %v", ErrLookupAborted, x)
-	}
-	if c == x {
-		return c, stats, nil
-	}
-	// Below side: if m is x's exact predecessor, its successor pointer
-	// is the answer.
-	s, err := n.Successor(from, m)
-	if err != nil {
-		return 0, stats, err
-	}
-	stats.ChaseRPCs++
-	if (!hasExclude || s != exclude) && betweenIncl(m, s, x) {
-		return s, stats, nil
-	}
-	// Above side: if c is the exact owner, its predecessor confirms it.
-	p, err := n.Predecessor(from, c)
-	if err != nil {
-		return 0, stats, err
-	}
-	stats.ChaseRPCs++
-	if (!hasExclude || p != exclude) && betweenIncl(p, c, x) {
-		return c, stats, nil
+		if (!hasExclude || p != exclude) && betweenIncl(p, c, x) {
+			return c, stats, nil
+		}
+		break
 	}
 	// Fallback (imperfect routing tables): walk successor pointers
 	// clockwise from m. Ring pointers are ground truth, so the walk
@@ -611,7 +651,7 @@ func (n *Network) bestLiveSuccessorCandidate(nd *Node) (ring.Point, bool) {
 	cands := n.Neighbors(nd.slot)
 	ls := lookupScratchPool.Get().(*lookupScratch)
 	defer lookupScratchPool.Put(ls)
-	if _, _, err := n.lookup(ls, id, ring.Point(uint64(id)+1)); err == nil {
+	if _, _, err := n.lookup(ls, id, ring.Point(uint64(id)+1), n.cfg.BucketSize); err == nil {
 		cands = ls.closest(cands, n.cfg.BucketSize)
 	}
 	var best ring.Point

@@ -325,5 +325,16 @@ func FuzzLookupShortlistMatchesReference(f *testing.F) {
 				t.Fatalf("bucket %d differs after the lookup:\n got %v\nwant %v", b, g, w)
 			}
 		}
+
+		// The width only decides when to stop: h's lookup (width 1) fed
+		// the same script issues a prefix of the full-width RPC sequence.
+		short, shortTr := scriptedNetwork(t, cfg, seeds, script)
+		_, shortRPCs, shortErr := short.lookup(new(lookupScratch), from, ring.Point(target), 1)
+		if shortRPCs != len(shortTr.log) || shortRPCs > len(gotTr.log) || !slices.Equal(shortTr.log, gotTr.log[:shortRPCs]) {
+			t.Fatalf("width-1 RPC sequence is not a prefix of the width-%d one:\n got %v\nwant a prefix of %v", cfg.BucketSize, shortTr.log, gotTr.log)
+		}
+		if shortErr != nil && gotErr == nil {
+			t.Fatalf("width 1 aborted where width %d converged: %v", cfg.BucketSize, shortErr)
+		}
 	})
 }
