@@ -50,9 +50,11 @@ backend-switch-check:
 # (oracle/chord/kademlia), the virtual-clock transport overhead on the
 # sampling hot path, the kernel event-loop dispatch paths, bulk overlay
 # construction, the async churn driver, one handler-side FIND_NODE
-# selection, and one wire RPC between two transports over loopback.
+# selection, one wire RPC between two transports over loopback, and the
+# ring's h (Successor) and placement (Generate) at 2^16 and 10^6 points.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkUniformSample|BenchmarkBatchScaling|BenchmarkLookupCostBackends|BenchmarkSimTransportOverhead|BenchmarkKernelEventLoop|BenchmarkBuildStatic' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSuccessor|BenchmarkGenerate' -benchtime=0.2s -benchmem ./internal/ring/
 	$(GO) test -run '^$$' -bench 'BenchmarkAsyncChurn' -benchtime=100x -benchmem ./internal/churn/
 	$(GO) test -run '^$$' -bench 'BenchmarkClosestIntoSlot' -benchtime=1000x -benchmem ./internal/kademlia/
 	$(GO) test -run '^$$' -bench 'BenchmarkWireRemoteCall' -benchtime=2000x -benchmem ./internal/wire/

@@ -15,22 +15,41 @@ func benchRing(b *testing.B, n int) *Ring {
 	return r
 }
 
+// benchSizes are the ring sizes of the Successor and Generate
+// benchmarks: 2^16, and the 10^6 points of the oracle batch workload.
+var benchSizes = []struct {
+	name string
+	n    int
+}{{"n=2^16", 1 << 16}, {"n=1e6", 1_000_000}}
+
+// successorSink keeps BenchmarkSuccessor's lookups from being optimised
+// away.
+var successorSink int
+
 func BenchmarkSuccessor(b *testing.B) {
-	r := benchRing(b, 1<<16)
-	rng := rand.New(rand.NewPCG(2, 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Successor(Point(rng.Uint64()))
+	for _, sz := range benchSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			r := benchRing(b, sz.n)
+			rng := rand.New(rand.NewPCG(2, 2))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				successorSink += r.Successor(Point(rng.Uint64()))
+			}
+		})
 	}
 }
 
 func BenchmarkGenerate(b *testing.B) {
-	rng := rand.New(rand.NewPCG(3, 3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(rng, 4096); err != nil {
-			b.Fatal(err)
-		}
+	for _, sz := range benchSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(3, 3))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(rng, sz.n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

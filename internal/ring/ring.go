@@ -14,6 +14,7 @@ package ring
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 )
@@ -131,16 +132,33 @@ func RemoveSorted(members []Point, id Point) []Point {
 // stable peer identities used by the samplers' tallies and by the exact
 // assignment analyzer.
 //
+// Beside the points a ring keeps a bucket directory for Successor: the
+// circle is cut into 2^k equal buckets by a point's top k bits, and
+// dir[b] is the rank of the first point whose top k bits are >= b
+// (dir[2^k] = n). k = bits.Len(n/4) is the smallest k with 2^k > n/4,
+// so a uniform ring holds 2 to 4 points a bucket on average and the
+// search inside one takes two or three probes. Fewer buckets would
+// lengthen that search; more would grow the directory, which at
+// 4·(2^k+1) bytes is already 1–2 bytes a point (1 MB at n = 10^6)
+// beside the points' 8.
+//
 // The zero value is an empty ring; use New or Generate to build one.
 type Ring struct {
 	points []Point
+	dir    []uint32
+	shift  uint // 64 - k: a point's bucket is its value >> shift
 }
 
 // New builds a ring from the given peer points. The input is copied,
-// sorted clockwise from zero, and must contain no duplicates.
+// sorted clockwise from zero, and must contain no duplicates. It rejects
+// more than math.MaxUint32 points, the largest rank the bucket
+// directory stores.
 func New(points []Point) (*Ring, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("ring: need at least one peer point")
+	}
+	if uint64(len(points)) > math.MaxUint32 {
+		return nil, fmt.Errorf("ring: %d peer points exceed the limit of %d", len(points), uint64(math.MaxUint32))
 	}
 	ps := make([]Point, len(points))
 	copy(ps, points)
@@ -150,28 +168,47 @@ func New(points []Point) (*Ring, error) {
 			return nil, fmt.Errorf("ring: duplicate peer point %d", uint64(ps[i]))
 		}
 	}
-	return &Ring{points: ps}, nil
+	return fromSorted(ps), nil
+}
+
+// fromSorted wraps strictly increasing points (kept, not copied) and
+// builds their bucket directory in one merge pass.
+func fromSorted(ps []Point) *Ring {
+	k := bits.Len(uint(len(ps) / 4))
+	r := &Ring{points: ps, dir: make([]uint32, 1<<k+1), shift: uint(64 - k)}
+	i := 0
+	for b := range r.dir {
+		for i < len(ps) && uint64(ps[i])>>r.shift < uint64(b) {
+			i++
+		}
+		r.dir[b] = uint32(i)
+	}
+	return r
 }
 
 // Generate places n peers independently and uniformly at random on the
 // circle, matching the paper's random-oracle placement assumption, and
-// returns the resulting ring. Collisions (probability about n^2/2^64) are
-// re-drawn so the result always has exactly n distinct points.
+// returns the resulting ring. Collisions (probability about n^2/2^65)
+// are re-drawn so the result always has exactly n distinct points: the
+// ring holds the first n distinct values of rng's stream, and Generate
+// consumes exactly the draws it took to see them, no more.
 func Generate(rng *rand.Rand, n int) (*Ring, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("ring: peer count must be positive, got %d", n)
+	if n <= 0 || uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("ring: peer count must be in [1, %d], got %d", uint64(math.MaxUint32), n)
 	}
-	seen := make(map[Point]struct{}, n)
-	points := make([]Point, 0, n)
+	points := make([]Point, n)
+	for i := range points {
+		points[i] = Point(rng.Uint64())
+	}
+	slices.Sort(points)
+	points = slices.Compact(points)
 	for len(points) < n {
 		p := Point(rng.Uint64())
-		if _, dup := seen[p]; dup {
-			continue
+		if i, dup := slices.BinarySearch(points, p); !dup {
+			points = slices.Insert(points, i, p)
 		}
-		seen[p] = struct{}{}
-		points = append(points, p)
 	}
-	return New(points)
+	return fromSorted(points), nil
 }
 
 // Len returns the number of peers.
@@ -191,11 +228,20 @@ func (r *Ring) Points() []Point {
 // clockwise distance to x. This is the paper's h(x): if x coincides with
 // a peer point the peer at x itself is returned (distance zero).
 //
-// The binary search is hand-rolled: every h lookup of every sampler
-// lands here, and the closure sort.Search requires costs a call per
-// probe that this loop avoids.
+// Every h lookup of every sampler lands here. The bucket directory
+// narrows the search to the points sharing x's top k bits, which hold
+// the answer unless x is past all of them, when the answer is the
+// bucket's end: the first point of a later bucket, or n, which wraps to
+// 0. A binary search over that range finishes the job, so a lookup is
+// O(1) expected on a uniform ring and never worse than O(log n), even
+// when every point shares one bucket. (A shift by 64 is 0 in Go, so a
+// one-bucket ring's k = 0 needs no case of its own.)
 func (r *Ring) Successor(x Point) int {
-	lo, hi := 0, len(r.points)
+	if len(r.dir) == 0 {
+		return 0 // the zero-value ring
+	}
+	b := uint64(x) >> r.shift
+	lo, hi := int(r.dir[b]), int(r.dir[b+1])
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if r.points[mid] >= x {
