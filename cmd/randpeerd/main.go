@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math/rand/v2"
 	"net"
 	"net/http"
@@ -121,9 +122,10 @@ func run(args []string) int {
 		defer d.slor.Stop()
 	}
 
+	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "randpeerd:", err)
+		log.Error("randpeerd: listen", "addr", *listen, "err", err)
 		return 1
 	}
 	srv := &http.Server{Handler: d.mux()}
@@ -137,7 +139,7 @@ func run(args []string) int {
 	select {
 	case <-ctx.Done():
 	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "randpeerd:", err)
+		log.Error("randpeerd: serve", "err", err)
 		return 1
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
@@ -157,6 +159,11 @@ type overlayDHT interface {
 // traceLogCapacity bounds the server-side span ring: enough to hold
 // every hop of many concurrent traced lookups without growing.
 const traceLogCapacity = 4096
+
+// maxBucket caps a provisioned kademlia k. The region pool allocates
+// 1 024 regions of k+5 words at a time, so 256 keeps one chunk near
+// 1 MB; /v1/provision answers 400 above it.
+const maxBucket = 256
 
 // daemon holds one provisioned overlay partition and serves the
 // control API over the same HTTP server as the wire RPC endpoint.
@@ -277,6 +284,10 @@ func (d *daemon) handleProvision(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Points) == 0 {
 		httpError(w, http.StatusBadRequest, "provision: empty membership")
+		return
+	}
+	if req.Bucket > maxBucket {
+		httpError(w, http.StatusBadRequest, "provision: bucket %d above %d", req.Bucket, maxBucket)
 		return
 	}
 	points := toPoints(req.Points)

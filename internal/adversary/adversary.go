@@ -244,7 +244,7 @@ func (p *Plan) ChordInterceptor() simnet.Interceptor {
 			return resp, err
 		}
 		if p.kind == Censor {
-			if chord.IsRoutingRPC(msg) || chord.IsPointerRPC(msg) {
+			if chord.IsRoutingRPC(msg) || overlay.IsPointerRPC(msg) {
 				return nil, simnet.ErrDropped
 			}
 			return resp, err
@@ -263,7 +263,7 @@ func (p *Plan) KademliaInterceptor() simnet.Interceptor {
 			return resp, err
 		}
 		if p.kind == Censor {
-			if kademlia.IsLookupRPC(msg) || kademlia.IsPointerRPC(msg) {
+			if kademlia.IsLookupRPC(msg) || overlay.IsPointerRPC(msg) {
 				return nil, simnet.ErrDropped
 			}
 			return resp, err

@@ -2,7 +2,6 @@ package chord
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"github.com/dht-sampling/randompeer/internal/overlay"
 )
@@ -18,11 +17,6 @@ type arena struct {
 	fingers []uint32 // finger rows, stride = idBits; nil when disabled
 	fingOK  []uint64 // finger-set bitmask, one word per slot
 	nextFix []uint8  // next finger index to fix
-
-	// handles is the table of preconstructed public handles, one per
-	// slot. Growth publishes a fresh table and entries never change, so
-	// readers need no lock.
-	handles atomic.Pointer[[]Node]
 }
 
 const noSlot = ^uint32(0)
@@ -38,11 +32,6 @@ func (n *Network) grow(capacity int) {
 		a.fingOK = overlay.GrowCopy(a.fingOK, capacity)
 	}
 	a.nextFix = overlay.GrowCopy(a.nextFix, capacity)
-	handles := make([]Node, capacity)
-	for s := range handles {
-		handles[s] = Node{net: n, slot: uint32(s)}
-	}
-	a.handles.Store(&handles)
 }
 
 // resetSlot rewrites slot s to the fresh-node baseline: successor self,
@@ -76,6 +65,3 @@ func (n *Network) markSlot(s uint32, m overlay.Marks) {
 		}
 	}
 }
-
-// handle returns slot s's preconstructed public handle.
-func (n *Network) handle(s uint32) *Node { return &(*n.st.handles.Load())[s] }

@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
@@ -8,26 +9,16 @@ import (
 // Byzantine reply forging. The chord RPC payloads are unexported (and
 // pooled), so the adversary package cannot synthesize lies itself; this
 // file exports the minimal surface a Byzantine interceptor needs:
-// recognize the protocol's subvertible RPCs and rewrite their replies
-// toward attacker-chosen peers. Policy — which calls to subvert, and
-// toward whom — stays in internal/adversary.
+// recognize the routing RPC (overlay.IsPointerRPC recognizes the shared
+// pointer queries) and rewrite the subvertible replies toward
+// attacker-chosen peers. Policy — which calls to subvert, and toward
+// whom — stays in internal/adversary.
 
 // IsRoutingRPC reports whether msg is a routed-lookup step
 // (the next-hop request h(x) resolution consists of).
 func IsRoutingRPC(msg simnet.Message) bool {
 	_, ok := msg.(nextHopReq)
 	return ok
-}
-
-// IsPointerRPC reports whether msg is a ring-pointer query (the
-// successor/predecessor chases behind the paper's next primitive and
-// the stabilization protocol).
-func IsPointerRPC(msg simnet.Message) bool {
-	switch msg.(type) {
-	case getSuccessorReq, getPredecessorReq:
-		return true
-	}
-	return false
 }
 
 // ByzantineReply forges the reply a lying chord node substitutes for
@@ -53,11 +44,11 @@ func ByzantineReply(req, resp simnet.Message, err error, pick func(key ring.Poin
 		}
 		*r = nextHopResp{Done: true, Succ: lie}
 		return r, nil, true
-	case getSuccessorReq, getPredecessorReq:
+	case overlay.SuccessorReq, overlay.PredecessorReq:
 		lie := pick(0, 0)
-		r, ok := resp.(*pointResp)
+		r, ok := resp.(*overlay.PointResp)
 		if !ok || err != nil {
-			r = newPointResp(lie, true)
+			r = overlay.NewPointResp(lie, true)
 		}
 		r.P, r.Has = lie, true
 		return r, nil, true

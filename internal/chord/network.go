@@ -67,7 +67,7 @@ var (
 	ErrNodeExists    = overlay.ErrNodeExists
 	ErrNodeNotFound  = overlay.ErrNodeNotFound
 	ErrLookupAborted = errors.New("chord: lookup aborted")
-	ErrEmptyNetwork  = errors.New("chord: network has no live nodes")
+	ErrEmptyNetwork  = overlay.ErrEmptyNetwork
 )
 
 // NewNetwork creates an empty Chord network over the given transport.
@@ -78,28 +78,26 @@ func NewNetwork(cfg Config, tr simnet.Transport) *Network {
 		succStride: cfg.SuccListLen,
 		stores:     make(map[uint32]map[ring.Point][]byte),
 	}
-	n.Init(tr, overlay.Hooks{Grow: n.grow, Reset: n.resetSlot, Mark: n.markSlot, Drop: n.dropStore, Handle: n.handleRPC})
+	n.Init(tr, overlay.Hooks{Grow: n.grow, Reset: n.resetSlot, Mark: n.markSlot, Drop: n.dropStore, Handle: n.handleRPC, Pointers: n.pointers})
 	return n
 }
 
-// Node returns the node with the given id. The returned handle points
-// into the arena's preconstructed handle table, so the call allocates
-// nothing.
-func (n *Network) Node(id ring.Point) (*Node, error) {
+// Node returns the handle of the live node with the given id.
+func (n *Network) Node(id ring.Point) (Node, error) {
 	s, ok := n.LiveSlot(id)
 	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
+		return Node{}, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
 	}
-	return n.handle(s), nil
+	return Node{n, s}, nil
 }
 
 // Create starts the first node of a fresh ring.
-func (n *Network) Create(id ring.Point) (*Node, error) {
+func (n *Network) Create(id ring.Point) (Node, error) {
 	s, err := n.AddNode(id)
 	if err != nil {
-		return nil, err
+		return Node{}, err
 	}
-	return n.handle(s), nil
+	return Node{n, s}, nil
 }
 
 // Join adds a node to the ring through the existing node via, per the
@@ -168,7 +166,7 @@ func (n *Network) Lookup(from, key ring.Point) (ring.Point, error) {
 	if err != nil {
 		return 0, err
 	}
-	return n.route(initiator, from, key, initiator.handleNextHop(nextHopReq{Key: key}))
+	return n.route(initiator.slot, from, key, n.nextHop(initiator.slot, nextHopReq{Key: key}))
 }
 
 // AsDHT returns the network viewed from the given caller node as the
@@ -191,13 +189,13 @@ func (n *Network) LookupVia(from, start, key ring.Point) (ring.Point, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: bootstrap %v unreachable: %v", ErrLookupAborted, start, err)
 	}
-	return n.route(nil, from, key, raw.(*nextHopResp))
+	return n.route(noSlot, from, key, raw.(*nextHopResp))
 }
 
 // route consumes resp (recycling it) and follows the candidate chain
-// to the key's successor. initiator, when non-nil, has its fingers
-// invalidated as dead hops are discovered.
-func (n *Network) route(initiator *Node, from, key ring.Point, resp *nextHopResp) (ring.Point, error) {
+// to the key's successor. The initiator's slot, unless noSlot, has its
+// fingers invalidated as dead hops are discovered.
+func (n *Network) route(initiator uint32, from, key ring.Point, resp *nextHopResp) (ring.Point, error) {
 	req := simnet.Message(nextHopReq{Key: key})
 	var backup [maxCandidates - 1]ring.Point
 	for hop := 0; hop < n.cfg.MaxLookupHops; hop++ {
@@ -220,8 +218,8 @@ func (n *Network) route(initiator *Node, from, key ring.Point, resp *nextHopResp
 				resp = raw.(*nextHopResp)
 				break
 			}
-			if initiator != nil {
-				initiator.invalidateFingersTo(cur)
+			if initiator != noSlot {
+				n.invalidateFingersTo(initiator, cur)
 			}
 			if next >= nBackup {
 				// Double-wrap so callers can match both the lookup
@@ -235,19 +233,6 @@ func (n *Network) route(initiator *Node, from, key ring.Point, resp *nextHopResp
 	}
 	putNextHopResp(resp)
 	return 0, fmt.Errorf("%w: exceeded %d hops toward %v", ErrLookupAborted, n.cfg.MaxLookupHops, key)
-}
-
-// Successor returns the immediate successor of node id by asking it (one
-// RPC), which is the paper's next(p) primitive.
-func (n *Network) Successor(from, of ring.Point) (ring.Point, error) {
-	raw, err := n.Call(from, of, getSuccessorReq{})
-	if err != nil {
-		return 0, fmt.Errorf("chord: successor of %v: %w", of, err)
-	}
-	resp := raw.(*pointResp)
-	p := resp.P
-	putPointResp(resp)
-	return p, nil
 }
 
 // StabilizeNode runs one stabilize + notify round for node id, repairing
@@ -267,18 +252,16 @@ func (n *Network) StabilizeNode(id ring.Point) error {
 			}
 		}
 	}
-	raw, err := n.Call(id, succ, getPredecessorReq{})
+	p, has, err := n.Predecessor(id, succ)
 	if err != nil {
 		nd.advanceSuccessor(succ)
 		nd.invalidateFingersTo(succ)
 		return nil // repaired; next round continues
 	}
-	pr := *raw.(*pointResp)
-	putPointResp(raw.(*pointResp))
-	if pr.Has && betweenExcl(id, succ, pr.P) {
+	if has && ring.BetweenExcl(id, succ, p) {
 		// The successor knows a node between us: adopt it if reachable.
-		if _, err := n.Call(id, pr.P, pingReq{}); err == nil {
-			succ = pr.P
+		if n.Ping(id, p) == nil {
+			succ = p
 		}
 	}
 	var tail []ring.Point
@@ -329,7 +312,7 @@ func (n *Network) CheckPredecessor(id ring.Point) error {
 	if !has {
 		return nil
 	}
-	if _, err := n.Call(id, pred, pingReq{}); err != nil {
+	if n.Ping(id, pred) != nil {
 		nd.clearPredecessor()
 	}
 	return nil
@@ -508,38 +491,6 @@ func (n *Network) VerifyFingers() error {
 			want := r.At(r.Successor(nd.fingerStart(k)))
 			if finger != want {
 				return fmt.Errorf("chord: node %v finger %d = %v, want %v", id, k, finger, want)
-			}
-		}
-	}
-	return nil
-}
-
-// VerifyRing checks global ring consistency: following successor
-// pointers from the smallest live node must visit every live node
-// exactly once in sorted order, and each predecessor must match. It
-// returns nil when the ring is perfect.
-func (n *Network) VerifyRing() error {
-	members := n.Members()
-	if len(members) == 0 {
-		return ErrEmptyNetwork
-	}
-	for i, id := range members {
-		nd, err := n.Node(id)
-		if err != nil {
-			return err
-		}
-		wantSucc := members[(i+1)%len(members)]
-		if got := nd.Successor(); got != wantSucc {
-			return fmt.Errorf("chord: node %v successor = %v, want %v", id, got, wantSucc)
-		}
-		if len(members) > 1 {
-			wantPred := members[(i-1+len(members))%len(members)]
-			pred, has := nd.Predecessor()
-			if !has {
-				return fmt.Errorf("chord: node %v has no predecessor", id)
-			}
-			if pred != wantPred {
-				return fmt.Errorf("chord: node %v predecessor = %v, want %v", id, pred, wantPred)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
@@ -13,28 +14,28 @@ import (
 const idBits = 64
 
 // Node is one Chord peer's public handle: a (network, slot) pair into
-// the network's flat slot arena (see internal/overlay). All exported
-// accessors and the RPC handlers are safe for concurrent use; no lock
-// is ever held across an RPC.
+// the network's flat slot arena (see internal/overlay), built on demand
+// and passed by value. All exported accessors and the RPC handlers are
+// safe for concurrent use; no lock is ever held across an RPC.
 type Node struct {
 	net  *Network
 	slot uint32
 }
 
 // ID returns the node's identifier (its peer point).
-func (nd *Node) ID() ring.Point { return nd.net.IDOf(nd.slot) }
+func (nd Node) ID() ring.Point { return nd.net.IDOf(nd.slot) }
 
 // Successor returns the node's immediate successor.
-func (nd *Node) Successor() ring.Point { return nd.net.succOf(nd.slot) }
+func (nd Node) Successor() ring.Point { return nd.net.succOf(nd.slot) }
 
 // Predecessor returns the node's predecessor, if known.
-func (nd *Node) Predecessor() (ring.Point, bool) { return nd.net.predOf(nd.slot) }
+func (nd Node) Predecessor() (ring.Point, bool) { return nd.net.predOf(nd.slot) }
 
 // SuccessorList returns a copy of the node's successor list.
-func (nd *Node) SuccessorList() []ring.Point { return nd.net.succListOf(nd.slot) }
+func (nd Node) SuccessorList() []ring.Point { return nd.net.succListOf(nd.slot) }
 
 // Finger returns finger k (the node believed to succeed id + 2^k), if set.
-func (nd *Node) Finger(k int) (ring.Point, bool) {
+func (nd Node) Finger(k int) (ring.Point, bool) {
 	n := nd.net
 	if k < 0 || k >= idBits || n.cfg.DisableFingers {
 		return 0, false
@@ -52,7 +53,7 @@ func (nd *Node) Finger(k int) (ring.Point, bool) {
 // Neighbors returns the node's distinct outgoing overlay edges: its
 // successor list and set fingers. This is the graph random-walk samplers
 // traverse.
-func (nd *Node) Neighbors() []ring.Point { return nd.net.Neighbors(nd.slot) }
+func (nd Node) Neighbors() []ring.Point { return nd.net.Neighbors(nd.slot) }
 
 // Neighbors implements overlay.Router for the node in slot s. Both
 // sources are small and bounded (SuccListLen + idBits entries), so
@@ -84,37 +85,33 @@ func (n *Network) Neighbors(s uint32) []ring.Point {
 	return out
 }
 
-// handleNextHop implements one routing step for the local-initiator
-// fast path; see Network.nextHop.
-func (nd *Node) handleNextHop(m nextHopReq) *nextHopResp { return nd.net.nextHop(nd.slot, m) }
-
 // fingerStart returns id + 2^k, the start of finger k's interval.
-func (nd *Node) fingerStart(k int) ring.Point {
+func (nd Node) fingerStart(k int) ring.Point {
 	return ring.Add(nd.ID(), uint64(1)<<uint(k))
 }
 
 // setSuccessors installs succ as the immediate successor followed by the
 // tail list (typically the successor's own list), truncated to the
 // configured length and cleaned of self-references beyond the head.
-func (nd *Node) setSuccessors(succ ring.Point, tail []ring.Point) {
+func (nd Node) setSuccessors(succ ring.Point, tail []ring.Point) {
 	nd.net.setSuccessors(nd.slot, succ, tail)
 }
 
 // advanceSuccessor drops a failed immediate successor, falling back to
 // the next entry of the successor list, or to self if none remain (the
 // node then rebuilds via notify when others find it).
-func (nd *Node) advanceSuccessor(failed ring.Point) {
+func (nd Node) advanceSuccessor(failed ring.Point) {
 	nd.net.advanceSuccessor(nd.slot, failed)
 }
 
 // clearPredecessor forgets a failed predecessor.
-func (nd *Node) clearPredecessor() { nd.net.clearPredecessor(nd.slot) }
+func (nd Node) clearPredecessor() { nd.net.clearPredecessor(nd.slot) }
 
 // setFinger installs finger k.
-func (nd *Node) setFinger(k int, p ring.Point) { nd.net.setFinger(nd.slot, k, p) }
+func (nd Node) setFinger(k int, p ring.Point) { nd.net.setFinger(nd.slot, k, p) }
 
 // invalidateFingersTo drops all fingers pointing at a failed node.
-func (nd *Node) invalidateFingersTo(failed ring.Point) {
+func (nd Node) invalidateFingersTo(failed ring.Point) {
 	nd.net.invalidateFingersTo(nd.slot, failed)
 }
 
@@ -126,6 +123,12 @@ func (n *Network) succOf(s uint32) ring.Point {
 	succ := n.ID(a.succs[int(s)*n.succStride])
 	st.RUnlock()
 	return succ
+}
+
+// pointers implements the overlay.Hooks accessor VerifyRing reads.
+func (n *Network) pointers(s uint32) (ring.Point, ring.Point, bool) {
+	pred, has := n.predOf(s)
+	return n.succOf(s), pred, has
 }
 
 // predOf returns slot s's predecessor identifier, if known.
@@ -160,18 +163,18 @@ func (n *Network) handleRPC(s uint32, from simnet.NodeID, msg simnet.Message) (s
 	switch m := msg.(type) {
 	case nextHopReq:
 		return n.nextHop(s, m), nil
-	case getSuccessorReq:
-		return newPointResp(n.succOf(s), true), nil
-	case getPredecessorReq:
+	case overlay.SuccessorReq:
+		return overlay.NewPointResp(n.succOf(s), true), nil
+	case overlay.PredecessorReq:
 		p, has := n.predOf(s)
-		return newPointResp(p, has), nil
+		return overlay.NewPointResp(p, has), nil
 	case succListReq:
 		return succListResp{List: n.succListOf(s)}, nil
 	case notifyReq:
 		n.notify(s, m.Candidate)
-		return ackResp{}, nil
-	case pingReq:
-		return ackResp{}, nil
+		return overlay.Ack{}, nil
+	case overlay.PingReq:
+		return overlay.Ack{}, nil
 	default:
 		if resp, ok := n.handleStorage(s, msg); ok {
 			return resp, nil
@@ -196,7 +199,7 @@ func (n *Network) nextHop(s uint32, m nextHopReq) *nextHopResp {
 	self := n.ID(s)
 	base := int(s) * n.succStride
 	succ := n.ID(a.succs[base])
-	if betweenIncl(self, succ, m.Key) {
+	if ring.BetweenIncl(self, succ, m.Key) {
 		resp.Done = true
 		resp.Succ = succ
 		return resp
@@ -236,7 +239,7 @@ func (n *Network) notify(s uint32, candidate ring.Point) {
 	if candidate == self {
 		return
 	}
-	if p := a.preds[s]; p == noSlot || betweenExcl(n.ID(p), self, candidate) {
+	if p := a.preds[s]; p == noSlot || ring.BetweenExcl(n.ID(p), self, candidate) {
 		a.preds[s] = cs
 	}
 }

@@ -65,7 +65,7 @@ func (r *nextHopResp) add(self, key, p ring.Point) bool {
 	if r.N >= maxCandidates {
 		return true
 	}
-	if p == self || !betweenExcl(self, key, p) {
+	if p == self || !ring.BetweenExcl(self, key, p) {
 		return false
 	}
 	for i := 0; i < r.N; i++ {
@@ -78,34 +78,6 @@ func (r *nextHopResp) add(self, key, p ring.Point) bool {
 	return r.N == maxCandidates
 }
 
-// getSuccessorReq asks a node for its immediate successor.
-type getSuccessorReq struct{}
-
-// getPredecessorReq asks a node for its predecessor, if known.
-type getPredecessorReq struct{}
-
-// pointResp carries an optional node identifier. Like nextHopResp it
-// travels as a pooled pointer: the successor chase issues one of these
-// RPCs per walk step of every sample, so boxing a fresh value each time
-// was a per-step allocation. The caller that receives one copies the
-// fields out and recycles it with putPointResp.
-type pointResp struct {
-	P   ring.Point
-	Has bool
-}
-
-var pointRespPool = sync.Pool{New: func() any { return new(pointResp) }}
-
-// newPointResp returns a filled reply from the pool.
-func newPointResp(p ring.Point, has bool) *pointResp {
-	r := pointRespPool.Get().(*pointResp)
-	r.P, r.Has = p, has
-	return r
-}
-
-// putPointResp recycles a reply the consumer is done with.
-func putPointResp(r *pointResp) { pointRespPool.Put(r) }
-
 // succListReq asks a node for its successor list.
 type succListReq struct{}
 
@@ -114,34 +86,9 @@ type succListResp struct {
 	List []ring.Point
 }
 
-// notifyReq tells a node that Candidate might be its predecessor.
+// notifyReq tells a node that Candidate might be its predecessor; the
+// node answers overlay.Ack. The ring-pointer requests and ping are the
+// shared ones in internal/overlay.
 type notifyReq struct {
 	Candidate ring.Point
-}
-
-// pingReq checks liveness.
-type pingReq struct{}
-
-// ackResp acknowledges notify and ping.
-type ackResp struct{}
-
-// betweenIncl reports whether x lies in the clockwise interval (a, b].
-// When a == b the interval spans the full circle (the single-node case in
-// Chord's routing predicate), so every x qualifies.
-func betweenIncl(a, b, x ring.Point) bool {
-	if a == b {
-		return true
-	}
-	d := ring.Distance(a, x)
-	return d != 0 && d <= ring.Distance(a, b)
-}
-
-// betweenExcl reports whether x lies in the open clockwise interval
-// (a, b). When a == b the interval is the full circle minus the endpoint.
-func betweenExcl(a, b, x ring.Point) bool {
-	if a == b {
-		return x != a
-	}
-	d := ring.Distance(a, x)
-	return d != 0 && d < ring.Distance(a, b)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
@@ -64,7 +65,7 @@ func (n *Network) handleStorage(s uint32, msg simnet.Message) (simnet.Message, b
 		}
 		st[m.Key] = val
 		n.storeMu.Unlock()
-		return ackResp{}, true
+		return overlay.Ack{}, true
 	case getReq:
 		n.storeMu.RLock()
 		val, ok := n.stores[s][m.Key]

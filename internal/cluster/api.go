@@ -35,8 +35,8 @@ type RouteEntry struct {
 // owned subset is registered on that daemon's transport; every other
 // point must appear in Routes.
 type ProvisionRequest struct {
-	Backend string       `json:"backend"` // "chord" or "kademlia"
-	Bucket  int          `json:"bucket,omitempty"`
+	Backend string       `json:"backend"`          // "chord" or "kademlia"
+	Bucket  int          `json:"bucket,omitempty"` // kademlia k; randpeerd refuses > 256
 	Alpha   int          `json:"alpha,omitempty"`
 	Points  []uint64     `json:"points"`
 	Owned   []uint64     `json:"owned"`

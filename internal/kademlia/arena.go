@@ -24,11 +24,6 @@ type arena struct {
 	// a bucket with no region yet.
 	bucketRefs []uint32
 
-	// handles is the table of preconstructed public handles, one per
-	// slot. Growth publishes a fresh table and entries never change, so
-	// readers need no lock.
-	handles atomic.Pointer[[]Node]
-
 	// Region pool. Regions live in fixed-size chunks so they never
 	// move: chunks is the copy-on-write chunk index (append-only,
 	// atomic load to read), regionMu is a leaf lock ordered after the
@@ -58,11 +53,6 @@ func (n *Network) grow(capacity int) {
 	a.succs = overlay.GrowCopy(a.succs, capacity)
 	a.preds = overlay.GrowCopy(a.preds, capacity)
 	a.bucketRefs = overlay.GrowCopy(a.bucketRefs, capacity*idBits)
-	handles := make([]Node, capacity)
-	for s := range handles {
-		handles[s] = Node{net: n, slot: uint32(s)}
-	}
-	a.handles.Store(&handles)
 }
 
 // resetSlot rewrites slot s to the fresh-node baseline: ring pointers
@@ -92,9 +82,6 @@ func (n *Network) markSlot(s uint32, m overlay.Marks) {
 		}
 	}
 }
-
-// handle returns slot s's preconstructed public handle.
-func (n *Network) handle(s uint32) *Node { return &(*n.st.handles.Load())[s] }
 
 // region returns the backing words of a region reference (1-based;
 // callers must not pass noRegion). The chunk index is loaded

@@ -23,6 +23,10 @@ import (
 // replacementCacheLen bounds each bucket's replacement cache.
 const replacementCacheLen = 4
 
+// maxBucketSize is the largest k a region header can count: the entry
+// count has 16 bits.
+const maxBucketSize = 0xffff
+
 // regLens unpacks a region's entry and cache counts.
 func regLens(reg []uint32) (ents, cached int) {
 	return int(reg[0] & 0xffff), int(reg[0] >> 16)

@@ -1,13 +1,15 @@
 package kademlia
 
 import (
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
 // Byzantine reply forging. Like chord's equivalent, this file exports
 // the minimal surface the adversary package needs over the unexported
-// (pooled) RPC payloads: recognize subvertible RPCs and rewrite their
+// (pooled) RPC payloads: recognize the lookup RPC (overlay.IsPointerRPC
+// recognizes the shared pointer queries) and rewrite the subvertible
 // replies toward attacker-chosen peers. Policy (who lies, to whom)
 // stays in internal/adversary; this file owns how each kademlia RPC is
 // best subverted, because that takes the overlay's own metrics:
@@ -35,17 +37,6 @@ import (
 func IsLookupRPC(msg simnet.Message) bool {
 	_, ok := msg.(findNodeReq)
 	return ok
-}
-
-// IsPointerRPC reports whether msg is a ring-pointer query (the
-// successor/predecessor reads behind the paper's next primitive and
-// the adapter's owner verification).
-func IsPointerRPC(msg simnet.Message) bool {
-	switch msg.(type) {
-	case getSuccessorReq, getPredecessorReq:
-		return true
-	}
-	return false
 }
 
 // ByzantineReply forges the reply lying node self substitutes for the
@@ -78,34 +69,28 @@ func ByzantineReply(self ring.Point, req, resp simnet.Message, err error, coalit
 		// verification scans that set by clockwise distance — so the
 		// coalition members tightest below and above the target are the
 		// ones that can win the predecessor/owner slots.
-		below := nearest(coalition, func(c ring.Point) uint64 { return cwDist(c, m.Target) })
-		above := nearest(coalition, func(c ring.Point) uint64 { return cwDist(m.Target, c) })
+		below := nearest(coalition, func(c ring.Point) uint64 { return ring.Distance(c, m.Target) })
+		above := nearest(coalition, func(c ring.Point) uint64 { return ring.Distance(m.Target, c) })
 		r.Closest = appendUnique(r.Closest, below)
 		r.Closest = appendUnique(r.Closest, above)
 		return r, nil, true
-	case getSuccessorReq:
-		// Widest clockwise interval: the colluder the farthest
-		// clockwise from self (skipping self, who may itself collude).
-		lie, ok := farthest(self, coalition, func(c ring.Point) uint64 { return cwDist(self, c) })
+	case overlay.SuccessorReq, overlay.PredecessorReq:
+		// Widest interval: the colluder the farthest clockwise from self
+		// for a successor, counterclockwise for a predecessor (skipping
+		// self, who may itself collude).
+		dist := func(c ring.Point) uint64 { return ring.Distance(self, c) }
+		if _, pred := m.(overlay.PredecessorReq); pred {
+			dist = func(c ring.Point) uint64 { return ring.Distance(c, self) }
+		}
+		lie, ok := farthest(self, coalition, dist)
 		if !ok {
 			return nil, nil, false
 		}
-		r, isPool := resp.(*pointResp)
+		r, isPool := resp.(*overlay.PointResp)
 		if !isPool || err != nil {
-			r = newPointResp(lie)
+			r = overlay.NewPointResp(lie, true)
 		}
-		r.P = lie
-		return r, nil, true
-	case getPredecessorReq:
-		lie, ok := farthest(self, coalition, func(c ring.Point) uint64 { return cwDist(c, self) })
-		if !ok {
-			return nil, nil, false
-		}
-		r, isPool := resp.(*pointResp)
-		if !isPool || err != nil {
-			r = newPointResp(lie)
-		}
-		r.P = lie
+		r.P, r.Has = lie, true
 		return r, nil, true
 	}
 	return nil, nil, false

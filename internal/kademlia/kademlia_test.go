@@ -116,6 +116,19 @@ func TestBuildStaticVerifies(t *testing.T) {
 	}
 }
 
+// TestBuildStaticRejectsOversizedBucket holds k to what a region header
+// counts: one more would wrap bucket lengths, and a k of 2^30 would ask
+// the region pool for terabytes.
+func TestBuildStaticRejectsOversizedBucket(t *testing.T) {
+	t.Parallel()
+	pts := testRing(t, 2, 8).Points()
+	for _, k := range []int{maxBucketSize + 1, 1 << 30} {
+		if _, err := BuildStatic(Config{BucketSize: k}, simnet.NewDirect(), pts); err == nil {
+			t.Errorf("BuildStatic with k = %d succeeded", k)
+		}
+	}
+}
+
 func TestFindClosestMatchesGroundTruth(t *testing.T) {
 	t.Parallel()
 	r := testRing(t, 2, 128)

@@ -19,13 +19,6 @@ type Config struct {
 	// Alpha is the lookup parallelism: the number of candidates queried
 	// per lookup round. Default 3.
 	Alpha int
-	// MaxLookupRounds aborts iterative lookups that fail to converge
-	// (possible only with badly damaged routing tables). Default 128.
-	MaxLookupRounds int
-	// MaxChaseSteps caps the ring-pointer walk that turns an XOR-routed
-	// lookup into the clockwise owner (see ResolveOwner). Zero means
-	// "number of live nodes plus slack", the tight correctness bound.
-	MaxChaseSteps int
 }
 
 func (c Config) withDefaults() Config {
@@ -34,9 +27,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Alpha <= 0 {
 		c.Alpha = 3
-	}
-	if c.MaxLookupRounds <= 0 {
-		c.MaxLookupRounds = 128
 	}
 	return c
 }
@@ -53,7 +43,10 @@ type Network struct {
 	// regStride is the word width of one bucket region: a header word,
 	// BucketSize entry slots and the replacement cache.
 	regStride int
-	st        arena
+	// maxLookupRounds aborts iterative lookups that fail to converge
+	// (possible only with badly damaged routing tables).
+	maxLookupRounds int
+	st              arena
 }
 
 var _ overlay.Network = (*Network)(nil)
@@ -63,43 +56,42 @@ var (
 	ErrNodeExists    = overlay.ErrNodeExists
 	ErrNodeNotFound  = overlay.ErrNodeNotFound
 	ErrLookupAborted = errors.New("kademlia: lookup aborted")
-	ErrEmptyNetwork  = errors.New("kademlia: network has no live nodes")
+	ErrEmptyNetwork  = overlay.ErrEmptyNetwork
 )
 
 // NewNetwork creates an empty Kademlia network over the given transport.
 func NewNetwork(cfg Config, tr simnet.Transport) *Network {
 	cfg = cfg.withDefaults()
 	n := &Network{
-		cfg:       cfg,
-		regStride: 1 + cfg.BucketSize + replacementCacheLen,
+		cfg:             cfg,
+		regStride:       1 + cfg.BucketSize + replacementCacheLen,
+		maxLookupRounds: 128,
 	}
 	empty := make([][]uint32, 0)
 	n.st.chunks.Store(&empty)
-	n.Init(tr, overlay.Hooks{Grow: n.grow, Reset: n.resetSlot, Mark: n.markSlot, Drop: n.freeRegionRow, Handle: n.handleRPC})
+	n.Init(tr, overlay.Hooks{Grow: n.grow, Reset: n.resetSlot, Mark: n.markSlot, Drop: n.freeRegionRow, Handle: n.handleRPC, Pointers: n.pointers})
 	return n
 }
 
 // Config returns the network's effective (defaulted) configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Node returns the node with the given id. The returned handle points
-// into the arena's preconstructed handle table, so the call allocates
-// nothing.
-func (n *Network) Node(id ring.Point) (*Node, error) {
+// Node returns the handle of the live node with the given id.
+func (n *Network) Node(id ring.Point) (Node, error) {
 	s, ok := n.LiveSlot(id)
 	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
+		return Node{}, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
 	}
-	return n.handle(s), nil
+	return Node{n, s}, nil
 }
 
 // Create starts the first node of a fresh network.
-func (n *Network) Create(id ring.Point) (*Node, error) {
+func (n *Network) Create(id ring.Point) (Node, error) {
 	s, err := n.AddNode(id)
 	if err != nil {
-		return nil, err
+		return Node{}, err
 	}
-	return n.handle(s), nil
+	return Node{n, s}, nil
 }
 
 // Join adds a node through the existing node via, per the Kademlia join
@@ -148,12 +140,10 @@ func (n *Network) JoinVia(id, via ring.Point) error {
 	if err != nil {
 		return fail("resolving successor", err)
 	}
-	raw, err := n.Call(id, succ, getPredecessorReq{})
+	pred, _, err := n.Predecessor(id, succ)
 	if err != nil {
-		return fail(fmt.Sprintf("predecessor of %v", succ), err)
+		return fail("reading the ring", err)
 	}
-	pred := raw.(*pointResp).P
-	putPointResp(raw.(*pointResp))
 	if _, err := n.Call(id, succ, spliceReq{Pred: id, HasPred: true}); err != nil {
 		return fail(fmt.Sprintf("splicing %v", succ), err)
 	}
@@ -323,8 +313,8 @@ func (n *Network) lookup(ls *lookupScratch, from, target ring.Point, width int) 
 
 	req := simnet.Message(findNodeReq{Target: target, K: k})
 	for round := 0; ; round++ {
-		if round >= n.cfg.MaxLookupRounds {
-			return rounds, rpcs, fmt.Errorf("%w: exceeded %d rounds toward %v", ErrLookupAborted, n.cfg.MaxLookupRounds, target)
+		if round >= n.maxLookupRounds {
+			return rounds, rpcs, fmt.Errorf("%w: exceeded %d rounds toward %v", ErrLookupAborted, n.maxLookupRounds, target)
 		}
 		// The wave is the first alpha candidates among the k closest
 		// known contacts.
@@ -362,31 +352,6 @@ func (n *Network) lookup(ls *lookupScratch, from, target ring.Point, width int) 
 			putFindNodeResp(resp)
 		}
 	}
-}
-
-// Successor asks node "of" for its ring successor pointer (one RPC):
-// the paper's next(p) primitive.
-func (n *Network) Successor(from, of ring.Point) (ring.Point, error) {
-	raw, err := n.Call(from, of, getSuccessorReq{})
-	if err != nil {
-		return 0, fmt.Errorf("kademlia: successor of %v: %w", of, err)
-	}
-	resp := raw.(*pointResp)
-	p := resp.P
-	putPointResp(resp)
-	return p, nil
-}
-
-// Predecessor asks node "of" for its ring predecessor pointer.
-func (n *Network) Predecessor(from, of ring.Point) (ring.Point, error) {
-	raw, err := n.Call(from, of, getPredecessorReq{})
-	if err != nil {
-		return 0, fmt.Errorf("kademlia: predecessor of %v: %w", of, err)
-	}
-	resp := raw.(*pointResp)
-	p := resp.P
-	putPointResp(resp)
-	return p, nil
 }
 
 // OwnerStats reports the cost split of one ResolveOwner call.
@@ -466,10 +431,10 @@ func (n *Network) resolveOwner(from, x ring.Point, width int, exclude ring.Point
 				m, c, found = id, id, true
 				continue
 			}
-			if cwDist(id, x) < cwDist(m, x) { // distance from id clockwise to x
+			if ring.Distance(id, x) < ring.Distance(m, x) { // distance from id clockwise to x
 				m = id
 			}
-			if cwDist(x, id) < cwDist(x, c) { // distance from x clockwise to id
+			if ring.Distance(x, id) < ring.Distance(x, c) { // distance from x clockwise to id
 				c = id
 			}
 		}
@@ -492,11 +457,11 @@ func (n *Network) resolveOwner(from, x ring.Point, width int, exclude ring.Point
 			n.drop(ls, x, m)
 			continue
 		}
-		if (!hasExclude || s != exclude) && betweenIncl(m, s, x) {
+		if (!hasExclude || s != exclude) && ring.BetweenIncl(m, s, x) {
 			return s, stats, nil
 		}
 		// Above side: if c is the exact owner, its predecessor confirms it.
-		p, err := n.Predecessor(from, c)
+		p, _, err := n.Predecessor(from, c)
 		stats.ChaseRPCs++
 		if err != nil {
 			if c == from {
@@ -505,7 +470,7 @@ func (n *Network) resolveOwner(from, x ring.Point, width int, exclude ring.Point
 			n.drop(ls, x, c)
 			continue
 		}
-		if (!hasExclude || p != exclude) && betweenIncl(p, c, x) {
+		if (!hasExclude || p != exclude) && ring.BetweenIncl(p, c, x) {
 			return c, stats, nil
 		}
 		break
@@ -514,12 +479,8 @@ func (n *Network) resolveOwner(from, x ring.Point, width int, exclude ring.Point
 	// clockwise from m. Ring pointers are ground truth, so the walk
 	// terminates at the true owner. An excluded node (a joiner running
 	// this resolution) is never the target of live ring pointers, so no
-	// exclusion check is needed here. The O(n) alive-count cap is only
-	// computed on this rare path, keeping the common case O(1).
-	maxChase := n.cfg.MaxChaseSteps
-	if maxChase <= 0 {
-		maxChase = n.NumAlive() + 8
-	}
+	// exclusion check is needed here.
+	maxChase := n.chaseBound()
 	cur := m
 	for step := 0; step < maxChase; step++ {
 		next, err := n.Successor(from, cur)
@@ -527,7 +488,7 @@ func (n *Network) resolveOwner(from, x ring.Point, width int, exclude ring.Point
 			return 0, stats, err
 		}
 		stats.ChaseRPCs++
-		if betweenIncl(cur, next, x) {
+		if ring.BetweenIncl(cur, next, x) {
 			return next, stats, nil
 		}
 		cur = next
@@ -562,7 +523,7 @@ func (n *Network) RefreshNode(id ring.Point, refreshBucket int) error {
 		// dead entries are dropped, live ones move to the fresh end, and
 		// replacement-cache contacts are promoted into freed slots.
 		for _, e := range entries {
-			if _, err := n.Call(id, e, pingReq{}); err != nil {
+			if n.Ping(id, e) != nil {
 				n.removeContact(nd.slot, e)
 			} else {
 				n.markAliveContact(nd.slot, i, e)
@@ -581,21 +542,23 @@ func (n *Network) RefreshNode(id ring.Point, refreshBucket int) error {
 	return n.repairRing(nd)
 }
 
+// chaseBound caps a ring-pointer walk at every live node plus slack,
+// the tight correctness bound. Its O(n) count is only taken on the
+// rare walk paths, keeping the common case O(1).
+func (n *Network) chaseBound() int { return n.NumAlive() + 8 }
+
 // repairRing checks the node's successor pointer and re-splices the
 // ring around dead neighbors.
-func (n *Network) repairRing(nd *Node) error {
+func (n *Network) repairRing(nd Node) error {
 	id := nd.ID()
 	succ := nd.Successor()
 	if succ != id {
-		if _, err := n.Call(id, succ, pingReq{}); err == nil {
+		if n.Ping(id, succ) == nil {
 			// Successor alive; reconcile with its predecessor pointer.
-			p, err := n.Predecessor(id, succ)
+			p, _, err := n.Predecessor(id, succ)
 			if err == nil && p != id {
-				alive := false
-				if _, err := n.Call(id, p, pingReq{}); err == nil {
-					alive = true
-				}
-				if alive && p != succ && betweenIncl(id, succ, p) {
+				alive := n.Ping(id, p) == nil
+				if alive && p != succ && ring.BetweenIncl(id, succ, p) {
 					// The successor knows a live node between us — a
 					// joiner whose splice toward us was lost, or a
 					// repair that outran ours. Adopt it and announce
@@ -606,7 +569,7 @@ func (n *Network) repairRing(nd *Node) error {
 					_, _ = n.Call(id, p, spliceReq{Pred: id, HasPred: true})
 					return nil
 				}
-				if !alive || !betweenIncl(id, succ, p) {
+				if !alive || !ring.BetweenIncl(id, succ, p) {
 					// Its predecessor is dead or behind us: we are the
 					// rightful predecessor — re-assert.
 					_, _ = n.Call(id, succ, spliceReq{Pred: id, HasPred: true})
@@ -622,19 +585,16 @@ func (n *Network) repairRing(nd *Node) error {
 	if !ok {
 		return nil // nothing else alive; ring is just this node
 	}
-	maxChase := n.cfg.MaxChaseSteps
-	if maxChase <= 0 {
-		maxChase = n.NumAlive() + 8
-	}
+	maxChase := n.chaseBound()
 	for step := 0; step < maxChase; step++ {
-		p, err := n.Predecessor(id, best)
+		p, _, err := n.Predecessor(id, best)
 		if err != nil || p == best {
 			break
 		}
-		if _, err := n.Call(id, p, pingReq{}); err != nil {
+		if n.Ping(id, p) != nil {
 			break // dead predecessor: best is the boundary
 		}
-		if !betweenIncl(id, best, p) || p == id {
+		if !ring.BetweenIncl(id, best, p) || p == id {
 			break
 		}
 		best = p
@@ -646,7 +606,7 @@ func (n *Network) repairRing(nd *Node) error {
 
 // bestLiveSuccessorCandidate returns the live contact clockwise-
 // closest after id, gathered from the node's table plus a lookup.
-func (n *Network) bestLiveSuccessorCandidate(nd *Node) (ring.Point, bool) {
+func (n *Network) bestLiveSuccessorCandidate(nd Node) (ring.Point, bool) {
 	id := nd.ID()
 	cands := n.Neighbors(nd.slot)
 	ls := lookupScratchPool.Get().(*lookupScratch)
@@ -660,10 +620,10 @@ func (n *Network) bestLiveSuccessorCandidate(nd *Node) (ring.Point, bool) {
 		if c == id {
 			continue
 		}
-		if found && cwDist(id, c) >= cwDist(id, best) {
+		if found && ring.Distance(id, c) >= ring.Distance(id, best) {
 			continue
 		}
-		if _, err := n.Call(id, c, pingReq{}); err != nil {
+		if n.Ping(id, c) != nil {
 			n.removeContact(nd.slot, c)
 			continue
 		}
@@ -686,30 +646,6 @@ func (n *Network) MaintainNode(id ring.Point, round, _ int) {
 // VerifyRing and VerifyTables.
 func (n *Network) Maintain(rounds, fingersPerRound int) {
 	overlay.Maintain(n, rounds, fingersPerRound)
-}
-
-// VerifyRing checks global ring consistency: every live node's succ
-// and pred pointers must match the sorted membership exactly.
-func (n *Network) VerifyRing() error {
-	members := n.Members()
-	if len(members) == 0 {
-		return ErrEmptyNetwork
-	}
-	for i, id := range members {
-		nd, err := n.Node(id)
-		if err != nil {
-			return err
-		}
-		wantSucc := members[(i+1)%len(members)]
-		wantPred := members[(i-1+len(members))%len(members)]
-		if got := nd.Successor(); got != wantSucc {
-			return fmt.Errorf("kademlia: node %v successor = %v, want %v", id, got, wantSucc)
-		}
-		if got := nd.Predecessor(); got != wantPred {
-			return fmt.Errorf("kademlia: node %v predecessor = %v, want %v", id, got, wantPred)
-		}
-	}
-	return nil
 }
 
 // VerifyTables checks structural routing-table invariants for every
@@ -767,8 +703,12 @@ func BuildStatic(cfg Config, tr simnet.Transport, points []ring.Point) (*Network
 // network that spans multiple processes: the full membership defines
 // every node's buckets and ring pointers, but only the nodes selected
 // by owned are hosted on this process. A nil owned predicate owns
-// everything, which is exactly BuildStatic.
+// everything, which is exactly BuildStatic. A BucketSize above
+// maxBucketSize is an error.
 func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, owned func(ring.Point) bool) (*Network, error) {
+	if k := cfg.withDefaults().BucketSize; k > maxBucketSize {
+		return nil, fmt.Errorf("kademlia: bucket size %d outside 1..%d", k, maxBucketSize)
+	}
 	n := NewNetwork(cfg, tr)
 	err := n.BuildStatic(points, owned, func(_ *ring.Ring, idx []int) {
 		sorted := n.Members()

@@ -3,12 +3,14 @@ package kademlia
 import (
 	"fmt"
 
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
 // Node is one Kademlia peer's public handle: a (network, slot) pair
-// into the network's flat slot arena (see internal/overlay). All
+// into the network's flat slot arena (see internal/overlay), built on
+// demand and passed by value. All
 // exported accessors and the RPC handlers are safe for concurrent use;
 // no lock is ever held across an RPC.
 type Node struct {
@@ -17,26 +19,26 @@ type Node struct {
 }
 
 // ID returns the node's identifier.
-func (nd *Node) ID() ring.Point { return nd.net.IDOf(nd.slot) }
+func (nd Node) ID() ring.Point { return nd.net.IDOf(nd.slot) }
 
 // Successor returns the node's ring successor pointer.
-func (nd *Node) Successor() ring.Point { return nd.net.succOf(nd.slot) }
+func (nd Node) Successor() ring.Point { return nd.net.succOf(nd.slot) }
 
 // Predecessor returns the node's ring predecessor pointer.
-func (nd *Node) Predecessor() ring.Point { return nd.net.predOf(nd.slot) }
+func (nd Node) Predecessor() ring.Point { return nd.net.predOf(nd.slot) }
 
 // Contacts returns every routing-table entry (all buckets), the edges
 // a random-walk sampler would traverse.
-func (nd *Node) Contacts() []ring.Point { return nd.net.Neighbors(nd.slot) }
+func (nd Node) Contacts() []ring.Point { return nd.net.Neighbors(nd.slot) }
 
 // TableSize returns the number of routing-table entries.
-func (nd *Node) TableSize() int { return nd.net.tableSizeOf(nd.slot) }
+func (nd Node) TableSize() int { return nd.net.tableSizeOf(nd.slot) }
 
 // BucketEntries returns a copy of bucket i's entries (LRU first).
-func (nd *Node) BucketEntries(i int) []ring.Point { return nd.net.entriesOfSlot(nd.slot, i) }
+func (nd Node) BucketEntries(i int) []ring.Point { return nd.net.entriesOfSlot(nd.slot, i) }
 
 // setRing installs the node's ring pointers.
-func (nd *Node) setRing(succ, pred ring.Point) { nd.net.setRing(nd.slot, succ, pred) }
+func (nd Node) setRing(succ, pred ring.Point) { nd.net.setRing(nd.slot, succ, pred) }
 
 // succOf returns slot s's ring successor identifier.
 func (n *Network) succOf(s uint32) ring.Point {
@@ -46,6 +48,11 @@ func (n *Network) succOf(s uint32) ring.Point {
 	succ := n.ID(a.succs[s])
 	st.RUnlock()
 	return succ
+}
+
+// pointers implements the overlay.Hooks accessor VerifyRing reads.
+func (n *Network) pointers(s uint32) (ring.Point, ring.Point, bool) {
+	return n.succOf(s), n.predOf(s), true
 }
 
 // predOf returns slot s's ring predecessor identifier.
@@ -94,10 +101,10 @@ func (n *Network) handleRPC(s uint32, from simnet.NodeID, msg simnet.Message) (s
 		resp := newFindNodeResp()
 		resp.Closest = n.closestIntoSlot(s, resp.Closest, m.Target, m.K, true)
 		return resp, nil
-	case getSuccessorReq:
-		return newPointResp(n.succOf(s)), nil
-	case getPredecessorReq:
-		return newPointResp(n.predOf(s)), nil
+	case overlay.SuccessorReq:
+		return overlay.NewPointResp(n.succOf(s), true), nil
+	case overlay.PredecessorReq:
+		return overlay.NewPointResp(n.predOf(s), true), nil
 	case spliceReq:
 		// Intern both targets before taking the stripe (lock order:
 		// core mutex before stripe).
@@ -118,9 +125,9 @@ func (n *Network) handleRPC(s uint32, from simnet.NodeID, msg simnet.Message) (s
 			a.preds[s] = ps
 		}
 		st.Unlock()
-		return ackResp{}, nil
-	case pingReq:
-		return ackResp{}, nil
+		return overlay.Ack{}, nil
+	case overlay.PingReq:
+		return overlay.Ack{}, nil
 	default:
 		return nil, fmt.Errorf("kademlia: node %v: unknown message %T from %d", n.IDOf(s), msg, from)
 	}

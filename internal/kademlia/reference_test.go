@@ -67,8 +67,8 @@ func (n *Network) findClosestMapRef(from, target ring.Point) (LookupResult, erro
 	var res LookupResult
 	req := simnet.Message(findNodeReq{Target: target, K: k})
 	for round := 0; ; round++ {
-		if round >= n.cfg.MaxLookupRounds {
-			return res, fmt.Errorf("%w: exceeded %d rounds toward %v", ErrLookupAborted, n.cfg.MaxLookupRounds, target)
+		if round >= n.maxLookupRounds {
+			return res, fmt.Errorf("%w: exceeded %d rounds toward %v", ErrLookupAborted, n.maxLookupRounds, target)
 		}
 		var best, wave []ring.Point
 		for id, st := range state {
@@ -254,11 +254,13 @@ func (tr *scriptedTransport) Meter() *simnet.Meter     { return &tr.meter }
 func (tr *scriptedTransport) Close() error             { return nil }
 
 // scriptedNetwork builds a one-node network over a scripted transport:
-// the initiator fuzzID(0) with the given contacts in its table.
-func scriptedNetwork(t *testing.T, cfg Config, seeds, script []byte) (*Network, *scriptedTransport) {
+// the initiator fuzzID(0) with the given contacts in its table and the
+// given lookup round budget.
+func scriptedNetwork(t *testing.T, cfg Config, rounds int, seeds, script []byte) (*Network, *scriptedTransport) {
 	t.Helper()
 	tr := &scriptedTransport{script: script}
 	net := NewNetwork(cfg, tr)
+	net.maxLookupRounds = rounds
 	nd, err := net.Create(fuzzID(0))
 	if err != nil {
 		t.Fatal(err)
@@ -288,15 +290,16 @@ func FuzzLookupShortlistMatchesReference(f *testing.F) {
 		// many of the script's first bytes seed the initiator's table;
 		// its top bit cuts the round budget so that aborts compare too.
 		cfg := Config{BucketSize: []int{1, 2, 3, 16}[shape%4], Alpha: int(shape/4)%3 + 1}
+		rounds := 128
 		if shape >= 128 {
-			cfg.MaxLookupRounds = 2
+			rounds = 2
 		}
 		nseed := min(len(script), int(shape/12)%8)
 		seeds, script := script[:nseed], script[nseed:]
 		from := fuzzID(0)
 
-		got, gotTr := scriptedNetwork(t, cfg, seeds, script)
-		want, wantTr := scriptedNetwork(t, cfg, seeds, script)
+		got, gotTr := scriptedNetwork(t, cfg, rounds, seeds, script)
+		want, wantTr := scriptedNetwork(t, cfg, rounds, seeds, script)
 		gotRes, gotErr := got.FindClosest(from, ring.Point(target))
 		wantRes, wantErr := want.findClosestMapRef(from, ring.Point(target))
 
@@ -328,7 +331,7 @@ func FuzzLookupShortlistMatchesReference(f *testing.F) {
 
 		// The width only decides when to stop: h's lookup (width 1) fed
 		// the same script issues a prefix of the full-width RPC sequence.
-		short, shortTr := scriptedNetwork(t, cfg, seeds, script)
+		short, shortTr := scriptedNetwork(t, cfg, rounds, seeds, script)
 		_, shortRPCs, shortErr := short.lookup(new(lookupScratch), from, ring.Point(target), 1)
 		if shortRPCs != len(shortTr.log) || shortRPCs > len(gotTr.log) || !slices.Equal(shortTr.log, gotTr.log[:shortRPCs]) {
 			t.Fatalf("width-1 RPC sequence is not a prefix of the width-%d one:\n got %v\nwant a prefix of %v", cfg.BucketSize, shortTr.log, gotTr.log)

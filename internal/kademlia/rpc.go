@@ -40,28 +40,12 @@ func bucketIndex(d uint64) int {
 	return bits.Len64(d) - 1
 }
 
-// cwDist returns the clockwise ring distance from x to p (zero when
-// they coincide). The ring metric decides key ownership — h(x) is the
-// clockwise-closest peer — while the XOR metric only routes.
-func cwDist(x, p ring.Point) uint64 {
-	return ring.Distance(x, p)
-}
-
-// betweenIncl reports whether x lies in the clockwise interval (a, b].
-// When a == b the interval spans the full circle (the single-node
-// case), so every x qualifies.
-func betweenIncl(a, b, x ring.Point) bool {
-	if a == b {
-		return true
-	}
-	d := ring.Distance(a, x)
-	return d != 0 && d <= ring.Distance(a, b)
-}
-
 // RPC request and response payloads. Handlers are strictly local: they
 // read or mutate the destination node's state and never issue nested
 // RPCs, which keeps every transport deadlock-free. Liveness probes and
 // bucket refreshes happen in the maintenance path, never in handlers.
+// The ring metric (ring.Distance) decides key ownership — h(x) is the
+// clockwise-closest peer — while the XOR metric only routes.
 
 // findNodeReq asks a node for the K contacts it knows closest (by XOR)
 // to Target.
@@ -94,44 +78,13 @@ func newFindNodeResp() *findNodeResp {
 // putFindNodeResp recycles a reply, keeping its buffer.
 func putFindNodeResp(r *findNodeResp) { findNodeRespPool.Put(r) }
 
-// getSuccessorReq asks a node for its ring successor pointer. This is
-// the paper's next(p): one pointer chase, one RPC.
-type getSuccessorReq struct{}
-
-// getPredecessorReq asks a node for its ring predecessor pointer.
-type getPredecessorReq struct{}
-
-// pointResp carries one identifier. Pooled like findNodeResp: the
-// successor chase issues one of these RPCs per walk step of every
-// sample. Consumers copy P out and recycle with putPointResp.
-type pointResp struct {
-	P ring.Point
-}
-
-var pointRespPool = sync.Pool{New: func() any { return new(pointResp) }}
-
-// newPointResp returns a filled reply from the pool.
-func newPointResp(p ring.Point) *pointResp {
-	r := pointRespPool.Get().(*pointResp)
-	r.P = p
-	return r
-}
-
-// putPointResp recycles a reply the consumer is done with.
-func putPointResp(r *pointResp) { pointRespPool.Put(r) }
-
 // spliceReq rewires a node's ring pointers during a join: the receiver
-// adopts Succ and/or Pred when the corresponding Has flag is set.
+// adopts Succ and/or Pred when the corresponding Has flag is set and
+// answers overlay.Ack. The ring-pointer requests and ping are the
+// shared ones in internal/overlay.
 type spliceReq struct {
 	Succ    ring.Point
 	HasSucc bool
 	Pred    ring.Point
 	HasPred bool
 }
-
-// pingReq checks liveness (used by maintenance to validate
-// least-recently-seen bucket entries before eviction decisions).
-type pingReq struct{}
-
-// ackResp acknowledges splice and ping.
-type ackResp struct{}

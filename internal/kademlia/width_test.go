@@ -159,10 +159,10 @@ func TestResolveOwnerSurvivesDeadVerificationContact(t *testing.T) {
 		}
 		m, c, mQueried := from, from, true
 		for _, e := range ls.short {
-			if cwDist(e.id, x) < cwDist(m, x) {
+			if ring.Distance(e.id, x) < ring.Distance(m, x) {
 				m, mQueried = e.id, e.queried
 			}
-			if cwDist(x, e.id) < cwDist(x, c) {
+			if ring.Distance(x, e.id) < ring.Distance(x, c) {
 				c = e.id
 			}
 		}

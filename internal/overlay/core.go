@@ -1,9 +1,11 @@
-// Package overlay is the storage core both overlays (internal/chord,
+// Package overlay is the core both overlays (internal/chord,
 // internal/kademlia) embed by value: one slot arena, one membership
-// index, one scavenger, one transport registration and one dht.DHT
-// adapter. An overlay keeps only what differs — its routing arrays and
-// protocol — and hands the core five Hooks. Above the protocol both are
-// one method set, Network (network.go).
+// index, one scavenger, one transport registration, one dht.DHT
+// adapter and the ring half of the protocol — the pointer RPCs behind
+// next(p), their client calls and the ring check (pointers.go). An
+// overlay keeps only what differs — its routing arrays, its lookup and
+// its repair policy — and hands the core six Hooks. Above the protocol
+// both are one method set, Network (network.go).
 //
 // Flat index-based node storage. Every node a network knows about —
 // live members, crashed members whose state in-flight RPCs may still
@@ -34,8 +36,8 @@
 // holding either lock never observes a half-moved arena.
 //
 // Public node handles are (network, slot) pairs holding no state of
-// their own: 16 bytes, preconstructed once per slot in the overlay's
-// handle table and handed out by pointer with no allocation.
+// their own: two-word values built on demand, with no allocation and no
+// per-slot table.
 //
 // Slot reuse can alias: a handle or routing entry observed just before
 // its slot was scavenged and recycled reads the new occupant's state.
@@ -59,6 +61,7 @@ import (
 var (
 	ErrNodeExists   = errors.New("overlay: node already exists")
 	ErrNodeNotFound = errors.New("overlay: node not found")
+	ErrEmptyNetwork = errors.New("overlay: network has no live nodes")
 )
 
 const (
@@ -85,6 +88,9 @@ type Hooks struct {
 	Drop func(s uint32)
 	// Handle serves one RPC addressed to the node in slot s.
 	Handle func(s uint32, from simnet.NodeID, msg simnet.Message) (simnet.Message, error)
+	// Pointers reads live slot s's ring pointers for VerifyRing; hasPred
+	// is false when the node knows no predecessor.
+	Pointers func(s uint32) (succ, pred ring.Point, hasPred bool)
 }
 
 // Marks is a bitset over slots.

@@ -10,24 +10,22 @@ import (
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
-// Router is the protocol half of an overlay, as the paper's model sees
-// it: every call is made on behalf of the node "from" and charged on
-// the transport meter.
+// Router is what an overlay's protocol adds to the core, as the paper's
+// model sees it: its own lookup and its own edges. next(p) is the
+// core's Successor, the same in every overlay.
 type Router interface {
-	// Owner resolves h(x): the peer whose point is clockwise-closest
-	// to x, by a routed lookup.
+	// Owner resolves h(x) on behalf of node "from": the peer whose point
+	// is clockwise-closest to x, by a routed lookup charged on the
+	// transport meter.
 	Owner(from, x ring.Point) (ring.Point, error)
-	// Successor asks node "of" for its ring successor (one RPC): the
-	// paper's next(p).
-	Successor(from, of ring.Point) (ring.Point, error)
 	// Neighbors returns the outgoing overlay edges of the node in slot
 	// s, the graph random-walk samplers traverse.
 	Neighbors(s uint32) []ring.Point
 }
 
 // DHT adapts an overlay network, viewed from one caller node, to the
-// paper's abstract DHT model: H is the router's lookup and Next one
-// get-successor RPC.
+// paper's abstract DHT model: H is the router's lookup and Next the
+// core's one get-successor RPC.
 type DHT struct {
 	core   *Core
 	r      Router
@@ -80,7 +78,7 @@ func (d *DHT) H(x ring.Point) (dht.Peer, error) {
 
 // Next implements dht.DHT via one get-successor RPC to p.
 func (d *DHT) Next(p dht.Peer) (dht.Peer, error) {
-	succ, err := d.r.Successor(d.caller, p.Point)
+	succ, err := d.core.Successor(d.caller, p.Point)
 	if err != nil {
 		if errors.Is(err, simnet.ErrUnknownNode) {
 			return dht.Peer{}, fmt.Errorf("%w: no peer at %v", dht.ErrUnknownPeer, p.Point)

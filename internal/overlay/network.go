@@ -6,8 +6,8 @@ import (
 )
 
 // Network is one overlay seen from above its protocol package: the
-// Router, the membership half of the embedded Core, and the join,
-// maintenance and verification entry points. *chord.Network and
+// Router, the membership and ring half of the embedded Core, and the
+// join and maintenance entry points. *chord.Network and
 // *kademlia.Network implement it directly, so everything above them —
 // the facade, the churn driver, the daemon, the experiments — holds
 // this one handle and names a backend only where internal/overlays
@@ -23,6 +23,9 @@ type Network interface {
 	LiveSlot(id ring.Point) (uint32, bool)
 	// Crash removes a node abruptly.
 	Crash(id ring.Point) error
+	// Successor asks node "of" for its ring successor (one RPC): the
+	// paper's next(p).
+	Successor(from, of ring.Point) (ring.Point, error)
 	// Transport returns the transport the network is registered on.
 	Transport() simnet.Transport
 	// StorageStats returns the slot-arena occupancy.

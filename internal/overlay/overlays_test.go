@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/dht-sampling/randompeer/internal/adversary"
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/overlays"
@@ -24,11 +25,14 @@ import (
 // slices are immutable and epoch-consistent under concurrent churn.
 
 // storage is the shared handle plus the core's recycling and epoch
-// observers, which only these storage invariants read.
+// observers and the rest of its ring half, which only these invariants
+// read.
 type storage interface {
 	overlay.Network
 	Scavenge() int
 	Epoch() uint64
+	Predecessor(from, of ring.Point) (ring.Point, bool, error)
+	Ping(from, to ring.Point) error
 }
 
 func build(t *testing.T, backend string, cfg overlays.Config, points []ring.Point) storage {
@@ -44,8 +48,8 @@ var table = []struct {
 	name string
 	// Heap budget: bytes per node of a static build of budgetN peers.
 	// A chord peer is a handful of packed array rows (id, ring
-	// pointers, finger and successor slot references, a 16-byte
-	// handle), measured at ~340 bytes/node; the budget leaves slack for
+	// pointers, finger and successor slot references), measured at
+	// ~324 bytes/node; the budget leaves slack for
 	// allocator rounding but fails long before a per-node heap object
 	// sneaks back in. Kademlia adds ~log2(n) bucket regions of 1+k+4
 	// words from the shared pool, ~1.6 KB/node at this n: its budget
@@ -316,6 +320,17 @@ func TestNetworkContract(t *testing.T) {
 			if err := net.VerifyRing(); err != nil {
 				t.Fatalf("static build: %v", err)
 			}
+			// The shared ring half reads each overlay's own pointers.
+			for j, id := range pts {
+				succ, err := net.Successor(pts[0], id)
+				if want := pts[(j+1)%n]; err != nil || succ != want {
+					t.Fatalf("Successor(%v) = %v, %v; want %v", id, succ, err, want)
+				}
+				pred, has, err := net.Predecessor(pts[0], id)
+				if want := pts[(j+n-1)%n]; err != nil || !has || pred != want {
+					t.Fatalf("Predecessor(%v) = %v, %v, %v; want %v, true", id, pred, has, err, want)
+				}
+			}
 			if err := net.Join(pts[3], pts[0]); !errors.Is(err, overlay.ErrNodeExists) {
 				t.Errorf("Join of a live id = %v, want ErrNodeExists", err)
 			}
@@ -328,8 +343,14 @@ func TestNetworkContract(t *testing.T) {
 			}
 
 			victim := pts[5]
+			if err := net.Ping(pts[0], victim); err != nil {
+				t.Fatalf("Ping of a live node: %v", err)
+			}
 			if err := net.Crash(victim); err != nil {
 				t.Fatal(err)
+			}
+			if err := net.Ping(pts[0], victim); !errors.Is(err, simnet.ErrUnknownNode) {
+				t.Errorf("Ping of a crashed node = %v, want ErrUnknownNode", err)
 			}
 			net.MaintainNode(victim, 0, 4)
 			if _, ok := net.LiveSlot(victim); ok || net.NumAlive() != n-1 {
@@ -363,5 +384,48 @@ func TestNetworkContract(t *testing.T) {
 				t.Errorf("StorageStats.Live = %d, NumAlive = %d", st.Live, net.NumAlive())
 			}
 		})
+	}
+}
+
+// TestPointerLiesOnEveryBackend arms an attack on each backend's shared
+// pointer queries: route-bias colluders answer them with coalition
+// members (each overlay forges its own lie into the shared reply),
+// censoring ones drop them, and honest nodes still tell the truth.
+func TestPointerLiesOnEveryBackend(t *testing.T) {
+	for i, name := range overlays.Names {
+		for _, kind := range []adversary.Kind{adversary.RouteBias, adversary.Censor} {
+			t.Run(name+"/"+kind.String(), func(t *testing.T) {
+				const n = 64
+				pts, _ := points(t, uint64(41+2*i), n)
+				net := build(t, name, overlays.Config{}, pts)
+				plan, err := adversary.New(pts, adversary.Config{Kind: kind, Fraction: 0.25, Seed: 3, Exclude: pts[:1]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lies, err := plan.Interceptor(net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.Transport().(simnet.Interceptable).SetInterceptor(lies)
+				for j, id := range pts {
+					succ, serr := net.Successor(pts[0], id)
+					pred, has, perr := net.Predecessor(pts[0], id)
+					switch {
+					case !plan.Contains(id):
+						if serr != nil || perr != nil || succ != pts[(j+1)%n] || !has || pred != pts[(j+n-1)%n] {
+							t.Fatalf("honest %v: successor %v, %v; predecessor %v, %v, %v", id, succ, serr, pred, has, perr)
+						}
+					case kind == adversary.Censor:
+						if !errors.Is(serr, simnet.ErrDropped) || !errors.Is(perr, simnet.ErrDropped) {
+							t.Fatalf("censor %v: successor error %v, predecessor error %v; want ErrDropped", id, serr, perr)
+						}
+					default:
+						if serr != nil || perr != nil || !has || !plan.Contains(succ) || !plan.Contains(pred) {
+							t.Fatalf("liar %v: successor %v, %v; predecessor %v, %v, %v; want coalition members", id, succ, serr, pred, has, perr)
+						}
+					}
+				}
+			})
+		}
 	}
 }

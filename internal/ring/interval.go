@@ -30,6 +30,28 @@ func (iv Interval) Contains(x Point) bool {
 	return d != 0 && d <= iv.Length()
 }
 
+// BetweenIncl reports whether x lies in the clockwise interval (a, b].
+// Unlike Interval, a == b spans the full circle — the protocol
+// convention, under which a lone node owns every key — so every x
+// qualifies.
+func BetweenIncl(a, b, x Point) bool {
+	if a == b {
+		return true
+	}
+	d := Distance(a, x)
+	return d != 0 && d <= Distance(a, b)
+}
+
+// BetweenExcl reports whether x lies in the open clockwise interval
+// (a, b). When a == b the interval is the full circle minus a.
+func BetweenExcl(a, b, x Point) bool {
+	if a == b {
+		return x != a
+	}
+	d := Distance(a, x)
+	return d != 0 && d < Distance(a, b)
+}
+
 // Big reports whether the interval length is at least lambda; intervals
 // that are not big are small (paper, Section 3).
 func (iv Interval) Big(lambda uint64) bool {

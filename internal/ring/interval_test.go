@@ -37,6 +37,34 @@ func TestIntervalLengthAndContains(t *testing.T) {
 	}
 }
 
+// TestBetween pins the protocol predicates, including the full-circle
+// reading of a == b that sets them apart from Interval.
+func TestBetween(t *testing.T) {
+	t.Parallel()
+	top := ^Point(0)
+	tests := []struct {
+		a, b, x    Point
+		incl, excl bool
+	}{
+		{a: 10, b: 20, x: 10, incl: false, excl: false},
+		{a: 10, b: 20, x: 15, incl: true, excl: true},
+		{a: 10, b: 20, x: 20, incl: true, excl: false},
+		{a: 10, b: 20, x: 25, incl: false, excl: false},
+		{a: top - 5, b: 5, x: 0, incl: true, excl: true},
+		{a: top - 5, b: 5, x: 100, incl: false, excl: false},
+		{a: 7, b: 7, x: 7, incl: true, excl: false},
+		{a: 7, b: 7, x: 3, incl: true, excl: true},
+	}
+	for _, tt := range tests {
+		if got := BetweenIncl(tt.a, tt.b, tt.x); got != tt.incl {
+			t.Errorf("BetweenIncl(%d, %d, %d) = %v, want %v", tt.a, tt.b, tt.x, got, tt.incl)
+		}
+		if got := BetweenExcl(tt.a, tt.b, tt.x); got != tt.excl {
+			t.Errorf("BetweenExcl(%d, %d, %d) = %v, want %v", tt.a, tt.b, tt.x, got, tt.excl)
+		}
+	}
+}
+
 func TestIntervalBig(t *testing.T) {
 	t.Parallel()
 	iv := NewInterval(0, 100)

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/obs"
@@ -35,16 +33,6 @@ type Transport struct {
 	// constRTT short-circuits constant models on the hot path: no
 	// uniform draw, no interface call. Zero means "not constant".
 	constRTT time.Duration
-	// shaped is true while any slowdown or link delay is installed;
-	// false keeps the constant-model fast path inlinable in Call.
-	shaped atomic.Bool
-
-	// slow and delay are copy-on-write (writers serialise on shapeMu)
-	// so the hot path pays one atomic load when no slowdowns or link
-	// delays are installed.
-	shapeMu sync.Mutex
-	slow    atomic.Pointer[map[simnet.NodeID]float64]
-	delay   atomic.Pointer[map[[2]simnet.NodeID]time.Duration]
 }
 
 var (
@@ -79,8 +67,8 @@ func WithKernel(k *Kernel) TransportOption {
 
 // WithFaults attaches a fault-injection plan (shared with the simnet
 // transports). Combine with Kernel.At to script time-based faults:
-// schedule a process that flips SetDead, SetDropRate, SetNodeSlowdown,
-// SetLinkDelay or Partition/Heal at chosen virtual times.
+// schedule a process that flips SetDead, SetDropRate or Partition/Heal
+// at chosen virtual times. Slow hosts are a latency model (Straggler).
 func WithFaults(f *simnet.Faults) TransportOption {
 	return func(t *Transport) { t.Faults = f }
 }
@@ -97,8 +85,8 @@ func NewTransport(opts ...TransportOption) *Transport {
 	if c, ok := t.model.(Constant); ok {
 		t.constRTT = c.RTT
 		// Arm the meter's constant-latency fast lane: successful calls
-		// under an unshaped constant model charge call count and latency
-		// record in one atomic add (see Meter.ChargeConstSuccess).
+		// under a constant model charge call count and latency record in
+		// one atomic add (see Meter.ChargeConstSuccess).
 		t.Meter().ArmConstLatency(c.RTT)
 	}
 	return t
@@ -117,94 +105,6 @@ func (t *Transport) Now() time.Duration {
 
 // Model returns the transport's latency model.
 func (t *Transport) Model() Model { return t.model }
-
-// SetNodeSlowdown multiplies the latency of every RPC from or to id by
-// factor (factor 1 removes the slowdown). It models a struggling host —
-// schedule it from a timed kernel process to start or stop mid-run.
-func (t *Transport) SetNodeSlowdown(id simnet.NodeID, factor float64) {
-	t.shapeMu.Lock()
-	defer t.shapeMu.Unlock()
-	old := t.slow.Load()
-	next := make(map[simnet.NodeID]float64)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	if factor == 1 {
-		delete(next, id)
-	} else {
-		next[id] = factor
-	}
-	if len(next) == 0 {
-		t.slow.Store(nil)
-	} else {
-		t.slow.Store(&next)
-	}
-	t.reshape()
-}
-
-// SetLinkDelay adds a fixed extra delay to every RPC on the directed
-// link from -> to (zero removes it). It models a congested or long
-// route between two specific peers.
-func (t *Transport) SetLinkDelay(from, to simnet.NodeID, extra time.Duration) {
-	t.shapeMu.Lock()
-	defer t.shapeMu.Unlock()
-	old := t.delay.Load()
-	next := make(map[[2]simnet.NodeID]time.Duration)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	key := [2]simnet.NodeID{from, to}
-	if extra == 0 {
-		delete(next, key)
-	} else {
-		next[key] = extra
-	}
-	if len(next) == 0 {
-		t.delay.Store(nil)
-	} else {
-		t.delay.Store(&next)
-	}
-	t.reshape()
-}
-
-// reshape refreshes the fast-path flag after a slowdown or delay
-// change (caller holds t.shapeMu).
-func (t *Transport) reshape() {
-	t.shaped.Store(t.slow.Load() != nil || t.delay.Load() != nil)
-}
-
-// latencySlow draws from the model and applies slowdowns and delays.
-// Call bypasses it for unshaped constant models — the per-RPC hot path
-// of every simulated-time benchmark.
-func (t *Transport) latencySlow(from, to simnet.NodeID) time.Duration {
-	var d time.Duration
-	if t.constRTT != 0 {
-		d = t.constRTT
-	} else {
-		d = t.model.Latency(from, to, t.stream.U01())
-	}
-	if m := t.slow.Load(); m != nil {
-		if f, ok := (*m)[from]; ok {
-			d = time.Duration(float64(d) * f)
-		}
-		if f, ok := (*m)[to]; ok {
-			d = time.Duration(float64(d) * f)
-		}
-	}
-	if m := t.delay.Load(); m != nil {
-		if extra, ok := (*m)[[2]simnet.NodeID{from, to}]; ok {
-			d += extra
-		}
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
 
 // Call implements simnet.Transport. The destination is resolved only
 // after the latency has elapsed, so a node deregistered (crashed) while
@@ -241,9 +141,9 @@ func (t *Transport) callTraced(tr *obs.Trace, from, to simnet.NodeID, msg simnet
 // transport included — charges the meter and records the latency.
 func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
 	lat := t.constRTT
-	konst := lat != 0 && !t.shaped.Load()
+	konst := lat != 0
 	if !konst {
-		lat = t.latencySlow(from, to)
+		lat = max(t.model.Latency(from, to, t.stream.U01()), 0)
 	}
 	if k := t.kernel; k != nil {
 		if err := k.Sleep(lat); err != nil {
@@ -269,8 +169,8 @@ func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message) (simnet.Mes
 		return t.fail(from, to, lat, err)
 	}
 	if konst {
-		// Unshaped constant model: one atomic add covers the call count
-		// and the latency record — the same meter traffic Direct pays.
+		// Constant model: one atomic add covers the call count and the
+		// latency record — the same meter traffic Direct pays.
 		t.Meter().ChargeConstSuccess()
 	} else {
 		t.Meter().ChargeSuccess()
