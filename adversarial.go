@@ -37,7 +37,7 @@ func (tb *Testbed) PartitionFraction(name string, fraction float64, seed uint64)
 	if tb.faults == nil {
 		return fmt.Errorf("randompeer: partitions require a transport-backed backend (chord or kademlia), not %s", tb.backend)
 	}
-	if fraction <= 0 || fraction >= 1 {
+	if !(fraction > 0 && fraction < 1) { // rejects NaN too
 		return fmt.Errorf("randompeer: partition fraction %v outside (0,1)", fraction)
 	}
 	count := int(fraction * float64(tb.n))
@@ -146,7 +146,7 @@ func parseAdversarySpec(spec string) (adversary.Kind, float64, error) {
 		return 0, 0, err
 	}
 	f, err := strconv.ParseFloat(frac, 64)
-	if err != nil || f < 0 || f > 1 {
+	if err != nil || !(f >= 0 && f <= 1) { // rejects NaN too
 		return 0, 0, fmt.Errorf("randompeer: adversary fraction %q outside [0,1]", frac)
 	}
 	return kind, f, nil

@@ -2,7 +2,6 @@ package main
 
 import (
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,7 +19,8 @@ const sloMaxWindows = 720
 // recorder in internal/load: a background loop snapshots the daemon's
 // metrics registry every window, subtracts consecutive snapshots into
 // per-window deltas, and maps the wire transport's RPC series onto SLO
-// window inputs. GET /v1/slo evaluates the retained windows on demand,
+// window inputs with cluster.WireSLOWindow, the mapping the fleet
+// scrape uses. GET /v1/slo evaluates the retained windows on demand,
 // so the report is always current without the daemon ever scraping
 // itself over HTTP.
 type sloRecorder struct {
@@ -71,22 +71,7 @@ func (r *sloRecorder) loop() {
 // an SLO window input, advance the cursor. Callers hold r.mu.
 func (r *sloRecorder) cutLocked(now time.Time) {
 	snap := r.reg.Snapshot()
-	delta := snap.Delta(r.prev)
-	in := slo.WindowInput{
-		Start: r.prevAt.Sub(r.epoch),
-		End:   now.Sub(r.epoch),
-	}
-	if h, ok := delta.Hist("wire_rpc_duration_seconds"); ok {
-		in.Latency = h
-		in.OK = h.Count
-	}
-	for _, key := range delta.Keys {
-		if strings.HasPrefix(key, "wire_rpc_failures_total") {
-			if v, ok := delta.Value(key); ok {
-				in.Failed += int64(v)
-			}
-		}
-	}
+	in := cluster.WireSLOWindow(snap.Delta(r.prev), r.prevAt.Sub(r.epoch), now.Sub(r.epoch))
 	r.wins = append(r.wins, in)
 	if len(r.wins) > sloMaxWindows {
 		r.wins = r.wins[len(r.wins)-sloMaxWindows:]

@@ -118,7 +118,7 @@ type Plan struct {
 
 // New compiles an attack plan over the given membership.
 func New(members []ring.Point, cfg Config) (*Plan, error) {
-	if cfg.Fraction < 0 || cfg.Fraction > 1 {
+	if !(cfg.Fraction >= 0 && cfg.Fraction <= 1) { // rejects NaN too
 		return nil, fmt.Errorf("adversary: fraction %v outside [0,1]", cfg.Fraction)
 	}
 	if cfg.Kind == Eclipse && !slices.Contains(members, cfg.Victim) {

@@ -2,6 +2,7 @@ package adversary_test
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -135,6 +136,9 @@ func TestPlanErrors(t *testing.T) {
 	}
 	if _, err := adversary.New(r.Points(), adversary.Config{Fraction: -0.1}); err == nil {
 		t.Error("negative fraction must fail")
+	}
+	if _, err := adversary.New(r.Points(), adversary.Config{Fraction: math.NaN()}); err == nil {
+		t.Error("NaN fraction must fail")
 	}
 	if _, err := adversary.New(r.Points(), adversary.Config{Kind: adversary.Eclipse, Fraction: 0.5, Victim: 12345}); err == nil {
 		t.Error("eclipse with non-member victim must fail")

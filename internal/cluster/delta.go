@@ -12,10 +12,11 @@ import (
 // Windowed fleet metrics: a ClusterScrape is one point-in-time capture
 // of every daemon's /metrics exposition, and Delta turns two captures
 // into per-window increases — the wall-clock counterpart of the
-// virtual-time recorder in internal/load. Counter and histogram deltas
-// clamp at zero per daemon, so a restarted daemon (whose counters
-// reset) reads as no progress for that window instead of dragging the
-// fleet total negative.
+// virtual-time recorder in internal/load. Each daemon's window is
+// obs.RegistrySnapshot.Delta of its two parsed readings, so counter and
+// histogram resets clamp at zero per daemon: a restarted daemon reads
+// as no progress for that window instead of dragging the fleet total
+// negative.
 
 // ClusterScrape is one fleet-wide metrics capture, daemon-indexed.
 type ClusterScrape struct {
@@ -39,13 +40,13 @@ func (c *Cluster) Scrape() (*ClusterScrape, error) {
 type ScrapeDelta struct {
 	// Start and End are the two capture times.
 	Start, End time.Time
-	// Series sums each scalar series across daemons: counters as their
-	// per-daemon clamped increase, gauges (and untyped series) at their
-	// latest reading. Keys are obstest.SeriesKey form (name{labels}).
+	// Sum adds up the daemons' per-series deltas, keyed as obs.Key keys
+	// them: counters and histograms by their clamped increase, gauges
+	// (and untyped series) by their latest reading.
+	Sum obs.RegistrySnapshot
+	// Series is Sum's scalar series alone, value by key — the flat view
+	// for a caller that reads one counter.
 	Series map[string]float64
-	// Hists sums each histogram series' bucket-wise clamped increase
-	// across daemons, keyed like Series by family name plus labels.
-	Hists map[string]obs.HistSnapshot
 }
 
 // Delta computes the fleet-wide increase from prev to s. Daemons are
@@ -56,79 +57,58 @@ type ScrapeDelta struct {
 func (s *ClusterScrape) Delta(prev *ClusterScrape) *ScrapeDelta {
 	out := &ScrapeDelta{
 		End:    s.Taken,
+		Sum:    obs.RegistrySnapshot{Series: make(map[string]obs.SeriesValue)},
 		Series: make(map[string]float64),
-		Hists:  make(map[string]obs.HistSnapshot),
 	}
 	if prev != nil {
 		out.Start = prev.Taken
 	}
 	for i, e := range s.Daemons {
-		var pe *obstest.Exposition
+		var old obs.RegistrySnapshot
 		if prev != nil && i < len(prev.Daemons) {
-			pe = prev.Daemons[i]
+			old = prev.Daemons[i].Snapshot()
 		}
-		for _, smp := range e.Samples {
-			family, typ := e.Family(smp.Name)
-			if typ == "histogram" {
-				if smp.Name != family+"_count" {
-					continue // one hist delta per series, keyed off _count
-				}
-				cur, ok := e.HistSnapshot(family, smp.Labels)
-				if !ok {
-					continue
-				}
-				var prevH obs.HistSnapshot
-				if pe != nil {
-					prevH, _ = pe.HistSnapshot(family, smp.Labels)
-				}
-				key := obstest.SeriesKey(family, smp.Labels)
-				out.Hists[key] = addHists(out.Hists[key], cur.Sub(prevH))
-				continue
+		d := e.Snapshot().Delta(old)
+		for _, key := range d.Keys {
+			v := d.Series[key]
+			sum, seen := out.Sum.Series[key]
+			if !seen {
+				out.Sum.Keys = append(out.Sum.Keys, key)
+				sum.Kind = v.Kind
 			}
-			key := smp.Key()
-			v := smp.Value
-			if typ == "counter" {
-				var prevV float64
-				if pe != nil {
-					prevV, _ = pe.Value(smp.Name, smp.Labels)
-				}
-				v -= prevV
-				if v < 0 {
-					v = 0 // counter reset: the daemon restarted mid-window
-				}
+			if v.Kind == obs.KindHistogram {
+				sum.Hist = sum.Hist.Add(v.Hist)
+			} else {
+				sum.Value += v.Value
+				out.Series[key] = sum.Value
 			}
-			out.Series[key] += v
+			out.Sum.Series[key] = sum
 		}
 	}
 	return out
 }
 
-// addHists sums two histogram readings bucket-wise.
-func addHists(a, b obs.HistSnapshot) obs.HistSnapshot {
-	a.Count += b.Count
-	a.SumNanos += b.SumNanos
-	for i := range a.Buckets {
-		a.Buckets[i] += b.Buckets[i]
-	}
-	return a
+// SLOWindow maps the fleet delta onto the SLO engine's window input
+// (WireSLOWindow), with the capture times relative to epoch as the
+// window bounds. Feeding successive deltas to slo.Evaluate yields the
+// same report shape over a live cluster that E28 computes in virtual
+// time.
+func (d *ScrapeDelta) SLOWindow(epoch time.Time) slo.WindowInput {
+	return WireSLOWindow(d.Sum, d.Start.Sub(epoch), d.End.Sub(epoch))
 }
 
-// SLOWindow maps one fleet delta onto the SLO engine's window input
-// using the wire transport's RPC series: OK counts the successful
-// round trips the latency histogram recorded, Failed sums the failure
-// taxonomy counters, and the window bounds are the capture times
-// relative to epoch. Feeding successive deltas to slo.Evaluate yields
-// the same report shape over a live cluster that E28 computes in
-// virtual time.
-func (d *ScrapeDelta) SLOWindow(epoch time.Time) slo.WindowInput {
-	in := slo.WindowInput{
-		Start: d.Start.Sub(epoch),
-		End:   d.End.Sub(epoch),
-	}
-	in.Latency = d.Hists["wire_rpc_duration_seconds"]
+// WireSLOWindow maps one window's registry delta onto the SLO engine's
+// input from the wire transport's RPC series: OK counts the successful
+// round trips the duration histogram recorded, Failed sums the failure
+// taxonomy counters. It is the one such mapping: the fleet's SLOWindow
+// and randpeerd's live /v1/slo recorder both call it.
+func WireSLOWindow(delta obs.RegistrySnapshot, start, end time.Duration) slo.WindowInput {
+	in := slo.WindowInput{Start: start, End: end}
+	in.Latency, _ = delta.Hist("wire_rpc_duration_seconds")
 	in.OK = in.Latency.Count
-	for key, v := range d.Series {
+	for _, key := range delta.Keys {
 		if strings.HasPrefix(key, "wire_rpc_failures_total") {
+			v, _ := delta.Value(key)
 			in.Failed += int64(v)
 		}
 	}

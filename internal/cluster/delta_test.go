@@ -167,9 +167,9 @@ func TestScrapeDeltaHistogramRoundTripAndWindow(t *testing.T) {
 	s1 := scrapeAt(epoch.Add(10*time.Second), parseReg(t, reg))
 
 	d := s1.Delta(s0)
-	hd, ok := d.Hists["wire_rpc_duration_seconds"]
+	hd, ok := d.Sum.Hist("wire_rpc_duration_seconds")
 	if !ok {
-		t.Fatalf("no histogram delta; hists: %v", d.Hists)
+		t.Fatalf("no histogram delta; series: %v", d.Sum.Keys)
 	}
 	// The scraped delta must match the in-process delta bucket-exactly:
 	// the exposition's power-of-two le bounds invert losslessly.

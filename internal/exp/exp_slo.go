@@ -325,11 +325,7 @@ func runE28(cfg RunConfig, t *Table) error {
 func (res *SLOResult) OverallQuantile(q float64) time.Duration {
 	var total obs.HistSnapshot
 	for _, w := range res.Windows {
-		total.Count += w.Latency.Count
-		total.SumNanos += w.Latency.SumNanos
-		for i := range total.Buckets {
-			total.Buckets[i] += w.Latency.Buckets[i]
-		}
+		total = total.Add(w.Latency)
 	}
 	return total.Quantile(q)
 }

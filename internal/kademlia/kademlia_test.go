@@ -328,7 +328,7 @@ func TestCrashAndMaintenanceRepair(t *testing.T) {
 func TestGrowFromSingleNode(t *testing.T) {
 	t.Parallel()
 	r := testRing(t, 8, 24)
-	net := NewNetwork(Config{BucketSize: 8}, simnet.NewDirect())
+	net := newNetwork(Config{BucketSize: 8}, simnet.NewDirect())
 	if _, err := net.Create(r.At(0)); err != nil {
 		t.Fatal(err)
 	}

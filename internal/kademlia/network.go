@@ -59,8 +59,10 @@ var (
 	ErrEmptyNetwork  = overlay.ErrEmptyNetwork
 )
 
-// NewNetwork creates an empty Kademlia network over the given transport.
-func NewNetwork(cfg Config, tr simnet.Transport) *Network {
+// newNetwork creates an empty Kademlia network over the given transport.
+// It checks nothing: BuildStaticPartition, the one way in from outside
+// the package, rejects a BucketSize above maxBucketSize first.
+func newNetwork(cfg Config, tr simnet.Transport) *Network {
 	cfg = cfg.withDefaults()
 	n := &Network{
 		cfg:             cfg,
@@ -709,7 +711,7 @@ func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, 
 	if k := cfg.withDefaults().BucketSize; k > maxBucketSize {
 		return nil, fmt.Errorf("kademlia: bucket size %d outside 1..%d", k, maxBucketSize)
 	}
-	n := NewNetwork(cfg, tr)
+	n := newNetwork(cfg, tr)
 	err := n.BuildStatic(points, owned, func(_ *ring.Ring, idx []int) {
 		sorted := n.Members()
 		scratch := make([]uint32, 0, n.cfg.BucketSize)

@@ -259,7 +259,7 @@ func (tr *scriptedTransport) Close() error             { return nil }
 func scriptedNetwork(t *testing.T, cfg Config, rounds int, seeds, script []byte) (*Network, *scriptedTransport) {
 	t.Helper()
 	tr := &scriptedTransport{script: script}
-	net := NewNetwork(cfg, tr)
+	net := newNetwork(cfg, tr)
 	net.maxLookupRounds = rounds
 	nd, err := net.Create(fuzzID(0))
 	if err != nil {

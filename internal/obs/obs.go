@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the testbed: a
-// dependency-free metrics registry (counters, gauges and log-bucket
-// latency histograms reusing the simnet power-of-two bucket scheme)
+// dependency-free metrics registry (counters, gauges and the testbed's
+// one power-of-two latency histogram, which simnet.Meter records into)
 // with Prometheus text-format exposition, plus the hop-level lookup
 // trace facility in trace.go.
 //
@@ -17,17 +17,15 @@
 // Naming conventions (documented in DESIGN.md §11): snake_case metric
 // names prefixed by subsystem (wire_, randpeerd_, sim_kernel_),
 // counters suffixed _total, unit suffixes (_seconds, _nanoseconds)
-// on everything dimensional. Histogram buckets are the simnet latency
-// scheme: bucket b counts observations in [2^(b-1), 2^b) nanoseconds
-// (bucket 0 counts exact zeros), exposed as cumulative `le` bounds in
-// seconds.
+// on everything dimensional. Histogram bucket b counts observations in
+// [2^(b-1), 2^b) nanoseconds (bucket 0 counts exact zeros), exposed as
+// cumulative `le` bounds in seconds.
 package obs
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net/http"
 	"regexp"
 	"sort"
@@ -72,15 +70,17 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current reading.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histBuckets is the number of power-of-two histogram buckets — the
-// same scheme as the simnet latency histogram, so 64 buckets cover
-// every int64 nanosecond duration.
+// histBuckets is the number of power-of-two histogram buckets: 64
+// buckets cover every int64 nanosecond duration.
 const histBuckets = 64
 
 // Histogram is a log-bucket latency histogram: bucket b counts
 // observations in [2^(b-1), 2^b) nanoseconds, bucket 0 counts exact
-// zeros. Observe costs two atomic adds; the count is derived from the
-// buckets at snapshot time. The zero value is ready to use.
+// zeros. Observe costs two atomic adds and allocates nothing; the count
+// is derived from the buckets at snapshot time. It is the one latency
+// histogram of the testbed: a simnet.Meter records every RPC round
+// trip into one. The zero value is ready to use; all methods are safe
+// for concurrent use.
 type Histogram struct {
 	sum     atomic.Int64 // nanoseconds
 	buckets [histBuckets]atomic.Int64
@@ -92,10 +92,26 @@ func (h *Histogram) Observe(d time.Duration) {
 		d = 0
 	}
 	h.sum.Add(int64(d))
-	h.buckets[bits.Len64(uint64(d))%histBuckets].Add(1)
+	h.buckets[histBucketOf(int64(d))].Add(1)
 }
 
-// Snapshot returns the current histogram state.
+// Sum returns the total observed nanoseconds without reading the
+// buckets.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
+
+// Reset zeroes the histogram, one atomic word at a time: a snapshot
+// racing it may see some buckets cleared and others not.
+func (h *Histogram) Reset() {
+	h.sum.Store(0)
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+}
+
+// Snapshot returns the current histogram state. Taken while
+// observations are in flight it is linearizable per bucket but not an
+// atomic cut across them; measure quiesced operations with a
+// before/after pair and HistSnapshot.Sub.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	s.SumNanos = h.sum.Load()
@@ -106,13 +122,15 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistSnapshot is an immutable histogram reading. Its bucket layout is
-// identical to simnet.Latency, so a meter's latency histogram converts
-// by copying the fields (see the HistogramFunc users in cmd/randpeerd).
+// HistSnapshot is an immutable histogram reading.
 type HistSnapshot struct {
-	Count    int64
+	// Count is the number of observations.
+	Count int64
+	// SumNanos is the total observed duration in nanoseconds.
 	SumNanos int64
-	Buckets  [histBuckets]int64
+	// Buckets[b] counts observations in [2^(b-1), 2^b) nanoseconds
+	// (Buckets[0] counts exact zeros).
+	Buckets [histBuckets]int64
 }
 
 // Label is one metric dimension, rendered as name="value" in the
@@ -248,7 +266,7 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 
 // HistogramFunc registers a histogram whose state is read at scrape
 // time — the adapter for histograms owned elsewhere, such as a
-// simnet.Meter's latency histogram (identical bucket scheme).
+// simnet.Meter's latency histogram.
 func (r *Registry) HistogramFunc(name, help string, fn func() HistSnapshot, labels ...Label) {
 	s, existed := r.lookup(name, help, kindHistogram, labels)
 	if existed {

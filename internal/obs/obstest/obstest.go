@@ -334,24 +334,37 @@ func sampleKey(s Sample) string {
 	return s.Name + renderSorted(s.Labels)
 }
 
-// Key renders the sample's identity — its name plus sorted labels,
-// e.g. `wire_rpc_calls_total{dest="remote"}` — the series key the
-// cluster scrape-delta helpers aggregate by.
-func (s Sample) Key() string { return sampleKey(s) }
-
-// SeriesKey renders a series identity from a name and label set using
-// the same form Key does.
-func SeriesKey(name string, labels map[string]string) string {
-	return name + renderSorted(labels)
-}
-
-// Family resolves a sample name to its declared family and TYPE:
-// histogram child samples (_bucket/_sum/_count) resolve to their
-// histogram family; everything else is its own family. The type is ""
-// when the exposition never declared one.
-func (e *Exposition) Family(name string) (family, typ string) {
-	family = familyOf(name, e.Types)
-	return family, e.Types[family]
+// Snapshot converts the exposition back into the registry reading that
+// rendered it: one entry per series, keyed as obs.Key keys it, in
+// exposition order (which is the registry's registration order).
+// Counters stay counters, histograms are rebuilt by HistSnapshot, and
+// every other type reads as a gauge. Comparing two such snapshots with
+// obs.RegistrySnapshot.Delta gives a scrape-side window with the same
+// reset clamping the in-process recorder has.
+func (e *Exposition) Snapshot() obs.RegistrySnapshot {
+	snap := obs.RegistrySnapshot{Series: make(map[string]obs.SeriesValue)}
+	for _, s := range e.Samples {
+		family := familyOf(s.Name, e.Types)
+		v := obs.SeriesValue{Kind: obs.KindGauge, Value: s.Value}
+		switch e.Types[family] {
+		case "counter":
+			v.Kind = obs.KindCounter
+		case "histogram":
+			if s.Name != family+"_count" {
+				continue // one entry per series, keyed off _count
+			}
+			v = obs.SeriesValue{Kind: obs.KindHistogram}
+			v.Hist, _ = e.HistSnapshot(family, s.Labels)
+		}
+		labels := make([]obs.Label, 0, len(s.Labels))
+		for name, value := range s.Labels {
+			labels = append(labels, obs.Label{Name: name, Value: value})
+		}
+		key := obs.Key(family, labels...)
+		snap.Keys = append(snap.Keys, key)
+		snap.Series[key] = v
+	}
+	return snap
 }
 
 // HistSnapshot reconstructs an obs histogram reading from a scraped
@@ -361,6 +374,13 @@ func (e *Exposition) Family(name string) (family, typ string) {
 // Sub/Quantile/CountAbove arithmetic the in-process recorder uses.
 // labels selects one series of the family (exact match, minus le); ok
 // is false when the family or series is absent.
+//
+// Count and buckets come back exactly. SumNanos does not always: the
+// format carries _sum as float64 seconds, and from about 4.19e15 ns
+// (≈ 48 days of summed latency) multiplying it back by 1e9 can land a
+// nanosecond or more off. The round trip holds SumNanos to within one
+// float64 ulp of its value in seconds (FuzzExpositionRoundTrip), the
+// int64 ends included.
 func (e *Exposition) HistSnapshot(name string, labels map[string]string) (obs.HistSnapshot, bool) {
 	if e.Types[name] != "histogram" {
 		return obs.HistSnapshot{}, false
@@ -382,7 +402,7 @@ func (e *Exposition) HistSnapshot(name string, labels map[string]string) (obs.Hi
 			h.Count = int64(s.Value)
 			found = true
 		case name + "_sum":
-			h.SumNanos = int64(math.Round(s.Value * 1e9))
+			h.SumNanos = nanos(s.Value)
 		case name + "_bucket":
 			le, err := parseValue(s.Labels["le"])
 			if err != nil || math.IsInf(le, 1) {
@@ -407,6 +427,22 @@ func (e *Exposition) HistSnapshot(name string, labels map[string]string) (obs.Hi
 		prev = b.cum
 	}
 	return h, true
+}
+
+// nanos converts exposition seconds back to nanoseconds, saturating at
+// the int64 range: float64 has no MaxInt64, so a sum within 512 ns of
+// it renders as 2^63 ns, which a plain conversion turns negative.
+func nanos(seconds float64) int64 {
+	switch ns := math.Round(seconds * 1e9); {
+	case ns >= math.MaxInt64:
+		return math.MaxInt64
+	case ns < math.MinInt64:
+		return math.MinInt64
+	case math.IsNaN(ns):
+		return 0
+	default:
+		return int64(ns)
+	}
 }
 
 // Value returns the value of the series with the given name and exact

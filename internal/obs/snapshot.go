@@ -44,6 +44,11 @@ type RegistrySnapshot struct {
 	Series map[string]SeriesValue
 }
 
+// Key renders the key a snapshot lists a series under: the metric name
+// followed by its labels, sorted and escaped as the exposition writes
+// them (e.g. calls_total{dest="remote",kind="dead"}).
+func Key(name string, labels ...Label) string { return name + renderLabels(labels) }
+
 // Snapshot reads every registered series. Callback instruments
 // (CounterFunc, GaugeFunc, HistogramFunc) run outside the registry
 // lock, exactly as they do during exposition.
@@ -168,6 +173,27 @@ func (h HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 		out.SumNanos = h.SumNanos
 	}
 	return out
+}
+
+// Add returns the bucket-wise sum h + o: the merge of two readings, as
+// when windows or daemons are pooled into one distribution.
+func (h HistSnapshot) Add(o HistSnapshot) HistSnapshot {
+	h.Count += o.Count
+	h.SumNanos += o.SumNanos
+	for i := range h.Buckets {
+		h.Buckets[i] += o.Buckets[i]
+	}
+	return h
+}
+
+// AddN returns h with n more observations of exactly d (negative d
+// clamps to zero, as in Observe).
+func (h HistSnapshot) AddN(d time.Duration, n int64) HistSnapshot {
+	d = max(d, 0)
+	h.Count += n
+	h.SumNanos += int64(d) * n
+	h.Buckets[histBucketOf(int64(d))] += n
+	return h
 }
 
 // Mean returns the mean recorded duration (zero when empty).

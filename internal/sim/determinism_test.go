@@ -12,9 +12,9 @@ import (
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/core"
+	"github.com/dht-sampling/randompeer/internal/obs"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
-	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
 // simOutcome fingerprints one full simulation: the executed event trace,
@@ -23,7 +23,7 @@ type simOutcome struct {
 	traceHash uint64
 	events    uint64
 	clock     time.Duration
-	latency   simnet.Latency
+	latency   obs.HistSnapshot
 	owners    []int
 	churned   int
 }
@@ -164,7 +164,7 @@ func TestDeterminismPinnedTrace(t *testing.T) {
 		traceHash: 0x989e5efe59ad652c,
 		events:    1930,
 		clock:     408857 * time.Microsecond,
-		latency: simnet.Latency{Count: 1589, SumNanos: 4348860274,
+		latency: obs.HistSnapshot{Count: 1589, SumNanos: 4348860274,
 			Buckets: [64]int64{20: 39, 21: 737, 22: 627, 23: 105, 24: 79, 26: 2}},
 		owners:  []int{-2, -2, -2, 24542, 37309}, // every sample the scenario takes
 		churned: 12,

@@ -59,7 +59,7 @@ type LogNormal struct {
 // from the inverse error function: z = sqrt(2) * erfinv(2u - 1).
 func (m LogNormal) Latency(_, _ simnet.NodeID, u float64) time.Duration {
 	z := math.Sqrt2 * math.Erfinv(2*u-1)
-	return time.Duration(float64(m.Median) * math.Exp(m.Sigma*z))
+	return toDuration(float64(m.Median) * math.Exp(m.Sigma*z))
 }
 
 // Name implements Model.
@@ -94,10 +94,10 @@ func (s Straggler) IsStraggler(id simnet.NodeID) bool {
 func (s Straggler) Latency(from, to simnet.NodeID, u float64) time.Duration {
 	d := s.Base.Latency(from, to, u)
 	if s.IsStraggler(from) {
-		d = time.Duration(float64(d) * s.Factor)
+		d = toDuration(float64(d) * s.Factor)
 	}
 	if s.IsStraggler(to) {
-		d = time.Duration(float64(d) * s.Factor)
+		d = toDuration(float64(d) * s.Factor)
 	}
 	return d
 }
@@ -167,8 +167,8 @@ func ParseModel(spec string) (Model, error) {
 		if median <= 0 {
 			return nil, fmt.Errorf("sim: lognormal model %q: median must be positive", spec)
 		}
-		sigma, err := strconv.ParseFloat(sig, 64)
-		if err != nil || sigma < 0 {
+		sigma, ok := parseFinite(sig)
+		if !ok || sigma < 0 {
 			return nil, fmt.Errorf("sim: lognormal model %q: bad sigma %q", spec, sig)
 		}
 		return LogNormal{Median: median, Sigma: sigma}, nil
@@ -177,12 +177,12 @@ func ParseModel(spec string) (Model, error) {
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("sim: straggler model %q: want straggler:<frac>,<factor>[,<seed>],<base>", spec)
 		}
-		frac, err := strconv.ParseFloat(parts[0], 64)
-		if err != nil || frac < 0 || frac > 1 {
+		frac, ok := parseFinite(parts[0])
+		if !ok || frac < 0 || frac > 1 {
 			return nil, fmt.Errorf("sim: straggler model %q: bad fraction %q", spec, parts[0])
 		}
-		factor, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || factor < 0 {
+		factor, ok := parseFinite(parts[1])
+		if !ok || factor < 0 {
 			return nil, fmt.Errorf("sim: straggler model %q: bad factor %q", spec, parts[1])
 		}
 		// Optional explicit seed before the base spec. Unambiguous: a
@@ -203,6 +203,27 @@ func ParseModel(spec string) (Model, error) {
 	default:
 		return nil, fmt.Errorf("sim: unknown latency model %q (want constant:, uniform:, lognormal: or straggler:)", spec)
 	}
+}
+
+// parseFinite parses a model parameter, rejecting the NaN and ±Inf that
+// strconv.ParseFloat accepts (a NaN passes every range check).
+func parseFinite(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
+}
+
+// toDuration converts nanoseconds to a Duration, saturating where a
+// plain conversion is platform-defined: a valid spec with a large sigma
+// or straggler factor can draw beyond the int64 range, and a zero sigma
+// at u = 0 multiplies zero by -Inf (a NaN reads as zero).
+func toDuration(ns float64) time.Duration {
+	switch {
+	case !(ns > 0):
+		return 0
+	case ns >= math.MaxInt64:
+		return math.MaxInt64
+	}
+	return time.Duration(ns)
 }
 
 // Stream is a lock-free deterministic uniform stream: draw i is a pure

@@ -147,11 +147,51 @@ func TestParseModelErrors(t *testing.T) {
 		"uniform:1ms", "uniform:5ms-1ms", "uniform:-1ms-1ms",
 		"lognormal:2ms", "lognormal:2ms,-1", "lognormal:-2ms,0.5",
 		"straggler:0.1,8", "straggler:2,8,constant:1ms",
+		// strconv accepts these; a NaN passes every range check.
+		"lognormal:2ms,NaN", "lognormal:2ms,Inf", "lognormal:2ms,+Inf",
+		"straggler:NaN,8,constant:1ms", "straggler:0.1,NaN,constant:1ms",
+		"straggler:0.1,Inf,constant:1ms",
 	} {
 		if _, err := ParseModel(spec); err == nil {
 			t.Errorf("ParseModel(%q) succeeded, want error", spec)
 		}
 	}
+}
+
+// FuzzParseModel: any spec ParseModel accepts names a model whose
+// canonical Name parses back to an equal model, and whose draws are
+// non-negative for every u in [0, 1) — the transport clamps a negative
+// draw to zero silently, so the model must not produce one.
+func FuzzParseModel(f *testing.F) {
+	for _, spec := range []string{
+		"constant:1ms", "uniform:500µs-5ms", "lognormal:2ms,0.6",
+		"straggler:0.1,8,constant:1ms", "straggler:0.5,8,42,lognormal:2ms,0.6",
+		"lognormal:2ms,NaN", "lognormal:1h,900", "straggler:1,1e300,constant:1h",
+		"uniform:0s-2562047h47m16.854775807s",
+	} {
+		f.Add(spec, uint64(1), uint64(2), uint64(1)<<62)
+	}
+	f.Fuzz(func(t *testing.T, spec string, from, to, bits uint64) {
+		m, err := ParseModel(spec)
+		if err != nil {
+			return
+		}
+		name := m.Name()
+		m2, err := ParseModel(name)
+		if err != nil {
+			t.Fatalf("ParseModel(%q) accepted, but its Name %q does not parse: %v", spec, name, err)
+		}
+		if m2 != m {
+			t.Fatalf("ParseModel(%q).Name() = %q parses to %#v, want %#v", spec, name, m2, m)
+		}
+		// u from the fuzzer's word exactly as Stream draws it, plus both
+		// ends of [0, 1).
+		for _, u := range []float64{float64(bits>>11) / (1 << 53), 0, math.Nextafter(1, 0)} {
+			if d := m.Latency(simnetNodeID(from), simnetNodeID(to), u); d < 0 {
+				t.Fatalf("%s: Latency(%d, %d, %v) = %v, want >= 0", name, from, to, u, d)
+			}
+		}
+	})
 }
 
 func TestStreamDeterministic(t *testing.T) {

@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// Edge cases of the latency histogram: empty snapshots, saturation of a
-// single bucket, and Reset racing the constant-latency fast lane.
+// Edge cases of the meter's latency histogram: empty snapshots,
+// saturation of a single bucket, Reset racing the constant-latency fast
+// lane, and a reading taken across a Reset.
 
 func TestLatencyEmptyQuantiles(t *testing.T) {
 	t.Parallel()
@@ -147,73 +148,28 @@ func TestLatencyResetDuringConstLane(t *testing.T) {
 	}
 }
 
-func TestLatencyWindowPartitionsHistory(t *testing.T) {
+// TestLatencySubClampsAtReset: a Reset between two readings must make
+// their difference read empty, not negative — the reading a windowed
+// consumer takes across a meter reset.
+func TestLatencySubClampsAtReset(t *testing.T) {
 	t.Parallel()
 	var m Meter
-	var cursor Latency
-
-	m.RecordLatency(time.Millisecond)
-	m.RecordLatency(2 * time.Millisecond)
-	w1 := m.LatencyWindow(&cursor)
-	if w1.Count != 2 || w1.SumNanos != int64(3*time.Millisecond) {
-		t.Fatalf("window 1: count %d sum %d; want the first two records", w1.Count, w1.SumNanos)
-	}
-
-	m.RecordLatency(8 * time.Millisecond)
-	w2 := m.LatencyWindow(&cursor)
-	if w2.Count != 1 || w2.SumNanos != int64(8*time.Millisecond) {
-		t.Fatalf("window 2: count %d sum %d; want only the third record", w2.Count, w2.SumNanos)
-	}
-
-	// Quiet window: no records between reads.
-	w3 := m.LatencyWindow(&cursor)
-	if w3.Count != 0 || w3.SumNanos != 0 {
-		t.Fatalf("quiet window: count %d sum %d; want zeros", w3.Count, w3.SumNanos)
-	}
-
-	// Windows must sum back to the full history.
-	total := m.Latency()
-	if got := w1.Count + w2.Count + w3.Count; got != total.Count {
-		t.Fatalf("window counts sum to %d; meter holds %d", got, total.Count)
-	}
-	if got := w1.SumNanos + w2.SumNanos + w3.SumNanos; got != total.SumNanos {
-		t.Fatalf("window sums total %d; meter holds %d", got, total.SumNanos)
-	}
-}
-
-func TestLatencyWindowIndependentCursors(t *testing.T) {
-	t.Parallel()
-	var m Meter
-	var a, b Latency
-	m.RecordLatency(time.Millisecond)
-	if w := m.LatencyWindow(&a); w.Count != 1 {
-		t.Fatalf("cursor a window 1: count %d; want 1", w.Count)
-	}
-	m.RecordLatency(time.Millisecond)
-	// Cursor b never read, so its window spans the whole history.
-	if w := m.LatencyWindow(&b); w.Count != 2 {
-		t.Fatalf("cursor b window: count %d; want full history (2)", w.Count)
-	}
-	if w := m.LatencyWindow(&a); w.Count != 1 {
-		t.Fatalf("cursor a window 2: count %d; want 1", w.Count)
-	}
-}
-
-func TestLatencyWindowConstLane(t *testing.T) {
-	t.Parallel()
-	var m Meter
-	const d = 250 * time.Microsecond
-	m.ArmConstLatency(d)
-	var cursor Latency
+	m.ArmConstLatency(time.Millisecond)
+	m.RecordLatency(3 * time.Millisecond)
+	m.RecordLatency(5 * time.Millisecond)
 	m.ChargeConstSuccess()
-	m.ChargeConstSuccess()
-	w := m.LatencyWindow(&cursor)
-	if w.Count != 2 || w.SumNanos != 2*int64(d) {
-		t.Fatalf("const-lane window: count %d sum %d; want 2 records of %v", w.Count, w.SumNanos, d)
+	before := m.Latency()
+	m.Reset()
+	d := m.Latency().Sub(before)
+	if d.Count != 0 || d.SumNanos != 0 {
+		t.Fatalf("delta across Reset: count %d sum %d; want an empty reading", d.Count, d.SumNanos)
 	}
-	m.ChargeConstSuccess()
-	w = m.LatencyWindow(&cursor)
-	if w.Count != 1 || w.SumNanos != int64(d) {
-		t.Fatalf("const-lane window 2: count %d sum %d; want 1 record of %v", w.Count, w.SumNanos, d)
+	for b, c := range d.Buckets {
+		if c != 0 {
+			t.Fatalf("delta across Reset: bucket %d holds %d; want 0", b, c)
+		}
+	}
+	if d.Mean() != 0 || d.Quantile(0.5) != 0 {
+		t.Fatalf("delta across Reset: mean %v p50 %v; want zeros", d.Mean(), d.Quantile(0.5))
 	}
 }

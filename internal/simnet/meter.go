@@ -15,6 +15,8 @@ import (
 	"math/rand/v2"
 	"sync/atomic"
 	"time"
+
+	"github.com/dht-sampling/randompeer/internal/obs"
 )
 
 // meterShards is the number of independently updated counter shards in a
@@ -86,7 +88,11 @@ type Meter struct {
 	// (0 = lane unarmed). Written once by ArmConstLatency before the
 	// transport goes hot; read by the snapshot methods.
 	constNanos atomic.Int64
-	lat        latencyHist
+	// lat holds the recorded round-trip durations. Latencies are
+	// recorded only by time-simulating transports (single-threaded
+	// under the event kernel) and the wire transport, so plain atomics
+	// without striping are contention-appropriate here.
+	lat obs.Histogram
 }
 
 // Cost is an immutable snapshot of a Meter.
@@ -185,10 +191,34 @@ func (m *Meter) Reset() {
 		s.failures.Store(0)
 		s.constOK.Store(0)
 	}
-	m.lat.sum.Store(0)
-	for i := range m.lat.buckets {
-		m.lat.buckets[i].Store(0)
+	m.lat.Reset()
+}
+
+// RecordLatency records one RPC round trip of duration d into the
+// latency histogram: two atomic adds, no allocation. Negative durations
+// are clamped to zero. Safe for concurrent use.
+func (m *Meter) RecordLatency(d time.Duration) { m.lat.Observe(d) }
+
+// LatencySumNanos returns the total recorded latency without
+// snapshotting the buckets — the read behind free-running virtual
+// clocks (internal/sim derives "now" from it: with one record per RPC,
+// total recorded latency is exactly the sequential virtual time). It
+// includes the constant-latency fast lane (count x armed constant).
+func (m *Meter) LatencySumNanos() int64 {
+	sum := m.lat.Sum()
+	if c := m.constNanos.Load(); c > 0 {
+		sum += c * m.constLaneCount()
 	}
+	return sum
+}
+
+// Latency returns the current latency histogram, with the
+// constant-latency fast lane folded in as that many records of exactly
+// the armed constant. Like Snapshot, a reading taken while records are
+// in flight is linearizable per counter but not an atomic cut across
+// them; measure quiesced operations with a before/after pair.
+func (m *Meter) Latency() obs.HistSnapshot {
+	return m.lat.Snapshot().AddN(time.Duration(m.constNanos.Load()), m.constLaneCount())
 }
 
 // Sub returns the component-wise difference c - prev, used to measure the

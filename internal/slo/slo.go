@@ -173,7 +173,7 @@ func Evaluate(obj Objectives, windows []WindowInput) Report {
 		if w.SlowBurn {
 			rep.SlowBurnWindows++
 		}
-		total = mergeHist(total, in.Latency)
+		total = total.Add(in.Latency)
 	}
 	rep.LatencyOverall = total.Quantile(obj.LatencyQuantile)
 	if rep.TotalRequests > 0 {
@@ -190,16 +190,6 @@ func Evaluate(obj Objectives, windows []WindowInput) Report {
 		rep.Met = rep.Availability >= obj.Availability && rep.LatencyOverall <= obj.LatencyTarget
 	}
 	return rep
-}
-
-// mergeHist adds two histogram deltas bucket-wise.
-func mergeHist(a, b obs.HistSnapshot) obs.HistSnapshot {
-	a.Count += b.Count
-	a.SumNanos += b.SumNanos
-	for i := range a.Buckets {
-		a.Buckets[i] += b.Buckets[i]
-	}
-	return a
 }
 
 // String summarizes the report in one line.

@@ -706,8 +706,5 @@ func (t *Transport) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(t.stats.connsOut.Load()) }, obs.Label{Name: "dir", Value: "out"})
 	r.HistogramFunc("wire_rpc_duration_seconds",
 		"Wall round-trip time of successful outbound RPCs.",
-		func() obs.HistSnapshot {
-			l := t.Meter().Latency()
-			return obs.HistSnapshot{Count: l.Count, SumNanos: l.SumNanos, Buckets: l.Buckets}
-		})
+		t.Meter().Latency)
 }

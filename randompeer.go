@@ -76,8 +76,10 @@ type (
 	// ParseLatencyModel or the constructors in internal/sim.
 	LatencyModel = sim.Model
 	// LatencySnapshot is an immutable view of the per-RPC virtual
-	// latency histogram a time-simulating testbed records.
-	LatencySnapshot = simnet.Latency
+	// latency histogram a time-simulating testbed records: Mean,
+	// Quantile and CountAbove read it, Sub measures one operation
+	// between two readings.
+	LatencySnapshot = obs.HistSnapshot
 	// Trace is a hop-level record of one traced operation (see
 	// TraceSample).
 	Trace = obs.Trace

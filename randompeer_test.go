@@ -393,3 +393,23 @@ func TestSimTimePreservesSamplingAcrossBackends(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultSpecsRejectNonFinite: strconv.ParseFloat accepts NaN, and a
+// NaN passes every range check, so the attack and partition entry
+// points must reject it themselves (a NaN route-bias fraction used to
+// panic compiling the plan; a NaN partition fraction cut a peer off).
+func TestFaultSpecsRejectNonFinite(t *testing.T) {
+	t.Parallel()
+	tb, err := New(WithPeers(32), WithBackend(ChordBackend), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"route-bias:NaN", "censor:nan"} {
+		if _, err := tb.InstallAdversary(spec, 1); err == nil {
+			t.Errorf("InstallAdversary(%q) succeeded, want error", spec)
+		}
+	}
+	if err := tb.PartitionFraction("nan", math.NaN(), 1); err == nil {
+		t.Error("PartitionFraction(NaN) succeeded, want error")
+	}
+}
