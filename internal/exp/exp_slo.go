@@ -216,6 +216,9 @@ func RunSLOScenario(sc SLOScenario) (*SLOResult, error) {
 // mean request latency under the default constant-1ms model, so each
 // window holds a useful latency sample (see DESIGN.md §12).
 // Both the E28 table and cmd/benchsnap's `slo` section start from it.
+// Clients sizes a population nothing reads: the scenario's Do never
+// asks a request for its client, so no run builds the Zipf table over
+// it (load.Request.Client builds it on first use).
 func DefaultSLOScenario(backend string, quick bool, model sim.Model, seed uint64) SLOScenario {
 	sc := SLOScenario{
 		Backend:       backend,

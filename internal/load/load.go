@@ -29,6 +29,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/obs"
@@ -39,12 +40,16 @@ import (
 type Request struct {
 	// Index is the arrival's sequence number (0-based).
 	Index uint64
-	// Client is the issuing virtual client, drawn from the Zipf
-	// popularity distribution over [0, Clients).
-	Client uint64
 	// Rand is the request-private generator, derived from (Seed, Index).
 	Rand *rand.Rand
+	run  *Run
 }
+
+// Client returns the issuing virtual client, drawn from the Zipf
+// popularity distribution over [0, Clients) and derived from (Seed,
+// Index). The first call in a run builds the run's Zipf table; a Do
+// that never asks builds none.
+func (req Request) Client() uint64 { return req.run.client(req.Index) }
 
 // Config parameterizes one open-loop run.
 type Config struct {
@@ -59,10 +64,10 @@ type Config struct {
 	MeanGap time.Duration
 	// GapSigma is the sigma of the lognormal interarrival distribution
 	// (the gap mean stays MeanGap for any sigma). Zero draws constant
-	// gaps.
+	// gaps. It must be finite.
 	GapSigma float64
 	// ZipfS is the Zipf exponent of client popularity; values <= 0
-	// draw clients uniformly.
+	// draw clients uniformly. It must be finite.
 	ZipfS float64
 	// Seed derives every random choice in the run.
 	Seed uint64
@@ -91,7 +96,8 @@ type Run struct {
 	k         *sim.Kernel
 	doFn      func(uint64) // cached method value for alloc-free GoArg spawns
 	gaps      *rand.Rand
-	zcum      []float64 // cumulative Zipf weights over clients (nil = uniform)
+	zipfOnce  sync.Once
+	zcum      []float64 // cumulative Zipf weights over clients, built by the first Client call
 	loads     []int64   // requests served per owner
 	remaining int       // requests not yet completed (kernel-serialized)
 
@@ -127,6 +133,9 @@ func Start(k *sim.Kernel, cfg Config) (*Run, error) {
 	if cfg.Requests <= 0 {
 		return nil, errors.New("load: Config.Requests must be positive")
 	}
+	if math.IsNaN(cfg.GapSigma) || math.IsInf(cfg.GapSigma, 0) || math.IsNaN(cfg.ZipfS) || math.IsInf(cfg.ZipfS, 0) {
+		return nil, errors.New("load: Config.GapSigma and Config.ZipfS must be finite")
+	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
 	}
@@ -149,9 +158,6 @@ func Start(k *sim.Kernel, cfg Config) (*Run, error) {
 	r.remaining = cfg.Requests
 	if cfg.Owners > 0 {
 		r.loads = make([]int64, cfg.Owners)
-	}
-	if cfg.ZipfS > 0 && cfg.Clients > 1 {
-		r.zcum = zipfCumulative(cfg.Clients, cfg.ZipfS)
 	}
 	r.doFn = r.request
 	k.Go("loadgen", r.generate)
@@ -189,9 +195,9 @@ func (r *Run) gap() time.Duration {
 // request is one client's request process: issue, time, account.
 func (r *Run) request(i uint64) {
 	req := Request{
-		Index:  i,
-		Client: r.client(i),
-		Rand:   rand.New(rand.NewPCG(splitmix64(r.cfg.Seed+1, i), splitmix64(r.cfg.Seed+2, i))),
+		Index: i,
+		Rand:  rand.New(rand.NewPCG(splitmix64(r.cfg.Seed+1, i), splitmix64(r.cfg.Seed+2, i))),
+		run:   r,
 	}
 	start := r.k.Now()
 	owner, err := r.cfg.Do(req)
@@ -213,15 +219,14 @@ func (r *Run) request(i uint64) {
 
 // client draws request i's client id: Zipf-weighted inverse-CDF lookup
 // on a (Seed, i)-derived uniform, so the draw needs no shared RNG.
+// The table is built once per run, on the first Zipf draw.
 func (r *Run) client(i uint64) uint64 {
-	if r.zcum == nil {
-		if r.cfg.Clients == 1 {
-			return 0
-		}
-		return splitmix64(r.cfg.Seed+3, i) % uint64(r.cfg.Clients)
+	u := splitmix64(r.cfg.Seed+3, i)
+	if r.cfg.ZipfS <= 0 || r.cfg.Clients == 1 {
+		return u % uint64(r.cfg.Clients)
 	}
-	u := float64(splitmix64(r.cfg.Seed+3, i)>>11) / (1 << 53)
-	return uint64(sort.SearchFloat64s(r.zcum, u))
+	r.zipfOnce.Do(func() { r.zcum = zipfCumulative(r.cfg.Clients, r.cfg.ZipfS) })
+	return uint64(sort.SearchFloat64s(r.zcum, float64(u>>11)/(1<<53)))
 }
 
 // OwnerLoads returns the per-owner completed-request tally (nil when

@@ -50,7 +50,7 @@ func runWorkload(t *testing.T, seed uint64, window time.Duration, withRecorder b
 			if req.Rand.Uint64N(20) == 0 {
 				return -1, errSynthetic
 			}
-			return int(req.Client % owners), nil
+			return int(req.Client() % owners), nil
 		},
 		OnDone: func() {
 			if rec != nil {
@@ -192,7 +192,7 @@ func TestZipfPopularitySkew(t *testing.T) {
 		Seed:     5,
 		Registry: reg,
 		Do: func(req load.Request) (int, error) {
-			counts[req.Client]++
+			counts[req.Client()]++
 			return -1, nil
 		},
 	})
