@@ -34,6 +34,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"runtime"
@@ -127,6 +128,9 @@ func cmdSample(args []string) error {
 			strings.Join(randompeer.AdversaryKinds(), ", ")+" (e.g. route-bias:0.2)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := finite(fs, "drop-rate", "partition"); err != nil {
 		return err
 	}
 	tb, err := newTestbed(*n, *seed, *backend, *latency)
@@ -308,6 +312,9 @@ func cmdEstimate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := finite(fs, "c1"); err != nil {
+		return err
+	}
 	tb, err := newTestbed(*n, *seed, "oracle", "")
 	if err != nil {
 		return err
@@ -328,6 +335,18 @@ func cmdEstimate(args []string) error {
 	s := stats.Summarize(ratios)
 	fmt.Printf("ratio nhat/n: min %.3f  mean %.3f  max %.3f  (Lemma 3 band: 0.286 .. 6)\n",
 		s.Min, s.Mean, s.Max)
+	return nil
+}
+
+// finite rejects NaN and infinite values of the named float flags:
+// every "> 0" test would read NaN as off, and every bound derived from
+// one is meaningless.
+func finite(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(float64); math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("-%s must be finite, got %v", name, v)
+		}
+	}
 	return nil
 }
 

@@ -21,6 +21,11 @@ func TestRunCommands(t *testing.T) {
 		{name: "verify", args: []string{"verify", "-n", "256"}, want: 0},
 		{name: "arcs", args: []string{"arcs", "-n", "256"}, want: 0},
 		{name: "bad flag", args: []string{"sample", "-definitely-not-a-flag"}, want: 1},
+		{name: "sample NaN drop rate", args: []string{"sample", "-n", "32", "-k", "10", "-backend", "chord", "-drop-rate", "NaN"}, want: 1},
+		{name: "sample NaN partition", args: []string{"sample", "-n", "32", "-k", "10", "-backend", "chord", "-partition", "NaN"}, want: 1},
+		{name: "sample infinite drop rate", args: []string{"sample", "-n", "32", "-k", "10", "-backend", "chord", "-drop-rate", "+Inf"}, want: 1},
+		{name: "estimate NaN c1", args: []string{"estimate", "-n", "256", "-callers", "4", "-c1", "NaN"}, want: 1},
+		{name: "estimate infinite c1", args: []string{"estimate", "-n", "256", "-callers", "4", "-c1", "Inf"}, want: 1},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -470,15 +470,11 @@ func succOffset(r *ring.Ring, i int, d uint64, prev int) int {
 // is the state Maintain converges to once every node has cycled
 // through all 64 fingers.
 func (n *Network) VerifyFingers() error {
-	members := n.Members()
-	if len(members) == 0 {
+	r := n.Ring()
+	if r.Len() == 0 {
 		return ErrEmptyNetwork
 	}
-	r, err := ring.New(members)
-	if err != nil {
-		return err
-	}
-	for _, id := range members {
+	for _, id := range r.Sorted() {
 		nd, err := n.Node(id)
 		if err != nil {
 			return err

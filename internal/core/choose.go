@@ -29,6 +29,8 @@ type Config struct {
 	MaxTrials int
 }
 
+// withDefaults fills zero and negative constants. NaN compares false,
+// so it stays NaN for EstimateN and DeriveParams to reject.
 func (c Config) withDefaults() Config {
 	if c.C1 <= 0 {
 		c.C1 = 2

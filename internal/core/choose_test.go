@@ -213,6 +213,28 @@ func TestNewWithParamsValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFiniteConstants: a NaN, infinite or overflowing
+// constant used to derive a one-step walk (MaxSteps = 1, a 0.6λ
+// deviation from exact 1/n on this ring) or a one-step Estimate n
+// instead of failing.
+func TestNewRejectsNonFiniteConstants(t *testing.T) {
+	t.Parallel()
+	o := newOracle(t, 7, 256)
+	for _, cfg := range []Config{
+		{StepFactor: math.NaN()},
+		{StepFactor: math.Inf(1)},
+		{StepFactor: 1e300},
+		{Gamma1: math.NaN()},
+		{C1: math.NaN()},
+		{C1: math.Inf(1)},
+		{C1: 1e300},
+	} {
+		if s, err := New(o, o.PeerByIndex(0), rand.New(rand.NewPCG(1, 1)), cfg); err == nil {
+			t.Errorf("New(%+v) = MaxSteps %d, want an error", cfg, s.Params().MaxSteps)
+		}
+	}
+}
+
 func TestSamplerTrialsExhausted(t *testing.T) {
 	t.Parallel()
 	// A pathologically small lambda with one max step and one trial makes

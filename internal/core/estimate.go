@@ -52,13 +52,15 @@ type EstimateResult struct {
 
 // EstimateN runs the Estimate n algorithm from the given peer. c1
 // controls the walk length (the paper's tightness constant); values
-// below 1 are raised to 1.
+// below 1 are raised to 1, and a non-finite c1 or a walk too long for
+// an int is an error.
 //
 // Cost: one next per walk step, so O(c1 log n) sequential RPCs.
 func EstimateN(d dht.DHT, caller dht.Peer, c1 float64) (EstimateResult, error) {
-	if c1 < 1 {
-		c1 = 1
+	if math.IsNaN(c1) || math.IsInf(c1, 0) {
+		return EstimateResult{}, fmt.Errorf("core: c1 must be finite, got %v", c1)
 	}
+	c1 = max(c1, 1)
 	// Step 1: nhat1 <- 1 / d(l(p), l(next(p))).
 	cur, err := d.Next(caller)
 	if err != nil {
@@ -72,9 +74,9 @@ func EstimateN(d dht.DHT, caller dht.Peer, c1 float64) (EstimateResult, error) {
 	nHat1 := ring.UnitsPerCircle / float64(arc1)
 
 	// Step 2: s <- c1 * log nhat1, at least one step (already taken).
-	s := int(math.Ceil(c1 * math.Log(nHat1)))
-	if s < 1 {
-		s = 1
+	s, err := walkBound(c1, nHat1)
+	if err != nil {
+		return EstimateResult{}, err
 	}
 	res := EstimateResult{NHat1: nHat1, S: s}
 
@@ -131,20 +133,29 @@ func DeriveParams(nHat, gamma1, stepFactor float64) (Params, error) {
 	if nHat < 1 || math.IsNaN(nHat) || math.IsInf(nHat, 0) {
 		return Params{}, fmt.Errorf("%w: nhat = %v", ErrBadEstimate, nHat)
 	}
-	if gamma1 <= 0 || gamma1 > 1 {
+	if !(gamma1 > 0 && gamma1 <= 1) {
 		return Params{}, fmt.Errorf("core: gamma1 must be in (0, 1], got %v", gamma1)
 	}
-	if stepFactor <= 0 {
-		return Params{}, fmt.Errorf("core: step factor must be positive, got %v", stepFactor)
+	if !(stepFactor > 0) || math.IsInf(stepFactor, 1) {
+		return Params{}, fmt.Errorf("core: step factor must be positive and finite, got %v", stepFactor)
 	}
 	lambda := ring.FracToUnits(1 / (7 * nHat))
 	if lambda == 0 {
 		return Params{}, fmt.Errorf("%w: lambda underflows at nhat = %v", ErrBadEstimate, nHat)
 	}
-	nPrime := nHat / gamma1
-	maxSteps := int(math.Ceil(stepFactor * math.Log(nPrime)))
-	if maxSteps < 1 {
-		maxSteps = 1
+	maxSteps, err := walkBound(stepFactor, nHat/gamma1)
+	if err != nil {
+		return Params{}, err
 	}
 	return Params{NHat: nHat, Lambda: lambda, MaxSteps: maxSteps}, nil
+}
+
+// walkBound is a walk length ceil(factor * ln n), at least 1; a bound
+// past math.MaxInt is an error, not a wrapped int.
+func walkBound(factor, n float64) (int, error) {
+	steps := math.Ceil(factor * math.Log(n))
+	if !(steps < math.MaxInt) {
+		return 0, fmt.Errorf("core: walk bound %v * ln %v overflows int", factor, n)
+	}
+	return max(int(steps), 1), nil
 }

@@ -104,6 +104,18 @@ func TestEstimateNRaisesLowC1(t *testing.T) {
 	}
 }
 
+// TestEstimateNRejectsNonFiniteC1: NaN and infinite c1 used to walk
+// one step (int(NaN) clamped to 1); an overflowing walk is an error too.
+func TestEstimateNRejectsNonFiniteC1(t *testing.T) {
+	t.Parallel()
+	o := newOracle(t, 13, 128)
+	for _, c1 := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if res, err := EstimateN(o, o.PeerByIndex(0), c1); err == nil {
+			t.Errorf("EstimateN(c1 = %v) = %+v, want an error", c1, res)
+		}
+	}
+}
+
 func TestDeriveParams(t *testing.T) {
 	t.Parallel()
 	tests := []struct {
@@ -122,6 +134,10 @@ func TestDeriveParams(t *testing.T) {
 		{name: "gamma above one", nHat: 10, gamma1: 2, factor: 6, wantErr: true},
 		{name: "bad factor", nHat: 10, gamma1: 0.5, factor: 0, wantErr: true},
 		{name: "lambda underflow", nHat: 1e30, gamma1: 0.5, factor: 6, wantErr: true},
+		{name: "NaN gamma", nHat: 10, gamma1: math.NaN(), factor: 6, wantErr: true},
+		{name: "NaN factor", nHat: 10, gamma1: 0.5, factor: math.NaN(), wantErr: true},
+		{name: "Inf factor", nHat: 10, gamma1: 0.5, factor: math.Inf(1), wantErr: true},
+		{name: "factor overflows the walk bound", nHat: 10, gamma1: 0.5, factor: 1e300, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/rand/v2"
 	"slices"
-	"sync"
 	"testing"
 
 	"github.com/dht-sampling/randompeer/internal/ring"
@@ -415,77 +414,4 @@ func TestFillStaticTableMatchesReference(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestMembersEpochSnapshotRace mirrors the chord test: concurrent
-// joins/crashes, owner resolutions and Members/Epoch readers under
-// -race prove the copy-on-write membership snapshot needs no per-call
-// copy and stays internally consistent.
-func TestMembersEpochSnapshotRace(t *testing.T) {
-	rng := rand.New(rand.NewPCG(44, 45))
-	r, err := ring.Generate(rng, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := BuildStatic(Config{}, simnet.NewDirect(), r.Points())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		wrng := rand.New(rand.NewPCG(7, 8))
-		for i := 0; i < 150; i++ {
-			members := net.Members()
-			if wrng.IntN(2) == 0 {
-				_ = net.Join(ring.Point(wrng.Uint64()), members[wrng.IntN(len(members))])
-			} else if len(members) > 8 {
-				if victim := members[wrng.IntN(len(members))]; victim != r.At(0) {
-					_ = net.Crash(victim)
-				}
-			}
-			net.Maintain(1, 0)
-		}
-		close(stop)
-	}()
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				e1 := net.Epoch()
-				m := net.Members()
-				e2 := net.Epoch()
-				for i := 1; i < len(m); i++ {
-					if m[i] <= m[i-1] {
-						t.Errorf("snapshot not sorted/duplicate-free at %d", i)
-						return
-					}
-				}
-				_ = e1
-				_ = e2
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		lrng := rand.New(rand.NewPCG(9, 10))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_, _, _ = net.ResolveOwner(r.At(0), ring.Point(lrng.Uint64()))
-		}
-	}()
-	wg.Wait()
 }

@@ -712,12 +712,11 @@ func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, 
 		return nil, fmt.Errorf("kademlia: bucket size %d outside 1..%d", k, maxBucketSize)
 	}
 	n := newNetwork(cfg, tr)
-	err := n.BuildStatic(points, owned, func(_ *ring.Ring, idx []int) {
-		sorted := n.Members()
+	err := n.BuildStatic(points, owned, func(r *ring.Ring, idx []int) {
 		scratch := make([]uint32, 0, n.cfg.BucketSize)
 		rb := regionBatcher{n: n}
 		for _, i := range idx {
-			scratch = n.fillStaticSlot(sorted, i, scratch, &rb)
+			scratch = n.fillStaticSlot(r, i, scratch, &rb)
 		}
 		rb.release()
 	})
@@ -736,8 +735,10 @@ func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, 
 // reached by flipping bit b of the node's id and clearing the bits
 // below), and the k XOR-closest within the range are selected by
 // descending the implicit binary trie, visiting only subranges that
-// can still contribute.
-func (n *Network) fillStaticSlot(sorted []ring.Point, i int, scratch []uint32, rb *regionBatcher) []uint32 {
+// can still contribute. The range's ends are ranks in the ring's
+// bucket directory.
+func (n *Network) fillStaticSlot(r *ring.Ring, i int, scratch []uint32, rb *regionBatcher) []uint32 {
+	sorted := r.Sorted()
 	id := uint64(sorted[i])
 	k := n.cfg.BucketSize
 	n.st.succs[i] = uint32((i + 1) % len(sorted))
@@ -745,12 +746,12 @@ func (n *Network) fillStaticSlot(sorted []ring.Point, i int, scratch []uint32, r
 	row := n.st.bucketRefs[i*idBits : i*idBits+idBits]
 	for b := 0; b < idBits; b++ {
 		base := (id ^ (uint64(1) << uint(b))) &^ (uint64(1)<<uint(b) - 1)
-		lo, _ := slices.BinarySearch(sorted, ring.Point(base))
+		lo, _ := r.Rank(ring.Point(base))
 		var hi int
 		if end := base + uint64(1)<<uint(b); end == 0 {
 			hi = len(sorted) // bucket 63's upper block ends at 2^64
 		} else {
-			hi, _ = slices.BinarySearch(sorted, ring.Point(end))
+			hi, _ = r.Rank(ring.Point(end))
 		}
 		if lo >= hi {
 			continue

@@ -18,17 +18,25 @@
 // 10^7 small ones, which is what makes sub-minute builds and few-GB
 // residency possible.
 //
-// The ID↔slot bridge is the copy-on-write sorted membership snapshot
-// (members) plus an aligned slot snapshot (memberSlots): a member's
-// slot is memberSlots[rank] with rank found by binary search
-// (ring.Rank). Non-member slots — zombies (crashed nodes still visible
-// to in-flight RPCs) and external contacts — resolve through a small
-// overflow map that only ever holds the churn margin, never the ring.
+// The ID↔slot bridge is the membership: one immutable value per epoch
+// holding the members as a ring.Ring (the sorted ids plus their bucket
+// directory) and each member's slot aligned with its rank, so a
+// member's slot is slots[Rank(id)] with no map and no binary search
+// over the whole ring. The slot's top bit says whether this process
+// hosts the member. Non-member slots — zombies (crashed nodes still
+// visible to in-flight RPCs) and external contacts — resolve through a
+// small overflow map that only ever holds the churn margin, never the
+// ring.
 //
 // Locking. Per-slot routing state is guarded by a fixed pool of striped
-// RWMutexes (slot & stripeMask picks the stripe). The core mutex guards
-// membership, the bridge, slot allocation and the alive flags. Lock
-// order is mu before stripe. Slot identifiers (ids) are read and
+// RWMutexes (slot & stripeMask picks the stripe). The core mutex
+// guards slot allocation, the overflow map and every change of the
+// membership: join, crash and the static build build the next epoch's
+// value copy-on-write under it and publish it with one atomic store.
+// Readers of the membership — LiveSlot, SlotOf for members, Members,
+// Epoch, NumAlive, and so every RPC's destination lookup — take no lock
+// at all: one atomic load hands them a consistent epoch. Lock order is
+// mu before stripe. Slot identifiers (ids) are read and
 // written atomically, so translating a slot reference found in another
 // node's routing array back to its identifier needs no cross-stripe
 // locking; growth swaps the backing slices (the core's and, through the
@@ -116,13 +124,11 @@ type Core struct {
 	mu      sync.RWMutex
 	stripes [numStripes]sync.RWMutex
 
-	// used is the number of allocated slots. ids, alive and the
-	// overlay's per-slot arrays have len == cap spanning the arena
-	// capacity, so growth is the only operation that ever changes a
-	// slice header.
-	used  int
-	ids   []uint64 // slot -> identifier; atomic access
-	alive []bool   // slot hosts a live local member (mu)
+	// used is the number of allocated slots. ids and the overlay's
+	// per-slot arrays have len == cap spanning the arena capacity, so
+	// growth is the only operation that ever changes a slice header.
+	used int
+	ids  []uint64 // slot -> identifier; atomic access
 
 	free     []uint32 // recycled slots ready for reuse (LIFO)
 	freeBits Marks    // slots currently on free
@@ -131,15 +137,39 @@ type Core struct {
 	// the free list; it triggers the mark-and-sweep scavenger.
 	reclaimable int
 
-	// members is the sorted live membership, maintained incrementally:
-	// join/crash installs a fresh copy with the id spliced in or out
-	// (copy-on-write) and bumps epoch. The slice itself is immutable, so
-	// Members hands it out with no per-call copy and holders keep a
-	// consistent snapshot across later churn. memberSlots[i] is the slot
-	// of members[i], maintained in lockstep.
-	members     []ring.Point
-	memberSlots []uint32
-	epoch       uint64
+	// members is the current epoch's membership, replaced (never
+	// modified) under mu and read with no lock.
+	members atomic.Pointer[membership]
+}
+
+// membership is one epoch of the live membership. It is immutable
+// once published, so Members hands out its sorted ids with no per-call
+// copy and a holder keeps a consistent snapshot across later churn.
+type membership struct {
+	ring *ring.Ring
+	// slots[i] is the slot of ring point i, or'ed with remote when
+	// another process hosts that member (a partitioned build).
+	slots []uint32
+	epoch uint64
+}
+
+// remote marks a member slot hosted by a peer process. Slots stay
+// below it: 2^31 slots would take hundreds of GB.
+const remote = 1 << 31
+
+// find returns member id's slot and whether this process hosts it; ok
+// is false for non-members.
+func (m *membership) find(id ring.Point) (s uint32, hosted, ok bool) {
+	i, ok := m.ring.Rank(id)
+	if !ok {
+		return 0, false, false
+	}
+	return m.slots[i] &^ remote, m.slots[i]&remote == 0, true
+}
+
+// publishLocked installs the next epoch's membership. Caller holds mu.
+func (c *Core) publishLocked(r *ring.Ring, slots []uint32) {
+	c.members.Store(&membership{ring: r, slots: slots, epoch: c.members.Load().epoch + 1})
 }
 
 // Init binds the core to its transport and overlay with one bulk
@@ -148,6 +178,7 @@ type Core struct {
 func (c *Core) Init(tr simnet.Transport, h Hooks) {
 	c.tr, c.hooks = tr, h
 	c.overflow = make(map[ring.Point]uint32)
+	c.members.Store(&membership{ring: new(ring.Ring)})
 	if err := tr.RegisterMulti(c.ownsID, c.dispatchAny); err != nil {
 		c.regErr = fmt.Errorf("overlay: registering on the transport: %w", err)
 	}
@@ -191,7 +222,6 @@ func (c *Core) growLocked(capacity int) {
 	c.lockAllStripes()
 	defer c.unlockAllStripes()
 	c.ids = GrowCopy(c.ids, capacity)
-	c.alive = GrowCopy(c.alive, capacity)
 	c.freeBits = GrowCopy(c.freeBits, (capacity+63)/64)
 	c.hooks.Grow(capacity)
 }
@@ -204,11 +234,11 @@ func GrowCopy[S ~[]T, T any](src S, capacity int) S {
 	return dst
 }
 
-// lookupLocked resolves an id to its slot: members bridge first, then
-// the overflow map. Caller holds mu (either mode).
+// lookupLocked resolves an id to its slot: the membership first, then
+// the overflow map. Caller holds mu (either mode), so the two agree.
 func (c *Core) lookupLocked(id ring.Point) (uint32, bool) {
-	if rank, ok := ring.Rank(c.members, id); ok {
-		return c.memberSlots[rank], true
+	if s, _, ok := c.members.Load().find(id); ok {
+		return s, true
 	}
 	s, ok := c.overflow[id]
 	return s, ok
@@ -216,13 +246,10 @@ func (c *Core) lookupLocked(id ring.Point) (uint32, bool) {
 
 // Intern resolves id to a slot, allocating an external slot when the
 // id has never been seen. On the steady-state path (id is a member)
-// this is one binary search under a read lock and allocates nothing.
-// Callers must not hold any stripe (lock order: mu before stripe).
+// this takes no lock and allocates nothing. Callers must not hold any
+// stripe (lock order: mu before stripe).
 func (c *Core) Intern(id ring.Point) uint32 {
-	c.mu.RLock()
-	s, ok := c.lookupLocked(id)
-	c.mu.RUnlock()
-	if ok {
+	if s, ok := c.SlotOf(id); ok {
 		return s
 	}
 	c.mu.Lock()
@@ -230,7 +257,7 @@ func (c *Core) Intern(id ring.Point) uint32 {
 	if s, ok := c.lookupLocked(id); ok {
 		return s
 	}
-	s = c.newSlotLocked(id)
+	s := c.newSlotLocked(id)
 	c.overflow[id] = s
 	c.reclaimable++ // external slots are reclaimable once unreferenced
 	return s
@@ -238,7 +265,11 @@ func (c *Core) Intern(id ring.Point) uint32 {
 
 // SlotOf resolves an id without allocating; the second result is false
 // for ids the network has never seen (or whose slot was scavenged).
+// Only ids outside the membership take the lock.
 func (c *Core) SlotOf(id ring.Point) (uint32, bool) {
+	if s, _, ok := c.members.Load().find(id); ok {
+		return s, true
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.lookupLocked(id)
@@ -246,14 +277,8 @@ func (c *Core) SlotOf(id ring.Point) (uint32, bool) {
 
 // LiveSlot resolves an id to the slot of a live locally-hosted member.
 func (c *Core) LiveSlot(id ring.Point) (uint32, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	rank, ok := ring.Rank(c.members, id)
-	if !ok {
-		return 0, false
-	}
-	s := c.memberSlots[rank]
-	return s, c.alive[s]
+	s, hosted, _ := c.members.Load().find(id)
+	return s, hosted
 }
 
 // newSlotLocked allocates a slot for id and resets it to the fresh-node
@@ -307,15 +332,15 @@ func (c *Core) scavengeLocked() int {
 	c.lockAllStripes()
 	defer c.unlockAllStripes()
 	marks := make(Marks, (c.used+63)/64)
-	for _, s := range c.memberSlots {
-		marks.Set(s)
-		if c.alive[s] { // remote members of a partitioned build hold no local state
+	for _, s := range c.members.Load().slots {
+		marks.Set(s &^ remote)
+		if s&remote == 0 { // remote members of a partitioned build hold no local state
 			c.hooks.Mark(s, marks)
 		}
 	}
 	freed := 0
 	for s := uint32(0); int(s) < c.used; s++ {
-		if c.alive[s] || marks.Has(s) || c.freeBits.Has(s) {
+		if marks.Has(s) || c.freeBits.Has(s) {
 			continue
 		}
 		c.free = append(c.free, s)
@@ -363,8 +388,8 @@ func (c *Core) StorageStats() StorageStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	live := 0
-	for _, s := range c.memberSlots {
-		if c.alive[s] {
+	for _, s := range c.members.Load().slots {
+		if s&remote == 0 {
 			live++
 		}
 	}
@@ -372,10 +397,9 @@ func (c *Core) StorageStats() StorageStats {
 }
 
 // spliceIn returns a copy of s with v inserted at index i
-// (copy-on-write, the aligned-snapshot counterpart of
-// ring.InsertSorted).
-func spliceIn[T any](s []T, i int, v T) []T {
-	out := make([]T, len(s)+1)
+// (copy-on-write, the aligned counterpart of ring.Insert).
+func spliceIn(s []uint32, i int, v uint32) []uint32 {
+	out := make([]uint32, len(s)+1)
 	copy(out, s[:i])
 	out[i] = v
 	copy(out[i+1:], s[i:])
@@ -383,8 +407,8 @@ func spliceIn[T any](s []T, i int, v T) []T {
 }
 
 // spliceOut returns a copy of s with index i removed (copy-on-write).
-func spliceOut[T any](s []T, i int) []T {
-	out := make([]T, len(s)-1)
+func spliceOut(s []uint32, i int) []uint32 {
+	out := make([]uint32, len(s)-1)
 	copy(out, s[:i])
 	copy(out[i:], s[i+1:])
 	return out
@@ -425,29 +449,24 @@ func (c *Core) Call(from, to ring.Point, msg simnet.Message) (simnet.Message, er
 // Members returns the ids of all live nodes in sorted order. The
 // returned slice is a shared immutable snapshot — callers must not
 // modify it. Join/crash never re-sorts and never invalidates: each
-// installs a fresh spliced copy (copy-on-write), so a held snapshot
-// stays internally consistent across later churn and a call here is a
-// read-locked pointer fetch even at n = 10^6 under sustained churn.
-func (c *Core) Members() []ring.Point {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.members
-}
+// publishes a fresh spliced copy (copy-on-write), so a held snapshot
+// stays internally consistent across later churn and a call here is
+// one atomic load even at n = 10^6 under sustained churn.
+func (c *Core) Members() []ring.Point { return c.Ring().Sorted() }
+
+// Ring returns the live membership as an immutable ring: Members with
+// its bucket directory, for lookups against the current epoch.
+func (c *Core) Ring() *ring.Ring { return c.members.Load().ring }
 
 // Epoch returns the membership epoch: it increments on every join and
 // crash, so two equal readings around a Members call certify the
 // snapshot is current (the epoch-snapshot pairing the race tests
 // exercise).
-func (c *Core) Epoch() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.epoch
-}
+func (c *Core) Epoch() uint64 { return c.members.Load().epoch }
 
-// NumAlive returns the number of live nodes. The membership snapshot
-// holds exactly the live nodes (Crash removes before marking dead), so
-// this is the snapshot length.
-func (c *Core) NumAlive() int { return len(c.Members()) }
+// NumAlive returns the number of live nodes: the membership holds
+// exactly the live nodes, so this is its length.
+func (c *Core) NumAlive() int { return c.Ring().Len() }
 
 // AddNode allocates (or recycles) a slot for id, splices it into the
 // live membership — which is what makes the transport route to it —
@@ -457,8 +476,9 @@ func (c *Core) AddNode(id ring.Point) (uint32, error) {
 		return 0, c.regErr
 	}
 	c.mu.Lock()
-	rank, found := ring.Rank(c.members, id)
-	if found {
+	m := c.members.Load()
+	r, rank, added := m.ring.Insert(id)
+	if !added {
 		c.mu.Unlock()
 		return 0, fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
@@ -472,10 +492,7 @@ func (c *Core) AddNode(id ring.Point) (uint32, error) {
 	} else {
 		s = c.newSlotLocked(id)
 	}
-	c.alive[s] = true
-	c.members = spliceIn(c.members, rank, id)
-	c.memberSlots = spliceIn(c.memberSlots, rank, s)
-	c.epoch++
+	c.publishLocked(r, spliceIn(m.slots, rank, s))
 	c.mu.Unlock()
 	return s, nil
 }
@@ -486,19 +503,17 @@ func (c *Core) AddNode(id ring.Point) (uint32, error) {
 // answering RPCs already in flight) until the scavenger recycles it.
 func (c *Core) Crash(id ring.Point) error {
 	c.mu.Lock()
-	rank, ok := ring.Rank(c.members, id)
-	// A member that is not alive is hosted elsewhere (partitioned build).
-	if ok = ok && c.alive[c.memberSlots[rank]]; ok {
-		s := c.memberSlots[rank]
-		c.members = ring.RemoveSorted(c.members, id)
-		c.memberSlots = spliceOut(c.memberSlots, rank)
-		c.alive[s] = false
+	m := c.members.Load()
+	// A member hosted elsewhere (partitioned build) is not ours to crash.
+	s, hosted, _ := m.find(id)
+	if hosted {
+		r, rank, _ := m.ring.Remove(id)
+		c.publishLocked(r, spliceOut(m.slots, rank))
 		c.overflow[id] = s
 		c.reclaimable++
-		c.epoch++
 	}
 	c.mu.Unlock()
-	if !ok {
+	if !hosted {
 		return fmt.Errorf("%w: %v", ErrNodeNotFound, id)
 	}
 	return nil
@@ -525,24 +540,22 @@ func (c *Core) BuildStatic(points []ring.Point, owned func(ring.Point) bool, fil
 	if err != nil {
 		return fmt.Errorf("overlay: building static ring: %w", err)
 	}
-	sorted := r.Points()
-	c.growLocked(len(sorted))
-	c.used = len(sorted)
-	c.memberSlots = make([]uint32, len(sorted))
-	ownedIdx := make([]int, 0, len(sorted))
-	for i, id := range sorted {
+	c.growLocked(r.Len())
+	c.used = r.Len()
+	slots := make([]uint32, r.Len())
+	ownedIdx := make([]int, 0, r.Len())
+	for i, id := range r.Sorted() {
 		s := uint32(i)
-		c.memberSlots[i] = s
 		c.ids[s] = uint64(id)
 		c.hooks.Reset(s)
 		if owned != nil && !owned(id) {
+			slots[i] = s | remote
 			continue
 		}
-		c.alive[s] = true
+		slots[i] = s
 		ownedIdx = append(ownedIdx, i)
 	}
-	c.members = sorted
-	c.epoch++
+	c.publishLocked(r, slots)
 	parallel.Shards(len(ownedIdx), parallel.Workers(len(ownedIdx)), func(lo, hi int) {
 		fill(r, ownedIdx[lo:hi])
 	})

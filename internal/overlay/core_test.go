@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -56,25 +57,28 @@ func (f *fake) check(t *testing.T, step int) {
 	t.Helper()
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	st := StorageStats{Slots: f.used, Live: len(f.members), Free: len(f.free), Reclaimable: f.reclaimable}
+	m := f.members.Load()
+	st := StorageStats{Slots: f.used, Live: m.ring.Len(), Free: len(f.free), Reclaimable: f.reclaimable}
 	if st.Slots != st.Live+st.Free+st.Reclaimable {
 		t.Fatalf("step %d: %+v: Slots != Live + Free + Reclaimable", step, st)
 	}
-	if len(f.memberSlots) != len(f.members) {
-		t.Fatalf("step %d: %d members, %d member slots", step, len(f.members), len(f.memberSlots))
+	if len(m.slots) != m.ring.Len() {
+		t.Fatalf("step %d: %d members, %d member slots", step, m.ring.Len(), len(m.slots))
 	}
 	seen, reach := make(Marks, (f.used+63)/64), make(Marks, (f.used+63)/64)
-	for i, id := range f.members {
-		s := f.memberSlots[i]
-		if i > 0 && f.members[i-1] >= id {
+	for i, id := range m.ring.Sorted() {
+		s := m.slots[i] &^ remote
+		if i > 0 && m.ring.At(i-1) >= id {
 			t.Fatalf("step %d: members not sorted and duplicate-free at %d", step, i)
 		}
-		if f.ID(s) != id || !f.alive[s] || seen.Has(s) || f.freeBits.Has(s) {
-			t.Fatalf("step %d: member %d: slot %d holds id %d, alive=%v, shared=%v, free=%v",
-				step, id, s, f.ID(s), f.alive[s], seen.Has(s), f.freeBits.Has(s))
+		if f.ID(s) != id || seen.Has(s) || f.freeBits.Has(s) {
+			t.Fatalf("step %d: member %d: slot %d holds id %d, shared=%v, free=%v",
+				step, id, s, f.ID(s), seen.Has(s), f.freeBits.Has(s))
 		}
 		seen.Set(s)
-		f.hooks.Mark(s, reach)
+		if m.slots[i]&remote == 0 {
+			f.hooks.Mark(s, reach)
+		}
 	}
 	for _, s := range f.free {
 		if reach.Has(s) || !f.freeBits.Has(s) {
@@ -83,9 +87,9 @@ func (f *fake) check(t *testing.T, step int) {
 		}
 	}
 	for id, s := range f.overflow {
-		if f.ID(s) != id || f.alive[s] || f.freeBits.Has(s) {
-			t.Fatalf("step %d: overflow %d -> slot %d holds id %d, alive=%v, free=%v",
-				step, id, s, f.ID(s), f.alive[s], f.freeBits.Has(s))
+		if f.ID(s) != id || seen.Has(s) || f.freeBits.Has(s) {
+			t.Fatalf("step %d: overflow %d -> slot %d holds id %d, member=%v, free=%v",
+				step, id, s, f.ID(s), seen.Has(s), f.freeBits.Has(s))
 		}
 	}
 }
@@ -249,4 +253,119 @@ func TestCoreConcurrentReaders(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatal("slot reuse order changed under concurrent readers")
 	}
+}
+
+// agree holds every membership reader to ref, the members and their
+// slots as a plain map: Members and Epoch read from one epoch, LiveSlot
+// and SlotOf for members and non-members, and the adapter's owner
+// indices after a refresh. Non-members may still resolve through
+// SlotOf (zombies and contacts), but only to a slot holding their id.
+func (f *fake) agree(t *testing.T, ref map[ring.Point]uint32, probes []ring.Point) {
+	t.Helper()
+	var want []ring.Point
+	for id := range ref {
+		want = append(want, id)
+	}
+	slices.Sort(want)
+	m := f.members.Load()
+	if !slices.Equal(f.Members(), want) || !slices.Equal(m.ring.Sorted(), want) || f.Epoch() != m.epoch || f.NumAlive() != len(want) {
+		t.Fatalf("membership %v at epoch %d, reference %v", f.Members(), f.Epoch(), want)
+	}
+	d := &DHT{core: &f.Core}
+	d.RefreshOwners()
+	if d.Size() != len(want) {
+		t.Fatalf("adapter size %d, reference %d", d.Size(), len(want))
+	}
+	for _, id := range slices.Concat(probes, want) {
+		s, member := ref[id]
+		ls, live := f.LiveSlot(id)
+		ss, known := f.SlotOf(id)
+		rank, _ := slices.BinarySearch(want, id)
+		if !member {
+			rank = -1
+		}
+		switch {
+		case live != member || member && (ls != s || !known || ss != s):
+			t.Fatalf("member %d (slot %d, %v): LiveSlot %d, %v; SlotOf %d, %v", id, s, member, ls, live, ss, known)
+		case known && f.IDOf(ss) != id:
+			t.Fatalf("%d resolves to slot %d holding %d", id, ss, f.IDOf(ss))
+		case d.peerOf(id).Owner != rank:
+			t.Fatalf("peerOf(%d).Owner = %d, reference rank %d", id, d.peerOf(id).Owner, rank)
+		}
+	}
+}
+
+// TestCoreEdgeMemberships drives the lock-free membership through the
+// rings that stress its directory — one member, both ends of the
+// circle, adjacent ids, every id in one directory bucket — joining then
+// crashing each, and through a membership grown to 70 and crashed back
+// to one, which crosses every directory resize (n/4 reaching a power
+// of two) both ways; after every step agree holds it to a map.
+func TestCoreEdgeMemberships(t *testing.T) {
+	const top = math.MaxUint64
+	oneBucket := make([]ring.Point, 40)
+	for i := range oneBucket {
+		oneBucket[i] = ring.Point(1<<40 + uint64(i))
+	}
+	rng := rand.New(rand.NewPCG(8, 9))
+	grown := make([]ring.Point, 70)
+	for i := range grown {
+		grown[i] = ring.Point(rng.Uint64())
+	}
+	for _, ids := range [][]ring.Point{{5}, {0, top}, {top, 0, 1, top - 1}, {7, 8, 9}, oneBucket, grown} {
+		f := newFake(simnet.NewDirect())
+		ref := map[ring.Point]uint32{}
+		probes := append([]ring.Point{0, 1, top, 1 << 40}, ids...)
+		for _, id := range ids {
+			s, err := f.AddNode(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref[id] = s
+			f.agree(t, ref, probes)
+		}
+		for _, id := range ids[1:] {
+			if err := f.Crash(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(ref, id)
+			f.agree(t, ref, probes)
+		}
+		f.Scavenge()
+		f.agree(t, ref, probes)
+	}
+}
+
+// TestCorePartitionedBuild: a static build hosting every other point
+// keeps the rest as members this process cannot serve — in Members and
+// SlotOf, never in LiveSlot — will not crash them and never sweeps
+// their slots.
+func TestCorePartitionedBuild(t *testing.T) {
+	pts, err := ring.Generate(rand.New(rand.NewPCG(4, 4)), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFake(simnet.NewDirect())
+	owned := func(id ring.Point) bool { return pts.IndexOf(id)%2 == 0 }
+	if err := f.BuildStatic(pts.Points(), owned, func(*ring.Ring, []int) {}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(f.Members(), pts.Sorted()) || f.StorageStats().Live != 32 {
+		t.Fatalf("partitioned build: %d members, %+v", len(f.Members()), f.StorageStats())
+	}
+	for i, id := range pts.Sorted() {
+		ls, live := f.LiveSlot(id)
+		ss, known := f.SlotOf(id)
+		if live != owned(id) || !known || ss != uint32(i) || live && ls != ss {
+			t.Fatalf("point %d (owned %v): LiveSlot %d, %v; SlotOf %d, %v", i, owned(id), ls, live, ss, known)
+		}
+		if err := f.Crash(id); owned(id) != (err == nil) {
+			t.Fatalf("Crash of point %d (owned %v) = %v", i, owned(id), err)
+		}
+	}
+	// The sweep frees the crashed half and keeps the remote members.
+	if freed := f.Scavenge(); f.NumAlive() != 32 || freed != 32 {
+		t.Fatalf("after crashing the hosted half: %d members, %d freed", f.NumAlive(), freed)
+	}
+	f.check(t, 0)
 }

@@ -3,7 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/ring"
@@ -31,11 +31,10 @@ type DHT struct {
 	r      Router
 	caller ring.Point
 
-	mu sync.RWMutex
-	// sorted is the membership snapshot owner indices are derived from:
-	// a peer's owner index is its rank here (binary search), so the
-	// adapter carries no per-peer map.
-	sorted []ring.Point
+	// owners is the membership owner indices are derived from: a peer's
+	// owner index is its rank there, so the adapter carries no per-peer
+	// map.
+	owners atomic.Pointer[ring.Ring]
 }
 
 var _ dht.DHT = (*DHT)(nil)
@@ -55,14 +54,8 @@ func NewDHT(c *Core, r Router, caller ring.Point) (*DHT, error) {
 // RefreshOwners re-snapshots the membership the owner indices are
 // ranked against (global knowledge used only for experiment tallying,
 // never by the protocol or the samplers). The snapshot is the core's
-// immutable copy-on-write membership slice, so this is a pointer fetch,
-// not a rebuild.
-func (d *DHT) RefreshOwners() {
-	members := d.core.Members()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.sorted = members
-}
+// immutable per-epoch ring, so this is a pointer swap, not a rebuild.
+func (d *DHT) RefreshOwners() { d.owners.Store(d.core.Ring()) }
 
 // Self returns the caller as a peer.
 func (d *DHT) Self() dht.Peer { return d.peerOf(d.caller) }
@@ -89,11 +82,7 @@ func (d *DHT) Next(p dht.Peer) (dht.Peer, error) {
 }
 
 // Size implements dht.DHT.
-func (d *DHT) Size() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.sorted)
-}
+func (d *DHT) Size() int { return d.owners.Load().Len() }
 
 // Owners implements dht.DHT. Both overlays have one point per peer.
 func (d *DHT) Owners() int { return d.Size() }
@@ -102,11 +91,8 @@ func (d *DHT) Owners() int { return d.Size() }
 func (d *DHT) Meter() *simnet.Meter { return d.core.Meter() }
 
 func (d *DHT) peerOf(id ring.Point) dht.Peer {
-	d.mu.RLock()
-	sorted := d.sorted
-	d.mu.RUnlock()
 	owner := -1
-	if rank, ok := ring.Rank(sorted, id); ok {
+	if rank, ok := d.owners.Load().Rank(id); ok {
 		owner = rank
 	}
 	return dht.Peer{Point: id, Owner: owner}

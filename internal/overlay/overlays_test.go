@@ -2,6 +2,7 @@ package overlay_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/dht-sampling/randompeer/internal/adversary"
 	"github.com/dht-sampling/randompeer/internal/chord"
+	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/raceflag"
@@ -31,17 +33,81 @@ type storage interface {
 	overlay.Network
 	Scavenge() int
 	Epoch() uint64
+	SlotOf(id ring.Point) (uint32, bool)
+	IDOf(s uint32) ring.Point
 	Predecessor(from, of ring.Point) (ring.Point, bool, error)
 	Ping(from, to ring.Point) error
 }
 
 func build(t *testing.T, backend string, cfg overlays.Config, points []ring.Point) storage {
 	t.Helper()
-	net, err := overlays.Build(backend, cfg, simnet.NewDirect(), points, nil)
+	return buildOwned(t, backend, cfg, points, nil)
+}
+
+// buildOwned builds a partition hosting the points owned selects.
+func buildOwned(t *testing.T, backend string, cfg overlays.Config, points []ring.Point, owned func(ring.Point) bool) storage {
+	t.Helper()
+	net, err := overlays.Build(backend, cfg, simnet.NewDirect(), points, owned)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return net.(storage)
+}
+
+// reference is a network's membership as a plain map, kept by a test's
+// one writer beside the network's own lock-free one: member id ->
+// hosted by this process.
+type reference map[ring.Point]bool
+
+// disagree holds every membership reader of net to ref after a churn
+// step: Members at one unchanged Epoch; LiveSlot (hosted members only)
+// and SlotOf (every member, and non-members only to a slot holding
+// their id) for the members and the probes; and the owner indices of
+// d, refreshed — its Size, and each NeighborsOf peer of the hosted
+// members at its reference rank, -1 for non-members. It returns the
+// first disagreement, so the writer may run off the test goroutine.
+func disagree(net storage, d *overlay.DHT, ref reference, probes []ring.Point) error {
+	want := make([]ring.Point, 0, len(ref))
+	for id := range ref {
+		want = append(want, id)
+	}
+	slices.Sort(want)
+	e := net.Epoch()
+	if m := net.Members(); !slices.Equal(m, want) || net.Epoch() != e {
+		return fmt.Errorf("Members at epoch %d: %d ids, reference %d", e, len(m), len(want))
+	}
+	d.RefreshOwners()
+	if d.Size() != len(want) {
+		return fmt.Errorf("adapter size %d, reference %d", d.Size(), len(want))
+	}
+	for _, id := range slices.Concat(probes, want) {
+		hosted, member := ref[id]
+		ls, live := net.LiveSlot(id)
+		ss, known := net.SlotOf(id)
+		switch {
+		case live != hosted || member && !known || live && ss != ls:
+			return fmt.Errorf("%v (member %v, hosted %v): LiveSlot %d, %v; SlotOf %d, %v", id, member, hosted, ls, live, ss, known)
+		case known && net.IDOf(ss) != id:
+			return fmt.Errorf("%v resolves to slot %d holding %v", id, ss, net.IDOf(ss))
+		}
+		if !live {
+			continue
+		}
+		nbrs, err := d.NeighborsOf(dht.Peer{Point: id})
+		if err != nil {
+			return err
+		}
+		for _, p := range nbrs {
+			rank, ok := slices.BinarySearch(want, p.Point)
+			if !ok {
+				rank = -1
+			}
+			if p.Owner != rank {
+				return fmt.Errorf("neighbor %v of %v has owner %d, reference rank %d", p.Point, id, p.Owner, rank)
+			}
+		}
+	}
+	return nil
 }
 
 var table = []struct {
@@ -141,13 +207,32 @@ func TestSlotRecycling(t *testing.T) {
 			const n = 256
 			pts, rng := points(t, uint64(5+2*i), n)
 			net := build(t, ov.name, ov.recycle, pts)
+			ref := reference{}
+			for _, id := range pts {
+				ref[id] = true
+			}
+			via := pts[1] // survives the wave (odd ranks live)
+			d, err := net.AsDHT(via)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agree := func() {
+				t.Helper()
+				if err := disagree(net, d, ref, pts[:8]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			agree()
 			for i := 0; i < n; i += 2 {
 				if err := net.Crash(pts[i]); err != nil {
 					t.Fatal(err)
 				}
+				delete(ref, pts[i])
+				agree()
 			}
 			net.Maintain(ov.recycleRounds, 0)
 			freed := net.Scavenge()
+			agree()
 			if freed == 0 {
 				t.Fatalf("scavenge freed no slots after %d crashes and maintenance", n/2)
 			}
@@ -156,10 +241,15 @@ func TestSlotRecycling(t *testing.T) {
 			if st.Free == 0 {
 				t.Fatalf("no free slots after scavenge: %+v", st)
 			}
-			via := pts[1] // survived the wave (odd ranks live)
 			joined, failed := 0, 0
 			for joined < freed {
-				if err := net.Join(ring.Point(rng.Uint64()), via); err != nil {
+				id := ring.Point(rng.Uint64())
+				err := net.Join(id, via)
+				if err == nil {
+					ref[id] = true
+				}
+				agree()
+				if err != nil {
 					// Account for rolled-back joins instead of requiring
 					// a perfectly clean protocol run over the damaged
 					// ring.
@@ -303,6 +393,151 @@ func TestSnapshotConsistencyConcurrent(t *testing.T) {
 			}
 			close(stop)
 			wg.Wait()
+		})
+	}
+}
+
+// TestMembersEpochSnapshotRace drives concurrent churn (joins, crashes
+// and sweeps), owner lookups and membership readers over one network of
+// each backend. Under -race it proves the lock-free per-epoch
+// membership safe. The one writer holds every reader to a map
+// reference after each step; the readers check that each snapshot is
+// sorted and duplicate-free, that an unchanged epoch brackets an
+// unchanged snapshot, and that the member nobody crashes always
+// resolves to one slot.
+func TestMembersEpochSnapshotRace(t *testing.T) {
+	for i, ov := range table {
+		t.Run(ov.name, func(t *testing.T) {
+			pts, _ := points(t, uint64(42+2*i), 48)
+			net := build(t, ov.name, overlays.Config{}, pts)
+			anchor := pts[0]
+			d, err := net.AsDHT(anchor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := reference{}
+			for _, id := range pts {
+				ref[id] = true
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer close(stop)
+				wrng := rand.New(rand.NewPCG(7, 8))
+				for step := 0; step < 150; step++ {
+					members := net.Members()
+					switch op := wrng.IntN(8); {
+					case op < 4:
+						if id := ring.Point(wrng.Uint64()); net.Join(id, members[wrng.IntN(len(members))]) == nil {
+							ref[id] = true
+						}
+					case op < 7:
+						if victim := members[wrng.IntN(len(members))]; len(members) > 8 && victim != anchor {
+							if err := net.Crash(victim); err != nil {
+								t.Error(err)
+								return
+							}
+							delete(ref, victim)
+						}
+					default:
+						net.Scavenge()
+					}
+					net.Maintain(1, 4)
+					if err := disagree(net, d, ref, pts[:8]); err != nil {
+						t.Errorf("step %d: %v", step, err)
+						return
+					}
+				}
+			}()
+			for w := 0; w < 3; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						e1 := net.Epoch()
+						m := net.Members()
+						s, live := net.LiveSlot(anchor)
+						s2, known := net.SlotOf(anchor)
+						e2 := net.Epoch()
+						for i := 1; i < len(m); i++ {
+							if m[i] <= m[i-1] {
+								t.Errorf("snapshot not sorted/duplicate-free at %d", i)
+								return
+							}
+						}
+						if e1 == e2 && len(m) != len(net.Members()) && net.Epoch() == e1 {
+							t.Error("epoch unchanged but snapshot length moved")
+							return
+						}
+						if !live || !known || s != s2 {
+							t.Errorf("anchor: LiveSlot %d, %v; SlotOf %d, %v", s, live, s2, known)
+							return
+						}
+					}
+				}()
+			}
+			// Concurrent lookups from the protected member.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				lrng := rand.New(rand.NewPCG(9, 10))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					_, _ = net.Owner(anchor, ring.Point(lrng.Uint64()))
+				}
+			}()
+			wg.Wait()
+		})
+	}
+}
+
+// TestPartitionedMembership: a build hosting every other point keeps
+// the rest as members this process cannot serve — in Members, SlotOf
+// and the owner indices, never in LiveSlot — refuses to crash them and
+// keeps their slots through sweeps, while the hosted half crashes.
+func TestPartitionedMembership(t *testing.T) {
+	for i, ov := range table {
+		t.Run(ov.name, func(t *testing.T) {
+			pts, _ := points(t, uint64(61+2*i), 64)
+			ref := reference{}
+			for j, id := range pts {
+				ref[id] = j%2 == 0
+			}
+			net := buildOwned(t, ov.name, overlays.Config{}, pts, func(id ring.Point) bool { return ref[id] })
+			d, err := net.AsDHT(pts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			agree := func() {
+				t.Helper()
+				if err := disagree(net, d, ref, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			agree()
+			for j := 1; j < len(pts); j++ {
+				err := net.Crash(pts[j])
+				if hosted := j%2 == 0; hosted != (err == nil) {
+					t.Fatalf("Crash of point %d (hosted %v) = %v", j, hosted, err)
+				}
+				if err == nil {
+					delete(ref, pts[j])
+				}
+				agree()
+			}
+			net.Scavenge()
+			agree()
 		})
 	}
 }

@@ -88,56 +88,17 @@ func UnitsToFrac(units uint64) float64 {
 	return float64(units) / UnitsPerCircle
 }
 
-// InsertSorted returns a new sorted slice equal to members with id
-// inserted (members itself is never modified — copy-on-write). If id is
-// already present the original slice is returned unchanged. The search
-// is O(log n); the single-pass copy replaces the full re-sort that
-// membership caches used to pay per join.
-func InsertSorted(members []Point, id Point) []Point {
-	i, found := slices.BinarySearch(members, id)
-	if found {
-		return members
-	}
-	out := make([]Point, len(members)+1)
-	copy(out, members[:i])
-	out[i] = id
-	copy(out[i+1:], members[i:])
-	return out
-}
-
-// Rank returns the index id occupies (or would occupy) in the sorted
-// slice, and whether it is present. It is the sorted-membership half
-// of the overlays' ID↔index bridge: a present id's rank selects its
-// storage index from the aligned index snapshot, with no per-id map.
-func Rank(sorted []Point, id Point) (int, bool) {
-	return slices.BinarySearch(sorted, id)
-}
-
-// RemoveSorted returns a new sorted slice equal to members with id
-// removed (copy-on-write; members is never modified). If id is absent
-// the original slice is returned unchanged.
-func RemoveSorted(members []Point, id Point) []Point {
-	i, found := slices.BinarySearch(members, id)
-	if !found {
-		return members
-	}
-	out := make([]Point, len(members)-1)
-	copy(out, members[:i])
-	copy(out[i:], members[i+1:])
-	return out
-}
-
 // Ring is an immutable set of distinct peer points in sorted (clockwise)
 // order. Index i identifies the peer owning point i; indices are the
 // stable peer identities used by the samplers' tallies and by the exact
 // assignment analyzer.
 //
-// Beside the points a ring keeps a bucket directory for Successor: the
-// circle is cut into 2^k equal buckets by a point's top k bits, and
-// dir[b] is the rank of the first point whose top k bits are >= b
-// (dir[2^k] = n). k = bits.Len(n/4) is the smallest k with 2^k > n/4,
-// so a uniform ring holds 2 to 4 points a bucket on average and the
-// search inside one takes two or three probes. Fewer buckets would
+// Beside the points a ring keeps a bucket directory for Successor and
+// Rank: the circle is cut into 2^k equal buckets by a point's top k
+// bits, and dir[b] is the rank of the first point whose top k bits are
+// >= b (dir[2^k] = n). k = bits.Len(n/4) is the smallest k with
+// 2^k > n/4, so a uniform ring holds 2 to 4 points a bucket on average
+// and the search inside one takes two or three probes. Fewer buckets would
 // lengthen that search; more would grow the directory, which at
 // 4·(2^k+1) bytes is already 1–2 bytes a point (1 MB at n = 10^6)
 // beside the points' 8.
@@ -224,18 +185,66 @@ func (r *Ring) Points() []Point {
 	return out
 }
 
+// Sorted returns the sorted peer points without copying them: the
+// ring's own immutable array, which callers must not modify.
+func (r *Ring) Sorted() []Point { return r.points }
+
+// Rank returns the index p occupies in the ring, or would occupy were
+// it inserted, and whether p is present: Successor's search without the
+// wrap. It is the one lookup IndexOf, Insert and Remove share with the
+// oracle's h and the overlays' ID↔slot bridge, which keeps a member's
+// slot at its rank.
+func (r *Ring) Rank(p Point) (int, bool) {
+	i := r.Successor(p)
+	if i == 0 && len(r.points) > 0 && r.points[0] < p {
+		return len(r.points), false // wrapped: p is past the largest point
+	}
+	return i, i < len(r.points) && r.points[i] == p
+}
+
+// Insert returns a ring equal to r with p added and p's index in it;
+// r itself is never modified (copy-on-write). If p is present already
+// it returns r, p's index and false. The splice and the new directory
+// take one O(n) pass with no sort.
+func (r *Ring) Insert(p Point) (*Ring, int, bool) {
+	i, found := r.Rank(p)
+	if found {
+		return r, i, false
+	}
+	ps := make([]Point, len(r.points)+1)
+	copy(ps, r.points[:i])
+	ps[i] = p
+	copy(ps[i+1:], r.points[i:])
+	return fromSorted(ps), i, true
+}
+
+// Remove returns a ring equal to r without p and the index p had
+// (copy-on-write, like Insert). If p is absent it returns r, the index
+// p would take and false.
+func (r *Ring) Remove(p Point) (*Ring, int, bool) {
+	i, found := r.Rank(p)
+	if !found {
+		return r, i, false
+	}
+	ps := make([]Point, len(r.points)-1)
+	copy(ps, r.points[:i])
+	copy(ps[i:], r.points[i+1:])
+	return fromSorted(ps), i, true
+}
+
 // Successor returns the index of the peer whose point is closest in
 // clockwise distance to x. This is the paper's h(x): if x coincides with
 // a peer point the peer at x itself is returned (distance zero).
 //
-// Every h lookup of every sampler lands here. The bucket directory
-// narrows the search to the points sharing x's top k bits, which hold
-// the answer unless x is past all of them, when the answer is the
-// bucket's end: the first point of a later bucket, or n, which wraps to
-// 0. A binary search over that range finishes the job, so a lookup is
-// O(1) expected on a uniform ring and never worse than O(log n), even
-// when every point shares one bucket. (A shift by 64 is 0 in Go, so a
-// one-bucket ring's k = 0 needs no case of its own.)
+// Every h lookup of every sampler lands here, and every Rank. The
+// bucket directory narrows the search to the points sharing x's top k
+// bits, which hold the answer unless x is past all of them, when the
+// answer is the bucket's end: the first point of a later bucket, or n,
+// which wraps to 0. A binary search over that range finishes the job,
+// so a lookup is O(1) expected on a uniform ring and never worse than
+// O(log n), even when every point shares one bucket. (A shift by 64 is
+// 0 in Go, so a one-bucket ring's k = 0 needs no case of its own.) The
+// body stays within the compiler's inlining budget, so h pays no call.
 func (r *Ring) Successor(x Point) int {
 	if len(r.dir) == 0 {
 		return 0 // the zero-value ring
@@ -281,14 +290,8 @@ func (r *Ring) Arc(i int) uint64 {
 }
 
 // IndexOf returns the index owning point p, or -1 if no peer sits at p.
-// It reuses Successor's search: when p is present its successor is
-// itself, and the wrap-to-0 case can never pass the equality check
-// (a p beyond the largest point exceeds points[0] too).
 func (r *Ring) IndexOf(p Point) int {
-	if len(r.points) == 0 {
-		return -1
-	}
-	if i := r.Successor(p); r.points[i] == p {
+	if i, ok := r.Rank(p); ok {
 		return i
 	}
 	return -1

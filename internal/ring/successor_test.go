@@ -3,8 +3,10 @@ package ring
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -72,20 +74,79 @@ var placements = []struct {
 	}},
 }
 
-// checkSuccessor compares Successor with successorRef at x, and IndexOf
-// with the same search.
+// checkSuccessor compares Successor with successorRef at x, and Rank
+// and IndexOf with slices.BinarySearch.
 func checkSuccessor(t *testing.T, r *Ring, x Point) {
 	t.Helper()
 	want := successorRef(r.points, x)
 	if got := r.Successor(x); got != want {
 		t.Fatalf("n=%d: Successor(%d) = %d, binary search %d", r.Len(), uint64(x), got, want)
 	}
+	rank, found := slices.BinarySearch(r.points, x)
+	if gotRank, gotFound := r.Rank(x); gotRank != rank || gotFound != found {
+		t.Fatalf("n=%d: Rank(%d) = %d, %v; binary search %d, %v", r.Len(), uint64(x), gotRank, gotFound, rank, found)
+	}
 	wantIdx := -1
-	if r.points[want] == x {
-		wantIdx = want
+	if found {
+		wantIdx = rank
 	}
 	if got := r.IndexOf(x); got != wantIdx {
 		t.Fatalf("n=%d: IndexOf(%d) = %d, want %d", r.Len(), uint64(x), got, wantIdx)
+	}
+}
+
+// checkRing holds r to want, the points it must hold, and to the
+// directory's definition — k = bits.Len(n/4) and dir[b] the number of
+// points whose top k bits are below b — then probes every point, its
+// neighbours and both ends of the circle.
+func checkRing(t *testing.T, r *Ring, want []Point) {
+	t.Helper()
+	if !slices.Equal(r.points, want) {
+		t.Fatalf("ring holds %v, want %v", r.points, want)
+	}
+	k := bits.Len(uint(len(want) / 4))
+	if r.shift != uint(64-k) || len(r.dir) != 1<<k+1 {
+		t.Fatalf("n=%d: shift %d and %d directory entries, want k = %d", len(want), r.shift, len(r.dir), k)
+	}
+	for b := range r.dir {
+		below := sort.Search(len(want), func(i int) bool { return uint64(want[i])>>r.shift >= uint64(b) })
+		if r.dir[b] != uint32(below) {
+			t.Fatalf("n=%d: dir[%d] = %d, want %d", len(want), b, r.dir[b], below)
+		}
+	}
+	for _, p := range append([]Point{0, math.MaxUint64}, want...) {
+		checkSuccessor(t, r, p)
+		checkSuccessor(t, r, p-1)
+		checkSuccessor(t, r, p+1)
+	}
+}
+
+// checkInsertRemove holds the copy-on-write Insert and Remove of p to
+// slices.Insert and slices.Delete on a copy, and r to what it held.
+func checkInsertRemove(t *testing.T, r *Ring, p Point) {
+	t.Helper()
+	before := slices.Clone(r.points)
+	i, found := slices.BinarySearch(before, p)
+	ins, at, added := r.Insert(p)
+	if at != i || added == found {
+		t.Fatalf("Insert(%d) = index %d, added %v; binary search %d, present %v", uint64(p), at, added, i, found)
+	}
+	want := before
+	if !found {
+		want = slices.Insert(slices.Clone(before), i, p)
+	}
+	checkRing(t, ins, want)
+	rem, at, removed := r.Remove(p)
+	if at != i || removed != found {
+		t.Fatalf("Remove(%d) = index %d, removed %v; binary search %d, present %v", uint64(p), at, removed, i, found)
+	}
+	want = before
+	if found {
+		want = slices.Delete(slices.Clone(before), i, i+1)
+	}
+	checkRing(t, rem, want)
+	if !slices.Equal(r.points, before) {
+		t.Fatalf("Insert/Remove(%d) modified the ring they copied", uint64(p))
 	}
 }
 
@@ -159,14 +220,65 @@ func FuzzSuccessorMatchesBinarySearch(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkSuccessor(t, r, Point(probe))
-		checkSuccessor(t, r, 0)
-		checkSuccessor(t, r, math.MaxUint64)
-		for _, p := range ps {
-			checkSuccessor(t, r, p)
-			checkSuccessor(t, r, p-1)
-			checkSuccessor(t, r, p+1)
-		}
+		checkRing(t, r, ps)
+		checkInsertRemove(t, r, Point(probe))
+		checkInsertRemove(t, r, ps[probe%uint64(len(ps))])
 	})
+}
+
+// TestRankEdgeRings holds Rank, Successor, IndexOf and the copy-on-write
+// Insert/Remove to the binary search on the rings that stress the
+// directory: one member, the two ends of the circle, adjacent points,
+// every point in one bucket, and a ring grown from empty and shrunk back
+// one point at a time, which crosses every resize of the directory (n/4
+// reaching a power of two) both ways.
+func TestRankEdgeRings(t *testing.T) {
+	t.Parallel()
+	const top = math.MaxUint64
+	oneBucket := make([]Point, 64)
+	for i := range oneBucket {
+		oneBucket[i] = Point(1<<62 + uint64(i)*3)
+	}
+	for _, ps := range [][]Point{
+		{5}, {0}, {top},
+		{0, top},
+		{0, 1, 2}, {7, 8}, {top - 2, top - 1, top},
+		{0, 1, top - 1, top},
+		oneBucket,
+	} {
+		r, err := New(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRing(t, r, ps)
+		for _, p := range []Point{0, 1, 3, 5, 6, 9, 1 << 62, 1<<62 + 1, 1<<62 + 190, 1<<62 + 192, top - 1, top} {
+			checkInsertRemove(t, r, p)
+		}
+	}
+
+	rng := rand.New(rand.NewPCG(3, 5))
+	r := new(Ring)
+	var want []Point
+	for r.Len() < 70 {
+		p := Point(rng.Uint64())
+		next, i, added := r.Insert(p)
+		if !added {
+			continue
+		}
+		want = slices.Insert(want, i, p)
+		checkRing(t, next, want)
+		r = next
+	}
+	for r.Len() > 0 {
+		p := want[rng.IntN(len(want))]
+		next, i, removed := r.Remove(p)
+		if !removed {
+			t.Fatalf("Remove(%d) of a member reported absent", uint64(p))
+		}
+		want = slices.Delete(want, i, i+1)
+		checkRing(t, next, want)
+		r = next
+	}
 }
 
 // generateMapRef is Generate before it sorted its draws: a map of the

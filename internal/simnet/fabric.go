@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,13 +24,30 @@ type Fabric struct {
 	// transports' WithFaults options set it before the first Call.
 	Faults *Faults
 
-	mu       sync.RWMutex
+	// mu serialises registry changes; each builds the next registry
+	// from a copy of the current one and publishes it, so Resolve reads
+	// it with one atomic load and no lock.
+	mu    sync.Mutex
+	reg   atomic.Pointer[registry]
+	meter Meter
+	trace atomic.Pointer[obs.Trace]
+	byz   atomic.Pointer[Interceptor]
+}
+
+// registry is who serves which node, immutable once published.
+type registry struct {
 	handlers map[NodeID]Handler
 	multis   []multiReg
 	closed   bool
-	meter    Meter
-	trace    atomic.Pointer[obs.Trace]
-	byz      atomic.Pointer[Interceptor]
+}
+
+// current returns the published registry (empty before the first
+// change).
+func (f *Fabric) current() registry {
+	if r := f.reg.Load(); r != nil {
+		return *r
+	}
+	return registry{}
 }
 
 // multiReg is one bulk registration: an ownership predicate plus the
@@ -52,16 +71,19 @@ func (f *Fabric) Register(id NodeID, h Handler) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
+	r := f.current()
+	if r.closed {
 		return ErrClosed
 	}
-	if _, ok := f.handlers[id]; ok {
+	if _, ok := r.handlers[id]; ok {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
-	if f.handlers == nil {
-		f.handlers = make(map[NodeID]Handler)
+	r.handlers = maps.Clone(r.handlers)
+	if r.handlers == nil {
+		r.handlers = make(map[NodeID]Handler)
 	}
-	f.handlers[id] = h
+	r.handlers[id] = h
+	f.reg.Store(&r)
 	return nil
 }
 
@@ -76,10 +98,12 @@ func (f *Fabric) RegisterMulti(owns func(NodeID) bool, h MultiHandler) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
+	r := f.current()
+	if r.closed {
 		return ErrClosed
 	}
-	f.multis = append(f.multis, multiReg{owns: owns, h: h})
+	r.multis = append(slices.Clip(r.multis), multiReg{owns: owns, h: h})
+	f.reg.Store(&r)
 	return nil
 }
 
@@ -88,7 +112,12 @@ func (f *Fabric) RegisterMulti(owns func(NodeID) bool, h MultiHandler) error {
 func (f *Fabric) Deregister(id NodeID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.handlers, id)
+	r := f.current()
+	if _, ok := r.handlers[id]; ok {
+		r.handlers = maps.Clone(r.handlers)
+		delete(r.handlers, id)
+		f.reg.Store(&r)
+	}
 }
 
 // DeregisterAll detaches every per-node handler and every bulk
@@ -97,7 +126,7 @@ func (f *Fabric) Deregister(id NodeID) {
 func (f *Fabric) DeregisterAll() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.handlers, f.multis = nil, nil
+	f.reg.Store(&registry{closed: f.current().closed})
 }
 
 // Shut closes the fabric: every registration is dropped, Register and
@@ -106,11 +135,10 @@ func (f *Fabric) DeregisterAll() {
 func (f *Fabric) Shut() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
+	if f.current().closed {
 		return false
 	}
-	f.closed = true
-	f.handlers, f.multis = nil, nil
+	f.reg.Store(&registry{closed: true})
 	return true
 }
 
@@ -140,25 +168,26 @@ func (f *Fabric) SetInterceptor(ic Interceptor) {
 // Resolve finds who serves node "to": its per-node handler, else the
 // first bulk registration that owns it. The error is ErrClosed after
 // Shut, ErrUnknownNode when nobody here hosts the node — both bare and
-// uncharged: what a miss costs is the transport's business.
-func (f *Fabric) Resolve(to NodeID) (dst Dest, err error) {
-	f.mu.RLock()
-	switch h, ok := f.handlers[to]; {
-	case f.closed:
-		err = ErrClosed
-	case ok:
-		dst.h = h
-	default:
-		err = ErrUnknownNode
-		for i := range f.multis {
-			if f.multis[i].owns(to) {
-				dst.mh, err = f.multis[i].h, nil
-				break
-			}
+// uncharged: what a miss costs is the transport's business. It takes
+// no lock: a call racing a registry change sees the registry before
+// or after it, never a mix.
+func (f *Fabric) Resolve(to NodeID) (Dest, error) {
+	r := f.reg.Load()
+	switch {
+	case r == nil:
+		return Dest{}, ErrUnknownNode
+	case r.closed:
+		return Dest{}, ErrClosed
+	}
+	if h, ok := r.handlers[to]; ok {
+		return Dest{h: h}, nil
+	}
+	for i := range r.multis {
+		if r.multis[i].owns(to) {
+			return Dest{mh: r.multis[i].h}, nil
 		}
 	}
-	f.mu.RUnlock()
-	return dst, err
+	return Dest{}, ErrUnknownNode
 }
 
 // Invoke runs the resolved handler, then the interceptor when one is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,6 +106,52 @@ func TestFabricRegistry(t *testing.T) {
 		t.Errorf("RegisterMulti after Shut = %v, want ErrClosed", err)
 	}
 	f.Deregister(1) // must not panic
+
+	// Resolve reads the registry with no lock while Register,
+	// Deregister and Shut replace it: under -race every read sees one
+	// whole registry. Node 0 is bulk-owned throughout, node 1 comes and
+	// goes, and once a resolver sees ErrClosed it never sees anything
+	// else.
+	var g simnet.Fabric
+	if err := g.RegisterMulti(owns, bulk); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			closed := false
+			for i := 0; ; i++ {
+				got0, err0 := answer(&g, 0)
+				got1, err1 := answer(&g, 1)
+				switch {
+				case err0 == simnet.ErrClosed && err1 == simnet.ErrClosed:
+					closed = true
+				case closed:
+					t.Errorf("resolve after Shut: %v, %v", err0, err1)
+					return
+				case err0 != nil || got0 != "bulk 0":
+					t.Errorf("bulk node 0 answered (%v, %v)", got0, err0)
+					return
+				case err1 != nil && err1 != simnet.ErrClosed || err1 == nil && got1 != "node" && got1 != "bulk 1":
+					t.Errorf("node 1 answered (%v, %v)", got1, err1)
+					return
+				}
+				if closed && i > 1000 {
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		if err := g.Register(1, node); err != nil {
+			t.Fatal(err)
+		}
+		g.Deregister(1)
+	}
+	g.Shut()
+	wg.Wait()
 }
 
 // TestFabricShutReleasesRegistrations: a closed transport must not keep
