@@ -57,7 +57,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccessor|BenchmarkGenerate' -benchtime=0.2s -benchmem ./internal/ring/
 	$(GO) test -run '^$$' -bench 'BenchmarkCoreResolve' -benchtime=0.2s -benchmem ./internal/overlay/
 	$(GO) test -run '^$$' -bench 'BenchmarkAsyncChurn' -benchtime=100x -benchmem ./internal/churn/
-	$(GO) test -run '^$$' -bench 'BenchmarkClosestIntoSlot' -benchtime=1000x -benchmem ./internal/kademlia/
+	$(GO) test -run '^$$' -bench 'BenchmarkClosestIntoSlot|BenchmarkResolveOwner' -benchtime=1000x -benchmem ./internal/kademlia/
 	$(GO) test -run '^$$' -bench 'BenchmarkWireRemoteCall' -benchtime=2000x -benchmem ./internal/wire/
 
 # Kernel event-loop microbenchmarks alone, at measurement benchtime:

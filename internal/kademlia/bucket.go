@@ -2,6 +2,7 @@ package kademlia
 
 import (
 	"math/bits"
+	"slices"
 
 	"github.com/dht-sampling/randompeer/internal/ring"
 )
@@ -18,7 +19,7 @@ import (
 //
 // The reg* functions below are pure operations on one region's words;
 // contacts are arena slot references, translated to identifiers by the
-// callers (Network.closestIntoSlot and friends) via atomic id loads.
+// callers (Network.closestLocked and friends) via atomic id loads.
 
 // replacementCacheLen bounds each bucket's replacement cache.
 const replacementCacheLen = 4
@@ -140,6 +141,12 @@ func (n *Network) touchContact(s uint32, id ring.Point) {
 	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
+	n.touchLocked(s, id, cs)
+}
+
+// touchLocked is touchContact's table update for the contact id,
+// interned as slot cs. The caller holds stripe(s) for writing.
+func (n *Network) touchLocked(s uint32, id ring.Point, cs uint32) {
 	d := xorDist(n.ID(s), id)
 	if d == 0 {
 		return
@@ -189,12 +196,35 @@ func (n *Network) promoteBucket(s uint32, b int) {
 	}
 }
 
+// answerFindNode is a FIND_NODE's work on the answering slot s: it
+// records the sender as a live contact, then selects the count contacts
+// closest to target, s itself included — both under one hold of s's
+// stripe. The sender is interned before the stripe is taken (lock
+// order: core mutex before stripe).
+func (n *Network) answerFindNode(s uint32, sender ring.Point, best []ring.Point, target ring.Point, count int) []ring.Point {
+	cs := n.Intern(sender)
+	st := n.Stripe(s)
+	st.Lock()
+	defer st.Unlock()
+	n.touchLocked(s, sender, cs)
+	return n.closestLocked(s, best, target, count, true)
+}
+
 // closestIntoSlot returns up to count contacts known to slot s sorted
 // by XOR distance to target, optionally including the owner itself,
 // appending into the caller's buffer (reused across calls by the
-// pooled FIND_NODE replies and lookup scratch). FIND_NODE handlers call
-// it on every hop of every lookup, so it is the subsystem's hottest
-// function; nothing allocates.
+// lookup scratch). It is the lookup's seed; the FIND_NODE handler runs
+// the same selection through answerFindNode.
+func (n *Network) closestIntoSlot(s uint32, best []ring.Point, target ring.Point, count int, includeSelf bool) []ring.Point {
+	st := n.Stripe(s)
+	st.RLock()
+	defer st.RUnlock()
+	return n.closestLocked(s, best, target, count, includeSelf)
+}
+
+// closestLocked is closestIntoSlot under a stripe(s) the caller holds,
+// in either mode. FIND_NODE handlers run it on every hop of every
+// lookup, so it is the subsystem's hottest function; nothing allocates.
 //
 // Buckets are visited in increasing distance from the target and the
 // walk stops at the first bucket boundary where best is full. With
@@ -209,78 +239,106 @@ func (n *Network) promoteBucket(s uint32, b int) {
 //     lowest up.
 //
 // The buckets' distance ranges are disjoint and ordered this way, so
-// once best holds count ids no later bucket can displace any of them.
-func (n *Network) closestIntoSlot(s uint32, best []ring.Point, target ring.Point, count int, includeSelf bool) []ring.Point {
+// each bucket's entries are appended after everything before them and
+// only have to be ordered among themselves (appendBucket), and once
+// best holds count ids no later bucket can displace any of them.
+func (n *Network) closestLocked(s uint32, best []ring.Point, target ring.Point, count int, includeSelf bool) []ring.Point {
 	best = best[:0]
 	if count <= 0 {
 		return best
 	}
-	a := &n.st
-	st := n.Stripe(s)
-	st.RLock()
-	defer st.RUnlock()
 	self := n.ID(s)
-	row := a.bucketRefs[int(s)*idBits : int(s)*idBits+idBits]
+	row := n.st.bucketRefs[int(s)*idBits : int(s)*idBits+idBits]
 	d := xorDist(self, target)
 	for rem := d; rem != 0; {
 		b := bucketIndex(rem)
 		rem &^= 1 << uint(b)
-		if best = n.mergeBucket(best, row[b], target, count); len(best) == count {
+		if best = n.appendBucket(best, row[b], target, count); len(best) == count {
 			return best
 		}
 	}
 	if includeSelf {
-		if best = insertClosest(best, target, count, self); len(best) == count {
+		if best = append(best, self); len(best) == count {
 			return best
 		}
 	}
 	for rem := ^d; rem != 0; rem &= rem - 1 {
 		b := bits.TrailingZeros64(rem)
-		if best = n.mergeBucket(best, row[b], target, count); len(best) == count {
+		if best = n.appendBucket(best, row[b], target, count); len(best) == count {
 			return best
 		}
 	}
 	return best
 }
 
-// mergeBucket folds one bucket's entries into the bounded best-list.
-// Entry slots translate to identifiers with atomic loads; the caller
-// holds the owning slot's stripe.
-func (n *Network) mergeBucket(best []ring.Point, ref uint32, target ring.Point, count int) []ring.Point {
+// rankCutoff is the largest bucket appendBucket ranks by counting;
+// larger ones, which only k > rankCutoff has, are sorted. Like
+// slices.Sort's own small-input cutoff it is a size threshold, not a
+// tuning knob.
+const rankCutoff = 32
+
+// appendBucket appends one bucket's entries to best in increasing XOR
+// distance to target, stopping when best holds count. The ordering
+// works on the keys id ^ target, which compare as the distances do,
+// and maps each key back with ^ target (XOR is its own inverse), so no
+// id array is needed. Up to rankCutoff entries, each key's rank is the
+// count of smaller keys, with no data-dependent branch; above it the
+// keys are sorted in best's spare capacity. Entry slots translate to
+// identifiers with atomic loads; the caller holds the owning slot's
+// stripe.
+func (n *Network) appendBucket(best []ring.Point, ref uint32, target ring.Point, count int) []ring.Point {
 	if ref == noRegion {
 		return best
 	}
-	for _, c := range regEntries(n.region(ref)) {
-		best = insertClosest(best, target, count, n.ID(c))
+	ents := regEntries(n.region(ref))
+	l := len(best)
+	keep := min(len(ents), count-l)
+	if len(ents) > rankCutoff {
+		best = slices.Grow(best, len(ents))
+		seg := best[l : l+len(ents)]
+		for i, c := range ents {
+			seg[i] = n.ID(c)
+		}
+		orderByXor(seg, target)
+		return best[:l+keep]
 	}
-	return best
+	var buf [rankCutoff]uint64
+	keys := buf[:len(ents)]
+	for i, c := range ents {
+		keys[i] = uint64(n.ID(c) ^ target)
+	}
+	best = slices.Grow(best, keep)
+	out := best[l : l+keep]
+	// Two keys per pass, so each pass loads the segment once for both;
+	// an odd last key is paired with itself.
+	for i := 0; i < len(keys); i += 2 {
+		a, b := keys[i], keys[min(i+1, len(keys)-1)]
+		var ra, rb uint64
+		for _, kj := range keys {
+			_, lessA := bits.Sub64(kj, a, 0)
+			_, lessB := bits.Sub64(kj, b, 0)
+			ra += lessA
+			rb += lessB
+		}
+		if ra < uint64(keep) {
+			out[ra] = ring.Point(a) ^ target
+		}
+		if rb < uint64(keep) {
+			out[rb] = ring.Point(b) ^ target
+		}
+	}
+	return best[:l+keep]
 }
 
-// insertClosest places id into the sorted bounded best-list (by XOR
-// distance to target, ties by id) if it beats the current worst.
-func insertClosest(best []ring.Point, target ring.Point, count int, id ring.Point) []ring.Point {
-	d := xorDist(target, id)
-	if len(best) == count {
-		wd := xorDist(target, best[len(best)-1])
-		if d > wd || (d == wd && id >= best[len(best)-1]) {
-			return best
-		}
-		best = best[:len(best)-1]
+// orderByXor orders distinct ids in place by XOR distance to target.
+func orderByXor(ids []ring.Point, target ring.Point) {
+	for i := range ids {
+		ids[i] ^= target
 	}
-	// Linear scan: the list holds at most count (= k, typically 16)
-	// entries, where a plain loop beats a closure-based binary search.
-	i := 0
-	for i < len(best) {
-		bd := xorDist(target, best[i])
-		if bd > d || (bd == d && best[i] > id) {
-			break
-		}
-		i++
+	slices.Sort(ids)
+	for i := range ids {
+		ids[i] ^= target
 	}
-	best = append(best, 0)
-	copy(best[i+1:], best[i:])
-	best[i] = id
-	return best
 }
 
 // entriesOfSlot returns a copy of bucket b's live entries for slot s,

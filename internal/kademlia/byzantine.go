@@ -60,10 +60,13 @@ func ByzantineReply(self ring.Point, req, resp simnet.Message, err error, coalit
 		if k <= 0 {
 			k = 1
 		}
+		// The coalition is sorted, so its k XOR-closest members come
+		// from the static build's trie descent.
 		r.Closest = r.Closest[:0]
-		for _, c := range coalition {
-			r.Closest = insertClosest(r.Closest, m.Target, k, c)
+		for _, i := range collectXorClosest(nil, coalition, 0, len(coalition), 0, idBits, uint64(m.Target), k) {
+			r.Closest = append(r.Closest, coalition[i])
 		}
+		orderByXor(r.Closest, m.Target)
 		// Also inject the colluders ring-sandwiching the target: every
 		// reply contact enters the querier's seen set, and the owner
 		// verification scans that set by clockwise distance — so the

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
@@ -180,80 +179,11 @@ type LookupResult struct {
 	RPCs int
 }
 
-// shortEntry is one known, non-failed identifier of a running lookup.
-type shortEntry struct {
-	id ring.Point
-	// queried: the contact answered a FIND_NODE, is in this round's wave,
-	// or is the initiator itself; otherwise it is still a candidate.
-	queried bool
-}
-
-// lookupScratch is the per-lookup working set, reused across calls via
-// a free-list. short is the shortlist: every known identifier that has
-// not failed, sorted by XOR distance to the target (the metric is
-// injective, so the order is total and an identifier's position is
-// found by binary search). failed holds the contacts whose RPC errored,
-// so that one a later reply re-advertises is never queried again; self
-// is the initiator's slot.
-type lookupScratch struct {
-	self   uint32
-	short  []shortEntry
-	failed []ring.Point
-	seed   []ring.Point
-	wave   []ring.Point
-}
-
-var lookupScratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
-
-// search returns id's position in the shortlist and whether it is
-// there.
-func (ls *lookupScratch) search(target, id ring.Point) (int, bool) {
-	d := xorDist(target, id)
-	lo, hi := 0, len(ls.short)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xorDist(target, ls.short[mid].id) < d {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(ls.short) && ls.short[lo].id == id
-}
-
-// learn adds id to the shortlist as a candidate unless it is already
-// known. Replies are untrusted — a Byzantine or remote node may send
-// them unsorted, with duplicates, longer than k or naming the initiator
-// or a failed contact — so every id is placed on its own.
-func (ls *lookupScratch) learn(target, id ring.Point) {
-	i, known := ls.search(target, id)
-	if known || slices.Contains(ls.failed, id) {
-		return
-	}
-	ls.short = slices.Insert(ls.short, i, shortEntry{id: id})
-}
-
-// closest appends the up-to-k XOR-closest queried contacts to dst,
-// best first: LookupResult's Closest.
-func (ls *lookupScratch) closest(dst []ring.Point, k int) []ring.Point {
-	for _, e := range ls.short {
-		if k == 0 {
-			break
-		}
-		if e.queried {
-			dst = append(dst, e.id)
-			k--
-		}
-	}
-	return dst
-}
-
-// drop delists a contact whose RPC failed: off the shortlist, onto the
-// failed list and out of the initiator's table.
-func (n *Network) drop(ls *lookupScratch, target, id ring.Point) {
-	i, _ := ls.search(target, id)
-	ls.short = slices.Delete(ls.short, i, i+1)
-	ls.failed = append(ls.failed, id)
+// drop delists a contact whose RPC failed: off the shortlist (it stays
+// in the lookup's seen set, so it is never queried again) and out of
+// the initiator's table.
+func (n *Network) drop(ls *lookupScratch, id ring.Point) {
+	ls.remove(id)
 	n.removeContact(ls.self, id)
 }
 
@@ -276,7 +206,7 @@ func (n *Network) FindClosest(from, target ring.Point) (LookupResult, error) {
 		res.Seen[i] = e.id
 	}
 	slices.Sort(res.Seen)
-	res.Closest = ls.closest(make([]ring.Point, 0, n.cfg.BucketSize), n.cfg.BucketSize)
+	res.Closest = ls.closest(make([]ring.Point, 0, n.cfg.BucketSize))
 	return res, nil
 }
 
@@ -304,13 +234,11 @@ func (n *Network) lookup(ls *lookupScratch, from, target ring.Point, width int) 
 	if err != nil {
 		return 0, 0, err
 	}
-	ls.self = initiator.slot
 	k, alpha := n.cfg.BucketSize, n.cfg.Alpha
-	ls.short = append(ls.short[:0], shortEntry{id: from, queried: true})
-	ls.failed = ls.failed[:0]
+	ls.reset(initiator.slot, from, target, k)
 	ls.seed = n.closestIntoSlot(ls.self, ls.seed, target, k, false)
 	for _, c := range ls.seed {
-		ls.learn(target, c)
+		ls.learn(c)
 	}
 
 	req := simnet.Message(findNodeReq{Target: target, K: k})
@@ -319,7 +247,7 @@ func (n *Network) lookup(ls *lookupScratch, from, target ring.Point, width int) 
 			return rounds, rpcs, fmt.Errorf("%w: exceeded %d rounds toward %v", ErrLookupAborted, n.maxLookupRounds, target)
 		}
 		// The wave is the first alpha candidates among the k closest
-		// known contacts.
+		// known contacts: the shortlist's sorted window.
 		ls.wave = ls.wave[:0]
 		for i := 0; i < len(ls.short) && i < k && len(ls.wave) < alpha; i++ {
 			e := &ls.short[i]
@@ -343,13 +271,13 @@ func (n *Network) lookup(ls *lookupScratch, from, target ring.Point, width int) 
 			raw, err := n.Call(from, id, req)
 			rpcs++
 			if err != nil {
-				n.drop(ls, target, id)
+				n.drop(ls, id)
 				continue
 			}
 			n.touchContact(ls.self, id)
 			resp := raw.(*findNodeResp)
 			for _, c := range resp.Closest {
-				ls.learn(target, c)
+				ls.learn(c)
 			}
 			putFindNodeResp(resp)
 		}
@@ -456,7 +384,7 @@ func (n *Network) resolveOwner(from, x ring.Point, width int, exclude ring.Point
 			if m == from {
 				return 0, stats, err
 			}
-			n.drop(ls, x, m)
+			n.drop(ls, m)
 			continue
 		}
 		if (!hasExclude || s != exclude) && ring.BetweenIncl(m, s, x) {
@@ -469,7 +397,7 @@ func (n *Network) resolveOwner(from, x ring.Point, width int, exclude ring.Point
 			if c == from {
 				return 0, stats, err
 			}
-			n.drop(ls, x, c)
+			n.drop(ls, c)
 			continue
 		}
 		if (!hasExclude || p != exclude) && ring.BetweenIncl(p, c, x) {
@@ -614,7 +542,7 @@ func (n *Network) bestLiveSuccessorCandidate(nd Node) (ring.Point, bool) {
 	ls := lookupScratchPool.Get().(*lookupScratch)
 	defer lookupScratchPool.Put(ls)
 	if _, _, err := n.lookup(ls, id, ring.Point(uint64(id)+1), n.cfg.BucketSize); err == nil {
-		cands = ls.closest(cands, n.cfg.BucketSize)
+		cands = ls.closest(cands)
 	}
 	var best ring.Point
 	found := false

@@ -91,16 +91,18 @@ func (n *Network) setSucc(s uint32, succ ring.Point) {
 // handleRPC dispatches one RPC addressed to the node in slot s. Every
 // inbound message is evidence the sender is alive, so the sender is
 // recorded in the routing table first (Kademlia's passive table
-// maintenance).
+// maintenance). A FIND_NODE, the hot request, does the touch and its
+// selection under one hold of the slot's stripe (answerFindNode).
 func (n *Network) handleRPC(s uint32, from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
+	if m, ok := msg.(findNodeReq); ok {
+		resp := newFindNodeResp()
+		resp.Closest = n.answerFindNode(s, ring.Point(from), resp.Closest, m.Target, m.K)
+		return resp, nil
+	}
 	if p := ring.Point(from); p != n.IDOf(s) {
 		n.touchContact(s, p)
 	}
 	switch m := msg.(type) {
-	case findNodeReq:
-		resp := newFindNodeResp()
-		resp.Closest = n.closestIntoSlot(s, resp.Closest, m.Target, m.K, true)
-		return resp, nil
 	case overlay.SuccessorReq:
 		return overlay.NewPointResp(n.succOf(s), true), nil
 	case overlay.PredecessorReq:

@@ -43,6 +43,32 @@ func (n *Network) closestFullScan(s uint32, target ring.Point, count int, includ
 	return best
 }
 
+// insertClosest places id into the sorted bounded best-list (by XOR
+// distance to target, ties by id) if it beats the current worst: the
+// reference's one-id-at-a-time selection.
+func insertClosest(best []ring.Point, target ring.Point, count int, id ring.Point) []ring.Point {
+	d := xorDist(target, id)
+	if len(best) == count {
+		wd := xorDist(target, best[len(best)-1])
+		if d > wd || (d == wd && id >= best[len(best)-1]) {
+			return best
+		}
+		best = best[:len(best)-1]
+	}
+	i := 0
+	for i < len(best) {
+		bd := xorDist(target, best[i])
+		if bd > d || (bd == d && best[i] > id) {
+			break
+		}
+		i++
+	}
+	best = append(best, 0)
+	copy(best[i+1:], best[i:])
+	best[i] = id
+	return best
+}
+
 // lookup candidate states of the reference lookup.
 const (
 	stateCandidate = iota
@@ -159,7 +185,9 @@ func checkClosestAgainstFullScan(t *testing.T, net *Network, rng *rand.Rand, sta
 
 func TestClosestBucketOrderMatchesFullScan(t *testing.T) {
 	t.Parallel()
-	for _, k := range []int{1, 2, 16} {
+	// k = 40 fills buckets past rankCutoff, so both of appendBucket's
+	// orderings run.
+	for _, k := range []int{1, 2, 16, 40} {
 		r := testRing(t, 60+uint64(k), 192)
 		pts := r.Points()
 		rng := rand.New(rand.NewPCG(61, uint64(k)))
@@ -190,6 +218,103 @@ func TestClosestBucketOrderMatchesFullScan(t *testing.T) {
 			checkClosestAgainstFullScan(t, net, rng, fmt.Sprintf("refreshed %d", round))
 		}
 	}
+}
+
+// fuzzContact spreads a byte over the identifier space: 256 contacts,
+// half of them in the far bucket of any node, so that buckets overflow
+// into replacement caches at every k under test and a k of 40 fills
+// buckets past rankCutoff.
+func fuzzContact(b byte) ring.Point {
+	return ring.Point((uint64(b) + 1) * 0x9e3779b97f4a7c15)
+}
+
+// bucketIDs returns bucket b of slot s, entries then replacement cache,
+// as identifiers.
+func (n *Network) bucketIDs(s uint32, b int) []ring.Point {
+	st := n.Stripe(s)
+	st.RLock()
+	defer st.RUnlock()
+	ref := n.st.bucketRefs[int(s)*idBits+b]
+	if ref == noRegion {
+		return nil
+	}
+	reg := n.region(ref)
+	var out []ring.Point
+	for _, c := range append(regEntries(reg), regCache(reg, n.cfg.BucketSize)...) {
+		out = append(out, n.ID(c))
+	}
+	return out
+}
+
+// FuzzFindNodeMatchesFullScan holds the FIND_NODE handler — the
+// sender's touch and the selection under one stripe hold — to the
+// sequence it replaced: touchContact, then the full-scan selection.
+// Two identical one-node tables take fuzzed touch/remove/promote
+// sequences; then one answers a FIND_NODE through handleRPC and the
+// other runs the reference. The reply and every bucket (entries and
+// replacement cache) must agree.
+func FuzzFindNodeMatchesFullScan(f *testing.F) {
+	f.Add(uint64(0), byte(0), byte(0), []byte{})
+	f.Add(uint64(1)<<63, byte(3), byte(255), []byte{0, 1, 0, 2, 0, 3, 2, 1, 3, 2})
+	rng := rand.New(rand.NewPCG(73, 74))
+	for i := 0; i < 64; i++ {
+		script := make([]byte, rng.IntN(600))
+		for j := range script {
+			script[j] = byte(rng.Uint32())
+		}
+		f.Add(rng.Uint64(), byte(i), byte(rng.Uint32()), script)
+	}
+	self := ring.Point(0x5bd1e9955bd1e995)
+	f.Fuzz(func(t *testing.T, target uint64, shape, sender byte, script []byte) {
+		// shape picks k from {1, 2, 16, 40} and the request's K from
+		// {k, 1, 2k, 0}; a sender byte of 255 is the node itself.
+		k := []int{1, 2, 16, 40}[shape%4]
+		count := []int{k, 1, 2 * k, 0}[shape/4%4]
+		from := fuzzContact(sender)
+		if sender == 255 {
+			from = self
+		}
+		build := func() (*Network, uint32) {
+			net := newNetwork(Config{BucketSize: k}, simnet.NewDirect())
+			nd, err := net.Create(self)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i+1 < len(script); i += 2 {
+				c := fuzzContact(script[i+1])
+				switch script[i] % 4 {
+				case 0, 1:
+					net.touchContact(nd.slot, c)
+				case 2:
+					net.removeContact(nd.slot, c)
+				case 3:
+					if d := xorDist(self, c); d != 0 {
+						net.promoteBucket(nd.slot, bucketIndex(d))
+					}
+				}
+			}
+			return net, nd.slot
+		}
+		got, gs := build()
+		want, ws := build()
+
+		resp, err := got.handleRPC(gs, simnet.NodeID(from), findNodeReq{Target: ring.Point(target), K: count})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if from != self {
+			want.touchContact(ws, from)
+		}
+		wantClosest := want.closestFullScan(ws, ring.Point(target), count, true)
+		if g := resp.(*findNodeResp).Closest; !slices.Equal(g, wantClosest) {
+			t.Fatalf("k=%d K=%d sender %v target %#x: reply\n got %v\nwant %v", k, count, from, target, g, wantClosest)
+		}
+		for b := 0; b < idBits; b++ {
+			if g, w := got.bucketIDs(gs, b), want.bucketIDs(ws, b); !slices.Equal(g, w) {
+				t.Fatalf("k=%d sender %v: bucket %d differs after the FIND_NODE:\n got %v\nwant %v", k, from, b, g, w)
+			}
+		}
+	})
 }
 
 // scriptedTransport answers every call from a byte script instead of
@@ -277,6 +402,11 @@ func FuzzLookupShortlistMatchesReference(f *testing.F) {
 	// A reply naming the initiator, itself twice and a contact that
 	// then fails and is re-advertised.
 	f.Add(uint64(7), byte(2), []byte{1, 2, 3, 4, 4, 0, 3, 3, 9, 9, 4, 3, 9, 9, 9, 2, 9, 3})
+	// k = 1, alpha = 2, one seed contact A: A answers naming a closer B,
+	// which pushes the queried A out of the window into the tail; B's
+	// call fails and the refill pulls A back. A keeps its queried flag,
+	// so the lookup converges without asking A twice.
+	f.Add(uint64(0x4b0e80878e88145d), byte(16), []byte{133, 201, 51, 14})
 	rng := rand.New(rand.NewPCG(71, 72))
 	for i := 0; i < 64; i++ {
 		script := make([]byte, rng.IntN(400))

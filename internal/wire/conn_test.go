@@ -176,7 +176,16 @@ func TestCloseWithPeersConnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	entered, release := make(chan struct{}), make(chan struct{})
-	if err := server.Register(1, echoHandler); err != nil {
+	// Node 1 is a two-party barrier: neither call returns until both are
+	// inside the server, so the client cannot hand the first call's
+	// connection back to its pool before the second dials its own.
+	var both sync.WaitGroup
+	both.Add(2)
+	if err := server.Register(1, func(from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
+		both.Done()
+		both.Wait()
+		return echoHandler(from, msg)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := server.Register(2, func(simnet.NodeID, simnet.Message) (simnet.Message, error) {
@@ -231,8 +240,11 @@ func TestCloseWithPeersConnected(t *testing.T) {
 	if out := client.stats.connsOut.Load(); out != 0 {
 		t.Fatalf("client still counts %d outbound connections after Close", out)
 	}
+	// Wait for both: goroutines left over from earlier tests can bring
+	// the count down to before while a closed connection's goroutine is
+	// still on its way out.
 	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+	for (runtime.NumGoroutine() > before || server.stats.connsIn.Load() != 0) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
