@@ -97,9 +97,10 @@ bench-snapshot:
 benchdiff:
 	$(GO) run ./cmd/benchdiff
 
-# Multi-process cluster smoke: build randpeerd, spawn a 3-daemon
+# Multi-process cluster smoke: build randpeerd (or take the binary
+# RANDPEERD_BIN names, as CI's race-built one), spawn a 3-daemon
 # loopback cluster per backend, and run the conformance, determinism,
-# control-plane and kill/restart suites over real sockets.
+# differential, control-plane and kill/restart suites over real sockets.
 cluster-smoke:
 	$(GO) test -run 'TestCluster' -v ./internal/cluster/
 

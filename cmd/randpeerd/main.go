@@ -57,6 +57,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
 	"github.com/dht-sampling/randompeer/internal/obs"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -174,11 +175,14 @@ type daemon struct {
 	tlog  *obs.TraceLog
 	slor  *sloRecorder // nil when -slo-window is 0
 
-	mu      sync.Mutex
+	// mu is held shared while a request is served (lookup, next,
+	// sample, metrics) and exclusive while the partition changes
+	// (provision, join) or a traced lookup arms the transport.
+	mu      sync.RWMutex
 	backend string
 	owned   []ring.Point
-	view    overlayDHT // overlay viewed from owned[0]; nil before provision
-	joinVia func(id, bootstrap ring.Point) error
+	net     overlay.Network // nil before provision
+	view    overlayDHT      // overlay viewed from owned[0]; nil before provision or without owned nodes
 }
 
 func newDaemon(tr *wire.Transport) *daemon {
@@ -202,10 +206,18 @@ func newDaemon(tr *wire.Transport) *daemon {
 	d.reg.GaugeFunc("randpeerd_owned_nodes",
 		"Overlay nodes hosted by this daemon's current partition.",
 		func() float64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
+			d.mu.RLock()
+			defer d.mu.RUnlock()
 			return float64(len(d.owned))
 		})
+	overlay.RegisterWalkMetrics(d.reg, func() overlay.WalkStats {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		if d.net == nil {
+			return overlay.WalkStats{}
+		}
+		return d.net.ServedWalks()
+	})
 	return d
 }
 
@@ -306,7 +318,7 @@ func (d *daemon) handleProvision(w http.ResponseWriter, r *http.Request) {
 	d.tr.DeregisterAll()
 	d.tr.Meter().Reset()
 	d.tr.SetRoutes(routes)
-	d.view, d.joinVia, d.owned, d.backend = nil, nil, nil, ""
+	d.net, d.view, d.owned, d.backend = nil, nil, nil, ""
 
 	cfg := overlays.Config{Kademlia: kademlia.Config{BucketSize: req.Bucket, Alpha: req.Alpha}}
 	net, err := overlays.Build(req.Backend, cfg, d.tr, points, func(p ring.Point) bool { return ownedSet[p] })
@@ -318,7 +330,6 @@ func (d *daemon) handleProvision(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, "provision: %v", err)
 		return
 	}
-	d.joinVia = net.JoinVia
 	if len(req.Owned) > 0 {
 		view, err := net.AsDHT(ring.Point(req.Owned[0]))
 		if err != nil {
@@ -327,6 +338,7 @@ func (d *daemon) handleProvision(w http.ResponseWriter, r *http.Request) {
 		}
 		d.view = view
 	}
+	d.net = net
 	d.backend = req.Backend
 	d.owned = toPoints(req.Owned)
 	writeJSON(w, map[string]any{"ok": true, "backend": req.Backend, "owned": len(req.Owned)})
@@ -339,11 +351,11 @@ func (d *daemon) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.joinVia == nil {
+	if d.net == nil {
 		httpError(w, http.StatusConflict, "join: daemon not provisioned")
 		return
 	}
-	if err := d.joinVia(ring.Point(req.ID), ring.Point(req.Bootstrap)); err != nil {
+	if err := d.net.JoinVia(ring.Point(req.ID), ring.Point(req.Bootstrap)); err != nil {
 		httpError(w, http.StatusInternalServerError, "join: %v", err)
 		return
 	}
@@ -351,25 +363,40 @@ func (d *daemon) handleJoin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"ok": true})
 }
 
+// serve runs one request against the provisioned view with d.mu held
+// shared, so requests overlap and only provision, join and trace
+// exclude them. It answers 409 before provision and 500 when run
+// fails (ok is false then); otherwise it returns this daemon's meter
+// delta over run, which counts the calls of any request or delegated
+// walk this process served meanwhile as well as run's own.
+func (d *daemon) serve(w http.ResponseWriter, op string, run func(view overlayDHT) error) (cost simnet.Cost, ok bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.view == nil {
+		httpError(w, http.StatusConflict, "%s: daemon not provisioned", op)
+		return cost, false
+	}
+	before := d.view.Meter().Snapshot()
+	if err := run(d.view); err != nil {
+		httpError(w, http.StatusInternalServerError, "%s: %v", op, err)
+		return cost, false
+	}
+	return d.view.Meter().Snapshot().Sub(before), true
+}
+
 func (d *daemon) handleLookup(w http.ResponseWriter, r *http.Request) {
 	var req cluster.LookupRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.view == nil {
-		httpError(w, http.StatusConflict, "lookup: daemon not provisioned")
-		return
+	var peer dht.Peer
+	cost, ok := d.serve(w, "lookup", func(view overlayDHT) (err error) {
+		peer, err = view.H(ring.Point(req.Key))
+		return err
+	})
+	if ok {
+		writeJSON(w, cluster.LookupResponse{Owner: uint64(peer.Point), Calls: cost.Calls, Messages: cost.Messages})
 	}
-	before := d.view.Meter().Snapshot()
-	peer, err := d.view.H(ring.Point(req.Key))
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "lookup: %v", err)
-		return
-	}
-	cost := d.view.Meter().Snapshot().Sub(before)
-	writeJSON(w, cluster.LookupResponse{Owner: uint64(peer.Point), Calls: cost.Calls, Messages: cost.Messages})
 }
 
 func (d *daemon) handleNext(w http.ResponseWriter, r *http.Request) {
@@ -377,18 +404,14 @@ func (d *daemon) handleNext(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.view == nil {
-		httpError(w, http.StatusConflict, "next: daemon not provisioned")
-		return
+	var peer dht.Peer
+	_, ok := d.serve(w, "next", func(view overlayDHT) (err error) {
+		peer, err = view.Next(dht.Peer{Point: ring.Point(req.Point)})
+		return err
+	})
+	if ok {
+		writeJSON(w, cluster.NextResponse{Point: uint64(peer.Point)})
 	}
-	peer, err := d.view.Next(dht.Peer{Point: ring.Point(req.Point)})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "next: %v", err)
-		return
-	}
-	writeJSON(w, cluster.NextResponse{Point: uint64(peer.Point)})
 }
 
 func (d *daemon) handleSample(w http.ResponseWriter, r *http.Request) {
@@ -403,44 +426,40 @@ func (d *daemon) handleSample(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "sample: count %d too large", req.Count)
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.view == nil {
-		httpError(w, http.StatusConflict, "sample: daemon not provisioned")
-		return
-	}
-	rng := rand.New(rand.NewPCG(req.Seed, req.Seed^0x2545f4914f6cdd1d))
-	before := d.view.Meter().Snapshot()
-	sampler, err := core.New(d.view, d.view.Self(), rng, core.Config{})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "sample: %v", err)
-		return
-	}
 	out := make([]uint64, 0, req.Count)
-	for i := 0; i < req.Count; i++ {
-		peer, err := sampler.Sample()
+	var effort core.Stats
+	cost, ok := d.serve(w, "sample", func(view overlayDHT) error {
+		rng := rand.New(rand.NewPCG(req.Seed, req.Seed^0x2545f4914f6cdd1d))
+		sampler, err := core.New(view, view.Self(), rng, core.Config{})
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "sample %d: %v", i, err)
-			return
+			return err
 		}
-		out = append(out, uint64(peer.Point))
-	}
-	cost := d.view.Meter().Snapshot().Sub(before)
-	effort := sampler.Stats()
-	writeJSON(w, cluster.SampleResponse{
-		Points: out, Calls: cost.Calls,
-		Trials: effort.Trials, Steps: effort.Steps, Pruned: effort.Pruned,
+		for i := 0; i < req.Count; i++ {
+			peer, err := sampler.Sample()
+			if err != nil {
+				return fmt.Errorf("draw %d: %w", i, err)
+			}
+			out = append(out, uint64(peer.Point))
+		}
+		effort = sampler.Stats()
+		return nil
 	})
+	if ok {
+		writeJSON(w, cluster.SampleResponse{
+			Points: out, Calls: cost.Calls,
+			Trials: effort.Trials, Steps: effort.Steps, Pruned: effort.Pruned,
+		})
+	}
 }
 
 func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	d.mu.Lock()
+	d.mu.RLock()
 	backend := d.backend
 	owned := make([]uint64, len(d.owned))
 	for i, p := range d.owned {
 		owned[i] = uint64(p)
 	}
-	d.mu.Unlock()
+	d.mu.RUnlock()
 	cost := d.tr.Meter().Snapshot()
 	writeJSON(w, cluster.MetricsResponse{
 		Backend:       backend,

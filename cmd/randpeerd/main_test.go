@@ -3,14 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/dht-sampling/randompeer/internal/cluster"
+	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/wire"
 )
 
@@ -146,4 +151,70 @@ func closeRoutes(body []byte, addr string) []byte {
 		return body
 	}
 	return out
+}
+
+// TestConcurrentSamplesAcrossDaemons runs two daemons in this process,
+// each hosting half of one overlay, and fires /v1/sample requests at
+// both from several goroutines: requests share each daemon's lock,
+// and each daemon serves the other's delegated walks while it samples.
+// Every request must draw what it draws alone.
+func TestConcurrentSamplesAcrossDaemons(t *testing.T) {
+	r, err := ring.Generate(rand.New(rand.NewPCG(3, 5)), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := r.Points()
+	srvs := []*httptest.Server{testDaemon(t), testDaemon(t)}
+	addr := func(i int) string { return srvs[i].Listener.Addr().String() }
+	all := make([]uint64, len(points))
+	owned := [][]uint64{nil, nil}
+	routes := make([]cluster.RouteEntry, len(points))
+	for i, p := range points {
+		all[i] = uint64(p)
+		owned[i%2] = append(owned[i%2], uint64(p))
+		routes[i] = cluster.RouteEntry{Point: uint64(p), Addr: addr(i % 2)}
+	}
+	for i := range srvs {
+		req := cluster.ProvisionRequest{Backend: "chord", Points: all, Owned: owned[i], Routes: routes}
+		if err := cluster.ProvisionDaemon(addr(i), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const requests = 24
+	want := make([]cluster.SampleResponse, requests)
+	for i := range want {
+		if want[i], err = cluster.SampleAt(addr(i%2), 3, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, requests)
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := cluster.SampleAt(addr(i%2), 3, uint64(i))
+			switch {
+			case err != nil:
+				errs <- err
+			case !slices.Equal(got.Points, want[i].Points) || got.Trials != want[i].Trials || got.Steps != want[i].Steps:
+				errs <- fmt.Errorf("request %d drew %v (%d trials, %d steps) concurrently, %v (%d, %d) alone",
+					i, got.Points, got.Trials, got.Steps, want[i].Points, want[i].Trials, want[i].Steps)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for i := range srvs {
+		e, err := cluster.ScrapeMetrics(addr(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walks, _ := e.Value("overlay_walks_served_total", nil); walks < 1 {
+			t.Errorf("daemon %d served %v walks; each hosts every other peer, so it should serve some", i, walks)
+		}
+	}
 }

@@ -81,11 +81,19 @@ type SampleRequest struct {
 }
 
 // SampleResponse lists the drawn peers and what the request cost: the
-// metered RPCs (estimate included) beside the sampler's own effort, so
-// the cost reads as trials x (h + walk).
+// metered RPCs beside the sampler's own effort, so the cost reads as
+// trials x (h + walk).
 type SampleResponse struct {
 	Points []uint64 `json:"points"`
-	Calls  int64    `json:"calls"`
+	// Calls is the serving daemon's meter delta over the request: the
+	// calls its own transport issued — the estimate, the h lookups, the
+	// next steps it walked itself and one call per walk it sent to the
+	// process hosting the walk's first peer. The steps such a walk runs
+	// there are charged to that process's meter, not here. Requests are
+	// served under a shared lock, so the delta also counts the calls of
+	// any request or delegated walk the daemon served meanwhile; it is
+	// the request's own only when nothing overlapped it.
+	Calls int64 `json:"calls"`
 	// Trials, Steps and Pruned are the request's core.Stats: h lookups,
 	// next steps, and failed trials abandoned at the horizon.
 	Trials int64 `json:"trials"`

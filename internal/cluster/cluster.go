@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/dht"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -165,6 +166,9 @@ type Cluster struct {
 
 	clientOpts []wire.Option
 	client     *wire.Transport
+	// net is the client's partition, which serves the walks the
+	// daemons send to points[0].
+	net overlay.Network
 
 	backend string
 	points  []ring.Point
@@ -360,9 +364,12 @@ func (c *Cluster) Close() {
 // Provision partitions a static overlay across the cluster: the caller
 // keeps points[0] on a fresh client-side transport (so the returned
 // DHT's meter charges exactly what an in-process caller would be
-// charged), and the remaining points split contiguously across the
-// daemons. Every process gets the full point->address routing table.
-// The returned DHT views the overlay from points[0].
+// charged for each H and Next), and the remaining points split
+// contiguously across the daemons. Every process gets the full
+// point->address routing table. The returned DHT views the overlay
+// from points[0]; a sampler over it sends each trial's walk to the
+// process hosting the walk's first peer, and the client's partition
+// serves the walks the daemons send to points[0].
 func (c *Cluster) Provision(backend string, points []ring.Point) (dht.DHT, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("cluster: empty membership")
@@ -418,6 +425,7 @@ func (c *Cluster) Provision(backend string, points []ring.Point) (dht.DHT, error
 		return nil, err
 	}
 	c.client = client
+	c.net = net
 	c.backend = backend
 	c.points = append([]ring.Point(nil), points...)
 	c.local = local

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/dht/dhttest"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
+	"github.com/dht-sampling/randompeer/internal/overlays"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 	"github.com/dht-sampling/randompeer/internal/wire"
@@ -261,10 +263,12 @@ func TestClusterControlPlane(t *testing.T) {
 		t.Fatalf("daemon next(%v) = %v, want %v", first, succ, want)
 	}
 
+	calls0, walks0 := fleetTally(t, c)
 	samp, err := SampleAt(c.Addr(1), 8, 101)
 	if err != nil {
 		t.Fatalf("sample at daemon 1: %v", err)
 	}
+	calls1, walks1 := fleetTally(t, c)
 	if len(samp.Points) != 8 {
 		t.Fatalf("sample returned %d points, want 8", len(samp.Points))
 	}
@@ -273,12 +277,16 @@ func TestClusterControlPlane(t *testing.T) {
 			t.Fatalf("sampled %v is not a member", p)
 		}
 	}
-	// The response decomposes its cost: at least one trial per sample,
-	// only failed trials pruned, and one call per next step beside the
-	// h lookups and the estimate.
-	if samp.Trials < 8 || samp.Pruned < 0 || samp.Pruned > samp.Trials-8 || samp.Calls <= samp.Steps {
-		t.Fatalf("sample cost does not decompose: calls=%d trials=%d steps=%d pruned=%d",
-			samp.Calls, samp.Trials, samp.Steps, samp.Pruned)
+	if samp.Trials < 8 || samp.Pruned < 0 || samp.Pruned > samp.Trials-8 {
+		t.Fatalf("sample effort out of range: trials=%d steps=%d pruned=%d", samp.Trials, samp.Steps, samp.Pruned)
+	}
+	// The fleet's cost decomposes exactly: the calls an in-process
+	// replay of the request charges (estimate, h lookups, one per next
+	// step) plus one round trip per walk sent to another process.
+	replay := replaySample(t, "chord", points, c.Owned(1)[0], 101, 8)
+	if want := replay.Calls + walks1 - walks0; calls1-calls0 != want {
+		t.Fatalf("fleet charged %d calls for the request; the in-process replay charged %d and %d walks were delegated",
+			calls1-calls0, replay.Calls, walks1-walks0)
 	}
 
 	m, err := MetricsAt(c.Addr(0))
@@ -296,6 +304,112 @@ func TestClusterControlPlane(t *testing.T) {
 	}
 	if m.Calls < 1 {
 		t.Fatalf("metrics calls = %d, want >= 1 (daemon 0 made outgoing lookup hops)", m.Calls)
+	}
+}
+
+// fleetTally sums the calls every process's meter charged (the RPC
+// histogram's count) and the walks every process served, the client's
+// included.
+func fleetTally(t *testing.T, c *Cluster) (calls, walks int64) {
+	t.Helper()
+	exps, err := c.ScrapeAll()
+	if err != nil {
+		t.Fatalf("scraping cluster: %v", err)
+	}
+	reg, err := c.ClientRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps = append(exps, renderRegistry(t, reg))
+	calls = int64(SumAcross(exps, "wire_rpc_duration_seconds_count", nil))
+	walks = int64(SumAcross(exps, "overlay_walks_served_total", nil))
+	return calls, walks
+}
+
+// replaySample runs a /v1/sample request in one process: the same
+// overlay over simnet.Direct, viewed from the daemon's first owned
+// point, and the daemon's sampler seeding. Calls is what it charged.
+func replaySample(t *testing.T, backend string, points []ring.Point, self ring.Point, seed uint64, count int) SampleResponse {
+	t.Helper()
+	net, err := overlays.Build(backend, overlays.Config{}, simnet.NewDirect(), points, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := net.AsDHT(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := view.Meter().Snapshot()
+	rng := rand.New(rand.NewPCG(seed, seed^0x2545f4914f6cdd1d))
+	s, err := core.New(view, view.Self(), rng, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out SampleResponse
+	for i := 0; i < count; i++ {
+		p, err := s.Sample()
+		if err != nil {
+			t.Fatalf("replayed sample %d: %v", i, err)
+		}
+		out.Points = append(out.Points, uint64(p.Point))
+	}
+	effort := s.Stats()
+	out.Calls = view.Meter().Snapshot().Sub(before).Calls
+	out.Trials, out.Steps, out.Pruned = effort.Trials, effort.Steps, effort.Pruned
+	return out
+}
+
+// TestClusterSamplesMatchInProcess is the daemons' differential check:
+// /v1/sample requests spread over the three daemons draw the points,
+// trials, steps and pruned counts an in-process replay of the same
+// requests draws — whichever process ran each trial's walk. The served
+// walk counters show the walks did run elsewhere: on the daemons and
+// in the client process hosting points[0].
+func TestClusterSamplesMatchInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process cluster test")
+	}
+	const n, requests, count = 256, 300, 3
+	r, err := ring.Generate(rand.New(rand.NewPCG(61, 67)), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := r.Points()
+	c := startCluster(t, 3, wire.WithJitterSeed(23))
+	for _, backend := range backends {
+		t.Run(backend, func(t *testing.T) {
+			if _, err := c.Provision(backend, points); err != nil {
+				t.Fatalf("provisioning: %v", err)
+			}
+			for i := 0; i < requests; i++ {
+				d, seed := i%c.Size(), uint64(7000+i)
+				got, err := SampleAt(c.Addr(d), count, seed)
+				if err != nil {
+					t.Fatalf("request %d at daemon %d: %v", i, d, err)
+				}
+				want := replaySample(t, backend, points, c.Owned(d)[0], seed, count)
+				if !slices.Equal(got.Points, want.Points) || got.Trials != want.Trials ||
+					got.Steps != want.Steps || got.Pruned != want.Pruned {
+					t.Fatalf("request %d at daemon %d: drew %v (trials %d, steps %d, pruned %d); in process %v (%d, %d, %d)",
+						i, d, got.Points, got.Trials, got.Steps, got.Pruned,
+						want.Points, want.Trials, want.Steps, want.Pruned)
+				}
+			}
+			exps, err := c.ScrapeAll()
+			if err != nil {
+				t.Fatalf("scraping cluster: %v", err)
+			}
+			reg, err := c.ClientRegistry()
+			if err != nil {
+				t.Fatal(err)
+			}
+			daemons := SumAcross(exps, "overlay_walks_served_total", nil)
+			client, _ := renderRegistry(t, reg).Value("overlay_walks_served_total", nil)
+			if daemons < 1 || client < 1 {
+				t.Fatalf("walks served: %v by the daemons, %v by the client; want some on each side of a process boundary",
+					daemons, client)
+			}
+		})
 	}
 }
 

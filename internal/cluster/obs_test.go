@@ -33,8 +33,9 @@ func renderRegistry(t *testing.T, r *obs.Registry) *obstest.Exposition {
 // from every daemon, validates each exposition with the obstest
 // checker, and reconciles the server-side counters against the
 // client's own registry — the wire RPC histogram count must equal the
-// client meter's charged calls, and the RPCs the daemons served must
-// add up to the attempts the client sent.
+// client meter's charged calls, the RPCs the daemons served must add up
+// to the attempts the client sent, and every process's meter must grow
+// by exactly its own work plus the steps of the walks it served.
 func TestClusterMetricsScrape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster test")
@@ -132,23 +133,56 @@ func TestClusterMetricsScrape(t *testing.T) {
 	}
 	calls := c.Client().Meter().Snapshot().Calls
 	walk(1000)
-	// Daemon-originated RPCs too: each request walks the overlay from
-	// the daemon that serves it, hundreds of calls to its peers.
+	// Daemon-originated RPCs too: each request looks up and walks the
+	// overlay from the daemon that serves it, and a trial's walk runs
+	// at the process hosting its first peer — the client's points[0]
+	// among them — on that process's own transport.
+	exps, err = c.ScrapeAll()
+	if err != nil {
+		t.Fatalf("scraping cluster: %v", err)
+	}
+	const stepsServed = "overlay_walk_steps_served_total"
+	clientSteps, _ := renderRegistry(t, reg).Value(stepsServed, nil)
+	own := make([]int64, c.Size())
 	for i := 0; i < 4*c.Size(); i++ {
-		if _, err := SampleAt(c.Addr(i%c.Size()), 2, uint64(100+i)); err != nil {
+		resp, err := SampleAt(c.Addr(i%c.Size()), 2, uint64(100+i))
+		if err != nil {
 			t.Fatalf("sample at daemon %d: %v", i%c.Size(), err)
 		}
+		own[i%c.Size()] += resp.Calls
 	}
 	client = renderRegistry(t, reg)
-	if got := c.Client().Meter().Snapshot().Calls - calls; got != 1000 {
-		t.Fatalf("walk charged %d calls, want 1000", got)
+	// Physical accounting: a process's meter charges the calls its own
+	// transport issued, its own work plus the steps of the walks it
+	// served. The client's work is the 1000 steps of its own walk.
+	served, _ := client.Value(stepsServed, nil)
+	if got := c.Client().Meter().Snapshot().Calls - calls; got != 1000+int64(served-clientSteps) {
+		t.Fatalf("walk charged %d calls, want 1000 plus the %v steps of the walks the client served", got, served-clientSteps)
 	}
 	if after, _ := client.Value("wire_conn_dials_total", nil); after != dials {
 		t.Errorf("client dials went %v -> %v across 1000 further calls; want flat", dials, after)
 	}
+	// The same identity on every daemon: its meter (the RPC histogram's
+	// count) grew by the calls its responses reported, the requests ran
+	// one at a time, plus the steps of the walks it served.
+	before := exps
 	exps, err = c.ScrapeAll()
 	if err != nil {
 		t.Fatalf("scraping cluster: %v", err)
+	}
+	const charged = "wire_rpc_duration_seconds_count"
+	var fleetWalks float64
+	for i, e := range exps {
+		grew := e.Sum(charged, nil) - before[i].Sum(charged, nil)
+		steps := e.Sum(stepsServed, nil) - before[i].Sum(stepsServed, nil)
+		if grew != float64(own[i])+steps {
+			t.Errorf("daemon %d: meter grew by %v calls; its responses reported %d and it served %v walk steps",
+				i, grew, own[i], steps)
+		}
+		fleetWalks += e.Sum("overlay_walks_served_total", nil) - before[i].Sum("overlay_walks_served_total", nil)
+	}
+	if fleetWalks < 1 {
+		t.Error("no process served a walk; the daemons' contiguous ranges should make most walks start elsewhere")
 	}
 	in := map[string]string{"dir": "in"}
 	out := map[string]string{"dir": "out"}

@@ -8,13 +8,15 @@ import (
 
 	"github.com/dht-sampling/randompeer/internal/obs"
 	"github.com/dht-sampling/randompeer/internal/obs/obstest"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 )
 
 // Scrape-and-aggregate helpers: fetch /metrics from daemons, validate
 // the exposition with the obstest checker, and sum series across the
 // fleet so tests (and the CLI) can assert cluster-wide invariants —
 // e.g. that the wire RPCs every daemon served add up to the calls the
-// client sent.
+// client sent, or that a process's calls are its own plus the steps of
+// the walks it served (overlay_walk_steps_served_total).
 
 // ScrapeMetrics fetches and parses one daemon's Prometheus exposition,
 // failing on any format violation obstest detects.
@@ -65,14 +67,16 @@ func SumAcross(exps []*obstest.Exposition, name string, want map[string]string) 
 }
 
 // ClientRegistry returns a fresh obs registry with the current client
-// transport's metrics registered — the client-side counterpart of a
-// daemon scrape. It must be re-fetched after each Provision (which
-// replaces the client transport).
+// transport's metrics and its partition's served-walk counters
+// registered — the client-side counterpart of a daemon scrape. It must
+// be re-fetched after each Provision (which replaces the client
+// transport).
 func (c *Cluster) ClientRegistry() (*obs.Registry, error) {
 	if c.client == nil {
 		return nil, fmt.Errorf("cluster: no client transport; call Provision first")
 	}
 	r := obs.NewRegistry()
 	c.client.RegisterMetrics(r)
+	overlay.RegisterWalkMetrics(r, c.net.ServedWalks)
 	return r, nil
 }

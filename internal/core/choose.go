@@ -102,6 +102,9 @@ type Sampler struct {
 	// same answers, with the cost of one Sample call charged to d's
 	// meter in one piece when the call returns.
 	lane dht.Lane
+	// remote, when non-nil, runs a trial's walk at the process hosting
+	// its first peer (d's WalkDelegator, resolved at construction).
+	remote RemoteWalk
 
 	samples atomic.Int64
 	trials  atomic.Int64
@@ -136,10 +139,14 @@ func New(d dht.DHT, caller dht.Peer, rng *rand.Rand, cfg Config) (*Sampler, erro
 }
 
 func newSampler(d dht.DHT, cfg Config, rng *rand.Rand, params Params, est EstimateResult) *Sampler {
-	return &Sampler{
+	s := &Sampler{
 		d: d, cfg: cfg, rng: rng, params: params, est: est,
 		horizon: horizon(params.Lambda, params.MaxSteps),
 	}
+	if w, ok := d.(WalkDelegator); ok && s.horizon.Cmp(twoLaps) <= 0 {
+		s.remote = w.WalkDelegate()
+	}
+	return s
 }
 
 // NewWithParams builds a Sampler with explicit parameters, bypassing
@@ -286,31 +293,63 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 			// |I(s, l(h(s)))| is small: h(s) is the chosen peer.
 			return first, nil
 		}
-		// walked is d(s, l(cur)) without wrap-around; T is walked minus
-		// lambda per peer visited.
-		walked := ring.S128Of(d0)
-		t := walked.SubUint(lambda)
-		cur := first
-		for step := 0; step < s.params.MaxSteps; step++ {
-			if walked.Cmp(s.horizon) > 0 {
-				trace.Pruned++
-				break
-			}
-			next, err := d.Next(cur)
+		if s.remote != nil {
+			w, sent, err := s.remote(first, d0, s.params)
 			if err != nil {
-				return dht.Peer{}, fmt.Errorf("core: next(%v): %w", cur.Point, err)
+				return dht.Peer{}, fmt.Errorf("core: walk from %v: %w", first.Point, err)
 			}
-			trace.Steps++
-			arc := ring.Distance(cur.Point, next.Point)
-			t = t.AddUint(arc).SubUint(lambda)
-			if !t.IsPos() {
-				return next, nil
+			if sent {
+				trace.Steps += w.Steps
+				if w.Pruned {
+					trace.Pruned++
+				}
+				if w.Accepted {
+					return w.Peer, nil
+				}
+				continue
 			}
-			walked = walked.AddUint(arc)
-			cur = next
+		}
+		p, ok, err := s.Walk(d, first, d0, trace)
+		if ok || err != nil {
+			return p, err
 		}
 		// Trial failed: the starting point fell in unassigned measure.
 	}
 	return dht.Peer{}, fmt.Errorf("%w: after %d trials (lambda=%d, maxSteps=%d)",
 		ErrTrialsExhausted, s.cfg.MaxTrials, lambda, s.params.MaxSteps)
+}
+
+// Walk is step 3 of Figure 1, one trial's next walk: from first, at
+// distance d0 >= lambda from the trial's starting point, it walks
+// successors through d until T falls to zero (ok, the accepted peer)
+// or the walk is spent — MaxSteps steps, or pruned at the horizon. It
+// adds its steps and any pruning to trace. A sampler runs it for its
+// own trials; a process that hosts a walk's first peer runs it for a
+// caller in another process (see RemoteWalk).
+func (s *Sampler) Walk(d dht.DHT, first dht.Peer, d0 uint64, trace *Trace) (dht.Peer, bool, error) {
+	lambda := s.params.Lambda
+	// walked is d(s, l(cur)) without wrap-around; T is walked minus
+	// lambda per peer visited.
+	walked := ring.S128Of(d0)
+	t := walked.SubUint(lambda)
+	cur := first
+	for step := 0; step < s.params.MaxSteps; step++ {
+		if walked.Cmp(s.horizon) > 0 {
+			trace.Pruned++
+			break
+		}
+		next, err := d.Next(cur)
+		if err != nil {
+			return dht.Peer{}, false, fmt.Errorf("core: next(%v): %w", cur.Point, err)
+		}
+		trace.Steps++
+		arc := ring.Distance(cur.Point, next.Point)
+		t = t.AddUint(arc).SubUint(lambda)
+		if !t.IsPos() {
+			return next, true, nil
+		}
+		walked = walked.AddUint(arc)
+		cur = next
+	}
+	return dht.Peer{}, false, nil
 }

@@ -30,6 +30,9 @@ var (
 	// ErrBadEstimate is returned when a size estimate produces unusable
 	// parameters (for example lambda = 0).
 	ErrBadEstimate = errors.New("core: unusable size estimate")
+	// ErrWalkBound is returned for walk parameters no process runs on
+	// another's behalf (see Params.Delegable).
+	ErrWalkBound = errors.New("core: walk parameters out of bounds")
 )
 
 // EstimateResult reports one run of the Estimate n algorithm.

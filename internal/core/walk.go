@@ -1,0 +1,61 @@
+package core
+
+import (
+	"fmt"
+
+	"github.com/dht-sampling/randompeer/internal/dht"
+	"github.com/dht-sampling/randompeer/internal/ring"
+)
+
+// A trial's walk can run where its peers live. Over a DHT partitioned
+// across processes, every next step to a peer another process hosts is
+// a network round trip, and a walk mostly chases successors hosted by
+// one process: the one that hosts its first peer h(s). That process
+// can run the walk itself — the same Walk, each step the same
+// get-successor call with the same caller, issued through its own
+// transport — and answer once. A sample is a pure function of the
+// random stream, the membership and the caller, so the points, trials,
+// steps and pruned counts stay what the caller's own walk would give;
+// only where the calls are made changes.
+
+// WalkResult is what a walk run in another process reports back.
+type WalkResult struct {
+	// Peer is the accepted peer; it is meaningful only when Accepted.
+	Peer     dht.Peer
+	Accepted bool
+	// Steps is the number of next steps walked.
+	Steps int
+	// Pruned reports a failed walk abandoned at the horizon.
+	Pruned bool
+}
+
+// RemoteWalk runs one trial's walk at the process hosting first, in
+// one round trip, with p's lambda and MaxSteps. sent is false, and
+// nothing was sent, when this process hosts first itself: the sampler
+// then walks from here.
+type RemoteWalk func(first dht.Peer, d0 uint64, p Params) (w WalkResult, sent bool, err error)
+
+// WalkDelegator is the optional capability of a DHT whose peers live in
+// several processes. A sampler asks once, at construction; a nil
+// RemoteWalk means every peer is hosted here and no walk is delegated.
+type WalkDelegator interface {
+	WalkDelegate() RemoteWalk
+}
+
+// twoLaps is 2^65 circle units, the longest horizon a walk may have to
+// run in another process. Every horizon New derives with the paper's
+// constants is below it (the largest, about 1.3 laps, at nhat just
+// above 1); a sampler configured past it walks from the caller.
+var twoLaps = ring.S128Mul(4, 1<<63)
+
+// Delegable reports, as an ErrWalkBound error, why a process must
+// refuse to run a walk with these parameters for another: lambda = 0,
+// MaxSteps < 1, or a horizon (MaxSteps+1)*lambda past two laps. Within
+// the bound a served walk stops within two laps of its first peer (and
+// one step to finish the last), whatever the request's d0.
+func (p Params) Delegable() error {
+	if p.Lambda == 0 || p.MaxSteps < 1 || horizon(p.Lambda, p.MaxSteps).Cmp(twoLaps) > 0 {
+		return fmt.Errorf("%w: lambda %d, max steps %d", ErrWalkBound, p.Lambda, p.MaxSteps)
+	}
+	return nil
+}

@@ -1,0 +1,132 @@
+package core
+
+import (
+	"errors"
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"github.com/dht-sampling/randompeer/internal/dht"
+)
+
+// delegating is an oracle that offers a RemoteWalk: every walk whose
+// first peer has an odd owner index "runs elsewhere", on a sampler of
+// its own built from the request alone, as a serving process does.
+type delegating struct {
+	*dht.Oracle
+	sent int
+}
+
+func (d *delegating) WalkDelegate() RemoteWalk {
+	return func(first dht.Peer, d0 uint64, p Params) (WalkResult, bool, error) {
+		if first.Owner%2 == 0 {
+			return WalkResult{}, false, nil
+		}
+		d.sent++
+		if err := p.Delegable(); err != nil {
+			return WalkResult{}, true, err
+		}
+		s, err := NewWithParams(d.Oracle, nil, Params{Lambda: p.Lambda, MaxSteps: p.MaxSteps}, Config{})
+		if err != nil {
+			return WalkResult{}, true, err
+		}
+		var tr Trace
+		peer, ok, err := s.Walk(d.Oracle, first, d0, &tr)
+		return WalkResult{Peer: peer, Accepted: ok, Steps: tr.Steps, Pruned: tr.Pruned > 0}, true, err
+	}
+}
+
+// TestRemoteWalkSameSamples: delegating half the walks changes no
+// point, trial, step or pruned count of a stream of samples.
+func TestRemoteWalkSameSamples(t *testing.T) {
+	t.Parallel()
+	o := newOracle(t, 77, 4096)
+	d := &delegating{Oracle: o}
+	local, err := New(o, o.PeerByIndex(0), rand.New(rand.NewPCG(5, 6)), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := New(d, o.PeerByIndex(0), rand.New(rand.NewPCG(5, 6)), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote.remote == nil {
+		t.Fatal("sampler over a delegating DHT resolved no RemoteWalk")
+	}
+	for i := 0; i < 2000; i++ {
+		p, tr, err := local.SampleTraced()
+		q, tq, errq := remote.SampleTraced()
+		if err != nil || errq != nil {
+			t.Fatalf("sample %d: %v, %v", i, err, errq)
+		}
+		if p != q || tr != tq {
+			t.Fatalf("sample %d: local %v %+v, delegated %v %+v", i, p, tr, q, tq)
+		}
+	}
+	if d.sent == 0 || local.Stats().Pruned == 0 {
+		t.Fatalf("%d walks delegated, %d pruned; the comparison covers neither path", d.sent, local.Stats().Pruned)
+	}
+	if f, _ := remote.Fork(1); f.(*Sampler).remote == nil {
+		t.Error("a fork dropped its parent's RemoteWalk")
+	}
+}
+
+// TestRemoteWalkErrorsEndTheSample: a delegated walk's error ends the
+// sample with its class intact.
+func TestRemoteWalkErrorsEndTheSample(t *testing.T) {
+	t.Parallel()
+	o := newOracle(t, 78, 1024)
+	s, err := NewWithParams(o, rand.New(rand.NewPCG(1, 2)), Params{Lambda: 1 << 40, MaxSteps: 8}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.remote = func(dht.Peer, uint64, Params) (WalkResult, bool, error) {
+		return WalkResult{}, true, dht.ErrUnknownPeer
+	}
+	if _, err := s.Sample(); !errors.Is(err, dht.ErrUnknownPeer) {
+		t.Fatalf("sample = %v, want dht.ErrUnknownPeer", err)
+	}
+}
+
+// TestDelegableBound: every walk New derives with the paper's constants
+// is within two laps, from nhat just above 1 up; past the bound a
+// sampler walks from the caller, and a serving process refuses it.
+func TestDelegableBound(t *testing.T) {
+	t.Parallel()
+	for _, gamma1 := range []float64{2.0 / 7.0, 1} {
+		for nhat := 1.0; nhat < 1e12; nhat *= 1.07 {
+			p, err := DeriveParams(nhat, gamma1, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Delegable(); err != nil {
+				t.Fatalf("nhat %v, gamma1 %v: %v", nhat, gamma1, err)
+			}
+		}
+	}
+	for _, p := range []Params{
+		{Lambda: 0, MaxSteps: 5},
+		{Lambda: 1, MaxSteps: 0},
+		{Lambda: 1, MaxSteps: -3},
+		{Lambda: 1 << 62, MaxSteps: 8},        // 9 quarter laps
+		{Lambda: math.MaxUint64, MaxSteps: 2}, // just under three laps
+		{Lambda: 5, MaxSteps: math.MaxInt},    // 2.5 laps
+	} {
+		if err := p.Delegable(); !errors.Is(err, ErrWalkBound) {
+			t.Errorf("%+v: Delegable = %v, want ErrWalkBound", p, err)
+		}
+	}
+	for _, p := range []Params{{Lambda: 1 << 62, MaxSteps: 7}, {Lambda: 4, MaxSteps: math.MaxInt}} {
+		if err := p.Delegable(); err != nil {
+			t.Errorf("a horizon of exactly two laps refused: %v", err)
+		}
+	}
+	d := &delegating{Oracle: newOracle(t, 79, 64)}
+	s, err := NewWithParams(d, rand.New(rand.NewPCG(1, 2)), Params{Lambda: 1 << 62, MaxSteps: 8}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.remote != nil {
+		t.Error("a sampler past two laps took the RemoteWalk")
+	}
+}

@@ -2,7 +2,8 @@
 // internal/kademlia) embed by value: one slot arena, one membership
 // index, one scavenger, one transport registration, one dht.DHT
 // adapter and the ring half of the protocol — the pointer RPCs behind
-// next(p), their client calls and the ring check (pointers.go). An
+// next(p), their client calls and the ring check (pointers.go), and
+// the walks it runs for samplers in other processes (walk.go). An
 // overlay keeps only what differs — its routing arrays, its lookup and
 // its repair policy — and hands the core six Hooks. Above the protocol
 // both are one method set, Network (network.go).
@@ -140,6 +141,10 @@ type Core struct {
 	// members is the current epoch's membership, replaced (never
 	// modified) under mu and read with no lock.
 	members atomic.Pointer[membership]
+
+	// servedWalks and servedSteps count the walks this network ran for
+	// callers and their steps (walk.go), read at scrape time.
+	servedWalks, servedSteps atomic.Int64
 }
 
 // membership is one epoch of the live membership. It is immutable
@@ -151,6 +156,9 @@ type membership struct {
 	// another process hosts that member (a partitioned build).
 	slots []uint32
 	epoch uint64
+	// partitioned is set when some member is hosted by a peer process;
+	// it is fixed by the static build, as only hosted members churn.
+	partitioned bool
 }
 
 // remote marks a member slot hosted by a peer process. Slots stay
@@ -168,8 +176,8 @@ func (m *membership) find(id ring.Point) (s uint32, hosted, ok bool) {
 }
 
 // publishLocked installs the next epoch's membership. Caller holds mu.
-func (c *Core) publishLocked(r *ring.Ring, slots []uint32) {
-	c.members.Store(&membership{ring: r, slots: slots, epoch: c.members.Load().epoch + 1})
+func (c *Core) publishLocked(r *ring.Ring, slots []uint32, partitioned bool) {
+	c.members.Store(&membership{ring: r, slots: slots, epoch: c.members.Load().epoch + 1, partitioned: partitioned})
 }
 
 // Init binds the core to its transport and overlay with one bulk
@@ -432,6 +440,9 @@ func (c *Core) dispatchAny(to, from simnet.NodeID, msg simnet.Message) (simnet.M
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, to)
 	}
+	if req, ok := msg.(WalkReq); ok {
+		return c.serveWalk(ring.Point(to), ring.Point(from), req)
+	}
 	return c.hooks.Handle(s, from, msg)
 }
 
@@ -492,7 +503,7 @@ func (c *Core) AddNode(id ring.Point) (uint32, error) {
 	} else {
 		s = c.newSlotLocked(id)
 	}
-	c.publishLocked(r, spliceIn(m.slots, rank, s))
+	c.publishLocked(r, spliceIn(m.slots, rank, s), m.partitioned)
 	c.mu.Unlock()
 	return s, nil
 }
@@ -508,7 +519,7 @@ func (c *Core) Crash(id ring.Point) error {
 	s, hosted, _ := m.find(id)
 	if hosted {
 		r, rank, _ := m.ring.Remove(id)
-		c.publishLocked(r, spliceOut(m.slots, rank))
+		c.publishLocked(r, spliceOut(m.slots, rank), m.partitioned)
 		c.overflow[id] = s
 		c.reclaimable++
 	}
@@ -555,7 +566,7 @@ func (c *Core) BuildStatic(points []ring.Point, owned func(ring.Point) bool, fil
 		slots[i] = s
 		ownedIdx = append(ownedIdx, i)
 	}
-	c.publishLocked(r, slots)
+	c.publishLocked(r, slots, len(ownedIdx) < r.Len())
 	parallel.Shards(len(ownedIdx), parallel.Workers(len(ownedIdx)), func(lo, hi int) {
 		fill(r, ownedIdx[lo:hi])
 	})

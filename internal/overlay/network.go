@@ -30,6 +30,8 @@ type Network interface {
 	Transport() simnet.Transport
 	// StorageStats returns the slot-arena occupancy.
 	StorageStats() StorageStats
+	// ServedWalks returns the walks this network ran for callers.
+	ServedWalks() WalkStats
 
 	// Join adds a node through the existing local member via.
 	Join(id, via ring.Point) error
