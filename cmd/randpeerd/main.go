@@ -210,13 +210,13 @@ func newDaemon(tr *wire.Transport) *daemon {
 			defer d.mu.RUnlock()
 			return float64(len(d.owned))
 		})
-	overlay.RegisterWalkMetrics(d.reg, func() overlay.WalkStats {
+	overlay.RegisterServedMetrics(d.reg, func() overlay.ServedStats {
 		d.mu.RLock()
 		defer d.mu.RUnlock()
 		if d.net == nil {
-			return overlay.WalkStats{}
+			return overlay.ServedStats{}
 		}
-		return d.net.ServedWalks()
+		return d.net.Served()
 	})
 	return d
 }

@@ -156,8 +156,8 @@ func closeRoutes(body []byte, addr string) []byte {
 // TestConcurrentSamplesAcrossDaemons runs two daemons in this process,
 // each hosting half of one overlay, and fires /v1/sample requests at
 // both from several goroutines: requests share each daemon's lock,
-// and each daemon serves the other's delegated walks while it samples.
-// Every request must draw what it draws alone.
+// and each daemon serves the other's delegated walks and route tails
+// while it samples. Every request must draw what it draws alone.
 func TestConcurrentSamplesAcrossDaemons(t *testing.T) {
 	r, err := ring.Generate(rand.New(rand.NewPCG(3, 5)), 64)
 	if err != nil {
@@ -215,6 +215,9 @@ func TestConcurrentSamplesAcrossDaemons(t *testing.T) {
 		}
 		if walks, _ := e.Value("overlay_walks_served_total", nil); walks < 1 {
 			t.Errorf("daemon %d served %v walks; each hosts every other peer, so it should serve some", i, walks)
+		}
+		if routes, _ := e.Value("overlay_routes_served_total", nil); routes < 1 {
+			t.Errorf("daemon %d served %v route tails; each hosts every other peer, so it should serve some", i, routes)
 		}
 	}
 }

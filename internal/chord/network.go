@@ -162,11 +162,7 @@ func (n *Network) finishJoin(id, succ ring.Point) error {
 // recycled before the next RPC, and the backup-candidate scratch is a
 // fixed-size array — the routing loop allocates nothing per hop.
 func (n *Network) Lookup(from, key ring.Point) (ring.Point, error) {
-	initiator, err := n.Node(from)
-	if err != nil {
-		return 0, err
-	}
-	return n.route(initiator.slot, from, key, n.nextHop(initiator.slot, nextHopReq{Key: key}))
+	return n.lookupFrom(from, key, false)
 }
 
 // AsDHT returns the network viewed from the given caller node as the
@@ -185,54 +181,12 @@ func (n *Network) Owner(from, x ring.Point) (ring.Point, error) { return n.Looku
 // required. from identifies the caller on the transport; it need not
 // be registered anywhere (a joiner uses its own id).
 func (n *Network) LookupVia(from, start, key ring.Point) (ring.Point, error) {
-	raw, err := n.Call(from, start, nextHopReq{Key: key})
+	l := n.newLookup(noSlot, from, key)
+	resp, err := n.call(&l, start)
 	if err != nil {
 		return 0, fmt.Errorf("%w: bootstrap %v unreachable: %v", ErrLookupAborted, start, err)
 	}
-	return n.route(noSlot, from, key, raw.(*nextHopResp))
-}
-
-// route consumes resp (recycling it) and follows the candidate chain
-// to the key's successor. The initiator's slot, unless noSlot, has its
-// fingers invalidated as dead hops are discovered.
-func (n *Network) route(initiator uint32, from, key ring.Point, resp *nextHopResp) (ring.Point, error) {
-	req := simnet.Message(nextHopReq{Key: key})
-	var backup [maxCandidates - 1]ring.Point
-	for hop := 0; hop < n.cfg.MaxLookupHops; hop++ {
-		if resp.Done {
-			succ := resp.Succ
-			putNextHopResp(resp)
-			return succ, nil
-		}
-		if resp.N == 0 {
-			putNextHopResp(resp)
-			return 0, fmt.Errorf("%w: no route toward %v", ErrLookupAborted, key)
-		}
-		cur := resp.Cands[0]
-		nBackup := copy(backup[:], resp.Cands[1:resp.N])
-		putNextHopResp(resp)
-		next := 0
-		for {
-			raw, err := n.Call(from, cur, req)
-			if err == nil {
-				resp = raw.(*nextHopResp)
-				break
-			}
-			if initiator != noSlot {
-				n.invalidateFingersTo(initiator, cur)
-			}
-			if next >= nBackup {
-				// Double-wrap so callers can match both the lookup
-				// abort and the transport-level cause (ErrDropped,
-				// ErrPartitioned) behind it.
-				return 0, fmt.Errorf("%w: all routes toward %v failed: %w", ErrLookupAborted, key, err)
-			}
-			cur = backup[next]
-			next++
-		}
-	}
-	putNextHopResp(resp)
-	return 0, fmt.Errorf("%w: exceeded %d hops toward %v", ErrLookupAborted, n.cfg.MaxLookupHops, key)
+	return n.resolve(&l, resp)
 }
 
 // StabilizeNode runs one stabilize + notify round for node id, repairing

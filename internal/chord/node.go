@@ -163,6 +163,8 @@ func (n *Network) handleRPC(s uint32, from simnet.NodeID, msg simnet.Message) (s
 	switch m := msg.(type) {
 	case nextHopReq:
 		return n.nextHop(s, m), nil
+	case routeReq:
+		return n.serveRoute(s, from, m)
 	case overlay.SuccessorReq:
 		return overlay.NewPointResp(n.succOf(s), true), nil
 	case overlay.PredecessorReq:

@@ -16,9 +16,11 @@ import (
 	"github.com/dht-sampling/randompeer/internal/ring"
 )
 
-// RPC request and response payloads. Handlers are strictly local: they
-// read or mutate the destination node's state and never issue nested
-// RPCs, which keeps every transport deadlock-free.
+// RPC request and response payloads. Handlers read or mutate only the
+// destination node's state and hold no lock across a call. Two
+// requests are served with calls of their own: only a served walk's
+// steps (overlay.WalkReq) may leave the process, and a served route
+// (routeReq, route.go) calls only nodes its process hosts.
 
 // nextHopReq asks a node for the next step in resolving Key.
 type nextHopReq struct {

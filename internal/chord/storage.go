@@ -9,9 +9,8 @@ import (
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
-// Storage RPCs. As with all Chord handlers, these touch only the
-// destination node's state: replication and fallback are driven by the
-// initiator, so no handler ever issues a nested RPC.
+// Storage RPCs. These touch only the destination node's state and make
+// no calls: replication and fallback are driven by the initiator.
 
 // putReq stores a key/value pair at the destination.
 type putReq struct {

@@ -11,6 +11,8 @@ import "github.com/dht-sampling/randompeer/internal/wire"
 func init() {
 	wire.RegisterValue[nextHopReq]("chord.nextHopReq")
 	wire.RegisterPointer[nextHopResp]("chord.nextHopResp")
+	wire.RegisterValue[routeReq]("chord.routeReq")
+	wire.RegisterValue[routeResp]("chord.routeResp")
 	wire.RegisterValue[succListReq]("chord.succListReq")
 	wire.RegisterValue[succListResp]("chord.succListResp")
 	wire.RegisterValue[notifyReq]("chord.notifyReq")

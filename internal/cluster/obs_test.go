@@ -164,25 +164,31 @@ func TestClusterMetricsScrape(t *testing.T) {
 	}
 	// The same identity on every daemon: its meter (the RPC histogram's
 	// count) grew by the calls its responses reported, the requests ran
-	// one at a time, plus the steps of the walks it served.
+	// one at a time, plus the steps of the walks it served and the hops
+	// after the first of the route tails it served.
 	before := exps
 	exps, err = c.ScrapeAll()
 	if err != nil {
 		t.Fatalf("scraping cluster: %v", err)
 	}
 	const charged = "wire_rpc_duration_seconds_count"
-	var fleetWalks float64
+	var fleetWalks, fleetRoutes float64
 	for i, e := range exps {
 		grew := e.Sum(charged, nil) - before[i].Sum(charged, nil)
 		steps := e.Sum(stepsServed, nil) - before[i].Sum(stepsServed, nil)
-		if grew != float64(own[i])+steps {
-			t.Errorf("daemon %d: meter grew by %v calls; its responses reported %d and it served %v walk steps",
-				i, grew, own[i], steps)
+		hops := e.Sum("overlay_route_hops_served_total", nil) - before[i].Sum("overlay_route_hops_served_total", nil)
+		if grew != float64(own[i])+steps+hops {
+			t.Errorf("daemon %d: meter grew by %v calls; its responses reported %d, it served %v walk steps and %v route hops",
+				i, grew, own[i], steps, hops)
 		}
 		fleetWalks += e.Sum("overlay_walks_served_total", nil) - before[i].Sum("overlay_walks_served_total", nil)
+		fleetRoutes += e.Sum("overlay_routes_served_total", nil) - before[i].Sum("overlay_routes_served_total", nil)
 	}
 	if fleetWalks < 1 {
 		t.Error("no process served a walk; the daemons' contiguous ranges should make most walks start elsewhere")
+	}
+	if fleetRoutes < 1 {
+		t.Error("no process served a route tail; a lookup closing in on another daemon's range should hand it its hops")
 	}
 	in := map[string]string{"dir": "in"}
 	out := map[string]string{"dir": "out"}

@@ -16,7 +16,9 @@ import (
 // fleet so tests (and the CLI) can assert cluster-wide invariants —
 // e.g. that the wire RPCs every daemon served add up to the calls the
 // client sent, or that a process's calls are its own plus the steps of
-// the walks it served (overlay_walk_steps_served_total).
+// the walks it served (overlay_walk_steps_served_total) and the hops of
+// the route tails it served after their first
+// (overlay_route_hops_served_total).
 
 // ScrapeMetrics fetches and parses one daemon's Prometheus exposition,
 // failing on any format violation obstest detects.
@@ -67,8 +69,8 @@ func SumAcross(exps []*obstest.Exposition, name string, want map[string]string) 
 }
 
 // ClientRegistry returns a fresh obs registry with the current client
-// transport's metrics and its partition's served-walk counters
-// registered — the client-side counterpart of a daemon scrape. It must
+// transport's metrics and its partition's served walk and route
+// counters registered — the client-side counterpart of a daemon scrape. It must
 // be re-fetched after each Provision (which replaces the client
 // transport).
 func (c *Cluster) ClientRegistry() (*obs.Registry, error) {
@@ -77,6 +79,6 @@ func (c *Cluster) ClientRegistry() (*obs.Registry, error) {
 	}
 	r := obs.NewRegistry()
 	c.client.RegisterMetrics(r)
-	overlay.RegisterWalkMetrics(r, c.net.ServedWalks)
+	overlay.RegisterServedMetrics(r, c.net.Served)
 	return r, nil
 }

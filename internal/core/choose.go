@@ -103,8 +103,10 @@ type Sampler struct {
 	// meter in one piece when the call returns.
 	lane dht.Lane
 	// remote, when non-nil, runs a trial's walk at the process hosting
-	// its first peer (d's WalkDelegator, resolved at construction).
+	// its first peer, and lookup a trial's h where its hops' peers live
+	// (d's Delegator, resolved at construction).
 	remote RemoteWalk
+	lookup RemoteLookup
 
 	samples atomic.Int64
 	trials  atomic.Int64
@@ -143,8 +145,12 @@ func newSampler(d dht.DHT, cfg Config, rng *rand.Rand, params Params, est Estima
 		d: d, cfg: cfg, rng: rng, params: params, est: est,
 		horizon: horizon(params.Lambda, params.MaxSteps),
 	}
-	if w, ok := d.(WalkDelegator); ok && s.horizon.Cmp(twoLaps) <= 0 {
-		s.remote = w.WalkDelegate()
+	if dl, ok := d.(Delegator); ok {
+		del := dl.Delegate()
+		s.lookup = del.H
+		if s.horizon.Cmp(twoLaps) <= 0 {
+			s.remote = del.Walk
+		}
 	}
 	return s
 }
@@ -284,7 +290,13 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 			start = ring.Point(s.rng.Uint64())
 			s.mu.Unlock()
 		}
-		first, err := d.H(start)
+		var first dht.Peer
+		var err error
+		if s.lookup != nil {
+			first, err = s.lookup(start)
+		} else {
+			first, err = d.H(start)
+		}
 		if err != nil {
 			return dht.Peer{}, fmt.Errorf("core: h(%v): %w", start, err)
 		}

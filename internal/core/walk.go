@@ -35,11 +35,29 @@ type WalkResult struct {
 // then walks from here.
 type RemoteWalk func(first dht.Peer, d0 uint64, p Params) (w WalkResult, sent bool, err error)
 
-// WalkDelegator is the optional capability of a DHT whose peers live in
-// several processes. A sampler asks once, at construction; a nil
-// RemoteWalk means every peer is hosted here and no walk is delegated.
-type WalkDelegator interface {
-	WalkDelegate() RemoteWalk
+// RemoteLookup resolves h(x) as the DHT's H does — the same peer, from
+// the same calls between the same nodes — but hands each run of hops
+// that another process hosts to that process, one round trip a run.
+// The calls that process makes are charged to its meter, not the DHT's.
+type RemoteLookup func(x ring.Point) (dht.Peer, error)
+
+// Delegates is what a DHT whose peers live in several processes hands
+// a sampler: where a trial's lookup and its walk may run.
+type Delegates struct {
+	// Walk, when non-nil, runs walks whose first peer is hosted
+	// elsewhere at that peer's process.
+	Walk RemoteWalk
+	// H, when non-nil, stands in for the DHT's H in a trial. The DHT's
+	// own H keeps every call on the caller's meter, as the dht.DHT
+	// contract and every other caller of H expect.
+	H RemoteLookup
+}
+
+// Delegator is the optional capability of a DHT whose peers live in
+// several processes. A sampler asks once, at construction; a zero
+// Delegates means every peer is hosted here and nothing is delegated.
+type Delegator interface {
+	Delegate() Delegates
 }
 
 // twoLaps is 2^65 circle units, the longest horizon a walk may have to

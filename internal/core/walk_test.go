@@ -7,18 +7,20 @@ import (
 	"testing"
 
 	"github.com/dht-sampling/randompeer/internal/dht"
+	"github.com/dht-sampling/randompeer/internal/ring"
 )
 
-// delegating is an oracle that offers a RemoteWalk: every walk whose
-// first peer has an odd owner index "runs elsewhere", on a sampler of
-// its own built from the request alone, as a serving process does.
+// delegating is an oracle that offers a RemoteWalk and a RemoteLookup:
+// every walk whose first peer has an odd owner index "runs elsewhere",
+// on a sampler of its own built from the request alone, as a serving
+// process does, and every lookup is counted.
 type delegating struct {
 	*dht.Oracle
-	sent int
+	sent, looked int
 }
 
-func (d *delegating) WalkDelegate() RemoteWalk {
-	return func(first dht.Peer, d0 uint64, p Params) (WalkResult, bool, error) {
+func (d *delegating) Delegate() Delegates {
+	return Delegates{Walk: func(first dht.Peer, d0 uint64, p Params) (WalkResult, bool, error) {
 		if first.Owner%2 == 0 {
 			return WalkResult{}, false, nil
 		}
@@ -33,11 +35,15 @@ func (d *delegating) WalkDelegate() RemoteWalk {
 		var tr Trace
 		peer, ok, err := s.Walk(d.Oracle, first, d0, &tr)
 		return WalkResult{Peer: peer, Accepted: ok, Steps: tr.Steps, Pruned: tr.Pruned > 0}, true, err
-	}
+	}, H: func(x ring.Point) (dht.Peer, error) {
+		d.looked++
+		return d.Oracle.H(x)
+	}}
 }
 
-// TestRemoteWalkSameSamples: delegating half the walks changes no
-// point, trial, step or pruned count of a stream of samples.
+// TestRemoteWalkSameSamples: delegating half the walks, and every
+// lookup, changes no point, trial, step or pruned count of a stream of
+// samples.
 func TestRemoteWalkSameSamples(t *testing.T) {
 	t.Parallel()
 	o := newOracle(t, 77, 4096)
@@ -50,8 +56,8 @@ func TestRemoteWalkSameSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remote.remote == nil {
-		t.Fatal("sampler over a delegating DHT resolved no RemoteWalk")
+	if remote.remote == nil || remote.lookup == nil {
+		t.Fatal("sampler over a delegating DHT resolved no RemoteWalk or RemoteLookup")
 	}
 	for i := 0; i < 2000; i++ {
 		p, tr, err := local.SampleTraced()
@@ -66,8 +72,11 @@ func TestRemoteWalkSameSamples(t *testing.T) {
 	if d.sent == 0 || local.Stats().Pruned == 0 {
 		t.Fatalf("%d walks delegated, %d pruned; the comparison covers neither path", d.sent, local.Stats().Pruned)
 	}
-	if f, _ := remote.Fork(1); f.(*Sampler).remote == nil {
-		t.Error("a fork dropped its parent's RemoteWalk")
+	if int64(d.looked) != remote.Stats().Trials {
+		t.Errorf("%d lookups delegated over %d trials; want one a trial", d.looked, remote.Stats().Trials)
+	}
+	if f, _ := remote.Fork(1); f.(*Sampler).remote == nil || f.(*Sampler).lookup == nil {
+		t.Error("a fork dropped its parent's RemoteWalk or RemoteLookup")
 	}
 }
 

@@ -40,10 +40,12 @@ func bucketIndex(d uint64) int {
 	return bits.Len64(d) - 1
 }
 
-// RPC request and response payloads. Handlers are strictly local: they
-// read or mutate the destination node's state and never issue nested
-// RPCs, which keeps every transport deadlock-free. Liveness probes and
-// bucket refreshes happen in the maintenance path, never in handlers.
+// RPC request and response payloads. Kademlia's handlers read or
+// mutate only the destination node's state and make no calls; the one
+// request served with calls of its own is a delegated walk
+// (overlay.WalkReq), whose steps may leave the process. Liveness probes
+// and bucket refreshes happen in the maintenance path, never in
+// handlers.
 // The ring metric (ring.Distance) decides key ownership — h(x) is the
 // clockwise-closest peer — while the XOR metric only routes.
 

@@ -142,9 +142,11 @@ type Core struct {
 	// modified) under mu and read with no lock.
 	members atomic.Pointer[membership]
 
-	// servedWalks and servedSteps count the walks this network ran for
-	// callers and their steps (walk.go), read at scrape time.
-	servedWalks, servedSteps atomic.Int64
+	// The served counters (walk.go), read at scrape time: the walks
+	// this network ran for callers and their steps, and the route
+	// tails it ran and their hops after the first.
+	servedWalks, servedSteps      atomic.Int64
+	servedRoutes, servedRouteHops atomic.Int64
 }
 
 // membership is one epoch of the live membership. It is immutable

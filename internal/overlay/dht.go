@@ -23,6 +23,17 @@ type Router interface {
 	Neighbors(s uint32) []ring.Point
 }
 
+// TailRouter is the optional Router capability of an overlay whose
+// lookups can hand their hops to the processes hosting them.
+// OwnerTails resolves h(x) for from as Owner does — the same owner, the
+// same calls between the same nodes — but each hop to a node another
+// process hosts is one round trip in which that process also runs the
+// hops after it to nodes it hosts. Those calls are charged to that
+// process's meter. Chord implements it.
+type TailRouter interface {
+	OwnerTails(from, x ring.Point) (ring.Point, error)
+}
+
 // DHT adapts an overlay network, viewed from one caller node, to the
 // paper's abstract DHT model: H is the router's lookup and Next the
 // core's one get-successor RPC.
@@ -63,6 +74,11 @@ func (d *DHT) Self() dht.Peer { return d.peerOf(d.caller) }
 // H implements dht.DHT via the overlay's routed lookup.
 func (d *DHT) H(x ring.Point) (dht.Peer, error) {
 	owner, err := d.r.Owner(d.caller, x)
+	return d.ownerOf(x, owner, err)
+}
+
+// ownerOf turns a lookup of x's owner into H's answer.
+func (d *DHT) ownerOf(x, owner ring.Point, err error) (dht.Peer, error) {
 	if err != nil {
 		return dht.Peer{}, fmt.Errorf("overlay dht: h(%v): %w", x, err)
 	}

@@ -30,8 +30,9 @@ type Network interface {
 	Transport() simnet.Transport
 	// StorageStats returns the slot-arena occupancy.
 	StorageStats() StorageStats
-	// ServedWalks returns the walks this network ran for callers.
-	ServedWalks() WalkStats
+	// Served returns the walks and route tails this network ran for
+	// callers.
+	Served() ServedStats
 
 	// Join adds a node through the existing local member via.
 	Join(id, via ring.Point) error

@@ -14,9 +14,11 @@ import (
 // calls and the ring check live here once. Each overlay answers the
 // requests from its own arrays in its own handler and supplies the
 // Pointers hook VerifyRing reads; its lookup (h) stays its own.
-// Handlers are strictly local and never issue nested RPCs; the one
-// request served with calls of its own is a delegated walk (walk.go),
-// which the core answers before any overlay handler sees it.
+// Handlers hold no lock across a call, and only two requests are
+// served with calls of their own: a delegated walk (walk.go), which
+// the core answers before any overlay handler sees it and whose steps
+// may leave the process, and chord's route tail, which calls only
+// nodes its process hosts.
 
 // SuccessorReq asks a node for its ring successor pointer.
 type SuccessorReq struct{}

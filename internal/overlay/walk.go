@@ -19,7 +19,9 @@ import (
 // as sender, issued through the serving process's own transport — its
 // faults, interceptor and meter see each step as any call it makes,
 // and a step that leaves the process is an ordinary remote call. Both
-// overlays serve it from Core.dispatchAny.
+// overlays serve it from Core.dispatchAny. DHT.Delegate hands a sampler
+// the walk and, over a TailRouter, the lookup; the served counters
+// cover both.
 
 // WalkReq asks the node it is sent to for one trial's walk from
 // itself: d0 is the trial's distance d(s, l(first)), and Lambda and
@@ -44,27 +46,45 @@ func init() {
 	wire.RegisterValue[WalkResp]("overlay.WalkResp")
 }
 
-// WalkStats counts the walks a network served for callers and the next
-// steps they ran.
-type WalkStats struct {
-	Walks, Steps int64
+// ServedStats counts what a network ran for callers in other
+// processes: the walks it served and their next steps, and the route
+// tails it served (chord's) and their hops after the first. Each step
+// and each such hop is a successful call on its own transport.
+type ServedStats struct {
+	Walks, Steps      int64
+	Routes, RouteHops int64
 }
 
-// ServedWalks returns the walks this network has served and their
-// steps.
-func (c *Core) ServedWalks() WalkStats {
-	return WalkStats{Walks: c.servedWalks.Load(), Steps: c.servedSteps.Load()}
+// Served returns what this network has served for callers.
+func (c *Core) Served() ServedStats {
+	return ServedStats{
+		Walks: c.servedWalks.Load(), Steps: c.servedSteps.Load(),
+		Routes: c.servedRoutes.Load(), RouteHops: c.servedRouteHops.Load(),
+	}
 }
 
-// RegisterWalkMetrics exposes served-walk counters on an obs registry;
-// get is read at scrape time.
-func RegisterWalkMetrics(r *obs.Registry, get func() WalkStats) {
+// CountServedRoute records one route tail served for a caller, which
+// made hops successful calls after the request's own hop.
+func (c *Core) CountServedRoute(hops int) {
+	c.servedRoutes.Add(1)
+	c.servedRouteHops.Add(int64(hops))
+}
+
+// RegisterServedMetrics exposes the served counters on an obs
+// registry; get is read at scrape time.
+func RegisterServedMetrics(r *obs.Registry, get func() ServedStats) {
 	r.CounterFunc("overlay_walks_served_total",
 		"Trial walks this process ran for callers, one round trip each.",
 		func() float64 { return float64(get().Walks) })
 	r.CounterFunc("overlay_walk_steps_served_total",
 		"Next steps the walks this process served ran, each a call on its own transport.",
 		func() float64 { return float64(get().Steps) })
+	r.CounterFunc("overlay_routes_served_total",
+		"Lookup route tails this process ran for callers, one round trip each.",
+		func() float64 { return float64(get().Routes) })
+	r.CounterFunc("overlay_route_hops_served_total",
+		"Hops after the first that the route tails this process served ran, each a call on its own transport.",
+		func() float64 { return float64(get().RouteHops) })
 }
 
 // serveWalk runs one delegated walk from first on behalf of from. It
@@ -118,13 +138,21 @@ func (v walkView) Size() int            { return v.c.NumAlive() }
 func (v walkView) Owners() int          { return v.c.NumAlive() }
 func (v walkView) Meter() *simnet.Meter { return v.c.Meter() }
 
-// WalkDelegate implements core.WalkDelegator: a membership with members
-// hosted by peer processes offers walkRemote, any other none.
-func (d *DHT) WalkDelegate() core.RemoteWalk {
+// Delegate implements core.Delegator. A membership with members hosted
+// by peer processes offers walkRemote and, when the router serves
+// route tails, H over them; any other offers nothing.
+func (d *DHT) Delegate() core.Delegates {
 	if !d.core.members.Load().partitioned {
-		return nil
+		return core.Delegates{}
 	}
-	return d.walkRemote
+	del := core.Delegates{Walk: d.walkRemote}
+	if t, ok := d.r.(TailRouter); ok {
+		del.H = func(x ring.Point) (dht.Peer, error) {
+			owner, err := t.OwnerTails(d.caller, x)
+			return d.ownerOf(x, owner, err)
+		}
+	}
+	return del
 }
 
 // walkRemote sends the walk from first to the process hosting it, when

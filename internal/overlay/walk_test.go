@@ -117,7 +117,7 @@ func TestServeWalkRingOfOne(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: a walk around a ring of one was served", name)
 		}
-		if w := net.ServedWalks(); w.Walks != 1 || w.Steps != 0 {
+		if w := net.Served(); w.Walks != 1 || w.Steps != 0 {
 			t.Errorf("%s: served walks %+v, want one walk of no steps", name, w)
 		}
 	}
@@ -130,8 +130,8 @@ func TestWalkDelegateOnlyAcrossProcesses(t *testing.T) {
 	t.Parallel()
 	b := newWalkBed(t, 16)
 	for i, name := range overlays.Names {
-		if b.views[i].WalkDelegate() != nil {
-			t.Errorf("%s: a single-process overlay offers a RemoteWalk", name)
+		if del := b.views[i].Delegate(); del.Walk != nil || del.H != nil {
+			t.Errorf("%s: a single-process overlay offers %+v", name, del)
 		}
 		net, err := overlays.Build(name, overlays.Config{}, simnet.NewDirect(), b.points,
 			func(p ring.Point) bool { return p != b.points[5] })
@@ -142,9 +142,14 @@ func TestWalkDelegateOnlyAcrossProcesses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		walk := view.WalkDelegate()
+		del := view.Delegate()
+		walk := del.Walk
 		if walk == nil {
 			t.Fatalf("%s: a partitioned overlay offers no RemoteWalk", name)
+		}
+		// Route tails are chord's: kademlia's lookups stay at the caller.
+		if _, tails := net.(overlay.TailRouter); (del.H != nil) != tails {
+			t.Errorf("%s: partitioned overlay offers a RemoteLookup: %t, its router serves route tails: %t", name, del.H != nil, tails)
 		}
 		params := core.Params{Lambda: 1 << 58, MaxSteps: 10}
 		before := view.Meter().Snapshot()

@@ -30,6 +30,27 @@ func ErrorClass(err error) string {
 	}
 }
 
+// ClassError is ErrorClass inverted: the taxonomy error a class names,
+// or nil for "ok", "app" and anything else outside the taxonomy. The
+// wire codec and chord's route tails carry a failure as its class and
+// map it back with this.
+func ClassError(class string) error {
+	switch class {
+	case "unknown":
+		return ErrUnknownNode
+	case "dead":
+		return ErrNodeDead
+	case "dropped":
+		return ErrDropped
+	case "partitioned":
+		return ErrPartitioned
+	case "closed":
+		return ErrClosed
+	default:
+		return nil
+	}
+}
+
 // MessageName names an RPC payload type for trace records (e.g.
 // "chord.nextHopReq"). It reflects on the payload, so transports call
 // it only on traced paths.

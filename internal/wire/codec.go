@@ -216,22 +216,3 @@ const (
 	kindClosed      = "closed"
 	kindApp         = "app"
 )
-
-// sentinel returns the simnet taxonomy error a wire kind maps back to,
-// or nil for application-level errors.
-func sentinel(kind string) error {
-	switch kind {
-	case kindUnknownNode:
-		return simnet.ErrUnknownNode
-	case kindNodeDead:
-		return simnet.ErrNodeDead
-	case kindDropped:
-		return simnet.ErrDropped
-	case kindPartitioned:
-		return simnet.ErrPartitioned
-	case kindClosed:
-		return simnet.ErrClosed
-	default:
-		return nil
-	}
-}

@@ -697,7 +697,7 @@ func FuzzReadReply(f *testing.F) {
 			}
 		case reply.isErr:
 			// A well-formed error reply is authoritative and in sync.
-			if want := sentinel(reply.name); err == nil || (want != nil && !errors.Is(err, want)) || out != 1 {
+			if want := simnet.ClassError(reply.name); err == nil || (want != nil && !errors.Is(err, want)) || out != 1 {
 				t.Fatalf("error reply %q: err = %v, %d connections kept", reply.name, err, out)
 			}
 		default:

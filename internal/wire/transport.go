@@ -425,7 +425,7 @@ func decodeReply(reply *frame) (simnet.Message, error) {
 	if !reply.isErr {
 		return decodeMessage(reply.name, reply.body)
 	}
-	if s := sentinel(reply.name); s != nil {
+	if s := simnet.ClassError(reply.name); s != nil {
 		return nil, fmt.Errorf("%w (remote: %s)", s, reply.body)
 	}
 	return nil, fmt.Errorf("remote: %s", reply.body)
