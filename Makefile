@@ -51,10 +51,12 @@ backend-switch-check:
 # sampling hot path, the kernel event-loop dispatch paths, bulk overlay
 # construction, the async churn driver, one handler-side FIND_NODE
 # selection, one wire RPC between two transports over loopback, and the
-# ring's h (Successor) and placement (Generate) at 2^16 and 10^6 points.
+# ring's h (Successor) and placement (Generate) at 2^16, 10^6 and 10^7
+# points, and New's radix sort against slices.Sort on uniform, sorted
+# and clustered input at 10^6.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkUniformSample|BenchmarkBatchScaling|BenchmarkLookupCostBackends|BenchmarkSimTransportOverhead|BenchmarkKernelEventLoop|BenchmarkBuildStatic' -benchtime=1x -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkSuccessor|BenchmarkGenerate' -benchtime=0.2s -benchmem ./internal/ring/
+	$(GO) test -run '^$$' -bench 'BenchmarkSuccessor|BenchmarkGenerate|BenchmarkNew' -benchtime=0.2s -benchmem ./internal/ring/
 	$(GO) test -run '^$$' -bench 'BenchmarkCoreResolve' -benchtime=0.2s -benchmem ./internal/overlay/
 	$(GO) test -run '^$$' -bench 'BenchmarkAsyncChurn' -benchtime=100x -benchmem ./internal/churn/
 	$(GO) test -run '^$$' -bench 'BenchmarkClosestIntoSlot|BenchmarkResolveOwner' -benchtime=1000x -benchmem ./internal/kademlia/

@@ -90,8 +90,6 @@ type Sampler struct {
 
 	params Params
 	est    EstimateResult
-	// horizon is (MaxSteps+1)*lambda, fixed with params.
-	horizon ring.S128
 
 	mu  sync.Mutex // guards rng only; never held across DHT calls
 	rng *rand.Rand
@@ -141,14 +139,11 @@ func New(d dht.DHT, caller dht.Peer, rng *rand.Rand, cfg Config) (*Sampler, erro
 }
 
 func newSampler(d dht.DHT, cfg Config, rng *rand.Rand, params Params, est EstimateResult) *Sampler {
-	s := &Sampler{
-		d: d, cfg: cfg, rng: rng, params: params, est: est,
-		horizon: horizon(params.Lambda, params.MaxSteps),
-	}
+	s := &Sampler{d: d, cfg: cfg, rng: rng, params: params, est: est}
 	if dl, ok := d.(Delegator); ok {
 		del := dl.Delegate()
 		s.lookup = del.H
-		if s.horizon.Cmp(twoLaps) <= 0 {
+		if horizon(params.Lambda, params.MaxSteps).Cmp(twoLaps) <= 0 {
 			s.remote = del.Walk
 		}
 	}
@@ -280,6 +275,7 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 	if s.lane != nil {
 		d = s.lane
 	}
+	var next Nexter = d
 	for trial := 1; trial <= s.cfg.MaxTrials; trial++ {
 		trace.Trials = trial
 		var start ring.Point
@@ -321,7 +317,7 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 				continue
 			}
 		}
-		p, ok, err := s.Walk(d, first, d0, trace)
+		p, ok, err := s.params.Walk(next, first, d0, trace)
 		if ok || err != nil {
 			return p, err
 		}
@@ -331,37 +327,9 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 		ErrTrialsExhausted, s.cfg.MaxTrials, lambda, s.params.MaxSteps)
 }
 
-// Walk is step 3 of Figure 1, one trial's next walk: from first, at
-// distance d0 >= lambda from the trial's starting point, it walks
-// successors through d until T falls to zero (ok, the accepted peer)
-// or the walk is spent — MaxSteps steps, or pruned at the horizon. It
-// adds its steps and any pruning to trace. A sampler runs it for its
-// own trials; a process that hosts a walk's first peer runs it for a
-// caller in another process (see RemoteWalk).
-func (s *Sampler) Walk(d dht.DHT, first dht.Peer, d0 uint64, trace *Trace) (dht.Peer, bool, error) {
-	lambda := s.params.Lambda
-	// walked is d(s, l(cur)) without wrap-around; T is walked minus
-	// lambda per peer visited.
-	walked := ring.S128Of(d0)
-	t := walked.SubUint(lambda)
-	cur := first
-	for step := 0; step < s.params.MaxSteps; step++ {
-		if walked.Cmp(s.horizon) > 0 {
-			trace.Pruned++
-			break
-		}
-		next, err := d.Next(cur)
-		if err != nil {
-			return dht.Peer{}, false, fmt.Errorf("core: next(%v): %w", cur.Point, err)
-		}
-		trace.Steps++
-		arc := ring.Distance(cur.Point, next.Point)
-		t = t.AddUint(arc).SubUint(lambda)
-		if !t.IsPos() {
-			return next, true, nil
-		}
-		walked = walked.AddUint(arc)
-		cur = next
-	}
-	return dht.Peer{}, false, nil
+// Walk is Params.Walk with the sampler's parameters: one trial's next
+// walk from first, at distance d0 >= lambda from the trial's starting
+// point, walked through n.
+func (s *Sampler) Walk(n Nexter, first dht.Peer, d0 uint64, trace *Trace) (dht.Peer, bool, error) {
+	return s.params.Walk(n, first, d0, trace)
 }

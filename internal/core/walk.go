@@ -77,3 +77,45 @@ func (p Params) Delegable() error {
 	}
 	return nil
 }
+
+// Nexter is the one call a trial's walk makes: get-successor, the
+// paper's next(p). Every dht.DHT is one; a process serving a walk for
+// another offers nothing more.
+type Nexter interface {
+	Next(p dht.Peer) (dht.Peer, error)
+}
+
+// Walk is step 3 of Figure 1, one trial's next walk: from first, at
+// distance d0 >= lambda from the trial's starting point, it walks
+// successors through n until T falls to zero (ok, the accepted peer)
+// or the walk is spent — MaxSteps steps, or pruned at the horizon. It
+// adds its steps and any pruning to trace. A sampler runs it for its
+// own trials; a process that hosts a walk's first peer runs it for a
+// caller in another process (see RemoteWalk).
+func (p Params) Walk(n Nexter, first dht.Peer, d0 uint64, trace *Trace) (dht.Peer, bool, error) {
+	h := horizon(p.Lambda, p.MaxSteps)
+	// walked is d(s, l(cur)) without wrap-around; T is walked minus
+	// lambda per peer visited.
+	walked := ring.S128Of(d0)
+	t := walked.SubUint(p.Lambda)
+	cur := first
+	for step := 0; step < p.MaxSteps; step++ {
+		if walked.Cmp(h) > 0 {
+			trace.Pruned++
+			break
+		}
+		next, err := n.Next(cur)
+		if err != nil {
+			return dht.Peer{}, false, fmt.Errorf("core: next(%v): %w", cur.Point, err)
+		}
+		trace.Steps++
+		arc := ring.Distance(cur.Point, next.Point)
+		t = t.AddUint(arc).SubUint(p.Lambda)
+		if !t.IsPos() {
+			return next, true, nil
+		}
+		walked = walked.AddUint(arc)
+		cur = next
+	}
+	return dht.Peer{}, false, nil
+}

@@ -95,13 +95,8 @@ func (c *Core) serveWalk(first, from ring.Point, req WalkReq) (simnet.Message, e
 	if err := params.Delegable(); err != nil {
 		return nil, fmt.Errorf("overlay: walk from %v: %w", first, err)
 	}
-	view := walkView{c, from}
-	s, err := core.NewWithParams(view, nil, params, core.Config{})
-	if err != nil {
-		return nil, err
-	}
 	var trace core.Trace
-	p, ok, err := s.Walk(view, dht.Peer{Point: first}, req.D0, &trace)
+	p, ok, err := params.Walk(walkView{c, from}, dht.Peer{Point: first}, req.D0, &trace)
 	c.servedWalks.Add(1)
 	c.servedSteps.Add(int64(trace.Steps))
 	if err != nil {
@@ -110,7 +105,7 @@ func (c *Core) serveWalk(first, from ring.Point, req WalkReq) (simnet.Message, e
 	return WalkResp{P: p.Point, Accepted: ok, Steps: trace.Steps, Pruned: trace.Pruned > 0}, nil
 }
 
-// walkView is the DHT a served walk runs over: Next is the caller's
+// walkView is the core.Nexter a served walk runs over: the caller's
 // get-successor call, issued from here. Its errors keep their simnet
 // class, which the wire carries back to the caller. A node that is its
 // own successor (a ring of one) ends the walk: each step there would
@@ -130,13 +125,6 @@ func (v walkView) Next(p dht.Peer) (dht.Peer, error) {
 	}
 	return dht.Peer{Point: succ, Owner: -1}, nil
 }
-
-func (v walkView) H(x ring.Point) (dht.Peer, error) {
-	return dht.Peer{}, errors.New("overlay: a served walk makes no lookups")
-}
-func (v walkView) Size() int            { return v.c.NumAlive() }
-func (v walkView) Owners() int          { return v.c.NumAlive() }
-func (v walkView) Meter() *simnet.Meter { return v.c.Meter() }
 
 // Delegate implements core.Delegator. A membership with members hosted
 // by peer processes offers walkRemote and, when the router serves

@@ -121,30 +121,29 @@ func New(points []Point) (*Ring, error) {
 	if uint64(len(points)) > math.MaxUint32 {
 		return nil, fmt.Errorf("ring: %d peer points exceed the limit of %d", len(points), uint64(math.MaxUint32))
 	}
-	ps := make([]Point, len(points))
-	copy(ps, points)
-	slices.Sort(ps)
-	for i := 1; i < len(ps); i++ {
-		if ps[i] == ps[i-1] {
-			return nil, fmt.Errorf("ring: duplicate peer point %d", uint64(ps[i]))
-		}
+	ps := slices.Clone(points)
+	r := sortRing(ps)
+	if i := firstRepeat(ps); i > 0 {
+		return nil, fmt.Errorf("ring: duplicate peer point %d", uint64(ps[i]))
 	}
-	return fromSorted(ps), nil
+	return r, nil
 }
 
 // fromSorted wraps strictly increasing points (kept, not copied) and
-// builds their bucket directory in one merge pass.
+// builds their bucket directory: one counting pass over the points'
+// top bits and a prefix sum. New and Generate reach it through
+// sortRing (sort.go) on input it does not radix-sort.
 func fromSorted(ps []Point) *Ring {
 	k := bits.Len(uint(len(ps) / 4))
-	r := &Ring{points: ps, dir: make([]uint32, 1<<k+1), shift: uint(64 - k)}
-	i := 0
-	for b := range r.dir {
-		for i < len(ps) && uint64(ps[i])>>r.shift < uint64(b) {
-			i++
-		}
-		r.dir[b] = uint32(i)
+	shift := uint(64 - k)
+	dir := make([]uint32, 1<<k+1)
+	for _, p := range ps {
+		dir[uint64(p)>>shift+1]++
 	}
-	return r
+	for b := 1; b < len(dir); b++ {
+		dir[b] += dir[b-1]
+	}
+	return &Ring{points: ps, dir: dir, shift: shift}
 }
 
 // Generate places n peers independently and uniformly at random on the
@@ -161,7 +160,10 @@ func Generate(rng *rand.Rand, n int) (*Ring, error) {
 	for i := range points {
 		points[i] = Point(rng.Uint64())
 	}
-	slices.Sort(points)
+	r := sortRing(points)
+	if firstRepeat(points) == 0 {
+		return r, nil
+	}
 	points = slices.Compact(points)
 	for len(points) < n {
 		p := Point(rng.Uint64())

@@ -318,7 +318,7 @@ func TestGenerateMatchesMapReference(t *testing.T) {
 		},
 	}
 	for name, src := range sources {
-		for _, n := range []int{1, 2, 7, 100, 1000, 4096} {
+		for _, n := range []int{1, 2, 7, 100, 1000, 4096, radixMin - 1, radixMin + 1, 5 * radixMin} {
 			seed := uint64(n)
 			refRng := rand.New(src(seed, n))
 			want := generateMapRef(refRng, n)
