@@ -52,10 +52,12 @@ backend-switch-check:
 # construction, the async churn driver, one handler-side FIND_NODE
 # selection, one wire RPC between two transports over loopback, and the
 # ring's h (Successor) and placement (Generate) at 2^16, 10^6 and 10^7
-# points, and New's radix sort against slices.Sort on uniform, sorted
-# and clustered input at 10^6.
+# points, New's radix sort against slices.Sort on uniform, sorted
+# and clustered input at 10^6, and the batch engine's one-tally calls
+# on the oracle from 64 to 10^6 peers at one and two workers.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkUniformSample|BenchmarkBatchScaling|BenchmarkLookupCostBackends|BenchmarkSimTransportOverhead|BenchmarkKernelEventLoop|BenchmarkBuildStatic' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSampleNTally' -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccessor|BenchmarkGenerate|BenchmarkNew' -benchtime=0.2s -benchmem ./internal/ring/
 	$(GO) test -run '^$$' -bench 'BenchmarkCoreResolve' -benchtime=0.2s -benchmem ./internal/overlay/
 	$(GO) test -run '^$$' -bench 'BenchmarkAsyncChurn' -benchtime=100x -benchmem ./internal/churn/
@@ -133,11 +135,12 @@ profile:
 
 # The allocation-budget regression gates alone (they also run as part
 # of `make test`): per-op heap budgets for the oracle, chord and
-# kademlia hot paths, the uniform sampler, one remote wire call and one
+# kademlia hot paths, the uniform sampler, one remote wire call, one
 # bare transport Call (simnet.Direct, sim.Transport) with every fabric
-# hook disarmed.
+# hook disarmed, and the batch engine's one tally a call at any worker
+# count.
 alloc-check:
-	$(GO) test -run 'TestAllocBudget' -v ./internal/dht/ ./internal/core/ ./internal/chord/ ./internal/kademlia/ ./internal/wire/ ./internal/simnet/ ./internal/sim/
+	$(GO) test -run 'TestAllocBudget' -v ./internal/dht/ ./internal/core/ ./internal/chord/ ./internal/kademlia/ ./internal/wire/ ./internal/simnet/ ./internal/sim/ ./internal/engine/
 
 # The shared overlay core's tests alone (they also run as part of `make
 # test` and, counted, under the CI race matrix): seeded slot-arena

@@ -74,7 +74,7 @@ func WithBatchSeed(seed uint64) BatchOption {
 func WithTallyOnly() BatchOption { return func(o *batchOptions) { o.tallyOnly = true } }
 
 // SampleN draws k samples from s across a worker pool and returns the
-// merged peers, per-owner tally and cost. If s implements
+// peers, per-owner tally and cost. If s implements
 // ForkableSampler (all Testbed samplers except AutoUniformSampler do),
 // each fixed-size block of sample indices runs on a private fork seeded
 // deterministically from the batch seed and the block index, so the

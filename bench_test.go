@@ -79,8 +79,9 @@ func BenchmarkUniformSample(b *testing.B) {
 // on every backend, reporting samples/sec: n = 10^6 on the oracle, the
 // repository benchmark's n = 16384 on the overlays. On the oracle each
 // block's exclusive fork sums its cost in a private lane, so the workers
-// share no written cache line and the two-worker rate is close to twice
-// the one-worker rate on a two-core machine. The overlays have no lane:
+// share no meter line (only the batch's one tally, a write a sample) and
+// the two-worker rate is close to twice the one-worker rate on a
+// two-core machine. The overlays have no lane:
 // every RPC charges the shared meter, but it resolves its destination
 // with atomic loads and no lock, so workers scale there too (chord at
 // n = 16384 on a 2-vCPU box: about 43k samples/sec at one worker, 63k
@@ -92,8 +93,8 @@ func BenchmarkUniformSample(b *testing.B) {
 // k must stay well above workers*engine.DefaultBlockSize — the engine
 // clamps workers to the block count, so a small batch would silently
 // measure fewer workers than the sub-benchmark name claims — and, on the
-// oracle, large enough that drawing samples, not zeroing the per-worker
-// million-owner tallies, dominates each op.
+// oracle, large enough that drawing samples, not zeroing the batch's
+// million-owner tally, dominates each op.
 func BenchmarkBatchScaling(b *testing.B) {
 	for _, tc := range []struct {
 		backend Backend

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -29,6 +30,13 @@ var ledgerOps = map[string]int{
 
 // ledgerSeed is the workload seed of every ledger pass.
 const ledgerSeed = 7
+
+// ledgerPasses is how many traced passes each workload runs; the ledger
+// keeps each leaf's median. The count leaves are equal in every pass, so
+// their median is exact. A wall-clock leaf of a single pass moved 18×
+// between two snapshots taken minutes apart (trace.overhead_pct 38 →
+// 689); one slow pass does not move a median of three.
+const ledgerPasses = 3
 
 // benchRunner runs one workload's traced pass of the repository
 // benchmark under root and returns the report it printed.
@@ -52,8 +60,10 @@ func goRunBench(root, workload string, ops int) ([]byte, error) {
 }
 
 // measureLedger records, for each workload BENCHMARK.json names, the
-// metric map of its traced pass, with the operation count beside it as
-// "ops".
+// per-metric median of its ledgerPasses traced passes, with the
+// operation count beside it as "ops". The passes go round the workloads
+// in turn, so that a slow spell of the machine falls on different
+// workloads' passes, not on all three of one.
 func measureLedger(root string, bench benchRunner) (map[string]map[string]float64, error) {
 	data, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
 	if err != nil {
@@ -67,21 +77,41 @@ func measureLedger(root string, bench benchRunner) (map[string]map[string]float6
 	if err := json.Unmarshal(data, &spec); err != nil {
 		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
 	}
+	passes := make(map[string]map[string][]float64, len(spec.Workloads))
+	for pass := 1; pass <= ledgerPasses; pass++ {
+		for _, w := range spec.Workloads {
+			ops, ok := ledgerOps[w.Name]
+			if !ok {
+				return nil, fmt.Errorf("ledger: no operation count for workload %q", w.Name)
+			}
+			fmt.Fprintf(os.Stderr, "benchsnap: ledger — %s, traced pass %d of %d at -seed %d -ops %d...\n", w.Name, pass, ledgerPasses, ledgerSeed, ops)
+			report, err := bench(root, w.Name, ops)
+			if err != nil {
+				return nil, fmt.Errorf("ledger: %s: %w", w.Name, err)
+			}
+			metrics, err := readLedger(report)
+			if err != nil {
+				return nil, fmt.Errorf("ledger: %s: %w", w.Name, err)
+			}
+			if passes[w.Name] == nil {
+				passes[w.Name] = make(map[string][]float64, len(metrics))
+			}
+			for name, v := range metrics {
+				passes[w.Name][name] = append(passes[w.Name][name], v)
+			}
+		}
+	}
 	ledger := make(map[string]map[string]float64, len(spec.Workloads))
-	for _, w := range spec.Workloads {
-		ops, ok := ledgerOps[w.Name]
-		if !ok {
-			return nil, fmt.Errorf("ledger: no operation count for workload %q", w.Name)
+	for name, leaves := range passes {
+		ledger[name] = make(map[string]float64, len(leaves)+1)
+		for leaf, vs := range leaves {
+			if len(vs) != ledgerPasses {
+				return nil, fmt.Errorf("ledger: %s: %s printed in %d of %d passes", name, leaf, len(vs), ledgerPasses)
+			}
+			slices.Sort(vs)
+			ledger[name][leaf] = vs[len(vs)/2]
 		}
-		fmt.Fprintf(os.Stderr, "benchsnap: ledger — %s, traced pass at -seed %d -ops %d...\n", w.Name, ledgerSeed, ops)
-		report, err := bench(root, w.Name, ops)
-		if err != nil {
-			return nil, fmt.Errorf("ledger: %s: %w", w.Name, err)
-		}
-		if ledger[w.Name], err = readLedger(report); err != nil {
-			return nil, fmt.Errorf("ledger: %s: %w", w.Name, err)
-		}
-		ledger[w.Name]["ops"] = float64(ops)
+		ledger[name]["ops"] = float64(ledgerOps[name])
 	}
 	return ledger, nil
 }

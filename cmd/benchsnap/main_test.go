@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,6 +60,48 @@ func TestReadLedger(t *testing.T) {
 	}
 }
 
+// TestLedgerMedianOfPasses runs the ledger over a fake benchmark whose
+// wall-clock leaf differs in every pass: the ledger keeps its median and
+// each count leaf as printed, and goes round the workloads pass by pass.
+func TestLedgerMedianOfPasses(t *testing.T) {
+	root := t.TempDir()
+	spec := `{"workloads": [{"name": "oracle-batch-1m"}, {"name": "chord-wire-3d"}]}`
+	if err := os.WriteFile(filepath.Join(root, "BENCHMARK.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	walls := map[string][]float64{
+		"oracle-batch-1m": {38, 689, 41},
+		"chord-wire-3d":   {2, 1, 3},
+	}
+	var ran []string
+	bench := func(_, workload string, ops int) ([]byte, error) {
+		pass := 0
+		for _, w := range ran {
+			if w == workload {
+				pass++
+			}
+		}
+		ran = append(ran, workload)
+		return fmt.Appendf(nil, "# note\n{\"correct\":true,\"metrics\":{\"trace.overhead_pct\":{\"value\":%v},\"msgs_per_sample\":{\"value\":%d}}}\n", walls[workload][pass], ops), nil
+	}
+	ledger, err := measureLedger(root, bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"oracle-batch-1m", "chord-wire-3d", "oracle-batch-1m", "chord-wire-3d", "oracle-batch-1m", "chord-wire-3d"}; !slices.Equal(ran, want) {
+		t.Errorf("passes ran %v, want %v", ran, want)
+	}
+	for workload, want := range map[string]float64{"oracle-batch-1m": 41, "chord-wire-3d": 2} {
+		got := ledger[workload]
+		if got["trace.overhead_pct"] != want {
+			t.Errorf("%s: trace.overhead_pct = %v, want the median %v", workload, got["trace.overhead_pct"], want)
+		}
+		if ops := float64(ledgerOps[workload]); got["msgs_per_sample"] != ops || got["ops"] != ops {
+			t.Errorf("%s: msgs_per_sample = %v, ops = %v, want both %v", workload, got["msgs_per_sample"], got["ops"], ops)
+		}
+	}
+}
+
 // TestGatedSectionsRepeat takes two snapshots of the in-process
 // sections at small sizes and hands them to benchdiff: what it holds
 // exact must not differ between two runs of one binary. The ledger
@@ -92,8 +136,8 @@ func TestGatedSectionsRepeat(t *testing.T) {
 		}
 		paths = append(paths, path)
 	}
-	if len(ran) != 2*len(ledgerOps) {
-		t.Errorf("ledger ran %v, want every workload of BENCHMARK.json once a snapshot", ran)
+	if len(ran) != 2*ledgerPasses*len(ledgerOps) {
+		t.Errorf("ledger ran %v, want every workload of BENCHMARK.json three times a snapshot", ran)
 	}
 	// bytes_per_node is not exact, and at a thousand nodes a stray
 	// allocation moves it past benchdiff's 0.1%: only the exact gate

@@ -86,7 +86,7 @@ func TestSampleNDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSampleNTallyMatchesPeers checks the merged per-worker tallies
+// TestSampleNTallyMatchesPeers checks the tally the workers add into
 // against a recount of the peer log, and that every sample landed.
 func TestSampleNTallyMatchesPeers(t *testing.T) {
 	o := testOracle(t, 256)

@@ -267,16 +267,23 @@ func (r *Ring) Successor(x Point) int {
 	return lo
 }
 
-// NextIndex returns the index of the peer immediately clockwise of peer i.
-// This is the paper's next(p).
+// NextIndex returns the index of the peer immediately clockwise of peer i,
+// for i in [0, Len()). This is the paper's next(p). It compares instead
+// of taking a remainder: the oracle's walk calls it on every step.
 func (r *Ring) NextIndex(i int) int {
-	return (i + 1) % len(r.points)
+	if i+1 == len(r.points) {
+		return 0
+	}
+	return i + 1
 }
 
 // PrevIndex returns the index of the peer immediately counterclockwise of
-// peer i.
+// peer i, for i in [0, Len()).
 func (r *Ring) PrevIndex(i int) int {
-	return (i - 1 + len(r.points)) % len(r.points)
+	if i == 0 {
+		return len(r.points) - 1
+	}
+	return i - 1
 }
 
 // Arc returns the clockwise distance from peer i's point to its
