@@ -100,6 +100,13 @@ type Sampler struct {
 	// same answers, with the cost of one Sample call charged to d's
 	// meter in one piece when the call returns.
 	lane dht.Lane
+	// warmer, when non-nil, is lane as a dht.Warmer: the sampler then
+	// draws the starts of its next lookAhead trials at once and warms
+	// them, and each trial takes the next one. The last left of ahead
+	// are drawn and not yet used; they carry across Sample calls.
+	warmer dht.Warmer
+	ahead  [lookAhead]ring.Point
+	left   int
 	// remote, when non-nil, runs a trial's walk at the process hosting
 	// its first peer, and lookup a trial's h where its hops' peers live
 	// (d's Delegator, resolved at construction).
@@ -111,6 +118,11 @@ type Sampler struct {
 	steps   atomic.Int64
 	pruned  atomic.Int64
 }
+
+// lookAhead is how many trial starts an exclusive fork whose lane warms
+// draws at a time. Windows of 16 and 32 sampled as fast, 4 a few
+// percent slower.
+const lookAhead = 8
 
 var (
 	_ dht.Sampler        = (*Sampler)(nil)
@@ -184,6 +196,12 @@ func (s *Sampler) Fork(seed uint64) (dht.Sampler, error) {
 // every trial and, when the DHT offers lanes, sums the cost of each
 // Sample call privately and charges the shared meter once as the call
 // returns, so a meter reading is exact whenever no Sample is in flight.
+// When the lane also warms (dht.Warmer), the fork draws the starts of
+// its next lookAhead trials in one go and hands them to the lane, which
+// resolves their lookups together; the trials then take one start each,
+// in the order Fork(seed) draws them, so the samples, the effort and
+// the charges stay those of Fork(seed). Starts drawn and not yet used
+// wait for the next Sample call and die with the fork.
 // Sharing an exclusive fork between goroutines is a data race. The
 // batch engine prefers this over Fork because each block of work runs
 // on exactly one worker.
@@ -197,6 +215,7 @@ func (s *Sampler) ForkExclusive(seed uint64) (dht.Sampler, error) {
 	if l, ok := s.d.(dht.Laner); ok {
 		if lane, ok := l.Lane(); ok {
 			fs.lane = lane
+			fs.warmer, _ = lane.(dht.Warmer)
 		}
 	}
 	return f, nil
@@ -279,9 +298,20 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 	for trial := 1; trial <= s.cfg.MaxTrials; trial++ {
 		trace.Trials = trial
 		var start ring.Point
-		if s.unshared {
+		switch {
+		case s.warmer != nil:
+			if s.left == 0 {
+				for i := range s.ahead {
+					s.ahead[i] = ring.Point(s.rng.Uint64())
+				}
+				s.warmer.Warm(s.ahead[:])
+				s.left = lookAhead
+			}
+			start = s.ahead[lookAhead-s.left]
+			s.left--
+		case s.unshared:
 			start = ring.Point(s.rng.Uint64())
-		} else {
+		default:
 			s.mu.Lock()
 			start = ring.Point(s.rng.Uint64())
 			s.mu.Unlock()

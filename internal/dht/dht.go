@@ -11,9 +11,9 @@
 //
 // Samplers are written against this interface and therefore run
 // unmodified over the real Chord implementation (internal/chord) and the
-// Oracle backend in this package, which resolves lookups by binary search
-// while charging the standard synthetic costs, enabling million-peer
-// experiments.
+// Oracle backend in this package, which resolves lookups with the ring's
+// bucket-directory search while charging the standard synthetic costs,
+// enabling million-peer experiments.
 package dht
 
 import (
@@ -73,6 +73,17 @@ type Laner interface {
 	// Lane returns a fresh lane, or false when this DHT cannot offer one
 	// in its current configuration.
 	Lane() (Lane, bool)
+}
+
+// Warmer is the optional capability of a Lane that can resolve lookups
+// ahead of need. Its holder passes the points it will hand H next, in
+// order, and the lane may resolve them at once: independent searches
+// whose cache misses overlap, where one H at a time waits for each
+// miss in turn. Warm is a hint. It charges nothing and changes no
+// answer: H charges what it always does and returns the same peer for
+// any point, warmed or not, in any order.
+type Warmer interface {
+	Warm(xs []ring.Point)
 }
 
 // ErrUnknownPeer is returned by Next when the given peer is not a member

@@ -10,10 +10,10 @@ import (
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
-// Oracle is an idealized DHT backend: it resolves h by binary search over
-// the sorted peer points and charges the standard synthetic costs
-// (t_h = m_h/2 = ceil(log2 n) sequential RPCs for a lookup, one RPC for a
-// successor chase). It models a perfectly stabilized Chord ring and
+// Oracle is an idealized DHT backend: it resolves h with the ring's
+// bucket-directory search (ring.Successor) and charges the standard
+// synthetic costs (t_h = m_h/2 = ceil(log2 n) sequential RPCs for a
+// lookup, one RPC for a successor chase). It models a perfectly stabilized Chord ring and
 // scales to millions of peers, which the experiment sweeps rely on.
 type Oracle struct {
 	ring   *ring.Ring
@@ -161,16 +161,48 @@ func (o *Oracle) Lane() (Lane, bool) {
 	return &oracleLane{Oracle: o}, true
 }
 
+// warmWindow is the most points one Warm resolves: core's exclusive
+// fork hands over eight trial starts at a time.
+const warmWindow = 8
+
 // oracleLane is the oracle's Lane: the same ring and owners, the
-// synthetic cost summed in a plain field until Flush.
+// synthetic cost summed in a plain field until Flush. It is also a
+// Warmer: warm[next:n] are the points of the last Warm not yet asked
+// for, each with the rank of its successor.
 type oracleLane struct {
 	*Oracle
-	calls int64 // unflushed RPC round trips, 2 messages each
+	calls   int64 // unflushed RPC round trips, 2 messages each
+	warm    [warmWindow]warmed
+	next, n int
 }
 
+// warmed is one point of a Warm and the rank h answers it with.
+type warmed struct {
+	x    ring.Point
+	rank int
+}
+
+var _ Warmer = (*oracleLane)(nil)
+
+// H answers from the warmed buffer when x is the next warmed point, and
+// searches otherwise; either way it charges the same.
 func (l *oracleLane) H(x ring.Point) (Peer, error) {
 	l.calls += l.hops
+	if l.next < l.n && l.warm[l.next].x == x {
+		l.next++
+		return l.peerAt(l.warm[l.next-1].rank), nil
+	}
 	return l.lookup(x), nil
+}
+
+// Warm resolves the first warmWindow points of xs in one loop of
+// independent searches, replacing what an earlier Warm left unasked.
+func (l *oracleLane) Warm(xs []ring.Point) {
+	xs = xs[:min(len(xs), warmWindow)]
+	for i, x := range xs {
+		l.warm[i] = warmed{x, l.ring.Successor(x)}
+	}
+	l.next, l.n = 0, len(xs)
 }
 
 func (l *oracleLane) Next(p Peer) (Peer, error) {

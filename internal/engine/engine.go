@@ -28,6 +28,14 @@
 // over Owners/8 lines, so a line moves between cores at most once per
 // sample, against at least 0.5 µs of sampling.
 //
+// Within a block, an exclusive fork over the oracle also looks ahead:
+// it draws the starts of its next eight trials at once and lets its
+// lane resolve their h lookups in one pass (dht.Warmer), so the cache
+// misses of eight ring searches overlap instead of each waiting for
+// the walk before it. The fork's stream is its own and is read in the
+// same order, so this changes no peer, effort or charge; starts left
+// over at the end of a block die with its fork.
+//
 // Samplers that cannot fork (for example core.AutoSampler, whose
 // refresh schedule is inherently shared state) are still supported:
 // every sampler in this module is safe for concurrent use, so the
