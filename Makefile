@@ -54,12 +54,14 @@ backend-switch-check:
 # ring's h (Successor) and placement (Generate) at 2^16, 10^6 and 10^7
 # points, New's radix sort against slices.Sort on uniform, sorted
 # and clustered input at 10^6, the batch engine's one-tally calls
-# on the oracle from 64 to 10^6 peers at one and two workers, and the
-# oracle lane's h at 10^6 points, plain and warmed eight at a time.
+# on the oracle from 64 to 10^6 peers at one and two workers, the
+# oracle lane's h at 10^6 points, plain and warmed eight at a time, and
+# one trial's walk there, over the lane's next and in its ring.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkUniformSample|BenchmarkBatchScaling|BenchmarkLookupCostBackends|BenchmarkSimTransportOverhead|BenchmarkKernelEventLoop|BenchmarkBuildStatic' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSampleNTally' -benchtime=1x -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkOracleLaneH' -benchtime=1x -benchmem ./internal/dht/
+	$(GO) test -run '^$$' -bench 'BenchmarkOracleLaneWalk' -benchtime=1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccessor|BenchmarkGenerate|BenchmarkNew' -benchtime=0.2s -benchmem ./internal/ring/
 	$(GO) test -run '^$$' -bench 'BenchmarkCoreResolve' -benchtime=0.2s -benchmem ./internal/overlay/
 	$(GO) test -run '^$$' -bench 'BenchmarkAsyncChurn' -benchtime=100x -benchmem ./internal/churn/

@@ -31,6 +31,21 @@ var ledgerOps = map[string]int{
 // ledgerSeed is the workload seed of every ledger pass.
 const ledgerSeed = 7
 
+// scalingOps is the operation count of the extra traced passes of
+// scalingWorkload that scalingLeaves come from. At the workload's
+// ledgerOps each of its two engine runs draws about 20k samples in
+// tens of milliseconds, and engine.speedup_wN read 1.45 and 1.76 in two
+// snapshots of one commit and 1.03 in a single pass; at 2^21 each run
+// draws about 630k samples and lasts about a second. Every other leaf,
+// the exact ones included, still comes from the ledgerOps passes.
+const scalingOps = 1 << 21
+
+// scalingWorkload and scalingLeaves name the engine's own throughput
+// leaves, which benchdiff gates (engine.speedup_wN >= 1.5).
+const scalingWorkload = "oracle-batch-1m"
+
+var scalingLeaves = []string{"engine.samples_per_s_w1", "engine.speedup_wN"}
+
 // ledgerPasses is how many traced passes each workload runs; the ledger
 // keeps each leaf's median. The count leaves are equal in every pass, so
 // their median is exact. A wall-clock leaf of a single pass moved 18×
@@ -61,8 +76,10 @@ func goRunBench(root, workload string, ops int) ([]byte, error) {
 
 // measureLedger records, for each workload BENCHMARK.json names, the
 // per-metric median of its ledgerPasses traced passes, with the
-// operation count beside it as "ops". The passes go round the workloads
-// in turn, so that a slow spell of the machine falls on different
+// operation count beside it as "ops"; scalingWorkload's scalingLeaves
+// are the medians of as many passes at scalingOps, each run right after
+// that workload's ledgerOps pass. The passes go round the workloads in
+// turn, so that a slow spell of the machine falls on different
 // workloads' passes, not on all three of one.
 func measureLedger(root string, bench benchRunner) (map[string]map[string]float64, error) {
 	data, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
@@ -78,27 +95,29 @@ func measureLedger(root string, bench benchRunner) (map[string]map[string]float6
 		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
 	}
 	passes := make(map[string]map[string][]float64, len(spec.Workloads))
+	scaling := make(map[string][]float64, len(scalingLeaves))
 	for pass := 1; pass <= ledgerPasses; pass++ {
 		for _, w := range spec.Workloads {
 			ops, ok := ledgerOps[w.Name]
 			if !ok {
 				return nil, fmt.Errorf("ledger: no operation count for workload %q", w.Name)
 			}
-			fmt.Fprintf(os.Stderr, "benchsnap: ledger — %s, traced pass %d of %d at -seed %d -ops %d...\n", w.Name, pass, ledgerPasses, ledgerSeed, ops)
-			report, err := bench(root, w.Name, ops)
-			if err != nil {
-				return nil, fmt.Errorf("ledger: %s: %w", w.Name, err)
-			}
-			metrics, err := readLedger(report)
-			if err != nil {
-				return nil, fmt.Errorf("ledger: %s: %w", w.Name, err)
-			}
 			if passes[w.Name] == nil {
-				passes[w.Name] = make(map[string][]float64, len(metrics))
+				passes[w.Name] = make(map[string][]float64)
 			}
-			for name, v := range metrics {
-				passes[w.Name][name] = append(passes[w.Name][name], v)
+			if err := ledgerPass(root, bench, w.Name, ops, pass, passes[w.Name]); err != nil {
+				return nil, err
 			}
+			if w.Name == scalingWorkload {
+				if err := ledgerPass(root, bench, w.Name, scalingOps, pass, scaling); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	if leaves := passes[scalingWorkload]; leaves != nil {
+		for _, leaf := range scalingLeaves {
+			leaves[leaf] = scaling[leaf]
 		}
 	}
 	ledger := make(map[string]map[string]float64, len(spec.Workloads))
@@ -114,6 +133,24 @@ func measureLedger(root string, bench benchRunner) (map[string]map[string]float6
 		ledger[name]["ops"] = float64(ledgerOps[name])
 	}
 	return ledger, nil
+}
+
+// ledgerPass runs one traced pass of workload at ops and appends each
+// metric it printed to leaves.
+func ledgerPass(root string, bench benchRunner, workload string, ops, pass int, leaves map[string][]float64) error {
+	fmt.Fprintf(os.Stderr, "benchsnap: ledger — %s, traced pass %d of %d at -seed %d -ops %d...\n", workload, pass, ledgerPasses, ledgerSeed, ops)
+	report, err := bench(root, workload, ops)
+	if err != nil {
+		return fmt.Errorf("ledger: %s: %w", workload, err)
+	}
+	metrics, err := readLedger(report)
+	if err != nil {
+		return fmt.Errorf("ledger: %s: %w", workload, err)
+	}
+	for name, v := range metrics {
+		leaves[name] = append(leaves[name], v)
+	}
+	return nil
 }
 
 // readLedger returns the metric values of one bench report: metric and

@@ -61,40 +61,62 @@ func TestReadLedger(t *testing.T) {
 }
 
 // TestLedgerMedianOfPasses runs the ledger over a fake benchmark whose
-// wall-clock leaf differs in every pass: the ledger keeps its median and
-// each count leaf as printed, and goes round the workloads pass by pass.
+// wall-clock leaves differ in every pass: the ledger keeps their
+// medians and each count leaf as printed, and goes round the workloads
+// pass by pass. oracle-batch-1m's engine leaves come from the extra
+// passes at scalingOps, run right after its own; every other leaf of
+// it, ops and the counts included, from the ledgerOps passes.
 func TestLedgerMedianOfPasses(t *testing.T) {
 	root := t.TempDir()
 	spec := `{"workloads": [{"name": "oracle-batch-1m"}, {"name": "chord-wire-3d"}]}`
 	if err := os.WriteFile(filepath.Join(root, "BENCHMARK.json"), []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Per workload and operation count, one value a pass: the wall
+	// leaf and the engine speedup.
 	walls := map[string][]float64{
-		"oracle-batch-1m": {38, 689, 41},
-		"chord-wire-3d":   {2, 1, 3},
+		"oracle-batch-1m@65536":   {38, 689, 41},
+		"oracle-batch-1m@2097152": {5, 6, 7},
+		"chord-wire-3d@600":       {2, 1, 3},
+	}
+	speedups := map[string][]float64{
+		"oracle-batch-1m@65536":   {1.03, 1.45, 1.76},
+		"oracle-batch-1m@2097152": {1.9, 2.1, 1.8},
+		"chord-wire-3d@600":       {0, 0, 0},
 	}
 	var ran []string
 	bench := func(_, workload string, ops int) ([]byte, error) {
+		key := fmt.Sprintf("%s@%d", workload, ops)
 		pass := 0
-		for _, w := range ran {
-			if w == workload {
+		for _, k := range ran {
+			if k == key {
 				pass++
 			}
 		}
-		ran = append(ran, workload)
-		return fmt.Appendf(nil, "# note\n{\"correct\":true,\"metrics\":{\"trace.overhead_pct\":{\"value\":%v},\"msgs_per_sample\":{\"value\":%d}}}\n", walls[workload][pass], ops), nil
+		ran = append(ran, key)
+		return fmt.Appendf(nil, "# note\n{\"correct\":true,\"metrics\":{\"trace.overhead_pct\":{\"value\":%v},\"msgs_per_sample\":{\"value\":%d},"+
+			"\"engine.speedup_wN\":{\"value\":%v},\"engine.samples_per_s_w1\":{\"value\":%v}}}\n",
+			walls[key][pass], ops, speedups[key][pass], 1e5*speedups[key][pass]), nil
 	}
 	ledger, err := measureLedger(root, bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"oracle-batch-1m", "chord-wire-3d", "oracle-batch-1m", "chord-wire-3d", "oracle-batch-1m", "chord-wire-3d"}; !slices.Equal(ran, want) {
+	round := []string{"oracle-batch-1m@65536", "oracle-batch-1m@2097152", "chord-wire-3d@600"}
+	if want := slices.Concat(round, round, round); !slices.Equal(ran, want) {
 		t.Errorf("passes ran %v, want %v", ran, want)
 	}
-	for workload, want := range map[string]float64{"oracle-batch-1m": 41, "chord-wire-3d": 2} {
+	for workload, want := range map[string]struct{ wall, speedup float64 }{
+		"oracle-batch-1m": {41, 1.9},
+		"chord-wire-3d":   {2, 0},
+	} {
 		got := ledger[workload]
-		if got["trace.overhead_pct"] != want {
-			t.Errorf("%s: trace.overhead_pct = %v, want the median %v", workload, got["trace.overhead_pct"], want)
+		if got["trace.overhead_pct"] != want.wall {
+			t.Errorf("%s: trace.overhead_pct = %v, want the median %v", workload, got["trace.overhead_pct"], want.wall)
+		}
+		if got["engine.speedup_wN"] != want.speedup || got["engine.samples_per_s_w1"] != 1e5*want.speedup {
+			t.Errorf("%s: engine.speedup_wN = %v, samples_per_s_w1 = %v, want the median %v of its scaling passes",
+				workload, got["engine.speedup_wN"], got["engine.samples_per_s_w1"], want.speedup)
 		}
 		if ops := float64(ledgerOps[workload]); got["msgs_per_sample"] != ops || got["ops"] != ops {
 			t.Errorf("%s: msgs_per_sample = %v, ops = %v, want both %v", workload, got["msgs_per_sample"], got["ops"], ops)
@@ -136,8 +158,8 @@ func TestGatedSectionsRepeat(t *testing.T) {
 		}
 		paths = append(paths, path)
 	}
-	if len(ran) != 2*ledgerPasses*len(ledgerOps) {
-		t.Errorf("ledger ran %v, want every workload of BENCHMARK.json three times a snapshot", ran)
+	if len(ran) != 2*ledgerPasses*(len(ledgerOps)+1) {
+		t.Errorf("ledger ran %v, want every workload of BENCHMARK.json three times a snapshot, %s six", ran, scalingWorkload)
 	}
 	// bytes_per_node is not exact, and at a thousand nodes a stray
 	// allocation moves it past benchdiff's 0.1%: only the exact gate

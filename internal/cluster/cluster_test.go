@@ -305,6 +305,30 @@ func TestClusterControlPlane(t *testing.T) {
 	if m.Calls < 1 {
 		t.Fatalf("metrics calls = %d, want >= 1 (daemon 0 made outgoing lookup hops)", m.Calls)
 	}
+
+	// A join through daemon 2, bootstrapped at a point daemon 0 hosts:
+	// daemon 2 hosts the new node from then on, whose successor is the
+	// one the ring gives it, and a second join of the same point fails.
+	fresh := ring.Point(rng.Uint64())
+	for members[fresh] {
+		fresh++
+	}
+	if err := JoinAt(c.Addr(2), fresh, first); err != nil {
+		t.Fatalf("join of %v at daemon 2: %v", fresh, err)
+	}
+	if succ, err := NextAt(c.Addr(2), fresh); err != nil || succ != r.At(r.Successor(fresh)) {
+		t.Fatalf("after the join, daemon 2 next(%v) = %v (err %v), want %v", fresh, succ, err, r.At(r.Successor(fresh)))
+	}
+	m2, err := MetricsAt(c.Addr(2))
+	if err != nil {
+		t.Fatalf("metrics at daemon 2: %v", err)
+	}
+	if !slices.Contains(m2.Owned, uint64(fresh)) {
+		t.Fatalf("daemon 2 owns %v after the join, not %v", m2.Owned, fresh)
+	}
+	if err := JoinAt(c.Addr(2), fresh, first); err == nil {
+		t.Fatalf("a second join of %v succeeded", fresh)
+	}
 }
 
 // fleetTally sums the calls every process's meter charged (the RPC

@@ -10,6 +10,7 @@ import (
 
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/ring"
+	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
 func genRing(t *testing.T, seed uint64, n int) *ring.Ring {
@@ -473,20 +474,48 @@ func requirePiecesMatchAnalyze(t *testing.T, r *ring.Ring, p Params) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// trial runs one scripted trial from s: the chosen owner, or -1.
-	trial := func(s ring.Point) int {
-		smp, err := NewWithParams(o, rand.New(&scriptedSource{[]uint64{uint64(s)}}), p, Config{MaxTrials: 1})
+	// sample runs one scripted trial from s on a plain sampler, or on an
+	// exclusive one that walks the oracle lane's ring, and returns the
+	// chosen owner (-1 if the trial failed), its effort and its charge.
+	sample := func(s ring.Point, exclusive bool) (int, Stats, simnet.Cost) {
+		// An exclusive sampler draws lookAhead starts at once; the one
+		// trial takes the first.
+		starts := make([]uint64, lookAhead)
+		starts[0] = uint64(s)
+		smp, err := NewWithParams(o, rand.New(&scriptedSource{starts}), p, Config{MaxTrials: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if exclusive {
+			f, err := smp.ForkExclusive(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if smp = f.(*Sampler); smp.remote == nil {
+				t.Fatal("an exclusive sampler over the oracle does not walk its lane's ring")
+			}
+			smp.rng = rand.New(&scriptedSource{starts})
+		}
+		before := o.Meter().Snapshot()
 		peer, err := smp.Sample()
+		cost := o.Meter().Snapshot().Sub(before)
 		if errors.Is(err, ErrTrialsExhausted) {
-			return -1
-		}
-		if err != nil {
+			peer.Owner = -1
+		} else if err != nil {
 			t.Fatal(err)
 		}
-		return peer.Owner
+		return peer.Owner, smp.Stats(), cost
+	}
+	// trial runs one scripted trial from s on both samplers, which must
+	// agree on the owner, the effort and the charge, and returns the
+	// owner.
+	trial := func(s ring.Point) int {
+		owner, effort, cost := sample(s, false)
+		if o2, e2, c2 := sample(s, true); o2 != owner || e2 != effort || c2 != cost {
+			t.Fatalf("n=%d %+v s=%v: exclusive sampler chose %d with %+v for %+v, plain sampler %d with %+v for %+v",
+				n, p, s, o2, e2, c2, owner, effort, cost)
+		}
+		return owner
 	}
 	measure := make([]uint64, n)
 	var unassigned uint64

@@ -107,9 +107,11 @@ type Sampler struct {
 	warmer dht.Warmer
 	ahead  [lookAhead]ring.Point
 	left   int
-	// remote, when non-nil, runs a trial's walk at the process hosting
-	// its first peer, and lookup a trial's h where its hops' peers live
-	// (d's Delegator, resolved at construction).
+	// remote, when non-nil, runs a trial's walk where its peers live:
+	// at the process hosting its first peer (d's Delegator, resolved at
+	// construction), or in the ring of an exclusive fork's lane
+	// (dht.RingLane, resolved at fork time). lookup runs a trial's h
+	// where its hops' peers live (d's Delegator).
 	remote RemoteWalk
 	lookup RemoteLookup
 
@@ -201,7 +203,10 @@ func (s *Sampler) Fork(seed uint64) (dht.Sampler, error) {
 // resolves their lookups together; the trials then take one start each,
 // in the order Fork(seed) draws them, so the samples, the effort and
 // the charges stay those of Fork(seed). Starts drawn and not yet used
-// wait for the next Sample call and die with the fork.
+// wait for the next Sample call and die with the fork. When the lane
+// holds its ring (dht.RingLane), every trial's walk runs there, over
+// ring indices (Params.WalkRing): the peers, steps, pruning and charges
+// of Params.Walk over the lane's Next, without a call a step.
 // Sharing an exclusive fork between goroutines is a data race. The
 // batch engine prefers this over Fork because each block of work runs
 // on exactly one worker.
@@ -216,9 +221,22 @@ func (s *Sampler) ForkExclusive(seed uint64) (dht.Sampler, error) {
 		if lane, ok := l.Lane(); ok {
 			fs.lane = lane
 			fs.warmer, _ = lane.(dht.Warmer)
+			if r, ok := lane.(dht.RingLane); ok {
+				fs.remote = ringWalk(r)
+			}
 		}
 	}
 	return f, nil
+}
+
+// ringWalk runs every trial's walk of an exclusive fork in the ring its
+// lane holds, where all its peers live: WalkRing, never sent anywhere.
+func ringWalk(r dht.RingLane) RemoteWalk {
+	return func(first dht.Peer, d0 uint64, p Params) (WalkResult, bool, error) {
+		var tr Trace
+		peer, ok, err := p.WalkRing(r, first, d0, &tr)
+		return WalkResult{Peer: peer, Accepted: ok, Steps: tr.Steps, Pruned: tr.Pruned > 0}, true, err
+	}
 }
 
 // Params returns the derived sampling parameters.

@@ -16,7 +16,10 @@ import (
 // transport — and answer once. A sample is a pure function of the
 // random stream, the membership and the caller, so the points, trials,
 // steps and pruned counts stay what the caller's own walk would give;
-// only where the calls are made changes.
+// only where the calls are made changes. Over the oracle every peer
+// lives in one ring array in this process, and an exclusive fork walks
+// it by index (WalkRing): there only how the next peer is found
+// changes.
 
 // WalkResult is what a walk run in another process reports back.
 type WalkResult struct {
@@ -32,7 +35,8 @@ type WalkResult struct {
 // RemoteWalk runs one trial's walk at the process hosting first, in
 // one round trip, with p's lambda and MaxSteps. sent is false, and
 // nothing was sent, when this process hosts first itself: the sampler
-// then walks from here.
+// then walks from here. An exclusive fork whose lane holds its ring
+// uses the same hook to run every walk in that ring (WalkRing).
 type RemoteWalk func(first dht.Peer, d0 uint64, p Params) (w WalkResult, sent bool, err error)
 
 // RemoteLookup resolves h(x) as the DHT's H does — the same peer, from
@@ -85,6 +89,49 @@ type Nexter interface {
 	Next(p dht.Peer) (dht.Peer, error)
 }
 
+// walker is the rule of one trial's walk, written once for Walk and
+// WalkRing, which differ only in how they reach the next peer: T, the
+// MaxSteps bound, the horizon past which no step can accept, and the
+// trial's steps and pruning in its Trace.
+type walker struct {
+	lambda uint64
+	left   int // steps the bound still allows
+	// t is T: the distance walked from the trial's starting point, less
+	// lambda per peer visited.
+	t ring.S128
+}
+
+// walker starts the rule of a walk from a first peer at distance d0 >=
+// lambda from the trial's starting point.
+func (p Params) walker(d0 uint64) walker {
+	return walker{lambda: p.Lambda, left: p.MaxSteps, t: ring.S128Of(d0).SubUint(p.Lambda)}
+}
+
+// more reports whether the walk takes another step: not once it has
+// taken MaxSteps, nor once it is past the horizon (MaxSteps+1)*lambda
+// from the starting point, where it counts the trial pruned. The walk
+// is past the horizon exactly when T exceeds left*lambda, the most the
+// steps left can take off it.
+func (w *walker) more(trace *Trace) bool {
+	if w.left <= 0 {
+		return false
+	}
+	if ring.S128Mul(uint64(w.left), w.lambda).Sub(w.t).IsNeg() {
+		trace.Pruned++
+		return false
+	}
+	return true
+}
+
+// step counts one step, to a peer arc further clockwise, and reports
+// whether T fell to zero there: the walk accepts that peer.
+func (w *walker) step(arc uint64, trace *Trace) bool {
+	trace.Steps++
+	w.left--
+	w.t = w.t.AddSubUint(arc, w.lambda)
+	return !w.t.IsPos()
+}
+
 // Walk is step 3 of Figure 1, one trial's next walk: from first, at
 // distance d0 >= lambda from the trial's starting point, it walks
 // successors through n until T falls to zero (ok, the accepted peer)
@@ -93,29 +140,52 @@ type Nexter interface {
 // own trials; a process that hosts a walk's first peer runs it for a
 // caller in another process (see RemoteWalk).
 func (p Params) Walk(n Nexter, first dht.Peer, d0 uint64, trace *Trace) (dht.Peer, bool, error) {
-	h := horizon(p.Lambda, p.MaxSteps)
-	// walked is d(s, l(cur)) without wrap-around; T is walked minus
-	// lambda per peer visited.
-	walked := ring.S128Of(d0)
-	t := walked.SubUint(p.Lambda)
-	cur := first
-	for step := 0; step < p.MaxSteps; step++ {
-		if walked.Cmp(h) > 0 {
-			trace.Pruned++
-			break
-		}
+	w := p.walker(d0)
+	for cur := first; w.more(trace); {
 		next, err := n.Next(cur)
 		if err != nil {
 			return dht.Peer{}, false, fmt.Errorf("core: next(%v): %w", cur.Point, err)
 		}
-		trace.Steps++
-		arc := ring.Distance(cur.Point, next.Point)
-		t = t.AddUint(arc).SubUint(p.Lambda)
-		if !t.IsPos() {
+		if w.step(ring.Distance(cur.Point, next.Point), trace) {
 			return next, true, nil
 		}
-		walked = walked.AddUint(arc)
 		cur = next
 	}
 	return dht.Peer{}, false, nil
+}
+
+// WalkRing is Walk over a lane that holds its ring: it reads each
+// successor's point in place, by index, where Walk asks Next for it,
+// stops at the step Walk stops at, and charges the lane one next call a
+// step. The peer, the steps, the pruning and the error for a first peer
+// that is not a member are Walk's over the lane's Next. An exclusive
+// fork runs it for every trial over the oracle's lane.
+func (p Params) WalkRing(r dht.RingLane, first dht.Peer, d0 uint64, trace *Trace) (dht.Peer, bool, error) {
+	w := p.walker(d0)
+	if !w.more(trace) {
+		return dht.Peer{}, false, nil
+	}
+	i, err := r.Index(first)
+	if err != nil {
+		return dht.Peer{}, false, fmt.Errorf("core: next(%v): %w", first.Point, err)
+	}
+	points, steps := r.Ring().Sorted(), trace.Steps
+	for {
+		cur := points[i]
+		if i++; i == len(points) {
+			i = 0
+		}
+		if w.step(ring.Distance(cur, points[i]), trace) {
+			break
+		}
+		if !w.more(trace) {
+			i = -1 // spent
+			break
+		}
+	}
+	r.Walked(trace.Steps - steps)
+	if i < 0 {
+		return dht.Peer{}, false, nil
+	}
+	return r.PeerByIndex(i), true, nil
 }

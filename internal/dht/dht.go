@@ -86,6 +86,28 @@ type Warmer interface {
 	Warm(xs []ring.Point)
 }
 
+// RingLane is the optional capability of a Lane whose peers are the
+// points of one ring held in this process, in ring order. A walk from
+// peer to successor can then read the points in place, by index, where
+// Next answers one peer a call, and charge the lane what those Next
+// calls cost. Only the oracle's lane offers it. It answers nothing Next
+// would not: Index fails on a peer that is not a member with Next's
+// error, and PeerByIndex(i+1) is what Next answers for the peer at i
+// (wrapping at the end). The walk rule itself is core's.
+type RingLane interface {
+	// Ring returns the ring of the lane's peer points. It does not
+	// change over the lane's life.
+	Ring() *ring.Ring
+	// Index returns the index of p's point in Ring, or the
+	// ErrUnknownPeer error Next(p) returns when p is not a member.
+	Index(p Peer) (int, error)
+	// PeerByIndex returns the peer at index i of Ring, owner and all.
+	PeerByIndex(i int) Peer
+	// Walked charges steps next calls to the lane, as that many Next
+	// calls would, and answers nothing.
+	Walked(steps int)
+}
+
 // ErrUnknownPeer is returned by Next when the given peer is not a member
 // of the DHT.
 var ErrUnknownPeer = errors.New("dht: unknown peer")

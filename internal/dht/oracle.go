@@ -132,22 +132,28 @@ func (o *Oracle) lookup(x ring.Point) Peer {
 // successor resolves next(p) and charges nothing; Next and a lane's Next
 // both answer with it.
 //
-// The index of p is recovered without a search whenever possible: with
+// Index recovers p's index without a search whenever possible: with
 // one point per owner (the common case) a peer's Owner IS its ring
-// index, verified with one array load. Every walk step of every sample
-// lands here, and the binary search this skips was the single hottest
-// block of the batch-sampling profile.
+// index, verified with one array load, where a search would cost every
+// step of a walk over Next.
 func (o *Oracle) successor(p Peer) (Peer, error) {
-	i := -1
-	if o.owners == nil && p.Owner >= 0 && p.Owner < o.ring.Len() && o.ring.At(p.Owner) == p.Point {
-		i = p.Owner
-	} else {
-		i = o.ring.IndexOf(p.Point)
-	}
-	if i < 0 {
-		return Peer{}, fmt.Errorf("%w: no peer at %v", ErrUnknownPeer, p.Point)
+	i, err := o.Index(p)
+	if err != nil {
+		return Peer{}, err
 	}
 	return o.peerAt(o.ring.NextIndex(i)), nil
+}
+
+// Index returns the ring index of p's point, or the ErrUnknownPeer
+// error Next(p) returns when p is not a member.
+func (o *Oracle) Index(p Peer) (int, error) {
+	if o.owners == nil && p.Owner >= 0 && p.Owner < o.ring.Len() && o.ring.At(p.Owner) == p.Point {
+		return p.Owner, nil
+	}
+	if i := o.ring.IndexOf(p.Point); i >= 0 {
+		return i, nil
+	}
+	return -1, fmt.Errorf("%w: no peer at %v", ErrUnknownPeer, p.Point)
 }
 
 // Lane implements Laner. An oracle with SimulateLatency armed offers
@@ -167,8 +173,9 @@ const warmWindow = 8
 
 // oracleLane is the oracle's Lane: the same ring and owners, the
 // synthetic cost summed in a plain field until Flush. It is also a
-// Warmer: warm[next:n] are the points of the last Warm not yet asked
-// for, each with the rank of its successor.
+// Warmer — warm[next:n] are the points of the last Warm not yet asked
+// for, each with the rank of its successor — and a RingLane, whose
+// Ring, Index and PeerByIndex are the oracle's own.
 type oracleLane struct {
 	*Oracle
 	calls   int64 // unflushed RPC round trips, 2 messages each
@@ -182,7 +189,10 @@ type warmed struct {
 	rank int
 }
 
-var _ Warmer = (*oracleLane)(nil)
+var (
+	_ Warmer   = (*oracleLane)(nil)
+	_ RingLane = (*oracleLane)(nil)
+)
 
 // H answers from the warmed buffer when x is the next warmed point, and
 // searches otherwise; either way it charges the same.
@@ -213,6 +223,9 @@ func (l *oracleLane) Next(p Peer) (Peer, error) {
 	l.calls++
 	return q, nil
 }
+
+// Walked charges steps next calls, one RPC each, as Next does.
+func (l *oracleLane) Walked(steps int) { l.calls += int64(steps) }
 
 func (l *oracleLane) Flush() {
 	l.meter.Charge(l.calls, 2*l.calls)

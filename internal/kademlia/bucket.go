@@ -360,23 +360,6 @@ func (n *Network) entriesOfSlot(s uint32, b int) []ring.Point {
 	return out
 }
 
-// tableSizeOf returns slot s's total live entry count.
-func (n *Network) tableSizeOf(s uint32) int {
-	a := &n.st
-	st := n.Stripe(s)
-	st.RLock()
-	defer st.RUnlock()
-	total := 0
-	row := a.bucketRefs[int(s)*idBits : int(s)*idBits+idBits]
-	for _, ref := range row {
-		if ref != noRegion {
-			e, _ := regLens(n.region(ref))
-			total += e
-		}
-	}
-	return total
-}
-
 // Neighbors implements overlay.Router: every live entry across slot s's
 // buckets.
 func (n *Network) Neighbors(s uint32) []ring.Point {

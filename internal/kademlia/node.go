@@ -31,9 +31,6 @@ func (nd Node) Predecessor() ring.Point { return nd.net.predOf(nd.slot) }
 // a random-walk sampler would traverse.
 func (nd Node) Contacts() []ring.Point { return nd.net.Neighbors(nd.slot) }
 
-// TableSize returns the number of routing-table entries.
-func (nd Node) TableSize() int { return nd.net.tableSizeOf(nd.slot) }
-
 // BucketEntries returns a copy of bucket i's entries (LRU first).
 func (nd Node) BucketEntries(i int) []ring.Point { return nd.net.entriesOfSlot(nd.slot, i) }
 

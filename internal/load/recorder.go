@@ -36,18 +36,6 @@ type Window struct {
 	Delta      obs.RegistrySnapshot
 }
 
-// Rate returns a counter's per-second rate over the window.
-func (w Window) Rate(key string) float64 {
-	v, ok := w.Delta.Value(key)
-	if !ok || w.End <= w.Start {
-		return 0
-	}
-	return v / w.Dur().Seconds()
-}
-
-// Dur returns the window length.
-func (w Window) Dur() time.Duration { return w.End - w.Start }
-
 // Recorder snapshots a registry on a fixed virtual-time period. Create
 // with StartRecorder; read Windows after the kernel drains.
 type Recorder struct {
@@ -61,8 +49,7 @@ type Recorder struct {
 // StartRecorder begins recording: the registry is snapshotted now (the
 // base reading) and then every window of virtual time by a kernel
 // callback ticker; each tick stores the delta since the previous
-// snapshot. Stop it before the horizon ends, or let it run until the
-// kernel drains — Stop's pending tick is harmless either way.
+// snapshot. Flush stops it and records the last partial window.
 func StartRecorder(k *sim.Kernel, reg *obs.Registry, window time.Duration) *Recorder {
 	r := &Recorder{reg: reg, prev: reg.Snapshot(), start: k.Now()}
 	r.ticker = k.Every(k.Now()+window, window, "recorder", r.tick)
@@ -75,10 +62,6 @@ func (r *Recorder) tick(now time.Duration) {
 	r.prev = cur
 	r.start = now
 }
-
-// Stop ends the periodic ticks. Call Flush afterwards to capture the
-// final partial window.
-func (r *Recorder) Stop() { r.ticker.Stop() }
 
 // Flush stops the ticker and records the partial window from the last
 // tick to now, if any virtual time has passed. Call it after the

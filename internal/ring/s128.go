@@ -44,6 +44,14 @@ func (s S128) SubUint(v uint64) S128 {
 	return S128{hi: s.hi - int64(borrow), lo: lo}
 }
 
+// AddSubUint returns s + a - b: AddUint then SubUint in one call,
+// which keeps core's per-step walk update within the inliner's budget.
+func (s S128) AddSubUint(a, b uint64) S128 {
+	lo, carry := bits.Add64(s.lo, a, 0)
+	lo, borrow := bits.Sub64(lo, b, 0)
+	return S128{hi: s.hi + int64(carry) - int64(borrow), lo: lo}
+}
+
 // Sub returns s - t.
 func (s S128) Sub(t S128) S128 {
 	lo, borrow := bits.Sub64(s.lo, t.lo, 0)

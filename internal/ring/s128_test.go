@@ -46,6 +46,21 @@ func TestS128AddSubInverse(t *testing.T) {
 	}
 }
 
+func TestS128AddSubUintIsAddThenSub(t *testing.T) {
+	t.Parallel()
+	same := func(hi int32, lo, a, b uint64) bool {
+		s := S128{hi: int64(hi), lo: lo}
+		return s.AddSubUint(a, b) == s.AddUint(a).SubUint(b)
+	}
+	if err := quick.Check(same, nil); err != nil {
+		t.Error(err)
+	}
+	// A carry and a borrow in one call cancel: (2^64-1) + 1 - 2^63.
+	if got := S128Of(math.MaxUint64).AddSubUint(1, 1<<63); got != S128Of(1<<63) {
+		t.Errorf("AddSubUint across the word boundary = %v, want 2^63", got)
+	}
+}
+
 func TestS128Commutes(t *testing.T) {
 	t.Parallel()
 	comm := func(a, b, c uint64) bool {
