@@ -162,7 +162,8 @@ func (n *Network) finishJoin(id, succ ring.Point) error {
 // recycled before the next RPC, and the backup-candidate scratch is a
 // fixed-size array — the routing loop allocates nothing per hop.
 func (n *Network) Lookup(from, key ring.Point) (ring.Point, error) {
-	return n.lookupFrom(from, key, false)
+	l := n.newLookup(noSlot, from, key)
+	return n.lookupFrom(&l)
 }
 
 // AsDHT returns the network viewed from the given caller node as the

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/dht-sampling/randompeer/internal/core"
+	"github.com/dht-sampling/randompeer/internal/dht"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 )
@@ -22,24 +25,63 @@ import (
 // the same nodes, and the serving process calls only nodes it hosts;
 // only the process that makes a call changes. Lookup, LookupVia,
 // OwnerTails and the serving side run the one loop, route.
+//
+// A sampler's trial goes on from the owner its lookup finds to a walk
+// of next steps from that owner (core.RemoteWalk), which runs at the
+// process hosting the owner: the process a route tail usually ends at.
+// So a routeReq may carry the trial's walk parameters, and a tail that
+// ends at an owner its process hosts runs the walk there, as that
+// process serves a WalkReq (overlay.Core.ServeWalk), and answers both
+// in one reply.
 
 // routeReq asks the node it is sent to for the next hop toward Key and
 // its process for the hops after it to nodes it also hosts: at most
-// MaxHops hops in all, the request itself the first.
+// MaxHops hops in all, the request itself the first. Lambda and
+// MaxSteps, when not zero, are the trial's walk parameters: the process
+// runs the walk from Key's owner as well, when it hosts the owner and
+// the owner is at least Lambda past Key.
 type routeReq struct {
-	Key     ring.Point
-	MaxHops int
+	Key      ring.Point
+	MaxHops  int
+	Lambda   uint64 `json:",omitempty"`
+	MaxSteps int    `json:",omitempty"`
 }
 
 // routeResp answers routeReq: Last is the last next-hop answer the
 // serving process received and Hops the hops it ran. Failed, when not
 // empty, is the simnet class (simnet.ErrorClass) of its hop to Last's
 // best candidate, which failed; the initiator carries on from Last as
-// if its own call to that candidate had failed.
+// if its own call to that candidate had failed. Walk, when not nil, is
+// the outcome of the walk the process ran from Last.Succ, or, when
+// WalkFailed is not empty, the walk failed with that class.
 type routeResp struct {
-	Last   nextHopResp
-	Hops   int
-	Failed string
+	Last       nextHopResp
+	Hops       int
+	Failed     string            `json:",omitempty"`
+	Walk       *overlay.WalkResp `json:",omitempty"`
+	WalkFailed string            `json:",omitempty"`
+}
+
+// valid reports whether a correct process could answer req with r: a
+// hop count within [1, MaxHops], a failure only on a candidate within
+// the budget, and a walk only when asked for, from the owner of a Done
+// answer at least Lambda past Key, before the budget runs out (the
+// initiator discards a Done answer on its last hop), of at most
+// MaxSteps steps, not both accepted and pruned, and failed only with a
+// class simnet.ErrorClass gives a failure.
+func (r *routeResp) valid(req routeReq) bool {
+	if !r.Last.valid() || r.Hops < 1 || r.Hops > req.MaxHops ||
+		r.Failed != "" && (r.Last.Done || r.Last.N == 0 || r.Hops == req.MaxHops) {
+		return false
+	}
+	if r.Walk == nil {
+		return r.WalkFailed == ""
+	}
+	w := r.Walk
+	return r.Failed == "" && r.Last.Done && r.Hops < req.MaxHops && req.Lambda != 0 &&
+		ring.Distance(req.Key, r.Last.Succ) >= req.Lambda &&
+		w.Steps >= 0 && w.Steps <= req.MaxSteps && !(w.Accepted && w.Pruned) &&
+		(r.WalkFailed == "" || r.WalkFailed == "app" || simnet.ClassError(r.WalkFailed) != nil)
 }
 
 // errBadReply marks a reply no correct node sends: a route treats it
@@ -61,29 +103,46 @@ type lookup struct {
 	// this process hosts, ends at the first hop that fails and hands
 	// the last answer back.
 	serving bool
+	// walk is the trial's walk a tail may run from the owner it finds
+	// (zero: none). walked and walkFailed are the walk's outcome as the
+	// tail that ran it reported it; that tail ends the route.
+	walk       core.Params
+	walked     *overlay.WalkResp
+	walkFailed string
 }
 
 func (n *Network) newLookup(initiator uint32, from, key ring.Point) lookup {
 	return lookup{initiator: initiator, from: from, key: key, req: nextHopReq{Key: key}, maxHops: n.cfg.MaxLookupHops}
 }
 
-// lookupFrom resolves key's successor from the local node from: the
-// first routing step reads from's own table, the rest follow route.
-func (n *Network) lookupFrom(from, key ring.Point, tails bool) (ring.Point, error) {
-	initiator, err := n.Node(from)
+// lookupFrom resolves l's key from the local node l.from: the first
+// routing step reads that node's own table, the rest follow route.
+func (n *Network) lookupFrom(l *lookup) (ring.Point, error) {
+	initiator, err := n.Node(l.from)
 	if err != nil {
 		return 0, err
 	}
-	l := n.newLookup(initiator.slot, from, key)
-	l.tails = tails
-	return n.resolve(&l, n.nextHop(initiator.slot, nextHopReq{Key: key}))
+	l.initiator = initiator.slot
+	return n.resolve(l, n.nextHop(initiator.slot, nextHopReq{Key: l.key}))
 }
 
 // OwnerTails implements overlay.TailRouter: Owner, with every hop to a
-// node another process hosts sent as a routeReq, so the same calls
-// resolve the same owner in fewer round trips.
-func (n *Network) OwnerTails(from, x ring.Point) (ring.Point, error) {
-	return n.lookupFrom(from, x, true)
+// node another process hosts sent as a routeReq that carries p, so the
+// same calls resolve the same owner in fewer round trips, and a tail
+// that ends at the process hosting the owner runs the trial's walk
+// there. walked reports that it did; err is then the walk's.
+func (n *Network) OwnerTails(from, x ring.Point, p core.Params) (ring.Point, core.WalkResult, bool, error) {
+	l := n.newLookup(noSlot, from, x)
+	l.tails, l.walk = true, p
+	owner, err := n.lookupFrom(&l)
+	if err != nil || l.walked == nil {
+		return owner, core.WalkResult{}, false, err
+	}
+	if l.walkFailed != "" {
+		return owner, core.WalkResult{}, true, fmt.Errorf("chord: walk from %v with its route tail failed: %w", owner, classCause(l.walkFailed))
+	}
+	w := l.walked
+	return owner, core.WalkResult{Peer: dht.Peer{Point: w.P, Owner: -1}, Accepted: w.Accepted, Steps: w.Steps, Pruned: w.Pruned}, true, nil
 }
 
 // resolve runs an initiator's route from resp and returns the owner.
@@ -193,37 +252,46 @@ func (r *nextHopResp) valid() bool { return r.N >= 0 && r.N <= maxCandidates }
 
 // tail sends the hop to cur, a node another process hosts, as a
 // routeReq with left hops of budget, and returns the last answer with
-// the hops made. A failed tail returns its last answer too, with the
-// failure's class as the error. A reply the serving side cannot send
-// — a hop count outside [1, left], too many candidates, or a failure
-// after the budget or without a candidate — fails the hop as a whole.
+// the hops made; a walk the tail ran is left in l. A failed tail
+// returns its last answer too, with the failure's class as the error.
+// A reply the serving side cannot send (routeResp.valid) fails the hop
+// as a whole.
 func (n *Network) tail(l *lookup, cur ring.Point, left int) (*nextHopResp, int, error) {
-	raw, err := n.Call(l.from, cur, routeReq{Key: l.key, MaxHops: left})
+	req := routeReq{Key: l.key, MaxHops: left, Lambda: l.walk.Lambda, MaxSteps: l.walk.MaxSteps}
+	raw, err := n.Call(l.from, cur, req)
 	if err != nil {
 		return nil, 0, err
 	}
 	t, ok := raw.(routeResp)
-	if !ok || !t.Last.valid() || t.Hops < 1 || t.Hops > left ||
-		t.Failed != "" && (t.Last.Done || t.Last.N == 0 || t.Hops == left) {
+	if !ok || !t.valid(req) {
 		return nil, 0, fmt.Errorf("%w: %v answered a route with %+v", errBadReply, cur, raw)
 	}
 	resp := newNextHopResp()
 	*resp = t.Last
+	if t.Walk != nil {
+		l.walked, l.walkFailed = t.Walk, t.WalkFailed
+	}
 	if t.Failed == "" {
 		return resp, t.Hops, nil
 	}
-	cause := simnet.ClassError(t.Failed)
-	if cause == nil {
-		cause = errors.New(t.Failed)
+	return resp, t.Hops, fmt.Errorf("chord: hop to %v after %d hops through %v failed: %w", t.Last.Cands[0], t.Hops, cur, classCause(t.Failed))
+}
+
+// classCause is the error a failure class a serving process reported
+// stands for: the simnet taxonomy error, or the class itself.
+func classCause(class string) error {
+	if cause := simnet.ClassError(class); cause != nil {
+		return cause
 	}
-	return resp, t.Hops, fmt.Errorf("chord: hop to %v after %d hops through %v failed: %w", t.Last.Cands[0], t.Hops, cur, cause)
+	return errors.New(class)
 }
 
 // serveRoute answers a routeReq sent to the node in slot s: that node's
 // next hop, then, through this process's transport with from as the
 // sender, the hops after it to nodes this process hosts. It refuses a
 // budget below one hop and makes at most MaxHops hops and at most its
-// own MaxLookupHops. It changes no routing state.
+// own MaxLookupHops. It changes no routing state. It then runs the
+// trial's walk the request carries, when it may (tailWalk).
 func (n *Network) serveRoute(s uint32, from simnet.NodeID, m routeReq) (simnet.Message, error) {
 	if m.MaxHops < 1 {
 		return nil, fmt.Errorf("chord: route toward %v with a budget of %d hops", m.Key, m.MaxHops)
@@ -232,11 +300,33 @@ func (n *Network) serveRoute(s uint32, from simnet.NodeID, m routeReq) (simnet.M
 	l.maxHops = min(m.MaxHops, l.maxHops)
 	l.serving = true
 	resp, hops, err := n.route(&l, n.nextHop(s, nextHopReq{Key: m.Key}), 1)
-	n.CountServedRoute(hops - 1)
 	out := routeResp{Last: *resp, Hops: hops}
 	putNextHopResp(resp)
 	if err != nil {
 		out.Failed = simnet.ErrorClass(err)
+	} else {
+		n.tailWalk(ring.Point(from), m, &out)
 	}
+	n.CountServedRoute(hops-1, out.Walk != nil)
 	return out, nil
+}
+
+// tailWalk runs the walk m carries from the owner out found, for from,
+// when that owner is a live node this process hosts, m's parameters
+// pass core's bound (a zero Lambda fails it: lookup only), the owner is
+// at least Lambda past the key and the initiator will not discard the
+// answer for its hop budget. The walk is the one ServeWalk runs for a
+// WalkReq; a failed one is reported by its class.
+func (n *Network) tailWalk(from ring.Point, m routeReq, out *routeResp) {
+	p := core.Params{Lambda: m.Lambda, MaxSteps: m.MaxSteps}
+	owner := out.Last.Succ
+	d0 := ring.Distance(m.Key, owner)
+	if !out.Last.Done || out.Hops >= m.MaxHops || p.Delegable() != nil || d0 < p.Lambda || !n.hosts(owner) {
+		return
+	}
+	w, err := n.ServeWalk(owner, from, overlay.WalkReq{D0: d0, Lambda: p.Lambda, MaxSteps: p.MaxSteps})
+	out.Walk = &w
+	if err != nil {
+		out.WalkFailed = simnet.ErrorClass(err)
+	}
 }

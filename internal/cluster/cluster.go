@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -144,9 +145,6 @@ type Daemon struct {
 	lastProvision *ProvisionRequest
 }
 
-// Addr returns the daemon's host:port.
-func (d *Daemon) Addr() string { return d.addr }
-
 // StderrTail returns the most recent stderr output of the daemon's
 // current (or last) process — the first thing to include in a failure
 // message when the daemon stops answering.
@@ -222,13 +220,13 @@ func spawn(bin, listen string, jitterSeed uint64) (*Daemon, error) {
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		if !sc.Scan() {
-			errc <- fmt.Errorf("cluster: daemon exited before announcing its address%s", stderrSuffix(tail))
+			errc <- errors.New("cluster: daemon exited before announcing its address")
 			return
 		}
 		line := sc.Text()
 		const prefix = "randpeerd: listening on "
 		if !strings.HasPrefix(line, prefix) {
-			errc <- fmt.Errorf("cluster: unexpected daemon banner %q%s", line, stderrSuffix(tail))
+			errc <- fmt.Errorf("cluster: unexpected daemon banner %q", line)
 			return
 		}
 		addrc <- strings.TrimSpace(strings.TrimPrefix(line, prefix))
@@ -239,9 +237,11 @@ func spawn(bin, listen string, jitterSeed uint64) (*Daemon, error) {
 	select {
 	case addr = <-addrc:
 	case err := <-errc:
+		// Wait first: it returns once the daemon's last stderr bytes are
+		// in the tail.
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
-		return nil, err
+		return nil, fmt.Errorf("%w%s", err, stderrSuffix(tail))
 	case <-time.After(readyDeadline):
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()

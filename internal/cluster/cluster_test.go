@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math/rand/v2"
+	"net"
 	"slices"
 	"strings"
 	"testing"
@@ -24,7 +25,8 @@ import (
 var backends = []string{"chord", "kademlia"}
 
 // startCluster spawns an n-daemon cluster and ties its lifetime to the
-// test.
+// test, which fails if a daemon reports a data race on stderr (a
+// race-built daemon keeps running after one).
 func startCluster(t *testing.T, n int, clientOpts ...wire.Option) *Cluster {
 	t.Helper()
 	c, err := Start(n, clientOpts...)
@@ -32,7 +34,43 @@ func startCluster(t *testing.T, n int, clientOpts ...wire.Option) *Cluster {
 		t.Fatalf("starting %d-daemon cluster: %v", n, err)
 	}
 	t.Cleanup(c.Close)
+	t.Cleanup(func() {
+		for i := 0; i < c.Size(); i++ {
+			if tail := c.StderrTail(i); strings.Contains(tail, "WARNING: DATA RACE") {
+				t.Errorf("daemon %d reported a data race:\n%s", i, tail)
+			}
+		}
+	})
 	return c
+}
+
+// TestClusterSpawnFailureSaysWhy: a daemon that cannot start says why.
+// One asked to listen on a port a test listener holds exits before its
+// banner, and the error carries its stderr tail: the listen failure.
+func TestClusterSpawnFailureSaysWhy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process cluster test")
+	}
+	bin, err := DaemonBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	d, err := spawn(bin, lis.Addr().String(), 1)
+	if err == nil {
+		_ = d.cmd.Process.Kill()
+		_ = d.cmd.Wait()
+		t.Fatalf("a daemon started on %s, which a listener holds", lis.Addr())
+	}
+	for _, want := range []string{"exited before announcing its address", "daemon stderr:", "randpeerd: listen", "address already in use"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("spawn failed with %q, which does not say %q", err, want)
+		}
+	}
 }
 
 // TestClusterConformance runs the full DHT conformance suite over a
@@ -263,12 +301,12 @@ func TestClusterControlPlane(t *testing.T) {
 		t.Fatalf("daemon next(%v) = %v, want %v", first, succ, want)
 	}
 
-	calls0, walks0 := fleetTally(t, c)
+	calls0, walks0, tails0 := fleetTally(t, c)
 	samp, err := SampleAt(c.Addr(1), 8, 101)
 	if err != nil {
 		t.Fatalf("sample at daemon 1: %v", err)
 	}
-	calls1, walks1 := fleetTally(t, c)
+	calls1, walks1, tails1 := fleetTally(t, c)
 	if len(samp.Points) != 8 {
 		t.Fatalf("sample returned %d points, want 8", len(samp.Points))
 	}
@@ -282,11 +320,12 @@ func TestClusterControlPlane(t *testing.T) {
 	}
 	// The fleet's cost decomposes exactly: the calls an in-process
 	// replay of the request charges (estimate, h lookups, one per next
-	// step) plus one round trip per walk sent to another process.
+	// step) plus one round trip per walk sent to another process on its
+	// own — every walk served but those a route tail ran.
 	replay := replaySample(t, "chord", points, c.Owned(1)[0], 101, 8)
-	if want := replay.Calls + walks1 - walks0; calls1-calls0 != want {
-		t.Fatalf("fleet charged %d calls for the request; the in-process replay charged %d and %d walks were delegated",
-			calls1-calls0, replay.Calls, walks1-walks0)
+	if want := replay.Calls + walks1 - walks0 - (tails1 - tails0); calls1-calls0 != want {
+		t.Fatalf("fleet charged %d calls for the request; the in-process replay charged %d, %d walks were delegated and route tails ran %d of them",
+			calls1-calls0, replay.Calls, walks1-walks0, tails1-tails0)
 	}
 
 	m, err := MetricsAt(c.Addr(0))
@@ -332,9 +371,9 @@ func TestClusterControlPlane(t *testing.T) {
 }
 
 // fleetTally sums the calls every process's meter charged (the RPC
-// histogram's count) and the walks every process served, the client's
-// included.
-func fleetTally(t *testing.T, c *Cluster) (calls, walks int64) {
+// histogram's count), the walks every process served and those among
+// them its route tails ran, the client's included.
+func fleetTally(t *testing.T, c *Cluster) (calls, walks, tailWalks int64) {
 	t.Helper()
 	exps, err := c.ScrapeAll()
 	if err != nil {
@@ -347,7 +386,8 @@ func fleetTally(t *testing.T, c *Cluster) (calls, walks int64) {
 	exps = append(exps, renderRegistry(t, reg))
 	calls = int64(SumAcross(exps, "wire_rpc_duration_seconds_count", nil))
 	walks = int64(SumAcross(exps, "overlay_walks_served_total", nil))
-	return calls, walks
+	tailWalks = int64(SumAcross(exps, "overlay_tail_walks_served_total", nil))
+	return calls, walks, tailWalks
 }
 
 // replaySample runs a /v1/sample request in one process: the same

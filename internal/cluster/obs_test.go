@@ -172,7 +172,7 @@ func TestClusterMetricsScrape(t *testing.T) {
 		t.Fatalf("scraping cluster: %v", err)
 	}
 	const charged = "wire_rpc_duration_seconds_count"
-	var fleetWalks, fleetRoutes float64
+	var fleetWalks, fleetTailWalks, fleetRoutes float64
 	for i, e := range exps {
 		grew := e.Sum(charged, nil) - before[i].Sum(charged, nil)
 		steps := e.Sum(stepsServed, nil) - before[i].Sum(stepsServed, nil)
@@ -182,6 +182,7 @@ func TestClusterMetricsScrape(t *testing.T) {
 				i, grew, own[i], steps, hops)
 		}
 		fleetWalks += e.Sum("overlay_walks_served_total", nil) - before[i].Sum("overlay_walks_served_total", nil)
+		fleetTailWalks += e.Sum("overlay_tail_walks_served_total", nil) - before[i].Sum("overlay_tail_walks_served_total", nil)
 		fleetRoutes += e.Sum("overlay_routes_served_total", nil) - before[i].Sum("overlay_routes_served_total", nil)
 	}
 	if fleetWalks < 1 {
@@ -189,6 +190,10 @@ func TestClusterMetricsScrape(t *testing.T) {
 	}
 	if fleetRoutes < 1 {
 		t.Error("no process served a route tail; a lookup closing in on another daemon's range should hand it its hops")
+	}
+	if fleetTailWalks < 1 || fleetTailWalks > fleetWalks {
+		t.Errorf("route tails ran %v of the %v walks served; a tail ending in the range that holds h(s) should run the trial's walk",
+			fleetTailWalks, fleetWalks)
 	}
 	in := map[string]string{"dir": "in"}
 	out := map[string]string{"dir": "out"}

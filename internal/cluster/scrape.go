@@ -15,10 +15,12 @@ import (
 // the exposition with the obstest checker, and sum series across the
 // fleet so tests (and the CLI) can assert cluster-wide invariants —
 // e.g. that the wire RPCs every daemon served add up to the calls the
-// client sent, or that a process's calls are its own plus the steps of
+// client sent, that a process's calls are its own plus the steps of
 // the walks it served (overlay_walk_steps_served_total) and the hops of
 // the route tails it served after their first
-// (overlay_route_hops_served_total).
+// (overlay_route_hops_served_total), or that the fleet's calls for a
+// request are an in-process replay's plus one a walk served, less the
+// walks route tails ran (overlay_tail_walks_served_total).
 
 // ScrapeMetrics fetches and parses one daemon's Prometheus exposition,
 // failing on any format violation obstest detects.
@@ -69,10 +71,10 @@ func SumAcross(exps []*obstest.Exposition, name string, want map[string]string) 
 }
 
 // ClientRegistry returns a fresh obs registry with the current client
-// transport's metrics and its partition's served walk and route
-// counters registered — the client-side counterpart of a daemon scrape. It must
-// be re-fetched after each Provision (which replaces the client
-// transport).
+// transport's metrics and its partition's served walk, tail walk and
+// route counters registered — the client-side counterpart of a daemon
+// scrape. It must be re-fetched after each Provision (which replaces
+// the client transport).
 func (c *Cluster) ClientRegistry() (*obs.Registry, error) {
 	if c.client == nil {
 		return nil, fmt.Errorf("cluster: no client transport; call Provision first")

@@ -111,7 +111,8 @@ type Sampler struct {
 	// at the process hosting its first peer (d's Delegator, resolved at
 	// construction), or in the ring of an exclusive fork's lane
 	// (dht.RingLane, resolved at fork time). lookup runs a trial's h
-	// where its hops' peers live (d's Delegator).
+	// where its hops' peers live (d's Delegator), and with it the walk,
+	// when remote may run it elsewhere.
 	remote RemoteWalk
 	lookup RemoteLookup
 
@@ -335,13 +336,20 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 			s.mu.Unlock()
 		}
 		var first dht.Peer
+		var w WalkResult
+		var sent bool
 		var err error
 		if s.lookup != nil {
-			first, err = s.lookup(start)
+			// A lookup may run the walk too, where a walk may be sent.
+			var p Params
+			if s.remote != nil {
+				p = s.params
+			}
+			first, w, sent, err = s.lookup(start, p)
 		} else {
 			first, err = d.H(start)
 		}
-		if err != nil {
+		if err != nil && !sent {
 			return dht.Peer{}, fmt.Errorf("core: h(%v): %w", start, err)
 		}
 		d0 := ring.Distance(start, first.Point)
@@ -349,21 +357,21 @@ func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
 			// |I(s, l(h(s)))| is small: h(s) is the chosen peer.
 			return first, nil
 		}
-		if s.remote != nil {
-			w, sent, err := s.remote(first, d0, s.params)
+		if !sent && s.remote != nil {
+			w, sent, err = s.remote(first, d0, s.params)
+		}
+		if sent {
 			if err != nil {
 				return dht.Peer{}, fmt.Errorf("core: walk from %v: %w", first.Point, err)
 			}
-			if sent {
-				trace.Steps += w.Steps
-				if w.Pruned {
-					trace.Pruned++
-				}
-				if w.Accepted {
-					return w.Peer, nil
-				}
-				continue
+			trace.Steps += w.Steps
+			if w.Pruned {
+				trace.Pruned++
 			}
+			if w.Accepted {
+				return w.Peer, nil
+			}
+			continue
 		}
 		p, ok, err := s.params.Walk(next, first, d0, trace)
 		if ok || err != nil {

@@ -43,7 +43,13 @@ type RemoteWalk func(first dht.Peer, d0 uint64, p Params) (w WalkResult, sent bo
 // the same calls between the same nodes — but hands each run of hops
 // that another process hosts to that process, one round trip a run.
 // The calls that process makes are charged to its meter, not the DHT's.
-type RemoteLookup func(x ring.Point) (dht.Peer, error)
+// When the last run ends at the process hosting h(x), that process also
+// runs the trial's walk from h(x) with p, as RemoteWalk would have it
+// run, if d0 = d(x, h(x)) is at least p's lambda: walked is then true,
+// w is the walk's outcome and err, when not nil, the walk's error. A
+// zero p asks for the lookup only; with walked false, err is the
+// lookup's.
+type RemoteLookup func(x ring.Point, p Params) (first dht.Peer, w WalkResult, walked bool, err error)
 
 // Delegates is what a DHT whose peers live in several processes hands
 // a sampler: where a trial's lookup and its walk may run.
@@ -51,9 +57,10 @@ type Delegates struct {
 	// Walk, when non-nil, runs walks whose first peer is hosted
 	// elsewhere at that peer's process.
 	Walk RemoteWalk
-	// H, when non-nil, stands in for the DHT's H in a trial. The DHT's
-	// own H keeps every call on the caller's meter, as the dht.DHT
-	// contract and every other caller of H expect.
+	// H, when non-nil, stands in for the DHT's H in a trial, and may
+	// run the trial's walk too. The DHT's own H keeps every call on the
+	// caller's meter, as the dht.DHT contract and every other caller of
+	// H expect.
 	H RemoteLookup
 }
 

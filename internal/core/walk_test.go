@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"github.com/dht-sampling/randompeer/internal/dht"
@@ -11,39 +12,53 @@ import (
 )
 
 // delegating is an oracle that offers a RemoteWalk and a RemoteLookup:
-// every walk whose first peer has an odd owner index "runs elsewhere",
-// on a sampler of its own built from the request alone, as a serving
-// process does, and every lookup is counted.
+// every walk whose first peer has an owner index 1 mod 3 "runs
+// elsewhere", on a sampler of its own built from the request alone, as
+// a serving process does; one whose index is 2 mod 3 runs there too,
+// sent with the lookup that found its first peer, as a route tail runs
+// it; and every lookup is counted.
 type delegating struct {
 	*dht.Oracle
-	sent, looked int
+	sent, fused, looked int
 }
 
 func (d *delegating) Delegate() Delegates {
 	return Delegates{Walk: func(first dht.Peer, d0 uint64, p Params) (WalkResult, bool, error) {
-		if first.Owner%2 == 0 {
+		if first.Owner%3 != 1 {
 			return WalkResult{}, false, nil
 		}
 		d.sent++
-		if err := p.Delegable(); err != nil {
-			return WalkResult{}, true, err
-		}
-		s, err := NewWithParams(d.Oracle, nil, Params{Lambda: p.Lambda, MaxSteps: p.MaxSteps}, Config{})
-		if err != nil {
-			return WalkResult{}, true, err
-		}
-		var tr Trace
-		peer, ok, err := s.Walk(d.Oracle, first, d0, &tr)
-		return WalkResult{Peer: peer, Accepted: ok, Steps: tr.Steps, Pruned: tr.Pruned > 0}, true, err
-	}, H: func(x ring.Point) (dht.Peer, error) {
+		return d.served(first, d0, p)
+	}, H: func(x ring.Point, p Params) (dht.Peer, WalkResult, bool, error) {
 		d.looked++
-		return d.Oracle.H(x)
+		first, err := d.Oracle.H(x)
+		d0 := ring.Distance(x, first.Point)
+		if err != nil || p == (Params{}) || first.Owner%3 != 2 || d0 < p.Lambda {
+			return first, WalkResult{}, false, err
+		}
+		d.fused++
+		w, _, err := d.served(first, d0, p)
+		return first, w, true, err
 	}}
 }
 
-// TestRemoteWalkSameSamples: delegating half the walks, and every
-// lookup, changes no point, trial, step or pruned count of a stream of
-// samples.
+// served is the walk a serving process runs from first.
+func (d *delegating) served(first dht.Peer, d0 uint64, p Params) (WalkResult, bool, error) {
+	if err := p.Delegable(); err != nil {
+		return WalkResult{}, true, err
+	}
+	s, err := NewWithParams(d.Oracle, nil, Params{Lambda: p.Lambda, MaxSteps: p.MaxSteps}, Config{})
+	if err != nil {
+		return WalkResult{}, true, err
+	}
+	var tr Trace
+	peer, ok, err := s.Walk(d.Oracle, first, d0, &tr)
+	return WalkResult{Peer: peer, Accepted: ok, Steps: tr.Steps, Pruned: tr.Pruned > 0}, true, err
+}
+
+// TestRemoteWalkSameSamples: delegating two walks in three, half of
+// them with the lookup, and every lookup, changes no point, trial, step
+// or pruned count of a stream of samples.
 func TestRemoteWalkSameSamples(t *testing.T) {
 	t.Parallel()
 	o := newOracle(t, 77, 4096)
@@ -69,8 +84,8 @@ func TestRemoteWalkSameSamples(t *testing.T) {
 			t.Fatalf("sample %d: local %v %+v, delegated %v %+v", i, p, tr, q, tq)
 		}
 	}
-	if d.sent == 0 || local.Stats().Pruned == 0 {
-		t.Fatalf("%d walks delegated, %d pruned; the comparison covers neither path", d.sent, local.Stats().Pruned)
+	if d.sent == 0 || d.fused == 0 || local.Stats().Pruned == 0 {
+		t.Fatalf("%d walks delegated, %d with their lookup, %d pruned; the comparison misses a path", d.sent, d.fused, local.Stats().Pruned)
 	}
 	if int64(d.looked) != remote.Stats().Trials {
 		t.Errorf("%d lookups delegated over %d trials; want one a trial", d.looked, remote.Stats().Trials)
@@ -81,7 +96,8 @@ func TestRemoteWalkSameSamples(t *testing.T) {
 }
 
 // TestRemoteWalkErrorsEndTheSample: a delegated walk's error ends the
-// sample with its class intact.
+// sample with its class intact, sent alone or with its lookup, and a
+// sampler that may not send its walks asks its lookup for none.
 func TestRemoteWalkErrorsEndTheSample(t *testing.T) {
 	t.Parallel()
 	o := newOracle(t, 78, 1024)
@@ -92,8 +108,31 @@ func TestRemoteWalkErrorsEndTheSample(t *testing.T) {
 	s.remote = func(dht.Peer, uint64, Params) (WalkResult, bool, error) {
 		return WalkResult{}, true, dht.ErrUnknownPeer
 	}
-	if _, err := s.Sample(); !errors.Is(err, dht.ErrUnknownPeer) {
-		t.Fatalf("sample = %v, want dht.ErrUnknownPeer", err)
+	if _, err := s.Sample(); !errors.Is(err, dht.ErrUnknownPeer) || !strings.Contains(err.Error(), "walk from") {
+		t.Fatalf("sample = %v, want a walk's dht.ErrUnknownPeer", err)
+	}
+	s.lookup = func(x ring.Point, p Params) (dht.Peer, WalkResult, bool, error) {
+		if p != s.params {
+			t.Fatalf("lookup asked to walk with %+v, want %+v", p, s.params)
+		}
+		first, _ := o.H(x)
+		return first, WalkResult{}, true, dht.ErrUnknownPeer
+	}
+	if _, err := s.Sample(); !errors.Is(err, dht.ErrUnknownPeer) || !strings.Contains(err.Error(), "walk from") {
+		t.Fatalf("sample = %v, want a walk's dht.ErrUnknownPeer", err)
+	}
+	if s, err = New(o, o.PeerByIndex(0), rand.New(rand.NewPCG(1, 2)), Config{}); err != nil {
+		t.Fatal(err)
+	}
+	s.lookup = func(x ring.Point, p Params) (dht.Peer, WalkResult, bool, error) {
+		if p != (Params{}) {
+			t.Fatalf("a sampler that walks from the caller asked its lookup to walk with %+v", p)
+		}
+		first, err := o.H(x)
+		return first, WalkResult{}, false, err
+	}
+	if _, err := s.Sample(); err != nil {
+		t.Fatal(err)
 	}
 }
 

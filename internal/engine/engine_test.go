@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,54 @@ func TestSampleNDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if same == k {
 		t.Fatal("seed 12 reproduced seed 11's entire sequence")
+	}
+}
+
+// TestSampleNMatchesShareableForks: SampleN hands each block an
+// exclusive fork, which over the oracle charges a private lane, looks
+// its lookups up eight at a time and walks in the ring by index. The
+// same blocks drawn through shareable Forks, which walk by Next and
+// charge the meter call by call, must give the same tally, the same
+// effort (samples, trials, steps, pruned) and the same calls charged.
+// The other determinism tests compare SampleN only with itself. Rings
+// of a few peers make most walks wrap past the last point.
+func TestSampleNMatchesShareableForks(t *testing.T) {
+	for _, n := range []int{2, 3, 7, 512} {
+		o := testOracle(t, n)
+		s := testSampler(t, o)
+		const k, block = 2500, 256
+		cfg := Config{Workers: 2, Seed: 41, BlockSize: block, Owners: o.Owners(), TallyOnly: true}
+		before := o.Meter().Snapshot()
+		got, err := SampleN(context.Background(), s, k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCost := o.Meter().Snapshot().Sub(before)
+		tally := make([]int64, o.Owners())
+		var effort dht.Effort
+		before = o.Meter().Snapshot()
+		for b := 0; b*block < k; b++ {
+			f, err := s.Fork(BlockSeed(cfg.Seed, b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := b * block; i < min((b+1)*block, k); i++ {
+				p, err := f.Sample()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tally[p.Owner]++
+			}
+			effort = effort.Plus(f.(dht.EffortReporter).Stats())
+		}
+		wantCost := o.Meter().Snapshot().Sub(before)
+		if !slices.Equal(got.Tally, tally) || got.Effort != effort || gotCost != wantCost {
+			t.Fatalf("n = %d: SampleN drew tally %v, effort %+v, cost %+v; shareable forks %v, %+v, %+v",
+				n, got.Tally, got.Effort, gotCost, tally, effort, wantCost)
+		}
+		if effort.Pruned == 0 || effort.Steps == 0 {
+			t.Fatalf("n = %d: effort %+v walks no step or prunes no trial; the comparison misses a path", n, effort)
+		}
 	}
 }
 

@@ -143,10 +143,10 @@ type Core struct {
 	members atomic.Pointer[membership]
 
 	// The served counters (walk.go), read at scrape time: the walks
-	// this network ran for callers and their steps, and the route
-	// tails it ran and their hops after the first.
-	servedWalks, servedSteps      atomic.Int64
-	servedRoutes, servedRouteHops atomic.Int64
+	// this network ran for callers, their steps and those a route tail
+	// ran, and the route tails it ran and their hops after the first.
+	servedWalks, servedSteps, servedTailWalks atomic.Int64
+	servedRoutes, servedRouteHops             atomic.Int64
 }
 
 // membership is one epoch of the live membership. It is immutable
@@ -443,7 +443,11 @@ func (c *Core) dispatchAny(to, from simnet.NodeID, msg simnet.Message) (simnet.M
 		return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, to)
 	}
 	if req, ok := msg.(WalkReq); ok {
-		return c.serveWalk(ring.Point(to), ring.Point(from), req)
+		resp, err := c.ServeWalk(ring.Point(to), ring.Point(from), req)
+		if err != nil {
+			return nil, err
+		}
+		return resp, nil
 	}
 	return c.hooks.Handle(s, from, msg)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -29,9 +30,13 @@ type Router interface {
 // same calls between the same nodes — but each hop to a node another
 // process hosts is one round trip in which that process also runs the
 // hops after it to nodes it hosts. Those calls are charged to that
-// process's meter. Chord implements it.
+// process's meter. When the last such round trip ends at the process
+// hosting the owner, that process also runs the trial's walk with p
+// (core.RemoteLookup) as ServeWalk runs it, and walked is true; the
+// walk's peer comes back as a point (owner index -1), and err is then
+// the walk's failure. Chord implements it.
 type TailRouter interface {
-	OwnerTails(from, x ring.Point) (ring.Point, error)
+	OwnerTails(from, x ring.Point, p core.Params) (owner ring.Point, w core.WalkResult, walked bool, err error)
 }
 
 // DHT adapts an overlay network, viewed from one caller node, to the
