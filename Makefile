@@ -10,7 +10,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: all build test race vet fmt-check backend-switch-check bench bench-kernel handoff-check bench-smoke bench-snapshot benchdiff cluster-smoke slo-report staticcheck vuln profile alloc-check storage-check exp-golden examples clean
+.PHONY: all build test race race-conformance race-kernel race-adversary race-overlay race-trials race-wire vet fmt-check backend-switch-check bench bench-kernel handoff-check bench-smoke bench-snapshot benchdiff cluster-smoke slo-report staticcheck vuln profile alloc-check storage-check exp-golden examples clean
 
 all: build test
 
@@ -24,6 +24,60 @@ test:
 # engine: it runs the stress and determinism tests under the detector.
 race:
 	$(GO) test -race ./...
+
+# The counted race runs and the 20 s fuzz passes of CI's test and
+# cluster jobs, one target a CI step. ci_test.go holds every -run,
+# -bench and -fuzz on a `go test` line of this file and of ci.yml to the
+# functions of the packages on its line, so a rename cannot leave a CI
+# step running nothing.
+#
+# Conformance: kademlia's lookup differentials (the bucket-order
+# selection and the shortlist's seed corpus counted, then the width-1
+# lookup against the width-k one and the shortlist fuzzed against its
+# map reference), the ring's bucket-directory search and radix sort
+# against binary search and slices.Sort, the oracle's trial runner
+# against H and the walk over Next, kademlia's region pool and its
+# FIND_NODE handler against their references.
+race-conformance:
+	$(GO) test -race -count=2 ./internal/kademlia/ ./internal/dht/ ./internal/chord/ ./internal/ring/
+	$(GO) test -race -run 'TestResolveOwnerWidthInvariant' -fuzz FuzzLookupShortlistMatchesReference -fuzztime 20s ./internal/kademlia/
+	$(GO) test -race -run '^$$' -fuzz FuzzSuccessorMatchesBinarySearch -fuzztime 20s ./internal/ring/
+	$(GO) test -race -run '^$$' -fuzz FuzzNewMatchesSort -fuzztime 20s ./internal/ring/
+	$(GO) test -race -run '^$$' -fuzz FuzzOracleTrials -fuzztime 20s ./internal/dht/
+	$(GO) test -race -run '^$$' -fuzz FuzzRegionPool -fuzztime 20s ./internal/kademlia/
+	$(GO) test -race -run '^$$' -fuzz FuzzFindNodeMatchesFullScan -fuzztime 20s ./internal/kademlia/
+
+# The time kernel, async churn, the meter and metrics (the meter records
+# into obs.Histogram; internal/load's first request builds its Zipf
+# table behind a sync.Once), then the latency-spec and exposition
+# round-trip fuzzers.
+race-kernel:
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/churn/ ./internal/simnet/ ./internal/obs/... ./internal/load/
+	$(GO) test -run '^$$' -fuzz FuzzParseModel -fuzztime 20s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzExpositionRoundTrip -fuzztime 20s ./internal/obs/
+
+race-adversary:
+	$(GO) test -race -count=2 ./internal/adversary/ ./internal/baseline/
+
+race-overlay:
+	$(GO) test -race -count=2 ./internal/overlay/ ./internal/overlays/
+
+# Exclusive forks run their trials on their DHT's own runner: the
+# runner tests pin "same peers, same meter totals, flushed on every
+# exit", and the engine's determinism and stress tests run the forks
+# from several workers at once.
+race-trials:
+	$(GO) test -race -count=10 -run 'Trials|ExclusiveFork|TestSampleNDeterministicAcrossWorkers|TestSampleNStress' . ./internal/core/ ./internal/dht/ ./internal/engine/
+
+# The wire's connection lifecycle and the daemon's control plane, then
+# the frame, control, served-walk and route-tail fuzzers.
+race-wire:
+	$(GO) test -race -count=2 ./internal/wire/ ./cmd/randpeerd/
+	$(GO) test -race -run '^$$' -fuzz FuzzServeConn -fuzztime 20s ./internal/wire/
+	$(GO) test -race -run '^$$' -fuzz FuzzReadReply -fuzztime 20s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDaemonControl -fuzztime 20s ./cmd/randpeerd/
+	$(GO) test -run '^$$' -fuzz FuzzServeWalk -fuzztime 20s ./internal/overlay/
+	$(GO) test -run '^$$' -fuzz FuzzServeRoute -fuzztime 20s ./internal/chord/
 
 vet:
 	$(GO) vet ./...
@@ -54,14 +108,13 @@ backend-switch-check:
 # ring's h (Successor) and placement (Generate) at 2^16, 10^6 and 10^7
 # points, New's radix sort against slices.Sort on uniform, sorted
 # and clustered input at 10^6, the batch engine's one-tally calls
-# on the oracle from 64 to 10^6 peers at one and two workers, the
-# oracle lane's h at 10^6 points, plain and warmed eight at a time, and
-# one trial's walk there, over the lane's next and in its ring.
+# on the oracle from 64 to 10^6 peers at one and two workers, and one
+# trial on a 10^6-point oracle, stepwise and on an exclusive sampler's
+# runner (lookups eight at a time, the walk in the ring).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkUniformSample|BenchmarkBatchScaling|BenchmarkLookupCostBackends|BenchmarkSimTransportOverhead|BenchmarkKernelEventLoop|BenchmarkBuildStatic' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSampleNTally' -benchtime=1x -benchmem ./internal/engine/
-	$(GO) test -run '^$$' -bench 'BenchmarkOracleLaneH' -benchtime=1x -benchmem ./internal/dht/
-	$(GO) test -run '^$$' -bench 'BenchmarkOracleLaneWalk' -benchtime=1x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkOracleTrials' -benchtime=1x -benchmem ./internal/dht/
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccessor|BenchmarkGenerate|BenchmarkNew' -benchtime=0.2s -benchmem ./internal/ring/
 	$(GO) test -run '^$$' -bench 'BenchmarkCoreResolve' -benchtime=0.2s -benchmem ./internal/overlay/
 	$(GO) test -run '^$$' -bench 'BenchmarkAsyncChurn' -benchtime=100x -benchmem ./internal/churn/

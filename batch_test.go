@@ -79,20 +79,21 @@ func TestSampleNFacadeTallyAndCost(t *testing.T) {
 	}
 }
 
-// lanelessDHT forwards dht.DHT and nothing else, so a sampler over it
-// sees no dht.Laner and charges every H and Next to the shared meter —
-// the accounting SampleN had before lanes, kept as the reference.
-type lanelessDHT struct{ dht.DHT }
+// stepwiseDHT forwards dht.DHT and nothing else, so a sampler over it
+// sees no dht.Trials and runs every trial as dht.NewRunner does, each H
+// and Next charged to the shared meter — the reference accounting.
+type stepwiseDHT struct{ dht.DHT }
 
-// TestSampleNLaneCostIdentity: on the oracle the cost model is an
+// TestSampleNTrialsCostIdentity: on the oracle the cost model is an
 // identity between two layers' counters — the meter (internal/dht) must
 // read ceil(log2 n) calls for every trial and one for every next step
 // the samplers (internal/core) counted, two messages a call — and it
 // must hold exactly at any worker count although every block's fork
-// sums its cost in a private lane: a lane left unflushed shows up as
-// missing calls. Peers, tally, effort and cost must also equal those of
-// a run that cannot take lanes at all.
-func TestSampleNLaneCostIdentity(t *testing.T) {
+// runs on the oracle's runner, which sums its cost privately until
+// Flush: a runner left unflushed shows up as missing calls. Peers,
+// tally, effort and cost must also equal those of a run that cannot
+// take the oracle's runner at all.
+func TestSampleNTrialsCostIdentity(t *testing.T) {
 	t.Parallel()
 	const n, k, batchSeed = 5000, 6000, 41
 	tb, err := New(WithPeers(n), WithSeed(11))
@@ -103,18 +104,18 @@ func TestSampleNLaneCostIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tb.DHT().(dht.Laner); !ok {
-		t.Fatal("the oracle testbed's DHT offers no lanes")
+	if _, ok := tb.DHT().(dht.Trials); !ok {
+		t.Fatal("the oracle testbed's DHT runs no trials of its own")
 	}
 	self, err := tb.Peer(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	laneless, err := core.New(lanelessDHT{tb.DHT()}, self, rand.New(rand.NewPCG(12, 12)), core.Config{})
+	stepwise, err := core.New(stepwiseDHT{tb.DHT()}, self, rand.New(rand.NewPCG(12, 12)), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := tb.SampleN(context.Background(), laneless, k, WithWorkers(1), WithBatchSeed(batchSeed))
+	ref, err := tb.SampleN(context.Background(), stepwise, k, WithWorkers(1), WithBatchSeed(batchSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,16 +130,16 @@ func TestSampleNLaneCostIdentity(t *testing.T) {
 				workers, got.Cost, want, hops, got.Effort.Trials, got.Effort.Steps)
 		}
 		if got.Effort != ref.Effort || got.Cost != ref.Cost {
-			t.Errorf("workers=%d: effort %+v cost %+v, laneless reference %+v %+v", workers, got.Effort, got.Cost, ref.Effort, ref.Cost)
+			t.Errorf("workers=%d: effort %+v cost %+v, stepwise reference %+v %+v", workers, got.Effort, got.Cost, ref.Effort, ref.Cost)
 		}
 		for i := range ref.Peers {
 			if got.Peers[i] != ref.Peers[i] {
-				t.Fatalf("workers=%d: peer %d is %+v, laneless reference %+v", workers, i, got.Peers[i], ref.Peers[i])
+				t.Fatalf("workers=%d: peer %d is %+v, stepwise reference %+v", workers, i, got.Peers[i], ref.Peers[i])
 			}
 		}
 		for owner := range ref.Tally {
 			if got.Tally[owner] != ref.Tally[owner] {
-				t.Fatalf("workers=%d: tally[%d] = %d, laneless reference %d", workers, owner, got.Tally[owner], ref.Tally[owner])
+				t.Fatalf("workers=%d: tally[%d] = %d, stepwise reference %d", workers, owner, got.Tally[owner], ref.Tally[owner])
 			}
 		}
 	}

@@ -78,10 +78,11 @@ func BenchmarkUniformSample(b *testing.B) {
 // BenchmarkBatchScaling measures Testbed.SampleN at one and two workers
 // on every backend, reporting samples/sec: n = 10^6 on the oracle, the
 // repository benchmark's n = 16384 on the overlays. On the oracle each
-// block's exclusive fork sums its cost in a private lane, so the workers
-// share no meter line (only the batch's one tally, a write a sample) and
-// the two-worker rate is close to twice the one-worker rate on a
-// two-core machine. The overlays have no lane:
+// block's exclusive fork runs on the oracle's trial runner, which sums
+// its cost privately until the sample returns, so the workers share no
+// meter line (only the batch's one tally, a write a sample) and the
+// two-worker rate is close to twice the one-worker rate on a two-core
+// machine. The overlays sum nothing privately:
 // every RPC charges the shared meter, but it resolves its destination
 // with atomic loads and no lock, so workers scale there too (chord at
 // n = 16384 on a 2-vCPU box: about 43k samples/sec at one worker, 63k

@@ -140,6 +140,3 @@ func (s *Walk) Fork(seed uint64) (dht.Sampler, error) {
 		rng: rand.New(rand.NewPCG(seed, seed^0x3c6ef372fe94f82b)),
 	}, nil
 }
-
-// Steps returns the per-sample walk length.
-func (s *Walk) Steps() int { return s.steps }

@@ -146,3 +146,42 @@ func TestUndirectedGraphNeighborOrderRepeats(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkForksReplayTheirSeed: a fork of either walk sampler draws a
+// stream that is a function of its seed alone — two forks of one seed
+// agree sample by sample, and a fork of another seed does not.
+func TestWalkForksReplayTheirSeed(t *testing.T) {
+	t.Parallel()
+	o := newOracle(t, 95, 64)
+	g := NewUndirectedOracleGraph(o)
+	walk, err := NewWalk(o, g, o.PeerByIndex(0), 12, rand.New(rand.NewPCG(1, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mh, err := NewMetropolisWalk(o, g, o.PeerByIndex(0), 12, rand.New(rand.NewPCG(1, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []interface {
+		dht.Sampler
+		Fork(uint64) (dht.Sampler, error)
+	}{walk, mh} {
+		draw := func(seed uint64) []dht.Peer {
+			f, err := s.Fork(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]dht.Peer, 40)
+			for i := range out {
+				if out[i], err = f.Sample(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return out
+		}
+		a, b, c := draw(7), draw(7), draw(8)
+		if !slices.Equal(a, b) || slices.Equal(a, c) {
+			t.Errorf("%s: forks of seed 7 agree: %t; seeds 7 and 8 agree: %t", s.Name(), slices.Equal(a, b), slices.Equal(a, c))
+		}
+	}
+}

@@ -3,6 +3,7 @@ package biased
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/dht-sampling/randompeer/internal/core"
@@ -227,5 +228,43 @@ func TestName(t *testing.T) {
 	}
 	if s.Name() != "biased" {
 		t.Errorf("Name = %q", s.Name())
+	}
+}
+
+// TestForkReplaysItsSeed: a fork draws its acceptance coins and its
+// uniform sampler's stream from its seed alone — two forks of one seed
+// agree sample by sample, a fork of another seed does not — and a
+// sampler over a uniform sampler that cannot fork refuses to fork.
+func TestForkReplaysItsSeed(t *testing.T) {
+	t.Parallel()
+	o, _, uniform := setup(t, 11, 64)
+	w := func(p dht.Peer) float64 { return float64(1 + p.Owner%4) }
+	s, err := New(uniform, w, 4, rand.New(rand.NewPCG(6, 6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := func(seed uint64) []dht.Peer {
+		f, err := s.Fork(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]dht.Peer, 40)
+		for i := range out {
+			if out[i], err = f.Sample(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	a, b, c := draw(7), draw(7), draw(8)
+	if !slices.Equal(a, b) || slices.Equal(a, c) {
+		t.Errorf("forks of seed 7 agree: %t; seeds 7 and 8 agree: %t", slices.Equal(a, b), slices.Equal(a, c))
+	}
+	plain, err := New(struct{ dht.Sampler }{uniform}, w, 4, rand.New(rand.NewPCG(6, 6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Fork(1); err == nil {
+		t.Errorf("a fork over a uniform sampler that cannot fork, over %d peers, succeeded", o.Size())
 	}
 }

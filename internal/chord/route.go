@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
@@ -15,7 +14,7 @@ import (
 // the next one. Across processes most of those asks are round trips to
 // one process, because after its first hop a lookup closes in on the
 // key's owner and a partitioned ring gives each process one contiguous
-// range. OwnerTails (a sampler's h, through overlay.DHT) therefore
+// range. OwnerWalk (a sampler's h, through overlay.DHT) therefore
 // sends a hop to a node another process hosts as one routeReq in place
 // of the nextHopReq: that process answers from the node's own nextHop
 // and, while the best candidate is a node it also hosts, keeps routing
@@ -24,15 +23,15 @@ import (
 // replies once. Every call is one the iterative lookup makes, between
 // the same nodes, and the serving process calls only nodes it hosts;
 // only the process that makes a call changes. Lookup, LookupVia,
-// OwnerTails and the serving side run the one loop, route.
+// OwnerWalk and the serving side run the one loop, route.
 //
 // A sampler's trial goes on from the owner its lookup finds to a walk
-// of next steps from that owner (core.RemoteWalk), which runs at the
-// process hosting the owner: the process a route tail usually ends at.
+// of next steps from that owner, which runs at the process hosting the
+// owner (overlay.DHT.Trials): the process a route tail usually ends at.
 // So a routeReq may carry the trial's walk parameters, and a tail that
 // ends at an owner its process hosts runs the walk there, as that
 // process serves a WalkReq (overlay.Core.ServeWalk), and answers both
-// in one reply.
+// in one reply, a failed walk with the steps it made.
 
 // routeReq asks the node it is sent to for the next hop toward Key and
 // its process for the hops after it to nodes it also hosts: at most
@@ -52,8 +51,9 @@ type routeReq struct {
 // empty, is the simnet class (simnet.ErrorClass) of its hop to Last's
 // best candidate, which failed; the initiator carries on from Last as
 // if its own call to that candidate had failed. Walk, when not nil, is
-// the outcome of the walk the process ran from Last.Succ, or, when
-// WalkFailed is not empty, the walk failed with that class.
+// the outcome of the walk the process ran from Last.Succ; when
+// WalkFailed is not empty, the walk failed with that class after
+// Walk.Steps steps.
 type routeResp struct {
 	Last       nextHopResp
 	Hops       int
@@ -67,8 +67,9 @@ type routeResp struct {
 // the budget, and a walk only when asked for, from the owner of a Done
 // answer at least Lambda past Key, before the budget runs out (the
 // initiator discards a Done answer on its last hop), of at most
-// MaxSteps steps, not both accepted and pruned, and failed only with a
-// class simnet.ErrorClass gives a failure.
+// MaxSteps steps, not both accepted and pruned, failed only with a
+// class simnet.ErrorClass gives a failure, and not both accepted and
+// failed.
 func (r *routeResp) valid(req routeReq) bool {
 	if !r.Last.valid() || r.Hops < 1 || r.Hops > req.MaxHops ||
 		r.Failed != "" && (r.Last.Done || r.Last.N == 0 || r.Hops == req.MaxHops) {
@@ -81,7 +82,7 @@ func (r *routeResp) valid(req routeReq) bool {
 	return r.Failed == "" && r.Last.Done && r.Hops < req.MaxHops && req.Lambda != 0 &&
 		ring.Distance(req.Key, r.Last.Succ) >= req.Lambda &&
 		w.Steps >= 0 && w.Steps <= req.MaxSteps && !(w.Accepted && w.Pruned) &&
-		(r.WalkFailed == "" || r.WalkFailed == "app" || simnet.ClassError(r.WalkFailed) != nil)
+		(r.WalkFailed == "" || !w.Accepted && (r.WalkFailed == "app" || simnet.ClassError(r.WalkFailed) != nil))
 }
 
 // errBadReply marks a reply no correct node sends: a route treats it
@@ -106,7 +107,7 @@ type lookup struct {
 	// walk is the trial's walk a tail may run from the owner it finds
 	// (zero: none). walked and walkFailed are the walk's outcome as the
 	// tail that ran it reported it; that tail ends the route.
-	walk       core.Params
+	walk       dht.Walk
 	walked     *overlay.WalkResp
 	walkFailed string
 }
@@ -126,23 +127,21 @@ func (n *Network) lookupFrom(l *lookup) (ring.Point, error) {
 	return n.resolve(l, n.nextHop(initiator.slot, nextHopReq{Key: l.key}))
 }
 
-// OwnerTails implements overlay.TailRouter: Owner, with every hop to a
-// node another process hosts sent as a routeReq that carries p, so the
-// same calls resolve the same owner in fewer round trips, and a tail
-// that ends at the process hosting the owner runs the trial's walk
-// there. walked reports that it did; err is then the walk's.
-func (n *Network) OwnerTails(from, x ring.Point, p core.Params) (ring.Point, core.WalkResult, bool, error) {
+// OwnerWalk implements overlay.Router: Owner, with every hop to a node
+// another process hosts sent as a routeReq that carries w, so the same
+// calls resolve the same owner in fewer round trips, and a tail that
+// ends at the process hosting the owner runs the trial's walk there.
+func (n *Network) OwnerWalk(from, x ring.Point, w dht.Walk) (ring.Point, *overlay.WalkResp, error) {
 	l := n.newLookup(noSlot, from, x)
-	l.tails, l.walk = true, p
+	l.tails, l.walk = true, w
 	owner, err := n.lookupFrom(&l)
 	if err != nil || l.walked == nil {
-		return owner, core.WalkResult{}, false, err
+		return owner, nil, err
 	}
 	if l.walkFailed != "" {
-		return owner, core.WalkResult{}, true, fmt.Errorf("chord: walk from %v with its route tail failed: %w", owner, classCause(l.walkFailed))
+		return owner, l.walked, fmt.Errorf("chord: walk from %v with its route tail failed: %w", owner, classCause(l.walkFailed))
 	}
-	w := l.walked
-	return owner, core.WalkResult{Peer: dht.Peer{Point: w.P, Owner: -1}, Accepted: w.Accepted, Steps: w.Steps, Pruned: w.Pruned}, true, nil
+	return owner, l.walked, nil
 }
 
 // resolve runs an initiator's route from resp and returns the owner.
@@ -312,20 +311,21 @@ func (n *Network) serveRoute(s uint32, from simnet.NodeID, m routeReq) (simnet.M
 }
 
 // tailWalk runs the walk m carries from the owner out found, for from,
-// when that owner is a live node this process hosts, m's parameters
-// pass core's bound (a zero Lambda fails it: lookup only), the owner is
-// at least Lambda past the key and the initiator will not discard the
-// answer for its hop budget. The walk is the one ServeWalk runs for a
-// WalkReq; a failed one is reported by its class.
+// when that owner is a live node this process hosts, m's walk rule
+// passes dht.Walk.Delegable (a zero Lambda fails it: lookup only), the
+// owner is at least Lambda past the key and the initiator will not
+// discard the answer for its hop budget. The walk is the one ServeWalk
+// runs for a WalkReq; a failed one is reported by its class, with its
+// steps so far.
 func (n *Network) tailWalk(from ring.Point, m routeReq, out *routeResp) {
-	p := core.Params{Lambda: m.Lambda, MaxSteps: m.MaxSteps}
+	w := dht.Walk{Lambda: m.Lambda, MaxSteps: m.MaxSteps}
 	owner := out.Last.Succ
 	d0 := ring.Distance(m.Key, owner)
-	if !out.Last.Done || out.Hops >= m.MaxHops || p.Delegable() != nil || d0 < p.Lambda || !n.hosts(owner) {
+	if !out.Last.Done || out.Hops >= m.MaxHops || w.Delegable() != nil || d0 < w.Lambda || !n.hosts(owner) {
 		return
 	}
-	w, err := n.ServeWalk(owner, from, overlay.WalkReq{D0: d0, Lambda: p.Lambda, MaxSteps: p.MaxSteps})
-	out.Walk = &w
+	resp, err := n.ServeWalk(owner, from, overlay.WalkReq{D0: d0, Lambda: w.Lambda, MaxSteps: w.MaxSteps})
+	out.Walk = &resp
 	if err != nil {
 		out.WalkFailed = simnet.ErrorClass(err)
 	}

@@ -74,10 +74,11 @@ func TestMalformedHopReplyFailsTheHop(t *testing.T) {
 	r := testRing(t, 91, 16)
 	points := r.Points()
 	caller := points[0]
-	walk, err := core.DeriveParams(float64(len(points)), 1, 6)
+	derived, err := core.DeriveParams(float64(len(points)), 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	walk := dht.Walk{Lambda: derived.Lambda, MaxSteps: derived.MaxSteps}
 	// walked edits a true reply to a route that asked for a walk and
 	// may carry one (a Done answer at least lambda past the key, within
 	// the budget) into a lie about that walk.
@@ -199,12 +200,12 @@ func TestMalformedHopReplyFailsTheHop(t *testing.T) {
 				want := r.At(r.Successor(key))
 				for name, lookup := range map[string]func(from, key ring.Point) (ring.Point, error){
 					"Lookup": f.cnet.Lookup,
-					"OwnerTails": func(from, key ring.Point) (ring.Point, error) {
-						owner, _, _, err := f.cnet.OwnerTails(from, key, core.Params{})
+					"OwnerWalk": func(from, key ring.Point) (ring.Point, error) {
+						owner, _, err := f.cnet.OwnerWalk(from, key, dht.Walk{})
 						return owner, err
 					},
-					"OwnerTails with a walk": func(from, key ring.Point) (ring.Point, error) {
-						owner, _, _, err := f.cnet.OwnerTails(from, key, walk)
+					"OwnerWalk with a walk": func(from, key ring.Point) (ring.Point, error) {
+						owner, _, err := f.cnet.OwnerWalk(from, key, walk)
 						return owner, err
 					},
 				} {
@@ -352,7 +353,7 @@ func TestRouteTailFailuresMatchReplay(t *testing.T) {
 			failed := 0
 			for i := 0; i < lookups; i++ {
 				key := ring.Point(rng.Uint64())
-				got, _, _, gerr := f.cnet.OwnerTails(caller, key, core.Params{})
+				got, _, gerr := f.cnet.OwnerWalk(caller, key, dht.Walk{})
 				want, werr := replay.Lookup(caller, key)
 				if got != want || simnet.ErrorClass(gerr) != simnet.ErrorClass(werr) || errors.Is(gerr, ErrLookupAborted) != errors.Is(werr, ErrLookupAborted) {
 					t.Fatalf("lookup %d of %v: fleet %v (%v), replay %v (%v)", i, key, got, gerr, want, werr)
@@ -399,13 +400,14 @@ func TestRouteTailFailuresMatchReplay(t *testing.T) {
 				}
 				return v
 			}
-			fs, us, rs := sampler(view(fused.cnet)), sampler(lookupOnly{view(unfused.cnet)}), sampler(view(replay))
-			// An unknown peer's walk step keeps its simnet class when the
-			// walk ran in another process, not when it ran here.
+			unfusedView, err := overlay.NewDHT(&unfused.cnet.Core, lookupOnly{unfused.cnet}, caller)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, us, rs := sampler(view(fused.cnet)), sampler(unfusedView), sampler(view(replay))
 			sameFailure := func(a, b error) bool {
 				return (a == nil) == (b == nil) && errors.Is(a, ErrLookupAborted) == errors.Is(b, ErrLookupAborted) &&
-					errors.Is(a, dht.ErrUnknownPeer) == errors.Is(b, dht.ErrUnknownPeer) &&
-					(errors.Is(b, dht.ErrUnknownPeer) || simnet.ErrorClass(a) == simnet.ErrorClass(b))
+					errors.Is(a, dht.ErrUnknownPeer) == errors.Is(b, dht.ErrUnknownPeer) && simnet.ErrorClass(a) == simnet.ErrorClass(b)
 			}
 			walkFailure := func(err error) bool { return err != nil && strings.HasPrefix(err.Error(), "core: walk from") }
 			failed, fusedWalkFails := 0, 0
@@ -413,10 +415,15 @@ func TestRouteTailFailuresMatchReplay(t *testing.T) {
 				fp, ft, ferr := fs.SampleTraced()
 				up, ut, uerr := us.SampleTraced()
 				rp, rt, rerr := rs.SampleTraced()
+				// A walk that fails at the tail's process reports its steps
+				// with the route, so the fused Trace is the replay's on
+				// failed samples too. A failed WalkReq is an error reply
+				// with no body, so the unfused Trace is compared on
+				// successes only.
 				if !sameFailure(ferr, rerr) || !sameFailure(uerr, rerr) || simnet.ErrorClass(ferr) != simnet.ErrorClass(uerr) ||
 					walkFailure(ferr) != walkFailure(uerr) ||
-					ft.Trials != rt.Trials || ut.Trials != rt.Trials ||
-					rerr == nil && (fp.Point != rp.Point || up.Point != rp.Point || ft != rt || ut != rt) {
+					ft != rt || ut.Trials != rt.Trials ||
+					rerr == nil && (fp.Point != rp.Point || up.Point != rp.Point || ut != rt) {
 					t.Fatalf("sample %d: fused %v %+v (%v), unfused %v %+v (%v), replay %v %+v (%v)",
 						i, fp.Point, ft, ferr, up.Point, ut, uerr, rp.Point, rt, rerr)
 				}
@@ -449,18 +456,50 @@ func TestRouteTailFailuresMatchReplay(t *testing.T) {
 	}
 }
 
-// lookupOnly is an overlay view whose route tails only route: it asks
-// them for no walk, so each walk hosted elsewhere is a WalkReq of its
-// own, as before tails ran walks.
-type lookupOnly struct{ *overlay.DHT }
+// lookupOnly is chord's router with route tails that only route: it
+// asks them for no walk, so each walk hosted elsewhere is a WalkReq of
+// its own, as before tails ran walks.
+type lookupOnly struct{ *Network }
 
-func (v lookupOnly) Delegate() core.Delegates {
-	del := v.DHT.Delegate()
-	h := del.H
-	del.H = func(x ring.Point, _ core.Params) (dht.Peer, core.WalkResult, bool, error) {
-		return h(x, core.Params{})
+func (r lookupOnly) OwnerWalk(from, x ring.Point, _ dht.Walk) (ring.Point, *overlay.WalkResp, error) {
+	return r.Network.OwnerWalk(from, x, dht.Walk{})
+}
+
+// TestWalkPastTwoLapsRunsFromTheCaller: a sampler whose horizon is past
+// the two laps a process walks for another sends no walk, alone or
+// with its lookup's tail, and samples what the in-process replay does.
+func TestWalkPastTwoLapsRunsFromTheCaller(t *testing.T) {
+	t.Parallel()
+	r := testRing(t, 97, 64)
+	points := r.Points()
+	f := newFleet(t, points, func(p ring.Point) bool { i, _ := r.Rank(p); return i < 8 })
+	replay, err := BuildStatic(Config{}, simnet.NewDirect(), points)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return del
+	params := core.Params{Lambda: 1 << 62, MaxSteps: 8}
+	var samplers []*core.Sampler
+	for _, n := range []*Network{f.cnet, replay} {
+		v, err := n.AsDHT(points[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := core.NewWithParams(v, rand.New(rand.NewPCG(3, 5)), params, core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samplers = append(samplers, s)
+	}
+	for i := 0; i < 40; i++ {
+		p, tp, err := samplers[0].SampleTraced()
+		q, tq, errq := samplers[1].SampleTraced()
+		if err != nil || errq != nil || p.Point != q.Point || tp != tq {
+			t.Fatalf("sample %d: fleet %v %+v (%v), replay %v %+v (%v)", i, p.Point, tp, err, q.Point, tq, errq)
+		}
+	}
+	if served := f.snet.Served(); served.Walks != 0 || served.Routes == 0 {
+		t.Fatalf("the server served %+v for a sampler past two laps", served)
+	}
 }
 
 func mustCrash(t *testing.T, n *Network, id ring.Point) {
@@ -479,10 +518,11 @@ func mustCrash(t *testing.T, n *Network, id ring.Point) {
 // each call from the sender, and must answer what the in-process route
 // gives after the same number of hops, stopping only where a tail
 // stops. It must run the walk exactly when a tail may (a Done answer
-// before the budget's last hop, parameters within core's bound, an
+// before the budget's last hop, parameters within dht.Walk.Delegable, an
 // owner it hosts at least lambda past the key), and the walk must be
-// Params.Walk run in process over next steps that fail where this
-// process's would: the same peer, steps and pruning, the same failure,
+// dht.Walk.Over run in process over next steps that fail where this
+// process's would: the same peer, steps and pruning (a failed walk's
+// steps too), the same failure,
 // the same served counters and the same calls charged, the one remote
 // call a walk can make being the step that leaves the range and fails.
 func FuzzServeRoute(f *testing.F) {
@@ -597,16 +637,14 @@ func FuzzServeRoute(f *testing.F) {
 		}
 		// The walk: in process, over next steps that fail where a step
 		// leaves this process's range.
-		params := core.Params{Lambda: lambda, MaxSteps: maxSteps}
+		w := dht.Walk{Lambda: lambda, MaxSteps: maxSteps}
 		d0 := ring.Distance(ring.Point(key), want.Succ)
-		mayWalk := want.Done && got.Hops < maxHops && params.Delegable() == nil && d0 >= lambda && hosted(want.Succ)
-		var tr core.Trace
-		var peer dht.Peer
-		var accepted bool
-		var werr error
+		mayWalk := want.Done && got.Hops < maxHops && w.Delegable() == nil && d0 >= lambda && hosted(want.Succ)
+		var tr dht.Trial
 		if mayWalk {
-			peer, accepted, werr = params.Walk(rangeNexter{view, hosted}, dht.Peer{Point: want.Succ}, d0, &tr)
+			tr = w.Over(rangeNexter{view, hosted}.Next, dht.Peer{Point: want.Succ}, d0)
 		}
+		werr := tr.Err
 		wantServed := servedBefore
 		wantServed.Routes++
 		wantServed.RouteHops += int64(got.Hops - 1)
@@ -631,9 +669,9 @@ func FuzzServeRoute(f *testing.F) {
 		case !mayWalk:
 		case werr != nil && got.WalkFailed != simnet.ErrorClass(werr) || werr == nil && got.WalkFailed != "":
 			t.Fatalf("served walk failed with %q; in process: %v", got.WalkFailed, werr)
-		case werr == nil && (got.Walk.Accepted != accepted || accepted && got.Walk.P != peer.Point ||
-			got.Walk.Steps != tr.Steps || got.Walk.Pruned != (tr.Pruned > 0)):
-			t.Fatalf("served walk %+v; in process %v accepted=%t %+v", *got.Walk, peer.Point, accepted, tr)
+		case got.Walk.Accepted != tr.Accepted || tr.Accepted && got.Walk.P != tr.Peer.Point ||
+			got.Walk.Steps != tr.Steps || got.Walk.Pruned != tr.Pruned:
+			t.Fatalf("served walk %+v; in process %+v", *got.Walk, tr)
 		}
 	})
 }

@@ -75,6 +75,27 @@ func TestPutStoresAtOwner(t *testing.T) {
 	}
 }
 
+// TestGetFallsBackToOwnSuccessorList: when the owner a lookup names
+// cannot be asked for its successor list, Get reads the replicas on the
+// reader's own successor list.
+func TestGetFallsBackToOwnSuccessorList(t *testing.T) {
+	t.Parallel()
+	net, r := newStatic(t, 111, 16)
+	from, owner := r.At(4), r.At(5)
+	key := ring.Sub(owner, 1)
+	if err := net.Put(from, key, []byte("v"), 3); err != nil {
+		t.Fatal(err)
+	}
+	// The reader's successor pointer still names the crashed owner, so
+	// its lookup answers the owner without a call.
+	if err := net.Crash(owner); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := net.Get(from, key); err != nil || string(got) != "v" {
+		t.Fatalf("Get past an unreachable owner = %q, %v", got, err)
+	}
+}
+
 func TestReplicationSurvivesOwnerCrash(t *testing.T) {
 	t.Parallel()
 	net, r := newStatic(t, 109, 64)

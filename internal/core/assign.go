@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/ring"
 )
 
@@ -82,7 +83,7 @@ func Analyze(r *ring.Ring, lambda uint64, maxSteps int) (*Assignment, error) {
 		assigned := c0
 		if arcLen > lambda {
 			// room is the horizon less the arcs walked past h(s).
-			room := horizon(lambda, maxSteps)
+			room := dht.Walk{Lambda: lambda, MaxSteps: maxSteps}.Horizon()
 			dMax := ring.S128Of(arcLen - 1)
 			// maxPrev tracks the largest D already accepted by an earlier
 			// step; theta_0 = lambda-1.

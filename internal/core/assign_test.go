@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -478,9 +479,9 @@ func requirePiecesMatchAnalyze(t *testing.T, r *ring.Ring, p Params) {
 	// exclusive one that walks the oracle lane's ring, and returns the
 	// chosen owner (-1 if the trial failed), its effort and its charge.
 	sample := func(s ring.Point, exclusive bool) (int, Stats, simnet.Cost) {
-		// An exclusive sampler draws lookAhead starts at once; the one
-		// trial takes the first.
-		starts := make([]uint64, lookAhead)
+		// An exclusive sampler draws a window of starts at once; the
+		// one trial takes the first.
+		starts := make([]uint64, 64)
 		starts[0] = uint64(s)
 		smp, err := NewWithParams(o, rand.New(&scriptedSource{starts}), p, Config{MaxTrials: 1})
 		if err != nil {
@@ -491,8 +492,8 @@ func requirePiecesMatchAnalyze(t *testing.T, r *ring.Ring, p Params) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if smp = f.(*Sampler); smp.remote == nil {
-				t.Fatal("an exclusive sampler over the oracle does not walk its lane's ring")
+			if smp = f.(*Sampler); reflect.TypeOf(smp.run) == stepwise {
+				t.Fatal("an exclusive sampler over the oracle does not run the oracle's trials")
 			}
 			smp.rng = rand.New(&scriptedSource{starts})
 		}

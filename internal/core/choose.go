@@ -68,7 +68,7 @@ type Trace struct {
 // of the DHT, using one h lookup per trial and at most MaxSteps next
 // steps per trial — in practice far fewer, because a trial is abandoned
 // as soon as its walk is provably past every accepting distance (see
-// horizon).
+// dht.Walk.Horizon).
 //
 // Concurrency contract: a Sampler is safe for unsynchronized concurrent
 // use. The derived parameters are immutable after construction, effort
@@ -80,10 +80,14 @@ type Trace struct {
 // own Fork (or use the batch engine, which forks per block).
 //
 // A sampler obtained from ForkExclusive trades the contract away: it is
-// confined to one goroutine, draws from its RNG with no locking at all
-// and, over a DHT that offers lanes (dht.Laner), keeps the cost of a
-// Sample call off the shared meter until the call returns — which is
-// what the batch engine hands each block of work.
+// confined to one goroutine, draws from its RNG with no locking at all,
+// and lets its DHT run its trials in ways only one goroutine may (the
+// oracle draws its starts ahead and keeps the cost of a Sample call off
+// the shared meter until the call returns) — which is what the batch
+// engine hands each block of work.
+//
+// Every trial runs through the sampler's dht.Runner: the one its DHT
+// offers (dht.Trials), or dht.NewRunner's H and walk over Next.
 type Sampler struct {
 	d   dht.DHT
 	cfg Config
@@ -96,36 +100,14 @@ type Sampler struct {
 	// unshared marks a ForkExclusive sampler: confined to a single
 	// goroutine, so rng is used without taking mu.
 	unshared bool
-	// lane, when non-nil, stands in for d on an unshared sampler: the
-	// same answers, with the cost of one Sample call charged to d's
-	// meter in one piece when the call returns.
-	lane dht.Lane
-	// warmer, when non-nil, is lane as a dht.Warmer: the sampler then
-	// draws the starts of its next lookAhead trials at once and warms
-	// them, and each trial takes the next one. The last left of ahead
-	// are drawn and not yet used; they carry across Sample calls.
-	warmer dht.Warmer
-	ahead  [lookAhead]ring.Point
-	left   int
-	// remote, when non-nil, runs a trial's walk where its peers live:
-	// at the process hosting its first peer (d's Delegator, resolved at
-	// construction), or in the ring of an exclusive fork's lane
-	// (dht.RingLane, resolved at fork time). lookup runs a trial's h
-	// where its hops' peers live (d's Delegator), and with it the walk,
-	// when remote may run it elsewhere.
-	remote RemoteWalk
-	lookup RemoteLookup
+	// run runs the trials, from starts it draws through draw.
+	run dht.Runner
 
 	samples atomic.Int64
 	trials  atomic.Int64
 	steps   atomic.Int64
 	pruned  atomic.Int64
 }
-
-// lookAhead is how many trial starts an exclusive fork whose lane warms
-// draws at a time. Windows of 16 and 32 sampled as fast, 4 a few
-// percent slower.
-const lookAhead = 8
 
 var (
 	_ dht.Sampler        = (*Sampler)(nil)
@@ -150,19 +132,30 @@ func New(d dht.DHT, caller dht.Peer, rng *rand.Rand, cfg Config) (*Sampler, erro
 	if err != nil {
 		return nil, err
 	}
-	return newSampler(d, cfg, rng, params, est), nil
+	return newSampler(d, cfg, rng, params, est, false), nil
 }
 
-func newSampler(d dht.DHT, cfg Config, rng *rand.Rand, params Params, est EstimateResult) *Sampler {
-	s := &Sampler{d: d, cfg: cfg, rng: rng, params: params, est: est}
-	if dl, ok := d.(Delegator); ok {
-		del := dl.Delegate()
-		s.lookup = del.H
-		if horizon(params.Lambda, params.MaxSteps).Cmp(twoLaps) <= 0 {
-			s.remote = del.Walk
-		}
+func newSampler(d dht.DHT, cfg Config, rng *rand.Rand, params Params, est EstimateResult, exclusive bool) *Sampler {
+	s := &Sampler{d: d, cfg: cfg, rng: rng, params: params, est: est, unshared: exclusive}
+	w := dht.Walk{Lambda: params.Lambda, MaxSteps: params.MaxSteps}
+	if t, ok := d.(dht.Trials); ok {
+		s.run = t.Trials(w, s.draw, exclusive)
+	} else {
+		s.run = dht.NewRunner(d, w, s.draw)
 	}
 	return s
+}
+
+// draw returns the start of the sampler's next trial: a point drawn
+// uniformly from its stream.
+func (s *Sampler) draw() ring.Point {
+	if s.unshared {
+		return ring.Point(s.rng.Uint64())
+	}
+	s.mu.Lock()
+	x := ring.Point(s.rng.Uint64())
+	s.mu.Unlock()
+	return x
 }
 
 // NewWithParams builds a Sampler with explicit parameters, bypassing
@@ -176,7 +169,7 @@ func NewWithParams(d dht.DHT, rng *rand.Rand, params Params, cfg Config) (*Sampl
 	if params.MaxSteps < 1 {
 		return nil, fmt.Errorf("core: max steps must be >= 1, got %d", params.MaxSteps)
 	}
-	return newSampler(d, cfg, rng, params, EstimateResult{}), nil
+	return newSampler(d, cfg, rng, params, EstimateResult{}, false), nil
 }
 
 // Name implements dht.Sampler.
@@ -189,55 +182,29 @@ func (s *Sampler) Name() string { return "king-saia" }
 // so a batch engine can cheaply hand every worker (or every block of
 // work) a private sampler and keep parallel results deterministic.
 func (s *Sampler) Fork(seed uint64) (dht.Sampler, error) {
-	rng := rand.New(rand.NewPCG(seed, seed^0x6a09e667f3bcc909))
-	return newSampler(s.d, s.cfg, rng, s.params, s.est), nil
+	return s.fork(seed, false), nil
 }
 
 // ForkExclusive is Fork for a fork that will be confined to a single
 // goroutine: the returned sampler draws the same random stream as
 // Fork(seed) — results are bit-identical — but skips the RNG mutex on
-// every trial and, when the DHT offers lanes, sums the cost of each
-// Sample call privately and charges the shared meter once as the call
-// returns, so a meter reading is exact whenever no Sample is in flight.
-// When the lane also warms (dht.Warmer), the fork draws the starts of
-// its next lookAhead trials in one go and hands them to the lane, which
-// resolves their lookups together; the trials then take one start each,
-// in the order Fork(seed) draws them, so the samples, the effort and
-// the charges stay those of Fork(seed). Starts drawn and not yet used
-// wait for the next Sample call and die with the fork. When the lane
-// holds its ring (dht.RingLane), every trial's walk runs there, over
-// ring indices (Params.WalkRing): the peers, steps, pruning and charges
-// of Params.Walk over the lane's Next, without a call a step.
-// Sharing an exclusive fork between goroutines is a data race. The
-// batch engine prefers this over Fork because each block of work runs
-// on exactly one worker.
+// every trial, and its DHT may run its trials in ways only one
+// goroutine may. Over the oracle the fork draws the starts of several
+// trials at once and resolves their lookups together, walks in the
+// oracle's ring by index, and charges the shared meter once as each
+// Sample call returns, so a meter reading is exact whenever no Sample
+// is in flight: the samples, the effort and the charges stay those of
+// Fork(seed). Starts drawn and not yet used wait for the next Sample
+// call and die with the fork. Sharing an exclusive fork between
+// goroutines is a data race. The batch engine prefers this over Fork
+// because each block of work runs on exactly one worker.
 func (s *Sampler) ForkExclusive(seed uint64) (dht.Sampler, error) {
-	f, err := s.Fork(seed)
-	if err != nil {
-		return nil, err
-	}
-	fs := f.(*Sampler)
-	fs.unshared = true
-	if l, ok := s.d.(dht.Laner); ok {
-		if lane, ok := l.Lane(); ok {
-			fs.lane = lane
-			fs.warmer, _ = lane.(dht.Warmer)
-			if r, ok := lane.(dht.RingLane); ok {
-				fs.remote = ringWalk(r)
-			}
-		}
-	}
-	return f, nil
+	return s.fork(seed, true), nil
 }
 
-// ringWalk runs every trial's walk of an exclusive fork in the ring its
-// lane holds, where all its peers live: WalkRing, never sent anywhere.
-func ringWalk(r dht.RingLane) RemoteWalk {
-	return func(first dht.Peer, d0 uint64, p Params) (WalkResult, bool, error) {
-		var tr Trace
-		peer, ok, err := p.WalkRing(r, first, d0, &tr)
-		return WalkResult{Peer: peer, Accepted: ok, Steps: tr.Steps, Pruned: tr.Pruned > 0}, true, err
-	}
+func (s *Sampler) fork(seed uint64, exclusive bool) *Sampler {
+	rng := rand.New(rand.NewPCG(seed, seed^0x6a09e667f3bcc909))
+	return newSampler(s.d, s.cfg, rng, s.params, s.est, exclusive)
 }
 
 // Params returns the derived sampling parameters.
@@ -292,9 +259,7 @@ func (s *Sampler) Sample() (dht.Peer, error) {
 func (s *Sampler) SampleTraced() (dht.Peer, Trace, error) {
 	var trace Trace
 	p, err := s.sampleInto(&trace)
-	if s.lane != nil {
-		s.lane.Flush()
-	}
+	s.run.Flush()
 	if err == nil {
 		s.samples.Add(1)
 	}
@@ -304,88 +269,26 @@ func (s *Sampler) SampleTraced() (dht.Peer, Trace, error) {
 	return p, trace, err
 }
 
-// sampleInto is the sampling hot loop behind SampleTraced: it
-// accumulates effort into the caller's scratch Trace and keeps the
-// per-trial state in locals, so a successful sample allocates nothing.
+// sampleInto is the sampling hot loop behind SampleTraced: it runs
+// trials until one accepts, fails or the cap is reached, and
+// accumulates their effort into the caller's scratch Trace, so a
+// successful sample allocates nothing.
 func (s *Sampler) sampleInto(trace *Trace) (dht.Peer, error) {
-	lambda := s.params.Lambda
-	d := s.d
-	if s.lane != nil {
-		d = s.lane
-	}
-	var next Nexter = d
 	for trial := 1; trial <= s.cfg.MaxTrials; trial++ {
+		t := s.run.Trial()
 		trace.Trials = trial
-		var start ring.Point
+		trace.Steps += t.Steps
+		if t.Pruned {
+			trace.Pruned++
+		}
 		switch {
-		case s.warmer != nil:
-			if s.left == 0 {
-				for i := range s.ahead {
-					s.ahead[i] = ring.Point(s.rng.Uint64())
-				}
-				s.warmer.Warm(s.ahead[:])
-				s.left = lookAhead
-			}
-			start = s.ahead[lookAhead-s.left]
-			s.left--
-		case s.unshared:
-			start = ring.Point(s.rng.Uint64())
-		default:
-			s.mu.Lock()
-			start = ring.Point(s.rng.Uint64())
-			s.mu.Unlock()
-		}
-		var first dht.Peer
-		var w WalkResult
-		var sent bool
-		var err error
-		if s.lookup != nil {
-			// A lookup may run the walk too, where a walk may be sent.
-			var p Params
-			if s.remote != nil {
-				p = s.params
-			}
-			first, w, sent, err = s.lookup(start, p)
-		} else {
-			first, err = d.H(start)
-		}
-		if err != nil && !sent {
-			return dht.Peer{}, fmt.Errorf("core: h(%v): %w", start, err)
-		}
-		d0 := ring.Distance(start, first.Point)
-		if d0 < lambda {
-			// |I(s, l(h(s)))| is small: h(s) is the chosen peer.
-			return first, nil
-		}
-		if !sent && s.remote != nil {
-			w, sent, err = s.remote(first, d0, s.params)
-		}
-		if sent {
-			if err != nil {
-				return dht.Peer{}, fmt.Errorf("core: walk from %v: %w", first.Point, err)
-			}
-			trace.Steps += w.Steps
-			if w.Pruned {
-				trace.Pruned++
-			}
-			if w.Accepted {
-				return w.Peer, nil
-			}
-			continue
-		}
-		p, ok, err := s.params.Walk(next, first, d0, trace)
-		if ok || err != nil {
-			return p, err
+		case t.Err != nil:
+			return dht.Peer{}, fmt.Errorf("core: %w", t.Err)
+		case t.Accepted:
+			return t.Peer, nil
 		}
 		// Trial failed: the starting point fell in unassigned measure.
 	}
 	return dht.Peer{}, fmt.Errorf("%w: after %d trials (lambda=%d, maxSteps=%d)",
-		ErrTrialsExhausted, s.cfg.MaxTrials, lambda, s.params.MaxSteps)
-}
-
-// Walk is Params.Walk with the sampler's parameters: one trial's next
-// walk from first, at distance d0 >= lambda from the trial's starting
-// point, walked through n.
-func (s *Sampler) Walk(n Nexter, first dht.Peer, d0 uint64, trace *Trace) (dht.Peer, bool, error) {
-	return s.params.Walk(n, first, d0, trace)
+		ErrTrialsExhausted, s.cfg.MaxTrials, s.params.Lambda, s.params.MaxSteps)
 }

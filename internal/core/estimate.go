@@ -30,9 +30,6 @@ var (
 	// ErrBadEstimate is returned when a size estimate produces unusable
 	// parameters (for example lambda = 0).
 	ErrBadEstimate = errors.New("core: unusable size estimate")
-	// ErrWalkBound is returned for walk parameters no process runs on
-	// another's behalf (see Params.Delegable).
-	ErrWalkBound = errors.New("core: walk parameters out of bounds")
 )
 
 // EstimateResult reports one run of the Estimate n algorithm.
@@ -115,18 +112,6 @@ type Params struct {
 	// MaxSteps is the per-trial walk bound ceil(6 * ln n'), where
 	// n' = nhat / gamma1 upper-bounds n w.h.p.
 	MaxSteps int
-}
-
-// horizon returns H = (maxSteps+1)*lambda: the farthest a trial's walk
-// can be from its starting point s and still accept. A walk accepts at
-// step j <= maxSteps only while d(s, p_j) <= (j+1)*lambda <= H, and the
-// distance walked never shrinks, so once it exceeds H the trial has
-// failed whatever the remaining arcs are. The sampler abandons the trial
-// there and the analyzer stops scanning the arc there; both take H from
-// here so they cannot disagree. H is a 128-bit value: lambda near 2^63
-// (tiny rings) times a two-digit step count overflows 64 bits.
-func horizon(lambda uint64, maxSteps int) ring.S128 {
-	return ring.S128Mul(uint64(maxSteps)+1, lambda)
 }
 
 // DeriveParams computes lambda and the walk bound from a size estimate.

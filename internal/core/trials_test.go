@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/dht-sampling/randompeer/internal/dht"
@@ -13,9 +16,13 @@ import (
 // calls a trial (n = 16384 in these tests, so 14) and one a step.
 func oracleCalls(e Stats) int64 { return 14*e.Trials + e.Steps }
 
-// exclusiveFork forks s for one goroutine and checks that the fork took
-// a lane that warms, without which the tests below would pass on the
-// shared path or without drawing ahead.
+// stepwise is the type of dht.NewRunner's runner, the one every DHT
+// has.
+var stepwise = reflect.TypeOf(dht.NewRunner(nil, dht.Walk{}, nil))
+
+// exclusiveFork forks s for one goroutine and checks that the fork runs
+// its trials on its DHT's own runner, without which the tests below
+// would pass on the stepwise path.
 func exclusiveFork(t *testing.T, s *Sampler, seed uint64) *Sampler {
 	t.Helper()
 	f, err := s.ForkExclusive(seed)
@@ -23,20 +30,17 @@ func exclusiveFork(t *testing.T, s *Sampler, seed uint64) *Sampler {
 		t.Fatal(err)
 	}
 	fs := f.(*Sampler)
-	if fs.lane == nil {
-		t.Fatal("exclusive fork over a lane-offering DHT holds no lane")
-	}
-	if fs.warmer == nil {
-		t.Fatal("exclusive fork over the oracle's lane does not warm")
+	if reflect.TypeOf(fs.run) == stepwise {
+		t.Fatal("exclusive fork over the oracle runs its trials stepwise")
 	}
 	return fs
 }
 
-// TestExclusiveForkLaneFlushedOnExhaustion: with one trial a call, about
-// a third of the calls end in ErrTrialsExhausted; after every call,
+// TestExclusiveForkFlushedOnExhaustion: with one trial a call, about a
+// third of the calls end in ErrTrialsExhausted; after every call,
 // failed or not, the shared meter must have moved by exactly the effort
-// the fork counted — the lane may hold nothing back between calls.
-func TestExclusiveForkLaneFlushedOnExhaustion(t *testing.T) {
+// the fork counted — the runner may hold nothing back between calls.
+func TestExclusiveForkFlushedOnExhaustion(t *testing.T) {
 	t.Parallel()
 	o := newOracle(t, 2024, 16384)
 	s, err := New(o, o.PeerByIndex(0), rand.New(rand.NewPCG(12, 12)), Config{MaxTrials: 1})
@@ -66,64 +70,80 @@ func TestExclusiveForkLaneFlushedOnExhaustion(t *testing.T) {
 	}
 }
 
-// failingLaner is an oracle whose lanes fail their failAt-th Next call
-// (counting from 1, over the lane's life): prune_test.go's failingDHT
-// around the oracle's lane, with the lane's Flush passed through.
-type failingLaner struct {
+// failingTrials is an oracle whose runners fail the trial whose walk
+// takes the failAt-th step (counting from 1, over the runner's life),
+// after its steps, and count their flushes.
+type failingTrials struct {
 	*dht.Oracle
-	failAt int
+	failAt  int
+	flushes *int
 }
 
-func (f failingLaner) Lane() (dht.Lane, bool) {
-	lane, ok := f.Oracle.Lane()
-	return &failingLane{failingDHT{DHT: lane, failAt: f.failAt}, lane}, ok
+func (f failingTrials) Trials(w dht.Walk, draw func() ring.Point, exclusive bool) dht.Runner {
+	return &failingRunner{Runner: f.Oracle.Trials(w, draw, exclusive), left: f.failAt, flushes: f.flushes}
 }
 
-type failingLane struct {
-	failingDHT
-	inner dht.Lane
+type failingRunner struct {
+	dht.Runner
+	left    int // steps before the failing one
+	flushes *int
 }
 
-func (f *failingLane) Flush() { f.inner.Flush() }
+func (r *failingRunner) Trial() dht.Trial {
+	t := r.Runner.Trial()
+	if r.left -= t.Steps; r.left <= 0 {
+		t.Peer, t.Accepted, t.Pruned, t.Err = dht.Peer{}, false, false, errInjected
+		r.left = math.MaxInt
+	}
+	return t
+}
 
-func (f *failingLane) Warm(xs []ring.Point) { f.inner.(dht.Warmer).Warm(xs) }
+func (r *failingRunner) Flush() {
+	*r.flushes++
+	r.Runner.Flush()
+}
 
-// TestExclusiveForkLaneFlushedOnDHTError: a lane call that fails in the
-// middle of a walk ends Sample with the DHT's error, and the trials and
-// steps spent before it are on the shared meter when Sample returns.
-func TestExclusiveForkLaneFlushedOnDHTError(t *testing.T) {
+// TestExclusiveForkFlushedOnTrialError: a trial that fails in the
+// middle of a walk ends Sample with its error, its steps are counted,
+// and the runner is flushed as Sample returns, so every trial and step
+// spent is on the shared meter.
+func TestExclusiveForkFlushedOnTrialError(t *testing.T) {
 	t.Parallel()
 	o := newOracle(t, 123, 16384)
-	d := failingLaner{Oracle: o, failAt: 40}
+	flushes := 0
+	d := failingTrials{Oracle: o, failAt: 40, flushes: &flushes}
 	s, err := NewWithParams(d, rand.New(rand.NewPCG(4, 4)), paramsForN(t, 16384), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := exclusiveFork(t, s, 32)
 	start := o.Meter().Snapshot()
+	calls := 0
 	for {
+		calls++
 		_, err := f.Sample()
 		if err == nil {
 			continue
 		}
-		if !errors.Is(err, errInjected) {
-			t.Fatalf("err = %v, want the injected failure", err)
+		if !errors.Is(err, errInjected) || !strings.HasPrefix(err.Error(), "core: ") {
+			t.Fatalf("err = %v, want the injected failure under core's prefix", err)
 		}
 		break
 	}
 	st := f.Stats()
-	if st.Steps != int64(d.failAt-1) {
-		t.Errorf("fork counted %d steps, want the %d before the failing call", st.Steps, d.failAt-1)
+	if st.Steps < int64(d.failAt) {
+		t.Errorf("fork counted %d steps, want at least the %d up to the failing trial's", st.Steps, d.failAt)
 	}
-	if got, want := o.Meter().Snapshot().Sub(start).Calls, oracleCalls(st); got != want {
-		t.Errorf("after the failed call: meter moved %d calls, effort %+v is worth %d", got, st, want)
+	if got, want := o.Meter().Snapshot().Sub(start).Calls, oracleCalls(st); got != want || flushes != calls {
+		t.Errorf("after the failed call: meter moved %d calls, effort %+v is worth %d; %d flushes over %d calls", got, st, want, flushes, calls)
 	}
 }
 
-// TestExclusiveForkLaneSameAsFork: the lane changes where cost is summed,
-// nothing else — an exclusive fork and a shareable fork of one seed draw
-// the same peers with the same effort and charge the meter the same.
-func TestExclusiveForkLaneSameAsFork(t *testing.T) {
+// TestExclusiveForkSameAsFork: the oracle's runner changes how a trial
+// runs and where its cost is summed, nothing else — an exclusive fork
+// and a shareable fork of one seed draw the same peers with the same
+// effort and charge the meter the same.
+func TestExclusiveForkSameAsFork(t *testing.T) {
 	t.Parallel()
 	o := newOracle(t, 77, 16384)
 	s, err := New(o, o.PeerByIndex(0), rand.New(rand.NewPCG(13, 13)), Config{})
@@ -134,18 +154,18 @@ func TestExclusiveForkLaneSameAsFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared.(*Sampler).lane != nil {
-		t.Fatal("a shareable fork holds a single-goroutine lane")
+	if reflect.TypeOf(shared.(*Sampler).run) != stepwise {
+		t.Fatal("a shareable fork holds a single-goroutine runner")
 	}
 	ex := exclusiveFork(t, s, 5)
-	// A fork of an exclusive fork is shareable again: no lane, and not
-	// its parent's either.
+	// A fork of an exclusive fork is shareable again: not its parent's
+	// runner.
 	again, err := ex.Fork(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.(*Sampler).lane != nil {
-		t.Fatal("Fork of an exclusive fork inherited its lane")
+	if reflect.TypeOf(again.(*Sampler).run) != stepwise {
+		t.Fatal("Fork of an exclusive fork inherited its runner")
 	}
 	const k = 2000
 	start := o.Meter().Snapshot()
@@ -226,67 +246,44 @@ func TestExclusiveForkDrawAheadSameAsFork(t *testing.T) {
 	}
 }
 
-// warmLaner is an oracle whose lanes check how a sampler warms them:
-// every H must ask for the next warmed point, in order, and a Warm may
-// come only once every point of the previous one was asked for.
-type warmLaner struct {
-	*dht.Oracle
-	t *testing.T
+// forwarding is a decorator of a DHT that forwards dht.Trials, the one
+// method a decorator needs to keep every fast path.
+type forwarding struct{ dht.DHT }
+
+func (f forwarding) Trials(w dht.Walk, draw func() ring.Point, exclusive bool) dht.Runner {
+	return f.DHT.(dht.Trials).Trials(w, draw, exclusive)
 }
 
-func (w warmLaner) Lane() (dht.Lane, bool) {
-	lane, ok := w.Oracle.Lane()
-	return &warmLane{Lane: lane, t: w.t}, ok
-}
-
-type warmLane struct {
-	dht.Lane
-	t       *testing.T
-	pending []ring.Point // warmed and not yet asked for
-	warms   int
-	hs      int64
-}
-
-func (l *warmLane) Warm(xs []ring.Point) {
-	if len(l.pending) != 0 {
-		l.t.Fatalf("Warm %d dropped %d warmed points never asked for", l.warms+1, len(l.pending))
-	}
-	if len(xs) != lookAhead {
-		l.t.Fatalf("Warm of %d points, want %d", len(xs), lookAhead)
-	}
-	l.pending = append(l.pending, xs...)
-	l.warms++
-	l.Lane.(dht.Warmer).Warm(xs)
-}
-
-func (l *warmLane) H(x ring.Point) (dht.Peer, error) {
-	if len(l.pending) == 0 || l.pending[0] != x {
-		l.t.Fatalf("H %d asked for %v, the next warmed point is %v", l.hs+1, x, l.pending)
-	}
-	l.pending = l.pending[1:]
-	l.hs++
-	return l.Lane.H(x)
-}
-
-// TestExclusiveForkWarmsEachStartOnce: every trial's lookup is of a
-// start the fork warmed, in the order warmed, and no warmed start is
-// skipped — neither within a call nor across calls, failed or not.
-func TestExclusiveForkWarmsEachStartOnce(t *testing.T) {
+// TestRunnerFollowsTheDHT: an exclusive fork over the oracle, and over
+// a decorator that forwards dht.Trials, runs on the oracle's runner; a
+// shareable fork, and an exclusive one over a decorator that forwards
+// only dht.DHT, runs stepwise. The same-sample tests above compare the
+// two.
+func TestRunnerFollowsTheDHT(t *testing.T) {
 	t.Parallel()
-	o := newOracle(t, 9, 16384)
-	d := warmLaner{Oracle: o, t: t}
-	s, err := NewWithParams(d, rand.New(rand.NewPCG(2, 2)), paramsForN(t, 16384), Config{MaxTrials: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := exclusiveFork(t, s, 17)
-	lane := f.lane.(*warmLane)
-	for i := 0; i < 1001; i++ {
-		if _, err := f.Sample(); err != nil && !errors.Is(err, ErrTrialsExhausted) {
+	o := newOracle(t, 5, 4096)
+	for _, tc := range []struct {
+		name string
+		d    dht.DHT
+		fast bool
+	}{{"oracle", o, true}, {"forwarding", forwarding{o}, true}, {"DHT only", struct{ dht.DHT }{o}, false}} {
+		s, err := New(tc.d, o.PeerByIndex(0), rand.New(rand.NewPCG(3, 3)), Config{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if st := f.Stats(); lane.hs != st.Trials || int64(lane.warms*lookAhead-len(lane.pending)) != st.Trials {
-		t.Errorf("%d trials, %d lookups, %d warms with %d points left", st.Trials, lane.hs, lane.warms, len(lane.pending))
+		f, err := s.ForkExclusive(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast := reflect.TypeOf(f.(*Sampler).run) != stepwise; fast != tc.fast {
+			t.Errorf("%s: an exclusive fork runs on the oracle's runner: %t, want %t", tc.name, fast, tc.fast)
+		}
+		shared, err := s.Fork(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.TypeOf(shared.(*Sampler).run) != stepwise {
+			t.Errorf("%s: a shareable fork holds a %T", tc.name, shared.(*Sampler).run)
+		}
 	}
 }

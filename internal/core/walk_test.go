@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"math"
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -11,55 +11,49 @@ import (
 	"github.com/dht-sampling/randompeer/internal/ring"
 )
 
-// delegating is an oracle that offers a RemoteWalk and a RemoteLookup:
-// every walk whose first peer has an owner index 1 mod 3 "runs
-// elsewhere", on a sampler of its own built from the request alone, as
-// a serving process does; one whose index is 2 mod 3 runs there too,
-// sent with the lookup that found its first peer, as a route tail runs
-// it; and every lookup is counted.
+// delegating is an oracle that runs its samplers' trials itself: every
+// walk whose first peer has an owner index 1 mod 3 "runs elsewhere",
+// over the oracle's Next from the request alone (the first peer, d0 and
+// the walk rule), as a serving process runs it; the others run
+// stepwise. It counts the trials it runs and the walks it sends.
 type delegating struct {
 	*dht.Oracle
-	sent, fused, looked int
+	trials, sent int
 }
 
-func (d *delegating) Delegate() Delegates {
-	return Delegates{Walk: func(first dht.Peer, d0 uint64, p Params) (WalkResult, bool, error) {
-		if first.Owner%3 != 1 {
-			return WalkResult{}, false, nil
-		}
-		d.sent++
-		return d.served(first, d0, p)
-	}, H: func(x ring.Point, p Params) (dht.Peer, WalkResult, bool, error) {
-		d.looked++
-		first, err := d.Oracle.H(x)
-		d0 := ring.Distance(x, first.Point)
-		if err != nil || p == (Params{}) || first.Owner%3 != 2 || d0 < p.Lambda {
-			return first, WalkResult{}, false, err
-		}
-		d.fused++
-		w, _, err := d.served(first, d0, p)
-		return first, w, true, err
-	}}
+func (d *delegating) Trials(w dht.Walk, draw func() ring.Point, _ bool) dht.Runner {
+	return delegatingRunner{d, w, draw}
 }
 
-// served is the walk a serving process runs from first.
-func (d *delegating) served(first dht.Peer, d0 uint64, p Params) (WalkResult, bool, error) {
-	if err := p.Delegable(); err != nil {
-		return WalkResult{}, true, err
+type delegatingRunner struct {
+	d    *delegating
+	w    dht.Walk
+	draw func() ring.Point
+}
+
+func (r delegatingRunner) Trial() dht.Trial {
+	r.d.trials++
+	x := r.draw()
+	first, err := r.d.H(x)
+	d0 := ring.Distance(x, first.Point)
+	if err != nil || d0 < r.w.Lambda || first.Owner%3 != 1 {
+		return dht.NewRunner(r.d.Oracle, r.w, func() ring.Point { return x }).Trial()
 	}
-	s, err := NewWithParams(d.Oracle, nil, Params{Lambda: p.Lambda, MaxSteps: p.MaxSteps}, Config{})
-	if err != nil {
-		return WalkResult{}, true, err
-	}
-	var tr Trace
-	peer, ok, err := s.Walk(d.Oracle, first, d0, &tr)
-	return WalkResult{Peer: peer, Accepted: ok, Steps: tr.Steps, Pruned: tr.Pruned > 0}, true, err
+	r.d.sent++
+	served := r.w.Over(r.d.Oracle.Next, first, d0)
+	served.H = first
+	return served
 }
 
-// TestRemoteWalkSameSamples: delegating two walks in three, half of
-// them with the lookup, and every lookup, changes no point, trial, step
-// or pruned count of a stream of samples.
-func TestRemoteWalkSameSamples(t *testing.T) {
+func (delegatingRunner) Flush() {}
+
+func isDelegating(r dht.Runner) bool { _, ok := r.(delegatingRunner); return ok }
+
+// TestDelegatedTrialsSameSamples: running a third of the walks
+// elsewhere, and every trial through the DHT's own runner, changes no
+// point, trial, step or pruned count of a stream of samples, and a
+// fork asks its DHT for a runner of its own.
+func TestDelegatedTrialsSameSamples(t *testing.T) {
 	t.Parallel()
 	o := newOracle(t, 77, 4096)
 	d := &delegating{Oracle: o}
@@ -71,8 +65,8 @@ func TestRemoteWalkSameSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remote.remote == nil || remote.lookup == nil {
-		t.Fatal("sampler over a delegating DHT resolved no RemoteWalk or RemoteLookup")
+	if !isDelegating(remote.run) {
+		t.Fatalf("sampler over a DHT that runs trials holds a %T", remote.run)
 	}
 	for i := 0; i < 2000; i++ {
 		p, tr, err := local.SampleTraced()
@@ -84,61 +78,64 @@ func TestRemoteWalkSameSamples(t *testing.T) {
 			t.Fatalf("sample %d: local %v %+v, delegated %v %+v", i, p, tr, q, tq)
 		}
 	}
-	if d.sent == 0 || d.fused == 0 || local.Stats().Pruned == 0 {
-		t.Fatalf("%d walks delegated, %d with their lookup, %d pruned; the comparison misses a path", d.sent, d.fused, local.Stats().Pruned)
+	if d.sent == 0 || local.Stats().Pruned == 0 {
+		t.Fatalf("%d walks delegated, %d pruned; the comparison misses a path", d.sent, local.Stats().Pruned)
 	}
-	if int64(d.looked) != remote.Stats().Trials {
-		t.Errorf("%d lookups delegated over %d trials; want one a trial", d.looked, remote.Stats().Trials)
+	if int64(d.trials) != remote.Stats().Trials {
+		t.Errorf("the DHT ran %d trials of %d; want every one", d.trials, remote.Stats().Trials)
 	}
-	if f, _ := remote.Fork(1); f.(*Sampler).remote == nil || f.(*Sampler).lookup == nil {
-		t.Error("a fork dropped its parent's RemoteWalk or RemoteLookup")
+	for _, fork := range []func(uint64) (dht.Sampler, error){remote.Fork, remote.ForkExclusive} {
+		if f, _ := fork(1); !isDelegating(f.(*Sampler).run) {
+			t.Errorf("a fork dropped its DHT's runner for a %T", f.(*Sampler).run)
+		}
 	}
 }
 
-// TestRemoteWalkErrorsEndTheSample: a delegated walk's error ends the
-// sample with its class intact, sent alone or with its lookup, and a
-// sampler that may not send its walks asks its lookup for none.
-func TestRemoteWalkErrorsEndTheSample(t *testing.T) {
+// scriptedRunner returns one scripted trial outcome a call.
+type scriptedRunner struct {
+	trials  []dht.Trial
+	flushes int
+}
+
+func (r *scriptedRunner) Trial() dht.Trial {
+	t := r.trials[0]
+	r.trials = r.trials[1:]
+	return t
+}
+
+func (r *scriptedRunner) Flush() { r.flushes++ }
+
+// TestTrialErrorEndsTheSample: a trial's error ends the sample with its
+// cause intact under core's prefix, the steps the failed trial walked
+// are counted with the others, and the runner is flushed.
+func TestTrialErrorEndsTheSample(t *testing.T) {
 	t.Parallel()
 	o := newOracle(t, 78, 1024)
 	s, err := NewWithParams(o, rand.New(rand.NewPCG(1, 2)), Params{Lambda: 1 << 40, MaxSteps: 8}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.remote = func(dht.Peer, uint64, Params) (WalkResult, bool, error) {
-		return WalkResult{}, true, dht.ErrUnknownPeer
+	r := &scriptedRunner{trials: []dht.Trial{
+		{Steps: 8},
+		{Steps: 3, Pruned: true},
+		{Steps: 2, Err: fmt.Errorf("walk from 7: %w", dht.ErrUnknownPeer)},
+	}}
+	s.run = r
+	_, tr, err := s.SampleTraced()
+	if !errors.Is(err, dht.ErrUnknownPeer) || !strings.HasPrefix(err.Error(), "core: walk from") {
+		t.Fatalf("sample = %v, want the walk's dht.ErrUnknownPeer under core's prefix", err)
 	}
-	if _, err := s.Sample(); !errors.Is(err, dht.ErrUnknownPeer) || !strings.Contains(err.Error(), "walk from") {
-		t.Fatalf("sample = %v, want a walk's dht.ErrUnknownPeer", err)
+	if want := (Trace{Trials: 3, Steps: 13, Pruned: 1}); tr != want || r.flushes != 1 {
+		t.Fatalf("trace %+v and %d flushes, want %+v and one", tr, r.flushes, want)
 	}
-	s.lookup = func(x ring.Point, p Params) (dht.Peer, WalkResult, bool, error) {
-		if p != s.params {
-			t.Fatalf("lookup asked to walk with %+v, want %+v", p, s.params)
-		}
-		first, _ := o.H(x)
-		return first, WalkResult{}, true, dht.ErrUnknownPeer
-	}
-	if _, err := s.Sample(); !errors.Is(err, dht.ErrUnknownPeer) || !strings.Contains(err.Error(), "walk from") {
-		t.Fatalf("sample = %v, want a walk's dht.ErrUnknownPeer", err)
-	}
-	if s, err = New(o, o.PeerByIndex(0), rand.New(rand.NewPCG(1, 2)), Config{}); err != nil {
-		t.Fatal(err)
-	}
-	s.lookup = func(x ring.Point, p Params) (dht.Peer, WalkResult, bool, error) {
-		if p != (Params{}) {
-			t.Fatalf("a sampler that walks from the caller asked its lookup to walk with %+v", p)
-		}
-		first, err := o.H(x)
-		return first, WalkResult{}, false, err
-	}
-	if _, err := s.Sample(); err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.Samples != 0 || st.Trials != 3 || st.Steps != 13 || st.Pruned != 1 {
+		t.Errorf("stats %+v after the failed sample", st)
 	}
 }
 
 // TestDelegableBound: every walk New derives with the paper's constants
-// is within two laps, from nhat just above 1 up; past the bound a
-// sampler walks from the caller, and a serving process refuses it.
+// is within the two laps a process walks for another, from nhat just
+// above 1 up.
 func TestDelegableBound(t *testing.T) {
 	t.Parallel()
 	for _, gamma1 := range []float64{2.0 / 7.0, 1} {
@@ -147,34 +144,9 @@ func TestDelegableBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.Delegable(); err != nil {
+			if err := (dht.Walk{Lambda: p.Lambda, MaxSteps: p.MaxSteps}).Delegable(); err != nil {
 				t.Fatalf("nhat %v, gamma1 %v: %v", nhat, gamma1, err)
 			}
 		}
-	}
-	for _, p := range []Params{
-		{Lambda: 0, MaxSteps: 5},
-		{Lambda: 1, MaxSteps: 0},
-		{Lambda: 1, MaxSteps: -3},
-		{Lambda: 1 << 62, MaxSteps: 8},        // 9 quarter laps
-		{Lambda: math.MaxUint64, MaxSteps: 2}, // just under three laps
-		{Lambda: 5, MaxSteps: math.MaxInt},    // 2.5 laps
-	} {
-		if err := p.Delegable(); !errors.Is(err, ErrWalkBound) {
-			t.Errorf("%+v: Delegable = %v, want ErrWalkBound", p, err)
-		}
-	}
-	for _, p := range []Params{{Lambda: 1 << 62, MaxSteps: 7}, {Lambda: 4, MaxSteps: math.MaxInt}} {
-		if err := p.Delegable(); err != nil {
-			t.Errorf("a horizon of exactly two laps refused: %v", err)
-		}
-	}
-	d := &delegating{Oracle: newOracle(t, 79, 64)}
-	s, err := NewWithParams(d, rand.New(rand.NewPCG(1, 2)), Params{Lambda: 1 << 62, MaxSteps: 8}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.remote != nil {
-		t.Error("a sampler past two laps took the RemoteWalk")
 	}
 }

@@ -50,64 +50,6 @@ type DHT interface {
 	Meter() *simnet.Meter
 }
 
-// Lane is a single-goroutine view of a DHT: H and Next answer exactly as
-// the DHT's own do, but their cost accumulates in the lane, off the
-// shared Meter, until Flush charges it there in one piece. The holder
-// must call Flush before anyone reads the Meter for the work done so
-// far; core's exclusive fork does so on every exit of Sample, so the
-// Meter is exact whenever no Sample is in flight. Sharing a lane
-// between goroutines is a data race.
-type Lane interface {
-	DHT
-	// Flush charges the cost accumulated since the last Flush to the
-	// DHT's Meter.
-	Flush()
-}
-
-// Laner is the optional capability of a DHT that can account H and Next
-// privately per caller. The shared Meter's counters are contended cache
-// lines once several goroutines charge them (see simnet.Meter), and a
-// sample charges about a hundred times, so a sampler confined to one
-// goroutine takes a lane when its DHT offers one.
-type Laner interface {
-	// Lane returns a fresh lane, or false when this DHT cannot offer one
-	// in its current configuration.
-	Lane() (Lane, bool)
-}
-
-// Warmer is the optional capability of a Lane that can resolve lookups
-// ahead of need. Its holder passes the points it will hand H next, in
-// order, and the lane may resolve them at once: independent searches
-// whose cache misses overlap, where one H at a time waits for each
-// miss in turn. Warm is a hint. It charges nothing and changes no
-// answer: H charges what it always does and returns the same peer for
-// any point, warmed or not, in any order.
-type Warmer interface {
-	Warm(xs []ring.Point)
-}
-
-// RingLane is the optional capability of a Lane whose peers are the
-// points of one ring held in this process, in ring order. A walk from
-// peer to successor can then read the points in place, by index, where
-// Next answers one peer a call, and charge the lane what those Next
-// calls cost. Only the oracle's lane offers it. It answers nothing Next
-// would not: Index fails on a peer that is not a member with Next's
-// error, and PeerByIndex(i+1) is what Next answers for the peer at i
-// (wrapping at the end). The walk rule itself is core's.
-type RingLane interface {
-	// Ring returns the ring of the lane's peer points. It does not
-	// change over the lane's life.
-	Ring() *ring.Ring
-	// Index returns the index of p's point in Ring, or the
-	// ErrUnknownPeer error Next(p) returns when p is not a member.
-	Index(p Peer) (int, error)
-	// PeerByIndex returns the peer at index i of Ring, owner and all.
-	PeerByIndex(i int) Peer
-	// Walked charges steps next calls to the lane, as that many Next
-	// calls would, and answers nothing.
-	Walked(steps int)
-}
-
 // ErrUnknownPeer is returned by Next when the given peer is not a member
 // of the DHT.
 var ErrUnknownPeer = errors.New("dht: unknown peer")

@@ -9,10 +9,13 @@ package dhttest
 import (
 	"errors"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
+	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/ring"
+	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
 // Factory builds the DHT under test over the given peer points. The
@@ -32,6 +35,7 @@ func Run(t *testing.T, name string, mk Factory) {
 	t.Run(name+"/HChargesLookupCost", func(t *testing.T) { checkHCost(t, mk) })
 	t.Run(name+"/OwnerStability", func(t *testing.T) { checkOwnerStability(t, mk) })
 	t.Run(name+"/NextUnknownPeer", func(t *testing.T) { checkNextUnknownPeer(t, mk) })
+	t.Run(name+"/TrialsMatchStepwise", func(t *testing.T) { checkTrials(t, mk) })
 }
 
 // build creates a DHT over n random points and returns it with the
@@ -292,5 +296,71 @@ func checkSize(t *testing.T, mk Factory) {
 	}
 	if d.Owners() > d.Size() {
 		t.Fatalf("Owners %d exceeds Size %d", d.Owners(), d.Size())
+	}
+}
+
+// stepwiseOnly forwards dht.DHT and nothing else, so a sampler over it
+// runs every trial as dht.NewRunner does.
+type stepwiseOnly struct{ dht.DHT }
+
+// checkTrials holds the DHT's own trial runner (dht.Trials, when it
+// offers one) to dht.NewRunner: a seeded sampler and its exclusive
+// fork must draw the same peers with the same per-call Trace as the
+// same samplers over a decorator that forwards only dht.DHT, at the
+// paper's lambda and at half of it, where more walks prune. A DHT whose
+// runner for a shareable sampler is NewRunner's keeps every call in
+// this process, and there the meter must move by the same calls and
+// messages too; elsewhere other processes make some of them.
+func checkTrials(t *testing.T, mk Factory) {
+	d, r := build(t, mk, 1013, 32)
+	ideal, err := core.DeriveParams(float64(r.Len()), 1, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := true
+	if tr, ok := d.(dht.Trials); ok {
+		w, draw := dht.Walk{Lambda: ideal.Lambda, MaxSteps: ideal.MaxSteps}, func() ring.Point { return 0 }
+		local = reflect.TypeOf(tr.Trials(w, draw, false)) == reflect.TypeOf(dht.NewRunner(d, w, draw))
+	}
+	for _, p := range []core.Params{ideal, {Lambda: ideal.Lambda / 2, MaxSteps: ideal.MaxSteps}} {
+		pruned := int64(0)
+		for _, exclusive := range []bool{false, true} {
+			run := func(d dht.DHT) ([]dht.Peer, []core.Trace, simnet.Cost, core.Stats) {
+				s, err := core.NewWithParams(d, rand.New(rand.NewPCG(17, 19)), p, core.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if exclusive {
+					f, err := s.ForkExclusive(23)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s = f.(*core.Sampler)
+				}
+				const samples = 200
+				peers, traces := make([]dht.Peer, samples), make([]core.Trace, samples)
+				before := d.Meter().Snapshot()
+				for i := range peers {
+					if peers[i], traces[i], err = s.SampleTraced(); err != nil {
+						t.Fatalf("%+v sample %d: %v", p, i, err)
+					}
+				}
+				return peers, traces, d.Meter().Snapshot().Sub(before), s.Stats()
+			}
+			got, gotTr, gotCost, st := run(d)
+			want, wantTr, wantCost, _ := run(stepwiseOnly{d})
+			for i := range got {
+				if got[i] != want[i] || gotTr[i] != wantTr[i] {
+					t.Fatalf("%+v exclusive=%t sample %d: %+v %+v, stepwise %+v %+v", p, exclusive, i, got[i], gotTr[i], want[i], wantTr[i])
+				}
+			}
+			if local && (gotCost.Calls != wantCost.Calls || gotCost.Messages != wantCost.Messages) {
+				t.Errorf("%+v exclusive=%t: charged %+v, stepwise %+v", p, exclusive, gotCost, wantCost)
+			}
+			pruned += st.Pruned
+		}
+		if pruned == 0 {
+			t.Errorf("%+v: no walk pruned", p)
+		}
 	}
 }

@@ -31,8 +31,8 @@ type Oracle struct {
 }
 
 var (
-	_ DHT   = (*Oracle)(nil)
-	_ Laner = (*Oracle)(nil)
+	_ DHT    = (*Oracle)(nil)
+	_ Trials = (*Oracle)(nil)
 )
 
 // NewOracle builds an oracle DHT over the given ring; peer i owns point i.
@@ -109,127 +109,96 @@ func (o *Oracle) chargeLatency(hops int64) {
 func (o *Oracle) H(x ring.Point) (Peer, error) {
 	o.meter.Charge(o.hops, 2*o.hops)
 	o.chargeLatency(o.hops)
-	return o.lookup(x), nil
+	return o.peerAt(o.ring.Successor(x)), nil
 }
 
 // Next implements DHT. It charges one RPC (2 messages).
+//
+// It recovers p's index without a search whenever possible: with one
+// point per owner (the common case) a peer's Owner IS its ring index,
+// verified with one array load, where a search would cost every step
+// of a walk over Next.
 func (o *Oracle) Next(p Peer) (Peer, error) {
-	q, err := o.successor(p)
-	if err != nil {
-		return Peer{}, err
+	i := p.Owner
+	if o.owners != nil || i < 0 || i >= o.ring.Len() || o.ring.At(i) != p.Point {
+		if i = o.ring.IndexOf(p.Point); i < 0 {
+			return Peer{}, fmt.Errorf("%w: no peer at %v", ErrUnknownPeer, p.Point)
+		}
 	}
 	o.meter.Charge(1, 2)
 	o.chargeLatency(1)
-	return q, nil
-}
-
-// lookup resolves h(x) and charges nothing; H and a lane's H both
-// answer with it.
-func (o *Oracle) lookup(x ring.Point) Peer {
-	return o.peerAt(o.ring.Successor(x))
-}
-
-// successor resolves next(p) and charges nothing; Next and a lane's Next
-// both answer with it.
-//
-// Index recovers p's index without a search whenever possible: with
-// one point per owner (the common case) a peer's Owner IS its ring
-// index, verified with one array load, where a search would cost every
-// step of a walk over Next.
-func (o *Oracle) successor(p Peer) (Peer, error) {
-	i, err := o.Index(p)
-	if err != nil {
-		return Peer{}, err
-	}
 	return o.peerAt(o.ring.NextIndex(i)), nil
 }
 
-// Index returns the ring index of p's point, or the ErrUnknownPeer
-// error Next(p) returns when p is not a member.
-func (o *Oracle) Index(p Peer) (int, error) {
-	if o.owners == nil && p.Owner >= 0 && p.Owner < o.ring.Len() && o.ring.At(p.Owner) == p.Point {
-		return p.Owner, nil
+// Trials implements Trials. An exclusive sampler's trials run in an
+// oracleTrials. A shareable sampler's run as NewRunner runs them, and
+// so does every sampler's while SimulateLatency is armed: every
+// synthetic hop there advances the one clock and draws from the one
+// latency stream, in call order, and a private counter would only move
+// the cheap half of that shared state.
+func (o *Oracle) Trials(w Walk, draw func() ring.Point, exclusive bool) Runner {
+	if !exclusive || o.model != nil {
+		return NewRunner(o, w, draw)
 	}
-	if i := o.ring.IndexOf(p.Point); i >= 0 {
-		return i, nil
-	}
-	return -1, fmt.Errorf("%w: no peer at %v", ErrUnknownPeer, p.Point)
+	return &oracleTrials{Oracle: o, w: w, draw: draw, next: window}
 }
 
-// Lane implements Laner. An oracle with SimulateLatency armed offers
-// none: every synthetic hop there advances the one clock and draws from
-// the one latency stream, in call order, and a private counter would
-// only move the cheap half of that shared state.
-func (o *Oracle) Lane() (Lane, bool) {
-	if o.model != nil {
-		return nil, false
-	}
-	return &oracleLane{Oracle: o}, true
-}
+// window is how many trial starts an oracleTrials draws and resolves at
+// once. Windows of 16 and 32 sampled as fast, 4 a few percent slower.
+const window = 8
 
-// warmWindow is the most points one Warm resolves: core's exclusive
-// fork hands over eight trial starts at a time.
-const warmWindow = 8
-
-// oracleLane is the oracle's Lane: the same ring and owners, the
-// synthetic cost summed in a plain field until Flush. It is also a
-// Warmer — warm[next:n] are the points of the last Warm not yet asked
-// for, each with the rank of its successor — and a RingLane, whose
-// Ring, Index and PeerByIndex are the oracle's own.
-type oracleLane struct {
+// oracleTrials runs one exclusive sampler's trials. It draws the starts
+// of window trials at once and resolves their lookups in one loop of
+// independent searches, whose cache misses overlap where one lookup at
+// a time waits for each miss in turn. It walks each trial in the ring
+// by index (Walk.overRing), where Next answers one peer a call. And it
+// sums the synthetic cost in a plain field until Flush: the shared
+// Meter's counters are contended cache lines once several goroutines
+// charge them (see simnet.Meter), and a sample would charge about a
+// hundred times. ahead[next:] are the starts drawn and not yet run,
+// each with the rank of its successor; they wait for the sampler's next
+// Sample call and die with the runner.
+type oracleTrials struct {
 	*Oracle
-	calls   int64 // unflushed RPC round trips, 2 messages each
-	warm    [warmWindow]warmed
-	next, n int
-}
-
-// warmed is one point of a Warm and the rank h answers it with.
-type warmed struct {
-	x    ring.Point
-	rank int
-}
-
-var (
-	_ Warmer   = (*oracleLane)(nil)
-	_ RingLane = (*oracleLane)(nil)
-)
-
-// H answers from the warmed buffer when x is the next warmed point, and
-// searches otherwise; either way it charges the same.
-func (l *oracleLane) H(x ring.Point) (Peer, error) {
-	l.calls += l.hops
-	if l.next < l.n && l.warm[l.next].x == x {
-		l.next++
-		return l.peerAt(l.warm[l.next-1].rank), nil
+	w     Walk
+	draw  func() ring.Point
+	calls int64 // unflushed RPC round trips, 2 messages each
+	ahead [window]struct {
+		x    ring.Point
+		rank int
 	}
-	return l.lookup(x), nil
+	next int
 }
 
-// Warm resolves the first warmWindow points of xs in one loop of
-// independent searches, replacing what an earlier Warm left unasked.
-func (l *oracleLane) Warm(xs []ring.Point) {
-	xs = xs[:min(len(xs), warmWindow)]
-	for i, x := range xs {
-		l.warm[i] = warmed{x, l.ring.Successor(x)}
+func (r *oracleTrials) Trial() Trial {
+	if r.next == window {
+		for i := range r.ahead {
+			r.ahead[i].x = r.draw()
+		}
+		for i := range r.ahead {
+			r.ahead[i].rank = r.ring.Successor(r.ahead[i].x)
+		}
+		r.next = 0
 	}
-	l.next, l.n = 0, len(xs)
-}
-
-func (l *oracleLane) Next(p Peer) (Peer, error) {
-	q, err := l.successor(p)
-	if err != nil {
-		return Peer{}, err
+	a := r.ahead[r.next]
+	r.next++
+	r.calls += r.hops
+	t := Trial{H: r.peerAt(a.rank)}
+	d0 := ring.Distance(a.x, t.H.Point)
+	if d0 < r.w.Lambda {
+		t.Peer, t.Accepted = t.H, true
+		return t
 	}
-	l.calls++
-	return q, nil
+	if i := r.w.overRing(r.ring.Sorted(), a.rank, d0, &t); i >= 0 {
+		t.Peer, t.Accepted = r.peerAt(i), true
+	}
+	r.calls += int64(t.Steps)
+	return t
 }
 
-// Walked charges steps next calls, one RPC each, as Next does.
-func (l *oracleLane) Walked(steps int) { l.calls += int64(steps) }
-
-func (l *oracleLane) Flush() {
-	l.meter.Charge(l.calls, 2*l.calls)
-	l.calls = 0
+func (r *oracleTrials) Flush() {
+	r.meter.Charge(r.calls, 2*r.calls)
+	r.calls = 0
 }
 
 // Size implements DHT.

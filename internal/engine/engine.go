@@ -15,24 +15,24 @@
 // seed and k. Beyond its fork's own state and its block's slots of
 // the peer log, the hot loop writes two shared things: whatever the
 // fork charges the DHT's cost meter (once a sample for an exclusive
-// fork over a DHT that offers lanes, the oracle; once an RPC
-// otherwise), and one atomic add per sample into the result's tally. A
+// fork over the oracle, whose trial runner sums its cost privately;
+// once an RPC otherwise), and one atomic add per sample into the result's tally. A
 // tally is a sum, so it is the same at any worker count and under any
 // schedule, and a run allocates one n-entry tally however many workers
 // it has.
 //
-// The tally add is not the shared-meter problem of DESIGN §8 ("cost
-// lanes") again. The meter took ≈ 92 charges a sample on 16 shared
+// The tally add is not the shared-meter problem of DESIGN §6 ("Trials
+// a DHT runs") again. The meter took ≈ 92 charges a sample on 16 shared
 // cache lines, so two workers fetched a line from each other's core
 // many times per sample. The tally takes one write a sample, spread
 // over Owners/8 lines, so a line moves between cores at most once per
 // sample, against at least 0.5 µs of sampling.
 //
 // Within a block, an exclusive fork over the oracle also looks ahead:
-// it draws the starts of its next eight trials at once and lets its
-// lane resolve their h lookups in one pass (dht.Warmer), so the cache
-// misses of eight ring searches overlap instead of each waiting for
-// the walk before it. The fork's stream is its own and is read in the
+// the oracle's trial runner (dht.Trials) draws the starts of its next
+// eight trials at once and resolves their h lookups in one pass, so
+// the cache misses of eight ring searches overlap instead of each
+// waiting for the walk before it. The fork's stream is its own and is read in the
 // same order, so this changes no peer, effort or charge; starts left
 // over at the end of a block die with its fork.
 //

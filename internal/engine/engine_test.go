@@ -88,8 +88,9 @@ func TestSampleNDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSampleNMatchesShareableForks: SampleN hands each block an
-// exclusive fork, which over the oracle charges a private lane, looks
-// its lookups up eight at a time and walks in the ring by index. The
+// exclusive fork, which over the oracle runs on the oracle's trial
+// runner: a private cost sum, lookups eight at a time, walks in the
+// ring by index. The
 // same blocks drawn through shareable Forks, which walk by Next and
 // charge the meter call by call, must give the same tally, the same
 // effort (samples, trials, steps, pruned) and the same calls charged.

@@ -28,4 +28,7 @@ func TestScaleScenarioDeterminism(t *testing.T) {
 		a.OwnerMatches != b.OwnerMatches {
 		t.Fatalf("scenario not deterministic:\n a=%+v\n b=%+v", a, b)
 	}
+	if !a.Survived() || (&ScaleResult{ChurnEvents: a.ChurnEvents, SamplesOK: a.SamplesOK}).Survived() {
+		t.Errorf("Survived = %t for %+v, and a run whose owner probes all failed survived too", a.Survived(), a)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -334,6 +335,13 @@ func (n *Network) AsDHT(caller ring.Point) (*overlay.DHT, error) {
 func (n *Network) Owner(from, x ring.Point) (ring.Point, error) {
 	owner, _, err := n.ResolveOwner(from, x)
 	return owner, err
+}
+
+// OwnerWalk implements overlay.Router. Kademlia's lookups hand no hops
+// to other processes, so it is Owner and runs no walk.
+func (n *Network) OwnerWalk(from, x ring.Point, _ dht.Walk) (ring.Point, *overlay.WalkResp, error) {
+	owner, err := n.Owner(from, x)
+	return owner, nil, err
 }
 
 func (n *Network) resolveOwner(from, x ring.Point, width int, exclude ring.Point, hasExclude bool) (ring.Point, OwnerStats, error) {

@@ -24,9 +24,6 @@ func (nd Node) ID() ring.Point { return nd.net.IDOf(nd.slot) }
 // Successor returns the node's ring successor pointer.
 func (nd Node) Successor() ring.Point { return nd.net.succOf(nd.slot) }
 
-// Predecessor returns the node's ring predecessor pointer.
-func (nd Node) Predecessor() ring.Point { return nd.net.predOf(nd.slot) }
-
 // Contacts returns every routing-table entry (all buckets), the edges
 // a random-walk sampler would traverse.
 func (nd Node) Contacts() []ring.Point { return nd.net.Neighbors(nd.slot) }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -19,24 +18,20 @@ type Router interface {
 	// is clockwise-closest to x, by a routed lookup charged on the
 	// transport meter.
 	Owner(from, x ring.Point) (ring.Point, error)
+	// OwnerWalk is Owner for a sampler's trial over a membership split
+	// across processes: the same owner, from the same calls between the
+	// same nodes. An overlay may hand each hop to a node another process
+	// hosts to that process, which also runs the hops after it to nodes
+	// it hosts and is charged for them (chord's route tails). When such
+	// a tail ends at the process hosting the owner, that process may
+	// also run the trial's walk with w as ServeWalk runs it, and walk is
+	// then its outcome and err, when not nil, its failure after
+	// walk.Steps steps. A zero w asks for no walk. An overlay that hands
+	// nothing over answers as Owner.
+	OwnerWalk(from, x ring.Point, w dht.Walk) (owner ring.Point, walk *WalkResp, err error)
 	// Neighbors returns the outgoing overlay edges of the node in slot
 	// s, the graph random-walk samplers traverse.
 	Neighbors(s uint32) []ring.Point
-}
-
-// TailRouter is the optional Router capability of an overlay whose
-// lookups can hand their hops to the processes hosting them.
-// OwnerTails resolves h(x) for from as Owner does — the same owner, the
-// same calls between the same nodes — but each hop to a node another
-// process hosts is one round trip in which that process also runs the
-// hops after it to nodes it hosts. Those calls are charged to that
-// process's meter. When the last such round trip ends at the process
-// hosting the owner, that process also runs the trial's walk with p
-// (core.RemoteLookup) as ServeWalk runs it, and walked is true; the
-// walk's peer comes back as a point (owner index -1), and err is then
-// the walk's failure. Chord implements it.
-type TailRouter interface {
-	OwnerTails(from, x ring.Point, p core.Params) (owner ring.Point, w core.WalkResult, walked bool, err error)
 }
 
 // DHT adapts an overlay network, viewed from one caller node, to the
@@ -53,7 +48,10 @@ type DHT struct {
 	owners atomic.Pointer[ring.Ring]
 }
 
-var _ dht.DHT = (*DHT)(nil)
+var (
+	_ dht.DHT    = (*DHT)(nil)
+	_ dht.Trials = (*DHT)(nil)
+)
 
 // NewDHT returns the network of c and r viewed from caller, a live
 // local node. The owner index of each peer is its rank in the current
@@ -90,12 +88,15 @@ func (d *DHT) ownerOf(x, owner ring.Point, err error) (dht.Peer, error) {
 	return d.peerOf(owner), nil
 }
 
-// Next implements dht.DHT via one get-successor RPC to p.
+// Next implements dht.DHT via one get-successor RPC to p. A node the
+// transport does not know is a peer unknown to the DHT, and the error
+// keeps the transport's cause, and with it its simnet class, as a walk
+// served in another process does (walkError).
 func (d *DHT) Next(p dht.Peer) (dht.Peer, error) {
 	succ, err := d.core.Successor(d.caller, p.Point)
 	if err != nil {
 		if errors.Is(err, simnet.ErrUnknownNode) {
-			return dht.Peer{}, fmt.Errorf("%w: no peer at %v", dht.ErrUnknownPeer, p.Point)
+			return dht.Peer{}, fmt.Errorf("%w: no peer at %v: %w", dht.ErrUnknownPeer, p.Point, err)
 		}
 		return dht.Peer{}, fmt.Errorf("overlay dht: next(%v): %w", p.Point, err)
 	}

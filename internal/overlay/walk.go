@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/obs"
 	"github.com/dht-sampling/randompeer/internal/ring"
@@ -12,17 +11,17 @@ import (
 	"github.com/dht-sampling/randompeer/internal/wire"
 )
 
-// Delegated walks. A sampler over a DHT partitioned across processes
-// sends a trial's next walk to the process hosting the walk's first
-// peer (core.RemoteWalk), which runs core's Walk there: each step is
-// the get-successor call the caller would have made, with the caller
-// as sender, issued through the serving process's own transport — its
+// Trials across processes. A sampler over a DHT partitioned across
+// processes runs each trial's walk at the process hosting the walk's
+// first peer h(s), which runs dht.Walk.Over there: each step is the
+// get-successor call the caller would have made, with the caller as
+// sender, issued through the serving process's own transport — its
 // faults, interceptor and meter see each step as any call it makes,
 // and a step that leaves the process is an ordinary remote call. Both
-// overlays serve it from Core.dispatchAny. DHT.Delegate hands a sampler
-// the walk and, over a TailRouter, the lookup, whose last route tail
-// runs the walk itself when its process hosts the walk's first peer;
-// the served counters cover all three.
+// overlays serve a WalkReq from Core.dispatchAny. Over chord the walk
+// usually goes with the lookup's last route tail (Router.OwnerWalk),
+// which ends at the process hosting h(s); the served counters cover
+// all three. DHT.Trials is the runner that does this.
 
 // WalkReq asks the node it is sent to for one trial's walk from
 // itself: d0 is the trial's distance d(s, l(first)), and Lambda and
@@ -99,24 +98,21 @@ func RegisterServedMetrics(r *obs.Registry, get func() ServedStats) {
 
 // ServeWalk runs one delegated walk from first on behalf of from: a
 // WalkReq's, or one a route tail runs from the owner it found. It
-// refuses parameters outside core's bound, so no request walks this
-// process more than two laps.
+// refuses a walk rule outside dht.Walk.Delegable's bound, so no request
+// walks this process more than two laps. A walk that fails returns its
+// steps so far with the error.
 func (c *Core) ServeWalk(first, from ring.Point, req WalkReq) (WalkResp, error) {
-	params := core.Params{Lambda: req.Lambda, MaxSteps: req.MaxSteps}
-	if err := params.Delegable(); err != nil {
+	w := dht.Walk{Lambda: req.Lambda, MaxSteps: req.MaxSteps}
+	if err := w.Delegable(); err != nil {
 		return WalkResp{}, fmt.Errorf("overlay: walk from %v: %w", first, err)
 	}
-	var trace core.Trace
-	p, ok, err := params.Walk(walkView{c, from}, dht.Peer{Point: first}, req.D0, &trace)
+	t := w.Over(walkView{c, from}.Next, dht.Peer{Point: first}, req.D0)
 	c.servedWalks.Add(1)
-	c.servedSteps.Add(int64(trace.Steps))
-	if err != nil {
-		return WalkResp{}, err
-	}
-	return WalkResp{P: p.Point, Accepted: ok, Steps: trace.Steps, Pruned: trace.Pruned > 0}, nil
+	c.servedSteps.Add(int64(t.Steps))
+	return WalkResp{P: t.Peer.Point, Accepted: t.Accepted, Steps: t.Steps, Pruned: t.Pruned}, t.Err
 }
 
-// walkView is the core.Nexter a served walk runs over: the caller's
+// walkView is the next step a served walk takes: the caller's
 // get-successor call, issued from here. Its errors keep their simnet
 // class, which the wire carries back to the caller. A node that is its
 // own successor (a ring of one) ends the walk: each step there would
@@ -137,46 +133,83 @@ func (v walkView) Next(p dht.Peer) (dht.Peer, error) {
 	return dht.Peer{Point: succ, Owner: -1}, nil
 }
 
-// Delegate implements core.Delegator. A membership with members hosted
-// by peer processes offers walkRemote and, when the router serves
-// route tails, H over them; any other offers nothing.
-func (d *DHT) Delegate() core.Delegates {
+// Trials implements dht.Trials. A membership whose members all live
+// here runs a trial as dht.NewRunner does. A partitioned one runs it
+// in a splitTrials.
+func (d *DHT) Trials(w dht.Walk, draw func() ring.Point, _ bool) dht.Runner {
 	if !d.core.members.Load().partitioned {
-		return core.Delegates{}
+		return dht.NewRunner(d, w, draw)
 	}
-	del := core.Delegates{Walk: d.walkRemote}
-	if t, ok := d.r.(TailRouter); ok {
-		del.H = func(x ring.Point, p core.Params) (dht.Peer, core.WalkResult, bool, error) {
-			owner, w, walked, err := t.OwnerTails(d.caller, x, p)
-			if !walked {
-				first, err := d.ownerOf(x, owner, err)
-				return first, core.WalkResult{}, false, err
-			}
-			if err != nil {
-				return d.peerOf(owner), core.WalkResult{}, true, walkError(owner, err)
-			}
-			w.Peer = d.peerOf(w.Peer.Point)
-			return d.peerOf(owner), w, true, nil
-		}
-	}
-	return del
+	return splitTrials{d: d, w: w, draw: draw, send: w.Delegable() == nil}
 }
 
-// walkRemote sends the walk from first to the process hosting it, when
-// that is another one.
-func (d *DHT) walkRemote(first dht.Peer, d0 uint64, p core.Params) (core.WalkResult, bool, error) {
-	if _, hosted, ok := d.core.members.Load().find(first.Point); !ok || hosted {
-		return core.WalkResult{}, false, nil
+// splitTrials runs a sampler's trials over a partitioned membership:
+// h(s) through the router's OwnerWalk, which may run the walk too, and
+// otherwise the walk at the process hosting h(s), sent as a WalkReq
+// when that is another one. It keeps no state, so it is safe for
+// concurrent use, and charges every call as it is made.
+type splitTrials struct {
+	d    *DHT
+	w    dht.Walk
+	draw func() ring.Point
+	// send is whether a walk may run at another process; one past
+	// Delegable's bound runs from the caller, and its lookup asks no
+	// process to run it.
+	send bool
+}
+
+func (r splitTrials) Trial() dht.Trial {
+	d, x := r.d, r.draw()
+	var fused dht.Walk
+	if r.send {
+		fused = r.w
 	}
-	raw, err := d.core.Call(d.caller, first.Point, WalkReq{D0: d0, Lambda: p.Lambda, MaxSteps: p.MaxSteps})
+	owner, walked, err := d.r.OwnerWalk(d.caller, x, fused)
+	if walked == nil && err != nil {
+		_, err = d.ownerOf(x, owner, err)
+		return dht.Trial{Err: fmt.Errorf("h(%v): %w", x, err)}
+	}
+	first := d.peerOf(owner)
+	d0 := ring.Distance(x, owner)
+	switch {
+	case d0 < r.w.Lambda:
+		return dht.Trial{H: first, Peer: first, Accepted: true}
+	case walked != nil:
+		t := d.trialOf(first, *walked)
+		if err != nil {
+			t.Err = walkError(owner, err)
+		}
+		return t
+	}
+	if _, hosted, ok := d.core.members.Load().find(owner); r.send && ok && !hosted {
+		return d.walkRemote(first, d0, r.w)
+	}
+	t := r.w.Over(d.Next, first, d0)
+	t.H = first
+	return t
+}
+
+func (splitTrials) Flush() {}
+
+// walkRemote sends the walk from first to the process hosting it, one
+// WalkReq round trip. A failed WalkReq is an error reply with no body,
+// so its outcome counts no steps.
+func (d *DHT) walkRemote(first dht.Peer, d0 uint64, w dht.Walk) dht.Trial {
+	raw, err := d.core.Call(d.caller, first.Point, WalkReq{D0: d0, Lambda: w.Lambda, MaxSteps: w.MaxSteps})
 	if err != nil {
-		return core.WalkResult{}, true, walkError(first.Point, err)
+		return dht.Trial{H: first, Err: walkError(first.Point, err)}
 	}
-	r, ok := raw.(WalkResp)
+	resp, ok := raw.(WalkResp)
 	if !ok {
-		return core.WalkResult{}, true, fmt.Errorf("overlay dht: walk from %v answered %T", first.Point, raw)
+		return dht.Trial{H: first, Err: fmt.Errorf("walk from %v: overlay dht: answered %T", first.Point, raw)}
 	}
-	return core.WalkResult{Peer: d.peerOf(r.P), Accepted: r.Accepted, Steps: r.Steps, Pruned: r.Pruned}, true, nil
+	return d.trialOf(first, resp)
+}
+
+// trialOf is the outcome of a trial from first whose walk another
+// process ran and answered with r.
+func (d *DHT) trialOf(first dht.Peer, r WalkResp) dht.Trial {
+	return dht.Trial{H: first, Peer: d.peerOf(r.P), Accepted: r.Accepted, Steps: r.Steps, Pruned: r.Pruned}
 }
 
 // walkError is the error of a walk from first that failed at the process
@@ -184,7 +217,7 @@ func (d *DHT) walkRemote(first dht.Peer, d0 uint64, p core.Params) (core.WalkRes
 // there is a peer unknown to the DHT, as Next reports it.
 func walkError(first ring.Point, err error) error {
 	if errors.Is(err, simnet.ErrUnknownNode) {
-		return fmt.Errorf("%w: walk from %v: %w", dht.ErrUnknownPeer, first, err)
+		return fmt.Errorf("walk from %v: %w: %w", first, dht.ErrUnknownPeer, err)
 	}
-	return fmt.Errorf("overlay dht: walk from %v: %w", first, err)
+	return fmt.Errorf("walk from %v: overlay dht: %w", first, err)
 }

@@ -3,10 +3,11 @@ package overlay_test
 import (
 	"errors"
 	"math/rand/v2"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
-	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/overlays"
@@ -65,7 +66,7 @@ func FuzzServeWalk(f *testing.F) {
 			p = b.points[first%n]
 		}
 		member := slices.Contains(b.points, p)
-		params := core.Params{Lambda: lambda, MaxSteps: maxSteps}
+		w := dht.Walk{Lambda: lambda, MaxSteps: maxSteps}
 		for i, net := range b.nets {
 			raw, err := net.Transport().Call(simnet.NodeID(sender), simnet.NodeID(p), overlay.WalkReq{D0: d0, Lambda: lambda, MaxSteps: maxSteps})
 			switch {
@@ -74,29 +75,24 @@ func FuzzServeWalk(f *testing.F) {
 					t.Fatalf("%s: walk from non-member %v: %v, want ErrUnknownNode", overlays.Names[i], p, err)
 				}
 				continue
-			case params.Delegable() != nil:
-				if !errors.Is(err, core.ErrWalkBound) {
-					t.Fatalf("%s: %+v served: %v, want ErrWalkBound", overlays.Names[i], params, err)
+			case w.Delegable() != nil:
+				if !errors.Is(err, dht.ErrWalkBound) {
+					t.Fatalf("%s: %+v served: %v, want ErrWalkBound", overlays.Names[i], w, err)
 				}
 				continue
 			case err != nil:
-				t.Fatalf("%s: %+v from %v: %v", overlays.Names[i], params, p, err)
+				t.Fatalf("%s: %+v from %v: %v", overlays.Names[i], w, p, err)
 			}
 			got := raw.(overlay.WalkResp)
 			if got.Steps-1 > 2*n {
 				t.Fatalf("%s: walked %d steps around a ring of %d", overlays.Names[i], got.Steps, n)
 			}
-			s, err := core.NewWithParams(b.views[i], nil, params, core.Config{})
-			if err != nil {
-				t.Fatal(err)
+			want := w.Over(b.views[i].Next, dht.Peer{Point: p}, d0)
+			if want.Err != nil {
+				t.Fatal(want.Err)
 			}
-			var tr core.Trace
-			want, ok, err := s.Walk(b.views[i], dht.Peer{Point: p}, d0, &tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Accepted != ok || (ok && got.P != want.Point) || got.Steps != tr.Steps || got.Pruned != (tr.Pruned > 0) {
-				t.Fatalf("%s: served %+v; core's walk: %v accepted=%t %+v", overlays.Names[i], got, want.Point, ok, tr)
+			if got.Accepted != want.Accepted || (want.Accepted && got.P != want.Peer.Point) || got.Steps != want.Steps || got.Pruned != want.Pruned {
+				t.Fatalf("%s: served %+v; the walk in process: %+v", overlays.Names[i], got, want)
 			}
 		}
 	})
@@ -123,17 +119,31 @@ func TestServeWalkRingOfOne(t *testing.T) {
 	}
 }
 
-// TestWalkDelegateOnlyAcrossProcesses: only a membership with members
-// hosted by other processes offers a RemoteWalk, and it sends nothing
-// for a walk whose first peer is hosted here.
-func TestWalkDelegateOnlyAcrossProcesses(t *testing.T) {
+// TestTrialsSplitOnlyAcrossProcesses: only a membership with members
+// hosted by other processes runs trials its own way; it walks from here
+// a trial whose first peer is hosted here, and sends the walk of one
+// whose first peer is hosted elsewhere, where it fails as an unknown
+// peer, the class Next reports.
+func TestTrialsSplitOnlyAcrossProcesses(t *testing.T) {
 	t.Parallel()
 	b := newWalkBed(t, 16)
+	w := dht.Walk{Lambda: 1 << 40, MaxSteps: 10}
+	var starts []ring.Point
+	draw := func() ring.Point { x := starts[0]; starts = starts[1:]; return x }
+	stepwise := reflect.TypeOf(dht.NewRunner(nil, w, nil))
 	for i, name := range overlays.Names {
-		if del := b.views[i].Delegate(); del.Walk != nil || del.H != nil {
-			t.Errorf("%s: a single-process overlay offers %+v", name, del)
+		if r := b.views[i].Trials(w, draw, true); reflect.TypeOf(r) != stepwise {
+			t.Errorf("%s: a single-process overlay runs its trials in a %T", name, r)
 		}
-		net, err := overlays.Build(name, overlays.Config{}, simnet.NewDirect(), b.points,
+		tr := simnet.NewDirect()
+		walkReqs := 0
+		tr.SetInterceptor(func(_, _ simnet.NodeID, msg, resp simnet.Message, err error) (simnet.Message, error) {
+			if _, ok := msg.(overlay.WalkReq); ok {
+				walkReqs++
+			}
+			return resp, err
+		})
+		net, err := overlays.Build(name, overlays.Config{}, tr, b.points,
 			func(p ring.Point) bool { return p != b.points[5] })
 		if err != nil {
 			t.Fatal(err)
@@ -142,27 +152,46 @@ func TestWalkDelegateOnlyAcrossProcesses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		del := view.Delegate()
-		walk := del.Walk
-		if walk == nil {
-			t.Fatalf("%s: a partitioned overlay offers no RemoteWalk", name)
+		r := view.Trials(w, draw, true)
+		if reflect.TypeOf(r) == stepwise {
+			t.Fatalf("%s: a partitioned overlay runs its trials stepwise", name)
 		}
-		// Route tails are chord's: kademlia's lookups stay at the caller.
-		if _, tails := net.(overlay.TailRouter); (del.H != nil) != tails {
-			t.Errorf("%s: partitioned overlay offers a RemoteLookup: %t, its router serves route tails: %t", name, del.H != nil, tails)
+		starts = []ring.Point{ring.Sub(b.points[3], 1<<41), ring.Sub(b.points[5], 1<<41)}
+		if got := r.Trial(); got.H.Point != b.points[3] || got.Err != nil || got.Steps != 1 || walkReqs != 0 {
+			t.Errorf("%s: trial from a hosted peer: %+v with %d WalkReqs", name, got, walkReqs)
 		}
-		params := core.Params{Lambda: 1 << 58, MaxSteps: 10}
-		before := view.Meter().Snapshot()
-		if _, sent, err := walk(dht.Peer{Point: b.points[3]}, 1<<59, params); sent || err != nil {
-			t.Errorf("%s: walk from a hosted peer: sent=%t, %v", name, sent, err)
+		// Nobody behind this transport hosts points[5]: the walk is sent,
+		// not walked from here, and fails as an unknown peer.
+		got := r.Trial()
+		if got.H.Point != b.points[5] || !errors.Is(got.Err, dht.ErrUnknownPeer) || simnet.ErrorClass(got.Err) != "unknown" || !strings.HasPrefix(got.Err.Error(), "walk from") {
+			t.Errorf("%s: trial from a peer hosted elsewhere: %+v", name, got)
 		}
-		if view.Meter().Snapshot() != before {
-			t.Errorf("%s: a walk kept here charged the meter", name)
+	}
+}
+
+// TestNextUnknownPeerKeepsItsClass: a step onto a crashed node fails as
+// an unknown peer with the transport's class, "unknown", in process as
+// in a walk another process serves.
+func TestNextUnknownPeerKeepsItsClass(t *testing.T) {
+	t.Parallel()
+	b := newWalkBed(t, 16)
+	w := dht.Walk{Lambda: 1 << 58, MaxSteps: 64}
+	for i, name := range overlays.Names {
+		net, view := b.nets[i], b.views[i]
+		if err := net.Crash(b.points[4]); err != nil {
+			t.Fatal(err)
 		}
-		// Nobody behind this transport hosts points[5]: the request is
-		// sent and fails as an unknown peer, the class Next reports.
-		if _, sent, err := walk(dht.Peer{Point: b.points[5]}, 1<<59, params); !sent || !errors.Is(err, dht.ErrUnknownPeer) {
-			t.Errorf("%s: walk from a peer hosted elsewhere: sent=%t, %v", name, sent, err)
+		_, err := view.Next(dht.Peer{Point: b.points[4]})
+		if !errors.Is(err, dht.ErrUnknownPeer) || simnet.ErrorClass(err) != "unknown" {
+			t.Errorf("%s: next of a crashed peer: %v (class %s)", name, err, simnet.ErrorClass(err))
+		}
+		// A walk from points[3], whose successor pointer still names the
+		// crashed node, fails on its second step, here and served.
+		local := w.Over(view.Next, dht.Peer{Point: b.points[3]}, w.Lambda+1)
+		_, served := net.Transport().Call(simnet.NodeID(b.points[0]), simnet.NodeID(b.points[3]), overlay.WalkReq{D0: w.Lambda + 1, Lambda: w.Lambda, MaxSteps: w.MaxSteps})
+		if local.Err == nil || local.Steps != 1 || simnet.ErrorClass(local.Err) != simnet.ErrorClass(served) {
+			t.Errorf("%s: walk onto a crashed peer: in process %+v (class %s), served %v (class %s)",
+				name, local, simnet.ErrorClass(local.Err), served, simnet.ErrorClass(served))
 		}
 	}
 }

@@ -65,6 +65,13 @@ func TestBetween(t *testing.T) {
 	}
 }
 
+func TestIntervalString(t *testing.T) {
+	t.Parallel()
+	if got := NewInterval(1<<62, 3<<62).String(); got != "(0.250000, 0.750000]" {
+		t.Errorf("String = %q", got)
+	}
+}
+
 func TestIntervalBig(t *testing.T) {
 	t.Parallel()
 	iv := NewInterval(0, 100)

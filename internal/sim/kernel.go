@@ -171,9 +171,6 @@ func NewKernel(seed uint64) *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.clock.Now() }
 
-// Clock exposes the kernel's virtual clock (for transports and readers).
-func (k *Kernel) Clock() *Clock { return &k.clock }
-
 // Rand is the kernel's seeded generator. Processes run one at a time,
 // so draws interleave deterministically.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }

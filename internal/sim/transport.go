@@ -103,9 +103,6 @@ func (t *Transport) Now() time.Duration {
 	return time.Duration(t.Meter().LatencySumNanos())
 }
 
-// Model returns the transport's latency model.
-func (t *Transport) Model() Model { return t.model }
-
 // Call implements simnet.Transport. The destination is resolved only
 // after the latency has elapsed, so a node deregistered (crashed) while
 // the message is in flight fails the call — asynchronous churn is

@@ -70,7 +70,7 @@ type meterShard struct {
 // and hot callers stay off it: a caller confined to one goroutine that
 // charges many times per operation (the batch engine's per-block forks)
 // must sum its cost privately and charge once per operation, which is
-// what a dht.Lane is for. Callers that charge once or a few times per
+// what the oracle's trial runner (dht.Trials) does. Callers that charge once or a few times per
 // lock-taking RPC (the transports) charge directly.
 //
 // Concurrency contract: all methods are safe for unsynchronized
