@@ -25,7 +25,7 @@ func TestChordConformance(t *testing.T) {
 			return nil, err
 		}
 		return net.AsDHT(points[0])
-	})
+	}, dhttest.Pieces)
 }
 
 // TestChordConformanceSimTransport re-runs the suite over the

@@ -1,17 +1,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"testing"
 
-	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/ring"
-	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
 func genRing(t *testing.T, seed uint64, n int) *ring.Ring {
@@ -422,143 +418,5 @@ func TestAnalyzeHorizonBreakChangesNothing(t *testing.T) {
 			t.Errorf("%s: unassigned %d deepest %d, full scan %d and %d",
 				where, got.Unassigned, got.DeepestStep, want.Unassigned, want.DeepestStep)
 		}
-	}
-}
-
-// scriptedSource is a rand.Source that replays the given values.
-type scriptedSource struct{ vals []uint64 }
-
-func (s *scriptedSource) Uint64() uint64 {
-	v := s.vals[0]
-	s.vals = s.vals[1:]
-	return v
-}
-
-// TestSamplerAtPieceBoundariesReproducesAnalyze ties the running
-// sampler to the analyzer exactly. Within the arc in front of a peer the
-// outcome of a trial is a step function of D = d(s, h(s)) that can
-// change only past a threshold lambda-1 or C_k, so running the sampler —
-// scripted RNG, one trial — at D = C_k and D = C_k + 1 for every arc and
-// every k finds every piece and its owner. The pieces must add up to the
-// measure Analyze assigns each peer, unit for unit, failed trials to
-// Unassigned; and a trial may fail only where no step assigns.
-func TestSamplerAtPieceBoundariesReproducesAnalyze(t *testing.T) {
-	t.Parallel()
-	sliver, sliverLambda, sliverSteps := sliverRing(t)
-	requirePiecesMatchAnalyze(t, sliver, Params{Lambda: sliverLambda, MaxSteps: sliverSteps})
-	if got := thresholdChoice(sliver, sliverLambda, sliverSteps, ring.Sub(1000, 105)); got != 3 {
-		t.Fatalf("sliver ring: D=105 is assigned to %d, want the piece at the horizon (peer 3)", got)
-	}
-	for _, n := range []int{2, 3, 4, 9, 24, 60} {
-		for seed := uint64(0); seed < 3; seed++ {
-			r := genRing(t, seed*977+uint64(n), n)
-			ideal := paramsForN(t, n)
-			for _, p := range []Params{
-				ideal,
-				{Lambda: ideal.Lambda, MaxSteps: 1},
-				{Lambda: ideal.Lambda, MaxSteps: 3},
-				{Lambda: ideal.Lambda / 5, MaxSteps: ideal.MaxSteps},
-				{Lambda: 3 * ideal.Lambda, MaxSteps: 2},
-				{Lambda: 1 << 63, MaxSteps: 4},
-			} {
-				requirePiecesMatchAnalyze(t, r, p)
-			}
-		}
-	}
-}
-
-func requirePiecesMatchAnalyze(t *testing.T, r *ring.Ring, p Params) {
-	t.Helper()
-	n := r.Len()
-	o := dht.NewOracle(r)
-	a, err := Analyze(r, p.Lambda, p.MaxSteps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// sample runs one scripted trial from s on a plain sampler, or on an
-	// exclusive one that walks the oracle lane's ring, and returns the
-	// chosen owner (-1 if the trial failed), its effort and its charge.
-	sample := func(s ring.Point, exclusive bool) (int, Stats, simnet.Cost) {
-		// An exclusive sampler draws a window of starts at once; the
-		// one trial takes the first.
-		starts := make([]uint64, 64)
-		starts[0] = uint64(s)
-		smp, err := NewWithParams(o, rand.New(&scriptedSource{starts}), p, Config{MaxTrials: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exclusive {
-			f, err := smp.ForkExclusive(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if smp = f.(*Sampler); reflect.TypeOf(smp.run) == stepwise {
-				t.Fatal("an exclusive sampler over the oracle does not run the oracle's trials")
-			}
-			smp.rng = rand.New(&scriptedSource{starts})
-		}
-		before := o.Meter().Snapshot()
-		peer, err := smp.Sample()
-		cost := o.Meter().Snapshot().Sub(before)
-		if errors.Is(err, ErrTrialsExhausted) {
-			peer.Owner = -1
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		return peer.Owner, smp.Stats(), cost
-	}
-	// trial runs one scripted trial from s on both samplers, which must
-	// agree on the owner, the effort and the charge, and returns the
-	// owner.
-	trial := func(s ring.Point) int {
-		owner, effort, cost := sample(s, false)
-		if o2, e2, c2 := sample(s, true); o2 != owner || e2 != effort || c2 != cost {
-			t.Fatalf("n=%d %+v s=%v: exclusive sampler chose %d with %+v for %+v, plain sampler %d with %+v for %+v",
-				n, p, s, o2, e2, c2, owner, effort, cost)
-		}
-		return owner
-	}
-	measure := make([]uint64, n)
-	var unassigned uint64
-	for i := 0; i < n; i++ {
-		arcLen, first := r.Arc(i), r.NextIndex(i)
-		at := func(d uint64) ring.Point { return ring.Sub(r.At(first), d) }
-		// Thresholds inside [0, arcLen-1), ascending; the last piece
-		// ends at arcLen-1.
-		ends := []uint64{arcLen - 1}
-		if p.Lambda-1 < arcLen-1 {
-			ends = append(ends, p.Lambda-1)
-		}
-		c, cur := ring.S128Of(p.Lambda), first
-		for k := 1; k <= p.MaxSteps; k++ {
-			c = c.AddUint(p.Lambda).SubUint(r.Arc(cur))
-			cur = r.NextIndex(cur)
-			if v, ok := c.Uint64(); ok && v < arcLen-1 {
-				ends = append(ends, v)
-			}
-		}
-		slices.Sort(ends)
-		ends = slices.Compact(ends)
-		start := uint64(0) // first D of the current piece
-		for _, end := range ends {
-			owner := trial(at(end))
-			if got := trial(at(start)); got != owner {
-				t.Fatalf("n=%d %+v arc %d: D=%d chose %d but D=%d of the same piece chose %d",
-					n, p, i, start, got, end, owner)
-			}
-			if want := thresholdChoice(r, p.Lambda, p.MaxSteps, at(end)); owner != want {
-				t.Fatalf("n=%d %+v arc %d D=%d: sampler chose %d, the analyzer's rule %d", n, p, i, end, owner, want)
-			}
-			if owner >= 0 {
-				measure[owner] += end - start + 1
-			} else {
-				unassigned += end - start + 1
-			}
-			start = end + 1
-		}
-	}
-	if !slices.Equal(measure, a.Measure) || unassigned != a.Unassigned {
-		t.Fatalf("n=%d %+v: pieces found by the sampler do not add up to Analyze's assignment\n got %v + %d\nwant %v + %d",
-			n, p, measure, unassigned, a.Measure, a.Unassigned)
 	}
 }

@@ -16,5 +16,5 @@ func TestOracleConformance(t *testing.T) {
 			return nil, err
 		}
 		return dht.NewOracle(r), nil
-	})
+	}, dhttest.Pieces)
 }

@@ -22,8 +22,9 @@ import (
 // returned DHT must place exactly those points on its circle.
 type Factory func(points []ring.Point) (dht.DHT, error)
 
-// Run executes the conformance suite against the factory.
-func Run(t *testing.T, name string, mk Factory) {
+// Run executes the conformance suite against the factory, then each
+// extra check.
+func Run(t *testing.T, name string, mk Factory, extra ...Check) {
 	t.Helper()
 	t.Run(name+"/HMatchesClockwiseSuccessor", func(t *testing.T) { checkH(t, mk) })
 	t.Run(name+"/HAtPeerPointIsIdentity", func(t *testing.T) { checkHIdentity(t, mk) })
@@ -36,6 +37,9 @@ func Run(t *testing.T, name string, mk Factory) {
 	t.Run(name+"/OwnerStability", func(t *testing.T) { checkOwnerStability(t, mk) })
 	t.Run(name+"/NextUnknownPeer", func(t *testing.T) { checkNextUnknownPeer(t, mk) })
 	t.Run(name+"/TrialsMatchStepwise", func(t *testing.T) { checkTrials(t, mk) })
+	for _, c := range extra {
+		t.Run(name+"/"+c.name, func(t *testing.T) { c.run(t, name, mk) })
+	}
 }
 
 // build creates a DHT over n random points and returns it with the

@@ -210,11 +210,11 @@ func (n *Network) answerFindNode(s uint32, sender ring.Point, best []ring.Point,
 	return n.closestLocked(s, best, target, count, true)
 }
 
-// closestIntoSlot returns up to count contacts known to slot s sorted
-// by XOR distance to target, optionally including the owner itself,
-// appending into the caller's buffer (reused across calls by the
-// lookup scratch). It is the lookup's seed; the FIND_NODE handler runs
-// the same selection through answerFindNode.
+// closestIntoSlot returns the up-to-count contacts known to slot s
+// closest by XOR distance to target, optionally including the owner
+// itself, as a set in no order, appending into the caller's buffer
+// (reused across calls by the lookup scratch). It is the lookup's seed; the FIND_NODE
+// handler runs the same selection through answerFindNode.
 func (n *Network) closestIntoSlot(s uint32, best []ring.Point, target ring.Point, count int, includeSelf bool) []ring.Point {
 	st := n.Stripe(s)
 	st.RLock()
@@ -239,9 +239,10 @@ func (n *Network) closestIntoSlot(s uint32, best []ring.Point, target ring.Point
 //     lowest up.
 //
 // The buckets' distance ranges are disjoint and ordered this way, so
-// each bucket's entries are appended after everything before them and
-// only have to be ordered among themselves (appendBucket), and once
-// best holds count ids no later bucket can displace any of them.
+// every bucket that fits whole is appended as stored, and only the one
+// that does not gives its closest entries (appendBucket). No reader
+// needs more: a lookup places each id of a reply on its own, since
+// remote and forged replies come in any order.
 func (n *Network) closestLocked(s uint32, best []ring.Point, target ring.Point, count int, includeSelf bool) []ring.Point {
 	best = best[:0]
 	if count <= 0 {
@@ -271,63 +272,64 @@ func (n *Network) closestLocked(s uint32, best []ring.Point, target ring.Point, 
 	return best
 }
 
-// rankCutoff is the largest bucket appendBucket ranks by counting;
-// larger ones, which only k > rankCutoff has, are sorted. Like
-// slices.Sort's own small-input cutoff it is a size threshold, not a
-// tuning knob.
-const rankCutoff = 32
-
-// appendBucket appends one bucket's entries to best in increasing XOR
-// distance to target, stopping when best holds count. The ordering
-// works on the keys id ^ target, which compare as the distances do,
-// and maps each key back with ^ target (XOR is its own inverse), so no
-// id array is needed. Up to rankCutoff entries, each key's rank is the
-// count of smaller keys, with no data-dependent branch; above it the
-// keys are sorted in best's spare capacity. Entry slots translate to
-// identifiers with atomic loads; the caller holds the owning slot's
-// stripe.
+// appendBucket appends one bucket's entries to best, stopping when
+// best holds count. A bucket that fits is appended as stored; of one
+// that does not, the entries closest to target are selected on the
+// keys id ^ target, which compare as the distances do and map back
+// with ^ target (XOR is its own inverse), in best's spare capacity.
+// Entry slots translate to identifiers with atomic loads; the caller
+// holds the owning slot's stripe.
 func (n *Network) appendBucket(best []ring.Point, ref uint32, target ring.Point, count int) []ring.Point {
 	if ref == noRegion {
 		return best
 	}
 	ents := regEntries(n.region(ref))
 	l := len(best)
-	keep := min(len(ents), count-l)
-	if len(ents) > rankCutoff {
-		best = slices.Grow(best, len(ents))
-		seg := best[l : l+len(ents)]
-		for i, c := range ents {
-			seg[i] = n.ID(c)
+	keep := count - l
+	if len(ents) <= keep {
+		for _, c := range ents {
+			best = append(best, n.ID(c))
 		}
-		orderByXor(seg, target)
-		return best[:l+keep]
+		return best
 	}
-	var buf [rankCutoff]uint64
-	keys := buf[:len(ents)]
+	best = slices.Grow(best, len(ents))
+	keys := best[l : l+len(ents)]
 	for i, c := range ents {
-		keys[i] = uint64(n.ID(c) ^ target)
+		keys[i] = n.ID(c) ^ target
 	}
-	best = slices.Grow(best, keep)
-	out := best[l : l+keep]
-	// Two keys per pass, so each pass loads the segment once for both;
-	// an odd last key is paired with itself.
-	for i := 0; i < len(keys); i += 2 {
-		a, b := keys[i], keys[min(i+1, len(keys)-1)]
-		var ra, rb uint64
-		for _, kj := range keys {
-			_, lessA := bits.Sub64(kj, a, 0)
-			_, lessB := bits.Sub64(kj, b, 0)
-			ra += lessA
-			rb += lessB
-		}
-		if ra < uint64(keep) {
-			out[ra] = ring.Point(a) ^ target
-		}
-		if rb < uint64(keep) {
-			out[rb] = ring.Point(b) ^ target
-		}
+	selectSmallest(keys, keep)
+	for i := range keys[:keep] {
+		keys[i] ^= target
 	}
 	return best[:l+keep]
+}
+
+// selectSmallest moves the keep smallest of the distinct keys to
+// keys[:keep], in no order, by quickselect: each pass partitions the
+// range that holds the split around its middle key.
+func selectSmallest(keys []ring.Point, keep int) {
+	lo, hi := 0, len(keys)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		keys[mid], keys[hi-1] = keys[hi-1], keys[mid]
+		pivot, p := keys[hi-1], lo
+		for j := lo; j < hi-1; j++ {
+			if keys[j] < pivot {
+				keys[p], keys[j] = keys[j], keys[p]
+				p++
+			}
+		}
+		keys[p], keys[hi-1] = keys[hi-1], keys[p]
+		// keys[lo:p] < keys[p] < keys[p+1:hi].
+		switch {
+		case p == keep || p+1 == keep:
+			return
+		case p > keep:
+			hi = p
+		default:
+			lo = p + 1
+		}
+	}
 }
 
 // orderByXor orders distinct ids in place by XOR distance to target.

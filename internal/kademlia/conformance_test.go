@@ -25,7 +25,7 @@ func TestKademliaConformance(t *testing.T) {
 			return nil, err
 		}
 		return net.AsDHT(points[0])
-	})
+	}, dhttest.Pieces)
 }
 
 // TestKademliaConformanceSimTransport re-runs the suite over the
@@ -94,5 +94,5 @@ func TestKademliaConformanceSmallK(t *testing.T) {
 			return nil, err
 		}
 		return net.AsDHT(points[0])
-	})
+	}, dhttest.Pieces)
 }

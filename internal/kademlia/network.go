@@ -3,6 +3,7 @@ package kademlia
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/dht-sampling/randompeer/internal/dht"
@@ -666,37 +667,60 @@ func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, 
 // construction) with the k XOR-closest members of each distance
 // octave, farthest first so the closest contacts sit at the most-
 // recently-seen end — the same state the old full scan-and-sort fill
-// produced, computed from the sorted membership instead: bucket b's
-// candidates form one contiguous value range (the aligned block
-// reached by flipping bit b of the node's id and clearing the bits
-// below), and the k XOR-closest within the range are selected by
-// descending the implicit binary trie, visiting only subranges that
-// can still contribute. The range's ends are ranks in the ring's
-// bucket directory.
+// produced, computed from the sorted membership instead. Bucket b's
+// candidates form one contiguous value range: the half of id's aligned
+// 2^(b+1) block that id is not in. Going up from b, that block grows by
+// one half a level, so its rank bounds take one Rank search a level.
+// The walk starts at the bucket of the XOR-nearer of id's two numeric
+// neighbours: an aligned block that holds id and another member holds
+// the members between them, one of those neighbours among them, so
+// every lower bucket is empty and id's block there holds id alone. The
+// k XOR-closest within a range are selected by descending the implicit
+// binary trie, visiting only subranges that can still contribute.
 func (n *Network) fillStaticSlot(r *ring.Ring, i int, scratch []uint32, rb *regionBatcher) []uint32 {
 	sorted := r.Sorted()
 	id := uint64(sorted[i])
 	k := n.cfg.BucketSize
 	n.st.succs[i] = uint32((i + 1) % len(sorted))
 	n.st.preds[i] = uint32((i - 1 + len(sorted)) % len(sorted))
+	near := uint64(math.MaxUint64) // no neighbour: bucket 63 finds nobody
+	if i > 0 {
+		near = id ^ uint64(sorted[i-1])
+	}
+	if i+1 < len(sorted) {
+		near = min(near, id^uint64(sorted[i+1]))
+	}
 	row := n.st.bucketRefs[i*idBits : i*idBits+idBits]
-	for b := 0; b < idBits; b++ {
-		base := (id ^ (uint64(1) << uint(b))) &^ (uint64(1)<<uint(b) - 1)
-		lo, _ := r.Rank(ring.Point(base))
-		var hi int
-		if end := base + uint64(1)<<uint(b); end == 0 {
-			hi = len(sorted) // bucket 63's upper block ends at 2^64
+	lo, hi := i, i+1 // ranks of id's aligned 2^b block
+	for b := bucketIndex(near); b < idBits; b++ {
+		bit := uint64(1) << uint(b)
+		base := (id ^ bit) &^ (bit - 1)
+		var blo, bhi int
+		if id&bit == 0 {
+			// The bucket is the block's upper half, which ends at 2^64
+			// for bucket 63.
+			blo = hi
+			if end := base + bit; end == 0 {
+				bhi = len(sorted)
+			} else {
+				bhi, _ = r.Rank(ring.Point(end))
+			}
+			hi = bhi
 		} else {
-			hi, _ = r.Rank(ring.Point(end))
+			blo, _ = r.Rank(ring.Point(base))
+			bhi = lo
+			lo = blo
 		}
-		if lo >= hi {
+		if blo >= bhi {
 			continue
 		}
-		scratch = collectXorClosest(scratch[:0], sorted, lo, hi, base, b, id, k)
-		// Insertion-sort by descending XOR distance (≤ k elements, all
-		// distances distinct) and install: entries order farthest →
-		// closest matches the touch-farthest-first order of the
-		// incremental path.
+		// Entries order farthest → closest, as the incremental path's
+		// farthest-first touches leave them. The descent emits nearer
+		// subranges first, each in ring order: reversed, only members
+		// of one subrange can be out of that order, and the insertion
+		// sort (≤ k entries, distances distinct) moves only those.
+		scratch = collectXorClosest(scratch[:0], sorted, blo, bhi, base, b, id, k)
+		slices.Reverse(scratch)
 		for x := 1; x < len(scratch); x++ {
 			v := scratch[x]
 			dv := uint64(sorted[v]) ^ id
@@ -718,11 +742,13 @@ func (n *Network) fillStaticSlot(r *ring.Ring, i int, scratch []uint32, rb *regi
 
 // collectXorClosest appends the sorted-membership indices of the
 // up-to-rem XOR-closest members to id within sorted[lo:hi), an aligned
-// block of size 2^level starting at base. Output order is unspecified;
-// callers sort. The descent takes the half sharing id's next bit first
-// (strictly closer than the other half), so only ranges that can still
-// contribute are visited. Indices double as arena slots during the
-// static build, so the bucket entries need no ID translation.
+// block of size 2^level starting at base. The descent takes the half
+// sharing id's next bit first (strictly closer than the other half), so
+// only ranges that can still contribute are visited, and the output
+// holds nearer subranges before farther ones, each taken whole in ring
+// order; callers order within them. Indices double as arena slots
+// during the static build, so the bucket entries need no ID
+// translation.
 func collectXorClosest(dst []uint32, sorted []ring.Point, lo, hi int, base uint64, level int, id uint64, rem int) []uint32 {
 	for {
 		if rem <= 0 || lo >= hi {

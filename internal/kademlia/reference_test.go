@@ -3,6 +3,7 @@ package kademlia
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -149,10 +150,23 @@ func (n *Network) findClosestMapRef(from, target ring.Point) (LookupResult, erro
 	return res, nil
 }
 
-// checkClosestAgainstFullScan compares closestIntoSlot with the full
-// scan for every live node of net over a target set that exercises the
-// walk's corners: self (no set bits), self^1 and self^2^63 (one set bit
-// at either end), members (exact hits) and random points.
+// sameSet reports whether got names exactly want's ids, in any order.
+// want is a full-scan selection, distinct by construction, so equal
+// sorted copies mean got names each of them once and nothing else.
+func sameSet(got, want []ring.Point) bool {
+	g, w := slices.Clone(got), slices.Clone(want)
+	slices.Sort(g)
+	slices.Sort(w)
+	return slices.Equal(g, w)
+}
+
+// checkClosestAgainstFullScan compares closestIntoSlot, as a set, with
+// the full scan for every live node of net over a target set that
+// exercises the walk's corners: self (no set bits), self^1 and
+// self^2^63 (one set bit at either end), members (exact hits) and
+// random points. The reply's order is no part of the contract: the
+// lookup places each id on its own, and TestLookupIgnoresReplyOrder
+// holds every lookup to that.
 func checkClosestAgainstFullScan(t *testing.T, net *Network, rng *rand.Rand, stage string) {
 	t.Helper()
 	members := net.Members()
@@ -173,7 +187,7 @@ func checkClosestAgainstFullScan(t *testing.T, net *Network, rng *rand.Rand, sta
 				for _, includeSelf := range []bool{false, true} {
 					want := net.closestFullScan(s, target, count, includeSelf)
 					buf = net.closestIntoSlot(s, buf, target, count, includeSelf)
-					if !slices.Equal(buf, want) {
+					if !sameSet(buf, want) {
 						t.Fatalf("%s: k=%d node %v target %v count %d includeSelf %v:\n got %v\nwant %v",
 							stage, k, id, target, count, includeSelf, buf, want)
 					}
@@ -185,8 +199,8 @@ func checkClosestAgainstFullScan(t *testing.T, net *Network, rng *rand.Rand, sta
 
 func TestClosestBucketOrderMatchesFullScan(t *testing.T) {
 	t.Parallel()
-	// k = 40 fills buckets past rankCutoff, so both of appendBucket's
-	// orderings run.
+	// k = 40 fills buckets far past a reply's partial share, so the
+	// selection partitions more than once.
 	for _, k := range []int{1, 2, 16, 40} {
 		r := testRing(t, 60+uint64(k), 192)
 		pts := r.Points()
@@ -222,14 +236,15 @@ func TestClosestBucketOrderMatchesFullScan(t *testing.T) {
 
 // fuzzContact spreads a byte over the identifier space: 256 contacts,
 // half of them in the far bucket of any node, so that buckets overflow
-// into replacement caches at every k under test and a k of 40 fills
-// buckets past rankCutoff.
+// into replacement caches at every k under test and a reply's last
+// bucket often fits only in part.
 func fuzzContact(b byte) ring.Point {
 	return ring.Point((uint64(b) + 1) * 0x9e3779b97f4a7c15)
 }
 
 // bucketIDs returns bucket b of slot s, entries then replacement cache,
-// as identifiers.
+// as identifiers. It reads the region without writing to it: the
+// entry view's capacity runs on into the region's words.
 func (n *Network) bucketIDs(s uint32, b int) []ring.Point {
 	st := n.Stripe(s)
 	st.RLock()
@@ -240,7 +255,10 @@ func (n *Network) bucketIDs(s uint32, b int) []ring.Point {
 	}
 	reg := n.region(ref)
 	var out []ring.Point
-	for _, c := range append(regEntries(reg), regCache(reg, n.cfg.BucketSize)...) {
+	for _, c := range regEntries(reg) {
+		out = append(out, n.ID(c))
+	}
+	for _, c := range regCache(reg, n.cfg.BucketSize) {
 		out = append(out, n.ID(c))
 	}
 	return out
@@ -251,8 +269,9 @@ func (n *Network) bucketIDs(s uint32, b int) []ring.Point {
 // sequence it replaced: touchContact, then the full-scan selection.
 // Two identical one-node tables take fuzzed touch/remove/promote
 // sequences; then one answers a FIND_NODE through handleRPC and the
-// other runs the reference. The reply and every bucket (entries and
-// replacement cache) must agree.
+// other runs the reference. The reply must name the same ids, in any
+// order, and every bucket (entries and replacement cache, in order)
+// must agree.
 func FuzzFindNodeMatchesFullScan(f *testing.F) {
 	f.Add(uint64(0), byte(0), byte(0), []byte{})
 	f.Add(uint64(1)<<63, byte(3), byte(255), []byte{0, 1, 0, 2, 0, 3, 2, 1, 3, 2})
@@ -306,7 +325,7 @@ func FuzzFindNodeMatchesFullScan(f *testing.F) {
 			want.touchContact(ws, from)
 		}
 		wantClosest := want.closestFullScan(ws, ring.Point(target), count, true)
-		if g := resp.(*findNodeResp).Closest; !slices.Equal(g, wantClosest) {
+		if g := resp.(*findNodeResp).Closest; !sameSet(g, wantClosest) {
 			t.Fatalf("k=%d K=%d sender %v target %#x: reply\n got %v\nwant %v", k, count, from, target, g, wantClosest)
 		}
 		for b := 0; b < idBits; b++ {
@@ -470,4 +489,150 @@ func FuzzLookupShortlistMatchesReference(f *testing.F) {
 			t.Fatalf("width 1 aborted where width %d converged: %v", cfg.BucketSize, shortErr)
 		}
 	})
+}
+
+// fillStaticSlotRef is the reference for fillStaticSlot: the fill it
+// replaced, which searched both ends of every one of the 64 buckets'
+// ranges and insertion-sorted the descent's near-first output into
+// farthest-first order.
+func (n *Network) fillStaticSlotRef(r *ring.Ring, i int, scratch []uint32, rb *regionBatcher) []uint32 {
+	sorted := r.Sorted()
+	id := uint64(sorted[i])
+	k := n.cfg.BucketSize
+	n.st.succs[i] = uint32((i + 1) % len(sorted))
+	n.st.preds[i] = uint32((i - 1 + len(sorted)) % len(sorted))
+	row := n.st.bucketRefs[i*idBits : i*idBits+idBits]
+	for b := 0; b < idBits; b++ {
+		base := (id ^ (uint64(1) << uint(b))) &^ (uint64(1)<<uint(b) - 1)
+		lo, _ := r.Rank(ring.Point(base))
+		var hi int
+		if end := base + uint64(1)<<uint(b); end == 0 {
+			hi = len(sorted)
+		} else {
+			hi, _ = r.Rank(ring.Point(end))
+		}
+		if lo >= hi {
+			continue
+		}
+		scratch = collectXorClosest(scratch[:0], sorted, lo, hi, base, b, id, k)
+		for x := 1; x < len(scratch); x++ {
+			v := scratch[x]
+			dv := uint64(sorted[v]) ^ id
+			j := x - 1
+			for j >= 0 && uint64(sorted[scratch[j]])^id < dv {
+				scratch[j+1] = scratch[j]
+				j--
+			}
+			scratch[j+1] = v
+		}
+		ref := rb.alloc()
+		reg := n.region(ref)
+		copy(reg[1:], scratch)
+		regSetLens(reg, len(scratch), 0)
+		row[b] = ref
+	}
+	return scratch
+}
+
+// buildStaticRef is BuildStaticPartition over fillStaticSlotRef.
+func buildStaticRef(t *testing.T, cfg Config, points []ring.Point, owned func(ring.Point) bool) *Network {
+	t.Helper()
+	n := newNetwork(cfg, simnet.NewDirect())
+	err := n.BuildStatic(points, owned, func(r *ring.Ring, idx []int) {
+		scratch := make([]uint32, 0, n.cfg.BucketSize)
+		rb := regionBatcher{n: n}
+		for _, i := range idx {
+			scratch = n.fillStaticSlotRef(r, i, scratch, &rb)
+		}
+		rb.release()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// staticShapes returns point sets of n distinct points in the shapes
+// that reach the fill's corners: uniform points; pairs one unit apart
+// (a lowest bucket of 0); points at 0 and 2^64-1 (bucket 63 from both
+// ends of the circle, and a node with one numeric neighbour only); and
+// clusters under shared 40-bit prefixes, so that a node's lowest
+// non-empty bucket sits well above 0 and buckets above it are empty
+// between the clusters' levels.
+func staticShapes(rng *rand.Rand, n int) []staticShape {
+	fill := func(gen func(i int) ring.Point) []ring.Point {
+		seen := make(map[ring.Point]bool, n)
+		var pts []ring.Point
+		for i := 0; len(pts) < n; i++ {
+			if p := gen(i); !seen[p] {
+				seen[p] = true
+				pts = append(pts, p)
+			}
+		}
+		return pts
+	}
+	centers := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), 0, math.MaxUint64}
+	return []staticShape{
+		{"uniform", fill(func(int) ring.Point { return ring.Point(rng.Uint64()) })},
+		{"adjacent", fill(func(i int) ring.Point {
+			p := rng.Uint64() &^ 1
+			return ring.Point(p | uint64(i&1))
+		})},
+		{"ends", fill(func(i int) ring.Point {
+			switch i {
+			case 0:
+				return math.MaxUint64
+			case 1:
+				return 0
+			}
+			return ring.Point(rng.Uint64())
+		})},
+		{"clustered", fill(func(int) ring.Point {
+			c := centers[rng.IntN(len(centers))]
+			return ring.Point(c&^(1<<24-1) | rng.Uint64()>>40)
+		})},
+	}
+}
+
+// staticShape is one named point set of staticShapes.
+type staticShape struct {
+	name string
+	pts  []ring.Point
+}
+
+// TestFillStaticSlotMatchesReference holds the static fill to the one
+// it replaced: every slot's buckets, entries, cache and order, and ring
+// pointers equal, at every k and shape, on a whole build and on a
+// partition that hosts every third point's node.
+func TestFillStaticSlotMatchesReference(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewPCG(43, 43))
+	partition := func(p ring.Point) bool { return uint64(p)%3 == 0 }
+	for _, n := range []int{1, 2, 3, 64, 1000} {
+		for _, shape := range staticShapes(rng, n) {
+			pts := shape.pts
+			for _, k := range []int{1, 2, 16, 40} {
+				for _, owned := range []func(ring.Point) bool{nil, partition} {
+					cfg := Config{BucketSize: k}
+					got, err := BuildStaticPartition(cfg, simnet.NewDirect(), pts, owned)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := buildStaticRef(t, cfg, pts, owned)
+					where := fmt.Sprintf("%s n=%d k=%d partitioned=%t", shape.name, n, k, owned != nil)
+					for s := uint32(0); s < uint32(n); s++ {
+						if got.st.succs[s] != want.st.succs[s] || got.st.preds[s] != want.st.preds[s] {
+							t.Fatalf("%s slot %d: ring pointers %d/%d, reference %d/%d",
+								where, s, got.st.succs[s], got.st.preds[s], want.st.succs[s], want.st.preds[s])
+						}
+						for b := 0; b < idBits; b++ {
+							if g, w := got.bucketIDs(s, b), want.bucketIDs(s, b); !slices.Equal(g, w) {
+								t.Fatalf("%s slot %d bucket %d:\n got %v\nwant %v", where, s, b, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

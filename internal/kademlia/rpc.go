@@ -56,8 +56,9 @@ type findNodeReq struct {
 	K      int
 }
 
-// findNodeResp carries the responder's closest known contacts, best
-// (XOR-closest) first, including the responder itself. Replies travel
+// findNodeResp carries the responder's closest known contacts,
+// including the responder itself, in no order: the caller places each
+// id on its own, as it must for a remote or forged reply. Replies travel
 // as pooled pointers whose Closest buffer is reused across RPCs: a
 // FIND_NODE reply is issued per queried contact per lookup round, so
 // boxing a fresh value plus a fresh k-slice each time was the

@@ -57,9 +57,11 @@ func (ls *lookupScratch) reset(self uint32, from, target ring.Point, k int) {
 func (ls *lookupScratch) dist(i int) uint64 { return xorDist(ls.target, ls.short[i].id) }
 
 // learn adds id to the shortlist as a candidate unless it was learned
-// or failed before. Replies are untrusted — a Byzantine or remote node
-// may send them unsorted, with duplicates, longer than k or naming the
-// initiator or a failed contact — so every id is placed on its own. An
+// or failed before. Replies come in no order — the handler answers with
+// a set, and a Byzantine or remote node may add duplicates, run longer
+// than k or name the initiator or a failed contact — so every id is
+// placed on its own, and the window after a reply is the same whatever
+// order its ids came in. An
 // id farther than the window's last entry goes to the tail; a closer
 // one is inserted into the window, whose last entry moves to the tail.
 func (ls *lookupScratch) learn(id ring.Point) {
