@@ -10,7 +10,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X main.version=$(VERSION) -X main.commit=$(COMMIT)
 
-.PHONY: all build test race race-conformance race-kernel race-adversary race-overlay race-trials race-wire vet fmt-check backend-switch-check bench bench-kernel handoff-check bench-smoke bench-snapshot benchdiff cluster-smoke slo-report staticcheck vuln profile alloc-check storage-check exp-golden examples clean
+.PHONY: all build test race race-conformance race-kernel race-adversary race-overlay race-trials race-wire race-cluster vet fmt-check backend-switch-check bench bench-kernel handoff-check bench-smoke bench-snapshot benchdiff cluster-smoke slo-report staticcheck vuln profile alloc-check storage-check exp-golden examples clean
 
 all: build test
 
@@ -78,6 +78,15 @@ race-wire:
 	$(GO) test -run '^$$' -fuzz FuzzDaemonControl -fuzztime 20s ./cmd/randpeerd/
 	$(GO) test -run '^$$' -fuzz FuzzServeWalk -fuzztime 20s ./internal/overlay/
 	$(GO) test -run '^$$' -fuzz FuzzServeRoute -fuzztime 20s ./internal/chord/
+
+# The fleet's control plane fans out across its daemons: Start spawns
+# them at once, Provision posts their partitions at once beside the
+# client's own build, and Close kills all before it reaps any. The
+# failure paths (a daemon that cannot start, one that refuses its
+# partition) and a start-provision-provision run, counted under the
+# race detector.
+race-cluster:
+	$(GO) test -race -count=3 -run 'TestClusterStartFailure|TestClusterProvisionFailure|TestClusterReprovisionOtherBackend' ./internal/cluster/
 
 vet:
 	$(GO) vet ./...

@@ -40,7 +40,7 @@ func TestChordConformanceSimTransport(t *testing.T) {
 			return nil, err
 		}
 		return net.AsDHT(points[0])
-	})
+	}, dhttest.Pieces)
 }
 
 // TestChordConformanceWireTransport re-runs the suite over real TCP
@@ -80,7 +80,7 @@ func TestChordConformanceWireTransport(t *testing.T) {
 			return nil, err
 		}
 		return net.AsDHT(local)
-	})
+	}, dhttest.Pieces)
 }
 
 // TestChordWireJoinVia joins a node hosted on a fresh process (its own

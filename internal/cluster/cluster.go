@@ -175,7 +175,11 @@ type Cluster struct {
 }
 
 // Start builds the daemon binary and spawns n daemons on free loopback
-// ports, waiting until each answers /healthz. clientOpts configure the
+// ports, all at once, waiting until each answers /healthz. Daemon i
+// keeps index i and jitter seed i+1 in whatever order they come up. If any
+// daemon fails to start, the error joins every failure, each naming its
+// daemon and carrying its stderr tail, and every daemon that did start
+// is killed and reaped before Start returns. clientOpts configure the
 // client-side wire transport created by each Provision call (retry
 // budget, timeouts, jitter seed).
 func Start(n int, clientOpts ...wire.Option) (*Cluster, error) {
@@ -183,16 +187,50 @@ func Start(n int, clientOpts ...wire.Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{bin: bin, clientOpts: clientOpts}
-	for i := 0; i < n; i++ {
-		d, err := spawn(bin, "127.0.0.1:0", uint64(i+1))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.daemons = append(c.daemons, d)
+	c, err := start(bin, n, clientOpts)
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// start spawns n daemons of bin concurrently. On failure it closes the
+// cluster, so every daemon that started is killed and reaped, and
+// returns it with its slots kept: a nil one for each daemon that did
+// not start, the address of each that did.
+func start(bin string, n int, clientOpts []wire.Option) (*Cluster, error) {
+	c := &Cluster{bin: bin, clientOpts: clientOpts, daemons: make([]*Daemon, n)}
+	err := fanOut(n, func(i int) error {
+		d, err := spawn(bin, "127.0.0.1:0", uint64(i+1))
+		if err != nil {
+			return fmt.Errorf("cluster: starting daemon %d: %w", i, err)
+		}
+		c.daemons[i] = d
+		return nil
+	})()
+	if err != nil {
+		c.Close()
+	}
+	return c, err
+}
+
+// fanOut starts fn(i) for every i in [0, n), each on a goroutine of its
+// own, and returns a wait that blocks until all have returned and
+// joins their errors.
+func fanOut(n int, fn func(i int) error) (wait func() error) {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range errs {
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	return func() error {
+		wg.Wait()
+		return errors.Join(errs...)
+	}
 }
 
 // spawn starts one daemon, parses its bound address off stdout, and
@@ -346,11 +384,16 @@ func (c *Cluster) Restart(i int) error {
 	return nil
 }
 
-// Close kills every daemon and closes the client transport.
+// Close kills every daemon, then reaps them, and closes the client
+// transport. No daemon waits on another's exit to receive its kill.
 func (c *Cluster) Close() {
 	for _, d := range c.daemons {
-		if d.cmd != nil {
+		if d != nil && d.cmd != nil {
 			_ = d.cmd.Process.Kill()
+		}
+	}
+	for _, d := range c.daemons {
+		if d != nil && d.cmd != nil {
 			_ = d.cmd.Wait()
 			d.cmd = nil
 		}
@@ -370,6 +413,11 @@ func (c *Cluster) Close() {
 // from points[0]; a sampler over it sends each trial's walk to the
 // process hosting the walk's first peer, and the client's partition
 // serves the walks the daemons send to points[0].
+//
+// The partitions are posted to all daemons at once. A daemon that
+// accepts its partition keeps it as the one Restart replays; on any
+// failure the error names each daemon that refused, and the new client
+// transport is closed.
 func (c *Cluster) Provision(backend string, points []ring.Point) (dht.DHT, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("cluster: empty membership")
@@ -398,29 +446,34 @@ func (c *Cluster) Provision(backend string, points []ring.Point) (dht.DHT, error
 		allPoints[i] = uint64(p)
 		routes = append(routes, RouteEntry{Point: uint64(p), Addr: ownerAddr[p]})
 	}
-	for i, d := range c.daemons {
+	wait := fanOut(len(c.daemons), func(i int) error {
+		d := c.daemons[i]
 		owned := make([]uint64, len(perDaemon[i]))
 		for j, p := range perDaemon[i] {
 			owned[j] = uint64(p)
 		}
 		req := ProvisionRequest{Backend: backend, Points: allPoints, Owned: owned, Routes: routes}
 		if err := ProvisionDaemon(d.addr, req); err != nil {
-			_ = client.Close()
-			return nil, err
+			return fmt.Errorf("cluster: provisioning daemon %d at %s: %w", i, d.addr, err)
 		}
 		d.lastProvision = &req
-	}
+		return nil
+	})
+	// The client's partition is built while the posts are in flight:
+	// the build makes no call, and no daemon calls the client before
+	// Provision returns.
 	for _, p := range rest {
 		client.SetRoute(simnet.NodeID(p), ownerAddr[p])
 	}
 	isLocal := func(p ring.Point) bool { return p == local }
 	net, err := overlays.Build(backend, overlays.Config{}, client, points, isLocal)
+	var view dht.DHT
 	if err != nil {
-		_ = client.Close()
-		return nil, fmt.Errorf("cluster: %w", err)
+		err = fmt.Errorf("cluster: %w", err)
+	} else {
+		view, err = net.AsDHT(local)
 	}
-	view, err := net.AsDHT(local)
-	if err != nil {
+	if err := errors.Join(wait(), err); err != nil {
 		_ = client.Close()
 		return nil, err
 	}

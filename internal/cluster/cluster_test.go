@@ -77,7 +77,10 @@ func TestClusterSpawnFailureSaysWhy(t *testing.T) {
 // three-process cluster: every routing hop crosses process boundaries
 // on loopback TCP, and the sampler-facing contract — including the
 // metered costs the suite checks — must be exactly what the in-process
-// transports deliver.
+// transports deliver. The piece walk (dhttest.Pieces) runs on its small
+// grid, one Provision a ring, so every scripted trial goes through the
+// partitioned sampler: a walk that runs where its first peer lives
+// and, on chord, a lookup tail that runs the trial's walk.
 func TestClusterConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster test")
@@ -88,7 +91,7 @@ func TestClusterConformance(t *testing.T) {
 			c := startCluster(t, 3, wire.WithJitterSeed(99))
 			dhttest.Run(t, "cluster-"+backend, func(points []ring.Point) (dht.DHT, error) {
 				return c.Provision(backend, points)
-			})
+			}, dhttest.Pieces)
 		})
 	}
 }

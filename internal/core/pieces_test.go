@@ -19,8 +19,9 @@ import (
 // seeds and six parameter sets each. Every scripted trial runs on a
 // plain sampler and on an exclusive one, which runs the oracle's own
 // trial runner; the two must agree on the owner, the effort and the
-// charge. dhttest.Pieces runs the same walk over every in-process
-// backend at the paper's parameters.
+// charge. dhttest.Pieces runs the same walk at the paper's parameters
+// over the overlays on every transport: direct, virtual time, two wire
+// transports and a three-daemon cluster.
 func TestSamplerAtPieceBoundariesReproducesAnalyze(t *testing.T) {
 	t.Parallel()
 	// The sliver ring: at lambda = 100 and maxSteps = 2, behind a

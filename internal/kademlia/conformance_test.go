@@ -40,7 +40,7 @@ func TestKademliaConformanceSimTransport(t *testing.T) {
 			return nil, err
 		}
 		return net.AsDHT(points[0])
-	})
+	}, dhttest.Pieces)
 }
 
 // TestKademliaConformanceWireTransport re-runs the suite over real
@@ -80,7 +80,7 @@ func TestKademliaConformanceWireTransport(t *testing.T) {
 			return nil, err
 		}
 		return net.AsDHT(local)
-	})
+	}, dhttest.Pieces)
 }
 
 // TestKademliaConformanceSmallK re-runs the suite with tiny buckets
