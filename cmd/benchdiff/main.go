@@ -2,10 +2,10 @@
 // written by cmd/benchsnap) leaf by leaf and prints one markdown table.
 // It fails only on what repeats:
 //
-//   - exact leaves — the SLO, adversary and E27 scenario results, churn
-//     kernel events, storage slots and probes, and the ledger counters
-//     the repository benchmark pins at a fixed operation count — fail on
-//     any inequality, and the message names the leaf;
+//   - exact leaves — the SLO and adversary scenario results, storage
+//     slots and probes, and the ledger counters the repository benchmark
+//     pins at a fixed operation count — fail on any inequality, and the
+//     message names the leaf;
 //   - mem bytes_per_node, which is GC-settled, fails beyond 0.1%;
 //   - every other leaf (wall clock, rates, code lines) is printed with
 //     its ratio and never fails: bench/ measures wall clock, in pairs
@@ -42,7 +42,7 @@ import (
 )
 
 // A record is one object of a snapshot that is compared as a unit: a
-// section that is an object (churn, code, ledger) or one element of a
+// section that is an object (code, ledger) or one element of a
 // section that is a list (mem, slo, adversary). Its backend goes into
 // the name and its peers and fraction into at, so a record meets only
 // its counterpart of the same backend and size.
@@ -143,18 +143,16 @@ const memTolerance = 0.001
 const scalingFloor = 1.5
 
 // wallLeaves are the wall-clock leaves of the scenario sections; every
-// other leaf of slo, adversary and e27 is a pure function of the seed.
+// other leaf of slo and adversary is a pure function of the seed.
 var wallLeaves = map[string]bool{
 	"slo.run_wall_ms": true, "slo.requests_per_sec_wall": true,
 	"adversary.wall_ms": true,
-	"e27.build_wall_ms": true, "e27.run_wall_ms": true,
 }
 
 // exactLeaves are the leaves of the remaining sections that repeat bit
 // for bit. The ledger names are the ones bench/bench_test.go pins in
 // seededCounts and fixedCounts, plus the operation count itself.
 var exactLeaves = map[string]bool{
-	"churn.events": true, "churn.kernel_events": true,
 	"mem.slots": true, "mem.probes_ok": true, "mem.probes": true,
 }
 
@@ -182,7 +180,7 @@ func classify(section, path string) gate {
 		return within
 	case exactLeaves[rule]:
 		return exact
-	case section == "slo" || section == "adversary" || section == "e27":
+	case section == "slo" || section == "adversary":
 		if !wallLeaves[rule] {
 			return exact
 		}

@@ -12,7 +12,6 @@ import (
 // record a section.
 const base = `{
   "go_version": "go1.24.0", "num_cpu": 2, "gomaxprocs": 2,
-  "churn": {"peers": 256, "events": 2000, "wall_ms": 700, "kernel_events": 460169},
   "mem": [{"backend": "kademlia", "peers": 131072, "bytes_per_node": 2000, "build_wall_ms": 600, "slots": 131072}],
   "slo": [{"backend": "kademlia", "peers": 512, "p99_ms": 805.306368, "budget_consumed_pct": 0, "met": true, "run_wall_ms": 4000}],
   "adversary": [{"backend": "chord", "peers": 128, "fraction": 0.2, "naive_tv": 0.61, "swap_tv": 0.46, "wall_ms": 58}],
@@ -56,15 +55,15 @@ func TestBenchdiffGates(t *testing.T) {
 		want     []string // substrings of stdout + stderr
 	}{
 		{name: "unchanged", exit: 0,
-			want: []string{"| churn.kernel_events (n=256) | 460169 | 460169 | equal | exact |"}},
+			want: []string{"| mem[kademlia].slots (n=131072) | 131072 | 131072 | equal | exact |"}},
 		{name: "exact leaf moved in the last digit", new: []string{"805.306368", "805.306369"}, exit: 1,
 			want: []string{"FAIL exact: slo[kademlia].p99_ms (n=512): 805.306368 -> 805.306369", "| equal | exact |\n", "| 1.00x | exact FAIL |"}},
 		{name: "exact leaf rises from zero", new: []string{`"budget_consumed_pct": 0`, `"budget_consumed_pct": 1.33`}, exit: 1,
 			want: []string{"FAIL exact: slo[kademlia].budget_consumed_pct"}},
 		{name: "objectives flip from met to missed", new: []string{`"met": true`, `"met": false`}, exit: 1,
 			want: []string{"FAIL exact: slo[kademlia].met (n=512): true -> false"}},
-		{name: "counted events moved", new: []string{"460169", "460170"}, exit: 1,
-			want: []string{"FAIL exact: churn.kernel_events (n=256): 460169 -> 460170"}},
+		{name: "counted slots moved", new: []string{`"slots": 131072`, `"slots": 131071`}, exit: 1,
+			want: []string{"FAIL exact: mem[kademlia].slots (n=131072): 131072 -> 131071"}},
 		{name: "ledger counter moved", new: []string{"529.7396744659206", "529.7396744659208"}, exit: 1,
 			want: []string{"FAIL exact: ledger.oracle-batch-1m.msgs_per_sample"}},
 		{name: "wall leaf 30% slower", new: []string{`"run_wall_ms": 4000`, `"run_wall_ms": 5200`}, exit: 0,

@@ -1,7 +1,7 @@
 // Command benchsnap records what the repository does, as opposed to
 // how fast this box does it: the scenario sections whose leaves are a
-// pure function of the seed (async churn, E27, the E28 SLO scenarios,
-// the adversarial cells, flat-storage bytes per node), the traced-pass
+// pure function of the seed (flat-storage slots, probes and bytes per
+// node, the E28 SLO scenarios, the adversarial cells), the traced-pass
 // ledger of the repository benchmark at a fixed operation count per
 // workload, and the module's code-line count. The JSON snapshot is
 // committed as BENCH_<pr>.json at the repo root; cmd/benchdiff fails
@@ -28,16 +28,16 @@ import (
 
 // Snapshot is the committed record. Snapshots before BENCH_21 also
 // carry four sections that held nothing but this box's wall clock
-// (batch runs, transport overhead, kernel paths, bulk builds);
-// benchdiff reports them as SKIPPED.
+// (batch runs, transport overhead, kernel paths, bulk builds), and
+// snapshots before BENCH_45 an async-churn and an E27 section, whose
+// counts the churn-simtime ledger, the determinism trace pin and E27's
+// golden table hold; benchdiff reports them as SKIPPED.
 type Snapshot struct {
 	Date       time.Time                     `json:"date"`
 	GoVersion  string                        `json:"go_version"`
 	NumCPU     int                           `json:"num_cpu"`
 	GOMAXPROCS int                           `json:"gomaxprocs"`
 	Seed       uint64                        `json:"seed"`
-	Churn      *ChurnBench                   `json:"churn,omitempty"`
-	E27        *E27Scale                     `json:"e27,omitempty"`
 	Mem        []MemBench                    `json:"mem,omitempty"`
 	SLO        []SLOBench                    `json:"slo,omitempty"`
 	Adversary  []AdversaryBench              `json:"adversary,omitempty"`
@@ -54,16 +54,12 @@ func main() {
 func run(args []string, bench benchRunner) int {
 	fs := flag.NewFlagSet("benchsnap", flag.ContinueOnError)
 	var (
-		seed    = fs.Uint64("seed", 1, "placement and scenario seed")
-		out     = fs.String("o", "", "output path (default stdout)")
-		churnN  = fs.Int("churn-n", 256, "chord ring size for the async-churn run")
-		churnEv = fs.Int("churn-events", 2000, "async churn events to drive")
-		e27N    = fs.Int("e27-n", 1_000_000, "chord network size for the E27 scenario run (0 disables)")
-		e27Ev   = fs.Int("e27-events", 48, "churn events in the E27 scenario run")
-		memCh   = fs.Int("mem-chord-n", 1_000_000, "chord ring size for the flat-storage capacity measurement (0 disables; the 10M headline is 10000000, ~4 GB)")
-		memKad  = fs.Int("mem-kademlia-n", 1<<17, "kademlia network size for the flat-storage capacity measurement (0 disables; the headline is 2097152, ~8 GB)")
-		sloOn   = fs.Bool("slo", true, "run the E28 SLO scenarios (open-loop load under churn, both backends)")
-		advOn   = fs.Bool("adversary", true, "run the adversarial scenarios (route-bias bias + eclipse capture, both backends)")
+		seed   = fs.Uint64("seed", 1, "placement and scenario seed")
+		out    = fs.String("o", "", "output path (default stdout)")
+		memCh  = fs.Int("mem-chord-n", 1_000_000, "chord ring size for the flat-storage capacity measurement (0 disables; the 10M headline is 10000000, ~4 GB)")
+		memKad = fs.Int("mem-kademlia-n", 1<<17, "kademlia network size for the flat-storage capacity measurement (0 disables; the headline is 2097152, ~8 GB)")
+		sloOn  = fs.Bool("slo", true, "run the E28 SLO scenarios (open-loop load under churn, both backends)")
+		advOn  = fs.Bool("adversary", true, "run the adversarial scenarios (route-bias bias + eclipse capture, both backends)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -79,14 +75,6 @@ func run(args []string, bench benchRunner) int {
 		root, err := moduleRoot()
 		if err != nil {
 			return err
-		}
-		if snap.Churn, err = measureChurn(*churnN, *churnEv, *seed); err != nil {
-			return err
-		}
-		if *e27N > 0 {
-			if snap.E27, err = measureE27(*e27N, *e27Ev, 200, *seed); err != nil {
-				return err
-			}
 		}
 		if snap.Mem, err = measureMem(map[string]int{"chord": *memCh, "kademlia": *memKad}, *seed); err != nil {
 			return err

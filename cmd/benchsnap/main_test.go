@@ -142,7 +142,7 @@ func TestGatedSectionsRepeat(t *testing.T) {
 		ran = append(ran, workload)
 		return report, nil
 	}
-	args := []string{"-churn-n", "64", "-churn-events", "200", "-e27-n", "0", "-mem-chord-n", "4096", "-mem-kademlia-n", "1024"}
+	args := []string{"-mem-chord-n", "4096", "-mem-kademlia-n", "1024"}
 	if raceflag.Enabled {
 		// The two full-size E28 scenarios take four minutes under the
 		// detector and run on one goroutine; internal/exp races them at
@@ -166,7 +166,7 @@ func TestGatedSectionsRepeat(t *testing.T) {
 	// is asserted.
 	out, _ := exec.Command(gobin, append([]string{"run", "../benchdiff"}, paths...)...).CombinedOutput()
 	if n := strings.Count(string(out), "| equal | exact |"); n < 50 {
-		t.Errorf("benchdiff compared %d exact leaves, want the slo, adversary, churn, mem and ledger ones\n%s", n, out)
+		t.Errorf("benchdiff compared %d exact leaves, want the slo, adversary, mem and ledger ones\n%s", n, out)
 	}
 	if strings.Contains(string(out), "exact FAIL") {
 		t.Errorf("an exact leaf differs between two runs of one binary\n%s", out)

@@ -10,6 +10,7 @@ import (
 
 	"github.com/dht-sampling/randompeer/internal/core"
 	"github.com/dht-sampling/randompeer/internal/dht"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 )
 
@@ -131,10 +132,70 @@ func thresholdChoice(r *ring.Ring, lambda uint64, maxSteps int, s ring.Point) in
 	return -1
 }
 
-// checkPieces runs PiecesMatchAnalyze over the rings Pieces names. Each
-// start runs as a one-trial sample of a sampler over the DHT and, when
-// the DHT runs trials itself (dht.Trials), as one trial of its runner
-// for an exclusive sampler: both must choose the same peer.
+// SettledPieces runs PiecesMatchAnalyze over the live members of an
+// overlay whose ring has settled after churn (VerifyRing is nil), each
+// start a one-trial sample on the first member's AsDHT, at the paper's
+// parameters for the live size. Theorem 6 assumes a stable ring; this
+// holds an overlay to it on the ring its churn history left.
+func SettledPieces(t testing.TB, where string, net overlay.Network) {
+	t.Helper()
+	if err := net.VerifyRing(); err != nil {
+		t.Fatalf("%s: ring not settled: %v", where, err)
+	}
+	r, err := ring.New(net.Members())
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	d, err := net.AsDHT(r.At(0))
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	p, err := core.DeriveParams(float64(r.Len()), 1, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	where = fmt.Sprintf("%s n=%d %+v", where, r.Len(), p)
+	PiecesMatchAnalyze(t, where, r, p, pieceTrial(t, where, d, r, p))
+}
+
+// pieceTrial is the trial the piece walk runs on d, whose circle holds
+// r's points: each start runs as a one-trial sample of a sampler over
+// d and, when d runs trials itself (dht.Trials), as one trial of its
+// runner for an exclusive sampler; both must choose the same peer.
+func pieceTrial(t testing.TB, where string, d dht.DHT, r *ring.Ring, p core.Params) func(s ring.Point) int {
+	w := dht.Walk{Lambda: p.Lambda, MaxSteps: p.MaxSteps}
+	return func(s ring.Point) int {
+		smp, err := core.NewWithParams(d, rand.New(Starts(s)), p, core.Config{MaxTrials: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chosen := -1
+		peer, err := smp.Sample()
+		switch {
+		case err == nil:
+			if chosen = r.IndexOf(peer.Point); chosen < 0 {
+				t.Fatalf("%s s=%v: sampled non-member %v", where, s, peer.Point)
+			}
+		case !errors.Is(err, core.ErrTrialsExhausted):
+			t.Fatalf("%s s=%v: %v", where, s, err)
+		}
+		if tr, ok := d.(dht.Trials); ok {
+			run := tr.Trials(w, func() ring.Point { return s }, true)
+			got := run.Trial()
+			run.Flush()
+			if got.Err != nil {
+				t.Fatalf("%s s=%v: exclusive runner: %v", where, s, got.Err)
+			}
+			if got.Accepted != (chosen >= 0) || got.Accepted && got.Peer.Point != peer.Point {
+				t.Fatalf("%s s=%v: exclusive runner accepted=%t %v, sampler chose %d", where, s, got.Accepted, got.Peer.Point, chosen)
+			}
+		}
+		return chosen
+	}
+}
+
+// checkPieces runs PiecesMatchAnalyze over the rings Pieces names, with
+// pieceTrial's trial on a DHT the factory builds for each.
 func checkPieces(t *testing.T, name string, mk Factory) {
 	type shape struct {
 		what string
@@ -178,37 +239,11 @@ func checkPieces(t *testing.T, name string, mk Factory) {
 			t.Fatal(err)
 		}
 		where := fmt.Sprintf("%s, %s, n=%d %+v", name, sh.what, r.Len(), p)
-		w := dht.Walk{Lambda: p.Lambda, MaxSteps: p.MaxSteps}
-		trial := func(s ring.Point) int {
+		trial := pieceTrial(t, where, d, r, p)
+		PiecesMatchAnalyze(t, where, r, p, func(s ring.Point) int {
 			trials++
-			smp, err := core.NewWithParams(d, rand.New(Starts(s)), p, core.Config{MaxTrials: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			chosen := -1
-			peer, err := smp.Sample()
-			switch {
-			case err == nil:
-				if chosen = r.IndexOf(peer.Point); chosen < 0 {
-					t.Fatalf("%s s=%v: sampled non-member %v", where, s, peer.Point)
-				}
-			case !errors.Is(err, core.ErrTrialsExhausted):
-				t.Fatalf("%s s=%v: %v", where, s, err)
-			}
-			if tr, ok := d.(dht.Trials); ok {
-				run := tr.Trials(w, func() ring.Point { return s }, true)
-				got := run.Trial()
-				run.Flush()
-				if got.Err != nil {
-					t.Fatalf("%s s=%v: exclusive runner: %v", where, s, got.Err)
-				}
-				if got.Accepted != (chosen >= 0) || got.Accepted && got.Peer.Point != peer.Point {
-					t.Fatalf("%s s=%v: exclusive runner accepted=%t %v, sampler chose %d", where, s, got.Accepted, got.Peer.Point, chosen)
-				}
-			}
-			return chosen
-		}
-		PiecesMatchAnalyze(t, where, r, p, trial)
+			return trial(s)
+		})
 	}
 	t.Logf("%d trials over %d rings", trials, len(shapes))
 }

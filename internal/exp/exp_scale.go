@@ -43,8 +43,7 @@ type ScaleResult struct {
 // which is exactly the kind of O(n)-per-tick machinery a million-peer
 // scenario cannot afford, so repair comes only from the local splices
 // joins and crashes perform — the owner-match rate quantifies the
-// residual damage. Both the E27 experiment table and cmd/benchsnap's
-// committed `e27` section are produced by this one function.
+// residual damage. The E27 experiment table runs it.
 func RunScaleScenario(backend string, n, events, probes int, gap time.Duration, model sim.Model, seed uint64) (*ScaleResult, error) {
 	sc, err := newScenario(backend, n, model, seed)
 	if err != nil {
@@ -91,13 +90,6 @@ func RunScaleScenario(backend string, n, events, probes int, gap time.Duration, 
 		}
 	}
 	return res, nil
-}
-
-// Survived reports whether the scenario completed usefully: churn
-// executed, samplers kept drawing, and post-churn owner probes
-// resolved.
-func (r *ScaleResult) Survived() bool {
-	return r.ChurnEvents > 0 && r.SamplesOK > 0 && r.OwnerMatches > 0
 }
 
 // OwnerMatchPct is the post-churn owner-probe match rate in percent.

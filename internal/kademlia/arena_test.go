@@ -16,11 +16,15 @@ func (b *bucketModel) touch(k int, c uint32) {
 		b.ents = append(slices.Delete(b.ents, i, i+1), c)
 		return
 	}
+	i := slices.Index(b.cache, c)
 	if len(b.ents) < k {
+		if i >= 0 {
+			b.cache = slices.Delete(b.cache, i, i+1)
+		}
 		b.ents = append(b.ents, c)
 		return
 	}
-	if slices.Contains(b.cache, c) {
+	if i >= 0 {
 		return
 	}
 	if len(b.cache) >= replacementCacheLen {
@@ -53,7 +57,8 @@ func (b *bucketModel) promote(k int) {
 //     region starts with a zero header, a block reservation takes fresh
 //     refs and returns its unused tail, and regions never overlap (each
 //     held region keeps the tag written into its last word);
-//   - the bucket (touch, remove, promote) against bucketModel. The first
+//   - the bucket (touch, remove, promote) against bucketModel, and no
+//     contact held twice across the entries and the cache. The first
 //     byte picks k; at k = 0xffff the bucket starts full, so the entry
 //     count fills the header's 16-bit half and contacts near k land on
 //     both sides of it.
@@ -62,6 +67,10 @@ func FuzzRegionPool(f *testing.F) {
 	f.Add([]byte{3, 4, 12, 132, 140, 6, 7, 14, 4, 44, 52, 60, 68, 76})
 	f.Add([]byte{2, 3, 11, 0, 0, 2, 10, 18, 1, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 6, 7})
 	f.Add([]byte{1, 4, 12, 20, 28, 36, 44, 6, 14, 7, 15, 255, 254, 253})
+	// k = 2: touch 0, 1, 2 (2 is cached); remove 0; touch 2, which
+	// moves up; remove 1; promote. A touch that left 2 cached promoted
+	// it a second time.
+	f.Add([]byte{1, 4, 12, 20, 6, 20, 14, 7})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -99,6 +108,7 @@ func FuzzRegionPool(f *testing.F) {
 			base = uint32(k) - 16
 		}
 
+		seen := make([]uint64, (base+32+63)/64) // a bit per contact
 		for _, op := range ops[1:] {
 			arg := uint32(op >> 3)
 			switch op % 8 {
@@ -164,6 +174,15 @@ func FuzzRegionPool(f *testing.F) {
 			}
 			if !slices.Equal(regEntries(reg), model.ents) || !slices.Equal(regCache(reg, k), model.cache) {
 				t.Fatalf("k=%d bucket differs from the reference after op %d", k, op)
+			}
+			clear(seen)
+			for _, part := range [][]uint32{regEntries(reg), regCache(reg, k)} {
+				for _, c := range part {
+					if seen[c/64]&(1<<(c%64)) != 0 {
+						t.Fatalf("k=%d contact %d held twice after op %d: entries %v cache %v", k, c, op, regEntries(reg), regCache(reg, k))
+					}
+					seen[c/64] |= 1 << (c % 64)
+				}
 			}
 		}
 	})

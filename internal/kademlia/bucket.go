@@ -54,8 +54,10 @@ func regCache(reg []uint32, k int) []uint32 {
 
 // regTouch records a live contact: an existing entry moves to the tail
 // (most recently seen), a new one is appended if the bucket has room
-// under capacity k, and otherwise it is remembered in the replacement
-// cache for the next maintenance round.
+// under capacity k, leaving the replacement cache if it waited there,
+// and otherwise it is remembered in the replacement cache for the next
+// maintenance round. A contact is never both an entry and cached, so
+// regPromote never copies in one the entries already hold.
 func regTouch(reg []uint32, k int, c uint32) {
 	ents, cached := regLens(reg)
 	entries := reg[1 : 1+ents]
@@ -66,16 +68,19 @@ func regTouch(reg []uint32, k int, c uint32) {
 			return
 		}
 	}
+	cache := reg[1+k : 1+k+cached]
+	i := slices.Index(cache, c)
 	if ents < k {
+		if i >= 0 {
+			copy(cache[i:], cache[i+1:])
+			cached--
+		}
 		reg[1+ents] = c
 		regSetLens(reg, ents+1, cached)
 		return
 	}
-	cache := reg[1+k : 1+k+cached]
-	for _, e := range cache {
-		if e == c {
-			return
-		}
+	if i >= 0 {
+		return
 	}
 	if cached >= replacementCacheLen {
 		// Drop the oldest cached contact to make room.
